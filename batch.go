@@ -73,7 +73,10 @@ func (s *Session) Apply(b *Batch) error {
 		return s.ws[0].ApplyBatch(b.ops)
 	}
 	db := s.db
-	perShard := make([][]core.BatchOp, len(s.ws))
+	perShard := s.perShard
+	for i := range perShard {
+		perShard[i] = perShard[i][:0]
+	}
 	for _, op := range b.ops {
 		shard := 0
 		if op.KeyBytes != nil {

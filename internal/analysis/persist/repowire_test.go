@@ -8,8 +8,9 @@ import (
 // TestRepoBatchPathWiring runs the analyzer over the real WAL and core
 // packages and pins the interprocedural wiring the batch write path
 // depends on: the call graph must register wal's Append/AppendBatch
-// and core's batch helpers, resolve relogRun's AppendBatch call edge
-// across the package boundary, and enter both in the summary table
+// and core's batch helpers, resolve groupCommit's AppendBatch call edge
+// (the one site both ApplyBatch and relogRun log through) across the
+// package boundary, and enter both in the summary table
 // (both take a *pmem.Thread). The discharge itself is exercised by the
 // corpus; this test guards the real-repo names against silent
 // resolution regressions — an unresolved edge would quietly demote
@@ -31,6 +32,7 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		"../../core::Worker.ApplyBatch",
 		"../../core::Worker.applyRunLocked",
 		"../../core::Worker.relogRun",
+		"../../core::Worker.groupCommit",
 	} {
 		if byKey[key] == nil {
 			t.Fatalf("call graph has no node %q; the batch path is not wired", key)
@@ -40,16 +42,16 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		}
 	}
 
-	relog := byKey["../../core::Worker.relogRun"]
+	commit := byKey["../../core::Worker.groupCommit"]
 	batch := byKey["../../wal::Log.AppendBatch"]
 	wired := false
-	for _, c := range relog.callees {
+	for _, c := range commit.callees {
 		if an.cg.nodes[c] == batch {
 			wired = true
 		}
 	}
 	if !wired {
-		t.Errorf("relogRun -> AppendBatch edge missing; cross-package discharge and cache invalidation both break")
+		t.Errorf("groupCommit -> AppendBatch edge missing; cross-package discharge and cache invalidation both break")
 	}
 
 	for _, f := range findings {

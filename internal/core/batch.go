@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"cclbtree/internal/obs"
 	"cclbtree/internal/wal"
@@ -58,7 +58,8 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 
 	// Materialize word form (VarKV ops write their key/value blobs
 	// here, before anything is logged) and account the ops.
-	kvs := make([]KV, len(ops))
+	kvs := append(w.batchKVs[:0], make([]KV, len(ops))...)
+	w.batchKVs = kvs
 	for i := range ops {
 		op := &ops[i]
 		if tr.opts.VarKV {
@@ -96,8 +97,8 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 	// keeps a key's ops in submission order: the last write to a key
 	// within the batch wins, both in DRAM (applied later) and at
 	// recovery (stamped with a later ORDO tick below).
-	sort.SliceStable(kvs, func(i, j int) bool {
-		return tr.compare(w.t, kvs[i].Key, kvs[j].Key) < 0
+	slices.SortStableFunc(kvs, func(a, b KV) int {
+		return tr.compare(w.t, a.Key, b.Key)
 	})
 	w.t.Advance(int64(len(kvs)) * w.t.CostDRAM() * 2) // DRAM sort cost
 
@@ -108,21 +109,13 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 	// round reclaims (see Tree.epochGen).
 	gen := tr.epochGen.Load()
 	e := tr.epoch.Load()
-	entries := make([]wal.Entry, len(kvs))
-	for i, kv := range kvs {
-		entries[i] = wal.Entry{Key: kv.Key, Value: kv.Value, Timestamp: tr.clock.Now(w.socket)}
-	}
-	m := w.segBegin()
-	err := w.logs[e].AppendBatch(w.t, entries)
-	w.segEnd(obs.SegWAL, m)
+	minTS, err := w.groupCommit(kvs, e)
 	if err != nil {
 		return err
 	}
-	tr.logBytes.Add(int64(len(entries)) * wal.EntrySize)
-	tr.ctr.loggedWrites.Add(uint64(len(entries)))
 	tr.notePeakLog()
 
-	if err := w.applySorted(kvs, gen, e, entries[0].Timestamp); err != nil {
+	if err := w.applySorted(kvs, gen, e, minTS); err != nil {
 		return err
 	}
 
@@ -248,23 +241,34 @@ func (w *Worker) applyRunLocked(n *bufferNode, kvs []KV, gen uint64, e uint32, m
 	tr.heat.Touch(uint64(n.leaf), true)
 	sm := w.segBegin()
 	defer w.segCloseBuffer(sm, w.segAcc[obs.SegWAL], w.segAcc[obs.SegTrigger])
-	relog := tr.epochGen.Load() != gen
-	// A GC round flipped the epoch after the group commit (relog
-	// above): its scan may already have passed this node — before the
-	// batch's slots were published, so without copying them — and the
-	// round reclaims the generation holding the batch's records at its
-	// end. Or (check below) this leaf was flushed after the group
-	// commit stamped its records — by another writer, a split, or an
-	// earlier run of this batch routed here before a split — so the
-	// leaf timestamp now gates the records as stale at recovery even
-	// though these ops are not in the leaf. Either way the pre-assigned
-	// records cannot back this run's slots: re-log the run into the
-	// current generation with fresh ticks under the node lock — the
-	// same logged-inside-the-lock guarantee the per-op path has. The
-	// duplicates are harmless (recovery dedups by newest timestamp),
+	// The group commit stamped its records (ticks >= minTS) before any
+	// node lock was taken. They can back this run's slots only if,
+	// since then, nothing has happened to the node that recovery would
+	// rank above them. Three things can, and each forces a relog — fresh
+	// ticks, current generation, under the node lock, the same
+	// logged-inside-the-lock guarantee the per-op path has:
+	//
+	//   - A GC round flipped the epoch (generation moved): its scan may
+	//     already have passed this node — before the batch's slots were
+	//     published, so without copying them — and the round reclaims
+	//     the generation holding the batch's records at its end.
+	//   - The leaf was flushed (leaf timestamp >= minTS) — by another
+	//     writer, a split, or an earlier run of this batch routed here
+	//     before a split — so the leaf timestamp now gates the records
+	//     as stale even though these ops are not in the leaf.
+	//   - A GC round that flipped BEFORE the group commit (generation
+	//     unchanged) visited the node after it (n.gcTS >= minTS): it
+	//     copied the slots' OLD values into its I-log with ticks above
+	//     the batch's, so for a key this run updates in the buffer,
+	//     recovery's newest-tick dedup would resurrect the old value.
+	//
+	// The rule: a batch record backs a slot only if no leaf stamp and no
+	// GC copy on the node carries a tick at or above it. The duplicates
+	// a relog leaves are harmless (recovery dedups by newest timestamp),
 	// and the epoch is re-read inside the lock so the bits below claim
 	// a generation no older than where the records actually live (the
 	// protocol's benign race direction).
+	relog := tr.epochGen.Load() != gen || n.gcTS >= minTS
 	if !relog {
 		leafTS := w.t.Load(n.leaf.Add(int64(8 * leafTSWord)))
 		relog = leafTS >= minTS
@@ -385,20 +389,17 @@ func (w *Worker) applyRunLocked(n *bufferNode, kvs []KV, gen uint64, e uint32, m
 	return applied, underfull, nil
 }
 
-// relogRun appends fresh copies of a run's records into generation e's
-// log with one group commit, returning the smallest tick it stamped.
-// Called under the run's node lock when the GC epoch moved — or the
-// leaf was flushed — between ApplyBatch's group commit and the run's
-// slot publish.
-func (w *Worker) relogRun(kvs []KV, e uint32) (uint64, error) {
+// groupCommit appends one freshly ticked record per kv (kvs non-empty)
+// to generation e's log under a single fence, returning the smallest
+// tick it stamped. The records are built in worker-owned scratch, which
+// no caller reads after the append.
+func (w *Worker) groupCommit(kvs []KV, e uint32) (uint64, error) {
 	tr := w.tree
-	if len(kvs) == 0 {
-		return 0, nil
+	entries := w.batchEnts[:0]
+	for _, kv := range kvs {
+		entries = append(entries, wal.Entry{Key: kv.Key, Value: kv.Value, Timestamp: tr.clock.Now(w.socket)})
 	}
-	entries := make([]wal.Entry, len(kvs))
-	for i, kv := range kvs {
-		entries[i] = wal.Entry{Key: kv.Key, Value: kv.Value, Timestamp: tr.clock.Now(w.socket)}
-	}
+	w.batchEnts = entries
 	m := w.segBegin()
 	err := w.logs[e].AppendBatch(w.t, entries)
 	w.segEnd(obs.SegWAL, m)
@@ -407,6 +408,20 @@ func (w *Worker) relogRun(kvs []KV, e uint32) (uint64, error) {
 	}
 	tr.logBytes.Add(int64(len(entries)) * wal.EntrySize)
 	tr.ctr.loggedWrites.Add(uint64(len(entries)))
-	tr.ctr.batchRelogs.Add(uint64(len(entries)))
 	return entries[0].Timestamp, nil
+}
+
+// relogRun appends fresh copies of a run's records into generation e's
+// log with one group commit, returning the smallest tick it stamped.
+// Called under the run's node lock when the pre-assigned records cannot
+// back the run's slots (see applyRunLocked).
+func (w *Worker) relogRun(kvs []KV, e uint32) (uint64, error) {
+	if len(kvs) == 0 {
+		return 0, nil
+	}
+	minTS, err := w.groupCommit(kvs, e)
+	if err == nil {
+		w.tree.ctr.batchRelogs.Add(uint64(len(kvs)))
+	}
+	return minTS, err
 }

@@ -306,3 +306,67 @@ func TestApplyBatchConcurrentWithGC(t *testing.T) {
 	c := tr2.Counters()
 	t.Logf("batchRelogs after %d forced GC interleavings: %d", c.GCRuns, c.BatchRelogs)
 }
+
+// TestBatchRelogsWhenGCCopyOvertakesGroupCommit replays, step by step,
+// the interleaving that lost an acknowledged batch write: a GC round
+// flips the epoch, THEN a batch stamps its group commit (so the batch
+// sees the round's generation and nothing looks stale), THEN the
+// round's scan reaches the node — before the batch locks it — and
+// copies the slot's old value into its I-log with a newer tick. The
+// batch's in-buffer update must re-log, or recovery's newest-tick
+// dedup resurrects the old value.
+func TestBatchRelogsWhenGCCopyOvertakesGroupCommit(t *testing.T) {
+	pool := newTestPool(nil)
+	opts := Options{ChunkBytes: 16 << 10}
+	tr, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.NewWorker(0)
+	const key, oldVal, newVal = 42, 1, 2
+	applyOps(t, w, []BatchOp{{Key: key, Value: oldVal}}) // buffered, old epoch
+
+	// The GC round starts (runLocalityGC's flip)...
+	gw := tr.gcWorker()
+	newE := 1 - tr.epoch.Load()
+	tr.epoch.Store(newE)
+	tr.epochGen.Add(1)
+	// ...the batch commits its records (ApplyBatch's first half)...
+	gen, e := tr.epochGen.Load(), tr.epoch.Load()
+	kvs := []KV{{key, newVal}}
+	minTS, err := w.groupCommit(kvs, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ...the scan visits the node...
+	n := tr.findBuffer(w.t, key)
+	v, ok := n.tryLock()
+	if !ok {
+		t.Fatal("node locked")
+	}
+	if !tr.gcCopyNode(gw, n, newE) {
+		t.Fatal("gc copy failed")
+	}
+	n.unlock(v)
+	if tr.Counters().GCCopiedEntries != 1 {
+		t.Fatalf("GC copied %d slots, want the one old-epoch slot", tr.Counters().GCCopiedEntries)
+	}
+	// ...and only now does the batch apply (ApplyBatch's second half).
+	if err := w.applySorted(kvs, gen, e, minTS); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Counters().BatchRelogs; got != 1 {
+		t.Fatalf("batch re-logged %d records, want 1: its record is older than the GC's copy of the old value", got)
+	}
+
+	tr.Freeze()
+	pool.Crash()
+	tr2, _, err := Open(pool, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr2.Freeze()
+	if got, ok := tr2.NewWorker(0).Lookup(key); !ok || got != newVal {
+		t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", key, got, ok, newVal)
+	}
+}

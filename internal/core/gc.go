@@ -161,26 +161,12 @@ func (tr *Tree) runLocalityGC() {
 			n = nx
 			continue
 		}
-		pos, eb, _ := unpackHdr(n.hdr.Load())
-		for i := 0; i < pos; i++ {
-			if uint32(eb>>uint(i)&1) == newE {
-				tr.ctr.gcSkippedFresh.Add(1)
-				continue
-			}
-			ts := tr.clock.Now(w.socket)
-			if _, err := w.logs[newE].Append(w.t, wal.Entry{
-				Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: ts,
-			}); err != nil {
-				// Out of PM for the I-log: abort the round; the old
-				// generation stays live and recovery remains correct.
-				n.unlock(v)
-				return
-			}
-			eb = eb&^(1<<uint(i)) | uint16(newE)<<uint(i)
-			tr.logBytes.Add(wal.EntrySize)
-			tr.ctr.gcCopied.Add(1)
+		if !tr.gcCopyNode(w, n, newE) {
+			// Out of PM for the I-log: abort the round; the old
+			// generation stays live and recovery remains correct.
+			n.unlock(v)
+			return
 		}
-		n.hdr.Store(packHdr(pos, eb, false))
 		nx := n.next.Load()
 		n.unlock(v)
 		n = nx
@@ -191,6 +177,34 @@ func (tr *Tree) runLocalityGC() {
 	// merges since the last round become freeable once every reader
 	// pinned at retire time has exited.
 	tr.advanceEpoch()
+}
+
+// gcCopyNode is step 2 of runLocalityGC for one node, whose lock the
+// caller holds: every unflushed slot still stamped with the old epoch
+// is copied to the GC worker's new-generation I-log and restamped. It
+// records the newest copy's tick on the node: a batch whose group
+// commit was stamped before it must not let those records back a slot
+// (see applyRunLocked). It reports false when the I-log ran out of PM.
+func (tr *Tree) gcCopyNode(w *Worker, n *bufferNode, newE uint32) bool {
+	pos, eb, _ := unpackHdr(n.hdr.Load())
+	for i := 0; i < pos; i++ {
+		if uint32(eb>>uint(i)&1) == newE {
+			tr.ctr.gcSkippedFresh.Add(1)
+			continue
+		}
+		ts := tr.clock.Now(w.socket)
+		if _, err := w.logs[newE].Append(w.t, wal.Entry{
+			Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: ts,
+		}); err != nil {
+			return false
+		}
+		n.gcTS = ts
+		eb = eb&^(1<<uint(i)) | uint16(newE)<<uint(i)
+		tr.logBytes.Add(wal.EntrySize)
+		tr.ctr.gcCopied.Add(1)
+	}
+	n.hdr.Store(packHdr(pos, eb, false))
+	return true
 }
 
 // runNaiveGC is the strawman (Fig 9a / Fig 14): stop the world, flush

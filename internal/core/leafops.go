@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 
 	"cclbtree/internal/obs"
@@ -192,6 +193,29 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 	return live, nil
 }
 
+// slotRef is one key of a splitting leaf: a live slot of the old leaf
+// or a key the in-flight batch adds.
+type slotRef struct {
+	kv   KV
+	slot int // physical slot in the old leaf; -1 for batch-only keys
+}
+
+// splitNew is one right sibling a split mints.
+type splitNew struct {
+	size int // keys packed into the leaf
+	addr pmem.Addr
+	low  uint64 // smallest key: the routing anchor
+	nb   *bufferNode
+}
+
+// splitScratch is splitLeaf's working set, worker-owned so a split
+// allocates only what outlives it (buffer nodes, inner-tree paths).
+type splitScratch struct {
+	refs, merged []slotRef
+	left, right  []KV
+	news         []splitNew
+}
+
 // splitLeaf is the §4.2 logless split, generalized to mint as many
 // right siblings as the in-flight batch needs. img is the current image
 // of n's leaf and batch the in-flight insertions (in order — later
@@ -213,26 +237,23 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 		defer w.t.PopScope(w.t.PushScope(pmem.ScopeSplit))
 	}
 
-	type slotRef struct {
-		kv   KV
-		slot int // physical slot in the old leaf; -1 for batch-only keys
-	}
-	refs := make([]slotRef, 0, LeafSlots)
+	sc := &w.split
+	refs := sc.refs[:0]
 	for i := 0; i < LeafSlots; i++ {
 		if img.slotValid(i) {
 			refs = append(refs, slotRef{KV{img.key(i), img.val(i)}, i})
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		return tr.compare(w.t, refs[i].kv.Key, refs[j].kv.Key) < 0
+	sc.refs = refs
+	slices.SortFunc(refs, func(a, b slotRef) int {
+		return tr.compare(w.t, a.kv.Key, b.kv.Key)
 	})
 
 	// Merge the batch over the live slots: sorted, unique, last write
 	// wins. A tombstone for an absent key vanishes here (it would not
 	// occupy a slot either); a tombstone for a live key keeps its entry
 	// so the fence-compaction rules below see it.
-	merged := make([]slotRef, len(refs))
-	copy(merged, refs)
+	merged := append(sc.merged[:0], refs...)
 	for _, kv := range batch {
 		j := sort.Search(len(merged), func(j int) bool {
 			return tr.compare(w.t, merged[j].kv.Key, kv.Key) >= 0
@@ -248,6 +269,7 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 		copy(merged[j+1:], merged[j:])
 		merged[j] = slotRef{kv, -1}
 	}
+	sc.merged = merged
 	if len(merged) <= LeafSlots {
 		return 0, fmt.Errorf("core: split of leaf with %d merged keys (no overflow)", len(merged))
 	}
@@ -264,54 +286,59 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 		return tr.compare(w.t, merged[j].kv.Key, splitKey) >= 0
 	})
 
-	var batchLeft []KV
+	// batch is not read again below. When this call is the follow-up
+	// insertion of an enclosing split, batch IS sc.left: the filter then
+	// runs in place, which is safe because it keeps a subsequence in
+	// order and so never writes above the index it reads.
+	batchLeft := sc.left[:0]
 	for _, kv := range batch {
 		if tr.compare(w.t, kv.Key, splitKey) < 0 {
 			batchLeft = append(batchLeft, kv)
 		}
 	}
+	sc.left = batchLeft
 
 	// Right contents: merged[mid:] with fences dropped — the split's
 	// freshly stamped leaves gate any older WAL entry for them — except
 	// the first entry, the first new leaf's routing anchor (recovery
 	// rebuilds boundaries from leaf minimums, so lowKey must stay
 	// physically present).
-	rkvs := make([]KV, 0, len(merged)-mid)
+	rkvs := sc.right[:0]
 	for i, r := range merged[mid:] {
 		if r.kv.Value == Tombstone && i != 0 {
 			continue
 		}
 		rkvs = append(rkvs, r.kv)
 	}
+	sc.right = rkvs
 
 	// Pack into as few leaves as possible. Earlier leaves fill
 	// completely (ideal for the sorted-ingest runs that produce
 	// multi-leaf splits; a later insert into a full leaf just splits it
 	// in two); the last leaf keeps at least two keys so it can.
 	numNew := (len(rkvs) + LeafSlots - 1) / LeafSlots
-	sizes := make([]int, numNew)
-	for k := range sizes {
-		sizes[k] = LeafSlots
+	news := append(sc.news[:0], make([]splitNew, numNew)...)
+	sc.news = news
+	for k := range news {
+		news[k].size = LeafSlots
 	}
-	sizes[numNew-1] = len(rkvs) - (numNew-1)*LeafSlots
-	if numNew > 1 && sizes[numNew-1] == 1 {
-		sizes[numNew-2]--
-		sizes[numNew-1]++
+	news[numNew-1].size = len(rkvs) - (numNew-1)*LeafSlots
+	if numNew > 1 && news[numNew-1].size == 1 {
+		news[numNew-2].size--
+		news[numNew-1].size++
 	}
-	addrs := make([]pmem.Addr, numNew)
-	for k := range addrs {
+	for k := range news {
 		a, err := tr.newLeaf(w.t, w.socket)
 		if err != nil {
 			return 0, err
 		}
-		addrs[k] = a
+		news[k].addr = a
 	}
-	lows := make([]uint64, numNew)
 	off := 0
-	for k := 0; k < numNew; k++ {
-		chunk := rkvs[off : off+sizes[k]]
-		off += sizes[k]
-		lows[k] = chunk[0].Key
+	for k := range news {
+		chunk := rkvs[off : off+news[k].size]
+		off += news[k].size
+		news[k].low = chunk[0].Key
 		var rimg leafImage
 		var rbm uint16
 		for i, kv := range chunk {
@@ -321,11 +348,11 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 		}
 		next := img.next()
 		if k < numNew-1 {
-			next = addrs[k+1]
+			next = news[k+1].addr
 		}
 		rimg.setTS(w.stampLeafTS(0))
 		rimg.setMeta(packLeafMeta(rbm, next))
-		tr.writeWholeLeaf(w.t, addrs[k], &rimg)
+		tr.writeWholeLeaf(w.t, news[k].addr, &rimg)
 	}
 
 	// The left leaf keeps its physical slots below splitKey, compacting
@@ -352,7 +379,7 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 	// everything the leaf's last completed flush covered, so dropping
 	// fences above stays safe.
 	prevTag := w.t.SetTag(pmem.TagLeaf)
-	img.setMeta(packLeafMeta(leftBm, addrs[0]))
+	img.setMeta(packLeafMeta(leftBm, news[0].addr))
 	w.t.Store(n.leaf.Add(8*leafMetaWord), img.meta())
 	w.t.Persist(n.leaf.Add(8*leafMetaWord), pmem.WordSize)
 	w.t.SetTag(prevTag)
@@ -361,28 +388,27 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 	// The whole new segment is wired internally before the single
 	// n.next publish makes it reachable.
 	nx := n.next.Load()
-	nbs := make([]*bufferNode, numNew)
-	for k := range nbs {
-		nbs[k] = newBufferNode(addrs[k], lows[k], tr.opts.Nbatch)
+	for k := range news {
+		news[k].nb = newBufferNode(news[k].addr, news[k].low, tr.opts.Nbatch)
 	}
-	for k := range nbs {
+	for k := range news {
 		if k > 0 {
-			nbs[k].prev.Store(nbs[k-1])
+			news[k].nb.prev.Store(news[k-1].nb)
 		} else {
-			nbs[k].prev.Store(n)
+			news[k].nb.prev.Store(n)
 		}
 		if k < numNew-1 {
-			nbs[k].next.Store(nbs[k+1])
+			news[k].nb.next.Store(news[k+1].nb)
 		} else {
-			nbs[k].next.Store(nx)
+			news[k].nb.next.Store(nx)
 		}
 	}
 	if nx != nil {
-		nx.prev.Store(nbs[numNew-1])
+		nx.prev.Store(news[numNew-1].nb)
 	}
-	n.next.Store(nbs[0])
-	for k := range nbs {
-		tr.inner.put(w.t, lows[k], nbs[k])
+	n.next.Store(news[0].nb)
+	for k := range news {
+		tr.inner.put(w.t, news[k].low, news[k].nb)
 	}
 	tr.ctr.splits.Add(uint64(numNew))
 	tr.tracer.Emit(obs.EvSplit, w.id, w.t.Now(), splitKey, uint64(numNew))
@@ -477,7 +503,7 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 	// then n's leaf content (fences dropped — the timestamp bump gates
 	// any older WAL entry for them), then n's unflushed KVs (newest
 	// last).
-	batch := make([]KV, 0, lpos+LeafSlots+npos)
+	batch := w.scratch[:0] // free here: merges run between trigger writes
 	for i := 0; i < lpos; i++ {
 		batch = append(batch, KV{left.slotKey(i), left.slotVal(i)})
 	}
@@ -489,6 +515,7 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 	for i := 0; i < npos; i++ {
 		batch = append(batch, KV{n.slotKey(i), n.slotVal(i)})
 	}
+	w.scratch = batch
 
 	// Conservative capacity check: every batch entry may need a fresh
 	// slot ("left sibling has enough space", §4.2).

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestLookupZeroAlloc gates the lock-free point-read path at zero
 // allocations per op: RCU routing, epoch pin, fingerprint probe and
@@ -52,5 +55,41 @@ func TestScanZeroAllocSteadyState(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state Scan allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestUpsertAllocCeiling bounds the write path's allocations on
+// scattered keys, splits included. What remains is what outlives the
+// op: each split's buffer nodes and the inner tree's copy-on-write
+// path (about 1.1 objects per insert at this fanout); the device
+// model, the WAL append and the split's working set allocate nothing.
+// Counted from MemStats because AllocsPerRun truncates to whole
+// objects.
+func TestUpsertAllocCeiling(t *testing.T) {
+	if raceTestEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+	key := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15&MaxValue | 1 }
+	insert := func(from, to uint64) {
+		for i := from; i < to; i++ {
+			if err := w.Upsert(key(i), i+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const warm, n = 2_000, 60_000
+	insert(0, warm) // grow the worker's scratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	insert(warm, warm+n)
+	runtime.ReadMemStats(&after)
+	if s := tr.Counters().Splits; s < n/20 {
+		t.Fatalf("only %d splits in %d inserts: the split path was not exercised", s, n)
+	}
+	if avg := float64(after.Mallocs-before.Mallocs) / n; avg > 1.5 {
+		t.Fatalf("Upsert allocates %.2f objects/op over %d scattered inserts, want <= 1.5", avg, n)
+	} else {
+		t.Logf("Upsert: %.2f objects/op", avg)
 	}
 }

@@ -40,9 +40,14 @@ type Worker struct {
 	// off). Single-owner like the Thread: one goroutine at a time.
 	mh *obs.Handle
 
-	scratch  []KV   // reused per-op buffer
-	probeKey []byte // current VarKV lookup/scan probe (see probeTag)
-	seenGen  uint64 // last naive-GC stall generation absorbed
+	scratch []KV // reused per-op buffer
+	split   splitScratch
+	// batchKVs/batchEnts are ApplyBatch's word-form ops and group-commit
+	// records (see groupCommit), reused call to call.
+	batchKVs  []KV
+	batchEnts []wal.Entry
+	probeKey  []byte // current VarKV lookup/scan probe (see probeTag)
+	seenGen   uint64 // last naive-GC stall generation absorbed
 
 	// epochSlot is the worker's reclamation pin (see epoch.go): the
 	// epoch a lock-free Get/Scan entered at, 0 between reads. Written

@@ -11,26 +11,37 @@ const interleaveXPLines = 16
 
 const numShards = 64
 
+// lineWords is the content of one cacheline.
+type lineWords [wordsPerLine]uint64
+
 // lineEntry tracks one dirty cacheline in the modeled CPU cache. pre is
-// the persistent image to restore on a crash; it is nil when crash
-// tracking is off or the platform is eADR (where the cache itself is
-// persistent).
+// the persistent image to restore on a crash; it is meaningful only
+// when the device tracks pre-images (device.trackPre). Entries live by
+// value in their shard's map — nothing ever holds a pointer to one, so
+// a slot the map reuses for another line cannot be reached through a
+// stale reference — and are read and written only under the shard lock.
 type lineEntry struct {
-	pre []uint64
+	pre lineWords
 }
 
 // lineShard stripes the dirty-line table to keep store-path locking
-// cheap under concurrency.
+// cheap under concurrency. The map's slot storage is what recycles
+// entries: in steady state insert-after-delete reuses it, so dirtying
+// a line allocates nothing.
 type lineShard struct {
 	mu    sync.Mutex
-	lines map[uint64]*lineEntry // cacheline index -> entry
+	lines map[uint64]lineEntry // cacheline index -> entry
 }
 
 // dimm models one DIMM: an XPBuffer (write-combining cache of XPLines
 // with LRU replacement) plus a bandwidth arbiter for the media behind it.
 type dimm struct {
-	mu  sync.Mutex
-	cap int
+	mu sync.Mutex
+	// slab holds the buffer's XPBufferLines entries; the resident ones
+	// are slab[:len(ent)]. A fill below capacity takes the next unused
+	// entry, a fill at capacity reuses its LRU victim's, and drain
+	// empties the buffer whole — so a miss never allocates.
+	slab []xpEntry
 	// lru is a doubly linked list of resident XPLines, most recent
 	// first, implemented inline to avoid container/list allocations.
 	ent        map[uint64]*xpEntry
@@ -64,6 +75,10 @@ type device struct {
 	evictCursor  atomic.Uint64
 	dimms        []*dimm
 	cacheCap     int
+	// trackPre: stores save the line's pre-store content for crash
+	// rollback (ADR with crash tracking on). Under eADR the cache itself
+	// is persistent and entries carry no pre-image.
+	trackPre bool
 }
 
 func newDevice(id int, cfg *Config) *device {
@@ -77,12 +92,16 @@ func newDevice(id int, cfg *Config) *device {
 		residentBits: make([]atomic.Uint32, (nXP+31)/32),
 		dimms:        make([]*dimm, cfg.DIMMsPerSocket),
 		cacheCap:     cfg.CacheLines,
+		trackPre:     cfg.Mode == ADR && !cfg.DisableCrashTracking,
 	}
 	for i := range d.shards {
-		d.shards[i].lines = make(map[uint64]*lineEntry)
+		d.shards[i].lines = make(map[uint64]lineEntry)
 	}
 	for i := range d.dimms {
-		d.dimms[i] = &dimm{cap: cfg.XPBufferLines, ent: make(map[uint64]*xpEntry)}
+		d.dimms[i] = &dimm{
+			slab: make([]xpEntry, cfg.XPBufferLines),
+			ent:  make(map[uint64]*xpEntry, cfg.XPBufferLines),
+		}
 	}
 	return d
 }
@@ -142,22 +161,21 @@ func (d *device) setResident(xp uint64, v bool) {
 	}
 }
 
-// readLine atomically snapshots the 8 words of a cacheline.
-func (d *device) readLine(line uint64) []uint64 {
+// readLine snapshots the 8 words of a cacheline into dst, each word
+// atomically.
+func (d *device) readLine(line uint64, dst *lineWords) {
 	base := line * wordsPerLine
-	s := make([]uint64, wordsPerLine)
-	for i := range s {
-		s[i] = atomic.LoadUint64(&d.words[base+uint64(i)])
+	for i := range dst {
+		dst[i] = atomic.LoadUint64(&d.words[base+uint64(i)])
 	}
-	return s
 }
 
-// markDirty records a store's cacheline in the CPU-cache model. trackPre
-// selects whether the pre-store content is saved for crash rollback.
+// markDirty records a store's cacheline in the CPU-cache model, saving
+// the pre-store content for crash rollback when the device tracks it.
 // It returns true when the dirty set exceeded capacity and the caller
 // should evict one line (done outside the shard lock to avoid lock-order
 // inversion between shards).
-func (d *device) markDirty(line uint64, trackPre bool) bool {
+func (d *device) markDirty(line uint64) bool {
 	if d.lineDirty(line) {
 		return false
 	}
@@ -167,9 +185,9 @@ func (d *device) markDirty(line uint64, trackPre bool) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	e := &lineEntry{}
-	if trackPre {
-		e.pre = d.readLine(line)
+	var e lineEntry
+	if d.trackPre {
+		d.readLine(line, &e.pre)
 	}
 	sh.lines[line] = e
 	d.setDirtyBit(line)
@@ -260,19 +278,22 @@ func (d *device) xpbufAccess(p *Pool, t *Thread, line uint64, isWrite bool) (boo
 	p.ctr.cur.mediaReadBytes.Add(XPLineSize)
 	var evicted uint64
 	dirtyEvict := false
-	if len(dm.ent) >= dm.cap {
-		victim := dm.popBack()
-		delete(dm.ent, victim.xpline)
-		d.setResident(victim.xpline, false)
-		if victim.dirty {
+	var e *xpEntry
+	if len(dm.ent) < len(dm.slab) {
+		e = &dm.slab[len(dm.ent)]
+	} else {
+		e = dm.popBack()
+		delete(dm.ent, e.xpline)
+		d.setResident(e.xpline, false)
+		if e.dirty {
 			completion = dm.occupy(c.MediaWrite)
 			p.ctr.cur.mediaWriteBytes.Add(XPLineSize)
-			p.ctr.cur.mediaWriteByTag[victim.tag].Add(XPLineSize)
-			p.ctr.cur.mediaWriteByScope[victim.scope].Add(XPLineSize)
-			evicted, dirtyEvict = victim.xpline, true
+			p.ctr.cur.mediaWriteByTag[e.tag].Add(XPLineSize)
+			p.ctr.cur.mediaWriteByScope[e.scope].Add(XPLineSize)
+			evicted, dirtyEvict = e.xpline, true
 		}
 	}
-	e := &xpEntry{xpline: xp, tag: t.tag, scope: t.scope, dirty: isWrite}
+	*e = xpEntry{xpline: xp, tag: t.tag, scope: t.scope, dirty: isWrite}
 	dm.ent[xp] = e
 	dm.pushFront(e)
 	d.setResident(xp, true)
@@ -320,7 +341,7 @@ func (d *device) crash() {
 		sh := &d.shards[i]
 		sh.mu.Lock()
 		for line, e := range sh.lines {
-			if e.pre != nil {
+			if d.trackPre {
 				base := line * wordsPerLine
 				for j, w := range e.pre {
 					atomic.StoreUint64(&d.words[base+uint64(j)], w)

@@ -33,6 +33,24 @@
 //     bounded by the number of XPLine flushes, not cacheline flushes —
 //     the central observation of §2.2 (Fig 2).
 //
+// The model's own bookkeeping allocates nothing per access in steady
+// state, and its entries have no life cycle to get wrong:
+//
+//   - A dirty cacheline's entry (lineEntry: the pre-image a crash
+//     restores) lives by value in its shard's map, whose slot storage
+//     is reused as lines are committed and dirtied. Nothing ever holds
+//     a *lineEntry: readers copy an entry out and writers store a whole
+//     entry back, both only under the shard's lock (lineShard.mu), so
+//     a slot reused for another line is unreachable through any stale
+//     reference.
+//   - A flush awaiting its fence (pendingFlush) carries its 8-word
+//     snapshot by value in Thread.pending, a slice truncated rather
+//     than freed at each fence. By value, so the snapshot cannot alias
+//     an entry that was committed and reused before the fence retires.
+//   - Each DIMM's XPBuffer draws its entries (xpEntry) from a slab of
+//     XPBufferLines; a fill at capacity overwrites its LRU victim's
+//     entry in place. Entries are touched only under the DIMM's lock.
+//
 // All data access is 8-byte-word granular and atomic, which matches how
 // persistent indexes program real PM (8 B failure-atomic stores) and keeps
 // optimistic concurrency race-free under the Go memory model.

@@ -114,9 +114,10 @@ func (t *Thread) TearPending(seed int64) int {
 		defer t.endOp()
 	}
 	torn := 0
-	for _, pf := range t.pending {
+	for i := range t.pending {
+		pf := &t.pending[i]
 		k := tornPrefix(seed, uint64(pf.dev.id), pf.line)
-		if pf.dev.tearLine(pf.line, pf.snapshot, k) {
+		if pf.dev.tearLine(pf.line, &pf.snapshot, k) {
 			torn++
 		}
 	}
@@ -133,8 +134,9 @@ func (t *Thread) TearPendingPrefix(k int) int {
 		defer t.endOp()
 	}
 	torn := 0
-	for _, pf := range t.pending {
-		if pf.dev.tearLine(pf.line, pf.snapshot, k) {
+	for i := range t.pending {
+		pf := &t.pending[i]
+		if pf.dev.tearLine(pf.line, &pf.snapshot, k) {
 			torn++
 		}
 	}
@@ -160,8 +162,8 @@ func tornPrefix(seed int64, dev, line uint64) int {
 // pre-image, so a subsequent crash restores a half-written line. Lines
 // already committed (fenced or evicted — fully persistent) and lines
 // without pre-image tracking are left alone.
-func (d *device) tearLine(line uint64, snapshot []uint64, k int) bool {
-	if k <= 0 {
+func (d *device) tearLine(line uint64, snapshot *lineWords, k int) bool {
+	if k <= 0 || !d.trackPre {
 		return false
 	}
 	if k > len(snapshot) {
@@ -171,10 +173,11 @@ func (d *device) tearLine(line uint64, snapshot []uint64, k int) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.lines[line]
-	if !ok || e.pre == nil {
+	if !ok {
 		return false
 	}
 	copy(e.pre[:k], snapshot[:k])
+	sh.lines[line] = e
 	return true
 }
 

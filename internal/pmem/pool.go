@@ -240,12 +240,12 @@ func (p *Pool) NewThread(socket int) *Thread {
 // current value.
 func (d *device) persistentWord(idx uint64) uint64 {
 	line := idx / wordsPerLine
-	if d.lineDirty(line) {
+	if d.trackPre && d.lineDirty(line) {
 		sh := d.shardFor(line)
 		sh.mu.Lock()
-		e, ok := sh.lines[line]
+		e, ok := sh.lines[line] // a copy: safe to read after the unlock
 		sh.mu.Unlock()
-		if ok && e.pre != nil {
+		if ok {
 			return e.pre[idx%wordsPerLine]
 		}
 	}

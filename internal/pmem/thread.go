@@ -4,11 +4,15 @@ import "sync/atomic"
 
 // pendingFlush is one clwb awaiting its sfence: the line and its content
 // snapshot at flush time (what becomes persistent when the fence
-// retires).
+// retires). The snapshot is carried by value: Thread.pending recycles
+// its backing array across fences, so queueing a flush allocates
+// nothing, and the snapshot shares storage with no dirty-line entry —
+// the line may be committed, and its entry's slot reused, before the
+// fence retires.
 type pendingFlush struct {
 	dev      *device
 	line     uint64
-	snapshot []uint64
+	snapshot lineWords
 }
 
 // readCacheSize is the per-thread window of recently loaded XPLines
@@ -186,9 +190,7 @@ func (t *Thread) Store(a Addr, v uint64) {
 	}
 	d := t.dev(a)
 	idx := a.Offset() / WordSize
-	line := idx / wordsPerLine
-	trackPre := t.pool.cfg.Mode == ADR && !t.pool.cfg.DisableCrashTracking
-	if d.markDirty(line, trackPre) {
+	if d.markDirty(idx / wordsPerLine) {
 		d.evictOne(t.pool, t)
 	}
 	t.vt += t.pool.cfg.Cost.DRAMAccess
@@ -224,12 +226,11 @@ func (t *Thread) WriteRange(a Addr, src []uint64) {
 	}
 	d := t.dev(a)
 	idx := a.Offset() / WordSize
-	trackPre := t.pool.cfg.Mode == ADR && !t.pool.cfg.DisableCrashTracking
 	first := idx / wordsPerLine
 	last := (idx + uint64(len(src)) - 1) / wordsPerLine
 	evictions := 0
 	for line := first; line <= last; line++ {
-		if d.markDirty(line, trackPre) {
+		if d.markDirty(line) {
 			evictions++
 		}
 	}
@@ -278,11 +279,11 @@ func (t *Thread) flushLines(a Addr, n int) {
 		if !d.lineDirty(line) {
 			continue
 		}
-		snap := d.readLine(line)
+		t.pending = append(t.pending, pendingFlush{dev: d, line: line})
+		d.readLine(line, &t.pending[len(t.pending)-1].snapshot)
 		if _, stall := d.xpbufAccess(t.pool, t, line, true); stall > 0 {
 			t.vt += stall
 		}
-		t.pending = append(t.pending, pendingFlush{dev: d, line: line, snapshot: snap})
 	}
 }
 
@@ -302,8 +303,9 @@ func (t *Thread) fence() {
 	if len(t.pending) == 0 {
 		return
 	}
-	for _, pf := range t.pending {
-		pf.dev.commitFlush(pf.line, pf.snapshot)
+	for i := range t.pending {
+		pf := &t.pending[i]
+		pf.dev.commitFlush(pf.line, &pf.snapshot)
 	}
 	t.pending = t.pending[:0]
 }
@@ -330,11 +332,10 @@ func (t *Thread) Persist(a Addr, n int) {
 // commitFlush makes snapshot the persistent image of line. If the line
 // still matches the snapshot it becomes clean; otherwise (re-dirtied
 // after the clwb) the snapshot replaces the pre-image.
-func (d *device) commitFlush(line uint64, snapshot []uint64) {
+func (d *device) commitFlush(line uint64, snapshot *lineWords) {
 	sh := d.shardFor(line)
 	sh.mu.Lock()
-	e, ok := sh.lines[line]
-	if !ok {
+	if _, ok := sh.lines[line]; !ok {
 		sh.mu.Unlock()
 		return // already committed (fence after eviction or double flush)
 	}
@@ -353,8 +354,8 @@ func (d *device) commitFlush(line uint64, snapshot []uint64) {
 		d.dirtyCount.Add(-1)
 		return
 	}
-	if e.pre != nil {
-		copy(e.pre, snapshot)
+	if d.trackPre {
+		sh.lines[line] = lineEntry{pre: *snapshot}
 	}
 	sh.mu.Unlock()
 }

@@ -82,6 +82,12 @@ type op struct {
 	done   chan error
 }
 
+// opPool recycles ops with their done channels. Reuse is safe because
+// every use sends on done at most once (the lane, after the commit) and
+// receives exactly once per send (write), so a pooled op's channel is
+// always empty and the lane never touches an op after completing it.
+var opPool = sync.Pool{New: func() any { return &op{done: make(chan error, 1)} }}
+
 // lane is one shard's commit pipeline: a bounded queue drained by a
 // dedicated committer goroutine whose Session is homed on the shard's
 // socket.
@@ -218,35 +224,30 @@ func (s *Server) enqueue(o *op, key uint64, block bool) error {
 	}
 }
 
+// write runs one op through its lane and waits for the group commit
+// that includes it.
+func (s *Server) write(key, value uint64, del, block bool) error {
+	o := opPool.Get().(*op)
+	o.key, o.value, o.delete = key, value, del
+	err := s.enqueue(o, key, block)
+	if err == nil {
+		err = <-o.done
+	}
+	opPool.Put(o)
+	return err
+}
+
 // Put durably writes a pair through the shard's commit lane, blocking
 // for queue space (closed-loop discipline) and for the group commit
 // that includes it.
-func (s *Server) Put(key, value uint64) error {
-	o := &op{key: key, value: value, done: make(chan error, 1)}
-	if err := s.enqueue(o, key, true); err != nil {
-		return err
-	}
-	return <-o.done
-}
+func (s *Server) Put(key, value uint64) error { return s.write(key, value, false, true) }
 
 // TryPut is Put with open-loop discipline: a full lane queue rejects
 // immediately with cclbtree.ErrBackpressure instead of blocking.
-func (s *Server) TryPut(key, value uint64) error {
-	o := &op{key: key, value: value, done: make(chan error, 1)}
-	if err := s.enqueue(o, key, false); err != nil {
-		return err
-	}
-	return <-o.done
-}
+func (s *Server) TryPut(key, value uint64) error { return s.write(key, value, false, false) }
 
 // Delete removes a key through the shard's commit lane.
-func (s *Server) Delete(key uint64) error {
-	o := &op{key: key, delete: true, done: make(chan error, 1)}
-	if err := s.enqueue(o, key, true); err != nil {
-		return err
-	}
-	return <-o.done
-}
+func (s *Server) Delete(key uint64) error { return s.write(key, 0, true, true) }
 
 // Get reads a key on a pooled session, bypassing the commit lanes
 // (reads are lock-free in the tree). It returns ErrShardClosed after

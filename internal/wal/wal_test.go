@@ -238,3 +238,25 @@ func TestDetachDuringReads(t *testing.T) {
 	}
 	m.ReleaseChunks(chunks)
 }
+
+// TestAppendZeroAlloc gates the per-op log write — three stores, one
+// flush, one fence on the device model — at zero allocations per
+// append (chunk rollover, once per 64 KB here, amortizes below one).
+func TestAppendZeroAlloc(t *testing.T) {
+	pool, m := testSetup(t, 64<<10)
+	th := pool.NewThread(0)
+	l := NewLog(m, 0)
+	ts := uint64(0)
+	appendOne := func() {
+		ts++
+		if _, err := l.Append(th, Entry{Key: ts, Value: ts, Timestamp: ts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		appendOne()
+	}
+	if avg := testing.AllocsPerRun(5000, appendOne); avg != 0 {
+		t.Fatalf("Append allocates %.2f objects/op, want 0", avg)
+	}
+}

@@ -24,6 +24,9 @@ type Session struct {
 	// vt is the serial clock: the max virtual time any of the
 	// session's workers has reached. Maintained only when sharded.
 	vt int64
+	// perShard is Apply's split of a batch by shard, kept (reset, not
+	// remade) from call to call.
+	perShard [][]core.BatchOp
 }
 
 // Session creates an operation handle. On a single-shard DB the
@@ -32,7 +35,11 @@ type Session struct {
 // the session's writes stay NUMA-local to their shard, and the socket
 // argument only seats shard-independent state.
 func (db *DB) Session(socket int) *Session {
-	s := &Session{db: db, ws: make([]*core.Worker, len(db.shards))}
+	s := &Session{
+		db:       db,
+		ws:       make([]*core.Worker, len(db.shards)),
+		perShard: make([][]core.BatchOp, len(db.shards)),
+	}
 	for i, tr := range db.shards {
 		home := socket
 		if len(db.shards) > 1 {
