@@ -53,8 +53,9 @@ func (b *Batch) Reset() { b.ops = b.ops[:0] }
 // one fence per op), and ops landing on the same leaf share one
 // buffer-flush. On a batch of N ops this saves N−1 fences (per shard)
 // and turns N same-leaf trigger writes into one leaf write — the
-// source of the batch path's throughput and write-amplification win
-// (see the "Batched writes" section of the README).
+// source of group commit's throughput and write-amplification win
+// (see the "Batched writes" section of the README). A shard's slice of
+// one op runs exactly as Put/Delete do.
 //
 // Durability is the same as issuing the ops individually: when Apply
 // returns every op is durable, and ops to the same key take effect in

@@ -59,8 +59,8 @@ func TestPublicBatchApply(t *testing.T) {
 		}
 	}
 	check(s, "pre-crash")
-	if db.Counters().BatchApplies != 2 {
-		t.Fatalf("BatchApplies = %d, want 2", db.Counters().BatchApplies)
+	if db.Metrics().Counters.BatchApplies != 2 {
+		t.Fatalf("BatchApplies = %d, want 2", db.Metrics().Counters.BatchApplies)
 	}
 
 	db.Close()

@@ -111,13 +111,6 @@ type DB struct {
 	shards []*core.Tree
 }
 
-// Tree is the pre-sharding name of DB.
-//
-// Deprecated: use DB. The single-tree Tree API is exactly a DB with
-// Config.Shards = 1; the alias exists so existing callers keep
-// compiling and will be removed in a future release.
-type Tree = DB
-
 func (c Config) coreOptions(shard, shards, sockets int) core.Options {
 	return core.Options{
 		Nbatch:       c.Nbatch,
@@ -289,19 +282,6 @@ func (db *DB) PeakLogBytes() int64 {
 	return total
 }
 
-// Counters returns behavioral statistics summed across shards.
-//
-// Deprecated: use Metrics().Counters for the aggregate or
-// ShardCounters for per-shard attribution; Counters remains as a
-// convenience for single-shard callers.
-func (db *DB) Counters() core.Counters {
-	var c core.Counters
-	for _, tr := range db.shards {
-		c = c.Add(tr.Counters())
-	}
-	return c
-}
-
 // ShardCounters returns one shard's behavioral statistics.
 func (db *DB) ShardCounters(i int) core.Counters { return db.shards[i].Counters() }
 
@@ -336,13 +316,6 @@ func (db *DB) ShardMetrics(i int) core.TreeMetrics { return db.shards[i].Metrics
 // counters are pool-wide; for per-shard attribution use ShardMetrics
 // and ShardProfile.
 func (db *DB) Observe() obs.Observation { return obs.Observe(db.pool) }
-
-// Profile snapshots the contention/heat tier of shard 0: per-class
-// lock statistics, per-segment critical-path latency attribution, and
-// the hottest leaves. All slices are empty unless Config.Metrics is
-// on. Shards contend independently, so a sharded DB has no meaningful
-// merged profile — use ShardProfile per shard.
-func (db *DB) Profile() obs.Profile { return db.shards[0].Profile() }
 
 // ShardProfile snapshots one shard's contention/heat tier.
 func (db *DB) ShardProfile(i int) obs.Profile { return db.shards[i].Profile() }

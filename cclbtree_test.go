@@ -126,7 +126,7 @@ func TestPublicStatsSurface(t *testing.T) {
 	if st.MediaWriteBytes == 0 || st.XPBufWriteBytes == 0 {
 		t.Fatalf("hardware counters empty: %+v", st)
 	}
-	c := db.Counters()
+	c := db.Metrics().Counters
 	if c.Upserts != 1000 || c.LoggedWrites == 0 {
 		t.Fatalf("tree counters wrong: %+v", c)
 	}

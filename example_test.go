@@ -86,7 +86,7 @@ func ExampleSession_Apply() {
 	fmt.Println(v, ok)
 	_, ok = s.Get(20)
 	fmt.Println(ok)
-	fmt.Println(db.Counters().BatchApplies)
+	fmt.Println(db.Metrics().Counters.BatchApplies)
 	// Output:
 	// 100 true
 	// false
@@ -133,7 +133,7 @@ func ExampleSession_RangeVar() {
 }
 
 // Reading the write-amplification counters the paper is about.
-func ExampleTree_counters() {
+func ExampleDB_Metrics() {
 	db, _ := cclbtree.New(cclbtree.Config{Platform: smallPlatform()})
 	defer db.Close()
 	s := db.Session(0)
@@ -142,7 +142,7 @@ func ExampleTree_counters() {
 	}
 	db.Pool().DrainXPBuffers()
 	st := db.Pool().Stats()
-	c := db.Counters()
+	c := db.Metrics().Counters
 	fmt.Println(st.MediaWriteBytes > 0, c.TriggerWrites > 0, c.LoggedWrites > c.TriggerWrites)
 	// Output: true true true
 }

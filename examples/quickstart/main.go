@@ -41,7 +41,7 @@ func main() {
 	st := db.Pool().Stats()
 	fmt.Printf("CLI-amplification: %.1f\n", st.CLIAmplification())
 	fmt.Printf("XBI-amplification: %.1f\n", st.XBIAmplification())
-	c := db.Counters()
+	c := db.Metrics().Counters
 	fmt.Printf("trigger writes: %d (unlogged), WAL appends: %d\n",
 		c.TriggerWrites, c.LoggedWrites)
 

@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("throughput    %.2f Mop/s (simulated)\n", float64(total)*1e3/float64(elapsed))
 	fmt.Printf("media write   %.1f MB   media read %.1f MB\n",
 		float64(st.MediaWriteBytes)/1e6, float64(st.MediaReadBytes)/1e6)
-	c := db.Counters()
+	c := db.Metrics().Counters
 	fmt.Printf("buffer hits   %d of %d lookups\n", c.BufferHits, c.Lookups)
 	fmt.Printf("GC runs       %d (copied %d entries)\n", c.GCRuns, c.GCCopiedEntries)
 }

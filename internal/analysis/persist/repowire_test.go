@@ -6,16 +6,19 @@ import (
 )
 
 // TestRepoBatchPathWiring runs the analyzer over the real WAL and core
-// packages and pins the interprocedural wiring the batch write path
-// depends on: the call graph must register wal's Append/AppendBatch
-// and core's batch helpers, resolve groupCommit's AppendBatch call edge
-// (the one site both ApplyBatch and relogRun log through) across the
-// package boundary, and enter both in the summary table
-// (both take a *pmem.Thread). The discharge itself is exercised by the
-// corpus; this test guards the real-repo names against silent
-// resolution regressions — an unresolved edge would quietly demote
-// PL001/PL002/PL013 checking of every batch caller to the bare-name
-// merge, and the batch path must stay free of those findings.
+// packages and pins the interprocedural wiring the write path depends
+// on: the call graph must register wal's Append/AppendBatch and core's
+// write-protocol helpers, resolve groupCommit's AppendBatch call edge
+// (the one foreground WAL-append site) across the package boundary,
+// enter both in the summary table (both take a *pmem.Thread), and reach
+// groupCommit from every public write entry point — single writes
+// included, which run the same protocol as a group of one — so PL-rule
+// discharge of the foreground append is checked on the path users
+// actually run. The discharge itself is exercised by the corpus; this
+// test guards the real-repo names against silent resolution regressions
+// — an unresolved edge would quietly demote PL001/PL002/PL013 checking
+// of every writer to the bare-name merge, and the write path must stay
+// free of those findings.
 func TestRepoBatchPathWiring(t *testing.T) {
 	an := NewAnalyzer()
 	for _, dir := range []string{"../../pmem", "../../obs", "../../wal", "../../core"} {
@@ -29,6 +32,8 @@ func TestRepoBatchPathWiring(t *testing.T) {
 	for _, key := range []string{
 		"../../wal::Log.Append",
 		"../../wal::Log.AppendBatch",
+		"../../core::Worker.Upsert",
+		"../../core::Worker.Delete",
 		"../../core::Worker.ApplyBatch",
 		"../../core::Worker.applyRunLocked",
 		"../../core::Worker.relogRun",
@@ -52,6 +57,43 @@ func TestRepoBatchPathWiring(t *testing.T) {
 	}
 	if !wired {
 		t.Errorf("groupCommit -> AppendBatch edge missing; cross-package discharge and cache invalidation both break")
+	}
+
+	// reaches reports whether the call graph has a path from one node to
+	// another on the caller's own stack (no go statement crossed: the GC
+	// goroutine a write may start does not count).
+	reaches := func(from, to *funcNode) bool {
+		seen := map[*funcNode]bool{}
+		var walk func(n *funcNode) bool
+		walk = func(n *funcNode) bool {
+			if n == to {
+				return true
+			}
+			if seen[n] {
+				return false
+			}
+			seen[n] = true
+			for _, c := range n.syncCallees {
+				if walk(an.cg.nodes[c]) {
+					return true
+				}
+			}
+			return false
+		}
+		return walk(from)
+	}
+	for _, entry := range []string{"Upsert", "Delete", "UpsertVar", "DeleteVar", "UpsertIndirect", "UpsertLargeValue", "ApplyBatch"} {
+		from := byKey["../../core::Worker."+entry]
+		if from == nil {
+			t.Fatalf("call graph has no node for Worker.%s", entry)
+		}
+		if !reaches(from, commit) {
+			t.Errorf("Worker.%s does not reach groupCommit; the single write path is not the checked one", entry)
+		}
+	}
+	// The walk must be able to say no: a read never logs.
+	if reaches(byKey["../../core::Worker.Lookup"], commit) {
+		t.Errorf("Worker.Lookup reaches groupCommit; the reachability walk proves nothing")
 	}
 
 	for _, f := range findings {

@@ -49,7 +49,8 @@ func (t *Tree) MemoryUsage() (int64, int64) { return t.db.MemoryUsage() }
 
 // Profile exposes the contention/heat profile so the bench harness
 // attaches it to phase records (empty unless Config.Metrics is on).
-func (t *Tree) Profile() obs.Profile { return t.db.Profile() }
+// Shard 0's is the whole of it: the harness runs this index unsharded.
+func (t *Tree) Profile() obs.Profile { return t.db.ShardProfile(0) }
 
 // Close implements index.Index.
 func (t *Tree) Close() { t.db.Close() }

@@ -224,7 +224,7 @@ func AblationCache(s Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := raw.(*cclidx.Tree).DB().Counters()
+		c := raw.(*cclidx.Tree).DB().Metrics().Counters
 		hit := 0.0
 		if c.Lookups > 0 {
 			hit = 100 * float64(c.BufferHits) / float64(c.Lookups)
@@ -267,7 +267,7 @@ func AblationGC(s Scale) ([]*Table, error) {
 		}
 		tree := raw.(*cclidx.Tree).DB()
 		tree.WaitGC()
-		c := tree.Counters()
+		c := tree.Metrics().Counters
 		raw.Close()
 		t.Rows = append(t.Rows, []string{
 			cfg.name,

@@ -93,7 +93,7 @@ func runBatchInsert(s Scale, batchSize int) (*Result, uint64, error) {
 		perThread = 1
 	}
 	base := pool.Stats()
-	trigBase := db.Counters().TriggerWrites
+	trigBase := db.Metrics().Counters.TriggerWrites
 	start := make([]int64, threads)
 	for i, ss := range sessions {
 		start[i] = ss.Thread().Now()
@@ -104,15 +104,8 @@ func runBatchInsert(s Scale, batchSize int) (*Result, uint64, error) {
 			defer wg.Done()
 			ss := sessions[th]
 			firstKey := uint64(1)<<40 + uint64(th)*uint64(perThread)
-			if batchSize <= 1 {
-				for i := 0; i < perThread; i++ {
-					if err := ss.Put(firstKey+uint64(i), 7); err != nil {
-						errs[th] = err
-						return
-					}
-				}
-				return
-			}
+			// batchSize 1 is the single-write baseline: a group of one runs
+			// exactly as Put does.
 			var b cclbtree.Batch
 			for i := 0; i < perThread; i++ {
 				b.Put(firstKey+uint64(i), 7)
@@ -143,7 +136,7 @@ func runBatchInsert(s Scale, batchSize int) (*Result, uint64, error) {
 	res.Stats = pool.Stats().Sub(base)
 	res.UserBytes = uint64(res.Ops) * 16
 	res.DRAMBytes, res.PMBytes = db.MemoryUsage()
-	trig := db.Counters().TriggerWrites - trigBase
+	trig := db.Metrics().Counters.TriggerWrites - trigBase
 	recordPhase(fmt.Sprintf("CCL-batch%d", batchSize), Spec{
 		Threads: threads, Warm: s.Warm, Ops: s.Ops,
 		Mix: workload.Mix{Insert: 1}, Seed: s.Seed,

@@ -46,7 +46,7 @@ func Table1Exp(s Scale) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := raw.(*cclidx.Tree).DB().Counters()
+		c := raw.(*cclidx.Tree).DB().Metrics().Counters
 		dram, pm := raw.MemoryUsage()
 		raw.Close()
 		t.Rows = append(t.Rows, []string{

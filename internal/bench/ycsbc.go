@@ -71,7 +71,7 @@ func YCSBC(s Scale) ([]*Table, error) {
 				idx.Close()
 				return nil, fmt.Errorf("%s/t%d: %w", v.name, th, err)
 			}
-			retries := idx.(*cclidx.Tree).DB().Counters().ReadRetries
+			retries := idx.(*cclidx.Tree).DB().Metrics().Counters.ReadRetries
 			idx.Close()
 			mops[v.name][th] = res.Mops()
 			tab.Rows = append(tab.Rows, []string{

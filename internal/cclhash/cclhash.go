@@ -309,7 +309,7 @@ func (w *Worker) putLocked(n *bufNode, b uint64, key, value uint64) error {
 	n.slots[2*pos].Store(key)
 	n.slots[2*pos+1].Store(value)
 	// Purge stale cached copies from earlier flush rounds (see the
-	// tree's upsertLocked for the shadowing hazard).
+	// tree's applyRunLocked for the shadowing hazard).
 	for i := pos + 1; i < nb; i++ {
 		if n.slots[2*i].Load() == key {
 			n.slots[2*i].Store(0)

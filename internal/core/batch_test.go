@@ -155,9 +155,16 @@ func TestApplyBatchValidation(t *testing.T) {
 		t.Fatalf("rejected batches moved counters: %+v", c)
 	}
 
-	// Tombstone value without the Delete flag.
+	// Tombstone value without the Delete flag; keys carrying the tag bits,
+	// for puts and deletes alike.
 	if err := w.ApplyBatch([]BatchOp{{Key: 3, Value: Tombstone}}); err == nil {
 		t.Fatal("tombstone value accepted without Delete")
+	}
+	if err := w.ApplyBatch([]BatchOp{{Key: 3<<62 | 5, Value: 1}}); err == nil {
+		t.Fatal("put of a key above MaxValue accepted")
+	}
+	if err := w.ApplyBatch([]BatchOp{{Key: 3<<62 | 5, Delete: true}}); err == nil {
+		t.Fatal("delete of a key above MaxValue accepted")
 	}
 
 	tr.Freeze()
@@ -368,5 +375,34 @@ func TestBatchRelogsWhenGCCopyOvertakesGroupCommit(t *testing.T) {
 	defer tr2.Freeze()
 	if got, ok := tr2.NewWorker(0).Lookup(key); !ok || got != newVal {
 		t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", key, got, ok, newVal)
+	}
+}
+
+// TestSingleWriteIsGroupOfOne pins what the single write protocol makes
+// true: Upsert/Delete and a one-op ApplyBatch are the same program. The
+// same stream issued either way logs, skips and flushes identically and
+// costs the same virtual time and media traffic.
+func TestSingleWriteIsGroupOfOne(t *testing.T) {
+	type outcome struct {
+		logged, skipped, triggers uint64
+		now                       int64
+		media                     uint64
+	}
+	run := func(issue func(w *Worker, ops []BatchOp) error) outcome {
+		tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+		crashWorkload(7, 20000, 1, 4000, func(ops []BatchOp) {
+			if err := issue(w, ops); err != nil {
+				t.Fatal(err)
+			}
+		})
+		c := tr.Counters()
+		if c.TriggerWrites == 0 || c.Splits == 0 || c.SkippedLogs == 0 {
+			t.Fatalf("stream too tame to compare: %+v", c)
+		}
+		return outcome{c.LoggedWrites, c.SkippedLogs, c.TriggerWrites, w.Thread().Now(), tr.Pool().Stats().MediaWriteBytes}
+	}
+	singles, groups := run(issueSingle), run((*Worker).ApplyBatch)
+	if singles != groups {
+		t.Fatalf("Upsert/Delete and one-op ApplyBatch diverge:\n singles %+v\n groups  %+v", singles, groups)
 	}
 }

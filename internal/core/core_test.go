@@ -55,12 +55,35 @@ func TestUpsertLookupRoundtrip(t *testing.T) {
 }
 
 func TestKeyZeroRejected(t *testing.T) {
-	_, w := newTestTree(t, Options{}, nil)
-	if err := w.Upsert(0, 1); err == nil {
-		t.Fatal("key 0 accepted")
+	tr, w := newTestTree(t, Options{}, nil)
+	// Keys above MaxValue carry the indirection/probe tag bits; recovery
+	// drops their records, so every entry point must refuse them.
+	const tagged = 3<<62 | 5
+	blob, err := w.blobs.write(w.t, []byte("v"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := w.Upsert(1, Tombstone); err == nil {
-		t.Fatal("tombstone value accepted via Upsert")
+	cases := []struct {
+		name string
+		err  error
+	}{
+		{"Upsert key 0", w.Upsert(0, 1)},
+		{"Upsert tombstone value", w.Upsert(1, Tombstone)},
+		{"Upsert value above MaxValue", w.Upsert(1, MaxValue+1)},
+		{"Upsert key above MaxValue", w.Upsert(tagged, 1)},
+		{"Delete key 0", w.Delete(0)},
+		{"Delete key above MaxValue", w.Delete(tagged)},
+		{"UpsertIndirect key above MaxValue", w.UpsertIndirect(tagged, blob)},
+		{"UpsertLargeValue key 0", w.UpsertLargeValue(0, []byte("v"))},
+		{"UpsertLargeValue key above MaxValue", w.UpsertLargeValue(tagged, []byte("v"))},
+	}
+	for _, c := range cases {
+		if c.err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	if c := tr.Counters(); c.LoggedWrites != 0 || c.Upserts != 0 || c.Deletes != 0 {
+		t.Fatalf("rejected writes had side effects: %+v", c)
 	}
 }
 

@@ -209,7 +209,7 @@ func TestCrashDuringOptimisticRead(t *testing.T) {
 			pool := tr.Pool()
 
 			// Kill the writer at its next WAL flush — inside
-			// upsertLocked, version lock held.
+			// applyRunLocked, version lock held.
 			pool.FailWhen(func(fp pmem.FaultPoint) bool { return true })
 			func() {
 				defer func() {

@@ -23,14 +23,32 @@ var (
 	ErrClosed = errors.New("tree is closed")
 )
 
-// writableFixed guards the fixed-mode write entry points: the tree must
-// be open and not in VarKV mode.
-func (w *Worker) writableFixed(op string) error {
+// validateFixed is the one validator of the fixed-mode write entry
+// points (Upsert, Delete, UpsertIndirect, UpsertLargeValue and every
+// fixed ApplyBatch op): the tree must be open and not in VarKV mode, and
+// key must lie in [1, MaxValue] — the top two bits tag indirection
+// pointers and probes, and recovery drops a record whose key carries
+// them. A put of an inline value (inline true) also needs value in
+// [1, MaxValue]; deletes and the entry points whose value word is a blob
+// pointer pass false.
+func (w *Worker) validateFixed(op string, key, value uint64, inline bool) error {
 	if w.tree.closed.Load() {
 		return fmt.Errorf("core: %s: %w", op, ErrClosed)
 	}
 	if w.tree.opts.VarKV {
 		return fmt.Errorf("core: %s: %w", op, ErrFixedKVRequired)
+	}
+	if key == 0 {
+		return fmt.Errorf("core: %s: %w", op, ErrZeroKey)
+	}
+	if key > MaxValue {
+		return fmt.Errorf("core: %s: key %#x outside [1, MaxValue]", op, key)
+	}
+	if inline && value == Tombstone {
+		return fmt.Errorf("core: %s: value 0 is the tombstone; delete instead", op)
+	}
+	if inline && value > MaxValue {
+		return fmt.Errorf("core: %s: value %#x exceeds MaxValue; use UpsertLargeValue", op, value)
 	}
 	return nil
 }

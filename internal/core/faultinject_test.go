@@ -7,24 +7,77 @@ import (
 	"cclbtree/internal/pmem"
 )
 
-// TestCrashAtEveryFlushBoundary cuts power at each successive flush of
-// a fixed workload — inside batch flushes, logless splits, merges, WAL
-// appends, GC — and verifies after recovery that
+// crashDriver is one way of issuing the crash matrix's write stream:
+// groups of size ops (keys unique within a group, so each in-flight op
+// has exactly one pre-state and one post-state to check), each handed
+// to issue. Singles and one-op groups draw the identical stream — the
+// write protocol runs them as the same program.
+type crashDriver struct {
+	name         string
+	seed         int64
+	groups, size int
+	issue        func(w *Worker, ops []BatchOp) error
+	// points caps the crash points sampled per configuration (a full
+	// per-boundary sweep is O(total²) work); short is the -short cap.
+	points, short int
+}
+
+func issueSingle(w *Worker, ops []BatchOp) error {
+	if ops[0].Delete {
+		return w.Delete(ops[0].Key)
+	}
+	return w.Upsert(ops[0].Key, ops[0].Value)
+}
+
+var (
+	crashSingles  = crashDriver{"singles", 99, 2500, 1, issueSingle, 200, 50}
+	crashGroups24 = crashDriver{"groups-of-24", 424242, 150, 24, (*Worker).ApplyBatch, 150, 40}
+	crashGroups1  = crashDriver{"groups-of-1", 99, 2500, 1, (*Worker).ApplyBatch, 100, 25}
+)
+
+// crashWorkload yields the deterministic group sequence for (seed,
+// groups, size) over a space-key range: one delete in six.
+func crashWorkload(seed int64, groups, size, space int, fn func(ops []BatchOp)) {
+	rng := rand.New(rand.NewSource(seed))
+	for g := 0; g < groups; g++ {
+		seen := map[uint64]bool{}
+		var ops []BatchOp
+		for len(ops) < size {
+			k := uint64(rng.Intn(space) + 1)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			if rng.Intn(6) == 0 {
+				ops = append(ops, BatchOp{Key: k, Delete: true})
+			} else {
+				ops = append(ops, BatchOp{Key: k, Value: uint64(rng.Intn(1<<30) + 1)})
+			}
+		}
+		fn(ops)
+	}
+}
+
+// crashMatrix cuts power at successive flushes of a fixed workload —
+// inside WAL appends and group commits, (coalesced) trigger flushes,
+// logless splits, merges, GC — and verifies after recovery that
 //
-//  1. every operation completed before the failing one is durable with
-//     its latest value (the §3.3 durability contract: non-trigger
-//     writes persist their log entry, trigger writes persist the whole
-//     batch, before returning), and
-//  2. the in-flight operation is atomic: its key reads as either the
-//     previous state or the new one, never garbage.
+//  1. every op of every group completed before the failing one is
+//     durable with its latest value (the §3.3 durability contract:
+//     non-trigger writes persist their log entry, trigger writes
+//     persist the whole batch, before returning), and
+//  2. each op of the in-flight group is atomic on its own: its key
+//     reads as either the previous state or the new one, never garbage
+//     — a group is atomic per op, not as a unit.
 //
-// The sweep runs in both persistence domains (ADR rolls back unfenced
-// flushes at Crash; eADR keeps every store) and both with and without
-// background GC. GC-enabled sweeps use the sticky FailWhen trigger: the
-// fault may fire first on the GC goroutine (which recovers and exits),
-// and stickiness guarantees the workload thread dies at its own next
-// flush instead of completing operations on a dead machine.
-func TestCrashAtEveryFlushBoundary(t *testing.T) {
+// The sweep runs each write driver in both persistence domains (ADR
+// rolls back unfenced flushes at Crash; eADR keeps every store), with
+// and without background GC. GC-enabled sweeps rely on the sticky
+// FailWhen trigger: the fault may fire first on the GC goroutine (which
+// recovers and exits), and stickiness guarantees the workload thread
+// dies at its own next flush instead of completing operations on a
+// dead machine.
+func crashMatrix(t *testing.T, drivers ...crashDriver) {
 	cases := []struct {
 		name string
 		mode pmem.Mode
@@ -37,64 +90,44 @@ func TestCrashAtEveryFlushBoundary(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// First, count the workload's flushes (with GC on the count
-			// varies run to run; it only bounds the sweep range).
-			total := countFlushes(t, c.mode, c.gc)
-			if total < 100 {
-				t.Fatalf("workload too small: %d flushes", total)
-			}
-			// Sweep a sample of crash points; a full per-boundary sweep
-			// is O(total²) work, so cap the number of points per config.
-			points := 200
-			if testing.Short() {
-				points = 50
-			}
-			step := 1
-			if total > points {
-				step = total / points
-			}
-			for point := int64(1); point <= int64(total); point += int64(step) {
-				runCrashPoint(t, c.mode, c.gc, point)
+			for _, d := range drivers {
+				t.Run(d.name, func(t *testing.T) {
+					// First, count the workload's flushes (with GC on the
+					// count varies run to run; it only bounds the sweep).
+					total := runCrashPoint(t, d, c.mode, c.gc, 0)
+					if total < 100 {
+						t.Fatalf("workload too small: %d flushes", total)
+					}
+					points := d.points
+					if testing.Short() {
+						points = d.short
+					}
+					step := 1
+					if total > points {
+						step = total / points
+					}
+					for point := int64(1); point <= int64(total); point += int64(step) {
+						runCrashPoint(t, d, c.mode, c.gc, point)
+					}
+				})
 			}
 		})
 	}
 }
 
-// workloadOps drives the deterministic op sequence, reporting each
-// completed op to done. Returns normally or panics with PowerFailure.
-func workloadOps(w *Worker, done func(op int, key, val uint64, del bool)) {
-	rng := rand.New(rand.NewSource(99))
-	const space = 300
-	for op := 0; op < 2500; op++ {
-		k := uint64(rng.Intn(space) + 1)
-		if rng.Intn(6) == 0 {
-			_ = w.Delete(k)
-			done(op, k, 0, true)
-		} else {
-			v := uint64(rng.Intn(1<<30) + 1)
-			_ = w.Upsert(k, v)
-			done(op, k, v, false)
-		}
-	}
+// The one matrix has two entry points — single writes, and groups
+// through ApplyBatch — so either side can be selected with -run and the
+// names CI history knows keep their meaning; scripts/check.sh's
+// 'TestCrashAtEveryFlushBoundary' pattern runs both.
+func TestCrashAtEveryFlushBoundary(t *testing.T) { crashMatrix(t, crashSingles) }
+func TestCrashAtEveryFlushBoundaryBatched(t *testing.T) {
+	crashMatrix(t, crashGroups24, crashGroups1)
 }
 
-func countFlushes(t *testing.T, mode pmem.Mode, gc GCPolicy) int {
-	t.Helper()
-	pool := newTestPool(func(c *pmem.Config) { c.Mode = mode })
-	tr, err := New(pool, Options{ChunkBytes: 8 << 10, GC: gc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// FlushCalls counts every Flush/Persist call in both domains (eADR
-	// moves no data but still counts), matching FaultPoint.Seq numbering.
-	base := pool.FlushCalls()
-	w := tr.NewWorker(0)
-	workloadOps(w, func(int, uint64, uint64, bool) {})
-	tr.Freeze()
-	return int(pool.FlushCalls() - base)
-}
-
-func runCrashPoint(t *testing.T, mode pmem.Mode, gc GCPolicy, point int64) {
+// runCrashPoint runs d's workload on a fresh tree with power failing at
+// the point-th flush from here (0: never), then recovers and checks the
+// contract above. It returns the number of flushes the run issued.
+func runCrashPoint(t *testing.T, d crashDriver, mode pmem.Mode, gc GCPolicy, point int64) int {
 	t.Helper()
 	pool := newTestPool(func(c *pmem.Config) { c.Mode = mode })
 	opts := Options{ChunkBytes: 8 << 10, GC: gc}
@@ -104,11 +137,14 @@ func runCrashPoint(t *testing.T, mode pmem.Mode, gc GCPolicy, point int64) {
 	}
 	w := tr.NewWorker(0)
 
-	ref := map[uint64]uint64{} // state after the last COMPLETED op
-	var inKey, inVal uint64    // the op in flight at the crash
-	var inDel bool
+	ref := map[uint64]uint64{} // state after the last COMPLETED group
+	var inFlight []BatchOp     // the group in flight at the crash
 	completed := 0
 
+	// FlushCalls counts every Flush/Persist call in both domains (eADR
+	// moves no data but still counts) since pool creation, matching
+	// FaultPoint.Seq numbering; the point is relative to here.
+	base := pool.FlushCalls()
 	crashed := func() (c bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -118,26 +154,25 @@ func runCrashPoint(t *testing.T, mode pmem.Mode, gc GCPolicy, point int64) {
 				c = true
 			}
 		}()
-		rng := rand.New(rand.NewSource(99))
-		const space = 300
-		// Seq is global since pool creation; count the point relative to
-		// here so it matches countFlushes' delta.
-		target := pool.FlushCalls() + point
-		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == target })
-		for op := 0; op < 2500; op++ {
-			k := uint64(rng.Intn(space) + 1)
-			if rng.Intn(6) == 0 {
-				inKey, inVal, inDel = k, 0, true
-				_ = w.Delete(k)
-				delete(ref, k)
-			} else {
-				v := uint64(rng.Intn(1<<30) + 1)
-				inKey, inVal, inDel = k, v, false
-				_ = w.Upsert(k, v)
-				ref[k] = v
-			}
-			completed++
+		if point > 0 {
+			pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+point })
 		}
+		crashWorkload(d.seed, d.groups, d.size, 300, func(ops []BatchOp) {
+			inFlight = ops
+			if err := d.issue(w, ops); err != nil {
+				t.Error(err)
+				panic(pmem.PowerFailure{})
+			}
+			for _, op := range ops {
+				if op.Delete {
+					delete(ref, op.Key)
+				} else {
+					ref[op.Key] = op.Value
+				}
+			}
+			inFlight = nil
+			completed++
+		})
 		return false
 	}()
 	// Join background GC before losing power: the fault may have fired
@@ -145,48 +180,53 @@ func runCrashPoint(t *testing.T, mode pmem.Mode, gc GCPolicy, point int64) {
 	// lies beyond this run's flush count — GC may still be running.
 	tr.Freeze()
 	pool.FailWhen(nil)
+	flushes := int(pool.FlushCalls() - base)
 	if !crashed {
-		// The fault point lies beyond this workload's flush count
-		// (flush counts can vary slightly run to run); nothing to do.
-		return
-	}
-	// The op in flight was rolled out of ref by the workload loop only
-	// if it completed; since it crashed mid-way, ref reflects all
-	// PRIOR ops. Reconstruct the pre-op value for atomicity checking.
-	preVal, preOK := ref[inKey], false
-	if _, exists := ref[inKey]; exists {
-		preOK = true
+		// The counting run, or a fault point beyond this run's flush
+		// count (counts vary slightly run to run): nothing to check.
+		return flushes
 	}
 
 	pool.Crash()
 	tr2, _, err := Open(pool, opts, 1)
 	if err != nil {
-		t.Fatalf("point %d: recovery failed after %d ops: %v", point, completed, err)
+		t.Fatalf("point %d: recovery failed after %d groups: %v", point, completed, err)
 	}
 	defer tr2.Freeze()
 	w2 := tr2.NewWorker(0)
+
+	// ref reflects every group BEFORE the one in flight, so it is also
+	// the in-flight ops' pre-state.
+	inGroup := map[uint64]BatchOp{}
+	for _, op := range inFlight {
+		inGroup[op.Key] = op
+	}
 	for k, v := range ref {
-		if k == inKey {
-			continue // checked separately
+		if _, ok := inGroup[k]; ok {
+			continue // checked below
 		}
 		got, ok := w2.Lookup(k)
 		if !ok || got != v {
-			t.Fatalf("point %d: completed key %d lost (%d,%v want %d) after %d ops",
+			t.Fatalf("point %d: completed key %d lost (%d,%v want %d) after %d groups",
 				point, k, got, ok, v, completed)
 		}
 	}
-	// Atomicity of the in-flight op.
-	got, ok := w2.Lookup(inKey)
-	oldState := ok == preOK && (!ok || got == preVal)
-	var newState bool
-	if inDel {
-		newState = !ok
-	} else {
-		newState = ok && got == inVal
-	}
-	if !oldState && !newState {
-		t.Fatalf("point %d: in-flight key %d inconsistent: got (%d,%v), old=(%d,%v), new=(del=%v val=%d)",
-			point, inKey, got, ok, preVal, preOK, inDel, inVal)
+	// Per-op atomicity of the in-flight group: each key independently
+	// pre-state or post-state.
+	for k, op := range inGroup {
+		preVal, preOK := ref[k]
+		got, ok := w2.Lookup(k)
+		oldState := ok == preOK && (!ok || got == preVal)
+		var newState bool
+		if op.Delete {
+			newState = !ok
+		} else {
+			newState = ok && got == op.Value
+		}
+		if !oldState && !newState {
+			t.Fatalf("point %d: in-flight key %d inconsistent: got (%d,%v), old=(%d,%v), new=(del=%v val=%d)",
+				point, k, got, ok, preVal, preOK, op.Delete, op.Value)
+		}
 	}
 	// Structure is sound: a full scan must be sorted and within range.
 	out := make([]KV, 400)
@@ -198,4 +238,5 @@ func runCrashPoint(t *testing.T, mode pmem.Mode, gc GCPolicy, point int64) {
 		}
 		prev = out[i].Key
 	}
+	return flushes
 }

@@ -61,8 +61,8 @@ func (w *Worker) findLeafSlot(img *leafImage, bitmap uint16, key uint64) int {
 }
 
 // stampLeafTS returns the timestamp a leaf flush publishes: the current
-// ORDO tick, capped by w.tsCap (the batch path — keeping the stamp
-// below the group commit's record ticks so a mid-batch flush never
+// ORDO tick, capped by w.tsCap (a logged group's run — keeping the stamp
+// below the group commit's record ticks so a mid-group flush never
 // gates the group's still-buffered records) and floored by the leaf's
 // previous stamp. The floor keeps leaf timestamps monotone: a lower
 // re-stamp could un-gate records an earlier flush already covered,
@@ -223,9 +223,9 @@ type splitScratch struct {
 // persisted in full while still unreachable; one atomic meta write on
 // the old leaf then both shrinks its bitmap and links the whole new
 // chain, so a crash anywhere in between leaves the old structure
-// untouched. The per-op path never inserts more than a buffer's worth
-// at once and so always splits in two, exactly the paper's layout;
-// ApplyBatch can route an arbitrarily long sorted run at one leaf, and
+// untouched. A single write never inserts more than a buffer's worth
+// at once and so always splits in two, exactly the paper's layout; a
+// group can route an arbitrarily long sorted run at one leaf, and
 // packing the overflow into full leaves right away is what lets one
 // coalesced trigger write absorb the whole run instead of re-splitting
 // the same right edge every half-leaf of progress.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"cclbtree/internal/obs"
@@ -494,23 +493,11 @@ func ProbeArenaCount(pool *pmem.Pool) (int, error) {
 // replayApply routes one recovered KV to its leaf and applies it with
 // the normal crash-consistent batch insert.
 func (w *Worker) replayApply(kv KV) error {
-	tr := w.tree
-	for {
-		n := tr.findBuffer(w.t, kv.Key)
-		v, ok := n.tryLock()
-		if !ok {
-			runtime.Gosched()
-			continue
-		}
-		if !w.rangeOK(n, kv.Key) {
-			n.unlock(v)
-			continue
-		}
-		_, err := w.leafBatchInsert(n, []KV{kv})
-		n.unlock(v)
-		if err != nil {
-			return fmt.Errorf("core: recovery replay: %w", err)
-		}
-		return nil
+	n, v := w.lockOwner(kv.Key)
+	_, err := w.leafBatchInsert(n, []KV{kv})
+	n.unlock(v)
+	if err != nil {
+		return fmt.Errorf("core: recovery replay: %w", err)
 	}
+	return nil
 }

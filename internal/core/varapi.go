@@ -39,7 +39,7 @@ func (w *Worker) UpsertVar(key, value []byte) error {
 	}
 	w.tree.ctr.upserts.Add(1)
 	w.tree.pool.AddUserBytes(uint64(len(key) + len(value)))
-	return w.upsertWord(kw, vw)
+	return w.writeOne(kw, vw)
 }
 
 // LookupVar finds the value for a variable-size key.
@@ -70,7 +70,7 @@ func (w *Worker) DeleteVar(key []byte) error {
 	}
 	w.tree.ctr.deletes.Add(1)
 	w.tree.pool.AddUserBytes(uint64(len(key) + 8))
-	return w.upsertWord(kw, Tombstone)
+	return w.writeOne(kw, Tombstone)
 }
 
 // ScanVar collects up to max entries with key ≥ start in ascending
@@ -100,32 +100,23 @@ func (w *Worker) tempKeyWord(key []byte) uint64 {
 // pointer word (IsBlobWord must hold). Harnesses that manage their own
 // value blobs use this to drive every index through one code path.
 func (w *Worker) UpsertIndirect(key, pointerWord uint64) error {
-	if err := w.writableFixed("UpsertIndirect"); err != nil {
+	if err := w.validateFixed("UpsertIndirect", key, pointerWord, false); err != nil {
 		return err
-	}
-	if key == 0 {
-		return fmt.Errorf("core: UpsertIndirect: %w", ErrZeroKey)
-	}
-	if key > MaxValue {
-		return fmt.Errorf("core: key %#x outside [1, MaxValue]", key)
 	}
 	if !IsBlobWord(pointerWord) {
 		return fmt.Errorf("core: %#x is not an indirection pointer", pointerWord)
 	}
 	w.tree.ctr.upserts.Add(1)
 	w.tree.pool.AddUserBytes(16)
-	return w.upsertWord(key, pointerWord)
+	return w.writeOne(key, pointerWord)
 }
 
 // UpsertLargeValue stores a fixed 8 B key with an out-of-band value
 // blob — the Fig 15c configuration (8 B keys, 64–512 B values through
 // indirection pointers). Works in fixed-key mode.
 func (w *Worker) UpsertLargeValue(key uint64, value []byte) error {
-	if err := w.writableFixed("UpsertLargeValue"); err != nil {
+	if err := w.validateFixed("UpsertLargeValue", key, 0, false); err != nil {
 		return err
-	}
-	if key == 0 {
-		return fmt.Errorf("core: UpsertLargeValue: %w", ErrZeroKey)
 	}
 	vw, err := w.blobs.write(w.t, value)
 	if err != nil {
@@ -133,7 +124,7 @@ func (w *Worker) UpsertLargeValue(key uint64, value []byte) error {
 	}
 	w.tree.ctr.upserts.Add(1)
 	w.tree.pool.AddUserBytes(uint64(8 + len(value)))
-	return w.upsertWord(key, vw)
+	return w.writeOne(key, vw)
 }
 
 // LookupLargeValue fetches a value stored with UpsertLargeValue.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -40,10 +39,11 @@ type Worker struct {
 	// off). Single-owner like the Thread: one goroutine at a time.
 	mh *obs.Handle
 
-	scratch []KV // reused per-op buffer
+	scratch []KV // reused flush batch (trigger writes, merges)
 	split   splitScratch
-	// batchKVs/batchEnts are ApplyBatch's word-form ops and group-commit
-	// records (see groupCommit), reused call to call.
+	// batchKVs/batchEnts are the write protocol's word-form group (one
+	// KV for a single write) and its WAL records (see groupCommit),
+	// reused call to call.
 	batchKVs  []KV
 	batchEnts []wal.Entry
 	probeKey  []byte // current VarKV lookup/scan probe (see probeTag)
@@ -71,11 +71,11 @@ type Worker struct {
 	segE0  int64 // Thread.FenceNS at beginSpan
 
 	// tsCap, when nonzero, caps the timestamp leaf flushes stamp (see
-	// stampLeafTS). ApplyBatch sets it to one tick below its group
-	// commit's smallest record timestamp for the duration of each run,
-	// so a flush mid-batch never gates the group's still-buffered
-	// records as stale at recovery. Zero (the per-op path, GC,
-	// recovery, merges) means stamp the current tick.
+	// stampLeafTS). applyRunLocked sets it to one tick below a logged
+	// group's smallest record timestamp for the duration of each run,
+	// so a flush mid-group never gates the group's still-buffered
+	// records as stale at recovery. Zero (unlogged runs, GC, recovery,
+	// merges) means stamp the current tick.
 	tsCap uint64
 }
 
@@ -232,26 +232,14 @@ const MaxValue = 1<<62 - 1
 // [1, MaxValue]; value must be in [1, MaxValue] (0 is the tombstone —
 // use Delete).
 func (w *Worker) Upsert(key, value uint64) error {
-	if err := w.writableFixed("Upsert"); err != nil {
+	if err := w.validateFixed("Upsert", key, value, true); err != nil {
 		return err
-	}
-	if key == 0 {
-		return fmt.Errorf("core: Upsert: %w", ErrZeroKey)
-	}
-	if key > MaxValue {
-		return fmt.Errorf("core: key %#x outside [1, MaxValue]", key)
-	}
-	if value == Tombstone {
-		return fmt.Errorf("core: value 0 is the tombstone; use Delete")
-	}
-	if value > MaxValue {
-		return fmt.Errorf("core: value %#x exceeds MaxValue; use UpsertLargeValue", value)
 	}
 	w.tree.ctr.upserts.Add(1)
 	w.tree.pool.AddUserBytes(16)
 	start := w.t.Now()
 	w.beginSpan(obs.OpPut)
-	err := w.upsertWord(key, value)
+	err := w.writeOne(key, value)
 	w.finishSpan()
 	if w.mh != nil {
 		w.recordLat(w.tree.met.insertLat, start)
@@ -263,11 +251,8 @@ func (w *Worker) Upsert(key, value uint64) error {
 // Delete inserts a tombstone for key (§4.2 treats deletion as an
 // insertion so it benefits from buffering and logging identically).
 func (w *Worker) Delete(key uint64) error {
-	if err := w.writableFixed("Delete"); err != nil {
+	if err := w.validateFixed("Delete", key, Tombstone, false); err != nil {
 		return err
-	}
-	if key == 0 {
-		return fmt.Errorf("core: Delete: %w", ErrZeroKey)
 	}
 	w.tree.ctr.deletes.Add(1)
 	w.tree.pool.AddUserBytes(16)
@@ -275,7 +260,7 @@ func (w *Worker) Delete(key uint64) error {
 	// Deletes attribute as OpPut: a delete is a tombstone upsert and
 	// walks the identical critical path.
 	w.beginSpan(obs.OpPut)
-	err := w.upsertWord(key, Tombstone)
+	err := w.writeOne(key, Tombstone)
 	w.finishSpan()
 	if w.mh != nil {
 		w.recordLat(w.tree.met.insertLat, start)
@@ -284,152 +269,47 @@ func (w *Worker) Delete(key uint64) error {
 	return err
 }
 
-func (w *Worker) upsertWord(key, value uint64) error {
+// writeOne hands one word-form write to the write protocol (commit) as
+// a group of one, staged in the same worker scratch ApplyBatch uses.
+func (w *Worker) writeOne(key, value uint64) error {
+	w.batchKVs = append(w.batchKVs[:0], KV{key, value})
+	return w.commit(w.batchKVs)
+}
+
+// lockOwner routes key to the buffer node owning it and returns the
+// node with its version lock held (v is the token unlock takes). A
+// failed attempt — lock held elsewhere, or the node stopped owning key
+// between routing and locking — is rewound off the virtual clock and
+// charged conflictPenaltyNS of lock wait instead. Every locked path
+// shares it: the write protocol, the LockedReads ablation and
+// recovery's replay. crashAbort is safe in recovery too: once a fault
+// has fired every flush panics, so a replay worker is already dead at
+// its next leaf write, and the check only turns a spin on a dead
+// peer's lock into that same panic.
+func (w *Worker) lockOwner(key uint64) (*bufferNode, uint64) {
 	tr := w.tree
-	if tr.opts.GC == GCNaive {
-		tok := tr.prof.Pre(obs.LockSTW)
-		tr.stw.RLock()
-		tok = tr.prof.Acquired(obs.LockSTW, tok)
-		defer tr.prof.Released(obs.LockSTW, tok)
-		defer tr.stw.RUnlock()
-		w.syncStall()
-	}
-	var mergeCandidate *bufferNode
 	for {
 		attemptVT := w.t.Now()
 		m := w.segBegin()
 		n := tr.findBuffer(w.t, key)
-		v, ok := n.tryLock()
-		if !ok {
-			tr.crashAbort()
-			tr.ctr.retries.Add(1)
-			w.t.Rewind(attemptVT)
-			w.t.Advance(conflictPenaltyNS)
-			w.segRetry()
-			runtime.Gosched()
-			continue
+		v, locked := n.tryLock()
+		if locked && w.rangeOK(n, key) {
+			w.segEnd(obs.SegTraverse, m)
+			return n, v
 		}
-		if !w.rangeOK(n, key) {
+		if locked {
 			n.unlock(v)
-			tr.ctr.retries.Add(1)
-			w.t.Rewind(attemptVT)
-			w.t.Advance(conflictPenaltyNS)
-			w.segRetry()
-			continue
+		} else {
+			tr.crashAbort()
 		}
-		w.segEnd(obs.SegTraverse, m)
-		underfull, err := w.upsertLocked(n, key, value)
-		n.unlock(v)
-		if err != nil {
-			return err
-		}
-		if underfull {
-			mergeCandidate = n
-		}
-		break
-	}
-	if mergeCandidate != nil {
-		w.tryMerge(mergeCandidate)
-	}
-	tr.maybeTriggerGC()
-	return nil
-}
-
-// upsertLocked performs the §3.2 insert flow with n's version lock
-// held. It reports whether the leaf ended a flush underfull (merge
-// candidate).
-func (w *Worker) upsertLocked(n *bufferNode, key, value uint64) (underfull bool, err error) {
-	tr := w.tree
-	tr.heat.Touch(uint64(n.leaf), true)
-	m := w.segBegin()
-	defer w.segCloseBuffer(m, w.segAcc[obs.SegWAL], w.segAcc[obs.SegTrigger])
-	pos, eb, _ := unpackHdr(n.hdr.Load())
-	epoch := uint16(tr.epoch.Load())
-
-	// In-buffer upsert: an unflushed slot already holds this key.
-	for i := 0; i < pos; i++ {
-		if sk := n.slotKey(i); sk != 0 && tr.compare(w.t, sk, key) == 0 {
-			if err := w.appendLog(key, value); err != nil {
-				return false, err
-			}
-			n.slots[2*i+1].Store(value)
-			eb = eb&^(1<<uint(i)) | epoch<<uint(i)
-			n.hdr.Store(packHdr(pos, eb, false))
-			return false, nil
+		tr.ctr.retries.Add(1)
+		w.t.Rewind(attemptVT)
+		w.t.Advance(conflictPenaltyNS)
+		w.segRetry()
+		if !locked {
+			runtime.Gosched()
 		}
 	}
-
-	if pos >= n.nbatch() {
-		// Trigger write (§3.3): the batch — every buffered KV plus the
-		// incoming one — flushes to the leaf in one XPLine write. Under
-		// write-conservative logging the incoming KV skips the WAL; it
-		// is durable the moment the batch is.
-		tr.ctr.triggerWrites.Add(1)
-		if tr.opts.NaiveLogging && n.nbatch() > 0 {
-			if err := w.appendLog(key, value); err != nil {
-				return false, err
-			}
-		} else if n.nbatch() > 0 {
-			tr.ctr.skippedLogs.Add(1)
-		}
-		batch := w.scratch[:0]
-		for i := 0; i < pos; i++ {
-			batch = append(batch, KV{n.slotKey(i), n.slotVal(i)})
-		}
-		batch = append(batch, KV{key, value})
-		w.scratch = batch
-		tm := w.segBegin()
-		valid, err := w.leafBatchInsert(n, batch)
-		w.segEnd(obs.SegTrigger, tm)
-		if err != nil {
-			return false, err
-		}
-		// Slots remain as a read cache; refresh any copy of the
-		// trigger key so reads cannot see a stale cached value.
-		for i := 0; i < n.nbatch(); i++ {
-			if sk := n.slotKey(i); sk != 0 && tr.compare(w.t, sk, key) == 0 {
-				n.slots[2*i+1].Store(value)
-			}
-		}
-		n.hdr.Store(packHdr(0, eb, false))
-		return valid < LeafSlots/2 && n != tr.head, nil
-	}
-
-	// Normal buffered insert: WAL first, then the slot (§3.2).
-	if err := w.appendLog(key, value); err != nil {
-		return false, err
-	}
-	n.setSlot(pos, key, value, tr.keyFingerprint(w.t, key))
-	// Purge stale cached copies from earlier flush rounds: slots beyond
-	// pos may hold an older version (even a tombstone) of this key at a
-	// HIGHER index, which a later round's overwrites could leave
-	// shadowing the leaf's newer value.
-	for i := pos + 1; i < n.nbatch(); i++ {
-		if sk := n.slotKey(i); sk != 0 && tr.compare(w.t, sk, key) == 0 {
-			n.setSlot(i, 0, 0, 0)
-		}
-	}
-	eb = eb&^(1<<uint(pos)) | epoch<<uint(pos)
-	n.hdr.Store(packHdr(pos+1, eb, false))
-	return false, nil
-}
-
-// appendLog writes one WAL entry to the current-epoch log.
-func (w *Worker) appendLog(key, value uint64) error {
-	tr := w.tree
-	e := tr.epoch.Load()
-	ts := tr.clock.Now(w.socket)
-	m := w.segBegin()
-	_, err := w.logs[e].Append(w.t, wal.Entry{Key: key, Value: value, Timestamp: ts})
-	w.segEnd(obs.SegWAL, m)
-	if err != nil {
-		return err
-	}
-	tr.logBytes.Add(wal.EntrySize)
-	if n := tr.ctr.loggedWrites.Add(1); n%512 == 0 {
-		tr.notePeakLog()
-	}
-	return nil
 }
 
 // Lookup finds the value for a fixed 8 B key.
@@ -497,35 +377,13 @@ func (w *Worker) lookupWord(key uint64) (uint64, bool) {
 // shared routing lock this path stands in for), growing with the
 // worker count.
 func (w *Worker) lookupWordLocked(key uint64) (uint64, bool) {
-	tr := w.tree
-	for {
-		attemptVT := w.t.Now()
-		m := w.segBegin()
-		n := tr.findBuffer(w.t, key)
-		v, ok := n.tryLock()
-		if !ok {
-			tr.crashAbort()
-			tr.ctr.retries.Add(1)
-			w.t.Rewind(attemptVT)
-			w.t.Advance(conflictPenaltyNS)
-			w.segRetry()
-			runtime.Gosched()
-			continue
-		}
-		if !w.rangeOK(n, key) {
-			n.unlock(v)
-			tr.ctr.retries.Add(1)
-			w.t.Rewind(attemptVT)
-			w.t.Advance(conflictPenaltyNS)
-			w.segRetry()
-			continue
-		}
-		w.chargeLockHandoff(4)
-		val, found := w.lookupInNode(n, key)
-		n.unlock(v)
-		w.segEnd(obs.SegTraverse, m)
-		return val, found
-	}
+	n, v := w.lockOwner(key)
+	m := w.segBegin()
+	w.chargeLockHandoff(4)
+	val, found := w.lookupInNode(n, key)
+	n.unlock(v)
+	w.segEnd(obs.SegTraverse, m)
+	return val, found
 }
 
 // lookupAttempt is one optimistic lookup pass; ok is false when the
