@@ -86,12 +86,6 @@ type Config struct {
 	// Metrics enables per-operation latency histograms, retrievable
 	// via DB.Metrics. Off by default (zero overhead when off).
 	Metrics bool
-	// LockedReads makes Get/Scan take each buffer node's version lock
-	// instead of the default lock-free optimistic (seqlock) traversal,
-	// and charges the modeled cacheline-handoff cost a shared lock word
-	// incurs per peer session. It exists as the ablation baseline for
-	// the read-scaling experiments; leave it off in normal use.
-	LockedReads bool
 	// Tracer, when non-nil, receives ring-buffer events from the tree
 	// (inserts, flushes, splits, GC rounds, ...). Enable it with
 	// Tracer.Enable; a disabled tracer costs one atomic load per event
@@ -121,7 +115,6 @@ func (c Config) coreOptions(shard, shards, sockets int) core.Options {
 		ChunkBytes:   c.ChunkBytes,
 		Metrics:      c.Metrics,
 		Tracer:       c.Tracer,
-		LockedReads:  c.LockedReads,
 		HomeSocket:   shard % sockets,
 		ArenaIndex:   shard,
 		ArenaCount:   shards,

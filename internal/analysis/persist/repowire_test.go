@@ -20,13 +20,7 @@ import (
 // of every writer to the bare-name merge, and the write path must stay
 // free of those findings.
 func TestRepoBatchPathWiring(t *testing.T) {
-	an := NewAnalyzer()
-	for _, dir := range []string{"../../pmem", "../../obs", "../../wal", "../../core"} {
-		if err := an.AddDir(dir, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	findings := an.Run()
+	an, findings := analyzeRepoCore(t)
 
 	byKey := an.cg.byKey
 	for _, key := range []string{
@@ -59,40 +53,17 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		t.Errorf("groupCommit -> AppendBatch edge missing; cross-package discharge and cache invalidation both break")
 	}
 
-	// reaches reports whether the call graph has a path from one node to
-	// another on the caller's own stack (no go statement crossed: the GC
-	// goroutine a write may start does not count).
-	reaches := func(from, to *funcNode) bool {
-		seen := map[*funcNode]bool{}
-		var walk func(n *funcNode) bool
-		walk = func(n *funcNode) bool {
-			if n == to {
-				return true
-			}
-			if seen[n] {
-				return false
-			}
-			seen[n] = true
-			for _, c := range n.syncCallees {
-				if walk(an.cg.nodes[c]) {
-					return true
-				}
-			}
-			return false
-		}
-		return walk(from)
-	}
 	for _, entry := range []string{"Upsert", "Delete", "UpsertVar", "DeleteVar", "UpsertIndirect", "UpsertLargeValue", "ApplyBatch"} {
 		from := byKey["../../core::Worker."+entry]
 		if from == nil {
 			t.Fatalf("call graph has no node for Worker.%s", entry)
 		}
-		if !reaches(from, commit) {
+		if !reachesSync(an, from, commit) {
 			t.Errorf("Worker.%s does not reach groupCommit; the single write path is not the checked one", entry)
 		}
 	}
 	// The walk must be able to say no: a read never logs.
-	if reaches(byKey["../../core::Worker.Lookup"], commit) {
+	if reachesSync(an, byKey["../../core::Worker.Lookup"], commit) {
 		t.Errorf("Worker.Lookup reaches groupCommit; the reachability walk proves nothing")
 	}
 
@@ -102,6 +73,80 @@ func TestRepoBatchPathWiring(t *testing.T) {
 			case CodeStoreNoPersist, CodeFlushNoFence, CodeEscapeBeforePersist:
 				t.Errorf("batch path regressed: %s", f)
 			}
+		}
+	}
+}
+
+// analyzeRepoCore runs the analyzer over the real core package and the
+// packages under it.
+func analyzeRepoCore(t *testing.T) (*Analyzer, []Finding) {
+	t.Helper()
+	an := NewAnalyzer()
+	for _, dir := range []string{"../../pmem", "../../obs", "../../wal", "../../core"} {
+		if err := an.AddDir(dir, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return an, an.Run()
+}
+
+// reachesSync reports whether the call graph has a path from one node
+// to another on the caller's own stack (no go statement crossed: the GC
+// goroutine a write may start does not count).
+func reachesSync(an *Analyzer, from, to *funcNode) bool {
+	seen := map[*funcNode]bool{}
+	var walk func(n *funcNode) bool
+	walk = func(n *funcNode) bool {
+		if n == to {
+			return true
+		}
+		if seen[n] {
+			return false
+		}
+		seen[n] = true
+		for _, c := range n.syncCallees {
+			if walk(an.cg.nodes[c]) {
+				return true
+			}
+		}
+		return false
+	}
+	return walk(from)
+}
+
+// TestRepoReadPathWiring is the static half of the read-scaling gate
+// (bench.TestReadScaling is the dynamic half): no read entry point of
+// core.Worker reaches a buffer node's version lock — tryLock, or
+// lockOwner, the one loop that takes it — over synchronous call edges,
+// while every one of them reaches the shared read shim and its
+// seqlock recheck. The write side is the control: Upsert does reach
+// the lock, so the walk can say yes.
+func TestRepoReadPathWiring(t *testing.T) {
+	an, _ := analyzeRepoCore(t)
+	node := func(key string) *funcNode {
+		n := an.cg.byKey["../../core::"+key]
+		if n == nil {
+			t.Fatalf("call graph has no node %q; the read path is not wired", key)
+		}
+		return n
+	}
+	locks := []string{"bufferNode.tryLock", "Worker.lockOwner"}
+	for _, entry := range []string{"Lookup", "LookupVar", "LookupLargeValue", "Scan", "ScanVar"} {
+		from := node("Worker." + entry)
+		for _, lock := range locks {
+			if reachesSync(an, from, node(lock)) {
+				t.Errorf("Worker.%s reaches %s: a read takes the node lock", entry, lock)
+			}
+		}
+		for _, step := range []string{"Worker.read", "Worker.readRecheck", "Worker.retry"} {
+			if !reachesSync(an, from, node(step)) {
+				t.Errorf("Worker.%s does not reach %s; it is not on the one read protocol", entry, step)
+			}
+		}
+	}
+	for _, lock := range locks {
+		if !reachesSync(an, node("Worker.Upsert"), node(lock)) {
+			t.Errorf("Worker.Upsert does not reach %s; the reachability walk proves nothing", lock)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func All() []Experiment {
 		{"fig19", "realistic SOSD-like datasets (§5.5)", Fig19},
 		{"table3", "vs log-structured stores (§5.5)", Table3Exp},
 		{"ycsbb", "extra: YCSB-B contention/heat/segment profile (CI perf gate)", YCSBB},
-		{"ycsbc", "extra: YCSB-C read-only scaling, lock-free vs locked reads (CI perf gate)", YCSBC},
+		{"ycsbc", "extra: YCSB-C read-only scaling of the lock-free read path, 1 to 8 threads (CI perf gate)", YCSBC},
 		{"batch", "extra: Session.Apply group commit vs per-op writes", BatchExp},
 		{"shards", "extra: serving-tier shard scaling, 1..8 commit lanes", ShardsExp},
 		{"ablation-cache", "extra: buffer-node read caching by Nbatch", AblationCache},

@@ -9,11 +9,11 @@ import (
 )
 
 // runReadOnly measures one YCSB-C point: a pure-read Zipfian workload
-// at the given thread count with the given tree config.
-func runReadOnly(t *testing.T, threads int, cfg cclbtree.Config) *Result {
+// at the given thread count.
+func runReadOnly(t *testing.T, threads int) *Result {
 	t.Helper()
 	pool := NewPool()
-	idx, err := cclidx.Factory("CCL", cfg)(pool)
+	idx, err := cclidx.Factory("CCL", cclbtree.Config{ChunkBytes: 256 << 10})(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,28 +34,23 @@ func runReadOnly(t *testing.T, threads int, cfg cclbtree.Config) *Result {
 	return res
 }
 
-// TestReadScaling gates the lock-free read path's acceptance target at
-// smoke scale: on read-only YCSB-C at 8 threads, the optimistic
-// seqlock path must deliver at least 3x the simulated throughput of
-// the LockedReads ablation. The ablation charges every read the
-// modeled lock-handoff cost (cacheline transfer between contending
-// workers), which is exactly the cost the seqlock protocol exists to
-// avoid; if the optimistic path starts taking locks — or retrying
-// pathologically — this ratio collapses.
+// TestReadScaling gates the read path's acceptance target at smoke
+// scale: reads take no lock, so read-only YCSB-C at 8 threads must
+// deliver at least 3x the simulated throughput of the same run at 1
+// thread (6.7x when this gate was set). A read path that starts taking
+// locks — or retrying pathologically — serializes behind the shared
+// cacheline and this ratio collapses; persist.TestRepoReadPathWiring
+// asserts the same property statically.
 func TestReadScaling(t *testing.T) {
-	free := runReadOnly(t, 8, cclbtree.Config{ChunkBytes: 256 << 10})
-	locked := runReadOnly(t, 8, cclbtree.Config{ChunkBytes: 256 << 10, LockedReads: true})
-	if free.Mops() < 3*locked.Mops() {
-		t.Errorf("lock-free reads %.2f Mop/s, locked %.2f: want >= 3x at 8 threads",
-			free.Mops(), locked.Mops())
+	one := runReadOnly(t, 1)
+	eight := runReadOnly(t, 8)
+	if eight.Mops() < 3*one.Mops() {
+		t.Errorf("reads at 8 threads %.2f Mop/s, at 1 thread %.2f: want >= 3x",
+			eight.Mops(), one.Mops())
 	}
-	// Sanity: at 1 thread there is nobody to hand the lock to, so the
-	// two paths must be within noise of each other — the ablation
-	// models contention, not a flat tax.
-	free1 := runReadOnly(t, 1, cclbtree.Config{ChunkBytes: 256 << 10})
-	locked1 := runReadOnly(t, 1, cclbtree.Config{ChunkBytes: 256 << 10, LockedReads: true})
-	if r := free1.Mops() / locked1.Mops(); r < 0.7 || r > 1.5 {
-		t.Errorf("single-thread ratio %.2f outside [0.7, 1.5]: lock-free %.2f vs locked %.2f Mop/s",
-			r, free1.Mops(), locked1.Mops())
+	// Sanity: the ratio must not be met by a slow first point. One
+	// thread ran at 3.08 Mop/s when this gate was set.
+	if one.Mops() < 2.0 {
+		t.Errorf("single-thread reads %.2f Mop/s, want >= 2.0", one.Mops())
 	}
 }

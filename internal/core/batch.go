@@ -8,16 +8,49 @@ import (
 	"cclbtree/internal/wal"
 )
 
-// BatchOp is one staged write in a Worker.ApplyBatch group. In fixed
-// mode Key/Value carry the 8 B words; in VarKV mode KeyBytes (and, for
-// puts, ValueBytes) carry the pair and the words are materialized
-// during apply. Delete marks a tombstone insertion in either mode.
+// BatchOp is one staged write: an ApplyBatch op, or a single write on
+// its way through writeOne. In fixed mode Key/Value carry the 8 B
+// words; in VarKV mode KeyBytes (and, for puts, ValueBytes) carry the
+// pair and the words are materialized during apply. Delete marks a
+// tombstone insertion in either mode.
 type BatchOp struct {
 	Key        uint64
 	Value      uint64
 	KeyBytes   []byte
 	ValueBytes []byte
 	Delete     bool
+}
+
+// materialize turns one validated op into word form and accounts it
+// (op counter, user bytes): a VarKV key is written out as a blob, and so
+// is the value of a VarKV put or of a fixed put that carries no value
+// word (0 is the tombstone, never a storable inline value — this is
+// UpsertLargeValue). The blobs are persisted here, before anything is
+// logged.
+func (w *Worker) materialize(op *BatchOp) (kv KV, err error) {
+	tr := w.tree
+	kv = KV{op.Key, op.Value}
+	keyBytes, valBytes := 8, 8
+	if tr.opts.VarKV {
+		if kv.Key, err = w.blobs.write(w.t, op.KeyBytes); err != nil {
+			return kv, err
+		}
+		keyBytes = len(op.KeyBytes)
+	}
+	if op.Delete {
+		kv.Value = Tombstone
+		tr.ctr.deletes.Add(1)
+	} else {
+		if tr.opts.VarKV || op.Value == 0 {
+			if kv.Value, err = w.blobs.write(w.t, op.ValueBytes); err != nil {
+				return kv, err
+			}
+			valBytes = len(op.ValueBytes)
+		}
+		tr.ctr.upserts.Add(1)
+	}
+	tr.pool.AddUserBytes(uint64(keyBytes + valBytes))
+	return kv, nil
 }
 
 // ApplyBatch applies a group of writes through the write protocol
@@ -44,40 +77,12 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 	start := w.t.Now()
 	w.beginSpan(obs.OpBatch)
 
-	// Materialize word form (VarKV ops write their key/value blobs
-	// here, before anything is logged) and account the ops.
 	kvs := append(w.batchKVs[:0], make([]KV, len(ops))...)
 	w.batchKVs = kvs
 	for i := range ops {
-		op := &ops[i]
-		if tr.opts.VarKV {
-			kw, err := w.blobs.write(w.t, op.KeyBytes)
-			if err != nil {
-				return err
-			}
-			kvs[i].Key = kw
-			if op.Delete {
-				kvs[i].Value = Tombstone
-				tr.ctr.deletes.Add(1)
-				tr.pool.AddUserBytes(uint64(len(op.KeyBytes) + 8))
-			} else {
-				vw, err := w.blobs.write(w.t, op.ValueBytes)
-				if err != nil {
-					return err
-				}
-				kvs[i].Value = vw
-				tr.ctr.upserts.Add(1)
-				tr.pool.AddUserBytes(uint64(len(op.KeyBytes) + len(op.ValueBytes)))
-			}
-		} else {
-			kvs[i] = KV{Key: op.Key, Value: op.Value}
-			if op.Delete {
-				kvs[i].Value = Tombstone
-				tr.ctr.deletes.Add(1)
-			} else {
-				tr.ctr.upserts.Add(1)
-			}
-			tr.pool.AddUserBytes(16)
+		var err error
+		if kvs[i], err = w.materialize(&ops[i]); err != nil {
+			return err
 		}
 	}
 
@@ -88,9 +93,7 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 	tr.ctr.batchApplies.Add(1)
 	tr.ctr.batchedOps.Add(uint64(len(ops)))
 	w.finishSpan()
-	if w.mh != nil {
-		w.recordLat(tr.met.insertLat, start)
-	}
+	w.recordLat(latInsert, start)
 	tr.tracer.Emit(obs.EvBatchApply, w.id, w.t.Now(), uint64(len(ops)), uint64(len(ops)-1))
 	return nil
 }
@@ -106,12 +109,7 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 func (w *Worker) commit(kvs []KV) error {
 	tr := w.tree
 	if tr.opts.GC == GCNaive {
-		tok := tr.prof.Pre(obs.LockSTW)
-		tr.stw.RLock()
-		tok = tr.prof.Acquired(obs.LockSTW, tok)
-		defer tr.prof.Released(obs.LockSTW, tok)
-		defer tr.stw.RUnlock()
-		w.syncStall()
+		defer w.stwExit(w.stwEnter())
 	}
 	var gen, minTS uint64
 	var e uint32

@@ -53,13 +53,16 @@ func (w *Worker) validateFixed(op string, key, value uint64, inline bool) error 
 	return nil
 }
 
-// writableVar guards the VarKV write entry points.
-func (w *Worker) writableVar(op string) error {
+// writableVar guards the VarKV single-write entry points.
+func (w *Worker) writableVar(op string, key []byte) error {
 	if w.tree.closed.Load() {
 		return fmt.Errorf("core: %s: %w", op, ErrClosed)
 	}
 	if !w.tree.opts.VarKV {
 		return fmt.Errorf("core: %s: %w", op, ErrVarKVRequired)
+	}
+	if len(key) == 0 {
+		return fmt.Errorf("core: %s: %w", op, ErrZeroKey)
 	}
 	return nil
 }

@@ -2,16 +2,24 @@ package core
 
 import "cclbtree/internal/obs"
 
+// latKind names one of the per-operation latency histograms.
+type latKind int
+
+const (
+	latInsert latKind = iota // "insert_ns": single writes, deletes, group commits
+	latLookup                // "lookup_ns": point reads
+	latScan                  // "scan_ns"
+	numLat
+)
+
 // treeMetrics is the optional obs wiring for one tree: a registry plus
 // the pre-registered latency histograms workers record into, and the
 // (op × segment) span matrix the critical-path attribution fills. nil
-// when Options.Metrics is off — every recording site nil-checks,
+// when Options.Metrics is off — recordLat and the span sites check,
 // keeping the disabled hot path free of obs work.
 type treeMetrics struct {
-	m         *obs.Metrics
-	insertLat obs.HistID
-	lookupLat obs.HistID
-	scanLat   obs.HistID
+	m   *obs.Metrics
+	lat [numLat]obs.HistID
 	// span[op][seg] holds the "span_<op>_<seg>_ns" histogram: how much
 	// of one op's latency that segment absorbed, recorded only when
 	// nonzero (see Worker.finishSpan).
@@ -29,10 +37,8 @@ const (
 func newTreeMetrics() *treeMetrics {
 	m := obs.NewMetrics()
 	tm := &treeMetrics{
-		m:         m,
-		insertLat: m.Histogram("insert_ns"),
-		lookupLat: m.Histogram("lookup_ns"),
-		scanLat:   m.Histogram("scan_ns"),
+		m:   m,
+		lat: [numLat]obs.HistID{m.Histogram("insert_ns"), m.Histogram("lookup_ns"), m.Histogram("scan_ns")},
 	}
 	for op := obs.OpClass(0); op < obs.NumOpClasses; op++ {
 		for seg := obs.Segment(0); seg < obs.NumSegments; seg++ {
@@ -99,11 +105,11 @@ func (tr *Tree) Profile() obs.Profile {
 // recordLat records one operation latency sample; no-op when metrics
 // are off (mh nil). Clamped at zero: Rewind can, in degenerate retry
 // interleavings, leave the clock marginally behind the recorded start.
-func (w *Worker) recordLat(id obs.HistID, start int64) {
+func (w *Worker) recordLat(k latKind, start int64) {
 	if w.mh == nil {
 		return
 	}
 	if d := w.t.Now() - start; d > 0 {
-		w.mh.Observe(id, uint64(d))
+		w.mh.Observe(w.tree.met.lat[k], uint64(d))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"cclbtree/internal/obs"
@@ -128,6 +129,52 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 		t.Fatalf("counters not carried: %+v", tm.Counters)
 	}
 
+	// Var, large-value and indirect traffic goes through the same entry
+	// shims: every op issued is one histogram sample and one span.
+	t.Run("VarKV", func(t *testing.T) {
+		tr, w := newTestTree(t, Options{Metrics: true, VarKV: true}, nil)
+		for i := 0; i < 100; i++ {
+			if err := w.UpsertVar([]byte(fmt.Sprintf("key-%03d", i)), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			if _, ok := w.LookupVar([]byte(fmt.Sprintf("key-%03d", i))); !ok {
+				t.Fatalf("key-%03d missing", i)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			if err := w.DeleteVar([]byte(fmt.Sprintf("key-%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(w.ScanVar(nil, 200)); got != 90 {
+			t.Fatalf("ScanVar returned %d entries, want 90", got)
+		}
+		checkOpCounts(t, tr, 110, 100, 1)
+	})
+	t.Run("LargeValue", func(t *testing.T) {
+		tr, w := newTestTree(t, Options{Metrics: true}, nil)
+		blob, err := w.blobs.write(w.t, []byte("out of band"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(1); i <= 100; i++ {
+			if err := w.UpsertLargeValue(i, make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.UpsertIndirect(1000+i, blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := uint64(1); i <= 100; i++ {
+			if v, ok := w.LookupLargeValue(i); !ok || len(v) != 64 {
+				t.Fatalf("LookupLargeValue(%d) = %d bytes, %v", i, len(v), ok)
+			}
+		}
+		checkOpCounts(t, tr, 200, 100, 0)
+	})
+
 	// Metrics off: Latency must be nil, counters still live.
 	tr2, w2 := newTestTree(t, Options{}, nil)
 	if err := w2.Upsert(1, 1); err != nil {
@@ -135,6 +182,28 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 	}
 	if tm2 := tr2.Metrics(); tm2.Latency != nil || tm2.Counters.Upserts != 1 {
 		t.Fatalf("metrics-off snapshot: %+v", tm2)
+	}
+}
+
+// checkOpCounts asserts that the latency histograms and the span matrix
+// each saw exactly the single writes, point reads and scans issued.
+func checkOpCounts(t *testing.T, tr *Tree, writes, lookups, scans uint64) {
+	t.Helper()
+	lat := tr.Metrics().Latency
+	for name, want := range map[string]uint64{"insert_ns": writes, "lookup_ns": lookups, "scan_ns": scans} {
+		if got := lat.Hists[name].Count; got != want {
+			t.Errorf("%s holds %d samples, want %d", name, got, want)
+		}
+	}
+	// Every op advances the clock past its start, so each leaves at
+	// least one span cell; the flush and traversal cells are the ones
+	// every write and every read fills.
+	_, cells := segSums(tr.Profile())
+	if got := cells["put/flush"]; got != writes {
+		t.Errorf("put/flush span cell holds %d samples, want %d", got, writes)
+	}
+	if got := cells["get/traverse"]; got != lookups {
+		t.Errorf("get/traverse span cell holds %d samples, want %d", got, lookups)
 	}
 }
 

@@ -91,15 +91,6 @@ type Options struct {
 	// used exclusively to prove the torture oracle catches real
 	// violations. Never set it outside oracle self-tests.
 	UnsafeSkipWALFence bool
-	// LockedReads is the read-path ablation: Get/Scan take the buffer
-	// node's version lock for the duration of the read instead of the
-	// default lock-free seqlock traversal, and each read is charged the
-	// modeled cacheline handoff a shared lock word costs per peer
-	// worker (the simulated clock cannot see wall-clock contention, so
-	// the cost is deterministic, like conflictPenaltyNS). This is the
-	// baseline the YCSB-C read-scaling gate measures the lock-free path
-	// against.
-	LockedReads bool
 	// UnsafeSkipReadRecheck makes optimistic readers ignore the result
 	// of their seqlock re-validation, so torn reads racing a concurrent
 	// writer are returned as if consistent: a deliberate

@@ -40,6 +40,14 @@ func TestProfileSegmentsPartitionOpLatency(t *testing.T) {
 			t.Fatalf("Lookup(%d) = %d,%v", i, v, ok)
 		}
 	}
+	// Scans are reads: their spans land in the get class, their latency
+	// in scan_ns.
+	out := make([]KV, 100)
+	for i := uint64(1); i <= n; i += 100 {
+		if got := w.Scan(i, len(out), out); got != len(out) {
+			t.Fatalf("Scan(%d) = %d entries", i, got)
+		}
+	}
 	var batch []BatchOp
 	for i := uint64(n + 1); i <= n+256; i++ {
 		batch = append(batch, BatchOp{Key: i, Value: i})
@@ -63,8 +71,8 @@ func TestProfileSegmentsPartitionOpLatency(t *testing.T) {
 	if got, want := sums["put"]+sums["batch"], histSum(lat, "insert_ns"); got != want {
 		t.Fatalf("put+batch segments sum to %d ns, insert_ns recorded %d", got, want)
 	}
-	if got, want := sums["get"], histSum(lat, "lookup_ns"); got != want {
-		t.Fatalf("get segments sum to %d ns, lookup_ns recorded %d", got, want)
+	if got, want := sums["get"], histSum(lat, "lookup_ns")+histSum(lat, "scan_ns"); got != want {
+		t.Fatalf("get segments sum to %d ns, lookup_ns+scan_ns recorded %d", got, want)
 	}
 
 	// A single-threaded insert+lookup run must populate the obvious

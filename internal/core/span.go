@@ -78,19 +78,9 @@ func (w *Worker) segCloseBuffer(m segMark, wal0, trig0 int64) {
 	}
 }
 
-// segRetry attributes one failed optimistic attempt to lock wait. The
-// attempt's own elapsed time was rewound away (see conflictPenaltyNS);
-// the modeled penalty is what the conflict cost.
-func (w *Worker) segRetry() {
-	if w.spans {
-		w.segAcc[obs.SegLockWait] += conflictPenaltyNS
-	}
-}
-
 // beginSpan opens span attribution for one op. It re-zeroes the
 // accumulator unconditionally, so residue from an error-path op that
-// never reached finishSpan (or from an unattributed Scan's stall sync)
-// cannot leak into this op.
+// never reached finishSpan cannot leak into this op.
 func (w *Worker) beginSpan(op obs.OpClass) {
 	if !w.spans {
 		return

@@ -87,9 +87,6 @@ type Tree struct {
 
 	workersMu sync.Mutex
 	workers   []*Worker
-	// workerCount mirrors len(workers) without the lock: the LockedReads
-	// ablation charges each read a modeled cacheline handoff per peer.
-	workerCount atomic.Int64
 
 	// reclaim is the epoch-based reclamation state keeping merged
 	// leaves mapped while lock-free readers may still probe them.

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"cclbtree/internal/obs"
+)
 
 // Variable-size operations (§4.4 Optimization #3). In VarKV mode every
 // key and value is a PM blob addressed by an 8 B indirection pointer;
@@ -13,44 +18,19 @@ type KVBytes struct {
 	Key, Value []byte
 }
 
-func (w *Worker) requireVar(op string) error {
-	if !w.tree.opts.VarKV {
-		return fmt.Errorf("core: %s: %w", op, ErrVarKVRequired)
-	}
-	return nil
-}
-
 // UpsertVar inserts or updates a variable-size pair. key must be
 // non-empty.
 func (w *Worker) UpsertVar(key, value []byte) error {
-	if err := w.writableVar("UpsertVar"); err != nil {
+	if err := w.writableVar("UpsertVar", key); err != nil {
 		return err
 	}
-	if len(key) == 0 {
-		return fmt.Errorf("core: UpsertVar: %w", ErrZeroKey)
-	}
-	kw, err := w.blobs.write(w.t, key)
-	if err != nil {
-		return err
-	}
-	vw, err := w.blobs.write(w.t, value)
-	if err != nil {
-		return err
-	}
-	w.tree.ctr.upserts.Add(1)
-	w.tree.pool.AddUserBytes(uint64(len(key) + len(value)))
-	return w.writeOne(kw, vw)
+	return w.writeOne(&BatchOp{KeyBytes: key, ValueBytes: value})
 }
 
 // LookupVar finds the value for a variable-size key.
 func (w *Worker) LookupVar(key []byte) ([]byte, bool) {
-	if err := w.requireVar("LookupVar"); err != nil {
-		return nil, false
-	}
-	w.tree.ctr.lookups.Add(1)
-	kw := w.tempKeyWord(key)
-	v, ok := w.lookupWord(kw)
-	if !ok || v == Tombstone {
+	v, n := w.read(obs.EvLookup, true, w.tempKeyWord(key), nil)
+	if n == 0 {
 		return nil, false
 	}
 	return readBlob(w.t, v), true
@@ -58,35 +38,38 @@ func (w *Worker) LookupVar(key []byte) ([]byte, bool) {
 
 // DeleteVar inserts a tombstone for a variable-size key.
 func (w *Worker) DeleteVar(key []byte) error {
-	if err := w.writableVar("DeleteVar"); err != nil {
+	if err := w.writableVar("DeleteVar", key); err != nil {
 		return err
 	}
-	if len(key) == 0 {
-		return fmt.Errorf("core: DeleteVar: %w", ErrZeroKey)
-	}
-	kw, err := w.blobs.write(w.t, key)
-	if err != nil {
-		return err
-	}
-	w.tree.ctr.deletes.Add(1)
-	w.tree.pool.AddUserBytes(uint64(len(key) + 8))
-	return w.writeOne(kw, Tombstone)
+	return w.writeOne(&BatchOp{KeyBytes: key, Delete: true})
 }
 
+// scanVarPage is how many entries ScanVar pulls per scan of the tree, so
+// its word-form scratch is bounded however large max is.
+const scanVarPage = 128
+
 // ScanVar collects up to max entries with key ≥ start in ascending
-// byte order.
+// byte order; none when max <= 0.
 func (w *Worker) ScanVar(start []byte, max int) []KVBytes {
-	if err := w.requireVar("ScanVar"); err != nil {
+	if max <= 0 {
 		return nil
 	}
-	kw := w.tempKeyWord(start)
-	out := make([]KV, max)
-	n := w.Scan(kw, max, out)
-	res := make([]KVBytes, 0, n)
-	for _, kv := range out[:n] {
-		res = append(res, KVBytes{Key: readBlob(w.t, kv.Key), Value: readBlob(w.t, kv.Value)})
+	var res []KVBytes
+	page := make([]KV, min(max, scanVarPage))
+	for {
+		page = page[:min(len(page), max-len(res))]
+		_, n := w.read(obs.EvScan, true, w.tempKeyWord(start), page)
+		res = slices.Grow(res, n)
+		for _, kv := range page[:n] {
+			res = append(res, KVBytes{Key: readBlob(w.t, kv.Key), Value: readBlob(w.t, kv.Value)})
+		}
+		if n < len(page) || len(res) == max {
+			return res
+		}
+		// The next page resumes at the last key's successor in byte
+		// order: the key with a zero byte appended.
+		start = append(slices.Clip(res[len(res)-1].Key), 0)
 	}
-	return res
 }
 
 // tempKeyWord registers key as the worker's probe so comparisons can
@@ -106,9 +89,7 @@ func (w *Worker) UpsertIndirect(key, pointerWord uint64) error {
 	if !IsBlobWord(pointerWord) {
 		return fmt.Errorf("core: %#x is not an indirection pointer", pointerWord)
 	}
-	w.tree.ctr.upserts.Add(1)
-	w.tree.pool.AddUserBytes(16)
-	return w.writeOne(key, pointerWord)
+	return w.writeOne(&BatchOp{Key: key, Value: pointerWord})
 }
 
 // UpsertLargeValue stores a fixed 8 B key with an out-of-band value
@@ -118,20 +99,13 @@ func (w *Worker) UpsertLargeValue(key uint64, value []byte) error {
 	if err := w.validateFixed("UpsertLargeValue", key, 0, false); err != nil {
 		return err
 	}
-	vw, err := w.blobs.write(w.t, value)
-	if err != nil {
-		return err
-	}
-	w.tree.ctr.upserts.Add(1)
-	w.tree.pool.AddUserBytes(uint64(8 + len(value)))
-	return w.writeOne(key, vw)
+	return w.writeOne(&BatchOp{Key: key, ValueBytes: value})
 }
 
 // LookupLargeValue fetches a value stored with UpsertLargeValue.
 func (w *Worker) LookupLargeValue(key uint64) ([]byte, bool) {
-	w.tree.ctr.lookups.Add(1)
-	v, ok := w.lookupWord(key)
-	if !ok || v == Tombstone {
+	v, n := w.read(obs.EvLookup, false, key, nil)
+	if n == 0 {
 		return nil, false
 	}
 	return decodeValueWord(w.t, v), true

@@ -121,7 +121,6 @@ func (tr *Tree) NewWorker(socket int) *Worker {
 	tr.workers = append(tr.workers, w)
 	tr.workersMu.Unlock()
 	tr.prof.Released(obs.LockWorkers, tok)
-	tr.workerCount.Add(1)
 	return w
 }
 
@@ -174,28 +173,6 @@ func (w *Worker) unsafeReadTear() {
 	}
 }
 
-// lockHandoffNS models one cross-core cacheline transfer of a shared
-// lock word. The LockedReads ablation charges it per peer worker and
-// per RMW: on silicon every other active thread is a potential owner
-// the line bounces from, which is exactly the scaling collapse the
-// lock-free path exists to avoid — and which the deterministic virtual
-// clock would otherwise never see.
-const lockHandoffNS = 60
-
-// chargeLockHandoff charges rmws lock-word RMWs against the peer count
-// and attributes them to lock wait.
-func (w *Worker) chargeLockHandoff(rmws int) {
-	sharers := w.tree.workerCount.Load() - 1
-	if sharers <= 0 {
-		return
-	}
-	d := int64(rmws) * lockHandoffNS * sharers
-	w.t.Advance(d)
-	if w.spans {
-		w.segAcc[obs.SegLockWait] += d
-	}
-}
-
 // Thread exposes the worker's PM thread (virtual clock, tagging).
 func (w *Worker) Thread() *pmem.Thread { return w.t }
 
@@ -235,17 +212,7 @@ func (w *Worker) Upsert(key, value uint64) error {
 	if err := w.validateFixed("Upsert", key, value, true); err != nil {
 		return err
 	}
-	w.tree.ctr.upserts.Add(1)
-	w.tree.pool.AddUserBytes(16)
-	start := w.t.Now()
-	w.beginSpan(obs.OpPut)
-	err := w.writeOne(key, value)
-	w.finishSpan()
-	if w.mh != nil {
-		w.recordLat(w.tree.met.insertLat, start)
-	}
-	w.tree.tracer.Emit(obs.EvInsert, w.id, w.t.Now(), key, value)
-	return err
+	return w.writeOne(&BatchOp{Key: key, Value: value})
 }
 
 // Delete inserts a tombstone for key (§4.2 treats deletion as an
@@ -254,101 +221,158 @@ func (w *Worker) Delete(key uint64) error {
 	if err := w.validateFixed("Delete", key, Tombstone, false); err != nil {
 		return err
 	}
-	w.tree.ctr.deletes.Add(1)
-	w.tree.pool.AddUserBytes(16)
+	return w.writeOne(&BatchOp{Key: key, Delete: true})
+}
+
+// writeOne is the single-write entry shim under Upsert, Delete and the
+// Var/Indirect/LargeValue variants: one validated op is opened as an
+// OpPut span (a delete is a tombstone upsert and walks the identical
+// critical path), materialized and accounted exactly as an ApplyBatch op
+// is, handed to the write protocol (commit) as a group of one staged in
+// the worker scratch ApplyBatch uses, and sampled into insert_ns.
+func (w *Worker) writeOne(op *BatchOp) error {
 	start := w.t.Now()
-	// Deletes attribute as OpPut: a delete is a tombstone upsert and
-	// walks the identical critical path.
 	w.beginSpan(obs.OpPut)
-	err := w.writeOne(key, Tombstone)
-	w.finishSpan()
-	if w.mh != nil {
-		w.recordLat(w.tree.met.insertLat, start)
+	kv, err := w.materialize(op)
+	if err != nil {
+		return err
 	}
-	w.tree.tracer.Emit(obs.EvDelete, w.id, w.t.Now(), key, 0)
+	w.batchKVs = append(w.batchKVs[:0], kv)
+	err = w.commit(w.batchKVs)
+	w.finishSpan()
+	w.recordLat(latInsert, start)
+	ev := obs.EvInsert
+	if op.Delete {
+		ev = obs.EvDelete
+	}
+	w.tree.tracer.Emit(ev, w.id, w.t.Now(), kv.Key, kv.Value)
 	return err
 }
 
-// writeOne hands one word-form write to the write protocol (commit) as
-// a group of one, staged in the same worker scratch ApplyBatch uses.
-func (w *Worker) writeOne(key, value uint64) error {
-	w.batchKVs = append(w.batchKVs[:0], KV{key, value})
-	return w.commit(w.batchKVs)
+// stwEnter is the stop-the-world prologue every foreground operation
+// runs under GCNaive (and only there): it takes the read side of the
+// naive collector's lock and lifts the worker's clock over the pause it
+// may have sat out. Callers defer stwExit with the returned token.
+func (w *Worker) stwEnter() obs.LockToken {
+	tr := w.tree
+	tok := tr.prof.Pre(obs.LockSTW)
+	tr.stw.RLock()
+	tok = tr.prof.Acquired(obs.LockSTW, tok)
+	w.syncStall()
+	return tok
+}
+
+func (w *Worker) stwExit(tok obs.LockToken) {
+	w.tree.stw.RUnlock()
+	w.tree.prof.Released(obs.LockSTW, tok)
+}
+
+// retry is the one retry rule of the optimistic protocols, read side
+// and write side: a failed attempt — the node's version lock is held or
+// moved underneath, or the node stopped owning the key between routing
+// and the section — is rewound off the virtual clock and charged
+// conflictPenaltyNS of lock wait instead, then yields. It re-raises a
+// sticky power failure first: the version an attempt spins on never
+// settles once its holder died mid-section (Tree.crashAbort).
+func (w *Worker) retry(attemptVT int64, read bool) {
+	tr := w.tree
+	tr.crashAbort()
+	tr.ctr.retries.Add(1)
+	if read {
+		tr.ctr.readRetries.Add(1)
+	}
+	w.t.Rewind(attemptVT)
+	w.t.Advance(conflictPenaltyNS)
+	if w.spans {
+		w.segAcc[obs.SegLockWait] += conflictPenaltyNS
+	}
+	runtime.Gosched()
 }
 
 // lockOwner routes key to the buffer node owning it and returns the
-// node with its version lock held (v is the token unlock takes). A
-// failed attempt — lock held elsewhere, or the node stopped owning key
-// between routing and locking — is rewound off the virtual clock and
-// charged conflictPenaltyNS of lock wait instead. Every locked path
-// shares it: the write protocol, the LockedReads ablation and
-// recovery's replay. crashAbort is safe in recovery too: once a fault
-// has fired every flush panics, so a replay worker is already dead at
-// its next leaf write, and the check only turns a spin on a dead
-// peer's lock into that same panic.
+// node with its version lock held (v is the token unlock takes); failed
+// attempts go through retry. Every locked path shares it: the write
+// protocol and recovery's replay. crashAbort is safe in recovery too:
+// once a fault has fired every flush panics, so a replay worker is
+// already dead at its next leaf write, and the check only turns a spin
+// on a dead peer's lock into that same panic.
 func (w *Worker) lockOwner(key uint64) (*bufferNode, uint64) {
-	tr := w.tree
 	for {
 		attemptVT := w.t.Now()
 		m := w.segBegin()
-		n := tr.findBuffer(w.t, key)
-		v, locked := n.tryLock()
-		if locked && w.rangeOK(n, key) {
-			w.segEnd(obs.SegTraverse, m)
-			return n, v
-		}
-		if locked {
+		n := w.tree.findBuffer(w.t, key)
+		if v, locked := n.tryLock(); locked {
+			if w.rangeOK(n, key) {
+				w.segEnd(obs.SegTraverse, m)
+				return n, v
+			}
 			n.unlock(v)
-		} else {
-			tr.crashAbort()
 		}
-		tr.ctr.retries.Add(1)
-		w.t.Rewind(attemptVT)
-		w.t.Advance(conflictPenaltyNS)
-		w.segRetry()
-		if !locked {
-			runtime.Gosched()
-		}
+		w.retry(attemptVT, false)
 	}
 }
 
 // Lookup finds the value for a fixed 8 B key.
 func (w *Worker) Lookup(key uint64) (uint64, bool) {
-	w.tree.ctr.lookups.Add(1)
-	start := w.t.Now()
-	w.beginSpan(obs.OpGet)
-	v, ok := w.lookupWord(key)
-	w.finishSpan()
-	if w.mh != nil {
-		w.recordLat(w.tree.met.lookupLat, start)
-	}
-	found := ok && v != Tombstone
-	var fw uint64
-	if found {
-		fw = 1
-	}
-	w.tree.tracer.Emit(obs.EvLookup, w.id, w.t.Now(), key, fw)
-	if !found {
-		return 0, false
-	}
-	return v, true
+	v, n := w.read(obs.EvLookup, false, key, nil)
+	return v, n == 1
 }
 
-func (w *Worker) lookupWord(key uint64) (uint64, bool) {
-	tr := w.tree
-	if tr.opts.GC == GCNaive {
-		tok := tr.prof.Pre(obs.LockSTW)
-		tr.stw.RLock()
-		tok = tr.prof.Acquired(obs.LockSTW, tok)
-		defer tr.prof.Released(obs.LockSTW, tok)
-		defer tr.stw.RUnlock()
-		w.syncStall()
+// Scan collects up to max live entries with key ≥ start in ascending
+// order into out, returning the count (§4.3: traverse successive buffer
+// and leaf nodes, buffered entries win).
+func (w *Worker) Scan(start uint64, max int, out []KV) int {
+	if max > len(out) {
+		max = len(out)
 	}
-	if tr.opts.LockedReads {
-		return w.lookupWordLocked(key)
+	if max < 0 {
+		max = 0
+	}
+	_, n := w.read(obs.EvScan, false, start, out[:max])
+	return n
+}
+
+// read is the read entry shim under Lookup, LookupVar, LookupLargeValue,
+// Scan and ScanVar, and the protocol around their node sections
+// (DESIGN.md "Read protocol"): pin the reclamation epoch, then route,
+// snapshot, probe or collect, recheck — failed attempts go through
+// retry — and unpin. A read takes no lock and writes nothing. op names
+// the kind: EvLookup is a point read of key, returning its live value
+// word and n = 1, else n = 0; EvScan fills out from key upward and
+// returns the count. varKV is the key kind the entry point speaks; when
+// the tree stores the other kind, key is not comparable to anything in
+// it and the read finds nothing, before anything is routed or charged.
+func (w *Worker) read(op obs.EventKind, varKV bool, key uint64, out []KV) (val uint64, n int) {
+	tr := w.tree
+	if varKV != tr.opts.VarKV {
+		return 0, 0
+	}
+	start := w.t.Now()
+	w.beginSpan(obs.OpGet)
+	if tr.opts.GC == GCNaive {
+		defer w.stwExit(w.stwEnter())
 	}
 	w.readEnter()
 	defer w.readExit()
+	lat, arg := latScan, uint64(len(out)) // traced: a scan's bound, a point read's hit
+	if op == obs.EvScan {
+		tr.ctr.scans.Add(1)
+		n = w.scanWords(key, out)
+	} else {
+		lat = latLookup
+		tr.ctr.lookups.Add(1)
+		if v, ok := w.lookupWord(key); ok && v != Tombstone {
+			val, n, arg = v, 1, 1
+		}
+	}
+	w.finishSpan()
+	w.recordLat(lat, start)
+	tr.tracer.Emit(op, w.id, w.t.Now(), key, arg)
+	return val, n
+}
+
+// lookupWord runs optimistic point-read attempts until one validates.
+func (w *Worker) lookupWord(key uint64) (uint64, bool) {
 	for {
 		attemptVT := w.t.Now()
 		m := w.segBegin()
@@ -360,30 +384,8 @@ func (w *Worker) lookupWord(key uint64) (uint64, bool) {
 			w.segEndExcl(obs.SegTraverse, m, w.segAcc[obs.SegValidate]-val0)
 			return val, found
 		}
-		tr.crashAbort()
-		tr.ctr.retries.Add(1)
-		tr.ctr.readRetries.Add(1)
-		w.t.Rewind(attemptVT)
-		w.t.Advance(conflictPenaltyNS)
-		w.segRetry()
-		runtime.Gosched()
+		w.retry(attemptVT, true)
 	}
-}
-
-// lookupWordLocked is the Options.LockedReads ablation: the pre-
-// optimistic read path that holds the node's version lock across the
-// buffer probe and leaf search. Correct but unscalable — each read
-// pays the modeled lock-word handoffs (two RMWs here plus two for the
-// shared routing lock this path stands in for), growing with the
-// worker count.
-func (w *Worker) lookupWordLocked(key uint64) (uint64, bool) {
-	n, v := w.lockOwner(key)
-	m := w.segBegin()
-	w.chargeLockHandoff(4)
-	val, found := w.lookupInNode(n, key)
-	n.unlock(v)
-	w.segEnd(obs.SegTraverse, m)
-	return val, found
 }
 
 // lookupAttempt is one optimistic lookup pass; ok is false when the
@@ -434,74 +436,22 @@ func (w *Worker) lookupAttempt(key uint64) (val uint64, found, ok bool) {
 	return v, f, true
 }
 
-// lookupInNode probes the buffer slots then the leaf with the node
-// lock held (LockedReads ablation and other locked contexts); no
-// validation needed.
-func (w *Worker) lookupInNode(n *bufferNode, key uint64) (uint64, bool) {
+// scanWords walks the node chain from start's owner, appending each
+// node's validated snapshot to out until it is full or the chain ends.
+func (w *Worker) scanWords(start uint64, out []KV) int {
 	tr := w.tree
-	target := tr.keyFingerprint(w.t, key)
-	w.t.Advance(int64(1+(n.nbatch()+7)/8) * w.t.CostDRAM())
-	for i := 0; i < n.nbatch(); i++ {
-		if n.slotFP(i) != target {
-			continue
-		}
-		sk := n.slotKey(i)
-		if sk == 0 || tr.compare(w.t, sk, key) != 0 {
-			continue
-		}
-		tr.ctr.bufferHits.Add(1)
-		tr.heat.Touch(uint64(n.leaf), false)
-		return n.slotVal(i), true
-	}
-	v, f := w.leafSearchFP(n.leaf, key, target)
-	tr.heat.Touch(uint64(n.leaf), false)
-	return v, f
-}
-
-// ScanEntry is one range-query result in word form.
-type ScanEntry = KV
-
-// Scan collects up to max live entries with key ≥ start in ascending
-// order into out, returning the count (§4.3: traverse successive buffer
-// and leaf nodes, buffered entries win).
-func (w *Worker) Scan(start uint64, max int, out []KV) int {
-	tr := w.tree
-	tr.ctr.scans.Add(1)
-	startVT := w.t.Now()
-	defer func() {
-		if w.mh != nil {
-			w.recordLat(tr.met.scanLat, startVT)
-		}
-		tr.tracer.Emit(obs.EvScan, w.id, w.t.Now(), start, uint64(max))
-	}()
-	if tr.opts.GC == GCNaive {
-		tok := tr.prof.Pre(obs.LockSTW)
-		tr.stw.RLock()
-		tok = tr.prof.Acquired(obs.LockSTW, tok)
-		defer tr.prof.Released(obs.LockSTW, tok)
-		defer tr.stw.RUnlock()
-		w.syncStall()
-	}
-	if max > len(out) {
-		max = len(out)
-	}
-	if !tr.opts.LockedReads {
-		w.readEnter()
-		defer w.readExit()
-	}
 	count := 0
 	var lastKey uint64
 	haveLast := false
 	n := tr.findBuffer(w.t, start)
-	for n != nil && count < max {
+	for n != nil && count < len(out) {
 		attemptVT := w.t.Now()
 		ents, nx, st := w.scanNode(n)
 		switch st {
 		case scanDead:
 			// Merged away: re-route from the last progress point. A
 			// simulated crash can leave routing transiently stale, so
-			// the re-route loop needs the same unhang check as the
-			// retry loops below.
+			// the re-route loop needs retry's unhang check too.
 			tr.crashAbort()
 			from := start
 			if haveLast {
@@ -510,21 +460,11 @@ func (w *Worker) Scan(start uint64, max int, out []KV) int {
 			n = tr.findBuffer(w.t, from)
 			continue
 		case scanRetry:
-			// Every retry branch — locked, torn collect, or failed
-			// final validation — must re-raise a sticky power failure:
-			// an optimistic reader spinning on a version that will
-			// never settle (its writer died mid-section) would
-			// otherwise hang here forever.
-			tr.crashAbort()
-			tr.ctr.retries.Add(1)
-			tr.ctr.readRetries.Add(1)
-			w.t.Rewind(attemptVT)
-			w.t.Advance(conflictPenaltyNS)
-			runtime.Gosched()
+			w.retry(attemptVT, true)
 			continue
 		}
 		for _, e := range ents {
-			if count >= max {
+			if count >= len(out) {
 				break
 			}
 			if tr.compare(w.t, e.Key, start) < 0 {
@@ -550,26 +490,9 @@ const (
 	scanRetry
 )
 
-// scanNode snapshots one node for Scan: lock-free with seqlock
-// validation by default, under the node lock in the LockedReads
-// ablation. Returns the node's sorted live entries and the next node.
+// scanNode is Scan's optimistic node section: it snapshots one node's
+// sorted live entries and its successor under seqlock validation.
 func (w *Worker) scanNode(n *bufferNode) ([]KV, *bufferNode, int) {
-	tr := w.tree
-	if tr.opts.LockedReads {
-		v, ok := n.tryLock()
-		if !ok {
-			return nil, nil, scanRetry
-		}
-		if n.dead() {
-			n.unlock(v)
-			return nil, nil, scanDead
-		}
-		w.chargeLockHandoff(4)
-		ents, _ := w.collectNode(n, 0, true)
-		nx := n.next.Load()
-		n.unlock(v)
-		return ents, nx, scanOK
-	}
 	ver, ok := n.beginRead()
 	if !ok {
 		return nil, nil, scanRetry
@@ -577,7 +500,7 @@ func (w *Worker) scanNode(n *bufferNode) ([]KV, *bufferNode, int) {
 	if n.dead() {
 		return nil, nil, scanDead
 	}
-	ents, ok := w.collectNode(n, ver, false)
+	ents, ok := w.collectNode(n, ver)
 	if !ok {
 		return nil, nil, scanRetry
 	}
@@ -597,9 +520,8 @@ type scanCand struct {
 // collectNode snapshots one node's live entries (leaf ∪ buffer, buffer
 // wins, tombstones drop), sorted ascending into the worker's reusable
 // buffer — valid until the next collectNode call. ok is false if the
-// version changed mid-read (never when locked: the caller holds the
-// node's version lock).
-func (w *Worker) collectNode(n *bufferNode, ver uint64, locked bool) ([]KV, bool) {
+// version changed mid-read.
+func (w *Worker) collectNode(n *bufferNode, ver uint64) ([]KV, bool) {
 	tr := w.tree
 	tr.heat.Touch(uint64(n.leaf), false)
 	var img leafImage
@@ -620,7 +542,7 @@ func (w *Worker) collectNode(n *bufferNode, ver uint64, locked bool) ([]KV, bool
 		}
 	}
 	w.scanCands = cands
-	if !locked && !w.readRecheck(n, ver) {
+	if !w.readRecheck(n, ver) {
 		return nil, false
 	}
 	// Dedup: leftmost buffer entry wins, then leaf. Sorted insertion on

@@ -103,8 +103,7 @@ test "$planted" -eq 3
 "$perfdir/cclbench" -compare scripts/perf_baseline.json -against "$perfdir/BENCH_ycsbb.json"
 
 # Read-scaling gate: the lock-free read path must hold its YCSB-C
-# numbers (both series — a locked-ablation speedup would also hide a
-# lock-free regression if only one side were gated).
+# numbers at every point of the 1/2/4/8-thread sweep.
 "$perfdir/cclbench" -exp ycsbc -warm 20000 -ops 20000 -out "$perfdir" >/dev/null
 "$perfdir/cclbench" -compare scripts/perf_baseline_ycsbc.json -against "$perfdir/BENCH_ycsbc.json"
 rm -rf "$perfdir"
@@ -123,9 +122,12 @@ rm -rf "$servedir"
 go test -run TestShardScaling ./internal/bench
 go test -race -run TestShardedCrashDurablePrefix .
 
-# Read-path acceptance: lock-free reads >= 3x the LockedReads ablation
-# at 8 threads, and the torture oracle proves it still has teeth by
-# catching a planted skipped-recheck (torn optimistic read) bug.
+# Read-path acceptance: reads take no lock — statically, no read entry
+# point reaches a node's version lock in the call graph; dynamically,
+# read-only YCSB-C at 8 threads runs >= 3x its own 1-thread rate — and
+# the torture oracle proves it still has teeth by catching a planted
+# skipped-recheck (torn optimistic read) bug.
+go test -run TestRepoReadPathWiring ./internal/analysis/persist
 go test -run TestReadScaling ./internal/bench
 go test -run TestTortureCatchesSkippedReadRecheck ./internal/torture
 

@@ -168,8 +168,11 @@ func (s *Session) DeleteVar(key []byte) error {
 type KVBytes = core.KVBytes
 
 // ScanVar returns up to max live entries with key ≥ start in ascending
-// byte order, merged across shards.
+// byte order, merged across shards; none when max <= 0.
 func (s *Session) ScanVar(start []byte, max int) []KVBytes {
+	if max <= 0 {
+		return nil
+	}
 	if len(s.ws) == 1 {
 		return s.ws[0].ScanVar(start, max)
 	}
