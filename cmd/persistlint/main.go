@@ -12,7 +12,7 @@
 // Usage:
 //
 //	persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES]
-//	            [-fix [-apply]] [-budget DURATION] [-cache DIR] [packages...]
+//	            [-fix [-apply]] [-budget DURATION] [packages...]
 //
 // Package patterns are directories; a trailing /... recurses. With no
 // arguments it checks ./... from the current directory. Exit status is
@@ -22,12 +22,7 @@
 // per-rule counts) to stderr. -fix deletes the stale
 // //persistlint:ignore directives PL007 flags — and nothing else;
 // without -apply it only prints the planned edits. -sarif writes SARIF
-// 2.1.0 to FILE ("-" replaces the default stdout listing). -cache DIR
-// keeps a content-hash-keyed result cache: when no input file changed,
-// the previous findings replay byte-identically without re-analysis;
-// on a miss the whole program re-analyzes (summaries cross package
-// boundaries, partial reuse would be unsound) and the cache reports
-// what the change transitively invalidated.
+// 2.1.0 to FILE ("-" replaces the default stdout listing).
 package main
 
 import (
@@ -74,9 +69,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fix := fl.Bool("fix", false, "delete stale //persistlint:ignore directives flagged by PL007 (prints planned edits; add -apply to write)")
 	apply := fl.Bool("apply", false, "with -fix, write the edits to the files in place")
 	budget := fl.Duration("budget", 0, "fail (exit 2) when parsing+analysis wall-clock exceeds this duration; 0 disables the gate")
-	cacheDir := fl.String("cache", "", "directory for the incremental result cache (replays unchanged runs byte-identically)")
 	fl.Usage = func() {
-		fmt.Fprintf(stderr, "usage: persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES] [-fix [-apply]] [-budget DURATION] [-cache DIR] [packages...]\n")
+		fmt.Fprintf(stderr, "usage: persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES] [-fix [-apply]] [-budget DURATION] [packages...]\n")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
@@ -111,54 +105,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var findings []persist.Finding
-	var st persist.Stats
-	var cc *cacheContext
-	cached := false
-	if *cacheDir != "" {
-		var cerr error
-		cc, cerr = openCache(*cacheDir, dirs, disabled, *withTest)
-		if cerr != nil {
-			// The cache is an accelerator, never a correctness input: any
-			// problem with it degrades to a cold run.
-			fmt.Fprintf(stderr, "persistlint: cache disabled: %v\n", cerr)
-			cc = nil
-		}
-		if cc != nil && cc.hit {
-			findings, st = cc.prev.Findings, cc.prev.Stats
-			cached = true
+	an := persist.NewAnalyzer()
+	an.Disable(disabled...)
+	for _, d := range dirs {
+		if err := an.AddDir(d, *withTest); err != nil {
+			fmt.Fprintf(stderr, "persistlint: %v\n", err)
+			return 2
 		}
 	}
-	if !cached {
-		an := persist.NewAnalyzer()
-		an.Disable(disabled...)
-		for _, d := range dirs {
-			if err := an.AddDir(d, *withTest); err != nil {
-				fmt.Fprintf(stderr, "persistlint: %v\n", err)
-				return 2
-			}
-		}
-		findings = an.Run()
-		st = an.Stats()
-		if cc != nil {
-			if changed, closure := cc.invalidated(); len(changed) > 0 {
-				fmt.Fprintf(stderr, "persistlint: cache miss: changed %s; invalidates %s\n",
-					strings.Join(changed, ","), strings.Join(closure, ","))
-			}
-			if err := cc.store(findings, st, an.DirEdges(), time.Since(start).Nanoseconds()); err != nil {
-				fmt.Fprintf(stderr, "persistlint: cache write failed: %v\n", err)
-			}
-		}
-	}
+	findings := an.Run()
+	st := an.Stats()
 	elapsed := time.Since(start)
-	if cached {
-		warm := elapsed.Nanoseconds()
-		if warm < 1 {
-			warm = 1
-		}
-		fmt.Fprintf(stderr, "persistlint: cache hit, replayed %d finding(s) speedup_x=%.1f\n",
-			len(findings), float64(cc.prev.ColdNS)/float64(warm))
-	}
 	switch {
 	case *jsonOut:
 		enc := json.NewEncoder(stdout)
@@ -329,7 +286,7 @@ func fixStaleDirectives(findings []persist.Finding, apply bool, stderr io.Writer
 // the analysis covered, not just its silence. Per-rule counts come
 // from Stats.FindingsByCode, which Run fills from the findings it
 // actually returned — the totals here reconcile with the emitted
-// listing by construction, including on a cache replay.
+// listing by construction.
 func printStats(w io.Writer, s persist.Stats) {
 	fmt.Fprintf(w, "persistlint stats:\n")
 	fmt.Fprintf(w, "  files analyzed      %6d\n", s.Files)
@@ -418,4 +375,34 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
+}
+
+// writeFileAtomic replaces path's contents via a same-directory temp
+// file and rename, so readers (and crashes) see either the old bytes
+// or the new, never a prefix.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if err := os.Chmod(tmpName, 0o644); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	return nil
 }

@@ -311,120 +311,6 @@ func TestCorpusDeterminism(t *testing.T) {
 	}
 }
 
-// TestCacheColdWarmByteIdentical pins the incremental cache's core
-// contract: a warm replay prints byte-for-byte what the cold run
-// printed, and says how much faster it was.
-func TestCacheColdWarmByteIdentical(t *testing.T) {
-	leaky := writeDir(t, "leaky.go", leakySrc)
-	cacheDir := filepath.Join(t.TempDir(), "plcache")
-
-	var cold, coldErr bytes.Buffer
-	if code := run([]string{"-json", "-cache", cacheDir, leaky}, &cold, &coldErr); code != 1 {
-		t.Fatalf("cold run: exit %d, want 1 (stderr: %s)", code, coldErr.String())
-	}
-	if strings.Contains(coldErr.String(), "cache hit") {
-		t.Fatalf("cold run claimed a cache hit: %s", coldErr.String())
-	}
-
-	var warm, warmErr bytes.Buffer
-	if code := run([]string{"-json", "-cache", cacheDir, leaky}, &warm, &warmErr); code != 1 {
-		t.Fatalf("warm run: exit %d, want 1 (stderr: %s)", code, warmErr.String())
-	}
-	if warm.String() != cold.String() {
-		t.Errorf("warm replay differs from cold run:\n--- cold ---\n%s--- warm ---\n%s", cold.String(), warm.String())
-	}
-	if !strings.Contains(warmErr.String(), "cache hit") || !strings.Contains(warmErr.String(), "speedup_x=") {
-		t.Errorf("warm stderr missing hit/speedup report: %s", warmErr.String())
-	}
-
-	// A configuration change must not share the entry: different toggles
-	// can print different findings.
-	var toggled, toggledErr bytes.Buffer
-	if code := run([]string{"-json", "-cache", cacheDir, "-disable", "PL002", leaky}, &toggled, &toggledErr); code != 1 {
-		t.Fatalf("toggled run: exit %d, want 1 (stderr: %s)", code, toggledErr.String())
-	}
-	if strings.Contains(toggledErr.String(), "cache hit") {
-		t.Errorf("-disable run replayed the undisabled entry: %s", toggledErr.String())
-	}
-	if strings.Contains(toggled.String(), "PL002") {
-		t.Errorf("-disable PL002 output still has PL002:\n%s", toggled.String())
-	}
-}
-
-// libSrc/appSrc form a two-package tree where app's helper discharges
-// through lib: editing lib must invalidate app transitively.
-const libSrc = `package lib
-
-import "cclbtree/internal/pmem"
-
-func PersistWord(t *pmem.Thread, a pmem.Addr) {
-	t.Store(a, 1)
-	t.Persist(a, 8)
-}
-`
-
-const appSrc = `package app
-
-import (
-	"cclbtree/internal/pmem"
-	"example.com/mod/lib"
-)
-
-func Write(t *pmem.Thread, a pmem.Addr) {
-	lib.PersistWord(t, a)
-}
-`
-
-// TestCacheInvalidationClosure edits one package between runs and
-// checks the miss report names both the changed directory and its
-// reverse closure over the recorded dir edges.
-func TestCacheInvalidationClosure(t *testing.T) {
-	base := t.TempDir()
-	libDir := filepath.Join(base, "lib")
-	appDir := filepath.Join(base, "app")
-	for dir, src := range map[string]string{libDir: libSrc, appDir: appSrc} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cacheDir := filepath.Join(base, "plcache")
-	args := []string{"-json", "-cache", cacheDir, libDir, appDir}
-
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("cold run: exit %d, want 0 (stderr: %s)", code, errb.String())
-	}
-
-	if err := os.WriteFile(filepath.Join(libDir, "p.go"), []byte(libSrc+"\n// touched\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errb.Reset()
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("post-edit run: exit %d, want 0 (stderr: %s)", code, errb.String())
-	}
-	se := errb.String()
-	if !strings.Contains(se, "cache miss: changed ") {
-		t.Fatalf("post-edit stderr missing miss report: %s", se)
-	}
-	_, invalidates, ok := strings.Cut(se, "invalidates ")
-	if !ok {
-		t.Fatalf("miss report missing invalidation closure: %s", se)
-	}
-	changedPart := se[:strings.Index(se, "; invalidates")]
-	if strings.Contains(changedPart, filepath.ToSlash(appDir)) {
-		t.Errorf("untouched app dir reported as changed: %s", se)
-	}
-	for _, dir := range []string{libDir, appDir} {
-		if !strings.Contains(invalidates, filepath.ToSlash(dir)) {
-			t.Errorf("invalidation closure missing %s: %s", dir, se)
-		}
-	}
-}
-
 // TestSARIFOutput checks -sarif renders a valid 2.1.0 log with the
 // full rule catalog and one result per finding, to stdout or a file.
 func TestSARIFOutput(t *testing.T) {
@@ -543,26 +429,20 @@ func atoi(t *testing.T, s string) int {
 
 // TestStatsReconcile pins the counter contract: over the full corpus,
 // the per-code stats sum to the total and both equal the number of
-// findings actually emitted — cold and under cache replay.
+// findings actually emitted.
 func TestStatsReconcile(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "plcache")
-	for _, pass := range []string{"cold", "warm"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-stats", "-json", "-cache", cacheDir, corpusDir}, &out, &errb); code != 1 {
-			t.Fatalf("%s: exit %d, want 1 (stderr: %s)", pass, code, errb.String())
-		}
-		emitted := len(strings.Split(strings.TrimSpace(out.String()), "\n"))
-		total, byCode := statsCounts(t, errb.String())
-		sum := 0
-		for _, n := range byCode {
-			sum += n
-		}
-		if total != emitted || sum != emitted {
-			t.Errorf("%s: stats drift: total %d, per-code sum %d, emitted %d", pass, total, sum, emitted)
-		}
-		if pass == "warm" && !strings.Contains(errb.String(), "cache hit") {
-			t.Errorf("warm pass was not a replay: %s", errb.String())
-		}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-stats", "-json", corpusDir}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	emitted := len(strings.Split(strings.TrimSpace(out.String()), "\n"))
+	total, byCode := statsCounts(t, errb.String())
+	sum := 0
+	for _, n := range byCode {
+		sum += n
+	}
+	if total != emitted || sum != emitted {
+		t.Errorf("stats drift: total %d, per-code sum %d, emitted %d", total, sum, emitted)
 	}
 }
 

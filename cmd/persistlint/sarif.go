@@ -4,7 +4,7 @@ package main
 // interchange format CI systems (GitHub code scanning among them)
 // ingest natively. The document is built from structs and marshaled
 // with sorted rule metadata so a given finding set renders to
-// byte-identical SARIF — the cache determinism gate diffs these files.
+// byte-identical SARIF.
 
 import (
 	"encoding/json"

@@ -72,7 +72,7 @@ func main() {
 		fmt.Printf("%-22s %10.2f %10.2f %12.2f   %v\n",
 			v.name,
 			st.CLIAmplification(),
-			st.AmplificationFactor(),
+			st.XBIAmplification(),
 			float64(st.MediaWriteBytes)/1e6,
 			st.ScopeMediaBytes())
 		db.Close()

@@ -21,9 +21,7 @@ package persist
 // The graph's strongly connected components (Tarjan) are emitted in
 // callee-first order; summary.go walks that order so a summary only
 // ever reads finished callee summaries, except inside its own SCC
-// where it iterates to a fixpoint. The dir-level projection of the
-// edges (DirEdges) keys the incremental cache's transitive
-// invalidation in cmd/persistlint.
+// where it iterates to a fixpoint.
 
 import (
 	"go/ast"
@@ -360,44 +358,6 @@ func (cg *callGraph) computeSCCs() {
 
 // inSameSCC reports whether the two node ids share a component.
 func (cg *callGraph) inSameSCC(a, b int) bool { return cg.sccOf[a] == cg.sccOf[b] }
-
-// DirEdges projects the call graph onto package directories: one edge
-// per (caller dir, callee dir) pair that crosses directories, plus one
-// per import of an analyzed package. cmd/persistlint's cache closes
-// over these to decide which packages a changed file invalidates.
-func (a *Analyzer) DirEdges() [][2]string {
-	seen := map[[2]string]bool{}
-	var out [][2]string
-	add := func(from, to string) {
-		if from == to {
-			return
-		}
-		e := [2]string{from, to}
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	if a.cg != nil {
-		for _, n := range a.cg.nodes {
-			for _, c := range n.callees {
-				add(n.pkgID, a.cg.nodes[c].pkgID)
-			}
-		}
-	}
-	for _, fi := range a.files {
-		for _, pkgID := range fi.importPkg {
-			add(fi.dir, pkgID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
 
 // resolveImports maps every file's import local names to analyzed
 // package directories, once all files are added. An import path matches

@@ -559,10 +559,9 @@ func (a *Analyzer) AddFile(path string, src []byte) error {
 	return nil
 }
 
-// ListGoFiles returns the .go files AddDir would parse in dir, in
-// ReadDir (sorted) order. Exposed so cmd/persistlint's incremental
-// cache hashes exactly the input set the analysis would consume.
-func ListGoFiles(dir string, includeTests bool) ([]string, error) {
+// listGoFiles returns the .go files AddDir parses in dir, in ReadDir
+// (sorted) order.
+func listGoFiles(dir string, includeTests bool) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -585,7 +584,7 @@ func ListGoFiles(dir string, includeTests bool) ([]string, error) {
 // unless includeTests is set (test code routinely leaves stores
 // unpersisted on purpose, e.g. crash-injection harnesses).
 func (a *Analyzer) AddDir(dir string, includeTests bool) error {
-	files, err := ListGoFiles(dir, includeTests)
+	files, err := listGoFiles(dir, includeTests)
 	if err != nil {
 		return err
 	}

@@ -89,10 +89,8 @@ func (tr *Tree) newNode(t *pmem.Thread, leaf bool) (pmem.Addr, error) {
 	if leaf {
 		img[metaWord] = leafFlag
 	}
-	prev := t.SetTag(pmem.TagLeaf)
 	t.WriteRange(a, img[:])
 	t.Persist(a, nodeBytes)
-	t.SetTag(prev)
 	tr.nodes++
 	return a, nil
 }
@@ -216,11 +214,9 @@ func (h *handle) insert(key, value uint64) error {
 	i := leaf.lowerBound(key)
 	if i < leaf.count() && leaf.key(i) == key {
 		// In-place 8 B update, one flush.
-		prev := h.t.SetTag(pmem.TagLeaf)
 		a := leaf.addr.Add(int64(8 * (pairBase + 2*i + 1)))
 		h.t.Store(a, value)
 		h.t.Persist(a, 8)
-		h.t.SetTag(prev)
 		return nil
 	}
 	if leaf.count() == maxPairs {
@@ -237,8 +233,6 @@ func (h *handle) insert(key, value uint64) error {
 // by one with 8 B stores (high to low), write the new pair, flush the
 // touched cachelines, then bump the count.
 func (h *handle) shiftInsert(n *nodeImg, pos int, key, value uint64) {
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	cnt := n.count()
 	for i := cnt - 1; i >= pos; i-- {
 		h.t.Store(n.addr.Add(int64(8*(pairBase+2*i+2))), n.key(i))
@@ -294,7 +288,6 @@ func (h *handle) split(n *nodeImg, path []nodeImg) error {
 		}
 		keepCount = mid
 	}
-	prev := h.t.SetTag(pmem.TagLeaf)
 	h.t.WriteRange(right, rimg[:])
 	h.t.Persist(right, nodeBytes)
 	// Publish: link (for leaves) and shrunken count on the old node.
@@ -305,7 +298,6 @@ func (h *handle) split(n *nodeImg, path []nodeImg) error {
 	n.words[metaWord] = n.words[metaWord]&^0xffff | uint64(keepCount)
 	h.t.Store(n.addr.Add(8*metaWord), n.words[metaWord])
 	h.t.Persist(n.addr, 16)
-	h.t.SetTag(prev)
 
 	// Install the separator upward.
 	if len(path) == 0 {
@@ -318,10 +310,8 @@ func (h *handle) split(n *nodeImg, path []nodeImg) error {
 		root[linkWord] = uint64(n.addr)
 		root[pairBase] = sep
 		root[pairBase+1] = uint64(right)
-		pt := h.t.SetTag(pmem.TagLeaf)
 		h.t.WriteRange(newRoot, root[:])
 		h.t.Persist(newRoot, nodeBytes)
-		h.t.SetTag(pt)
 		tr.root = newRoot
 		tr.height++
 		return nil
@@ -384,8 +374,6 @@ func (h *handle) Delete(key uint64) error {
 	if i >= leaf.count() || leaf.key(i) != key {
 		return nil
 	}
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	cnt := leaf.count()
 	for j := i; j < cnt-1; j++ {
 		h.t.Store(leaf.addr.Add(int64(8*(pairBase+2*j))), leaf.key(j+1))

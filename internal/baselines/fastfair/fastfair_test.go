@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cclbtree/internal/index/indextest"
-	"cclbtree/internal/pmem"
 )
 
 func TestConformance(t *testing.T) {
@@ -40,9 +39,6 @@ func TestHighXBIUnderRandomWrites(t *testing.T) {
 	s := pool.Stats()
 	if amp := s.XBIAmplification(); amp < 4 {
 		t.Fatalf("FAST&FAIR random-insert XBI = %.1f; expected heavy amplification", amp)
-	}
-	if s.MediaWriteByTag[pmem.TagLeaf] == 0 {
-		t.Fatal("leaf writes not attributed")
 	}
 }
 

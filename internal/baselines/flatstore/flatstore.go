@@ -115,9 +115,7 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	prev := h.t.SetTag(pmem.TagWAL)
 	v := h.t.Load(addr.Add(8))
-	h.t.SetTag(prev)
 	return v, true
 }
 
@@ -130,8 +128,6 @@ func (h *handle) Scan(start uint64, max int, out []index.KV) int {
 	if max > len(out) {
 		max = len(out)
 	}
-	prev := h.t.SetTag(pmem.TagWAL)
-	defer h.t.SetTag(prev)
 	count := 0
 	h.tr.dir.Ascend(start, func(k uint64, addr pmem.Addr) bool {
 		out[count] = index.KV{Key: k, Value: h.t.Load(addr.Add(8))}

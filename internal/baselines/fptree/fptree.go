@@ -107,8 +107,6 @@ func (h *handle) Upsert(key, value uint64) error {
 func (h *handle) insert(key, value uint64) error {
 	leaf := h.tr.leafFor(h.t, key)
 	var img pmleaf.Image
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.Read(h.t, leaf)
 
 	if i := img.FindKey(key); i >= 0 {
@@ -198,8 +196,6 @@ func (h *handle) split(img *pmleaf.Image) error {
 func (h *handle) ApplySorted(kvs []index.KV) error {
 	h.tr.mu.Lock()
 	defer h.tr.mu.Unlock()
-	prevTag := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prevTag)
 	i := 0
 	for i < len(kvs) {
 		leaf := h.tr.leafFor(h.t, kvs[i].Key)
@@ -308,8 +304,6 @@ func (h *handle) Delete(key uint64) error {
 	defer h.tr.mu.Unlock()
 	leaf := h.tr.leafFor(h.t, key)
 	var img pmleaf.Image
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.Read(h.t, leaf)
 	i := img.FindKey(key)
 	if i < 0 {
@@ -327,8 +321,6 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 	defer h.tr.mu.RUnlock()
 	leaf := h.tr.leafFor(h.t, key)
 	var img pmleaf.Image
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.ReadHeader(h.t, leaf)
 	bm := img.Bitmap()
 	f := pmleaf.FP(key)
@@ -358,8 +350,6 @@ func (h *handle) Scan(start uint64, max int, out []index.KV) int {
 		low, leaf, _ = h.tr.dir.Min()
 	}
 	count := 0
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	for count < max {
 		var img pmleaf.Image
 		img.Read(h.t, leaf)

@@ -183,8 +183,6 @@ func (h *handle) Upsert(key, value uint64) error {
 func (h *handle) insertLocked(ref *leafRef, key, value uint64) (bool, error) {
 	leaf := ref.addr
 	var img pmleaf.Image
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.Read(h.t, leaf)
 
 	if i := img.FindKey(key); i >= 0 {
@@ -245,10 +243,8 @@ func (h *handle) split(ref *leafRef, img *pmleaf.Image) error {
 		keep &^= 1 << uint(s)
 	}
 	img.SetMeta(pmleaf.PackMeta(keep, newLeaf))
-	prev := h.t.SetTag(pmem.TagLeaf)
 	h.t.Store(pmleaf.MetaAddr(img.Addr), img.Meta())
 	h.t.Persist(img.Addr, 8)
-	h.t.SetTag(prev)
 	h.tr.dir.Put(splitKey, &leafRef{addr: newLeaf})
 	return nil
 }
@@ -261,8 +257,6 @@ func (h *handle) Delete(key uint64) error {
 	h.acquire(ref)
 	defer h.release(ref)
 	var img pmleaf.Image
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.Read(h.t, ref.addr)
 	i := img.FindKey(key)
 	if i < 0 {
@@ -284,8 +278,6 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 	defer h.release(ref)
 	leaf := ref.addr
 	var img pmleaf.Image
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.ReadHeader(h.t, leaf)
 	bm := img.Bitmap()
 	f := pmleaf.FP(key)
@@ -313,8 +305,6 @@ func (h *handle) Scan(start uint64, max int, out []index.KV) int {
 	}
 	leaf := ref.addr
 	count := 0
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	for count < max {
 		var img pmleaf.Image
 		img.Read(h.t, leaf)

@@ -183,10 +183,8 @@ func (h *handle) writeRun(kvs []index.KV) (*run, error) {
 			sparse = append(sparse, kv.Key)
 		}
 	}
-	prev := h.t.SetTag(pmem.TagData)
 	h.t.WriteRange(addr, words)
 	h.t.Persist(addr, len(words)*8)
-	h.t.SetTag(prev)
 	return &run{
 		addr:   addr,
 		count:  len(kvs),

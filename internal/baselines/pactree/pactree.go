@@ -51,10 +51,8 @@ func New(pool *pmem.Pool) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pactree: %w", err)
 	}
-	prev := t.SetTag(pmem.TagLeaf)
 	t.WriteRange(head, make([]uint64, leafWords))
 	t.Persist(head, leafBytes)
-	t.SetTag(prev)
 	tr.dir.Put(0, head)
 	return tr, nil
 }
@@ -138,8 +136,6 @@ func (h *handle) Upsert(key, value uint64) error {
 
 func (h *handle) insert(key, value uint64) error {
 	var img leafImg
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.read(h.t, h.tr.leafFor(h.t, key))
 	i := img.lowerBound(key)
 	if i < img.count() && img.key(i) == key {
@@ -203,8 +199,6 @@ func (h *handle) Delete(key uint64) error {
 	h.tr.mu.Lock()
 	defer h.tr.mu.Unlock()
 	var img leafImg
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.read(h.t, h.tr.leafFor(h.t, key))
 	i := img.lowerBound(key)
 	if i >= img.count() || img.key(i) != key {
@@ -231,8 +225,6 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 	h.tr.mu.RLock()
 	defer h.tr.mu.RUnlock()
 	var img leafImg
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.read(h.t, h.tr.leafFor(h.t, key))
 	i := img.lowerBound(key)
 	if i < img.count() && img.key(i) == key {
@@ -249,8 +241,6 @@ func (h *handle) Scan(start uint64, max int, out []index.KV) int {
 		max = len(out)
 	}
 	var img leafImg
-	prev := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prev)
 	img.read(h.t, h.tr.leafFor(h.t, start))
 	count := 0
 	i := img.lowerBound(start)

@@ -148,10 +148,8 @@ func MetaAddr(leaf pmem.Addr) pmem.Addr { return leaf }
 
 // WriteWhole writes and persists a complete leaf image.
 func WriteWhole(t *pmem.Thread, li *Image) {
-	prev := t.SetTag(pmem.TagLeaf)
 	t.WriteRange(li.Addr, li.Words[:])
 	t.Persist(li.Addr, Bytes)
-	t.SetTag(prev)
 }
 
 // SortedLive returns the leaf's valid entries sorted by key, paired

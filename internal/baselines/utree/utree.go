@@ -41,10 +41,8 @@ func New(pool *pmem.Pool) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("utree: %w", err)
 	}
-	prev := t.SetTag(pmem.TagLeaf)
 	t.WriteRange(head, make([]uint64, nodeBytes/8))
 	t.Persist(head, nodeBytes)
-	t.SetTag(prev)
 	tr.head = head
 	return tr, nil
 }
@@ -89,8 +87,6 @@ func (h *handle) Upsert(key, value uint64) error {
 	h.tr.mu.Lock()
 	defer h.tr.mu.Unlock()
 	h.t.Advance(int64(h.tr.dir.Depth()) * 6 * h.t.CostDRAM())
-	prevTag := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prevTag)
 
 	if node, ok := h.tr.dir.Get(key); ok {
 		// In-place value update: one flush to the node's line.
@@ -131,8 +127,6 @@ func (h *handle) Delete(key uint64) error {
 	if !ok {
 		return nil
 	}
-	prevTag := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prevTag)
 	pred := h.tr.head
 	h.tr.dir.Delete(key)
 	if _, p, ok := h.tr.dir.FindLE(key); ok {
@@ -154,8 +148,6 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	prevTag := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prevTag)
 	return h.t.Load(node.Add(8)), true
 }
 
@@ -167,8 +159,6 @@ func (h *handle) Scan(start uint64, max int, out []index.KV) int {
 	if max > len(out) {
 		max = len(out)
 	}
-	prevTag := h.t.SetTag(pmem.TagLeaf)
-	defer h.t.SetTag(prevTag)
 	count := 0
 	h.tr.dir.Ascend(start, func(k uint64, node pmem.Addr) bool {
 		out[count] = index.KV{Key: k, Value: h.t.Load(node.Add(8))}

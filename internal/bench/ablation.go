@@ -20,6 +20,16 @@ func cclVariants() []index.Factory {
 	}
 }
 
+// xbiSplit partitions a run's media-write bytes for Fig 13(b): the
+// WAL's, the metadata's (superblock, chunk directory), and the rest —
+// what it took to maintain the leaves (buffer flushes, splits, GC,
+// foreground stores under no scope). The three sum to MediaWriteBytes.
+func xbiSplit(st pmem.Stats) (leaf, wal, meta uint64) {
+	wal = st.MediaWriteByScope[pmem.ScopeWAL]
+	meta = st.MediaWriteByScope[pmem.ScopeMeta]
+	return st.MediaWriteBytes - wal - meta, wal, meta
+}
+
 // Fig13 measures each optimization's contribution: throughput for the
 // five operations (a), and XBI-amplification split into leaf-node and
 // WAL traffic (b).
@@ -43,6 +53,7 @@ func Fig13(s Scale) ([]*Table, error) {
 	b := &Table{
 		Title:  "Fig 13(b): XBI-amplification split by source (insert workload)",
 		Header: []string{"variant", "leaf XBI", "WAL XBI", "total XBI"},
+		Note:   "leaf = total - WAL - metadata (chunk directory, superblock)",
 	}
 	for _, f := range cclVariants() {
 		rowA := []string{""}
@@ -60,15 +71,15 @@ func Fig13(s Scale) ([]*Table, error) {
 			rowA[0] = r.Name
 			rowA = append(rowA, f2(r.Res.Mops()))
 			if op.name == "Insert" {
-				st := r.Res.Stats
+				leaf, wal, _ := xbiSplit(r.Res.Stats)
 				user := float64(r.Res.UserBytes)
 				if user == 0 {
 					user = 1
 				}
 				b.Rows = append(b.Rows, []string{
 					r.Name,
-					f2(float64(st.MediaWriteByTag[pmem.TagLeaf]) / user),
-					f2(float64(st.MediaWriteByTag[pmem.TagWAL]) / user),
+					f2(float64(leaf) / user),
+					f2(float64(wal) / user),
 					f2(r.Res.XBIAmp()),
 				})
 			}
@@ -104,7 +115,7 @@ func Fig14(s Scale) ([]*Table, error) {
 		{"our GC", cclbtree.Config{GC: cclbtree.GCLocalityAware, ChunkBytes: 64 << 10, THlog: 1e9}, true},
 		{"naive GC", cclbtree.Config{GC: cclbtree.GCNaive, ChunkBytes: 64 << 10, THlog: 1e9}, true},
 	} {
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 		idx, err := cclidx.Factory("CCL-BTree", cfg.opts)(pool)
 		if err != nil {
 			return nil, err
@@ -208,7 +219,7 @@ func AblationCache(s Scale) ([]*Table, error) {
 		Header: []string{"Nbatch", "buffer hit %", "search Mop/s"},
 	}
 	for _, nb := range []int{1, 2, 3, 4, 5} {
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 		raw, err := cclidx.Factory("CCL-BTree", cclbtree.Config{Nbatch: nb, GC: cclbtree.GCOff})(pool)
 		if err != nil {
 			return nil, err
@@ -250,7 +261,7 @@ func AblationGC(s Scale) ([]*Table, error) {
 		{"locality-aware", cclbtree.GCLocalityAware},
 		{"naive", cclbtree.GCNaive},
 	} {
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 		raw, err := cclidx.Factory("CCL-BTree", cclbtree.Config{GC: cfg.gc, ChunkBytes: 64 << 10, THlog: 0.05})(pool)
 		if err != nil {
 			return nil, err

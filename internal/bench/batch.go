@@ -52,7 +52,7 @@ func BatchExp(s Scale) ([]*Table, error) {
 // plain Session.Put). Returns the measured-phase result and the
 // trigger-flush count.
 func runBatchInsert(s Scale, batchSize int) (*Result, uint64, error) {
-	pool := NewPool()
+	pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 	db, err := cclbtree.NewOnPool(pool, cclbtree.Config{ChunkBytes: 256 << 10})
 	if err != nil {
 		return nil, 0, err

@@ -7,8 +7,14 @@ import "testing"
 // throughput AND on CLI amplification for the clustered-insert
 // workload. The full-scale numbers live in BENCH_batch.json; this
 // keeps the ordering from regressing silently.
+//
+// One session, so the run is a pure function of the code: with several,
+// virtual time depends on how the host interleaves them (contention
+// penalties on the shared right-most leaf, the DIMMs' shared busy
+// timeline) and the throughput ordering flakes. The log stays under two
+// chunks at this scale, so background GC never starts either.
 func TestBatchSpeedup(t *testing.T) {
-	s := Scale{Warm: 2000, Ops: 4000, MainThreads: 4, Seed: 1}.withDefaults()
+	s := Scale{Warm: 2000, Ops: 4000, MainThreads: 1, Seed: 1}.withDefaults()
 	perOp, perOpTrig, err := runBatchInsert(s, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -86,10 +86,6 @@ func TestYCSBBCarriesProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a bench phase")
 	}
-	old := benchDeviceBytes
-	benchDeviceBytes = 32 << 20
-	defer func() { benchDeviceBytes = old }()
-
 	StartReport("ycsbb")
 	_, err := YCSBB(Scale{Warm: 3000, Ops: 3000, MainThreads: 4, Seed: 1})
 	rep := FinishReport()

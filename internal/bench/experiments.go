@@ -80,7 +80,7 @@ func runLineup(factories []index.Factory, spec Spec) ([]lineupResult, error) {
 
 // runOne measures spec against one factory on a fresh pool.
 func runOne(f index.Factory, spec Spec) (*lineupResult, error) {
-	pool := NewPool()
+	pool := NewPool(spec.Warm+spec.Ops, spec.Threads)
 	idx, err := f(pool)
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func Fig2(s Scale) ([]*Table, error) {
 	threadCounts := s.Threads
 
 	run := func(threads, cachelines, xplines int) int64 {
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, threads)
 		var wg sync.WaitGroup
 		elapsed := make([]int64, threads)
 		// Each thread owns a private region so flush targets are

@@ -20,7 +20,7 @@ func ExtensionHash(s Scale) ([]*Table, error) {
 		Note:   fmt.Sprintf("%d threads, uniform upserts over %d keys", s.MainThreads, s.Warm),
 	}
 	for _, nb := range []int{-1, 1, 2, 4} {
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 		h, err := cclhash.New(pool, cclhash.Options{
 			Buckets:    s.Warm / 8,
 			Nbatch:     nb,
@@ -85,7 +85,7 @@ func ExtensionHash(s Scale) ([]*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			label,
 			f2(float64(ops) * 1e3 / float64(elapsed)),
-			f2(st.AmplificationFactor()),
+			f2(st.XBIAmplification()),
 			f2(float64(logged) / float64(ops+s.Warm)),
 			fmt.Sprintf("%d", gcRuns),
 		})

@@ -14,7 +14,7 @@ import (
 // (Fig 15b): keys and values are 8–128 B byte strings behind
 // indirection pointers, compared by content.
 func runVarCCL(s Scale, threads, warm, ops int) (float64, error) {
-	pool := NewPool()
+	pool := NewPool(warm+ops, threads)
 	db, err := cclbtree.NewOnPool(pool, cclbtree.Config{VarKV: true})
 	if err != nil {
 		return 0, err
@@ -106,7 +106,7 @@ func Fig16(s Scale) ([]*Table, error) {
 			pool := pmem.NewPool(pmem.Config{
 				Sockets:        2,
 				DIMMsPerSocket: 4,
-				DeviceBytes:    benchDeviceBytes,
+				DeviceBytes:    deviceBytes(s.Warm+s.Ops, th),
 				CacheLines:     benchCacheLines,
 				Mode:           pmem.EADR,
 			})
@@ -151,7 +151,7 @@ func Fig17(s Scale) ([]*Table, error) {
 			pool := pmem.NewPool(pmem.Config{
 				Sockets:        2,
 				DIMMsPerSocket: 4,
-				DeviceBytes:    2 * benchDeviceBytes,
+				DeviceBytes:    2 * deviceBytes(n, s.MainThreads),
 			})
 			db, err := cclbtree.NewOnPool(pool, cclbtree.Config{ChunkBytes: 256 << 10})
 			if err != nil {

@@ -18,7 +18,7 @@ import (
 // profile.
 func YCSBB(s Scale) ([]*Table, error) {
 	s = s.withDefaults()
-	pool := NewPool()
+	pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 	if s.Tracer.Enabled() {
 		pool.SetDeviceTracer(s.Tracer.DeviceHook())
 	}

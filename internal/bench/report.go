@@ -77,12 +77,11 @@ func recordPhase(idxName string, spec Spec, res *Result) {
 		UserBytes:       res.UserBytes,
 		MediaWriteBytes: s.MediaWriteBytes,
 		XPBufWriteBytes: s.XPBufWriteBytes,
-		WAFactor:        s.AmplificationFactor(),
+		WAFactor:        s.XBIAmplification(),
 		CLIFactor:       s.CLIAmplification(),
 		XPBufHitRate:    s.WriteHitRate(),
 
 		ScopeMediaBytes: s.ScopeMediaBytes(),
-		TagMediaBytes:   s.TagMediaBytes(),
 
 		Profile:        res.Profile,
 		ShardBreakdown: res.ShardBreakdown,

@@ -13,7 +13,7 @@ import (
 // would report, partitioned without loss.
 func TestReportScopeAttributionSums(t *testing.T) {
 	StartReport("report-test")
-	pool := NewPool()
+	pool := NewPool(4000, 2)
 	idx, err := benchCCL()(pool)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRecordPhaseInactive(t *testing.T) {
 	if rep := FinishReport(); rep != nil {
 		t.Fatalf("stale report: %+v", rep)
 	}
-	pool := NewPool()
+	pool := NewPool(400, 1)
 	idx, err := benchCCL()(pool)
 	if err != nil {
 		t.Fatal(err)

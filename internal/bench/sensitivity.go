@@ -24,7 +24,7 @@ func Table1Exp(s Scale) ([]*Table, error) {
 	}
 	for _, nb := range []int{1, 2, 3, 4, 5} {
 		f := cclidx.Factory("CCL-BTree", cclbtree.Config{Nbatch: nb, GC: cclbtree.GCOff})
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 		raw, err := f(pool)
 		if err != nil {
 			return nil, err
@@ -74,7 +74,7 @@ func Table2Exp(s Scale) ([]*Table, error) {
 	}
 	for _, th := range []float64{0.10, 0.15, 0.20, 0.25, 0.30, 0.35} {
 		f := cclidx.Factory("CCL-BTree", cclbtree.Config{THlog: th, ChunkBytes: 64 << 10})
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 		raw, err := f(pool)
 		if err != nil {
 			return nil, err

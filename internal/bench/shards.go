@@ -53,7 +53,7 @@ func ShardsExp(s Scale) ([]*Table, error) {
 // returns the measured result (elapsed = slowest commit lane's virtual
 // busy time) plus the mean group-commit size.
 func runShardedInsert(s Scale, shards int) (*Result, float64, error) {
-	pool := NewPool()
+	pool := NewPool(s.Warm+s.Ops, s.MainThreads)
 	db, err := cclbtree.NewOnPool(pool, cclbtree.Config{
 		Shards:     shards,
 		ChunkBytes: 256 << 10,

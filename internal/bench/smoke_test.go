@@ -8,17 +8,13 @@ func smokeScale() Scale {
 	if testing.Short() {
 		return Scale{Warm: 400, Ops: 400, Threads: []int{2}, MainThreads: 2, ScanLen: 20, Seed: 1}
 	}
-	return Scale{Warm: 5000, Ops: 5000, Threads: []int{2, 8}, MainThreads: 8, ScanLen: 20, Seed: 1}
+	// 3000: Fig 15d's largest dataset (10x Warm, plus Ops) stays below
+	// deviceBytes' 40 000-key line, so no smoke cell zeroes 256 MB
+	// devices.
+	return Scale{Warm: 3000, Ops: 3000, Threads: []int{2, 8}, MainThreads: 8, ScanLen: 20, Seed: 1}
 }
 
 func TestSmokeAllExperiments(t *testing.T) {
-	if testing.Short() {
-		// Zeroing full-size modeled devices per (index, thread-count)
-		// run dwarfs the tiny smoke workload; shrink them for -short.
-		old := benchDeviceBytes
-		benchDeviceBytes = 16 << 20
-		defer func() { benchDeviceBytes = old }()
-	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {

@@ -34,7 +34,7 @@ func YCSBC(s Scale) ([]*Table, error) {
 	}
 	var base float64
 	for _, th := range sweep {
-		pool := NewPool()
+		pool := NewPool(s.Warm+s.Ops, th)
 		idx, err := cclidx.Factory("CCL-BTree", cclbtree.Config{ChunkBytes: 256 << 10, Metrics: true})(pool)
 		if err != nil {
 			return nil, err

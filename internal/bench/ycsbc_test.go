@@ -12,7 +12,7 @@ import (
 // at the given thread count.
 func runReadOnly(t *testing.T, threads int) *Result {
 	t.Helper()
-	pool := NewPool()
+	pool := NewPool(40_000, threads)
 	idx, err := cclidx.Factory("CCL", cclbtree.Config{ChunkBytes: 256 << 10})(pool)
 	if err != nil {
 		t.Fatal(err)

@@ -152,13 +152,11 @@ func New(pool *pmem.Pool, opts Options) (*Table, error) {
 	}
 	h.base = base
 	t := pool.NewThread(0)
-	prev := t.SetTag(pmem.TagLeaf)
 	zero := make([]uint64, bucketWords)
 	for b := 0; b < opts.Buckets; b++ {
 		t.WriteRange(base.Add(int64(b*BucketBytes)), zero)
 	}
 	t.Persist(base, opts.Buckets*BucketBytes)
-	t.SetTag(prev)
 	h.buffers = make([]bufNode, opts.Buckets)
 	for i := range h.buffers {
 		h.buffers[i].slots = make([]atomic.Uint64, 2*opts.Nbatch)
@@ -370,8 +368,6 @@ func (bi *bucketImg) fpAt(i int) byte {
 // idempotently.
 func (w *Worker) flushBatch(home uint64, batch []kv) error {
 	h := w.h
-	prevTag := w.t.SetTag(pmem.TagLeaf)
-	defer w.t.SetTag(prevTag)
 
 	type plan struct {
 		img      bucketImg
@@ -545,8 +541,6 @@ func (w *Worker) Get(key uint64) (uint64, bool) {
 }
 
 func (w *Worker) searchChain(key uint64, addr pmem.Addr) (uint64, bool, bool) {
-	prevTag := w.t.SetTag(pmem.TagLeaf)
-	defer w.t.SetTag(prevTag)
 	f := fp(key)
 	for !addr.IsNil() {
 		var hdr [slotBase]uint64

@@ -8,13 +8,16 @@ import (
 	"cclbtree/internal/pmem"
 )
 
-func testPool() *pmem.Pool {
+func testPool() *pmem.Pool { return testPoolMode(pmem.ADR) }
+
+func testPoolMode(mode pmem.Mode) *pmem.Pool {
 	return pmem.NewPool(pmem.Config{
 		Sockets:        2,
 		DIMMsPerSocket: 2,
 		DeviceBytes:    64 << 20,
 		XPBufferLines:  16,
 		CacheLines:     1 << 13,
+		Mode:           mode,
 	})
 }
 
@@ -219,65 +222,74 @@ func TestHashCrashRecovery(t *testing.T) {
 }
 
 func TestHashCrashMidFlushSweep(t *testing.T) {
-	// Power failure at assorted flush boundaries; completed ops must
-	// survive, the in-flight op must be atomic.
-	for _, point := range []int64{3, 17, 49, 111, 222, 467, 900, 1500} {
-		pool := testPool()
-		opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
-		h, err := New(pool, opts)
-		if err != nil {
-			t.Fatal(err)
+	// Power failure at assorted flush boundaries, in both persistence
+	// domains (flushes are counted under eADR too, so the ordinals name
+	// the same sites); completed ops must survive, the in-flight op
+	// must be atomic.
+	for _, mode := range []pmem.Mode{pmem.ADR, pmem.EADR} {
+		for _, point := range []int64{3, 17, 49, 111, 222, 467, 900, 1500} {
+			hashCrashAt(t, mode, point)
 		}
-		w := h.NewWorker(0)
-		ref := map[uint64]uint64{}
-		var inKey, inVal uint64
-		crashed := func() (c bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.PowerFailure); !ok {
-						panic(r)
-					}
-					c = true
+	}
+}
+
+func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
+	pool := testPoolMode(mode)
+	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
+	h, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := h.NewWorker(0)
+	ref := map[uint64]uint64{}
+	var inKey, inVal uint64
+	crashed := func() (c bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(pmem.PowerFailure); !ok {
+					panic(r)
 				}
-			}()
-			rng := rand.New(rand.NewSource(77))
-			pool.FailAfterFlushes(point)
-			for op := 0; op < 3000; op++ {
-				k := uint64(rng.Intn(400) + 1)
-				v := rng.Uint64() | 1
-				inKey, inVal = k, v
-				_ = w.Put(k, v)
-				ref[k] = v
+				c = true
 			}
-			return false
 		}()
-		pool.FailAfterFlushes(0)
-		if !crashed {
+		rng := rand.New(rand.NewSource(77))
+		base := pool.FlushCalls()
+		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+point })
+		for op := 0; op < 3000; op++ {
+			k := uint64(rng.Intn(400) + 1)
+			v := rng.Uint64() | 1
+			inKey, inVal = k, v
+			_ = w.Put(k, v)
+			ref[k] = v
+		}
+		return false
+	}()
+	pool.FailWhen(nil) // disarm before recovery flushes
+	if !crashed {
+		t.Fatalf("mode %d point %d: fault never fired", mode, point)
+	}
+	var chunks []pmem.Addr
+	for e := 0; e < 2; e++ {
+		chunks = append(chunks, w.logs[e].Detach()...)
+	}
+	pool.Crash()
+	h2, err := Recover(pool, opts, h.base, chunks)
+	if err != nil {
+		t.Fatalf("mode %d point %d: %v", mode, point, err)
+	}
+	w2 := h2.NewWorker(0)
+	for k, v := range ref {
+		if k == inKey {
 			continue
 		}
-		var chunks []pmem.Addr
-		for e := 0; e < 2; e++ {
-			chunks = append(chunks, w.logs[e].Detach()...)
+		got, ok := w2.Get(k)
+		if !ok || got != v {
+			t.Fatalf("mode %d point %d: completed key %d lost (%d,%v want %d)", mode, point, k, got, ok, v)
 		}
-		pool.Crash()
-		h2, err := Recover(pool, opts, h.base, chunks)
-		if err != nil {
-			t.Fatalf("point %d: %v", point, err)
-		}
-		w2 := h2.NewWorker(0)
-		for k, v := range ref {
-			if k == inKey {
-				continue
-			}
-			got, ok := w2.Get(k)
-			if !ok || got != v {
-				t.Fatalf("point %d: completed key %d lost (%d,%v want %d)", point, k, got, ok, v)
-			}
-		}
-		got, ok := w2.Get(inKey)
-		if ok && got != inVal && got == 0 {
-			t.Fatalf("point %d: in-flight key %d garbage: %d", point, inKey, got)
-		}
+	}
+	got, ok := w2.Get(inKey)
+	if ok && got != inVal && got == 0 {
+		t.Fatalf("mode %d point %d: in-flight key %d garbage: %d", mode, point, inKey, got)
 	}
 }
 

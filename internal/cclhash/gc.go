@@ -192,7 +192,6 @@ func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) 
 		}
 	}
 	// Reset timestamps for the fresh clock.
-	prev := t.SetTag(pmem.TagLeaf)
 	for b := 0; b < opts.Buckets; b++ {
 		a := h.bucketAddr(uint64(b)).Add(8 * tsWord)
 		t.Store(a, 0)
@@ -202,7 +201,6 @@ func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) 
 		}
 	}
 	t.Fence()
-	t.SetTag(prev)
 	h.walman.AdoptChunks(chunks)
 	return h, nil
 }

@@ -48,11 +48,9 @@ func (d *chunkDir) clearAll() {
 	tok = d.prof.Acquired(obs.LockChunkDir, tok)
 	defer d.prof.Released(obs.LockChunkDir, tok)
 	defer d.mu.Unlock()
-	prev := d.t.SetTag(pmem.TagMeta)
 	zero := make([]uint64, d.slots)
 	d.t.WriteRange(d.base, zero)
 	d.t.Persist(d.base, d.slots*pmem.WordSize)
-	d.t.SetTag(prev)
 }
 
 func (d *chunkDir) register(chunk pmem.Addr) {
@@ -70,11 +68,9 @@ func (d *chunkDir) register(chunk pmem.Addr) {
 	slot := d.free[len(d.free)-1]
 	d.free = d.free[:len(d.free)-1]
 	d.slotOf[chunk] = slot
-	prev := d.t.SetTag(pmem.TagMeta)
 	a := d.base.Add(int64(8 * slot))
 	d.t.Store(a, uint64(chunk))
 	d.t.Persist(a, pmem.WordSize)
-	d.t.SetTag(prev)
 }
 
 func (d *chunkDir) unregister(chunk pmem.Addr) {
@@ -89,11 +85,9 @@ func (d *chunkDir) unregister(chunk pmem.Addr) {
 	}
 	delete(d.slotOf, chunk)
 	d.free = append(d.free, slot)
-	prev := d.t.SetTag(pmem.TagMeta)
 	a := d.base.Add(int64(8 * slot))
 	d.t.Store(a, 0)
 	d.t.Persist(a, pmem.WordSize)
-	d.t.SetTag(prev)
 }
 
 // readChunkDir loads the live chunk set from PM (recovery path).

@@ -40,10 +40,10 @@ func (tr *Tree) startGC() {
 	go func() {
 		defer close(done)
 		defer tr.gcRunning.Store(false)
-		// An armed fault (pmem.FailWhen / FailAfterFlushes) can fire on
-		// the GC thread's flushes. Swallow exactly that panic: the
-		// simulated machine lost power, the round simply stops where it
-		// was, and the crash harness proceeds to Pool.Crash + recovery.
+		// An armed fault (pmem.FailWhen) can fire on the GC thread's
+		// flushes. Swallow exactly that panic: the simulated machine
+		// lost power, the round simply stops where it was, and the
+		// crash harness proceeds to Pool.Crash + recovery.
 		// Runs before the other defers (LIFO), so done still closes and
 		// gcRunning still clears — Freeze() keeps working mid-crash.
 		defer func() {

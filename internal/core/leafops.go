@@ -22,8 +22,6 @@ func (w *Worker) leafSearch(leaf pmem.Addr, key uint64) (uint64, bool) {
 // the lock-free lookup path already derived it for the buffer probe.
 func (w *Worker) leafSearchFP(leaf pmem.Addr, key uint64, target byte) (uint64, bool) {
 	tr := w.tree
-	prev := w.t.SetTag(pmem.TagLeaf)
-	defer w.t.SetTag(prev)
 
 	var hdr [leafHeaderLen]uint64
 	w.t.ReadRange(leaf, hdr[:])
@@ -102,8 +100,6 @@ func (w *Worker) leafBatchInsert(n *bufferNode, batch []KV) (int, error) {
 func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Addr, overrideNext bool) (int, error) {
 	tr := w.tree
 	var img leafImage
-	prevTag := w.t.SetTag(pmem.TagLeaf)
-	defer w.t.SetTag(prevTag)
 	// Attribute the flush to leafbuf only when no task scope is active:
 	// a GC- or recovery-driven flush stays charged to its task, so "gc"
 	// media bytes remain visibly gc-caused (the nesting contract in
@@ -378,11 +374,9 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 	// flush-boundary fault sweep). The retained timestamp still gates
 	// everything the leaf's last completed flush covered, so dropping
 	// fences above stays safe.
-	prevTag := w.t.SetTag(pmem.TagLeaf)
 	img.setMeta(packLeafMeta(leftBm, news[0].addr))
 	w.t.Store(n.leaf.Add(8*leafMetaWord), img.meta())
 	w.t.Persist(n.leaf.Add(8*leafMetaWord), pmem.WordSize)
-	w.t.SetTag(prevTag)
 
 	// DRAM structures: new buffer nodes, chain links, inner routing.
 	// The whole new segment is wired internally before the single
@@ -478,10 +472,8 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 		defer w.t.PopScope(w.t.PushScope(pmem.ScopeSplit))
 	}
 	var limg, nimg leafImage
-	prevTag := w.t.SetTag(pmem.TagLeaf)
 	readLeaf(w.t, left.leaf, &limg)
 	readLeaf(w.t, n.leaf, &nimg)
-	w.t.SetTag(prevTag)
 
 	lpos, leb, _ := unpackHdr(left.hdr.Load())
 	npos, _, _ := unpackHdr(n.hdr.Load())

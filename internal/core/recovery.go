@@ -194,7 +194,6 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	}
 	st.ChunksScanned = len(chunks)
 
-	prevTag := t0.SetTag(pmem.TagLeaf)
 	var nodes []*bufferNode
 	var emptyLeaves []pmem.Addr
 	var prevNode *bufferNode
@@ -282,7 +281,6 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		prevLeaf = cur
 		cur = next
 	}
-	t0.SetTag(prevTag)
 	st.Leaves = int64(len(nodes))
 
 	// Phase 2: scan all live chunks (parallel over chunks), dedup

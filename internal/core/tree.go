@@ -252,8 +252,6 @@ func New(pool *pmem.Pool, opts Options) (*Tree, error) {
 	tr.inner.prof = tr.prof
 
 	t := pool.NewThread(home)
-	prev := t.SetTag(pmem.TagMeta)
-	defer t.SetTag(prev)
 	prevScope := t.PushScope(pmem.ScopeMeta)
 	defer t.PopScope(prevScope)
 
@@ -344,10 +342,8 @@ func (tr *Tree) newLeaf(t *pmem.Thread, socket int) (pmem.Addr, error) {
 // writeWholeLeaf writes and persists a complete leaf image (used for
 // fresh leaves: the head, split targets, recovery rebuilds).
 func (tr *Tree) writeWholeLeaf(t *pmem.Thread, leaf pmem.Addr, img *leafImage) {
-	prev := t.SetTag(pmem.TagLeaf)
 	t.WriteRange(leaf, img.words[:])
 	t.Persist(leaf, LeafBytes)
-	t.SetTag(prev)
 }
 
 // compare orders two key words. In fixed mode it is plain integer

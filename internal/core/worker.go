@@ -525,9 +525,7 @@ func (w *Worker) collectNode(n *bufferNode, ver uint64) ([]KV, bool) {
 	tr := w.tree
 	tr.heat.Touch(uint64(n.leaf), false)
 	var img leafImage
-	prev := w.t.SetTag(pmem.TagLeaf)
 	readLeaf(w.t, n.leaf, &img)
-	w.t.SetTag(prev)
 
 	cands := w.scanCands[:0]
 	for i := 0; i < n.nbatch(); i++ {

@@ -1,13 +1,13 @@
 // Package memtree is an in-DRAM B+-tree keyed by uint64 with generic
-// values. It serves as the volatile search layer of several persistent
-// indexes in this repository: CCL-BTree's inner nodes (§3.1 keeps inner
-// and buffer nodes in DRAM), FPTree's and uTree's inner nodes, DPTree's
-// and FlatStore's volatile indexes.
+// values. It serves as the volatile search layer of the baseline
+// indexes in this repository — FPTree's, uTree's, LB+-Tree's and
+// PACTree's inner nodes, DPTree's, FlatStore's and the LSM's volatile
+// indexes — and as the reference model the crash and read-property
+// tests replay against. CCL-BTree does not use it: its inner layer is
+// the copy-on-write tree in internal/core/inner.go.
 //
 // The tree is not synchronized; callers wrap it with their own
-// concurrency control (CCL-BTree uses an RW lock on the inner layer and
-// version locks below it, matching the paper's "retry from the inner
-// layer" protocol).
+// concurrency control.
 package memtree
 
 import "sort"

@@ -28,7 +28,6 @@ type Observation struct {
 
 	ScopeMediaBytes map[string]uint64 `json:"scope_media_bytes"`
 	ScopeXPBufBytes map[string]uint64 `json:"scope_xpbuf_bytes"`
-	TagMediaBytes   map[string]uint64 `json:"tag_media_bytes"`
 
 	// Profile carries the contention/span/heat tier when the observed
 	// index exposes one (nil otherwise — byte counters always work,
@@ -45,11 +44,10 @@ func FromStats(s pmem.Stats) Observation {
 		UserBytes:         s.UserWriteBytes,
 		CacheEvictions:    s.CacheEvictions,
 		RemoteAccesses:    s.RemoteAccesses,
-		WAFactor:          s.AmplificationFactor(),
+		WAFactor:          s.XBIAmplification(),
 		CLIFactor:         s.CLIAmplification(),
 		XPBufWriteHitRate: s.WriteHitRate(),
 		ScopeMediaBytes:   s.ScopeMediaBytes(),
-		TagMediaBytes:     s.TagMediaBytes(),
 		ScopeXPBufBytes:   map[string]uint64{},
 	}
 	for i, v := range s.XPBufWriteByScope {

@@ -30,7 +30,6 @@ type PhaseRecord struct {
 	XPBufHitRate    float64 `json:"xpbuf_write_hit_rate"`
 
 	ScopeMediaBytes map[string]uint64 `json:"scope_media_bytes"`
-	TagMediaBytes   map[string]uint64 `json:"tag_media_bytes"`
 
 	// Profile is the phase-end contention/span/heat tier, present when
 	// the index under test exposes one (cumulative since the index was

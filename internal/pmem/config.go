@@ -34,42 +34,11 @@ const (
 	EADR
 )
 
-// Tag attributes media traffic to a logical source so experiments can
-// split write amplification by cause (Fig 13b).
-type Tag uint8
-
-const (
-	// TagData is the default attribution for untagged accesses.
-	TagData Tag = iota
-	// TagLeaf marks leaf-node (tree structure) writes.
-	TagLeaf
-	// TagWAL marks write-ahead-log writes.
-	TagWAL
-	// TagMeta marks allocator and other metadata writes.
-	TagMeta
-	// NumTags is the number of attribution buckets.
-	NumTags
-)
-
-func (t Tag) String() string {
-	switch t {
-	case TagData:
-		return "data"
-	case TagLeaf:
-		return "leaf"
-	case TagWAL:
-		return "wal"
-	case TagMeta:
-		return "meta"
-	}
-	return "unknown"
-}
-
-// Scope attributes PM traffic to the program component that caused it,
-// one level finer than Tag: where Tag answers "what kind of bytes"
-// (leaf/WAL/meta), Scope answers "which code path wrote them" — the
-// per-site attribution the observability layer (internal/obs) exposes
-// and cclstat renders. Threads carry a current scope set with
+// Scope attributes PM traffic to the program component that caused it
+// — "which code path wrote these bytes" — so experiments can split
+// write amplification by cause (Fig 13b) and the observability layer
+// (internal/obs, cclstat) can show it per site. It is the device
+// model's only attribution axis. Threads carry a current scope set with
 // PushScope/PopScope; every byte arriving at the XPBuffer, and every
 // XPLine eventually written back to media, is charged to the scope of
 // the thread that dirtied it.

@@ -52,7 +52,6 @@ type dimm struct {
 
 type xpEntry struct {
 	xpline     uint64
-	tag        Tag
 	scope      Scope
 	dirty      bool
 	prev, next *xpEntry
@@ -254,7 +253,6 @@ func (d *device) xpbufAccess(p *Pool, t *Thread, line uint64, isWrite bool) (boo
 		dm.moveToFront(e)
 		if isWrite {
 			e.dirty = true
-			e.tag = t.tag
 			e.scope = t.scope
 			p.ctr.cur.xpbufWriteHits.Add(1)
 		} else {
@@ -288,12 +286,11 @@ func (d *device) xpbufAccess(p *Pool, t *Thread, line uint64, isWrite bool) (boo
 		if e.dirty {
 			completion = dm.occupy(c.MediaWrite)
 			p.ctr.cur.mediaWriteBytes.Add(XPLineSize)
-			p.ctr.cur.mediaWriteByTag[e.tag].Add(XPLineSize)
 			p.ctr.cur.mediaWriteByScope[e.scope].Add(XPLineSize)
 			evicted, dirtyEvict = e.xpline, true
 		}
 	}
-	*e = xpEntry{xpline: xp, tag: t.tag, scope: t.scope, dirty: isWrite}
+	*e = xpEntry{xpline: xp, scope: t.scope, dirty: isWrite}
 	dm.ent[xp] = e
 	dm.pushFront(e)
 	d.setResident(xp, true)
@@ -320,7 +317,6 @@ func (d *device) drain(p *Pool) {
 		for xp, e := range dm.ent {
 			if e.dirty {
 				p.ctr.cur.mediaWriteBytes.Add(XPLineSize)
-				p.ctr.cur.mediaWriteByTag[e.tag].Add(XPLineSize)
 				p.ctr.cur.mediaWriteByScope[e.scope].Add(XPLineSize)
 			}
 			d.setResident(xp, false)

@@ -23,8 +23,10 @@
 //     bytes arriving at the XPBuffer (cacheline flushes) and bytes
 //     written to media (XPLine write-backs), from which the harness
 //     computes CLI- and XBI-amplification exactly as defined in §2.1.
-//     Media writes are attributed to a per-thread Tag so experiments can
-//     split amplification by source (leaf nodes vs WAL, Fig 13b).
+//     Every byte is charged to the issuing thread's Scope (PushScope),
+//     the one attribution axis: the per-scope buckets partition media
+//     writes exactly, so experiments split amplification by cause (WAL
+//     vs metadata vs everything that maintains leaves, Fig 13b).
 //
 //  3. A virtual-time cost model. Every access charges a latency to the
 //     issuing Thread, and every media-level XPLine operation occupies its

@@ -3,12 +3,11 @@ package pmem
 import "sync/atomic"
 
 // This file implements the fault-injection surface the crash-recovery
-// test harnesses drive: counted power failures (FailAfterFlushes, the
-// original single-threaded sweep trigger), predicate-armed power
-// failures (FailWhen, which the concurrent torture harness uses to
-// place crashes inside specific components), and torn-XPLine injection
-// (TearPending, which persists only a prefix of an in-flight
-// write-back).
+// test harnesses drive: predicate-armed power failures (FailWhen —
+// crash sweeps arm it on a flush ordinal, the concurrent torture
+// harness on a scope, to place crashes inside specific components) and
+// torn-XPLine injection (TearPending, which persists only a prefix of
+// an in-flight write-back).
 //
 // The crash model for concurrent programs: a power failure is not a
 // single instant on the host — goroutines cannot be stopped
@@ -21,10 +20,10 @@ import "sync/atomic"
 // durable-prefix oracle in internal/torture accounts for.
 
 // FaultPoint describes one potential power-failure site: a Flush (or
-// the flush half of Persist) about to execute. The attribution fields
-// are the same Scope/Tag the observability layer uses to partition
-// media traffic, so a harness can aim crashes at mid-WAL-append,
-// mid-split, or mid-GC states by scope alone.
+// the flush half of Persist) about to execute. Scope is the same
+// attribution the observability layer uses to partition media traffic,
+// so a harness can aim crashes at mid-WAL-append, mid-split, or mid-GC
+// states by scope alone.
 type FaultPoint struct {
 	// Seq is the global ordinal of this flush call (1-based,
 	// monotonically increasing across all threads; also readable as
@@ -34,8 +33,6 @@ type FaultPoint struct {
 	Socket int
 	// Scope is the flushing thread's attribution scope.
 	Scope Scope
-	// Tag is the flushing thread's attribution tag.
-	Tag Tag
 	// Line is the first cacheline index covered by the flush.
 	Line uint64
 }
@@ -68,13 +65,12 @@ func (p *Pool) FaultFired() bool { return p.failFired.Load() }
 // sweeps use it to enumerate every fault site deterministically.
 func (p *Pool) FlushCalls() int64 { return p.flushSeq.Load() }
 
-// checkFault runs the armed fault triggers for one flush call at a.
+// checkFault runs the armed fault trigger for one flush call at a.
 // Called from Thread.flush before any write-back happens, in eADR mode
 // too, so a triggered failure never persists the line being flushed.
 func (t *Thread) checkFault(a Addr) {
 	p := t.pool
 	seq := p.flushSeq.Add(1)
-	p.checkPowerFailure()
 	predp := p.failPred.Load()
 	if predp == nil {
 		return
@@ -86,7 +82,6 @@ func (t *Thread) checkFault(a Addr) {
 		Seq:    seq,
 		Socket: a.Socket(),
 		Scope:  t.scope,
-		Tag:    t.tag,
 		Line:   a.Offset() / CachelineSize,
 	}
 	if (*predp)(fp) {

@@ -234,22 +234,29 @@ func TestAmplificationMetrics(t *testing.T) {
 	}
 }
 
+// One XPLine written under ScopeWAL and one under ScopeLeafBuf are
+// charged to exactly those scopes.
 func TestMediaWriteTagAttribution(t *testing.T) {
 	p := testPool(t, nil)
 	th := p.NewThread(0)
-	th.SetTag(TagWAL)
+	prev := th.PushScope(ScopeWAL)
 	th.Store(MakeAddr(0, 0), 1)
 	th.Persist(MakeAddr(0, 0), 8)
-	th.SetTag(TagLeaf)
+	th.PopScope(prev)
+	prev = th.PushScope(ScopeLeafBuf)
 	th.Store(MakeAddr(0, 4096), 1)
 	th.Persist(MakeAddr(0, 4096), 8)
+	th.PopScope(prev)
 	p.DrainXPBuffers()
 	s := p.Stats()
-	if s.MediaWriteByTag[TagWAL] != XPLineSize {
-		t.Fatalf("WAL bytes = %d", s.MediaWriteByTag[TagWAL])
+	if s.MediaWriteByScope[ScopeWAL] != XPLineSize {
+		t.Fatalf("WAL bytes = %d", s.MediaWriteByScope[ScopeWAL])
 	}
-	if s.MediaWriteByTag[TagLeaf] != XPLineSize {
-		t.Fatalf("leaf bytes = %d", s.MediaWriteByTag[TagLeaf])
+	if s.MediaWriteByScope[ScopeLeafBuf] != XPLineSize {
+		t.Fatalf("leaf bytes = %d", s.MediaWriteByScope[ScopeLeafBuf])
+	}
+	if s.MediaWriteBytes != 2*XPLineSize {
+		t.Fatalf("media bytes = %d, want two XPLines", s.MediaWriteBytes)
 	}
 }
 
@@ -453,14 +460,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if cfg.DeviceBytes%XPLineSize != 0 {
 		t.Fatal("capacity not XPLine aligned")
-	}
-}
-
-func TestTagString(t *testing.T) {
-	for tag := TagData; tag < NumTags; tag++ {
-		if tag.String() == "unknown" {
-			t.Fatalf("tag %d has no name", tag)
-		}
 	}
 }
 

@@ -24,7 +24,6 @@ type Pool struct {
 	auxMu sync.Mutex
 	aux   map[string]any
 
-	failAfter atomic.Int64
 	faultState
 
 	// Strict-mode bookkeeping (see strict.go): live threads to audit at
@@ -97,8 +96,8 @@ func (p *Pool) Stats() Stats { return p.ctr.snapshot() }
 // ResetStats rebaselines the hardware counters (e.g. after a warm-up
 // phase): subsequent Stats calls report only traffic accumulated after
 // the reset, including the per-DIMM XPBuffer tallies (hits, misses,
-// per-scope and per-tag media attribution), which share the same
-// counter set and baseline.
+// per-scope media attribution), which share the same counter set and
+// baseline.
 //
 // Race contract: the live counters are monotone and never zeroed;
 // ResetStats atomically captures them as a new baseline that Stats
@@ -113,14 +112,6 @@ func (p *Pool) ResetStats() { p.ctr.reset() }
 // AddUserBytes declares n bytes of application payload written, the
 // denominator of the amplification metrics.
 func (p *Pool) AddUserBytes(n uint64) { p.ctr.cur.userWriteBytes.Add(n) }
-
-// Observe is the stable observability read surface: the current
-// counter snapshot with its derived metrics (String,
-// AmplificationFactor, ScopeMediaBytes, ...). internal/obs wraps it
-// into the flattened JSON form served over HTTP and rendered by
-// cclstat; the device model cannot import that package, so the raw
-// snapshot is the hand-off point.
-func (p *Pool) Observe() Stats { return p.Stats() }
 
 // DeviceEvent identifies a device-level occurrence reported through the
 // tracer hook installed with SetDeviceTracer.
@@ -157,31 +148,11 @@ func (p *Pool) SetDeviceTracer(f DeviceTracer) {
 }
 
 // PowerFailure is the panic value thrown when an armed fault trigger
-// fires (FailAfterFlushes). Test harnesses recover it, call Crash, and
+// fires (FailWhen). Test harnesses recover it, call Crash, and
 // exercise recovery from a mid-operation failure point.
 type PowerFailure struct{}
 
 func (PowerFailure) Error() string { return "pmem: simulated power failure" }
-
-// FailAfterFlushes arms a fault: the n-th subsequent Flush panics with
-// PowerFailure, modeling power loss at an arbitrary instruction
-// boundary inside an operation. n ≤ 0 disarms. The trigger fires once;
-// for the sticky every-thread-dies semantics a concurrent harness
-// needs, use FailWhen. Flush calls count in eADR mode too (they move no
-// data there, but crash sweeps need the same fault sites in both
-// modes).
-func (p *Pool) FailAfterFlushes(n int64) {
-	p.failAfter.Store(n)
-}
-
-func (p *Pool) checkPowerFailure() {
-	if p.failAfter.Load() <= 0 {
-		return
-	}
-	if p.failAfter.Add(-1) == 0 {
-		panic(PowerFailure{})
-	}
-}
 
 // Crash simulates a power failure under the configured mode: in ADR,
 // all stores not yet flushed+fenced are rolled back; in eADR everything

@@ -18,7 +18,6 @@ type counterSet struct {
 	cacheEvictions    atomic.Uint64
 	userWriteBytes    atomic.Uint64
 	remoteAccesses    atomic.Uint64
-	mediaWriteByTag   [NumTags]atomic.Uint64
 	mediaWriteByScope [NumScopes]atomic.Uint64
 	xpbufWriteByScope [NumScopes]atomic.Uint64
 }
@@ -35,9 +34,6 @@ func (c *counterSet) load() Stats {
 		CacheEvictions:   c.cacheEvictions.Load(),
 		UserWriteBytes:   c.userWriteBytes.Load(),
 		RemoteAccesses:   c.remoteAccesses.Load(),
-	}
-	for i := range s.MediaWriteByTag {
-		s.MediaWriteByTag[i] = c.mediaWriteByTag[i].Load()
 	}
 	for i := range s.MediaWriteByScope {
 		s.MediaWriteByScope[i] = c.mediaWriteByScope[i].Load()
@@ -87,8 +83,6 @@ type Stats struct {
 	UserWriteBytes uint64
 	// RemoteAccesses counts cross-socket PM accesses.
 	RemoteAccesses uint64
-	// MediaWriteByTag splits MediaWriteBytes by Thread tag.
-	MediaWriteByTag [NumTags]uint64
 	// MediaWriteByScope splits MediaWriteBytes by the attribution scope
 	// (PushScope) of the thread that dirtied each written-back XPLine.
 	// Every media write lands in exactly one bucket, so the buckets sum
@@ -117,12 +111,6 @@ func (s Stats) XBIAmplification() float64 {
 	return float64(s.MediaWriteBytes) / float64(s.UserWriteBytes)
 }
 
-// AmplificationFactor is the paper's headline write-amplification
-// number — media bytes per user byte (XBI amplification). Callers that
-// used to divide MediaWriteBytes by a hand-tracked payload should call
-// AddUserBytes and use this instead.
-func (s Stats) AmplificationFactor() float64 { return s.XBIAmplification() }
-
 // WriteHitRate is the fraction of cacheline flushes that were
 // write-combined into an XPBuffer-resident XPLine (0 when no flushes
 // have been observed).
@@ -146,18 +134,6 @@ func (s Stats) ScopeMediaBytes() map[string]uint64 {
 	return out
 }
 
-// TagMediaBytes returns the per-tag media-write attribution as a
-// name-keyed map, omitting empty buckets.
-func (s Stats) TagMediaBytes() map[string]uint64 {
-	out := map[string]uint64{}
-	for i, v := range s.MediaWriteByTag {
-		if v > 0 {
-			out[Tag(i).String()] = v
-		}
-	}
-	return out
-}
-
 // String renders the counters in one line, the summary examples used to
 // hand-assemble: media traffic, XPBuffer traffic with hit rate, user
 // payload, and both amplification factors.
@@ -167,7 +143,7 @@ func (s Stats) String() string {
 		fmtBytes(s.MediaWriteBytes), fmtBytes(s.MediaReadBytes),
 		fmtBytes(s.XPBufWriteBytes), 100*s.WriteHitRate(),
 		fmtBytes(s.UserWriteBytes),
-		s.AmplificationFactor(), s.CLIAmplification())
+		s.XBIAmplification(), s.CLIAmplification())
 }
 
 // fmtBytes renders a byte count with a binary unit suffix.
@@ -210,9 +186,6 @@ func (s Stats) Sub(t Stats) Stats {
 		UserWriteBytes:   monoSub(s.UserWriteBytes, t.UserWriteBytes),
 		RemoteAccesses:   monoSub(s.RemoteAccesses, t.RemoteAccesses),
 	}
-	for i := range d.MediaWriteByTag {
-		d.MediaWriteByTag[i] = monoSub(s.MediaWriteByTag[i], t.MediaWriteByTag[i])
-	}
 	for i := range d.MediaWriteByScope {
 		d.MediaWriteByScope[i] = monoSub(s.MediaWriteByScope[i], t.MediaWriteByScope[i])
 	}
@@ -241,9 +214,6 @@ func (c *counters) reset() {
 	c.base.cacheEvictions.Store(c.cur.cacheEvictions.Load())
 	c.base.userWriteBytes.Store(c.cur.userWriteBytes.Load())
 	c.base.remoteAccesses.Store(c.cur.remoteAccesses.Load())
-	for i := range c.base.mediaWriteByTag {
-		c.base.mediaWriteByTag[i].Store(c.cur.mediaWriteByTag[i].Load())
-	}
 	for i := range c.base.mediaWriteByScope {
 		c.base.mediaWriteByScope[i].Store(c.cur.mediaWriteByScope[i].Load())
 	}

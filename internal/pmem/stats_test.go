@@ -14,11 +14,8 @@ func TestStatsHelpers(t *testing.T) {
 		XPBufWriteHits:   30,
 		XPBufWriteMisses: 10,
 	}
-	if got := s.AmplificationFactor(); got != 4.0 {
-		t.Fatalf("AmplificationFactor = %v, want 4", got)
-	}
-	if got, want := s.AmplificationFactor(), s.XBIAmplification(); got != want {
-		t.Fatalf("AmplificationFactor %v != XBIAmplification %v", got, want)
+	if got := s.XBIAmplification(); got != 4.0 {
+		t.Fatalf("XBIAmplification = %v, want 4", got)
 	}
 	if got := s.CLIAmplification(); got != 2.0 {
 		t.Fatalf("CLIAmplification = %v, want 2", got)
@@ -27,7 +24,7 @@ func TestStatsHelpers(t *testing.T) {
 		t.Fatalf("WriteHitRate = %v, want 0.75", got)
 	}
 	var zero Stats
-	if zero.AmplificationFactor() != 0 || zero.CLIAmplification() != 0 || zero.WriteHitRate() != 0 {
+	if zero.XBIAmplification() != 0 || zero.CLIAmplification() != 0 || zero.WriteHitRate() != 0 {
 		t.Fatal("zero Stats must not divide by zero")
 	}
 	str := s.String()
@@ -42,14 +39,9 @@ func TestStatsScopeAndTagMaps(t *testing.T) {
 	var s Stats
 	s.MediaWriteByScope[ScopeWAL] = 512
 	s.MediaWriteByScope[ScopeLeafBuf] = 256
-	s.MediaWriteByTag[TagWAL] = 512
 	sm := s.ScopeMediaBytes()
 	if len(sm) != 2 || sm["wal"] != 512 || sm["leafbuf"] != 256 {
 		t.Fatalf("ScopeMediaBytes = %v", sm)
-	}
-	tm := s.TagMediaBytes()
-	if len(tm) != 1 || tm["wal"] != 512 {
-		t.Fatalf("TagMediaBytes = %v", tm)
 	}
 }
 

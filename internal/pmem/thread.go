@@ -22,12 +22,11 @@ type pendingFlush struct {
 const readCacheSize = 32
 
 // Thread is a per-goroutine access handle: it owns a virtual clock, a
-// NUMA binding, the attribution tag, and the set of flushes awaiting a
+// NUMA binding, the attribution scope, and the set of flushes awaiting a
 // fence. Not safe for concurrent use.
 type Thread struct {
 	pool    *Pool
 	socket  int
-	tag     Tag
 	scope   Scope
 	vt      int64
 	pending []pendingFlush
@@ -77,23 +76,15 @@ func (t *Thread) Rewind(v int64) {
 	}
 }
 
-// SetTag sets the media-write attribution tag, returning the previous
-// one so callers can restore it.
-func (t *Thread) SetTag(tag Tag) Tag {
-	old := t.tag
-	t.tag = tag
-	return old
-}
-
 // PushScope sets the component-attribution scope (see Scope), returning
 // the previous one. Callers restore it with PopScope, typically:
 //
 //	prev := t.PushScope(pmem.ScopeWAL)
 //	defer t.PopScope(prev)
 //
-// Scope is thread-local state like the tag: it travels with the Thread,
-// not the goroutine, so a handle handed to a worker keeps attributing
-// by whatever the code currently running on it pushed.
+// Scope is thread-local state: it travels with the Thread, not the
+// goroutine, so a handle handed to a worker keeps attributing by
+// whatever the code currently running on it pushed.
 func (t *Thread) PushScope(s Scope) Scope {
 	old := t.scope
 	t.scope = s

@@ -252,7 +252,6 @@ func (l *Log) Append(t *pmem.Thread, e Entry) (pmem.Addr, error) {
 	// foreground upsert, GC copying survivors into an I-log, recovery —
 	// so per-scope breakdowns always show log traffic as log traffic
 	// (the documented exception to innermost-scope-wins).
-	prev := t.SetTag(pmem.TagWAL)
 	prevScope := t.PushScope(pmem.ScopeWAL)
 	t.Store(addr, e.Key)
 	t.Store(addr.Add(8), e.Value)
@@ -266,7 +265,6 @@ func (l *Log) Append(t *pmem.Thread, e Entry) (pmem.Addr, error) {
 		t.Persist(addr, EntrySize)
 	}
 	t.PopScope(prevScope)
-	t.SetTag(prev)
 	return addr, nil
 }
 
@@ -292,10 +290,7 @@ func (l *Log) AppendBatch(t *pmem.Thread, entries []Entry) error {
 			return fmt.Errorf("wal: timestamp %#x exceeds MaxTick", entries[i].Timestamp)
 		}
 	}
-	prev := t.SetTag(pmem.TagWAL)
-	prevScope := t.PushScope(pmem.ScopeWAL)
-	defer t.SetTag(prev)
-	defer t.PopScope(prevScope)
+	defer t.PopScope(t.PushScope(pmem.ScopeWAL))
 	// Contiguous records share cachelines, so the clwb sweep runs once
 	// per contiguous span (usually the whole group), not once per
 	// record — per-record flushing would re-flush each shared line and

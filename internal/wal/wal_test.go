@@ -136,11 +136,12 @@ func TestWALTrafficTagged(t *testing.T) {
 	}
 	pool.DrainXPBuffers()
 	s := pool.Stats()
-	if s.MediaWriteByTag[pmem.TagWAL] == 0 {
+	wal := s.MediaWriteByScope[pmem.ScopeWAL]
+	if wal == 0 {
 		t.Fatal("WAL media writes not attributed")
 	}
-	if s.MediaWriteByTag[pmem.TagWAL] != s.MediaWriteBytes {
-		t.Fatalf("unexpected non-WAL writes: %d of %d", s.MediaWriteByTag[pmem.TagWAL], s.MediaWriteBytes)
+	if wal != s.MediaWriteBytes {
+		t.Fatalf("unexpected non-WAL writes: %d of %d", wal, s.MediaWriteBytes)
 	}
 }
 

@@ -18,46 +18,30 @@ go build ./...
 go vet ./...
 # All rules (PL001–PL015, whole-program layer included) over every
 # package, test files included, with a wall-clock budget so analyzer
-# regressions surface as CI failures rather than slow drift. Built as
-# a binary once: the cache gates below need repeat invocations, and
-# `go run` would charge compile time against the budget. The cold run
-# also emits the SARIF artifact CI can upload to code scanning.
+# regressions surface as CI failures rather than slow drift (a cold
+# whole-repo run is ~0.4 s). Built as a binary once: `go run` would
+# charge compile time against the budget. The run also emits the SARIF
+# artifact CI can upload to code scanning.
 lintdir=$(mktemp -d)
 go build -o "$lintdir/persistlint" ./cmd/persistlint
 # PL010 pre-gate: the seqlock read path lives in internal/core, and a
 # missed re-validation there is exactly the torn-read bug the torture
 # oracle hunts — fail fast on it before the expensive suites run.
 "$lintdir/persistlint" -tests -only PL010 ./internal/core/...
-"$lintdir/persistlint" -tests -stats -budget 10s \
-    -cache "$lintdir/repocache" -sarif "$lintdir/persistlint.sarif" ./...
+"$lintdir/persistlint" -tests -stats -budget 3s \
+    -sarif "$lintdir/persistlint.sarif" ./...
 grep -q '"version": "2.1.0"' "$lintdir/persistlint.sarif"
 grep -q '"id": "PL015"' "$lintdir/persistlint.sarif"
 
-# Warm-cache gate on the same configuration: the replay must be at
-# least 2x faster than the analysis it cached (the printed speedup_x
-# comes from the entry's recorded cold time vs this run's wall clock).
-"$lintdir/persistlint" -tests -stats -budget 10s \
-    -cache "$lintdir/repocache" ./... 2> "$lintdir/repo_warm.err"
-grep -q 'cache hit' "$lintdir/repo_warm.err"
-speedup=$(sed -n 's/.*speedup_x=\([0-9.]*\).*/\1/p' "$lintdir/repo_warm.err")
-awk -v s="$speedup" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }'
-
-# Self-lint + cache determinism: the golden corpus must parse and
-# yield findings (exit 1 — exit 2 would mean a corpus file stopped
-# parsing, exit 0 that the corpus stopped exercising the rules), and
-# the warm replay must print byte-for-byte what the cold run printed.
+# Self-lint: the golden corpus must parse and yield findings (exit 1 —
+# exit 2 would mean a corpus file stopped parsing, exit 0 that the
+# corpus stopped exercising the rules).
 set +e
-"$lintdir/persistlint" -tests -json -cache "$lintdir/corpuscache" \
-    internal/analysis/persist/testdata > "$lintdir/cold.json" 2>/dev/null
-corpus_cold=$?
-"$lintdir/persistlint" -tests -json -cache "$lintdir/corpuscache" \
-    internal/analysis/persist/testdata > "$lintdir/warm.json" 2> "$lintdir/corpus_warm.err"
-corpus_warm=$?
+"$lintdir/persistlint" -tests -json \
+    internal/analysis/persist/testdata >/dev/null 2>&1
+corpus=$?
 set -e
-test "$corpus_cold" -eq 1
-test "$corpus_warm" -eq 1
-grep -q 'cache hit' "$lintdir/corpus_warm.err"
-cmp "$lintdir/cold.json" "$lintdir/warm.json"
+test "$corpus" -eq 1
 rm -rf "$lintdir"
 go test ./...
 # The crash matrices race the foreground against the background GC, so
