@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -205,5 +206,87 @@ func TestDecodeValueWord(t *testing.T) {
 	got := decodeValueWord(th, 0x0102030405060708)
 	if got[0] != 0x08 || got[7] != 0x01 {
 		t.Fatalf("inline decode: %v", got)
+	}
+}
+
+// innerKids returns n's children (nil at the leaf level) and its key
+// count; the one place the shape walker knows the node representation.
+func innerKids(n *innerNode) ([]*innerNode, int) { return n.kids, len(n.keys) }
+
+// innerShape returns the number of nodes at each level, root first,
+// and Σ count² over the leaf-level nodes — a fingerprint of how the
+// split rule distributed the entries.
+func innerShape(tr *innerTree) (levels []int, fill int) {
+	for level := []*innerNode{tr.root.Load()}; len(level) > 0; {
+		levels = append(levels, len(level))
+		var next []*innerNode
+		fill = 0
+		for _, n := range level {
+			kids, cnt := innerKids(n)
+			next = append(next, kids...)
+			fill += cnt * cnt
+		}
+		level = next
+	}
+	return levels, fill
+}
+
+// TestInnerTreeShapeGolden pins the directory's shape — height, nodes
+// per level, and the summed findLE descent depth (backtracking over
+// stale separators and emptied leaf-level nodes included) over a fixed
+// probe set — through a seeded put/remove/re-put sequence. The numbers
+// were recorded from the copy-on-write tree the in-place one replaced:
+// same fanout, same split point, same no-rebalance remove, so every
+// modeled DRAM nanosecond of routing is unchanged.
+func TestInnerTreeShapeGolden(t *testing.T) {
+	tr := newInnerTree(fixedCmp)
+	th := innerThread()
+	rng := rand.New(rand.NewSource(17))
+	v := newBufferNode(pmem.MakeAddr(0, 4096), 1, 2)
+	keys := make([]uint64, 100_000)
+	for i := range keys {
+		keys[i] = rng.Uint64()>>2 | 1
+		tr.put(th, keys[i], v)
+	}
+	// Remove 10 k scattered keys and a 10 k run contiguous in key order
+	// (which empties whole leaf-level nodes); probe every other removed
+	// key, so descents land on vanished routes.
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	rest := append([]uint64(nil), keys[10_000:]...)
+	sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
+	removed := append(append([]uint64(nil), keys[:10_000]...), rest[30_000:40_000]...)
+	depthSum := func() int64 {
+		start := th.Now()
+		for i := 0; i < len(removed); i += 2 {
+			tr.findLE(th, removed[i])
+		}
+		return (th.Now() - start) / (8 * th.CostDRAM())
+	}
+	check := func(phase string, wantLevels []int, wantFill int, wantDepth int64) {
+		t.Helper()
+		if levels, fill := innerShape(tr); !reflect.DeepEqual(levels, wantLevels) || fill != wantFill {
+			t.Errorf("%s: nodes per level = %v fill %d, want %v fill %d", phase, levels, fill, wantLevels, wantFill)
+		}
+		if got := depthSum(); got != wantDepth {
+			t.Errorf("%s: findLE depth sum = %d, want %d", phase, got, wantDepth)
+		}
+	}
+	check("after put", []int{1, 9, 206, 4468}, 2333974, 40000)
+	for _, k := range removed {
+		if !tr.remove(th, k) {
+			t.Fatalf("remove(%d) missed", k)
+		}
+	}
+	check("after remove", []int{1, 9, 206, 4468}, 1685836, 1470594)
+	// Re-put the scattered keys, and fresh keys across the emptied run:
+	// splits under stale separators.
+	lo, hi := removed[10_000], removed[len(removed)-1]
+	for i := 9_999; i >= 0; i-- {
+		tr.put(th, removed[i], v)
+		tr.put(th, lo+rng.Uint64()%(hi-lo)|1, v)
+	}
+	check("after re-put", []int{1, 9, 206, 4530}, 2311332, 40437)
+	if got := tr.entries(); got != len(keys) {
+		t.Fatalf("entries = %d, want %d", got, len(keys))
 	}
 }
