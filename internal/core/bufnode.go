@@ -66,12 +66,32 @@ func unpackHdr(v uint64) (pos int, epochBits uint16, dead bool) {
 	return int(v & hdrPosMask), uint16(v >> hdrEpochShift & hdrEpochMask), v&hdrDeadBit != 0
 }
 
-func newBufferNode(leaf pmem.Addr, lowKey uint64, nbatch int) *bufferNode {
-	return &bufferNode{
-		leaf:   leaf,
-		lowKey: lowKey,
-		slots:  make([]atomic.Uint64, 2*nbatch),
+// nodeSlabSize is the number of buffer nodes one slab chunk holds.
+const nodeSlabSize = 64
+
+// nodeSlab is a single-owner bump allocator of buffer nodes (each
+// Worker has one; New and recovery use a local one): node structs and
+// their slot words are carved from 64-node chunks, two allocations per
+// chunk instead of two per node. Dead nodes are not recycled — the GC
+// chain walker, tryMerge and lockOwner hold *bufferNode unpinned across
+// lock spins, so reuse would need writers in the epoch protocol. The Go
+// collector frees a chunk when its last node dies: a live node pins at
+// most its chunk, 64 × (96 + 16·Nbatch) B ≈ 8 KB at Nbatch = 2.
+type nodeSlab struct {
+	nodes []bufferNode
+	words []atomic.Uint64
+}
+
+func (s *nodeSlab) newNode(leaf pmem.Addr, lowKey uint64, nbatch int) *bufferNode {
+	if len(s.nodes) == 0 {
+		s.nodes = make([]bufferNode, nodeSlabSize)
+		s.words = make([]atomic.Uint64, nodeSlabSize*2*nbatch)
 	}
+	n := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	n.leaf, n.lowKey = leaf, lowKey
+	n.slots, s.words = s.words[:2*nbatch:2*nbatch], s.words[2*nbatch:]
+	return n
 }
 
 func (n *bufferNode) nbatch() int { return len(n.slots) / 2 }

@@ -3,7 +3,10 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cclbtree/internal/pmem"
@@ -19,6 +22,10 @@ func fixedCmp(_ *pmem.Thread, a, b uint64) int {
 	return 0
 }
 
+// testSlab serves the buffer nodes unit tests fabricate (the package's
+// tests run one at a time).
+var testSlab nodeSlab
+
 func innerThread() *pmem.Thread {
 	return pmem.NewPool(pmem.Config{Sockets: 1, DeviceBytes: 1 << 20, StrictPersist: true}).NewThread(0)
 }
@@ -28,7 +35,7 @@ func TestInnerTreePutFindLE(t *testing.T) {
 	th := innerThread()
 	nodes := map[uint64]*bufferNode{}
 	for _, k := range []uint64{0, 100, 200, 300} {
-		n := newBufferNode(pmem.MakeAddr(0, 4096+k), k, 2)
+		n := testSlab.newNode(pmem.MakeAddr(0, 4096+k), k, 2)
 		nodes[k] = n
 		tr.put(th, k, n)
 	}
@@ -48,7 +55,7 @@ func TestInnerTreeRemove(t *testing.T) {
 	tr := newInnerTree(fixedCmp)
 	th := innerThread()
 	for k := uint64(0); k < 500; k += 10 {
-		tr.put(th, k, newBufferNode(pmem.MakeAddr(0, 4096+k*256), k, 2))
+		tr.put(th, k, testSlab.newNode(pmem.MakeAddr(0, 4096+k*256), k, 2))
 	}
 	if !tr.remove(th, 250) {
 		t.Fatal("remove failed")
@@ -72,7 +79,7 @@ func TestInnerTreeStaleSeparatorRouting(t *testing.T) {
 	th := innerThread()
 	const n = 2000
 	for k := uint64(1); k <= n; k++ {
-		tr.put(th, k*10, newBufferNode(pmem.MakeAddr(0, 4096+k*256), k*10, 2))
+		tr.put(th, k*10, testSlab.newNode(pmem.MakeAddr(0, 4096+k*256), k*10, 2))
 	}
 	rng := rand.New(rand.NewSource(4))
 	removed := map[uint64]bool{}
@@ -209,9 +216,15 @@ func TestDecodeValueWord(t *testing.T) {
 	}
 }
 
-// innerKids returns n's children (nil at the leaf level) and its key
+// innerChildren returns n's children (nil at the leaf level) and its key
 // count; the one place the shape walker knows the node representation.
-func innerKids(n *innerNode) ([]*innerNode, int) { return n.kids, len(n.keys) }
+func innerChildren(n *innerNode) (kids []*innerNode, cnt int) {
+	cnt = int(n.n.Load())
+	for i := 0; !n.leaf() && i <= cnt; i++ {
+		kids = append(kids, n.kids[i].Load())
+	}
+	return kids, cnt
+}
 
 // innerShape returns the number of nodes at each level, root first,
 // and Σ count² over the leaf-level nodes — a fingerprint of how the
@@ -222,7 +235,7 @@ func innerShape(tr *innerTree) (levels []int, fill int) {
 		var next []*innerNode
 		fill = 0
 		for _, n := range level {
-			kids, cnt := innerKids(n)
+			kids, cnt := innerChildren(n)
 			next = append(next, kids...)
 			fill += cnt * cnt
 		}
@@ -242,7 +255,7 @@ func TestInnerTreeShapeGolden(t *testing.T) {
 	tr := newInnerTree(fixedCmp)
 	th := innerThread()
 	rng := rand.New(rand.NewSource(17))
-	v := newBufferNode(pmem.MakeAddr(0, 4096), 1, 2)
+	v := testSlab.newNode(pmem.MakeAddr(0, 4096), 1, 2)
 	keys := make([]uint64, 100_000)
 	for i := range keys {
 		keys[i] = rng.Uint64()>>2 | 1
@@ -289,4 +302,143 @@ func TestInnerTreeShapeGolden(t *testing.T) {
 	if got := tr.entries(); got != len(keys) {
 		t.Fatalf("entries = %d, want %d", got, len(keys))
 	}
+}
+
+// TestInnerTreeConcurrentFindLE races four lock-free readers against
+// one writer that registers permanent routes (multiples of 10, in
+// scattered order) interleaved with volatile ones (…5) it removes again
+// 32 puts later. The writer advances a watermark after each permanent
+// put; a reader that snapshots the watermark before its findLE must be
+// routed at or above every permanent route published by then — a route
+// is never missed — and never above the probe key.
+func TestInnerTreeConcurrentFindLE(t *testing.T) {
+	tr := newInnerTree(fixedCmp)
+	const perm = 20_000
+	order := rand.New(rand.NewSource(9)).Perm(perm)
+	var slab nodeSlab
+	node := func(k uint64) *bufferNode { return slab.newNode(pmem.MakeAddr(0, 4096), k, 2) }
+	var published atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			th := innerThread()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for probes := 0; ; probes++ {
+				w := published.Load()
+				if w == 0 {
+					runtime.Gosched()
+					continue
+				}
+				if w == perm && probes > 50_000 {
+					return
+				}
+				low := uint64(order[rng.Int63n(w)]+1) * 10
+				q := low + uint64(rng.Intn(10))
+				got := tr.findLE(th, q)
+				if got == nil {
+					t.Errorf("findLE(%d) routed nowhere with route %d published", q, low)
+					return
+				}
+				if got.lowKey > q || got.lowKey < low {
+					t.Errorf("findLE(%d) routed to %d with route %d published", q, got.lowKey, low)
+					return
+				}
+			}
+		}(r)
+	}
+	th := innerThread()
+	for i, o := range order {
+		k := uint64(o+1) * 10
+		tr.put(th, k, node(k))
+		published.Store(int64(i + 1))
+		tr.put(th, k+5, node(k+5))
+		if i >= 32 {
+			if old := uint64(order[i-32]+1)*10 + 5; !tr.remove(th, old) {
+				t.Errorf("remove(%d) missed", old)
+			}
+		}
+	}
+	wg.Wait()
+}
+
+// FuzzInnerTree drives put/remove/findLE byte programs against a
+// sorted-slice reference. Every program starts from the stale-separator
+// tree of TestInnerTreeStaleSeparatorRouting (2000 ascending routes,
+// half removed at random by seed); ops are 3 bytes — opcode, key — with
+// opcode 3 removing a run of 64 consecutive routes, enough to empty
+// whole leaf-level nodes.
+func FuzzInnerTree(f *testing.F) {
+	f.Add(int64(4), []byte{})
+	f.Add(int64(4), []byte{3, 1, 0, 3, 1, 64, 2, 1, 90, 0, 1, 70, 2, 1, 71, 1, 1, 70, 2, 1, 71})
+	f.Add(int64(1), []byte{3, 0, 0, 3, 0, 64, 3, 0, 128, 2, 0, 100, 2, 0, 0, 0, 0, 1, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, prog []byte) {
+		const n = 2000
+		tr := newInnerTree(fixedCmp)
+		th := innerThread()
+		var slab nodeSlab
+		var live []uint64 // the reference: routed keys, ascending
+		find := func(k uint64) (int, bool) {
+			i := sort.Search(len(live), func(i int) bool { return live[i] >= k })
+			return i, i < len(live) && live[i] == k
+		}
+		put := func(k uint64) {
+			tr.put(th, k, slab.newNode(pmem.MakeAddr(0, 4096), k, 2))
+			if i, ok := find(k); !ok {
+				live = append(live[:i], append([]uint64{k}, live[i:]...)...)
+			}
+		}
+		remove := func(k uint64) {
+			i, ok := find(k)
+			if got := tr.remove(th, k); got != ok {
+				t.Fatalf("remove(%d) = %v, reference says %v", k, got, ok)
+			}
+			if ok {
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		check := func(q uint64) {
+			want := uint64(0)
+			if i, ok := find(q); ok {
+				want = q
+			} else if i > 0 {
+				want = live[i-1]
+			}
+			got := tr.findLE(th, q)
+			if want == 0 && got != nil || want != 0 && (got == nil || got.lowKey != want) {
+				t.Fatalf("findLE(%d) = %v, want lowKey %d", q, got, want)
+			}
+		}
+		for k := uint64(1); k <= n; k++ {
+			put(k * 10)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < n/2; i++ {
+			if k := uint64(rng.Intn(n)+1) * 10; rng.Intn(2) == 0 {
+				remove(k)
+			}
+		}
+		for ; len(prog) >= 3; prog = prog[3:] {
+			k := (uint64(prog[1])<<8|uint64(prog[2]))%(n+64)*10 + 10
+			switch prog[0] % 4 {
+			case 0:
+				put(k + uint64(prog[0]>>2)%10) // between the base routes too
+			case 1:
+				remove(k)
+			case 2:
+				check(k + uint64(prog[0]>>2)%10)
+			case 3:
+				for j := uint64(0); j < 64; j++ {
+					remove(k + 10*j)
+				}
+			}
+		}
+		for q := uint64(1); q <= (n+130)*10; q += 7 {
+			check(q)
+		}
+		if tr.entries() != len(live) {
+			t.Fatalf("entries = %d, reference holds %d", tr.entries(), len(live))
+		}
+	})
 }

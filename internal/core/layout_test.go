@@ -100,7 +100,7 @@ func TestHdrPacking(t *testing.T) {
 }
 
 func TestBufferNodeLock(t *testing.T) {
-	n := newBufferNode(pmem.MakeAddr(0, 4096), 10, 2)
+	n := testSlab.newNode(pmem.MakeAddr(0, 4096), 10, 2)
 	v, ok := n.tryLock()
 	if !ok {
 		t.Fatal("fresh lock failed")
@@ -127,7 +127,7 @@ func TestBufferNodeLock(t *testing.T) {
 }
 
 func TestBufferNodeSlots(t *testing.T) {
-	n := newBufferNode(pmem.MakeAddr(0, 4096), 10, 4)
+	n := testSlab.newNode(pmem.MakeAddr(0, 4096), 10, 4)
 	if n.nbatch() != 4 {
 		t.Fatal("nbatch")
 	}

@@ -383,7 +383,7 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 	// n.next publish makes it reachable.
 	nx := n.next.Load()
 	for k := range news {
-		news[k].nb = newBufferNode(news[k].addr, news[k].low, tr.opts.Nbatch)
+		news[k].nb = w.slab.newNode(news[k].addr, news[k].low, tr.opts.Nbatch)
 	}
 	for k := range news {
 		if k > 0 {

@@ -97,9 +97,10 @@ func TestProfileSegmentsPartitionOpLatency(t *testing.T) {
 	for _, ls := range p.Locks {
 		locks[ls.Class] = ls
 	}
-	// inner.mu is now a writer-only lock (reads traverse the RCU root
-	// pointer without it), so acquisitions come only from structural
-	// updates — splits registering new routing entries.
+	// inner.mu is a writer-only lock (reads validate their descent
+	// against the tree-wide seqlock word instead), so acquisitions come
+	// only from structural updates — splits registering new routing
+	// entries.
 	if got := locks["inner.mu"].Acquisitions; got == 0 {
 		t.Fatal("inner.mu never acquired despite splits registering routes")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestLookupZeroAlloc gates the lock-free point-read path at zero
-// allocations per op: RCU routing, epoch pin, fingerprint probe and
+// allocations per op: seqlocked routing, epoch pin, fingerprint probe and
 // leaf search must all stay on the stack.
 func TestLookupZeroAlloc(t *testing.T) {
 	if raceTestEnabled {
@@ -59,37 +59,52 @@ func TestScanZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestUpsertAllocCeiling bounds the write path's allocations on
-// scattered keys, splits included. What remains is what outlives the
-// op: each split's buffer nodes and the inner tree's copy-on-write
-// path (about 1.1 objects per insert at this fanout); the device
-// model, the WAL append and the split's working set allocate nothing.
-// Counted from MemStats because AllocsPerRun truncates to whole
-// objects.
+// scattered keys, splits and merges included. Nothing is allocated per
+// op or per split: the device model, the WAL append and the split's
+// working set reuse worker scratch, the inner tree is updated in place,
+// and buffer nodes come from the worker's slab — what remains is one
+// slab chunk (two objects) per 64 new leaves and one inner node per
+// ~20, about 0.01 objects per insert. The churn case (insert, delete
+// two thirds, re-insert) is the shape of a serving workload: it adds
+// merges, whose route removals must be just as free. Counted from
+// MemStats because AllocsPerRun truncates to whole objects.
 func TestUpsertAllocCeiling(t *testing.T) {
 	if raceTestEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	tr, w := newTestTree(t, Options{GC: GCOff}, nil)
-	key := func(i uint64) uint64 { return i*0x9e3779b97f4a7c15&MaxValue | 1 }
-	insert := func(from, to uint64) {
-		for i := from; i < to; i++ {
-			if err := w.Upsert(key(i), i+1); err != nil {
-				t.Fatal(err)
+	const warm, n, ceiling = 2_000, 60_000, 0.03
+	for _, churn := range []bool{false, true} {
+		tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+		insert := func(from, to uint64) {
+			for i := from; i < to; i++ {
+				if err := w.Upsert(scatteredKey(i), i+1); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	const warm, n = 2_000, 60_000
-	insert(0, warm) // grow the worker's scratch
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	insert(warm, warm+n)
-	runtime.ReadMemStats(&after)
-	if s := tr.Counters().Splits; s < n/20 {
-		t.Fatalf("only %d splits in %d inserts: the split path was not exercised", s, n)
-	}
-	if avg := float64(after.Mallocs-before.Mallocs) / n; avg > 1.5 {
-		t.Fatalf("Upsert allocates %.2f objects/op over %d scattered inserts, want <= 1.5", avg, n)
-	} else {
-		t.Logf("Upsert: %.2f objects/op", avg)
+		insert(0, warm) // grow the worker's scratch
+		ops := float64(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		insert(warm, warm+n)
+		if churn {
+			for i := uint64(warm); i < warm+n*2/3; i++ {
+				if err := w.Delete(scatteredKey(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			insert(warm, warm+n*2/3)
+			ops += 2 * n * 2 / 3
+		}
+		runtime.ReadMemStats(&after)
+		c := tr.Counters()
+		if c.Splits < n/20 || churn && c.Merges < n/40 {
+			t.Fatalf("churn=%v: %d splits, %d merges in %.0f ops: the structural paths were not exercised", churn, c.Splits, c.Merges, ops)
+		}
+		avg := float64(after.Mallocs-before.Mallocs) / ops
+		t.Logf("churn=%v: %.4f objects/op (%d splits, %d merges)", churn, avg, c.Splits, c.Merges)
+		if avg > ceiling {
+			t.Fatalf("churn=%v: writes allocate %.4f objects/op over %.0f scattered ops, want <= %v", churn, avg, ops, ceiling)
+		}
 	}
 }

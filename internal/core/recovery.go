@@ -195,6 +195,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	st.ChunksScanned = len(chunks)
 
 	var nodes []*bufferNode
+	var slab nodeSlab
 	var emptyLeaves []pmem.Addr
 	var prevNode *bufferNode
 	prevLeaf := pmem.NilAddr
@@ -267,7 +268,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		if prevNode != nil && tr.compare(t0, lowKey, prevNode.lowKey) <= 0 {
 			return nil, nil, corruptf("leaf list", cur, "low keys out of order")
 		}
-		n := newBufferNode(cur, lowKey, opts.Nbatch)
+		n := slab.newNode(cur, lowKey, opts.Nbatch)
 		if prevNode != nil {
 			prevNode.next.Store(n)
 			n.prev.Store(prevNode)

@@ -279,7 +279,7 @@ func New(pool *pmem.Pool, opts Options) (*Tree, error) {
 	}
 	var img leafImage
 	tr.writeWholeLeaf(t, headLeaf, &img)
-	tr.head = newBufferNode(headLeaf, 0, opts.Nbatch)
+	tr.head = new(nodeSlab).newNode(headLeaf, 0, opts.Nbatch)
 	tr.inner.put(t, 0, tr.head)
 
 	// Superblock.

@@ -41,6 +41,7 @@ type Worker struct {
 
 	scratch []KV // reused flush batch (trigger writes, merges)
 	split   splitScratch
+	slab    nodeSlab // buffer nodes for this worker's splits
 	// batchKVs/batchEnts are the write protocol's word-form group (one
 	// KV for a single write) and its WAL records (see groupCommit),
 	// reused call to call.

@@ -4,7 +4,7 @@
 // PACTree's inner nodes, DPTree's, FlatStore's and the LSM's volatile
 // indexes — and as the reference model the crash and read-property
 // tests replay against. CCL-BTree does not use it: its inner layer is
-// the copy-on-write tree in internal/core/inner.go.
+// the seqlocked in-place tree in internal/core/inner.go.
 //
 // The tree is not synchronized; callers wrap it with their own
 // concurrency control.

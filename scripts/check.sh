@@ -51,6 +51,11 @@ go test ./...
 # runner may have cores.
 go test -count=1 -run 'TestCrashAtEveryFlushBoundary' ./internal/core
 GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary' ./internal/core
+# The write path's allocation ceilings (core tree, churn, and the public
+# Session entries above it) count objects, so a cached pass from an
+# earlier tree would hide a regression: run them uncached.
+go test -count=1 -run 'TestUpsertAllocCeiling' ./internal/core
+go test -count=1 -run 'TestSessionWriteAllocCeiling' .
 go test -race -short ./internal/core/... ./internal/pmem/... ./internal/obs/...
 go test -race -short ./internal/server
 go test -race -run TestTortureShort ./internal/torture
@@ -120,3 +125,4 @@ go test -run TestTortureCatchesSkippedReadRecheck ./internal/torture
 go test -run '^$' -fuzz FuzzWALRecordParse -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzRecoveryScan -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzVarKVRoundTrip -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz FuzzInnerTree -fuzztime 10s ./internal/core
