@@ -8,16 +8,12 @@
 //	cclbench -exp all              # run everything
 //	cclbench -exp fig10 -warm 500000 -ops 500000 -threads 1,24,48,96
 //
-//	cclbench -compare base.json -against cur.json   # perf-regression gate
-//	cclbench -exp ycsbb -compare base.json          # run, then gate the result
-//
 // Sizes default to ≈1/500 of the paper's (which used 50 M warm keys and
 // 50 M operations on real Optane hardware); throughput numbers are
 // simulated-time and meant for shape comparison, not absolute match.
 //
-// The regression gate exits 3 (distinct from the usual failure exit 1)
-// when any baseline phase regressed beyond the tolerance, so CI can
-// tell "experiment crashed" from "experiment got slower".
+// Regressions are judged by the repository benchmark (BENCHMARK.json,
+// benchmark/run.sh -compare), not here.
 //
 // On SIGINT/SIGTERM the in-progress report is written as a partial
 // BENCH_<exp>.json and the -trace ring (if any) is flushed before
@@ -42,31 +38,19 @@ import (
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list experiments and exit")
-		exp       = flag.String("exp", "", "experiment to run (or 'all')")
-		warm      = flag.Int("warm", 0, "warm keys (0 = default)")
-		ops       = flag.Int("ops", 0, "measured operations (0 = default)")
-		threads   = flag.String("threads", "", "comma-separated thread sweep")
-		mainThr   = flag.Int("mainthreads", 0, "thread count for single-point experiments")
-		scanLen   = flag.Int("scanlen", 0, "default range query length")
-		seed      = flag.Int64("seed", 0, "workload seed")
-		out       = flag.String("out", ".", "directory for BENCH_<exp>.json records (\"\" disables)")
-		httpOn    = flag.String("http", "", "serve live observation JSON on this address (e.g. :7071)")
-		compare   = flag.String("compare", "", "baseline BENCH json for the perf-regression gate")
-		against   = flag.String("against", "", "compare -compare baseline against this BENCH json and exit (no experiments run)")
-		tolerance = flag.Float64("tolerance", bench.DefaultTolerance, "relative regression tolerance for -compare")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event dump of profiled runs to this file")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		exp      = flag.String("exp", "", "experiment to run (or 'all')")
+		warm     = flag.Int("warm", 0, "warm keys (0 = default)")
+		ops      = flag.Int("ops", 0, "measured operations (0 = default)")
+		threads  = flag.String("threads", "", "comma-separated thread sweep")
+		mainThr  = flag.Int("mainthreads", 0, "thread count for single-point experiments")
+		scanLen  = flag.Int("scanlen", 0, "default range query length")
+		seed     = flag.Int64("seed", 0, "workload seed")
+		out      = flag.String("out", ".", "directory for BENCH_<exp>.json records (\"\" disables)")
+		httpOn   = flag.String("http", "", "serve live observation JSON on this address (e.g. :7071)")
+		traceOut = flag.String("trace", "", "write a Chrome trace_event dump of profiled runs to this file")
 	)
 	flag.Parse()
-
-	// Standalone gate: compare two existing reports, run nothing.
-	if *against != "" {
-		if *compare == "" {
-			fmt.Fprintln(os.Stderr, "-against requires -compare <baseline.json>")
-			os.Exit(2)
-		}
-		os.Exit(runGate(*compare, *against, *tolerance))
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
@@ -77,16 +61,6 @@ func main() {
 			fmt.Println("\nrun with -exp <name> or -exp all")
 		}
 		return
-	}
-
-	var baseline *obs.BenchReport
-	if *compare != "" {
-		var err error
-		baseline, err = obs.ReadBenchReport(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
-			os.Exit(2)
-		}
 	}
 
 	scale := bench.Scale{Warm: *warm, Ops: *ops, MainThreads: *mainThr, ScanLen: *scanLen, Seed: *seed}
@@ -169,7 +143,6 @@ func main() {
 		os.Exit(130)
 	}()
 
-	var violations []string
 	for _, e := range selected {
 		start := time.Now()
 		bench.StartReport(e.Name)
@@ -202,49 +175,9 @@ func main() {
 		for _, t := range tabs {
 			t.Fprint(os.Stdout)
 		}
-		if baseline != nil && baseline.Name == rep.Name {
-			violations = append(violations, bench.CompareReports(baseline, rep, *tolerance)...)
-		}
 		fmt.Printf("[%s finished in %.1fs wall]\n\n", e.Name, time.Since(start).Seconds())
 	}
 	flushTrace()
-	if baseline != nil {
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", v)
-			}
-			os.Exit(3)
-		}
-		fmt.Printf("[perf gate passed against %s]\n", *compare)
-	}
-}
-
-// runGate compares two saved reports and returns the process exit code:
-// 0 clean, 3 regressed, 2 unusable input.
-func runGate(basePath, curPath string, tol float64) int {
-	base, err := obs.ReadBenchReport(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
-		return 2
-	}
-	cur, err := obs.ReadBenchReport(curPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "current: %v\n", err)
-		return 2
-	}
-	if cur.Partial {
-		fmt.Fprintf(os.Stderr, "current report %s is partial (%s); refusing to gate on it\n", curPath, cur.Err)
-		return 2
-	}
-	violations := bench.CompareReports(base, cur, tol)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "REGRESSION %s\n", v)
-		}
-		return 3
-	}
-	fmt.Printf("perf gate passed: %d phases within tolerance %.0f%%\n", len(base.Phases), tol*100)
-	return 0
 }
 
 // runExperiment runs one experiment, converting a panic into an error

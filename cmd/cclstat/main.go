@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"sort"
@@ -56,7 +57,7 @@ func main() {
 
 // renderReport prints a recorded run: the per-phase table, then the
 // aggregate per-scope breakdown.
-func renderReport(w *os.File, rep *obs.BenchReport) {
+func renderReport(w io.Writer, rep *obs.BenchReport) {
 	fmt.Fprintf(w, "# %s", rep.Name)
 	if rep.Partial {
 		fmt.Fprintf(w, "  [PARTIAL: %s]", firstLine(rep.Err))
@@ -104,7 +105,7 @@ func renderReport(w *os.File, rep *obs.BenchReport) {
 
 // renderProfile draws the second obs tier — lock contention, critical-
 // path segments, hot leaves — shared by replay and attach modes.
-func renderProfile(w *os.File, p *obs.Profile) {
+func renderProfile(w io.Writer, p *obs.Profile) {
 	if len(p.Locks) > 0 {
 		fmt.Fprintf(w, "\nlock contention (wall ns, sampled):\n")
 		fmt.Fprintf(w, "  %-12s %12s %10s %9s %9s %9s %9s\n",
@@ -211,13 +212,6 @@ func attachLoop(url string, interval time.Duration, once bool) error {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fetchObservation(client *http.Client, url string) (*obs.Observation, error) {
 	resp, err := client.Get(url)
 	if err != nil {
@@ -235,7 +229,7 @@ func fetchObservation(client *http.Client, url string) (*obs.Observation, error)
 }
 
 // renderObservation draws one live frame.
-func renderObservation(w *os.File, url string, o *obs.Observation) {
+func renderObservation(w io.Writer, url string, o *obs.Observation) {
 	fmt.Fprintf(w, "cclstat — %s — %s\n\n", url, time.Now().Format("15:04:05"))
 	fmt.Fprintf(w, "  media writes   %12s      WA factor   %6.2f\n",
 		fmtBytes(o.MediaWriteBytes), o.WAFactor)
@@ -253,7 +247,7 @@ func renderObservation(w *os.File, url string, o *obs.Observation) {
 }
 
 // renderBars prints one bar per scope, widest contributor first.
-func renderBars(w *os.File, byScope map[string]uint64, total uint64) {
+func renderBars(w io.Writer, byScope map[string]uint64, total uint64) {
 	if total == 0 || len(byScope) == 0 {
 		fmt.Fprintln(w, "  (no media writes)")
 		return

@@ -12,17 +12,15 @@
 // Usage:
 //
 //	persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES]
-//	            [-fix [-apply]] [-budget DURATION] [packages...]
+//	            [-budget DURATION] [packages...]
 //
 // Package patterns are directories; a trailing /... recurses. With no
 // arguments it checks ./... from the current directory. Exit status is
 // 0 when no findings, 1 when findings were reported, 2 on usage or
 // parse errors — or when -budget is exceeded. -stats prints analysis
 // self-diagnostics (functions, CFG nodes, call graph, summaries,
-// per-rule counts) to stderr. -fix deletes the stale
-// //persistlint:ignore directives PL007 flags — and nothing else;
-// without -apply it only prints the planned edits. -sarif writes SARIF
-// 2.1.0 to FILE ("-" replaces the default stdout listing).
+// per-rule counts) to stderr. -sarif writes SARIF 2.1.0 to FILE ("-"
+// replaces the default stdout listing).
 package main
 
 import (
@@ -66,11 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fl.Bool("stats", false, "print analysis self-diagnostics to stderr")
 	disable := fl.String("disable", "", "comma-separated rule codes to switch off (e.g. PL008,PL011)")
 	only := fl.String("only", "", "comma-separated rule codes to run exclusively (PL000 always runs)")
-	fix := fl.Bool("fix", false, "delete stale //persistlint:ignore directives flagged by PL007 (prints planned edits; add -apply to write)")
-	apply := fl.Bool("apply", false, "with -fix, write the edits to the files in place")
 	budget := fl.Duration("budget", 0, "fail (exit 2) when parsing+analysis wall-clock exceeds this duration; 0 disables the gate")
 	fl.Usage = func() {
-		fmt.Fprintf(stderr, "usage: persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES] [-fix [-apply]] [-budget DURATION] [packages...]\n")
+		fmt.Fprintf(stderr, "usage: persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES] [-budget DURATION] [packages...]\n")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
@@ -78,10 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *disable != "" && *only != "" {
 		fmt.Fprintf(stderr, "persistlint: -disable and -only are mutually exclusive\n")
-		return 2
-	}
-	if *apply && !*fix {
-		fmt.Fprintf(stderr, "persistlint: -apply requires -fix\n")
 		return 2
 	}
 	if *jsonOut && *sarif == "-" {
@@ -143,16 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var buf strings.Builder
 		serr := writeSARIF(&buf, findings)
 		if serr == nil {
-			serr = writeFileAtomic(*sarif, []byte(buf.String()))
+			serr = os.WriteFile(*sarif, []byte(buf.String()), 0o644)
 		}
 		if serr != nil {
 			fmt.Fprintf(stderr, "persistlint: -sarif: %v\n", serr)
-			return 2
-		}
-	}
-	if *fix {
-		if err := fixStaleDirectives(findings, *apply, stderr); err != nil {
-			fmt.Fprintf(stderr, "persistlint: %v\n", err)
 			return 2
 		}
 	}
@@ -214,72 +200,6 @@ func resolveToggles(disable, only string) ([]string, error) {
 		}
 	}
 	return off, nil
-}
-
-// fixStaleDirectives deletes the directive comments behind PL007
-// findings: a directive alone on its line takes the whole line with
-// it, a trailing directive is trimmed off its code line. Only PL007
-// findings are touched — the fixer never edits code. Without apply it
-// prints the planned edits and leaves the files alone. Applied edits
-// go through a same-directory temp file and rename, so a crash
-// mid-write can never leave a source file truncated.
-func fixStaleDirectives(findings []persist.Finding, apply bool, stderr io.Writer) error {
-	type edit struct{ line, col int }
-	byFile := map[string][]edit{}
-	for _, f := range findings {
-		if f.Code == persist.CodeStaleIgnore {
-			byFile[f.Pos.Filename] = append(byFile[f.Pos.Filename], edit{f.Pos.Line, f.Pos.Column})
-		}
-	}
-	if len(byFile) == 0 {
-		fmt.Fprintf(stderr, "persistlint: -fix found no stale directives\n")
-		return nil
-	}
-	files := make([]string, 0, len(byFile))
-	for f := range byFile {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	total := 0
-	for _, path := range files {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		lines := strings.Split(string(src), "\n")
-		deleted := map[int]bool{}
-		for _, e := range byFile[path] {
-			if e.line < 1 || e.line > len(lines) || e.col < 1 || e.col > len(lines[e.line-1])+1 {
-				return fmt.Errorf("-fix: %s:%d:%d is out of range (file changed under the run?)", path, e.line, e.col)
-			}
-			prefix := lines[e.line-1][:e.col-1]
-			if strings.TrimSpace(prefix) == "" {
-				deleted[e.line] = true
-				fmt.Fprintf(stderr, "persistlint: fix %s:%d: delete stale directive line\n", path, e.line)
-			} else {
-				lines[e.line-1] = strings.TrimRight(prefix, " \t")
-				fmt.Fprintf(stderr, "persistlint: fix %s:%d: strip trailing stale directive\n", path, e.line)
-			}
-			total++
-		}
-		if apply {
-			kept := lines[:0]
-			for i, l := range lines {
-				if !deleted[i+1] {
-					kept = append(kept, l)
-				}
-			}
-			if err := writeFileAtomic(path, []byte(strings.Join(kept, "\n"))); err != nil {
-				return err
-			}
-		}
-	}
-	if apply {
-		fmt.Fprintf(stderr, "persistlint: -fix deleted %d stale directive(s) in %d file(s)\n", total, len(files))
-	} else {
-		fmt.Fprintf(stderr, "persistlint: -fix would delete %d stale directive(s) in %d file(s); rerun with -apply to write\n", total, len(files))
-	}
-	return nil
 }
 
 // printStats emits the self-diagnostic block: CI logs should show what
@@ -375,34 +295,4 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
-}
-
-// writeFileAtomic replaces path's contents via a same-directory temp
-// file and rename, so readers (and crashes) see either the old bytes
-// or the new, never a prefix.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }

@@ -168,7 +168,6 @@ func TestRuleToggleFlags(t *testing.T) {
 		{"-disable", "PL999", leaky},
 		{"-only", "bogus", leaky},
 		{"-disable", "PL001", "-only", "PL002", leaky},
-		{"-apply", leaky},
 	} {
 		out.Reset()
 		errb.Reset()
@@ -193,98 +192,6 @@ func TestBudgetFlag(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"-budget", "1m", leaky}, &out, &errb); code != 1 {
 		t.Errorf("-budget 1m: exit %d, want 1", code)
-	}
-}
-
-// staleSrc carries two stale directives (one on its own line, one
-// trailing a code line) and one live finding the fixer must not touch.
-const staleSrc = `package p
-
-import "cclbtree/internal/pmem"
-
-func lineDirective(t *pmem.Thread, a pmem.Addr) {
-	//persistlint:ignore PL001 the caller used to persist this
-	t.Store(a, 1)
-	t.Persist(a, 8)
-}
-
-func trailingDirective(t *pmem.Thread, a pmem.Addr) {
-	t.Store(a, 1)
-	t.Persist(a, 8) //persistlint:ignore PL002 the epilogue once fenced this
-}
-
-func leakStays(t *pmem.Thread, a pmem.Addr) {
-	t.Store(a, 1)
-}
-`
-
-// fixedSrc is staleSrc after -fix -apply: directive lines deleted,
-// trailing directives stripped, code untouched.
-const fixedSrc = `package p
-
-import "cclbtree/internal/pmem"
-
-func lineDirective(t *pmem.Thread, a pmem.Addr) {
-	t.Store(a, 1)
-	t.Persist(a, 8)
-}
-
-func trailingDirective(t *pmem.Thread, a pmem.Addr) {
-	t.Store(a, 1)
-	t.Persist(a, 8)
-}
-
-func leakStays(t *pmem.Thread, a pmem.Addr) {
-	t.Store(a, 1)
-}
-`
-
-// TestFixStaleDirectives is the golden before/after for -fix: dry run
-// by default, byte-exact edits under -apply, and nothing but PL007
-// directives removed.
-func TestFixStaleDirectives(t *testing.T) {
-	dir := writeDir(t, "stale.go", staleSrc)
-	path := filepath.Join(dir, "stale.go")
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-fix", dir}, &out, &errb); code != 1 {
-		t.Fatalf("-fix dry run: exit %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "would delete 2 stale directive(s)") {
-		t.Errorf("dry run stderr missing plan: %s", errb.String())
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != staleSrc {
-		t.Fatalf("dry run modified the file:\n%s", after)
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-fix", "-apply", dir}, &out, &errb); code != 1 {
-		t.Fatalf("-fix -apply: exit %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "deleted 2 stale directive(s)") {
-		t.Errorf("apply stderr missing summary: %s", errb.String())
-	}
-	after, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != fixedSrc {
-		t.Fatalf("-fix -apply result differs from golden:\n--- got ---\n%s--- want ---\n%s", after, fixedSrc)
-	}
-
-	// The live finding survived; the stale directives are gone for good.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{dir}, &out, &errb); code != 1 {
-		t.Fatalf("post-fix run: exit %d, want 1", code)
-	}
-	if strings.Contains(out.String(), "PL007") || !strings.Contains(out.String(), "PL001") {
-		t.Errorf("post-fix findings wrong:\n%s", out.String())
 	}
 }
 

@@ -47,15 +47,7 @@ func main() {
 	defer db.Close()
 	pool := db.Pool()
 
-	key := func(i int) uint64 {
-		x := uint64(i + 1)
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		return x&(1<<62-1) | 1
-	}
+	key := func(i int) uint64 { return workload.Key(uint64(i + 1)) }
 
 	sessions := make([]*cclbtree.Session, *threads)
 	for i := range sessions {

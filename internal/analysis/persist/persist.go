@@ -110,7 +110,6 @@
 //	t.Persist(a, 8)
 //
 // Fix: delete the directive. PL007 is itself not suppressible.
-// cmd/persistlint -fix deletes stale directives mechanically.
 //
 // PL008 — a struct field accessed through the functional sync/atomic
 // API anywhere (atomic.AddUint64(&d.ticks, 1)) and read or written
@@ -387,11 +386,6 @@ type Analyzer struct {
 	lockDirect map[string][]string
 	lockTrans  map[string][]string
 	lockVia    map[string]map[string]string
-
-	// oneLevel disables the fixpoint (summaries computed against an
-	// empty table) — the pre-whole-program engine, kept as a test knob
-	// so the regression test can prove what the fixpoint buys.
-	oneLevel bool
 
 	// hotPublishes/loadSites/seqFns drive PL015: slots published while
 	// obligations were open, thread Load sites, and functions containing

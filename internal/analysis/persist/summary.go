@@ -63,39 +63,26 @@ func (a *Analyzer) computeSummaries() {
 		}
 	}
 
-	if a.oneLevel {
-		// Regression-test mode: the pre-fixpoint engine. Every summary is
-		// computed against an empty table, so a helper is only credited
-		// for what its own body does — multi-hop discharge is invisible.
-		table := map[string]summary{}
-		for _, n := range a.cg.nodes {
-			if s, ok := a.dischargeSummary(n); ok {
-				table[n.key] = s
+	// Callee-first over the SCC condensation; optimistic within an SCC,
+	// iterated to a (greatest) fixpoint. a.summaries is the live table
+	// the dataflow reads, so a member's recomputation sees its siblings'
+	// current values.
+	for _, comp := range a.cg.sccs {
+		for _, n := range comp {
+			if hasThreadParams(n) {
+				a.summaries[n.key] = summary{coversStore: true, coversFlush: true}
 			}
 		}
-		a.summaries = table
-	} else {
-		// Callee-first over the SCC condensation; optimistic within an
-		// SCC, iterated to a (greatest) fixpoint. a.summaries is the live
-		// table the dataflow reads, so a member's recomputation sees its
-		// siblings' current values.
-		for _, comp := range a.cg.sccs {
+		for changed := true; changed; {
+			changed = false
 			for _, n := range comp {
-				if hasThreadParams(n) {
-					a.summaries[n.key] = summary{coversStore: true, coversFlush: true}
+				if _, ok := a.summaries[n.key]; !ok {
+					continue
 				}
-			}
-			for changed := true; changed; {
-				changed = false
-				for _, n := range comp {
-					if _, ok := a.summaries[n.key]; !ok {
-						continue
-					}
-					s, _ := a.dischargeSummary(n)
-					if s != a.summaries[n.key] {
-						a.summaries[n.key] = s
-						changed = true
-					}
+				s, _ := a.dischargeSummary(n)
+				if s != a.summaries[n.key] {
+					a.summaries[n.key] = s
+					changed = true
 				}
 			}
 		}

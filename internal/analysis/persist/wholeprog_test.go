@@ -5,40 +5,25 @@ import (
 	"testing"
 )
 
-// TestOneLevelSummariesMissWholeProgramDischarge documents why the
-// summary pass iterates to a fixpoint over the call-graph SCCs. The
-// one-level engine (kept behind the oneLevel knob: every summary
-// computed against an empty table) sees hop1 as non-discharging —
-// hop1's only discharge is a call to hop2, which has no summary yet —
-// and sees the evenPersist/oddPersist pair the same way, so it reports
-// the two-hop and mutually-recursive callers in wholeprog.go. The
+// TestMultiHopDischargeIsCredited pins what iterating the summary pass
+// to a fixpoint over the call-graph SCCs buys. In wholeprog.go hop1's
+// only discharge is a call to hop2, and evenPersist/oddPersist discharge
+// only through each other: a helper credited just for what its own body
+// does would leave callerTwoHop and callerMutualRecursion flagged. The
 // fixpoint credits both, while still refusing the pingLeak pair whose
 // bail-out path skips the persist.
-func TestOneLevelSummariesMissWholeProgramDischarge(t *testing.T) {
-	run := func(oneLevel bool) map[string]bool {
-		an := NewAnalyzer()
-		an.oneLevel = oneLevel
-		if err := an.AddFile(filepath.Join("testdata", "wholeprog.go"), nil); err != nil {
-			t.Fatal(err)
-		}
-		leaks := map[string]bool{}
-		for _, f := range an.Run() {
-			if f.Code == CodeStoreNoPersist {
-				leaks[f.Func] = true
-			}
-		}
-		return leaks
+func TestMultiHopDischargeIsCredited(t *testing.T) {
+	an := NewAnalyzer()
+	if err := an.AddFile(filepath.Join("testdata", "wholeprog.go"), nil); err != nil {
+		t.Fatal(err)
 	}
-
-	fixpoint := run(false)
-	if len(fixpoint) != 1 || !fixpoint["callerMutualLeak"] {
-		t.Errorf("fixpoint engine: PL001 in %v, want exactly callerMutualLeak", fixpoint)
-	}
-
-	oneLevel := run(true)
-	for _, fn := range []string{"callerTwoHop", "callerMutualRecursion", "callerMutualLeak"} {
-		if !oneLevel[fn] {
-			t.Errorf("one-level engine unexpectedly credits %s; the regression guard is dead", fn)
+	leaks := map[string]bool{}
+	for _, f := range an.Run() {
+		if f.Code == CodeStoreNoPersist {
+			leaks[f.Func] = true
 		}
+	}
+	if len(leaks) != 1 || !leaks["callerMutualLeak"] {
+		t.Errorf("PL001 in %v, want exactly callerMutualLeak (callerTwoHop and callerMutualRecursion discharge through their callees)", leaks)
 	}
 }

@@ -13,11 +13,11 @@ import (
 	"fmt"
 	"sync"
 
-	"cclbtree/internal/baselines/pmleaf"
 	"cclbtree/internal/index"
 	"cclbtree/internal/memtree"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // Tree is an FPTree instance.
@@ -126,10 +126,7 @@ func (h *handle) insert(key, value uint64) error {
 		img.SetFP(j, pmleaf.FP(key))
 		bm := img.Bitmap()&^(1<<uint(i)) | 1<<uint(j)
 		img.SetMeta(pmleaf.PackMeta(bm, img.Next()))
-		for wd := 0; wd < 4; wd++ {
-			h.t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
-		}
-		h.t.Persist(leaf, 32)
+		pmleaf.WriteHeader(h.t, &img)
 		return nil
 	}
 	j := img.FreeSlot()
@@ -144,10 +141,7 @@ func (h *handle) insert(key, value uint64) error {
 	h.t.Persist(pmleaf.SlotAddr(leaf, j), 16)
 	img.SetFP(j, pmleaf.FP(key))
 	img.SetMeta(pmleaf.PackMeta(img.Bitmap()|1<<uint(j), img.Next()))
-	for wd := 0; wd < 4; wd++ {
-		h.t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
-	}
-	h.t.Persist(leaf, 32)
+	pmleaf.WriteHeader(h.t, &img)
 	return nil
 }
 
@@ -235,7 +229,7 @@ func (h *handle) ApplySorted(kvs []index.KV) error {
 				bm &^= 1 << uint(slot)
 			case slot >= 0:
 				img.SetKV(slot, kv.Key, kv.Value)
-				mark(4 + 2*slot + 1)
+				mark(pmleaf.SlotWord(slot) + 1)
 			case kv.Value == 0:
 				// deleting an absent key: nothing
 			default:
@@ -252,8 +246,8 @@ func (h *handle) ApplySorted(kvs []index.KV) error {
 					img.SetKV(free, kv.Key, kv.Value)
 					img.SetFP(free, f)
 					bm |= 1 << uint(free)
-					mark(4 + 2*free)
-					mark(4 + 2*free + 1)
+					mark(pmleaf.SlotWord(free))
+					mark(pmleaf.SlotWord(free) + 1)
 				}
 			}
 			if full {
@@ -270,10 +264,7 @@ func (h *handle) ApplySorted(kvs []index.KV) error {
 			h.t.Fence()
 		}
 		img.SetMeta(pmleaf.PackMeta(bm, img.Next()))
-		for wd := 0; wd < 4; wd++ {
-			h.t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
-		}
-		h.t.Persist(leaf, 32)
+		pmleaf.WriteHeader(h.t, &img)
 		if full {
 			// Split through the normal path, then continue the batch.
 			img.SetMeta(pmleaf.PackMeta(bm, img.Next()))

@@ -14,11 +14,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cclbtree/internal/baselines/pmleaf"
 	"cclbtree/internal/index"
 	"cclbtree/internal/memtree"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // htmAbortCost is the virtual-time cost of one aborted hardware
@@ -202,7 +202,7 @@ func (h *handle) insertLocked(ref *leafRef, key, value uint64) (bool, error) {
 	if j < headerLineSlots {
 		// Entry and header share the first cacheline: one flush
 		// persists both (the LB+-Tree headline trick).
-		for wd := 0; wd < 4+2*headerLineSlots; wd++ {
+		for wd := 0; wd < pmleaf.SlotWord(headerLineSlots); wd++ {
 			h.t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
 		}
 		h.t.Persist(leaf, 64)
@@ -211,10 +211,7 @@ func (h *handle) insertLocked(ref *leafRef, key, value uint64) (bool, error) {
 	h.t.Store(pmleaf.SlotAddr(leaf, j), key)
 	h.t.Store(pmleaf.SlotAddr(leaf, j).Add(8), value)
 	h.t.Persist(pmleaf.SlotAddr(leaf, j), 16)
-	for wd := 0; wd < 4; wd++ {
-		h.t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
-	}
-	h.t.Persist(leaf, 32)
+	pmleaf.WriteHeader(h.t, &img)
 	return false, nil
 }
 

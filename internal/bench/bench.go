@@ -249,18 +249,7 @@ func loadKey(keys []uint64, i int) uint64 {
 	if keys != nil {
 		return keys[i%len(keys)]
 	}
-	k := uint64(i + 1)
-	// SplitMix64 scramble, masked into the legal key space.
-	k ^= k >> 30
-	k *= 0xbf58476d1ce4e5b9
-	k ^= k >> 27
-	k *= 0x94d049bb133111eb
-	k ^= k >> 31
-	k &= 1<<62 - 1
-	if k == 0 {
-		k = 1
-	}
-	return k
+	return workload.Key(uint64(i + 1))
 }
 
 // blobArena writes fixed-size value blobs for the indirection runs.

@@ -69,6 +69,21 @@ func TestLoadKeyProperties(t *testing.T) {
 			t.Fatalf("loadKey collision at %d", i)
 		}
 		seen[k] = true
+		// Rank i+1 keeps the key the harness has always loaded for it
+		// (SplitMix64 finalizer, masked to 62 bits), so recorded figures
+		// stay comparable.
+		x := uint64(i + 1)
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		if x &= 1<<62 - 1; x == 0 {
+			x = 1
+		}
+		if k != x {
+			t.Fatalf("loadKey(%d) = %#x, want %#x", i, k, x)
+		}
 	}
 	// Explicit key sets wrap.
 	keys := []uint64{7, 8, 9}

@@ -39,8 +39,8 @@ func All() []Experiment {
 		{"fig18", "DRAM/PM consumption vs value size (§5.5)", Fig18},
 		{"fig19", "realistic SOSD-like datasets (§5.5)", Fig19},
 		{"table3", "vs log-structured stores (§5.5)", Table3Exp},
-		{"ycsbb", "extra: YCSB-B contention/heat/segment profile (CI perf gate)", YCSBB},
-		{"ycsbc", "extra: YCSB-C read-only scaling of the lock-free read path, 1 to 8 threads (CI perf gate)", YCSBC},
+		{"ycsbb", "extra: YCSB-B contention/heat/segment profile", YCSBB},
+		{"ycsbc", "extra: YCSB-C read-only scaling of the lock-free read path, 1 to 8 threads", YCSBC},
 		{"batch", "extra: Session.Apply group commit vs per-op writes", BatchExp},
 		{"shards", "extra: serving-tier shard scaling, 1..8 commit lanes", ShardsExp},
 		{"ablation-cache", "extra: buffer-node read caching by Nbatch", AblationCache},

@@ -13,9 +13,8 @@ import (
 // updates) over a Zipfian 0.99 key stream against CCL-BTree with the
 // full second obs tier on — lock-contention profiling, critical-path
 // span attribution and the leaf heatmap — and renders all three next to
-// the throughput row. This is also the experiment the CI regression
-// gate replays (cclbench -compare), so its BENCH json always carries a
-// profile.
+// the throughput row. Its BENCH json always carries a profile, which is
+// what cclstat --replay renders.
 func YCSBB(s Scale) ([]*Table, error) {
 	s = s.withDefaults()
 	pool := NewPool(s.Warm+s.Ops, s.MainThreads)

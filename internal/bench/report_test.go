@@ -89,3 +89,38 @@ func TestRecordPhaseInactive(t *testing.T) {
 		t.Fatalf("phase recorded without an active report: %+v", rep)
 	}
 }
+
+// TestYCSBBCarriesProfile pins the ycsbb experiment's contract with
+// cclstat --replay: its report phase has a profile with segments, locks
+// and hot leaves.
+func TestYCSBBCarriesProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a bench phase")
+	}
+	StartReport("ycsbb")
+	_, err := YCSBB(Scale{Warm: 3000, Ops: 3000, MainThreads: 4, Seed: 1})
+	rep := FinishReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Phases) != 1 {
+		t.Fatalf("ycsbb recorded %d phases, want 1", len(rep.Phases))
+	}
+	p := rep.Phases[0].Profile
+	if p == nil {
+		t.Fatal("ycsbb phase has no profile")
+	}
+	if len(p.Segments) == 0 || len(p.Locks) == 0 || len(p.HotLeaves) == 0 {
+		t.Fatalf("profile incomplete: %d segments, %d locks, %d hot leaves",
+			len(p.Segments), len(p.Locks), len(p.HotLeaves))
+	}
+	var hasP99 bool
+	for _, s := range p.Segments {
+		if s.P99NS > 0 {
+			hasP99 = true
+		}
+	}
+	if !hasP99 {
+		t.Fatal("no segment carries a p99")
+	}
+}

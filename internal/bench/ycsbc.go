@@ -8,8 +8,8 @@ import (
 	"cclbtree/internal/workload"
 )
 
-// readScalingSweep is the YCSB-C thread sweep, and the scale the CI
-// perf gate pins (scripts/perf_baseline_ycsbc.json).
+// readScalingSweep is the YCSB-C thread sweep; TestReadScaling gates
+// its last point against its first.
 var readScalingSweep = []int{1, 2, 4, 8}
 
 // YCSBC runs the read-scaling experiment: a read-only YCSB-C workload

@@ -27,21 +27,15 @@ import (
 	"cclbtree/internal/ordo"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
-// Bucket layout (words): word0 = bitmap(14) | next-overflow (Pack48<<16),
-// word1 = timestamp, words 2-3 = fingerprints, words 4..31 = 14 slots.
+// A bucket is one pmleaf line; its next pointer links the overflow
+// chain.
 const (
-	BucketBytes = 256
-	BucketSlots = 14
-
-	bucketWords = BucketBytes / pmem.WordSize
-	metaWord    = 0
-	tsWord      = 1
-	fpWord      = 2
-	slotBase    = 4
-	bitmapMask  = 1<<BucketSlots - 1
+	BucketBytes = pmleaf.Bytes
+	BucketSlots = pmleaf.Slots
 )
 
 // Options configures the table.
@@ -152,7 +146,7 @@ func New(pool *pmem.Pool, opts Options) (*Table, error) {
 	}
 	h.base = base
 	t := pool.NewThread(0)
-	zero := make([]uint64, bucketWords)
+	zero := make([]uint64, pmleaf.Words)
 	for b := 0; b < opts.Buckets; b++ {
 		t.WriteRange(base.Add(int64(b*BucketBytes)), zero)
 	}
@@ -334,31 +328,6 @@ func (w *Worker) appendLog(key, value uint64) error {
 	return nil
 }
 
-// bucketImg is a DRAM copy of one bucket.
-type bucketImg struct {
-	addr  pmem.Addr
-	words [bucketWords]uint64
-}
-
-func (bi *bucketImg) read(t *pmem.Thread, a pmem.Addr) {
-	bi.addr = a
-	t.ReadRange(a, bi.words[:])
-}
-
-func (bi *bucketImg) bitmap() uint16 { return uint16(bi.words[metaWord] & bitmapMask) }
-func (bi *bucketImg) next() pmem.Addr {
-	raw := bi.words[metaWord] >> 16
-	if raw == 0 {
-		return pmem.NilAddr
-	}
-	return pmem.Unpack48(raw)
-}
-func (bi *bucketImg) key(i int) uint64 { return bi.words[slotBase+2*i] }
-func (bi *bucketImg) val(i int) uint64 { return bi.words[slotBase+2*i+1] }
-func (bi *bucketImg) fpAt(i int) byte {
-	return byte(bi.words[fpWord+i/8] >> (8 * uint(i%8)))
-}
-
 // flushBatch applies the batch to bucket b's chain crash-consistently:
 // plan slot assignments over the whole chain, write data words and
 // fence, then publish headers from the TAIL of the chain back to the
@@ -370,7 +339,7 @@ func (w *Worker) flushBatch(home uint64, batch []kv) error {
 	h := w.h
 
 	type plan struct {
-		img      bucketImg
+		img      pmleaf.Image
 		origNext pmem.Addr // successor before the meta word is rebuilt
 		dirtyLo  int
 		dirtyHi  int
@@ -390,7 +359,7 @@ func (w *Worker) flushBatch(home uint64, batch []kv) error {
 	addr := h.bucketAddr(home)
 	remaining := batch
 	for {
-		p := &plan{dirtyLo: bucketWords, dirtyHi: -1}
+		p := &plan{dirtyLo: pmleaf.Words, dirtyHi: -1}
 		if addr.IsNil() {
 			// Fresh overflow bucket (only reached when live entries
 			// still need slots).
@@ -398,21 +367,21 @@ func (w *Worker) flushBatch(home uint64, batch []kv) error {
 			if err != nil {
 				return fmt.Errorf("cclhash: overflow bucket: %w", err)
 			}
-			p.img.addr = nb
+			p.img.Addr = nb
 			p.fresh = true
 			h.overflowCnt.Add(1)
 		} else {
-			p.img.read(w.t, addr)
-			p.origNext = p.img.next()
+			p.img.Read(w.t, addr)
+			p.origNext = p.img.Next()
 		}
-		bm := p.img.bitmap()
+		bm := p.img.Bitmap()
 		var assigned uint16
 		var deferred []kv
 		for _, e := range remaining {
 			slot := -1
 			f := fp(e.k)
 			for i := 0; i < BucketSlots; i++ {
-				if bm&(1<<uint(i)) != 0 && p.img.fpAt(i) == f && p.img.key(i) == e.k {
+				if bm&(1<<uint(i)) != 0 && p.img.FPAt(i) == f && p.img.Key(i) == e.k {
 					slot = i
 					break
 				}
@@ -422,30 +391,28 @@ func (w *Worker) flushBatch(home uint64, batch []kv) error {
 					bm &^= 1 << uint(slot) // fixed bucket addresses: safe to clear
 					continue
 				}
-				p.img.words[slotBase+2*slot+1] = e.v
-				mark(p, slotBase+2*slot+1)
+				p.img.SetKV(slot, e.k, e.v)
+				mark(p, pmleaf.SlotWord(slot)+1)
 				continue
 			}
 			if e.v == 0 {
 				deferred = append(deferred, e) // may live further down
 				continue
 			}
-			free := ^uint32(bm) & ^uint32(assigned) & bitmapMask
+			free := ^uint32(bm) & ^uint32(assigned) & pmleaf.BitmapMask
 			if free == 0 {
 				deferred = append(deferred, e)
 				continue
 			}
 			i := bits.TrailingZeros32(free)
-			p.img.words[slotBase+2*i] = e.k
-			p.img.words[slotBase+2*i+1] = e.v
-			shift := 8 * uint(i%8)
-			p.img.words[fpWord+i/8] = p.img.words[fpWord+i/8]&^(0xff<<shift) | uint64(f)<<shift
+			p.img.SetKV(i, e.k, e.v)
+			p.img.SetFP(i, f)
 			assigned |= 1 << uint(i)
 			bm |= 1 << uint(i)
-			mark(p, slotBase+2*i)
-			mark(p, slotBase+2*i+1)
+			mark(p, pmleaf.SlotWord(i))
+			mark(p, pmleaf.SlotWord(i)+1)
 		}
-		p.img.words[metaWord] = uint64(bm) & bitmapMask // next filled below
+		p.img.SetMeta(pmleaf.PackMeta(bm, pmem.NilAddr)) // next filled below
 		chain = append(chain, p)
 
 		needSlot := false
@@ -464,32 +431,28 @@ func (w *Worker) flushBatch(home uint64, batch []kv) error {
 	// Re-link: each planned bucket's meta keeps its successor (existing
 	// link or freshly planned bucket).
 	for i, p := range chain {
-		var next pmem.Addr
+		next := p.origNext // preserve any untraversed tail
 		if i+1 < len(chain) {
-			next = chain[i+1].img.addr
-		} else {
-			next = p.origNext // preserve any untraversed tail
+			next = chain[i+1].img.Addr
 		}
-		if !next.IsNil() {
-			p.img.words[metaWord] = p.img.words[metaWord]&bitmapMask | next.Pack48()<<16
-		}
+		p.img.SetMeta(pmleaf.PackMeta(p.img.Bitmap(), next))
 	}
 
 	// Phase 1: data. Fresh buckets persist whole; existing buckets
 	// flush only their dirty slot words. One fence covers them all.
 	for _, p := range chain {
 		if p.fresh {
-			w.t.WriteRange(p.img.addr, p.img.words[:])
-			w.t.Flush(p.img.addr, BucketBytes)
+			w.t.WriteRange(p.img.Addr, p.img.Words[:])
+			w.t.Flush(p.img.Addr, BucketBytes)
 			continue
 		}
 		if p.dirtyHi < 0 {
 			continue
 		}
 		for wd := p.dirtyLo; wd <= p.dirtyHi; wd++ {
-			w.t.Store(p.img.addr.Add(int64(8*wd)), p.img.words[wd])
+			w.t.Store(p.img.Addr.Add(int64(8*wd)), p.img.Words[wd])
 		}
-		w.t.Flush(p.img.addr.Add(int64(8*p.dirtyLo)), 8*(p.dirtyHi-p.dirtyLo+1))
+		w.t.Flush(p.img.Addr.Add(int64(8*p.dirtyLo)), 8*(p.dirtyHi-p.dirtyLo+1))
 	}
 	w.t.Fence()
 
@@ -500,11 +463,8 @@ func (w *Worker) flushBatch(home uint64, batch []kv) error {
 		if p.fresh {
 			continue // already fully persistent
 		}
-		p.img.words[tsWord] = h.clock.Now(w.socket)
-		for wd := 0; wd < slotBase; wd++ {
-			w.t.Store(p.img.addr.Add(int64(8*wd)), p.img.words[wd])
-		}
-		w.t.Persist(p.img.addr, slotBase*pmem.WordSize)
+		p.img.SetTS(h.clock.Now(w.socket))
+		pmleaf.WriteHeader(w.t, &p.img)
 	}
 	return nil
 }
@@ -543,22 +503,18 @@ func (w *Worker) Get(key uint64) (uint64, bool) {
 func (w *Worker) searchChain(key uint64, addr pmem.Addr) (uint64, bool, bool) {
 	f := fp(key)
 	for !addr.IsNil() {
-		var hdr [slotBase]uint64
-		w.t.ReadRange(addr, hdr[:])
-		bm := uint16(hdr[metaWord] & bitmapMask)
+		var hdr pmleaf.Image
+		hdr.ReadHeader(w.t, addr)
+		bm := hdr.Bitmap()
 		for i := 0; i < BucketSlots; i++ {
-			if bm&(1<<uint(i)) == 0 || byte(hdr[fpWord+i/8]>>(8*uint(i%8))) != f {
+			if bm&(1<<uint(i)) == 0 || hdr.FPAt(i) != f {
 				continue
 			}
-			if w.t.Load(addr.Add(int64(8*(slotBase+2*i)))) == key {
-				return w.t.Load(addr.Add(int64(8 * (slotBase + 2*i + 1)))), true, true
+			if slot := pmleaf.SlotAddr(addr, i); w.t.Load(slot) == key {
+				return w.t.Load(slot.Add(8)), true, true
 			}
 		}
-		raw := hdr[metaWord] >> 16
-		if raw == 0 {
-			return 0, false, true
-		}
-		addr = pmem.Unpack48(raw)
+		addr = hdr.Next()
 	}
 	return 0, false, true
 }

@@ -8,6 +8,7 @@ import (
 	"cclbtree/internal/ordo"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -158,15 +159,14 @@ func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) 
 	}
 	homeTS := make([]uint64, opts.Buckets)
 	for b := 0; b < opts.Buckets; b++ {
-		var img bucketImg
-		img.read(t, h.bucketAddr(uint64(b)))
-		homeTS[b] = img.words[tsWord]
-		for next := img.next(); !next.IsNil(); {
+		var img pmleaf.Image
+		img.Read(t, h.bucketAddr(uint64(b)))
+		homeTS[b] = img.TS()
+		for next := img.Next(); !next.IsNil(); {
 			h.overflowCnt.Add(1)
 			track(next, BucketBytes)
-			var o bucketImg
-			o.read(t, next)
-			next = o.next()
+			img.Read(t, next)
+			next = img.Next()
 		}
 	}
 	for s := range maxEnd {
@@ -193,7 +193,7 @@ func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) 
 	}
 	// Reset timestamps for the fresh clock.
 	for b := 0; b < opts.Buckets; b++ {
-		a := h.bucketAddr(uint64(b)).Add(8 * tsWord)
+		a := pmleaf.TSAddr(h.bucketAddr(uint64(b)))
 		t.Store(a, 0)
 		t.Flush(a, 8)
 		if b%64 == 63 {

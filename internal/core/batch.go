@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"cclbtree/internal/obs"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -279,7 +280,7 @@ func (w *Worker) applyRunLocked(n *bufferNode, kvs []KV, gen uint64, e uint32, m
 	} else {
 		relog := tr.epochGen.Load() != gen || n.gcTS >= minTS
 		if !relog {
-			leafTS := w.t.Load(n.leaf.Add(int64(8 * leafTSWord)))
+			leafTS := w.t.Load(pmleaf.TSAddr(n.leaf))
 			relog = leafTS >= minTS
 		}
 		if relog {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -68,8 +69,8 @@ func TestRecoveryDetectsLeafCycle(t *testing.T) {
 	sb := pmem.MakeAddr(0, sbOffset)
 	headLeaf := pmem.Addr(th.Load(sb.Add(8)))
 	meta := th.Load(headLeaf)
-	bitmap, _ := unpackLeafMeta(meta)
-	corruptWord(pool, headLeaf.Offset(), packLeafMeta(bitmap, headLeaf))
+	bitmap, _ := pmleaf.UnpackMeta(meta)
+	corruptWord(pool, headLeaf.Offset(), pmleaf.PackMeta(bitmap, headLeaf))
 	_, _, err := Open(pool, Options{}, 2)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 func TestScanEdges(t *testing.T) {
@@ -119,11 +120,11 @@ func TestMinimalKeyAnchorSurvivesDeletion(t *testing.T) {
 	// routing key (live or fence).
 	th := tr.Pool().NewThread(0)
 	for node := tr.head.next.Load(); node != nil; node = node.next.Load() {
-		var img leafImage
-		readLeaf(th, node.leaf, &img)
+		var img pmleaf.Image
+		img.Read(th, node.leaf)
 		found := false
 		for i := 0; i < LeafSlots; i++ {
-			if img.slotValid(i) && img.key(i) == node.lowKey {
+			if img.Valid(i) && img.Key(i) == node.lowKey {
 				found = true
 				break
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // TestEpochRetireImmediateWhenUnpinned: with no reader inside a
@@ -142,8 +143,8 @@ func TestEpochChainRepublishedMidScan(t *testing.T) {
 	}
 	// The parked reader can still read the retired leaf's PM words —
 	// the address must not have been recycled.
-	var img leafImage
-	readLeaf(reader.t, second.leaf, &img)
+	var img pmleaf.Image
+	img.Read(reader.t, second.leaf)
 
 	// scanNode on the dead node reports scanDead so Scan re-routes.
 	if _, _, st := reader.scanNode(second); st != scanDead {

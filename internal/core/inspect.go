@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -50,21 +51,21 @@ func Inspect(pool *pmem.Pool) (*InspectReport, error) {
 	havePrev := false
 	idx := 0
 	for !cur.IsNil() {
-		var img leafImage
-		readLeaf(t, cur, &img)
+		var img pmleaf.Image
+		img.Read(t, cur)
 		live, fences := 0, 0
 		var minK, maxK uint64
 		first := true
 		for i := 0; i < LeafSlots; i++ {
-			if !img.slotValid(i) {
+			if !img.Valid(i) {
 				continue
 			}
-			if img.val(i) == Tombstone {
+			if img.Val(i) == Tombstone {
 				fences++
 			} else {
 				live++
 			}
-			k := img.key(i)
+			k := img.Key(i)
 			if rep.VarKV {
 				continue // byte keys: order check skipped here
 			}
@@ -90,7 +91,7 @@ func Inspect(pool *pmem.Pool) (*InspectReport, error) {
 			prevMax = maxK
 			havePrev = true
 		}
-		cur = img.next()
+		cur = img.Next()
 		idx++
 	}
 	rep.PMLeafBytes = int64(rep.Leaves) * LeafBytes

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 func TestInspectHealthyTree(t *testing.T) {
@@ -55,12 +56,12 @@ func TestInspectDetectsOrderViolation(t *testing.T) {
 	if second == nil {
 		t.Skip("tree too small")
 	}
-	var img leafImage
-	readLeaf(th, second.leaf, &img)
+	var img pmleaf.Image
+	img.Read(th, second.leaf)
 	for i := 0; i < LeafSlots; i++ {
-		if img.slotValid(i) {
-			th.Store(second.leaf.Add(int64(8*(leafSlotBase+2*i))), 1<<60)
-			th.Persist(second.leaf.Add(int64(8*(leafSlotBase+2*i))), 8)
+		if img.Valid(i) {
+			th.Store(pmleaf.SlotAddr(second.leaf, i), 1<<60)
+			th.Persist(pmleaf.SlotAddr(second.leaf, i), 8)
 			break
 		}
 	}

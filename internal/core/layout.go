@@ -1,108 +1,16 @@
 package core
 
-import "cclbtree/internal/pmem"
+import "cclbtree/internal/pmleaf"
 
-// Leaf node layout (§4.1, Fig 7b). One leaf is exactly 256 B = one
-// XPLine, so a batch flush touches a single media line:
-//
-//	word 0        meta: 14-bit validity bitmap | 2 reserved bits |
-//	              48-bit packed next-leaf pointer. Bitmap and next
-//	              share one 8 B word so a split or merge publishes
-//	              atomically (§4.2).
-//	word 1        timestamp (failure recovery, §3.3)
-//	words 2–3     14 × 1 B fingerprints + 2 B pad
-//	words 4–31    14 KV slots (key word, value word), unsorted
+// A leaf is one pmleaf line (§4.1, Fig 7b): exactly 256 B = one XPLine,
+// so a batch flush touches a single media line. The format lives in
+// internal/pmleaf; only the fingerprint function below is the tree's
+// own.
 const (
-	LeafBytes = 256
+	LeafBytes = pmleaf.Bytes
 	// LeafSlots is the KV capacity: (256 − 32) / 16.
-	LeafSlots = 14
-
-	leafWords     = LeafBytes / pmem.WordSize
-	leafMetaWord  = 0
-	leafTSWord    = 1
-	leafFPWord    = 2 // fingerprints occupy words 2 and 3
-	leafSlotBase  = 4 // slot i: key at 4+2i, value at 5+2i
-	leafHeaderLen = 4 // words 0–3 = 32 B metadata region
+	LeafSlots = pmleaf.Slots
 )
-
-const bitmapMask = 1<<LeafSlots - 1
-
-// packLeafMeta builds the meta word from a validity bitmap and the next
-// leaf address.
-func packLeafMeta(bitmap uint16, next pmem.Addr) uint64 {
-	v := uint64(bitmap) & bitmapMask
-	if !next.IsNil() {
-		v |= next.Pack48() << 16
-	}
-	return v
-}
-
-func unpackLeafMeta(meta uint64) (bitmap uint16, next pmem.Addr) {
-	bitmap = uint16(meta & bitmapMask)
-	raw := meta >> 16
-	if raw == 0 {
-		return bitmap, pmem.NilAddr
-	}
-	return bitmap, pmem.Unpack48(raw)
-}
-
-// leafImage is a DRAM copy of one leaf, loaded with a single ReadRange
-// (the whole leaf is one XPLine, so this charges one media access when
-// cold).
-type leafImage struct {
-	words [leafWords]uint64
-}
-
-func (li *leafImage) meta() uint64     { return li.words[leafMetaWord] }
-func (li *leafImage) setMeta(v uint64) { li.words[leafMetaWord] = v }
-func (li *leafImage) ts() uint64       { return li.words[leafTSWord] }
-func (li *leafImage) setTS(v uint64)   { li.words[leafTSWord] = v }
-func (li *leafImage) bitmap() uint16   { b, _ := unpackLeafMeta(li.meta()); return b }
-func (li *leafImage) next() pmem.Addr  { _, n := unpackLeafMeta(li.meta()); return n }
-func (li *leafImage) key(i int) uint64 { return li.words[leafSlotBase+2*i] }
-func (li *leafImage) val(i int) uint64 { return li.words[leafSlotBase+2*i+1] }
-func (li *leafImage) setKV(i int, k, v uint64) {
-	li.words[leafSlotBase+2*i] = k
-	li.words[leafSlotBase+2*i+1] = v
-}
-
-func (li *leafImage) fp(i int) byte {
-	w := li.words[leafFPWord+i/8]
-	return byte(w >> (8 * uint(i%8)))
-}
-
-func (li *leafImage) setFP(i int, f byte) {
-	w := &li.words[leafFPWord+i/8]
-	shift := 8 * uint(i%8)
-	*w = *w&^(0xff<<shift) | uint64(f)<<shift
-}
-
-func (li *leafImage) slotValid(i int) bool {
-	return li.bitmap()&(1<<uint(i)) != 0
-}
-
-func (li *leafImage) validCount() int {
-	n := 0
-	for b := li.bitmap(); b != 0; b &= b - 1 {
-		n++
-	}
-	return n
-}
-
-func (li *leafImage) freeSlot() int {
-	b := li.bitmap()
-	for i := 0; i < LeafSlots; i++ {
-		if b&(1<<uint(i)) == 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// readLeaf loads a whole leaf into img.
-func readLeaf(t *pmem.Thread, leaf pmem.Addr, img *leafImage) {
-	t.ReadRange(leaf, img.words[:])
-}
 
 // fpHash derives the 1 B fingerprint from a key hash (FPTree-style,
 // used to filter PM reads in point queries).

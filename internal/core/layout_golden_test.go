@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // goldenLine is one raw 256 B PM line.
@@ -99,5 +100,82 @@ func TestLeafLayoutGolden(t *testing.T) {
 	second := tr.head.next.Load()
 	if second == nil || next == 0 || pmem.Unpack48(next) != second.leaf {
 		t.Fatalf("meta word's next %#x does not name the second leaf", next)
+	}
+}
+
+// TestLeafReadsIdenticallyThroughSharedType walks a tree the write path
+// built and checks that pmleaf.Image — the one definition of the line —
+// decodes every leaf exactly as the format spec above does, and that
+// Inspect, which reads through the same type, reports the same totals.
+func TestLeafReadsIdenticallyThroughSharedType(t *testing.T) {
+	tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+	for i := uint64(0); i < 500; i++ {
+		k := i*7%503 + 1
+		if err := w.Upsert(k, k*0x101); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(1); k <= 500; k += 9 {
+		if err := w.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	th := tr.Pool().NewThread(0)
+	leaves, live, fences := 0, 0, 0
+	var fill [LeafSlots + 1]int
+	for leaf := tr.head.leaf; !leaf.IsNil(); {
+		var raw goldenLine
+		th.ReadRange(leaf, raw[:])
+		var img pmleaf.Image
+		img.Read(th, leaf)
+		if img.Words != raw {
+			t.Fatalf("leaf %v: Image.Read loaded %#x, media holds %#x", leaf, img.Words, raw)
+		}
+		bitmap, next, ts, fps, kvs := decodeGoldenLine(raw)
+		if img.Bitmap() != bitmap || img.TS() != ts || img.Meta() != raw[0] {
+			t.Fatalf("leaf %v: header decodes to bitmap %#x ts %d, spec says %#x %d", leaf, img.Bitmap(), img.TS(), bitmap, ts)
+		}
+		wantNext := pmem.NilAddr
+		if next != 0 {
+			wantNext = pmem.Unpack48(next)
+		}
+		if img.Next() != wantNext {
+			t.Fatalf("leaf %v: next %v, spec says %v", leaf, img.Next(), wantNext)
+		}
+		n := 0
+		for i := 0; i < LeafSlots; i++ {
+			if img.Valid(i) != (bitmap&(1<<uint(i)) != 0) || img.FPAt(i) != fps[i] ||
+				img.Key(i) != kvs[i][0] || img.Val(i) != kvs[i][1] {
+				t.Fatalf("leaf %v slot %d: Image and spec disagree", leaf, i)
+			}
+			if !img.Valid(i) {
+				continue
+			}
+			n++
+			if img.Val(i) == Tombstone {
+				fences++
+			} else {
+				live++
+			}
+		}
+		if img.Count() != n {
+			t.Fatalf("leaf %v: Count %d, %d valid slots", leaf, img.Count(), n)
+		}
+		fill[n]++
+		leaves++
+		leaf = img.Next()
+	}
+
+	rep, err := Inspect(tr.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Leaves != leaves || rep.LiveEntries != live || rep.FenceEntries != fences || rep.FillHistogram != fill {
+		t.Errorf("Inspect: %d leaves, %d live, %d fences, fill %v; walk through pmleaf.Image: %d, %d, %d, %v",
+			rep.Leaves, rep.LiveEntries, rep.FenceEntries, rep.FillHistogram, leaves, live, fences, fill)
+	}
+	if leaves < 30 || fences == 0 {
+		t.Errorf("walk covered %d leaves and %d fences: tree too small to mean anything", leaves, fences)
 	}
 }

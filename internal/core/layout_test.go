@@ -6,24 +6,29 @@ import (
 	"testing/quick"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
+
+// The leaf-format tests below predate the shared pmleaf type and keep
+// checking it from the tree's side: the properties are the ones split,
+// merge and recovery rely on.
 
 func TestLeafMetaPacking(t *testing.T) {
 	next := pmem.MakeAddr(1, 0xabc00)
 	for _, bm := range []uint16{0, 1, 0x3fff, 0x2a2a} {
-		m := packLeafMeta(bm, next)
-		gb, gn := unpackLeafMeta(m)
+		m := pmleaf.PackMeta(bm, next)
+		gb, gn := pmleaf.UnpackMeta(m)
 		if gb != bm || gn != next {
 			t.Fatalf("roundtrip bm=%x: got %x,%v", bm, gb, gn)
 		}
 	}
 	// Nil next must unpack to nil.
-	if _, n := unpackLeafMeta(packLeafMeta(7, pmem.NilAddr)); !n.IsNil() {
+	if _, n := pmleaf.UnpackMeta(pmleaf.PackMeta(7, pmem.NilAddr)); !n.IsNil() {
 		t.Fatal("nil next lost")
 	}
 	// Bitmap bits beyond 14 must not leak into the pointer field.
-	m := packLeafMeta(0xffff, pmem.NilAddr)
-	if bm, n := unpackLeafMeta(m); bm != bitmapMask || !n.IsNil() {
+	m := pmleaf.PackMeta(0xffff, pmem.NilAddr)
+	if bm, n := pmleaf.UnpackMeta(m); bm != pmleaf.BitmapMask || !n.IsNil() {
 		t.Fatalf("overflow bits leaked: %x %v", bm, n)
 	}
 }
@@ -31,8 +36,8 @@ func TestLeafMetaPacking(t *testing.T) {
 func TestLeafMetaPackingQuick(t *testing.T) {
 	f := func(bm uint16, off uint32) bool {
 		next := pmem.MakeAddr(int(off%4), uint64(off)&^(0xff)|0x100)
-		gb, gn := unpackLeafMeta(packLeafMeta(bm, next))
-		return gb == bm&bitmapMask && gn == next
+		gb, gn := pmleaf.UnpackMeta(pmleaf.PackMeta(bm, next))
+		return gb == bm&pmleaf.BitmapMask && gn == next
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -40,48 +45,48 @@ func TestLeafMetaPackingQuick(t *testing.T) {
 }
 
 func TestLeafImageAccessors(t *testing.T) {
-	var img leafImage
-	img.setKV(5, 123, 456)
-	img.setFP(5, 0x7e)
-	img.setTS(999)
-	img.setMeta(packLeafMeta(1<<5, pmem.NilAddr))
-	if img.key(5) != 123 || img.val(5) != 456 {
+	var img pmleaf.Image
+	img.SetKV(5, 123, 456)
+	img.SetFP(5, 0x7e)
+	img.SetTS(999)
+	img.SetMeta(pmleaf.PackMeta(1<<5, pmem.NilAddr))
+	if img.Key(5) != 123 || img.Val(5) != 456 {
 		t.Fatal("kv accessors")
 	}
-	if img.fp(5) != 0x7e {
+	if img.FPAt(5) != 0x7e {
 		t.Fatal("fp accessor")
 	}
-	if img.ts() != 999 {
+	if img.TS() != 999 {
 		t.Fatal("ts accessor")
 	}
-	if !img.slotValid(5) || img.slotValid(4) {
+	if !img.Valid(5) || img.Valid(4) {
 		t.Fatal("validity")
 	}
-	if img.validCount() != 1 {
-		t.Fatal("validCount")
+	if img.Count() != 1 {
+		t.Fatal("Count")
 	}
-	if img.freeSlot() != 0 {
-		t.Fatal("freeSlot")
+	if img.FreeSlot() != 0 {
+		t.Fatal("FreeSlot")
 	}
 	// Setting one fingerprint must not disturb neighbours.
-	img.setFP(4, 0x11)
-	img.setFP(6, 0x22)
-	if img.fp(5) != 0x7e || img.fp(4) != 0x11 || img.fp(6) != 0x22 {
+	img.SetFP(4, 0x11)
+	img.SetFP(6, 0x22)
+	if img.FPAt(5) != 0x7e || img.FPAt(4) != 0x11 || img.FPAt(6) != 0x22 {
 		t.Fatal("fp neighbours disturbed")
 	}
 }
 
 func TestLeafImageFPAllSlots(t *testing.T) {
-	var img leafImage
+	var img pmleaf.Image
 	want := make([]byte, LeafSlots)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < LeafSlots; i++ {
 		want[i] = byte(rng.Intn(256))
-		img.setFP(i, want[i])
+		img.SetFP(i, want[i])
 	}
 	for i := 0; i < LeafSlots; i++ {
-		if img.fp(i) != want[i] {
-			t.Fatalf("fp[%d] = %x want %x", i, img.fp(i), want[i])
+		if img.FPAt(i) != want[i] {
+			t.Fatalf("fp[%d] = %x want %x", i, img.FPAt(i), want[i])
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"cclbtree/internal/obs"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // leafSearch performs the §4.3 point lookup inside one PM leaf: read
@@ -23,35 +24,31 @@ func (w *Worker) leafSearch(leaf pmem.Addr, key uint64) (uint64, bool) {
 func (w *Worker) leafSearchFP(leaf pmem.Addr, key uint64, target byte) (uint64, bool) {
 	tr := w.tree
 
-	var hdr [leafHeaderLen]uint64
-	w.t.ReadRange(leaf, hdr[:])
-	bitmap, _ := unpackLeafMeta(hdr[leafMetaWord])
+	var hdr pmleaf.Image
+	hdr.ReadHeader(w.t, leaf)
+	bitmap := hdr.Bitmap()
 	for i := 0; i < LeafSlots; i++ {
-		if bitmap&(1<<uint(i)) == 0 {
+		if bitmap&(1<<uint(i)) == 0 || hdr.FPAt(i) != target {
 			continue
 		}
-		if byte(hdr[leafFPWord+i/8]>>(8*uint(i%8))) != target {
+		slot := pmleaf.SlotAddr(leaf, i)
+		if tr.compare(w.t, w.t.Load(slot), key) != 0 {
 			continue
 		}
-		k := w.t.Load(leaf.Add(int64(8 * (leafSlotBase + 2*i))))
-		if tr.compare(w.t, k, key) != 0 {
-			continue
-		}
-		v := w.t.Load(leaf.Add(int64(8 * (leafSlotBase + 2*i + 1))))
-		return v, true
+		return w.t.Load(slot.Add(8)), true
 	}
 	return 0, false
 }
 
 // findLeafSlot locates key among the slots set in bitmap, using the
 // fingerprint array of img to avoid comparisons.
-func (w *Worker) findLeafSlot(img *leafImage, bitmap uint16, key uint64) int {
+func (w *Worker) findLeafSlot(img *pmleaf.Image, bitmap uint16, key uint64) int {
 	target := w.tree.keyFingerprint(w.t, key)
 	for i := 0; i < LeafSlots; i++ {
-		if bitmap&(1<<uint(i)) == 0 || img.fp(i) != target {
+		if bitmap&(1<<uint(i)) == 0 || img.FPAt(i) != target {
 			continue
 		}
-		if w.tree.compare(w.t, img.key(i), key) == 0 {
+		if w.tree.compare(w.t, img.Key(i), key) == 0 {
 			return i
 		}
 	}
@@ -99,7 +96,7 @@ func (w *Worker) leafBatchInsert(n *bufferNode, batch []KV) (int, error) {
 
 func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Addr, overrideNext bool) (int, error) {
 	tr := w.tree
-	var img leafImage
+	var img pmleaf.Image
 	// Attribute the flush to leafbuf only when no task scope is active:
 	// a GC- or recovery-driven flush stays charged to its task, so "gc"
 	// media bytes remain visibly gc-caused (the nesting contract in
@@ -108,12 +105,12 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 		defer w.t.PopScope(w.t.PushScope(pmem.ScopeLeafBuf))
 	}
 	tr.tracer.Emit(obs.EvFlushBatch, w.id, w.t.Now(), uint64(len(batch)), uint64(n.lowKey))
-	readLeaf(w.t, n.leaf, &img)
+	img.Read(w.t, n.leaf)
 
-	orig := img.bitmap()
+	orig := img.Bitmap()
 	cur := orig
 	var assigned uint16 // slots given to new keys in this batch
-	dirtyLo, dirtyHi := leafWords, -1
+	dirtyLo, dirtyHi := pmleaf.Words, -1
 	markDirty := func(word int) {
 		if word < dirtyLo {
 			dirtyLo = word
@@ -135,15 +132,15 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 			// the leaf's true low key. Fences are compacted away by
 			// splits and merges, whose timestamp bump makes dropping
 			// them safe against any older WAL entry.
-			img.setKV(slot, img.key(slot), kv.Value)
-			markDirty(leafSlotBase + 2*slot + 1)
+			img.SetKV(slot, img.Key(slot), kv.Value)
+			markDirty(pmleaf.SlotWord(slot) + 1)
 			continue
 		}
 		if kv.Value == Tombstone {
 			continue // deleting an absent key
 		}
 		// New key: needs a slot free under the ORIGINAL bitmap.
-		freeMask := ^uint32(orig) & ^uint32(assigned) & bitmapMask
+		freeMask := ^uint32(orig) & ^uint32(assigned) & pmleaf.BitmapMask
 		if freeMask == 0 {
 			if overrideNext {
 				return 0, fmt.Errorf("core: merge batch overflowed leaf (capacity pre-check bug)")
@@ -151,38 +148,35 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 			return w.splitLeaf(n, &img, batch)
 		}
 		slot = bits.TrailingZeros32(freeMask)
-		img.setKV(slot, kv.Key, kv.Value)
-		img.setFP(slot, tr.keyFingerprint(w.t, kv.Key))
+		img.SetKV(slot, kv.Key, kv.Value)
+		img.SetFP(slot, tr.keyFingerprint(w.t, kv.Key))
 		assigned |= 1 << uint(slot)
 		cur |= 1 << uint(slot)
-		markDirty(leafSlotBase + 2*slot)
-		markDirty(leafSlotBase + 2*slot + 1)
+		markDirty(pmleaf.SlotWord(slot))
+		markDirty(pmleaf.SlotWord(slot) + 1)
 	}
 
 	// Step 1+2: data region.
 	if dirtyHi >= 0 {
 		for wd := dirtyLo; wd <= dirtyHi; wd++ {
-			w.t.Store(n.leaf.Add(int64(8*wd)), img.words[wd])
+			w.t.Store(n.leaf.Add(int64(8*wd)), img.Words[wd])
 		}
 		w.t.Flush(n.leaf.Add(int64(8*dirtyLo)), 8*(dirtyHi-dirtyLo+1))
 		w.t.Fence()
 	}
 	// Step 3: metadata region (fingerprints + timestamp + bitmap/next),
 	// single cacheline, atomic publish through the meta word.
-	next := img.next()
+	next := img.Next()
 	if overrideNext {
 		next = newNext
 	}
-	img.setTS(w.stampLeafTS(img.ts()))
-	img.setMeta(packLeafMeta(cur, next))
-	for wd := 0; wd < leafHeaderLen; wd++ {
-		w.t.Store(n.leaf.Add(int64(8*wd)), img.words[wd])
-	}
-	w.t.Persist(n.leaf, leafHeaderLen*pmem.WordSize)
+	img.SetTS(w.stampLeafTS(img.TS()))
+	img.SetMeta(pmleaf.PackMeta(cur, next))
+	pmleaf.WriteHeader(w.t, &img)
 	// Report live (non-fence) occupancy for the merge heuristic.
 	live := 0
 	for i := 0; i < LeafSlots; i++ {
-		if cur&(1<<uint(i)) != 0 && img.val(i) != Tombstone {
+		if cur&(1<<uint(i)) != 0 && img.Val(i) != Tombstone {
 			live++
 		}
 	}
@@ -225,7 +219,7 @@ type splitScratch struct {
 // packing the overflow into full leaves right away is what lets one
 // coalesced trigger write absorb the whole run instead of re-splitting
 // the same right edge every half-leaf of progress.
-func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, error) {
+func (w *Worker) splitLeaf(n *bufferNode, img *pmleaf.Image, batch []KV) (int, error) {
 	tr := w.tree
 	// Structural writes override a leafbuf scope but not an active task
 	// scope (gc, recovery).
@@ -236,8 +230,8 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 	sc := &w.split
 	refs := sc.refs[:0]
 	for i := 0; i < LeafSlots; i++ {
-		if img.slotValid(i) {
-			refs = append(refs, slotRef{KV{img.key(i), img.val(i)}, i})
+		if img.Valid(i) {
+			refs = append(refs, slotRef{KV{img.Key(i), img.Val(i)}, i})
 		}
 	}
 	sc.refs = refs
@@ -335,20 +329,20 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 		chunk := rkvs[off : off+news[k].size]
 		off += news[k].size
 		news[k].low = chunk[0].Key
-		var rimg leafImage
+		rimg := pmleaf.Image{Addr: news[k].addr}
 		var rbm uint16
 		for i, kv := range chunk {
-			rimg.setKV(i, kv.Key, kv.Value)
-			rimg.setFP(i, tr.keyFingerprint(w.t, kv.Key))
+			rimg.SetKV(i, kv.Key, kv.Value)
+			rimg.SetFP(i, tr.keyFingerprint(w.t, kv.Key))
 			rbm |= 1 << uint(i)
 		}
-		next := img.next()
+		next := img.Next()
 		if k < numNew-1 {
 			next = news[k+1].addr
 		}
-		rimg.setTS(w.stampLeafTS(0))
-		rimg.setMeta(packLeafMeta(rbm, next))
-		tr.writeWholeLeaf(w.t, news[k].addr, &rimg)
+		rimg.SetTS(w.stampLeafTS(0))
+		rimg.SetMeta(pmleaf.PackMeta(rbm, next))
+		pmleaf.WriteWhole(w.t, &rimg)
 	}
 
 	// The left leaf keeps its physical slots below splitKey, compacting
@@ -374,9 +368,9 @@ func (w *Worker) splitLeaf(n *bufferNode, img *leafImage, batch []KV) (int, erro
 	// flush-boundary fault sweep). The retained timestamp still gates
 	// everything the leaf's last completed flush covered, so dropping
 	// fences above stays safe.
-	img.setMeta(packLeafMeta(leftBm, news[0].addr))
-	w.t.Store(n.leaf.Add(8*leafMetaWord), img.meta())
-	w.t.Persist(n.leaf.Add(8*leafMetaWord), pmem.WordSize)
+	img.SetMeta(pmleaf.PackMeta(leftBm, news[0].addr))
+	w.t.Store(pmleaf.MetaAddr(n.leaf), img.Meta())
+	w.t.Persist(pmleaf.MetaAddr(n.leaf), pmem.WordSize)
 
 	// DRAM structures: new buffer nodes, chain links, inner routing.
 	// The whole new segment is wired internally before the single
@@ -471,9 +465,9 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 	if s := w.t.Scope(); s == pmem.ScopeNone || s == pmem.ScopeLeafBuf {
 		defer w.t.PopScope(w.t.PushScope(pmem.ScopeSplit))
 	}
-	var limg, nimg leafImage
-	readLeaf(w.t, left.leaf, &limg)
-	readLeaf(w.t, n.leaf, &nimg)
+	var limg, nimg pmleaf.Image
+	limg.Read(w.t, left.leaf)
+	nimg.Read(w.t, n.leaf)
 
 	lpos, leb, _ := unpackHdr(left.hdr.Load())
 	npos, _, _ := unpackHdr(n.hdr.Load())
@@ -482,7 +476,7 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 	// (non-fence) entries.
 	nLive := 0
 	for i := 0; i < LeafSlots; i++ {
-		if nimg.slotValid(i) && nimg.val(i) != Tombstone {
+		if nimg.Valid(i) && nimg.Val(i) != Tombstone {
 			nLive++
 		}
 	}
@@ -500,8 +494,8 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 		batch = append(batch, KV{left.slotKey(i), left.slotVal(i)})
 	}
 	for i := 0; i < LeafSlots; i++ {
-		if nimg.slotValid(i) && nimg.val(i) != Tombstone {
-			batch = append(batch, KV{nimg.key(i), nimg.val(i)})
+		if nimg.Valid(i) && nimg.Val(i) != Tombstone {
+			batch = append(batch, KV{nimg.Key(i), nimg.Val(i)})
 		}
 	}
 	for i := 0; i < npos; i++ {
@@ -511,11 +505,11 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 
 	// Conservative capacity check: every batch entry may need a fresh
 	// slot ("left sibling has enough space", §4.2).
-	if limg.validCount()+len(batch) > LeafSlots {
+	if limg.Count()+len(batch) > LeafSlots {
 		return false
 	}
 
-	if _, err := w.leafBatchInsertNext(left, batch, nimg.next(), true); err != nil {
+	if _, err := w.leafBatchInsertNext(left, batch, nimg.Next(), true); err != nil {
 		return false
 	}
 	left.hdr.Store(packHdr(0, leb, false))

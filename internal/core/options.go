@@ -71,9 +71,6 @@ type Options struct {
 	// pointers (§4.4 Optimization #3). Key comparisons then chase the
 	// pointers, exactly the overhead Fig 15b measures.
 	VarKV bool
-	// OrdoBoundary is the cross-socket timestamp uncertainty window in
-	// ticks (default 16).
-	OrdoBoundary uint64
 	// DirSlots is the capacity of the persistent log-chunk directory
 	// used by recovery (default 4096 chunks = 16 GB of logs at 4 MB).
 	DirSlots int
@@ -119,7 +116,9 @@ const (
 	defaultNbatch   = 2
 	defaultTHlog    = 0.20
 	defaultDirSlots = 4096
-	defaultOrdo     = 16
+	// defaultOrdo is the cross-socket timestamp uncertainty window in
+	// ticks.
+	defaultOrdo = 16
 )
 
 func (o Options) withDefaults() (Options, error) {
@@ -137,9 +136,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.ChunkBytes == 0 {
 		o.ChunkBytes = 4 << 20
-	}
-	if o.OrdoBoundary == 0 {
-		o.OrdoBoundary = defaultOrdo
 	}
 	if o.DirSlots == 0 {
 		o.DirSlots = defaultDirSlots

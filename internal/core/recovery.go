@@ -8,6 +8,7 @@ import (
 	"cclbtree/internal/ordo"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -113,7 +114,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	tr := &Tree{
 		pool:   pool,
 		alloc:  alloc,
-		clock:  ordo.New(pool.Sockets(), opts.OrdoBoundary),
+		clock:  ordo.New(pool.Sockets(), defaultOrdo),
 		opts:   opts,
 		gcDone: make(chan struct{}),
 	}
@@ -202,17 +203,17 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	seen := map[pmem.Addr]bool{headLeaf: true}
 	cur := headLeaf
 	for !cur.IsNil() {
-		var img leafImage
-		readLeaf(t0, cur, &img)
+		var img pmleaf.Image
+		img.Read(t0, cur)
 		track(cur, LeafBytes)
 		// Leaf flush timestamps come from the same clock that stamps WAL
 		// entries, so they share its bound; anything larger is corruption
 		// (and would poison the resumed clock below).
-		if img.ts() > wal.MaxTick {
-			return nil, nil, corruptf("leaf", cur, "flush timestamp %#x impossible", img.ts())
+		if img.TS() > wal.MaxTick {
+			return nil, nil, corruptf("leaf", cur, "flush timestamp %#x impossible", img.TS())
 		}
-		noteTick(img.ts())
-		next := img.next()
+		noteTick(img.TS())
+		next := img.Next()
 		if !next.IsNil() {
 			if !pool.ValidRange(next, LeafBytes) || next.Offset()%LeafBytes != 0 {
 				return nil, nil, corruptf("leaf list", next, "next pointer invalid")
@@ -222,13 +223,13 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 			}
 			seen[next] = true
 		}
-		if img.bitmap() == 0 && cur != headLeaf {
+		if img.Bitmap() == 0 && cur != headLeaf {
 			// Unlink: predecessor's meta gets our successor, one
 			// atomic word. The leaf is reclaimed afterwards.
-			var pimg leafImage
-			readLeaf(t0, prevLeaf, &pimg)
-			pimg.setMeta(packLeafMeta(pimg.bitmap(), next))
-			t0.Store(prevLeaf.Add(8*leafMetaWord), pimg.meta())
+			var pimg pmleaf.Image
+			pimg.Read(t0, prevLeaf)
+			pimg.SetMeta(pmleaf.PackMeta(pimg.Bitmap(), next))
+			t0.Store(pmleaf.MetaAddr(prevLeaf), pimg.Meta())
 			t0.Persist(prevLeaf, pmem.WordSize)
 			emptyLeaves = append(emptyLeaves, cur)
 			st.EmptyLeavesReclaimed++
@@ -236,16 +237,16 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 			continue
 		}
 		for i := 0; i < LeafSlots; i++ {
-			if !img.slotValid(i) {
+			if !img.Valid(i) {
 				continue
 			}
-			if !keyOK(img.key(i)) || !valOK(img.val(i)) {
+			if !keyOK(img.Key(i)) || !valOK(img.Val(i)) {
 				return nil, nil, corruptf("leaf", cur, "slot %d words impossible in this mode", i)
 			}
-			if err := trackWord(img.key(i)); err != nil {
+			if err := trackWord(img.Key(i)); err != nil {
 				return nil, nil, err
 			}
-			if err := trackWord(img.val(i)); err != nil {
+			if err := trackWord(img.Val(i)); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -253,11 +254,11 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		if cur != headLeaf {
 			first := true
 			for i := 0; i < LeafSlots; i++ {
-				if !img.slotValid(i) {
+				if !img.Valid(i) {
 					continue
 				}
-				if first || tr.compare(t0, img.key(i), lowKey) < 0 {
-					lowKey = img.key(i)
+				if first || tr.compare(t0, img.Key(i), lowKey) < 0 {
+					lowKey = img.Key(i)
 					first = false
 				}
 			}
@@ -368,7 +369,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	// Resume the tick domain past the image (plus the uncertainty
 	// boundary, so post-recovery ticks are *definitely* after pre-crash
 	// ones) before the replay workers start stamping.
-	tr.clock.AdvanceTo(maxTick + opts.OrdoBoundary)
+	tr.clock.AdvanceTo(maxTick + defaultOrdo)
 	// Route each candidate and compare with its leaf's pre-crash
 	// timestamp, in parallel (read-only).
 	replayLists := make([][]KV, threads)
@@ -381,7 +382,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 			for j := i; j < len(candidates); j += threads {
 				p := candidates[j]
 				n := tr.findBuffer(t, p.kv.Key)
-				leafTS := t.Load(n.leaf.Add(8 * leafTSWord))
+				leafTS := t.Load(pmleaf.TSAddr(n.leaf))
 				if p.ts > leafTS {
 					replayLists[i] = append(replayLists[i], p.kv)
 				} else {

@@ -9,6 +9,7 @@ import (
 	"cclbtree/internal/ordo"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -240,7 +241,7 @@ func New(pool *pmem.Pool, opts Options) (*Tree, error) {
 	tr := &Tree{
 		pool:   pool,
 		alloc:  alloc,
-		clock:  ordo.New(pool.Sockets(), opts.OrdoBoundary),
+		clock:  ordo.New(pool.Sockets(), defaultOrdo),
 		opts:   opts,
 		gcDone: make(chan struct{}),
 	}
@@ -277,8 +278,7 @@ func New(pool *pmem.Pool, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	var img leafImage
-	tr.writeWholeLeaf(t, headLeaf, &img)
+	pmleaf.WriteWhole(t, &pmleaf.Image{Addr: headLeaf})
 	tr.head = new(nodeSlab).newNode(headLeaf, 0, opts.Nbatch)
 	tr.inner.put(t, 0, tr.head)
 
@@ -337,13 +337,6 @@ func (tr *Tree) newLeaf(t *pmem.Thread, socket int) (pmem.Addr, error) {
 	}
 	tr.leafCount.Add(1)
 	return a, nil
-}
-
-// writeWholeLeaf writes and persists a complete leaf image (used for
-// fresh leaves: the head, split targets, recovery rebuilds).
-func (tr *Tree) writeWholeLeaf(t *pmem.Thread, leaf pmem.Addr, img *leafImage) {
-	t.WriteRange(leaf, img.words[:])
-	t.Persist(leaf, LeafBytes)
 }
 
 // compare orders two key words. In fixed mode it is plain integer

@@ -6,6 +6,7 @@ import (
 
 	"cclbtree/internal/obs"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -525,8 +526,8 @@ type scanCand struct {
 func (w *Worker) collectNode(n *bufferNode, ver uint64) ([]KV, bool) {
 	tr := w.tree
 	tr.heat.Touch(uint64(n.leaf), false)
-	var img leafImage
-	readLeaf(w.t, n.leaf, &img)
+	var img pmleaf.Image
+	img.Read(w.t, n.leaf)
 
 	cands := w.scanCands[:0]
 	for i := 0; i < n.nbatch(); i++ {
@@ -536,8 +537,8 @@ func (w *Worker) collectNode(n *bufferNode, ver uint64) ([]KV, bool) {
 		}
 	}
 	for i := 0; i < LeafSlots; i++ {
-		if img.slotValid(i) {
-			cands = append(cands, scanCand{KV{img.key(i), img.val(i)}, false})
+		if img.Valid(i) {
+			cands = append(cands, scanCand{KV{img.Key(i), img.Val(i)}, false})
 		}
 	}
 	w.scanCands = cands

@@ -1,8 +1,21 @@
-// Package pmleaf provides the 256 B unsorted fingerprinted PM leaf
-// layout shared by the FPTree-family baselines (FPTree, LB+-Tree,
-// DPTree's base tree, PACTree's leaf variant): a 32 B header holding a
-// validity bitmap, a packed next pointer, and 14 fingerprints, followed
-// by 14 unsorted KV slots. One leaf is exactly one XPLine.
+// Package pmleaf is the single definition of the 256 B unsorted
+// fingerprinted PM line (§4.1, Fig 7b) that CCL-BTree's leaves, the §6
+// hash table's buckets and the FPTree-family baselines' leaves (FPTree,
+// LB+-Tree, DPTree's base tree) all put on media. One line is exactly
+// one XPLine, so a batch flush touches a single media line:
+//
+//	word 0        meta: 14-bit validity bitmap | 2 reserved bits |
+//	              48-bit packed next pointer. Bitmap and next share one
+//	              8 B word so a split or merge publishes atomically
+//	              (§4.2).
+//	word 1        timestamp (failure recovery, §3.3; unused by the
+//	              baselines)
+//	words 2–3     14 × 1 B fingerprints + 2 B pad
+//	words 4–31    14 KV slots (key word, value word), unsorted
+//
+// The format is shared; the fingerprint function is not. Each structure
+// hashes keys its own way (FP below is the baselines') and the bytes it
+// puts in words 2–3 are part of its own media format.
 package pmleaf
 
 import (
@@ -20,17 +33,22 @@ const (
 	Slots = 14
 	// Words is the leaf size in 8 B words.
 	Words = Bytes / pmem.WordSize
+	// HeaderWords is the metadata region (words 0–3): one 32 B span of
+	// the first cacheline, persisted with a single flush.
+	HeaderWords = 4
+	HeaderBytes = HeaderWords * pmem.WordSize
+	// BitmapMask covers the validity bits of the meta word.
+	BitmapMask = 1<<Slots - 1
 
 	metaWord = 0
+	tsWord   = 1
 	fpWord   = 2
-	slotBase = 4
-
-	bitmapMask = 1<<Slots - 1
+	slotBase = HeaderWords
 )
 
 // PackMeta builds the header word from a bitmap and next pointer.
 func PackMeta(bitmap uint16, next pmem.Addr) uint64 {
-	v := uint64(bitmap) & bitmapMask
+	v := uint64(bitmap) & BitmapMask
 	if !next.IsNil() {
 		v |= next.Pack48() << 16
 	}
@@ -39,7 +57,7 @@ func PackMeta(bitmap uint16, next pmem.Addr) uint64 {
 
 // UnpackMeta reverses PackMeta.
 func UnpackMeta(meta uint64) (uint16, pmem.Addr) {
-	bm := uint16(meta & bitmapMask)
+	bm := uint16(meta & BitmapMask)
 	raw := meta >> 16
 	if raw == 0 {
 		return bm, pmem.NilAddr
@@ -73,7 +91,7 @@ func (li *Image) Read(t *pmem.Thread, a pmem.Addr) {
 // ReadHeader loads only the 32 B header cacheline.
 func (li *Image) ReadHeader(t *pmem.Thread, a pmem.Addr) {
 	li.Addr = a
-	t.ReadRange(a, li.Words[:slotBase])
+	t.ReadRange(a, li.Words[:HeaderWords])
 }
 
 // Meta returns the raw header word.
@@ -81,6 +99,12 @@ func (li *Image) Meta() uint64 { return li.Words[metaWord] }
 
 // SetMeta replaces the header word in the image.
 func (li *Image) SetMeta(v uint64) { li.Words[metaWord] = v }
+
+// TS returns the flush timestamp.
+func (li *Image) TS() uint64 { return li.Words[tsWord] }
+
+// SetTS replaces the flush timestamp in the image.
+func (li *Image) SetTS(v uint64) { li.Words[tsWord] = v }
 
 // Bitmap returns the validity bitmap.
 func (li *Image) Bitmap() uint16 { bm, _ := UnpackMeta(li.Meta()); return bm }
@@ -118,7 +142,7 @@ func (li *Image) Count() int { return bits.OnesCount16(li.Bitmap()) }
 
 // FreeSlot returns the lowest free slot index, or -1.
 func (li *Image) FreeSlot() int {
-	free := ^uint32(li.Bitmap()) & bitmapMask
+	free := ^uint32(li.Bitmap()) & BitmapMask
 	if free == 0 {
 		return -1
 	}
@@ -138,18 +162,35 @@ func (li *Image) FindKey(key uint64) int {
 	return -1
 }
 
+// SlotWord returns the word index of slot i's key (its value is the
+// next word).
+func SlotWord(i int) int { return slotBase + 2*i }
+
 // SlotAddr returns the PM address of slot i's key word.
 func SlotAddr(leaf pmem.Addr, i int) pmem.Addr {
-	return leaf.Add(int64(8 * (slotBase + 2*i)))
+	return leaf.Add(int64(8 * SlotWord(i)))
 }
 
 // MetaAddr returns the PM address of the header word.
 func MetaAddr(leaf pmem.Addr) pmem.Addr { return leaf }
 
+// TSAddr returns the PM address of the timestamp word.
+func TSAddr(leaf pmem.Addr) pmem.Addr { return leaf.Add(8 * tsWord) }
+
 // WriteWhole writes and persists a complete leaf image.
 func WriteWhole(t *pmem.Thread, li *Image) {
 	t.WriteRange(li.Addr, li.Words[:])
 	t.Persist(li.Addr, Bytes)
+}
+
+// WriteHeader stores and persists the 32 B metadata region: the step
+// that publishes a batch (fingerprints, timestamp and bitmap+next share
+// one cacheline, so one flush covers them).
+func WriteHeader(t *pmem.Thread, li *Image) {
+	for wd := 0; wd < HeaderWords; wd++ {
+		t.Store(li.Addr.Add(int64(8*wd)), li.Words[wd])
+	}
+	t.Persist(li.Addr, HeaderBytes)
 }
 
 // SortedLive returns the leaf's valid entries sorted by key, paired

@@ -51,10 +51,6 @@ type Config struct {
 	// MaxBatch bounds how many queued ops one group commit coalesces
 	// (default 64).
 	MaxBatch int
-	// ReadSessions sizes the read session pool (default 2 per shard,
-	// minimum 2). Reads borrow a session and run lock-free against
-	// the trees directly.
-	ReadSessions int
 }
 
 func (c Config) withDefaults() Config {
@@ -63,12 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
-	}
-	if c.ReadSessions == 0 {
-		c.ReadSessions = 2 * c.DB.Shards()
-	}
-	if c.ReadSessions < 2 {
-		c.ReadSessions = 2
 	}
 	return c
 }
@@ -139,8 +129,11 @@ func New(cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go s.commitLoop(l)
 	}
-	s.reads = make(chan *cclbtree.Session, cfg.ReadSessions)
-	for i := 0; i < cfg.ReadSessions; i++ {
+	// Read pool: two sessions per shard. Reads borrow one and run
+	// lock-free against the trees directly.
+	readSessions := max(2, 2*cfg.DB.Shards())
+	s.reads = make(chan *cclbtree.Session, readSessions)
+	for i := 0; i < readSessions; i++ {
 		s.reads <- cfg.DB.Session(i % cfg.DB.Pool().Sockets())
 	}
 	return s, nil

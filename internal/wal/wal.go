@@ -225,47 +225,10 @@ func NewLog(m *Manager, socket int) *Log {
 
 // Append persists one entry (write + flush + fence) and returns its
 // address. The entry is durable when Append returns — the WAL contract
-// the buffer nodes rely on.
+// the buffer nodes rely on. It is a group commit of one.
 func (l *Log) Append(t *pmem.Thread, e Entry) (pmem.Addr, error) {
-	if e.Timestamp == 0 {
-		return pmem.NilAddr, fmt.Errorf("wal: zero timestamp is reserved")
-	}
-	if e.Timestamp > MaxTick {
-		return pmem.NilAddr, fmt.Errorf("wal: timestamp %#x exceeds MaxTick", e.Timestamp)
-	}
-	l.mu.Lock()
-	if len(l.chunks) == 0 || l.tailOff+EntrySize > l.m.chunkBytes {
-		c, err := l.m.AcquireChunk(l.socket)
-		if err != nil {
-			l.mu.Unlock()
-			return pmem.NilAddr, err
-		}
-		l.chunks = append(l.chunks, c)
-		l.tailOff = 0
-	}
-	addr := l.chunks[len(l.chunks)-1].Add(int64(l.tailOff))
-	l.tailOff += EntrySize
-	l.bytes += EntrySize
-	l.mu.Unlock()
-
-	// Attribution: log bytes are ScopeWAL no matter who appends — a
-	// foreground upsert, GC copying survivors into an I-log, recovery —
-	// so per-scope breakdowns always show log traffic as log traffic
-	// (the documented exception to innermost-scope-wins).
-	prevScope := t.PushScope(pmem.ScopeWAL)
-	t.Store(addr, e.Key)
-	t.Store(addr.Add(8), e.Value)
-	t.Store(addr.Add(16), EncodeTimestamp(e.Key, e.Value, e.Timestamp))
-	if l.UnsafeSkipFence {
-		// Deliberately broken durability for oracle self-tests: the
-		// clwb is issued but never explicitly fenced.
-		//persistlint:ignore PL002 UnsafeSkipFence is an intentional contract violation for torture-oracle validation
-		t.Flush(addr, EntrySize)
-	} else {
-		t.Persist(addr, EntrySize)
-	}
-	t.PopScope(prevScope)
-	return addr, nil
+	one := [1]Entry{e}
+	return l.appendGroup(t, one[:])
 }
 
 // AppendBatch persists a group of entries with a single trailing fence
@@ -282,25 +245,36 @@ func (l *Log) Append(t *pmem.Thread, e Entry) (pmem.Addr, error) {
 // allocation error mid-group fences the already-written prefix before
 // returning, so no record is left in the flushed-but-unfenced limbo.
 func (l *Log) AppendBatch(t *pmem.Thread, entries []Entry) error {
+	_, err := l.appendGroup(t, entries)
+	return err
+}
+
+// appendGroup lays the records down and returns the address of the
+// last one.
+func (l *Log) appendGroup(t *pmem.Thread, entries []Entry) (pmem.Addr, error) {
 	for i := range entries {
 		if entries[i].Timestamp == 0 {
-			return fmt.Errorf("wal: zero timestamp is reserved")
+			return pmem.NilAddr, fmt.Errorf("wal: zero timestamp is reserved")
 		}
 		if entries[i].Timestamp > MaxTick {
-			return fmt.Errorf("wal: timestamp %#x exceeds MaxTick", entries[i].Timestamp)
+			return pmem.NilAddr, fmt.Errorf("wal: timestamp %#x exceeds MaxTick", entries[i].Timestamp)
 		}
 	}
+	// Attribution: log bytes are ScopeWAL no matter who appends — a
+	// foreground upsert, GC copying survivors into an I-log, recovery —
+	// so per-scope breakdowns always show log traffic as log traffic
+	// (the documented exception to innermost-scope-wins).
 	defer t.PopScope(t.PushScope(pmem.ScopeWAL))
 	// Contiguous records share cachelines, so the clwb sweep runs once
 	// per contiguous span (usually the whole group), not once per
 	// record — per-record flushing would re-flush each shared line and
 	// re-send it to the XPBuffer, costing both virtual time and write
 	// amplification.
-	var spanStart pmem.Addr
+	var addr, spanStart pmem.Addr
 	var spanLen int
 	flushSpan := func() {
 		if spanLen > 0 {
-			// The matching fence is one frame up: every AppendBatch
+			// The matching fence is one frame up: every appendGroup
 			// return path runs flushSpan and then t.Fence.
 			t.Flush(spanStart, spanLen) //persistlint:ignore PL002 fenced by the caller on every return path
 			spanLen = 0
@@ -316,12 +290,12 @@ func (l *Log) AppendBatch(t *pmem.Thread, entries []Entry) error {
 				// records already laid down stay durable, not pending.
 				flushSpan()
 				t.Fence()
-				return err
+				return pmem.NilAddr, err
 			}
 			l.chunks = append(l.chunks, c)
 			l.tailOff = 0
 		}
-		addr := l.chunks[len(l.chunks)-1].Add(int64(l.tailOff))
+		addr = l.chunks[len(l.chunks)-1].Add(int64(l.tailOff))
 		l.tailOff += EntrySize
 		l.bytes += EntrySize
 		l.mu.Unlock()
@@ -338,11 +312,11 @@ func (l *Log) AppendBatch(t *pmem.Thread, entries []Entry) error {
 	flushSpan()
 	if l.UnsafeSkipFence {
 		// Deliberately broken durability for oracle self-tests: every
-		// clwb issued, the group-commit fence omitted (see Append).
-		return nil
+		// clwb issued, the fence omitted.
+		return addr, nil
 	}
 	t.Fence()
-	return nil
+	return addr, nil
 }
 
 // Bytes returns the total entry bytes appended to this log.

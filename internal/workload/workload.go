@@ -32,6 +32,12 @@ func nonZero(x uint64) uint64 {
 	return x
 }
 
+// Key is the key of a 1-based rank: the rank scrambled across the legal
+// key space. Every generator here and every harness that loads "key i"
+// uses it, so a loaded key set and an access stream over the same ranks
+// always meet.
+func Key(rank uint64) uint64 { return nonZero(mix64(rank)) }
+
 // Access produces a stream of keys to operate on.
 type Access interface {
 	// Next returns the next key using r as the randomness source.
@@ -45,7 +51,7 @@ type Uniform struct {
 
 // Next implements Access.
 func (u Uniform) Next(r *rand.Rand) uint64 {
-	return nonZero(mix64(r.Uint64()%u.N + 1))
+	return Key(r.Uint64()%u.N + 1)
 }
 
 // Sequential replays the scrambled key space in order (load phases).
@@ -60,7 +66,7 @@ func (s *Sequential) Next(r *rand.Rand) uint64 {
 	if s.next > s.N {
 		s.next = 1
 	}
-	return nonZero(mix64(s.next))
+	return Key(s.next)
 }
 
 // Zipf draws keys from the same scrambled space with a Zipfian
@@ -108,7 +114,7 @@ func (z *Zipf) Next(r *rand.Rand) uint64 {
 		rank = z.n
 	}
 	// Scramble so hot keys scatter across the key space (ScrambledZipfian).
-	return nonZero(mix64(rank))
+	return Key(rank)
 }
 
 // OpKind is one YCSB operation type.
@@ -209,11 +215,11 @@ func Keys(d Dataset, n int, seed int64) []uint64 {
 		}
 	case DatasetFacebook:
 		for i := range keys {
-			keys[i] = nonZero(mix64(uint64(i+1) * 0x9e3779b97f4a7c15))
+			keys[i] = Key(uint64(i+1) * 0x9e3779b97f4a7c15)
 		}
 	default:
 		for i := range keys {
-			keys[i] = nonZero(mix64(uint64(i + 1)))
+			keys[i] = Key(uint64(i + 1))
 		}
 	}
 	// Insert order is random, as when replaying a shuffled dataset.
