@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"cclbtree/internal/baselines/fptree"
+	"cclbtree/internal/baselines/prim"
 	"cclbtree/internal/index"
 	"cclbtree/internal/memtree"
 	"cclbtree/internal/pmem"
@@ -32,19 +33,19 @@ const mergeMinEntries = 4096
 // Tree is a DPTree instance.
 type Tree struct {
 	pool *pmem.Pool
-	base index.Index // FPTree-like persistent base
+	base *fptree.Tree // the persistent base tree
 
 	mu     sync.RWMutex
 	buffer memtree.Tree[uint64] // global DRAM buffer pool
 	walman *wal.Manager
 	merges atomic.Uint64
-	// merger is the background merge thread's handle; mergerVT is its
-	// virtual clock after the last merge. A thread that triggers a
+	// merger is the background merge thread; mergerVT is its virtual
+	// clock after the last merge. A thread that triggers a
 	// buffer swap while the previous merge is unfinished (mergerVT
 	// ahead of its own clock) waits for it — the occasional
 	// hundreds-of-ms insert tail of Fig 12 — but steady-state inserts
 	// never pay merge time.
-	merger   index.Handle
+	merger   *pmem.Thread
 	mergerVT int64
 	baseKeys int64 // ≈ entries merged into the base, sizes the buffer
 }
@@ -55,15 +56,16 @@ func New(pool *pmem.Pool) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dptree: %w", err)
 	}
-	tr := &Tree{pool: pool, base: base}
-	tr.merger = base.NewHandleWithThread(pool.NewThread(0))
-	return tr, nil
+	return &Tree{
+		pool:   pool,
+		base:   base,
+		walman: wal.NewManager(base.Alloc, 512<<10),
+		merger: pool.NewThread(0),
+	}, nil
 }
 
 // Factory adapts New to index.Factory.
-func Factory() index.Factory {
-	return func(pool *pmem.Pool) (index.Index, error) { return New(pool) }
-}
+func Factory() index.Factory { return prim.Factory(New) }
 
 // Name implements index.Index.
 func (tr *Tree) Name() string { return "DPTree" }
@@ -87,35 +89,19 @@ func (tr *Tree) MemoryUsage() (int64, int64) {
 
 // NewHandle implements index.Index.
 func (tr *Tree) NewHandle(socket int) index.Handle {
-	t := tr.pool.NewThread(socket)
-	h := &handle{
-		tr:   tr,
-		t:    t,
-		base: tr.base.(*fptree.Tree).NewHandleWithThread(t),
+	return &handle{
+		tr:  tr,
+		t:   tr.pool.NewThread(socket),
+		log: wal.NewLog(tr.walman, socket),
+		seq: 1,
 	}
-	h.log = wal.NewLog(walManagerFor(tr, socket), socket)
-	h.seq = 1
-	return h
-}
-
-// walManagerFor lazily builds one shared chunk manager.
-var walMu sync.Mutex
-
-func walManagerFor(tr *Tree, socket int) *wal.Manager {
-	walMu.Lock()
-	defer walMu.Unlock()
-	if tr.walman == nil {
-		tr.walman = wal.NewManager(tr.base.(*fptree.Tree).Allocator(), 512<<10)
-	}
-	return tr.walman
 }
 
 type handle struct {
-	tr   *Tree
-	t    *pmem.Thread
-	base index.Handle
-	log  *wal.Log
-	seq  uint64
+	tr  *Tree
+	t   *pmem.Thread
+	log *wal.Log
+	seq uint64
 }
 
 func (h *handle) Thread() *pmem.Thread { return h.t }
@@ -139,11 +125,7 @@ func (h *handle) write(key, value uint64) error {
 	h.tr.mu.Lock()
 	h.t.Advance(int64(h.tr.buffer.Depth()) * 6 * h.t.CostDRAM())
 	h.tr.buffer.Put(key, value)
-	threshold := int(h.tr.baseKeys / 16)
-	if threshold < mergeMinEntries {
-		threshold = mergeMinEntries
-	}
-	if h.tr.buffer.Len() < threshold {
+	if h.tr.buffer.Len() < max(int(h.tr.baseKeys/16), mergeMinEntries) {
 		h.tr.mu.Unlock()
 		return nil
 	}
@@ -153,19 +135,15 @@ func (h *handle) write(key, value uint64) error {
 	// latencies show.
 	frozen := h.tr.buffer
 	h.tr.buffer = memtree.Tree[uint64]{}
-	if h.tr.mergerVT > h.t.Now() {
-		h.t.SyncClock(h.tr.mergerVT)
-	}
-	mt := h.tr.merger.Thread()
+	h.t.SyncClock(h.tr.mergerVT)
+	mt := h.tr.merger
 	mt.SyncClock(h.t.Now()) // merge starts no earlier than the swap
 	kvs := make([]index.KV, 0, frozen.Len())
 	frozen.Ascend(0, func(k uint64, v uint64) bool {
 		kvs = append(kvs, index.KV{Key: k, Value: v})
 		return true
 	})
-	err := h.tr.merger.(interface {
-		ApplySorted([]index.KV) error
-	}).ApplySorted(kvs)
+	err := h.tr.base.ApplySorted(mt, kvs)
 	h.tr.mergerVT = mt.Now()
 	h.tr.baseKeys += int64(len(kvs))
 	h.tr.merges.Add(1)
@@ -181,12 +159,9 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 	v, ok := h.tr.buffer.Get(key)
 	h.tr.mu.RUnlock()
 	if ok {
-		if v == tombstone {
-			return 0, false
-		}
-		return v, true
+		return v, v != tombstone
 	}
-	return h.base.Lookup(key)
+	return h.tr.base.Lookup(h.t, key)
 }
 
 // Scan implements index.Handle: merge buffered and base entries.
@@ -196,7 +171,7 @@ func (h *handle) Scan(start uint64, max int, out []index.KV) int {
 	}
 	lim := max + max/4 + 16
 	baseOut := make([]index.KV, lim)
-	nBase := h.base.Scan(start, lim, baseOut)
+	nBase := h.tr.base.Scan(h.t, start, lim, baseOut)
 
 	h.tr.mu.RLock()
 	var buf []index.KV

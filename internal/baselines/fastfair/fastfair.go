@@ -9,6 +9,10 @@
 // cacheline flushes landing in one random XPLine. That makes it the
 // classic "low CLI, high XBI" design the paper measures (Fig 3).
 //
+// Leaves and inner nodes are both prim.Node, the sorted-shift node
+// PACTree shares; what is FAST&FAIR's own is the PM inner layer: the
+// descent, separator install and root growth.
+//
 // Simplifications vs. the original: a coarse reader/writer lock
 // replaces lock-free reads (virtual-time results are unaffected; the
 // cost model charges the same PM work), and underflow merging is
@@ -19,20 +23,13 @@ import (
 	"fmt"
 	"sync"
 
+	"cclbtree/internal/baselines/prim"
 	"cclbtree/internal/index"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 )
 
-const (
-	nodeBytes = 256
-	nodeWords = nodeBytes / pmem.WordSize
-	maxPairs  = 15 // (256 − 16 B header) / 16 B
-	metaWord  = 0
-	linkWord  = 1 // leaf: right sibling; inner: leftmost child
-	pairBase  = 2
-)
-
+// leafFlag marks a leaf in a node's count|flags word.
 const leafFlag = uint64(1) << 16
 
 // Tree is a FAST&FAIR B+-tree on a PM pool.
@@ -40,29 +37,23 @@ type Tree struct {
 	pool  *pmem.Pool
 	alloc *pmalloc.Allocator
 
-	mu     sync.RWMutex
-	root   pmem.Addr
-	height int
-	nodes  int64
+	mu   sync.RWMutex
+	root pmem.Addr
 }
 
 // New creates an empty tree.
 func New(pool *pmem.Pool) (*Tree, error) {
 	tr := &Tree{pool: pool, alloc: pmalloc.New(pool)}
-	t := pool.NewThread(0)
-	root, err := tr.newNode(t, true)
+	root, err := tr.newNode(pool.NewThread(0), leafFlag)
 	if err != nil {
 		return nil, err
 	}
 	tr.root = root
-	tr.height = 1
 	return tr, nil
 }
 
 // Factory adapts New to index.Factory.
-func Factory() index.Factory {
-	return func(pool *pmem.Pool) (index.Index, error) { return New(pool) }
-}
+func Factory() index.Factory { return prim.Factory(New) }
 
 // Name implements index.Index.
 func (tr *Tree) Name() string { return "FAST&FAIR" }
@@ -76,317 +67,152 @@ func (tr *Tree) MemoryUsage() (int64, int64) {
 }
 
 // NewHandle implements index.Index.
-func (tr *Tree) NewHandle(socket int) index.Handle {
-	return &handle{tr: tr, t: tr.pool.NewThread(socket)}
-}
+func (tr *Tree) NewHandle(socket int) index.Handle { return prim.Bind(tr, tr.pool.NewThread(socket)) }
 
-func (tr *Tree) newNode(t *pmem.Thread, leaf bool) (pmem.Addr, error) {
-	a, err := tr.alloc.Alloc(t.Socket(), nodeBytes)
+// newNode allocates a node on t's socket and persists its empty image
+// (flags only) before any content is written into it.
+func (tr *Tree) newNode(t *pmem.Thread, flags uint64) (pmem.Addr, error) {
+	a, err := tr.alloc.Alloc(t.Socket(), prim.NodeBytes)
 	if err != nil {
 		return pmem.NilAddr, fmt.Errorf("fastfair: %w", err)
 	}
-	var img [nodeWords]uint64
-	if leaf {
-		img[metaWord] = leafFlag
-	}
-	t.WriteRange(a, img[:])
-	t.Persist(a, nodeBytes)
-	tr.nodes++
+	n := prim.Node{Addr: a}
+	n.SetMeta(flags, 0)
+	n.Write(t)
 	return a, nil
 }
 
-type nodeImg struct {
-	addr  pmem.Addr
-	words [nodeWords]uint64
-}
-
-func (n *nodeImg) count() int       { return int(n.words[metaWord] & 0xffff) }
-func (n *nodeImg) leaf() bool       { return n.words[metaWord]&leafFlag != 0 }
-func (n *nodeImg) link() pmem.Addr  { return pmem.Addr(n.words[linkWord]) }
-func (n *nodeImg) key(i int) uint64 { return n.words[pairBase+2*i] }
-func (n *nodeImg) val(i int) uint64 { return n.words[pairBase+2*i+1] }
-
-func readNode(t *pmem.Thread, a pmem.Addr, img *nodeImg) {
-	img.addr = a
-	t.ReadRange(a, img.words[:])
-}
-
-// lowerBound returns the first index with key ≥ k.
-func (n *nodeImg) lowerBound(k uint64) int {
-	lo, hi := 0, n.count()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.key(mid) < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func isLeaf(n *prim.Node) bool { return n.Flags()&leafFlag != 0 }
 
 // childFor routes k in an inner node.
-func (n *nodeImg) childFor(k uint64) pmem.Addr {
-	i := n.lowerBound(k)
-	if i < n.count() && n.key(i) == k {
-		return pmem.Addr(n.val(i))
+func childFor(n *prim.Node, k uint64) pmem.Addr {
+	i, found := n.Find(k)
+	if found {
+		return pmem.Addr(n.Val(i))
 	}
 	if i == 0 {
-		return n.link()
+		return n.Link()
 	}
-	return pmem.Addr(n.val(i - 1))
+	return pmem.Addr(n.Val(i - 1))
 }
-
-type handle struct {
-	tr *Tree
-	t  *pmem.Thread
-}
-
-func (h *handle) Thread() *pmem.Thread { return h.t }
 
 // descend walks from the root to the leaf owning k, filling path with
 // the visited inner nodes (root first).
-func (h *handle) descend(k uint64, path *[]nodeImg) nodeImg {
-	var img nodeImg
-	a := h.tr.root
+func (tr *Tree) descend(t *pmem.Thread, k uint64, path *[]prim.Node) prim.Node {
+	var n prim.Node
+	a := tr.root
 	for {
-		readNode(h.t, a, &img)
-		if img.leaf() {
-			return img
+		n.Read(t, a)
+		if isLeaf(&n) {
+			return n
 		}
 		if path != nil {
-			*path = append(*path, img)
+			*path = append(*path, n)
 		}
-		a = img.childFor(k)
+		a = childFor(&n, k)
 	}
 }
 
-// Lookup implements index.Handle.
-func (h *handle) Lookup(key uint64) (uint64, bool) {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
-	leaf := h.descend(key, nil)
-	i := leaf.lowerBound(key)
-	if i < leaf.count() && leaf.key(i) == key {
-		return leaf.val(i), true
-	}
-	return 0, false
+// Lookup descends and binary-searches the leaf image.
+func (tr *Tree) Lookup(t *pmem.Thread, key uint64) (uint64, bool) {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	leaf := tr.descend(t, key, nil)
+	return leaf.Get(key)
 }
 
-// Scan implements index.Handle.
-func (h *handle) Scan(start uint64, max int, out []index.KV) int {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
-	if max > len(out) {
-		max = len(out)
-	}
-	leaf := h.descend(start, nil)
-	count := 0
-	i := leaf.lowerBound(start)
-	for count < max {
-		for ; i < leaf.count() && count < max; i++ {
-			out[count] = index.KV{Key: leaf.key(i), Value: leaf.val(i)}
-			count++
+// Scan descends to start's leaf and follows the sibling chain.
+func (tr *Tree) Scan(t *pmem.Thread, start uint64, max int, out []index.KV) int {
+	tr.mu.RLock()
+	defer tr.mu.RUnlock()
+	leaf := tr.descend(t, start, nil)
+	return leaf.Scan(t, start, max, out)
+}
+
+// Upsert updates in place or shift-inserts, splitting a full leaf and
+// re-descending into the correct half.
+func (tr *Tree) Upsert(t *pmem.Thread, key, value uint64) error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for {
+		path := make([]prim.Node, 0, 8)
+		leaf := tr.descend(t, key, &path)
+		if !leaf.Upsert(t, key, value) {
+			return nil
 		}
-		next := leaf.link()
-		if next.IsNil() || count >= max {
-			break
-		}
-		readNode(h.t, next, &leaf)
-		i = 0
-	}
-	return count
-}
-
-// Upsert implements index.Handle.
-func (h *handle) Upsert(key, value uint64) error {
-	if key == 0 {
-		return fmt.Errorf("fastfair: key 0 is reserved")
-	}
-	h.tr.mu.Lock()
-	defer h.tr.mu.Unlock()
-	return h.insert(key, value)
-}
-
-func (h *handle) insert(key, value uint64) error {
-	path := make([]nodeImg, 0, 8)
-	leaf := h.descend(key, &path)
-	i := leaf.lowerBound(key)
-	if i < leaf.count() && leaf.key(i) == key {
-		// In-place 8 B update, one flush.
-		a := leaf.addr.Add(int64(8 * (pairBase + 2*i + 1)))
-		h.t.Store(a, value)
-		h.t.Persist(a, 8)
-		return nil
-	}
-	if leaf.count() == maxPairs {
-		if err := h.split(&leaf, path); err != nil {
+		if err := tr.divide(t, &leaf, path); err != nil {
 			return err
 		}
-		return h.insert(key, value) // re-descend into the correct half
 	}
-	h.shiftInsert(&leaf, i, key, value)
-	return nil
 }
 
-// shiftInsert performs the FAST insertion: shift pairs [pos..n) right
-// by one with 8 B stores (high to low), write the new pair, flush the
-// touched cachelines, then bump the count.
-func (h *handle) shiftInsert(n *nodeImg, pos int, key, value uint64) {
-	cnt := n.count()
-	for i := cnt - 1; i >= pos; i-- {
-		h.t.Store(n.addr.Add(int64(8*(pairBase+2*i+2))), n.key(i))
-		h.t.Store(n.addr.Add(int64(8*(pairBase+2*i+3))), n.val(i))
-		n.words[pairBase+2*i+2] = n.key(i)
-		n.words[pairBase+2*i+3] = n.val(i)
-	}
-	h.t.Store(n.addr.Add(int64(8*(pairBase+2*pos))), key)
-	h.t.Store(n.addr.Add(int64(8*(pairBase+2*pos+1))), value)
-	n.words[pairBase+2*pos] = key
-	n.words[pairBase+2*pos+1] = value
-	firstWord := pairBase + 2*pos
-	lastWord := pairBase + 2*cnt + 1
-	h.t.Flush(n.addr.Add(int64(8*firstWord)), 8*(lastWord-firstWord+1))
-	h.t.Fence()
-	n.words[metaWord] = n.words[metaWord]&^0xffff | uint64(cnt+1)
-	h.t.Store(n.addr.Add(8*metaWord), n.words[metaWord])
-	h.t.Persist(n.addr, 8)
-}
-
-// split divides a full node and installs the separator in the parent
-// chain (path holds the ancestors, root first).
-func (h *handle) split(n *nodeImg, path []nodeImg) error {
-	tr := h.tr
-	right, err := tr.newNode(h.t, n.leaf())
+// divide splits a full node and installs the separator in the parent
+// chain (path holds the ancestors, root first). A leaf keeps the
+// separator in its right half; an inner node promotes it.
+func (tr *Tree) divide(t *pmem.Thread, n *prim.Node, path []prim.Node) error {
+	right, err := tr.newNode(t, n.Flags())
 	if err != nil {
 		return err
 	}
-	mid := maxPairs / 2 // 7
-	var rimg [nodeWords]uint64
 	var sep uint64
-	var keepCount int
-	if n.leaf() {
-		// Leaf split keeps the separator in the right node.
-		sep = n.key(mid)
-		rc := maxPairs - mid
-		rimg[metaWord] = leafFlag | uint64(rc)
-		rimg[linkWord] = uint64(n.link())
-		for i := 0; i < rc; i++ {
-			rimg[pairBase+2*i] = n.key(mid + i)
-			rimg[pairBase+2*i+1] = n.val(mid + i)
-		}
-		keepCount = mid
+	if isLeaf(n) {
+		sep = n.SplitLeaf(t, right)
 	} else {
-		// Inner split promotes the separator.
-		sep = n.key(mid)
-		rc := maxPairs - mid - 1
-		rimg[metaWord] = uint64(rc)
-		rimg[linkWord] = n.val(mid) // leftmost child of the right node
+		const mid = prim.MaxPairs / 2
+		sep = n.Key(mid)
+		r := prim.Node{Addr: right}
+		rc := prim.MaxPairs - mid - 1
+		r.SetMeta(0, rc)
+		r.SetLink(pmem.Addr(n.Val(mid))) // leftmost child of the right node
 		for i := 0; i < rc; i++ {
-			rimg[pairBase+2*i] = n.key(mid + 1 + i)
-			rimg[pairBase+2*i+1] = n.val(mid + 1 + i)
+			r.SetPair(i, n.Key(mid+1+i), n.Val(mid+1+i))
 		}
-		keepCount = mid
+		r.Write(t)
+		n.Shrink(t, mid)
 	}
-	h.t.WriteRange(right, rimg[:])
-	h.t.Persist(right, nodeBytes)
-	// Publish: link (for leaves) and shrunken count on the old node.
-	if n.leaf() {
-		h.t.Store(n.addr.Add(8*linkWord), uint64(right))
-		n.words[linkWord] = uint64(right)
-	}
-	n.words[metaWord] = n.words[metaWord]&^0xffff | uint64(keepCount)
-	h.t.Store(n.addr.Add(8*metaWord), n.words[metaWord])
-	h.t.Persist(n.addr, 16)
 
 	// Install the separator upward.
 	if len(path) == 0 {
-		newRoot, err := tr.newNode(h.t, false)
+		newRoot, err := tr.newNode(t, 0)
 		if err != nil {
 			return err
 		}
-		var root [nodeWords]uint64
-		root[metaWord] = 1
-		root[linkWord] = uint64(n.addr)
-		root[pairBase] = sep
-		root[pairBase+1] = uint64(right)
-		h.t.WriteRange(newRoot, root[:])
-		h.t.Persist(newRoot, nodeBytes)
+		root := prim.Node{Addr: newRoot}
+		root.SetMeta(0, 1)
+		root.SetLink(n.Addr)
+		root.SetPair(0, sep, uint64(right))
+		root.Write(t)
 		tr.root = newRoot
-		tr.height++
 		return nil
 	}
+	return tr.install(t, sep, right, path)
+}
+
+// install places sep→child in the last node of path. A full parent is
+// split first, after which sep's parent may be either half, so the path
+// is read again from the root.
+func (tr *Tree) install(t *pmem.Thread, sep uint64, child pmem.Addr, path []prim.Node) error {
 	parent := path[len(path)-1]
-	if parent.count() == maxPairs {
-		if err := h.split(&parent, path[:len(path)-1]); err != nil {
-			return err
-		}
-		// The separator's parent may now be either half; re-descend.
-		return h.installSeparator(sep, right)
-	}
-	pos := parent.lowerBound(sep)
-	h.shiftInsert(&parent, pos, sep, uint64(right))
-	return nil
-}
-
-// installSeparator re-descends from the root to place sep→child after
-// a cascading parent split.
-func (h *handle) installSeparator(sep uint64, child pmem.Addr) error {
-	var img nodeImg
-	a := h.tr.root
-	var parent nodeImg
-	found := false
-	for {
-		readNode(h.t, a, &img)
-		if img.leaf() {
-			break
-		}
-		parent = img
-		found = true
-		a = img.childFor(sep)
-	}
-	if !found {
-		return fmt.Errorf("fastfair: no inner node for separator")
-	}
-	if parent.count() == maxPairs {
-		// Extremely rare double cascade; grow via a fresh descent with
-		// path so split handles it.
-		path := make([]nodeImg, 0, 8)
-		h.descend(sep, &path)
-		pp := path[len(path)-1]
-		if err := h.split(&pp, path[:len(path)-1]); err != nil {
-			return err
-		}
-		return h.installSeparator(sep, child)
-	}
-	pos := parent.lowerBound(sep)
-	h.shiftInsert(&parent, pos, sep, uint64(child))
-	return nil
-}
-
-// Delete implements index.Handle: shift-left removal (FAST&FAIR keeps
-// underfull nodes).
-func (h *handle) Delete(key uint64) error {
-	h.tr.mu.Lock()
-	defer h.tr.mu.Unlock()
-	leaf := h.descend(key, nil)
-	i := leaf.lowerBound(key)
-	if i >= leaf.count() || leaf.key(i) != key {
+	if parent.Count() < prim.MaxPairs {
+		parent.ShiftInsert(t, parent.LowerBound(sep), sep, uint64(child))
 		return nil
 	}
-	cnt := leaf.count()
-	for j := i; j < cnt-1; j++ {
-		h.t.Store(leaf.addr.Add(int64(8*(pairBase+2*j))), leaf.key(j+1))
-		h.t.Store(leaf.addr.Add(int64(8*(pairBase+2*j+1))), leaf.val(j+1))
-		leaf.words[pairBase+2*j] = leaf.key(j + 1)
-		leaf.words[pairBase+2*j+1] = leaf.val(j + 1)
+	if err := tr.divide(t, &parent, path[:len(path)-1]); err != nil {
+		return err
 	}
-	if i < cnt-1 {
-		h.t.Flush(leaf.addr.Add(int64(8*(pairBase+2*i))), 8*2*(cnt-1-i))
-		h.t.Fence()
+	path = make([]prim.Node, 0, 8)
+	tr.descend(t, sep, &path)
+	if path[len(path)-1].Count() == prim.MaxPairs {
+		tr.descend(t, sep, nil) // a double cascade reads the path once more
 	}
-	leaf.words[metaWord] = leaf.words[metaWord]&^0xffff | uint64(cnt-1)
-	h.t.Store(leaf.addr.Add(8*metaWord), leaf.words[metaWord])
-	h.t.Persist(leaf.addr, 8)
+	return tr.install(t, sep, child, path)
+}
+
+// Delete is a shift-left removal (FAST&FAIR keeps underfull nodes).
+func (tr *Tree) Delete(t *pmem.Thread, key uint64) error {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	leaf := tr.descend(t, key, nil)
+	leaf.Delete(t, key)
 	return nil
 }

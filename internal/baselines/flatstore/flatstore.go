@@ -13,55 +13,34 @@ package flatstore
 
 import (
 	"fmt"
-	"sync"
 
+	"cclbtree/internal/baselines/prim"
 	"cclbtree/internal/index"
-	"cclbtree/internal/memtree"
-	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 	"cclbtree/internal/wal"
 )
 
-// Tree is a FlatStore instance.
+// Tree is a FlatStore instance: a Hybrid whose directory maps each key
+// to its latest log entry.
 type Tree struct {
-	pool   *pmem.Pool
-	alloc  *pmalloc.Allocator
+	*prim.Hybrid[pmem.Addr]
 	walman *wal.Manager
-
-	mu  sync.RWMutex
-	dir memtree.Tree[pmem.Addr] // key -> log entry address
 }
 
 // New creates an empty FlatStore.
 func New(pool *pmem.Pool) (*Tree, error) {
-	tr := &Tree{pool: pool, alloc: pmalloc.New(pool)}
-	tr.walman = wal.NewManager(tr.alloc, 512<<10)
-	return tr, nil
+	hy := prim.NewHybrid[pmem.Addr](pool, "FlatStore", 24)
+	return &Tree{Hybrid: hy, walman: wal.NewManager(hy.Alloc, 512<<10)}, nil
 }
 
 // Factory adapts New to index.Factory.
-func Factory() index.Factory {
-	return func(pool *pmem.Pool) (index.Index, error) { return New(pool) }
-}
-
-// Name implements index.Index.
-func (tr *Tree) Name() string { return "FlatStore" }
-
-// Close implements index.Index.
-func (tr *Tree) Close() {}
-
-// MemoryUsage implements index.Index.
-func (tr *Tree) MemoryUsage() (int64, int64) {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	return int64(tr.dir.Len()) * 24, tr.alloc.TotalInUseBytes()
-}
+func Factory() index.Factory { return prim.Factory(New) }
 
 // NewHandle implements index.Index.
 func (tr *Tree) NewHandle(socket int) index.Handle {
 	return &handle{
 		tr:  tr,
-		t:   tr.pool.NewThread(socket),
+		t:   tr.Pool.NewThread(socket),
 		log: wal.NewLog(tr.walman, socket),
 		seq: 1,
 	}
@@ -87,10 +66,10 @@ func (h *handle) Upsert(key, value uint64) error {
 	if err != nil {
 		return err
 	}
-	h.tr.mu.Lock()
-	h.t.Advance(int64(h.tr.dir.Depth()) * 6 * h.t.CostDRAM())
-	h.tr.dir.Put(key, addr)
-	h.tr.mu.Unlock()
+	h.tr.Mu.Lock()
+	h.tr.Traverse(h.t)
+	h.tr.Dir.Put(key, addr)
+	h.tr.Mu.Unlock()
 	return nil
 }
 
@@ -100,18 +79,18 @@ func (h *handle) Delete(key uint64) error {
 	if _, err := h.log.Append(h.t, wal.Entry{Key: key, Value: 0, Timestamp: h.seq}); err != nil {
 		return err
 	}
-	h.tr.mu.Lock()
-	h.tr.dir.Delete(key)
-	h.tr.mu.Unlock()
+	h.tr.Mu.Lock()
+	h.tr.Dir.Delete(key)
+	h.tr.Mu.Unlock()
 	return nil
 }
 
 // Lookup implements index.Handle: index probe + one PM read.
 func (h *handle) Lookup(key uint64) (uint64, bool) {
-	h.tr.mu.RLock()
-	h.t.Advance(int64(h.tr.dir.Depth()) * 6 * h.t.CostDRAM())
-	addr, ok := h.tr.dir.Get(key)
-	h.tr.mu.RUnlock()
+	h.tr.Mu.RLock()
+	h.tr.Traverse(h.t)
+	addr, ok := h.tr.Dir.Get(key)
+	h.tr.Mu.RUnlock()
 	if !ok {
 		return 0, false
 	}
@@ -123,13 +102,13 @@ func (h *handle) Lookup(key uint64) (uint64, bool) {
 // but every value sits at a chronologically determined log position —
 // one random PM read per result.
 func (h *handle) Scan(start uint64, max int, out []index.KV) int {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
+	h.tr.Mu.RLock()
+	defer h.tr.Mu.RUnlock()
 	if max > len(out) {
 		max = len(out)
 	}
 	count := 0
-	h.tr.dir.Ascend(start, func(k uint64, addr pmem.Addr) bool {
+	h.tr.Dir.Ascend(start, func(k uint64, addr pmem.Addr) bool {
 		out[count] = index.KV{Key: k, Value: h.t.Load(addr.Add(8))}
 		count++
 		return count < max

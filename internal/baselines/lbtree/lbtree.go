@@ -6,17 +6,18 @@
 // transaction aborts under contention are modeled by charging an abort
 // penalty on leaf-lock conflicts. Under highly skewed workloads the
 // aborts dominate and throughput collapses, reproducing Fig 15a.
+//
+// It is a prim.Hybrid over the fingerprinted leaf it shares with
+// FPTree; what is its own is the HTM abort model, the in-place 8 B
+// update and the header-cacheline insert.
 package lbtree
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
+	"cclbtree/internal/baselines/prim"
 	"cclbtree/internal/index"
-	"cclbtree/internal/memtree"
-	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 	"cclbtree/internal/pmleaf"
 )
@@ -47,11 +48,7 @@ type leafRef struct {
 
 // Tree is an LB+-Tree instance.
 type Tree struct {
-	pool  *pmem.Pool
-	alloc *pmalloc.Allocator
-
-	mu      sync.RWMutex
-	dir     memtree.Tree[*leafRef]
+	*prim.Hybrid[*leafRef]
 	aborts  atomic.Uint64
 	opTick  atomic.Uint64
 	handles atomic.Int64
@@ -59,60 +56,25 @@ type Tree struct {
 
 // New creates an empty LB+-Tree.
 func New(pool *pmem.Pool) (*Tree, error) {
-	tr := &Tree{pool: pool, alloc: pmalloc.New(pool)}
-	t := pool.NewThread(0)
-	head, err := tr.alloc.Alloc(0, pmleaf.Bytes)
+	hy := prim.NewHybrid[*leafRef](pool, "LB+-Tree", 24)
+	head, err := hy.NewLine(pool.NewThread(0), pmleaf.Bytes)
 	if err != nil {
-		return nil, fmt.Errorf("lbtree: %w", err)
+		return nil, err
 	}
-	var img pmleaf.Image
-	img.Addr = head
-	pmleaf.WriteWhole(t, &img)
-	tr.dir.Put(0, &leafRef{addr: head})
-	return tr, nil
+	hy.Dir.Put(0, &leafRef{addr: head})
+	return &Tree{Hybrid: hy}, nil
 }
 
 // Factory adapts New to index.Factory.
-func Factory() index.Factory {
-	return func(pool *pmem.Pool) (index.Index, error) { return New(pool) }
-}
-
-// Name implements index.Index.
-func (tr *Tree) Name() string { return "LB+-Tree" }
-
-// Close implements index.Index.
-func (tr *Tree) Close() {}
+func Factory() index.Factory { return prim.Factory(New) }
 
 // Aborts reports the modeled HTM aborts so far.
 func (tr *Tree) Aborts() uint64 { return tr.aborts.Load() }
 
-// MemoryUsage implements index.Index.
-func (tr *Tree) MemoryUsage() (int64, int64) {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	return int64(tr.dir.Len()) * 24, tr.alloc.TotalInUseBytes()
-}
-
 // NewHandle implements index.Index.
 func (tr *Tree) NewHandle(socket int) index.Handle {
 	tr.handles.Add(1)
-	return &handle{tr: tr, t: tr.pool.NewThread(socket)}
-}
-
-type handle struct {
-	tr *Tree
-	t  *pmem.Thread
-}
-
-func (h *handle) Thread() *pmem.Thread { return h.t }
-
-func (tr *Tree) leafFor(t *pmem.Thread, key uint64) *leafRef {
-	t.Advance(int64(tr.dir.Depth()) * 6 * t.CostDRAM())
-	_, ref, ok := tr.dir.FindLE(key)
-	if !ok {
-		_, ref, _ = tr.dir.Min()
-	}
-	return ref
+	return prim.Bind(tr, tr.Pool.NewThread(socket))
 }
 
 // acquire models an HTM transaction begin on the leaf. With T live
@@ -120,81 +82,71 @@ func (tr *Tree) leafFor(t *pmem.Thread, key uint64) *leafRef {
 // operations old is being accessed concurrently; the expected retry
 // storm grows with how hot the leaf is (T/gap), the behaviour that
 // collapses LB+-Tree under 0.99-skew workloads (§5.4).
-func (h *handle) acquire(ref *leafRef) {
-	tick := h.tr.opTick.Add(1)
+func (tr *Tree) acquire(t *pmem.Thread, ref *leafRef) {
+	tick := tr.opTick.Add(1)
 	last := ref.lastTick.Swap(tick)
-	threads := uint64(h.tr.handles.Load())
+	threads := uint64(tr.handles.Load())
 	if threads > 1 && tick-last < threads {
 		gap := tick - last
-		aborts := threads / (gap + 1)
-		if aborts > htmMaxAborts {
-			aborts = htmMaxAborts
-		}
-		h.tr.aborts.Add(aborts)
-		h.t.Advance(int64(aborts) * htmAbortCost)
+		aborts := min(threads/(gap+1), htmMaxAborts)
+		tr.aborts.Add(aborts)
+		t.Advance(int64(aborts) * htmAbortCost)
 	}
 	for !ref.lock.CompareAndSwap(0, 1) {
-		h.tr.aborts.Add(1)
-		h.t.Advance(htmAbortCost)
+		tr.aborts.Add(1)
+		t.Advance(htmAbortCost)
 		runtime.Gosched()
 	}
 }
 
 // release ends the transaction.
-func (h *handle) release(ref *leafRef) {
-	ref.lock.Store(0)
-}
+func (ref *leafRef) release() { ref.lock.Store(0) }
 
-// Upsert implements index.Handle.
-func (h *handle) Upsert(key, value uint64) error {
-	if key == 0 {
-		return fmt.Errorf("lbtree: key 0 is reserved")
-	}
+// Upsert inserts inside the leaf's transaction, retrying after a split
+// under the exclusive lock when the leaf is full.
+func (tr *Tree) Upsert(t *pmem.Thread, key, value uint64) error {
 	for {
-		h.tr.mu.RLock()
-		ref := h.tr.leafFor(h.t, key)
-		h.acquire(ref)
-		full, err := h.insertLocked(ref, key, value)
-		h.release(ref)
-		h.tr.mu.RUnlock()
-		if err != nil {
-			return err
-		}
+		tr.Mu.RLock()
+		ref := tr.Route(t, key)
+		tr.acquire(t, ref)
+		full := insertLocked(t, ref.addr, key, value)
+		ref.release()
+		tr.Mu.RUnlock()
 		if !full {
 			return nil
 		}
 		// Structural change: retry under the exclusive lock.
-		h.tr.mu.Lock()
-		ref = h.tr.leafFor(h.t, key)
+		tr.Mu.Lock()
+		ref = tr.Route(t, key)
 		var img pmleaf.Image
-		img.Read(h.t, ref.addr)
+		img.Read(t, ref.addr)
 		if img.FreeSlot() < 0 && img.FindKey(key) < 0 {
-			if err := h.split(ref, &img); err != nil {
-				h.tr.mu.Unlock()
+			sep, right, err := prim.FPSplit(t, tr.Alloc, &img)
+			if err != nil {
+				tr.Mu.Unlock()
 				return err
 			}
+			tr.Dir.Put(sep, &leafRef{addr: right})
 		}
-		h.tr.mu.Unlock()
+		tr.Mu.Unlock()
 	}
 }
 
-// insertLocked performs the single-leaf insert. full reports that a
-// split is required.
-func (h *handle) insertLocked(ref *leafRef, key, value uint64) (bool, error) {
-	leaf := ref.addr
+// insertLocked performs the single-leaf insert. It reports that the
+// leaf is full and a split is required.
+func insertLocked(t *pmem.Thread, leaf pmem.Addr, key, value uint64) bool {
 	var img pmleaf.Image
-	img.Read(h.t, leaf)
-
+	img.Read(t, leaf)
 	if i := img.FindKey(key); i >= 0 {
 		// In-place 8 B value update: one flush.
 		a := pmleaf.SlotAddr(leaf, i).Add(8)
-		h.t.Store(a, value)
-		h.t.Persist(a, 8)
-		return false, nil
+		t.Store(a, value)
+		t.Persist(a, 8)
+		return false
 	}
 	j := img.FreeSlot()
 	if j < 0 {
-		return true, nil
+		return true
 	}
 	img.SetKV(j, key, value)
 	img.SetFP(j, pmleaf.FP(key))
@@ -203,122 +155,44 @@ func (h *handle) insertLocked(ref *leafRef, key, value uint64) (bool, error) {
 		// Entry and header share the first cacheline: one flush
 		// persists both (the LB+-Tree headline trick).
 		for wd := 0; wd < pmleaf.SlotWord(headerLineSlots); wd++ {
-			h.t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
+			t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
 		}
-		h.t.Persist(leaf, 64)
-		return false, nil
+		t.Persist(leaf, 64)
+		return false
 	}
-	h.t.Store(pmleaf.SlotAddr(leaf, j), key)
-	h.t.Store(pmleaf.SlotAddr(leaf, j).Add(8), value)
-	h.t.Persist(pmleaf.SlotAddr(leaf, j), 16)
-	pmleaf.WriteHeader(h.t, &img)
-	return false, nil
+	t.Store(pmleaf.SlotAddr(leaf, j), key)
+	t.Store(pmleaf.SlotAddr(leaf, j).Add(8), value)
+	t.Persist(pmleaf.SlotAddr(leaf, j), 16)
+	pmleaf.WriteHeader(t, &img)
+	return false
 }
 
-// split runs under the exclusive tree lock.
-func (h *handle) split(ref *leafRef, img *pmleaf.Image) error {
-	live, slots := img.SortedLive()
-	mid := len(live) / 2
-	splitKey := live[mid].Key
-	newLeaf, err := h.tr.alloc.Alloc(h.t.Socket(), pmleaf.Bytes)
-	if err != nil {
-		return fmt.Errorf("lbtree: %w", err)
-	}
-	var rimg pmleaf.Image
-	rimg.Addr = newLeaf
-	var rbm uint16
-	for i, kv := range live[mid:] {
-		rimg.SetKV(i, kv.Key, kv.Value)
-		rimg.SetFP(i, pmleaf.FP(kv.Key))
-		rbm |= 1 << uint(i)
-	}
-	rimg.SetMeta(pmleaf.PackMeta(rbm, img.Next()))
-	pmleaf.WriteWhole(h.t, &rimg)
-
-	keep := img.Bitmap()
-	for _, s := range slots[mid:] {
-		keep &^= 1 << uint(s)
-	}
-	img.SetMeta(pmleaf.PackMeta(keep, newLeaf))
-	h.t.Store(pmleaf.MetaAddr(img.Addr), img.Meta())
-	h.t.Persist(img.Addr, 8)
-	h.tr.dir.Put(splitKey, &leafRef{addr: newLeaf})
+// Delete clears the key's bitmap bit inside the leaf's transaction.
+func (tr *Tree) Delete(t *pmem.Thread, key uint64) error {
+	tr.Mu.RLock()
+	defer tr.Mu.RUnlock()
+	ref := tr.Route(t, key)
+	tr.acquire(t, ref)
+	defer ref.release()
+	prim.FPDelete(t, ref.addr, key)
 	return nil
 }
 
-// Delete implements index.Handle.
-func (h *handle) Delete(key uint64) error {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
-	ref := h.tr.leafFor(h.t, key)
-	h.acquire(ref)
-	defer h.release(ref)
-	var img pmleaf.Image
-	img.Read(h.t, ref.addr)
-	i := img.FindKey(key)
-	if i < 0 {
-		return nil
-	}
-	img.SetMeta(pmleaf.PackMeta(img.Bitmap()&^(1<<uint(i)), img.Next()))
-	h.t.Store(pmleaf.MetaAddr(ref.addr), img.Meta())
-	h.t.Persist(ref.addr, 8)
-	return nil
+// Lookup is a fingerprint-filtered probe inside a transaction on the
+// leaf. Readers go through acquire like writers, so a lookup on a hot
+// leaf counts and pays the modeled aborts too.
+func (tr *Tree) Lookup(t *pmem.Thread, key uint64) (uint64, bool) {
+	tr.Mu.RLock()
+	defer tr.Mu.RUnlock()
+	ref := tr.Route(t, key)
+	tr.acquire(t, ref)
+	defer ref.release()
+	return prim.FPLookup(t, ref.addr, key)
 }
 
-// Lookup implements index.Handle (read-only transactions don't abort
-// writers in this model; reads are fingerprint-filtered).
-func (h *handle) Lookup(key uint64) (uint64, bool) {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
-	ref := h.tr.leafFor(h.t, key)
-	h.acquire(ref)
-	defer h.release(ref)
-	leaf := ref.addr
-	var img pmleaf.Image
-	img.ReadHeader(h.t, leaf)
-	bm := img.Bitmap()
-	f := pmleaf.FP(key)
-	for i := 0; i < pmleaf.Slots; i++ {
-		if bm&(1<<uint(i)) == 0 || img.FPAt(i) != f {
-			continue
-		}
-		if h.t.Load(pmleaf.SlotAddr(leaf, i)) == key {
-			return h.t.Load(pmleaf.SlotAddr(leaf, i).Add(8)), true
-		}
-	}
-	return 0, false
-}
-
-// Scan implements index.Handle.
-func (h *handle) Scan(start uint64, max int, out []index.KV) int {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
-	if max > len(out) {
-		max = len(out)
-	}
-	_, ref, ok := h.tr.dir.FindLE(start)
-	if !ok {
-		_, ref, _ = h.tr.dir.Min()
-	}
-	leaf := ref.addr
-	count := 0
-	for count < max {
-		var img pmleaf.Image
-		img.Read(h.t, leaf)
-		live, _ := img.SortedLive()
-		h.t.Advance(int64(len(live)) * 2 * h.t.CostDRAM())
-		for _, kv := range live {
-			if kv.Key < start || count >= max {
-				continue
-			}
-			out[count] = kv
-			count++
-		}
-		next := img.Next()
-		if next.IsNil() {
-			break
-		}
-		leaf = next
-	}
-	return count
+// Scan walks the leaf chain from the start key's leaf.
+func (tr *Tree) Scan(t *pmem.Thread, start uint64, max int, out []index.KV) int {
+	tr.Mu.RLock()
+	defer tr.Mu.RUnlock()
+	return prim.FPScan(t, tr.Floor(start).addr, start, max, out)
 }

@@ -3,6 +3,7 @@ package pactree
 import (
 	"testing"
 
+	"cclbtree/internal/baselines/prim"
 	"cclbtree/internal/index/indextest"
 )
 
@@ -16,7 +17,7 @@ func TestLeavesStaySorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := tr.NewHandle(0).(*handle)
+	h := tr.NewHandle(0)
 	rng := uint64(31)
 	for i := 0; i < 20000; i++ {
 		rng ^= rng << 13
@@ -26,20 +27,20 @@ func TestLeavesStaySorted(t *testing.T) {
 	}
 	// Walk the whole chain; every leaf must be internally sorted and
 	// ordered against its successor.
-	var img leafImg
-	img.read(h.t, tr.leafFor(h.t, 1))
+	var n prim.Node
+	n.Read(h.Thread(), tr.Floor(1))
 	var prev uint64
 	for {
-		for i := 0; i < img.count(); i++ {
-			if img.key(i) <= prev {
-				t.Fatalf("leaf disorder: %d after %d", img.key(i), prev)
+		for i := 0; i < n.Count(); i++ {
+			if n.Key(i) <= prev {
+				t.Fatalf("leaf disorder: %d after %d", n.Key(i), prev)
 			}
-			prev = img.key(i)
+			prev = n.Key(i)
 		}
-		next := img.next()
+		next := n.Link()
 		if next.IsNil() {
 			break
 		}
-		img.read(h.t, next)
+		n.Read(h.Thread(), next)
 	}
 }

@@ -6,15 +6,16 @@
 // cacheline flushes to two unrelated XPLines — so XBI-amplification is
 // among the worst of the evaluated indexes (Fig 3), and range scans
 // chase random PM pointers (the slowest scans in Fig 10e).
+//
+// It is a prim.Hybrid whose directory indexes every key, over its own
+// 64 B list node.
 package utree
 
 import (
 	"fmt"
-	"sync"
 
+	"cclbtree/internal/baselines/prim"
 	"cclbtree/internal/index"
-	"cclbtree/internal/memtree"
-	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 )
 
@@ -23,145 +24,114 @@ import (
 //	word0 key, word1 value, word2 next, words 3-7 pad
 const nodeBytes = 64
 
-// Tree is a uTree instance.
+// Tree is a uTree instance: the directory maps every key to its list
+// node.
 type Tree struct {
-	pool  *pmem.Pool
-	alloc *pmalloc.Allocator
-
-	mu   sync.RWMutex
-	dir  memtree.Tree[pmem.Addr] // key -> list node
-	head pmem.Addr               // sentinel list node (key 0)
+	*prim.Hybrid[pmem.Addr]
+	head pmem.Addr // sentinel list node (key 0)
 }
 
 // New creates an empty uTree.
 func New(pool *pmem.Pool) (*Tree, error) {
-	tr := &Tree{pool: pool, alloc: pmalloc.New(pool)}
-	t := pool.NewThread(0)
-	head, err := tr.alloc.Alloc(0, nodeBytes)
+	// Shadow entry: key + pointer + B+-tree overhead (the paper notes
+	// uTree's DRAM footprint rivals its PM footprint).
+	hy := prim.NewHybrid[pmem.Addr](pool, "uTree", 32)
+	head, err := hy.NewLine(pool.NewThread(0), nodeBytes)
 	if err != nil {
-		return nil, fmt.Errorf("utree: %w", err)
+		return nil, err
 	}
-	t.WriteRange(head, make([]uint64, nodeBytes/8))
-	t.Persist(head, nodeBytes)
-	tr.head = head
-	return tr, nil
+	return &Tree{Hybrid: hy, head: head}, nil
 }
 
 // Factory adapts New to index.Factory.
-func Factory() index.Factory {
-	return func(pool *pmem.Pool) (index.Index, error) { return New(pool) }
-}
-
-// Name implements index.Index.
-func (tr *Tree) Name() string { return "uTree" }
-
-// Close implements index.Index.
-func (tr *Tree) Close() {}
-
-// MemoryUsage implements index.Index: the whole shadow tree is DRAM.
-func (tr *Tree) MemoryUsage() (int64, int64) {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	// Shadow entry: key + pointer + B+-tree overhead (the paper notes
-	// uTree's DRAM footprint rivals its PM footprint).
-	return int64(tr.dir.Len()) * 32, tr.alloc.TotalInUseBytes()
-}
+func Factory() index.Factory { return prim.Factory(New) }
 
 // NewHandle implements index.Index.
-func (tr *Tree) NewHandle(socket int) index.Handle {
-	return &handle{tr: tr, t: tr.pool.NewThread(socket)}
-}
+func (tr *Tree) NewHandle(socket int) index.Handle { return prim.Bind(tr, tr.Pool.NewThread(socket)) }
 
-type handle struct {
-	tr *Tree
-	t  *pmem.Thread
-}
-
-func (h *handle) Thread() *pmem.Thread { return h.t }
-
-// Upsert implements index.Handle.
-func (h *handle) Upsert(key, value uint64) error {
-	if key == 0 {
-		return fmt.Errorf("utree: key 0 is reserved")
+// pred returns the list node preceding key: its directory floor, or
+// the sentinel. Caller holds tr.Mu.
+func (tr *Tree) pred(key uint64) pmem.Addr {
+	if _, p, ok := tr.Dir.FindLE(key); ok {
+		return p
 	}
-	h.tr.mu.Lock()
-	defer h.tr.mu.Unlock()
-	h.t.Advance(int64(h.tr.dir.Depth()) * 6 * h.t.CostDRAM())
+	return tr.head
+}
 
-	if node, ok := h.tr.dir.Get(key); ok {
+// Upsert updates a present key's node in place; otherwise it persists
+// a fresh node and links it after its predecessor.
+func (tr *Tree) Upsert(t *pmem.Thread, key, value uint64) error {
+	tr.Mu.Lock()
+	defer tr.Mu.Unlock()
+	tr.Traverse(t)
+
+	if node, ok := tr.Dir.Get(key); ok {
 		// In-place value update: one flush to the node's line.
-		h.t.Store(node.Add(8), value)
-		h.t.Persist(node.Add(8), 8)
+		t.Store(node.Add(8), value)
+		t.Persist(node.Add(8), 8)
 		return nil
 	}
-	// Predecessor in the list (sentinel when none).
-	pred := h.tr.head
-	if _, p, ok := h.tr.dir.FindLE(key); ok {
-		pred = p
-	}
-	succ := h.t.Load(pred.Add(16))
+	pred := tr.pred(key)
+	succ := t.Load(pred.Add(16))
 
-	node, err := h.tr.alloc.Alloc(h.t.Socket(), nodeBytes)
+	node, err := tr.Alloc.Alloc(t.Socket(), nodeBytes)
 	if err != nil {
 		return fmt.Errorf("utree: %w", err)
 	}
 	// Persist the new node, then atomically link it: two flushes to
 	// two unrelated XPLines.
-	h.t.Store(node, key)
-	h.t.Store(node.Add(8), value)
-	h.t.Store(node.Add(16), succ)
-	h.t.Persist(node, 24)
-	h.t.Store(pred.Add(16), uint64(node))
-	h.t.Persist(pred.Add(16), 8)
+	t.Store(node, key)
+	t.Store(node.Add(8), value)
+	t.Store(node.Add(16), succ)
+	t.Persist(node, 24)
+	t.Store(pred.Add(16), uint64(node))
+	t.Persist(pred.Add(16), 8)
 
-	h.tr.dir.Put(key, node)
+	tr.Dir.Put(key, node)
 	return nil
 }
 
-// Delete implements index.Handle: unlink from the list (one random
-// flush) and drop the shadow entry.
-func (h *handle) Delete(key uint64) error {
-	h.tr.mu.Lock()
-	defer h.tr.mu.Unlock()
-	node, ok := h.tr.dir.Get(key)
+// Delete unlinks the key's node from the list (one random flush) and
+// drops the shadow entry.
+func (tr *Tree) Delete(t *pmem.Thread, key uint64) error {
+	tr.Mu.Lock()
+	defer tr.Mu.Unlock()
+	node, ok := tr.Dir.Get(key)
 	if !ok {
 		return nil
 	}
-	pred := h.tr.head
-	h.tr.dir.Delete(key)
-	if _, p, ok := h.tr.dir.FindLE(key); ok {
-		pred = p
-	}
-	succ := h.t.Load(node.Add(16))
-	h.t.Store(pred.Add(16), succ)
-	h.t.Persist(pred.Add(16), 8)
-	h.tr.alloc.Free(node, nodeBytes)
+	tr.Dir.Delete(key)
+	pred := tr.pred(key)
+	succ := t.Load(node.Add(16))
+	t.Store(pred.Add(16), succ)
+	t.Persist(pred.Add(16), 8)
+	tr.Alloc.Free(node, nodeBytes)
 	return nil
 }
 
-// Lookup implements index.Handle: shadow tree then one PM read.
-func (h *handle) Lookup(key uint64) (uint64, bool) {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
-	h.t.Advance(int64(h.tr.dir.Depth()) * 6 * h.t.CostDRAM())
-	node, ok := h.tr.dir.Get(key)
+// Lookup is a shadow-tree probe, then one PM read.
+func (tr *Tree) Lookup(t *pmem.Thread, key uint64) (uint64, bool) {
+	tr.Mu.RLock()
+	defer tr.Mu.RUnlock()
+	tr.Traverse(t)
+	node, ok := tr.Dir.Get(key)
 	if !ok {
 		return 0, false
 	}
-	return h.t.Load(node.Add(8)), true
+	return t.Load(node.Add(8)), true
 }
 
-// Scan implements index.Handle: ordered keys come from the shadow
-// tree, but every value is a random PM pointer chase.
-func (h *handle) Scan(start uint64, max int, out []index.KV) int {
-	h.tr.mu.RLock()
-	defer h.tr.mu.RUnlock()
+// Scan takes ordered keys from the shadow tree, but every value is a
+// random PM pointer chase.
+func (tr *Tree) Scan(t *pmem.Thread, start uint64, max int, out []index.KV) int {
+	tr.Mu.RLock()
+	defer tr.Mu.RUnlock()
 	if max > len(out) {
 		max = len(out)
 	}
 	count := 0
-	h.tr.dir.Ascend(start, func(k uint64, node pmem.Addr) bool {
-		out[count] = index.KV{Key: k, Value: h.t.Load(node.Add(8))}
+	tr.Dir.Ascend(start, func(k uint64, node pmem.Addr) bool {
+		out[count] = index.KV{Key: k, Value: t.Load(node.Add(8))}
 		count++
 		return count < max
 	})

@@ -1,7 +1,7 @@
 // Package index defines the common interface every persistent index in
-// this repository implements — CCL-BTree and the eight comparison
-// targets of the paper's evaluation (§5.1) — plus a conformance suite
-// the baselines share.
+// this repository implements — CCL-BTree and its ablation variants, the
+// six tree baselines (§5.1) and the two log-structured stores (Table 3)
+// — plus a conformance suite the baselines share.
 //
 // All indexes run on the same pmem device model, flush with the same
 // primitives, and are driven through per-goroutine handles, so the
@@ -46,6 +46,6 @@ type Handle interface {
 	Thread() *pmem.Thread
 }
 
-// Factory builds an index on a pool. sockets is the NUMA node count
-// workloads will use.
+// Factory builds an index on a pool. Workloads bind handles to the
+// pool's sockets (NewHandle).
 type Factory func(pool *pmem.Pool) (Index, error)

@@ -1,10 +1,11 @@
 // Package memtree is an in-DRAM B+-tree keyed by uint64 with generic
-// values. It serves as the volatile search layer of the baseline
-// indexes in this repository — FPTree's, uTree's, LB+-Tree's and
-// PACTree's inner nodes, DPTree's, FlatStore's and the LSM's volatile
-// indexes — and as the reference model the crash and read-property
-// tests replay against. CCL-BTree does not use it: its inner layer is
-// the seqlocked in-place tree in internal/core/inner.go.
+// values. It is the volatile layer of the baseline indexes in this
+// repository — the directory of prim.Hybrid (FPTree's, LB+-Tree's and
+// PACTree's inner nodes, uTree's shadow tree, FlatStore's key index),
+// DPTree's global write buffer and the LSM's memtable — and the
+// reference model the crash and read-property tests replay against.
+// CCL-BTree does not use it: its inner layer is the seqlocked in-place
+// tree in internal/core/inner.go.
 //
 // The tree is not synchronized; callers wrap it with their own
 // concurrency control.

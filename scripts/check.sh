@@ -58,6 +58,9 @@ go test -count=1 -run 'TestUpsertAllocCeiling' ./internal/core
 go test -count=1 -run 'TestSessionWriteAllocCeiling' .
 go test -race -short ./internal/core/... ./internal/pmem/... ./internal/obs/...
 go test -race -short ./internal/server
+# Every comparison baseline runs on the shared primitives in
+# internal/baselines/prim (LB+-Tree's CAS leaf lock included).
+go test -race -short ./internal/baselines/...
 go test -race -run TestTortureShort ./internal/torture
 
 # The acceptance tests — batch speedup, read scaling (8 threads >= 3x 1),
