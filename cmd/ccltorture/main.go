@@ -46,8 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch    = fs.Int("batch", 0, "group writes into ApplyBatch commits of this size (0/1 = per-op writes)")
 		out      = fs.String("out", "torture-artifacts", "directory for failure artifacts")
 		replay   = fs.String("replay", "", "re-run the configuration recorded in a failure artifact")
-		skip     = fs.Bool("unsafe-skip-wal-fence", false, "plant the skip-fence durability bug (oracle self-test)")
-		skipRR   = fs.Bool("unsafe-skip-read-recheck", false, "plant the torn-optimistic-read bug (read-oracle self-test)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -81,17 +79,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for {
 		for _, eadr := range modes {
 			cfg := torture.Config{
-				Seed:                  *seed + int64(runs),
-				Threads:               *threads,
-				Rounds:                *rounds,
-				OpsPerThread:          *ops,
-				KeySpace:              *keys,
-				EADR:                  eadr,
-				GC:                    *gc,
-				Torn:                  *torn && !eadr,
-				BatchSize:             *batch,
-				UnsafeSkipWALFence:    *skip,
-				UnsafeSkipReadRecheck: *skipRR,
+				Seed:         *seed + int64(runs),
+				Threads:      *threads,
+				Rounds:       *rounds,
+				OpsPerThread: *ops,
+				KeySpace:     *keys,
+				EADR:         eadr,
+				GC:           *gc,
+				Torn:         *torn && !eadr,
+				BatchSize:    *batch,
 			}
 			if code := oneRun(cfg, *out, stdout, stderr); code != 0 {
 				return code

@@ -2,10 +2,10 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"cclbtree/internal/torture"
 )
 
 // TestRunClean exercises the CLI end to end with one tiny clean run.
@@ -23,34 +23,46 @@ func TestRunClean(t *testing.T) {
 	}
 }
 
-// TestRunFailureWritesArtifactAndReplays plants the skip-fence bug,
-// expects exit 1 plus an artifact, then replays the artifact and
-// expects the same failure.
-func TestRunFailureWritesArtifactAndReplays(t *testing.T) {
-	dir := t.TempDir()
+// TestReplayReproducesRun replays an artifact recording a clean
+// single-thread configuration: the replay exits 0 and prints the same
+// summary line as the run it records.
+func TestReplayReproducesRun(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{
-		"-seed", "1", "-duration", "0", "-threads", "1", "-mode", "adr",
-		"-gc", "off", "-rounds", "2", "-ops", "120", "-keys", "256",
-		"-out", dir, "-unsafe-skip-wal-fence",
+		"-seed", "3", "-duration", "0", "-threads", "1", "-mode", "adr",
+		"-gc", "off", "-rounds", "2", "-ops", "120", "-out", t.TempDir(),
 	}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit %d (want 1), stderr: %s", code, errb.String())
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "VIOLATION") || !strings.Contains(errb.String(), "reproduce with") {
-		t.Fatalf("missing violation/repro output: %s", errb.String())
-	}
-	path := filepath.Join(dir, "torture-seed1.json")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("artifact not written: %v", err)
-	}
+	want := summaryLine(t, out.String())
 
+	cfg := torture.Config{Seed: 3, Threads: 1, Rounds: 2, OpsPerThread: 120,
+		KeySpace: 256, GC: "off", Torn: true}
+	path, err := torture.NewArtifact(&torture.Result{Config: cfg}).Write(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	out.Reset()
 	errb.Reset()
-	code = run([]string{"-replay", path, "-out", t.TempDir()}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("replay exit %d (want 1), stderr: %s", code, errb.String())
+	if code := run([]string{"-replay", path, "-out", t.TempDir()}, &out, &errb); code != 0 {
+		t.Fatalf("replay exit %d, stderr: %s", code, errb.String())
 	}
+	if got := summaryLine(t, out.String()); got != want {
+		t.Fatalf("replay summary %q, want %q", got, want)
+	}
+}
+
+// summaryLine returns the per-run "seed ..." line of a ccltorture run.
+func summaryLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "seed ") {
+			return l
+		}
+	}
+	t.Fatalf("no summary line in:\n%s", out)
+	return ""
 }
 
 // TestRunBadFlags covers the error paths.

@@ -11,8 +11,7 @@
 //
 // Usage:
 //
-//	persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES]
-//	            [-budget DURATION] [packages...]
+//	persistlint [-json] [-sarif FILE] [-tests] [-stats] [-budget DURATION] [packages...]
 //
 // Package patterns are directories; a trailing /... recurses. With no
 // arguments it checks ./... from the current directory. Exit status is
@@ -62,27 +61,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sarif := fl.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" emits SARIF to stdout instead of the default listing)")
 	withTest := fl.Bool("tests", false, "also analyze _test.go files")
 	stats := fl.Bool("stats", false, "print analysis self-diagnostics to stderr")
-	disable := fl.String("disable", "", "comma-separated rule codes to switch off (e.g. PL008,PL011)")
-	only := fl.String("only", "", "comma-separated rule codes to run exclusively (PL000 always runs)")
 	budget := fl.Duration("budget", 0, "fail (exit 2) when parsing+analysis wall-clock exceeds this duration; 0 disables the gate")
 	fl.Usage = func() {
-		fmt.Fprintf(stderr, "usage: persistlint [-json] [-sarif FILE] [-tests] [-stats] [-disable CODES | -only CODES] [-budget DURATION] [packages...]\n")
+		fmt.Fprintf(stderr, "usage: persistlint [-json] [-sarif FILE] [-tests] [-stats] [-budget DURATION] [packages...]\n")
 		fl.PrintDefaults()
 	}
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
-	if *disable != "" && *only != "" {
-		fmt.Fprintf(stderr, "persistlint: -disable and -only are mutually exclusive\n")
-		return 2
-	}
 	if *jsonOut && *sarif == "-" {
 		fmt.Fprintf(stderr, "persistlint: -json and -sarif - both claim stdout\n")
-		return 2
-	}
-	disabled, err := resolveToggles(*disable, *only)
-	if err != nil {
-		fmt.Fprintf(stderr, "persistlint: %v\n", err)
 		return 2
 	}
 	patterns := fl.Args()
@@ -98,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 	an := persist.NewAnalyzer()
-	an.Disable(disabled...)
 	for _, d := range dirs {
 		if err := an.AddDir(d, *withTest); err != nil {
 			fmt.Fprintf(stderr, "persistlint: %v\n", err)
@@ -156,50 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// resolveToggles turns the -disable/-only flag values into the list of
-// rule codes to switch off, validating every named code.
-func resolveToggles(disable, only string) ([]string, error) {
-	known := map[string]bool{}
-	for _, c := range persist.AllCodes() {
-		known[c] = true
-	}
-	parse := func(flagName, v string) ([]string, error) {
-		var out []string
-		for _, c := range strings.Split(v, ",") {
-			c = strings.TrimSpace(c)
-			if c == "" {
-				continue
-			}
-			if !known[c] {
-				return nil, fmt.Errorf("-%s: unknown rule code %q (known: %s)", flagName, c, strings.Join(persist.AllCodes(), ","))
-			}
-			out = append(out, c)
-		}
-		return out, nil
-	}
-	if disable != "" {
-		return parse("disable", disable)
-	}
-	if only == "" {
-		return nil, nil
-	}
-	keep, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	kept := map[string]bool{}
-	for _, c := range keep {
-		kept[c] = true
-	}
-	var off []string
-	for _, c := range persist.AllCodes() {
-		if !kept[c] {
-			off = append(off, c)
-		}
-	}
-	return off, nil
 }
 
 // printStats emits the self-diagnostic block: CI logs should show what

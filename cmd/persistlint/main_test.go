@@ -142,41 +142,6 @@ func TestDeterministicOutput(t *testing.T) {
 // guaranteed to exercise every rule, PL008–PL012 included.
 const corpusDir = "../../internal/analysis/persist/testdata"
 
-// TestRuleToggleFlags pins -disable/-only: they remove exactly the
-// named rules, reject unknown codes, and refuse to be combined.
-func TestRuleToggleFlags(t *testing.T) {
-	leaky := writeDir(t, "leaky.go", leakySrc)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-disable", "PL001", leaky}, &out, &errb); code != 1 {
-		t.Fatalf("-disable PL001: exit %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if strings.Contains(out.String(), "PL001") || !strings.Contains(out.String(), "PL002") {
-		t.Errorf("-disable PL001 output wrong:\n%s", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-only", "PL001", leaky}, &out, &errb); code != 1 {
-		t.Fatalf("-only PL001: exit %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "PL001") || strings.Contains(out.String(), "PL002") {
-		t.Errorf("-only PL001 output wrong:\n%s", out.String())
-	}
-
-	for _, args := range [][]string{
-		{"-disable", "PL999", leaky},
-		{"-only", "bogus", leaky},
-		{"-disable", "PL001", "-only", "PL002", leaky},
-	} {
-		out.Reset()
-		errb.Reset()
-		if code := run(args, &out, &errb); code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
-		}
-	}
-}
-
 // TestBudgetFlag: an impossible budget fails the run with exit 2, a
 // generous one changes nothing.
 func TestBudgetFlag(t *testing.T) {
@@ -350,52 +315,6 @@ func TestStatsReconcile(t *testing.T) {
 	}
 	if total != emitted || sum != emitted {
 		t.Errorf("stats drift: total %d, per-code sum %d, emitted %d", total, sum, emitted)
-	}
-}
-
-// disabledDirectiveSrc suppresses a finding of a rule the run then
-// disables: with the rule off the directive is unprovable, not stale,
-// and PL007 must stay quiet.
-const disabledDirectiveSrc = `package p
-
-import "cclbtree/internal/pmem"
-
-func excusedLeak(t *pmem.Thread, a pmem.Addr) {
-	//persistlint:ignore PL001 recovery rewrites this word before first read
-	t.Store(a, 1)
-}
-`
-
-// TestStaleDirectiveSkipsDisabledRules is the PL007 regression for
-// -disable/-only: a directive naming a rule the run cannot evaluate is
-// never reported stale.
-func TestStaleDirectiveSkipsDisabledRules(t *testing.T) {
-	dir := writeDir(t, "excused.go", disabledDirectiveSrc)
-
-	var out, errb bytes.Buffer
-	if code := run([]string{"-disable", "PL001", dir}, &out, &errb); code != 0 {
-		t.Fatalf("-disable PL001: exit %d, want 0 (stdout: %s)", code, out.String())
-	}
-	if strings.Contains(out.String(), "PL007") {
-		t.Errorf("-disable PL001 flagged the directive stale:\n%s", out.String())
-	}
-
-	// -only PL002 disables PL001 the other way around; same contract.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-only", "PL002", dir}, &out, &errb); code != 0 {
-		t.Fatalf("-only PL002: exit %d, want 0 (stdout: %s)", code, out.String())
-	}
-	if strings.Contains(out.String(), "PL007") {
-		t.Errorf("-only PL002 flagged the directive stale:\n%s", out.String())
-	}
-
-	// With PL001 live the directive provably suppresses a real finding:
-	// still not stale, and the leak stays hidden.
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{dir}, &out, &errb); code != 0 {
-		t.Fatalf("default run: exit %d, want 0 (stdout: %s)", code, out.String())
 	}
 }
 

@@ -157,9 +157,6 @@ func (fa *funcAnalysis) collectAccesses(g *cfg, in []heldSet) {
 // resolution cannot determine are not judged at all (a false aliasing
 // across structs would drown the rule in noise).
 func (a *Analyzer) checkAtomicConsistency() []Finding {
-	if a.disabled[CodeAtomicMix] {
-		return nil
-	}
 	ownerAtomic := map[string]bool{} // "Type.field" accessed atomically
 	for _, acc := range a.accesses {
 		if acc.atomic && acc.owner != "" {

@@ -578,9 +578,6 @@ func (fa *funcAnalysis) applyWP(s *wpState, e event, report func(code string, po
 // `defer t.Persist(...)` after an inline persist of the same address is
 // caught too.
 func (fa *funcAnalysis) checkWastedPersist(g *cfg, emit func(code string, pos token.Pos, msg string)) {
-	if fa.an.disabled[CodeWastedPersist] {
-		return
-	}
 	in := make([]*wpState, len(g.nodes)) // nil = not yet reached
 	in[g.entry.id] = newWPState()
 	queued := make([]bool, len(g.nodes))

@@ -317,9 +317,6 @@ func (a *Analyzer) checkGuardedBy() []Finding {
 			})
 		}
 	}
-	if a.disabled[CodeGuardedBy] {
-		return out
-	}
 	for _, acc := range a.accesses {
 		if acc.owner == "" || acc.ctor || acc.atomic {
 			continue

@@ -273,17 +273,6 @@ const (
 	CodeReadAfterPublish     = "PL015"
 )
 
-// AllCodes lists every rule code, for CLI toggle validation.
-func AllCodes() []string {
-	return []string{
-		CodeBadDirective, CodeStoreNoPersist, CodeFlushNoFence,
-		CodeDeadFlush, CodeThreadEscape, CodePublishBeforePersist,
-		CodeLockOrder, CodeStaleIgnore, CodeAtomicMix, CodeGuardedBy,
-		CodeSeqlock, CodeWastedPersist, CodeScopeBalance,
-		CodeEscapeBeforePersist, CodeLockOrderGraph, CodeReadAfterPublish,
-	}
-}
-
 // RuleTitles maps every rule code to a one-line description, for SARIF
 // rule metadata and documentation generators.
 func RuleTitles() map[string]string {
@@ -395,11 +384,6 @@ type Analyzer struct {
 	loadSites    []loadSite
 	seqFns       map[string]bool
 
-	// disabled holds rule codes switched off for this run (CLI
-	// toggles). Disabled rules neither report nor mark directives used,
-	// and their directives are exempt from PL007 staleness.
-	disabled map[string]bool
-
 	// structFields maps struct type name → field name → declared type
 	// base name, for resolving the owning struct of a field access.
 	structFields map[string]map[string]string
@@ -475,7 +459,6 @@ func NewAnalyzer() *Analyzer {
 		handleFields:      map[string]bool{},
 		addrFields:        map[string]bool{},
 		lockOwnerFields:   map[string]string{},
-		disabled:          map[string]bool{},
 		structFields:      map[string]map[string]string{},
 		structLocks:       map[string][]string{},
 		typedAtomicFields: map[string]bool{},
@@ -486,16 +469,6 @@ func NewAnalyzer() *Analyzer {
 		trackedFields:     map[string]bool{},
 		scopeSites:        map[token.Pos]bool{},
 		seqSites:          map[token.Pos]bool{},
-	}
-}
-
-// Disable switches the given rule codes off for subsequent Runs. PL000
-// (malformed directives) cannot be disabled.
-func (a *Analyzer) Disable(codes ...string) {
-	for _, c := range codes {
-		if c != CodeBadDirective {
-			a.disabled[c] = true
-		}
 	}
 }
 
@@ -654,14 +627,11 @@ func (a *Analyzer) Run() []Finding {
 // directives are PL000, not PL007. Not suppressible: the remedy is
 // deleting the line, not excusing it.
 func (a *Analyzer) checkStaleDirectives() []Finding {
-	if a.disabled[CodeStaleIgnore] {
-		return nil
-	}
 	var out []Finding
 	for _, fi := range a.files {
 		for _, dirs := range fi.ignores {
 			for _, d := range dirs {
-				if d.reason == "" || d.used || a.directiveCoversDisabled(d) {
+				if d.reason == "" || d.used {
 					continue
 				}
 				out = append(out, Finding{
@@ -674,18 +644,6 @@ func (a *Analyzer) checkStaleDirectives() []Finding {
 		}
 	}
 	return out
-}
-
-// directiveCoversDisabled reports whether the directive names a rule
-// that is switched off this run: with the rule silent the directive
-// cannot possibly match, so calling it stale would be wrong.
-func (a *Analyzer) directiveCoversDisabled(d *directive) bool {
-	for _, c := range d.codes {
-		if (c == "*" && len(a.disabled) > 0) || a.disabled[c] {
-			return true
-		}
-	}
-	return false
 }
 
 // isThreadType reports whether the type expression denotes
@@ -1059,9 +1017,6 @@ func (fa *funcAnalysis) suppressed(code string, line int) bool {
 }
 
 func (fa *funcAnalysis) finding(code string, pos token.Pos, msg string) (Finding, bool) {
-	if fa.an.disabled[code] {
-		return Finding{}, false
-	}
 	p := fa.an.fset.Position(pos)
 	if fa.suppressed(code, p.Line) {
 		return Finding{}, false

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // applyOps is a test shorthand: apply ops and fail on error.
@@ -375,6 +376,60 @@ func TestBatchRelogsWhenGCCopyOvertakesGroupCommit(t *testing.T) {
 	defer tr2.Freeze()
 	if got, ok := tr2.NewWorker(0).Lookup(key); !ok || got != newVal {
 		t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", key, got, ok, newVal)
+	}
+}
+
+// TestBatchRelogsOnTiedLeafStamp: ORDO ticks strictly increase per
+// socket but can tie across sockets, so a flush on socket 0 can stamp a
+// leaf with exactly the first tick of a group socket 1 committed but has
+// not applied yet. Recovery replays only records strictly above their
+// leaf's stamp, so the group's records no longer back its slots: the
+// relog gate must fire on the tie, not just on a later stamp.
+func TestBatchRelogsOnTiedLeafStamp(t *testing.T) {
+	pool := newTestPool(nil)
+	opts := Options{GC: GCOff, ChunkBytes: 16 << 10}
+	tr, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0, w1 := tr.NewWorker(0), tr.NewWorker(1)
+	// Fill the leaf's buffer, so w0's next write is a trigger write.
+	applyOps(t, w0, []BatchOp{{Key: 1, Value: 10}})
+	applyOps(t, w0, []BatchOp{{Key: 2, Value: 20}})
+
+	// w1 commits its group's record (ApplyBatch's first half)...
+	const key, val = 3, 30
+	gen, e := tr.epochGen.Load(), tr.epoch.Load()
+	kvs := []KV{{key, val}}
+	minTS, err := w1.groupCommit(kvs, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ...w0's trigger write flushes the leaf with the next tick drawn on
+	// socket 0...
+	applyOps(t, w0, []BatchOp{{Key: 4, Value: 40}})
+	n := tr.findBuffer(w0.t, key)
+	if ts := w0.t.Load(pmleaf.TSAddr(n.leaf)); ts != minTS {
+		t.Fatalf("setup: leaf stamp %d, want the tied tick %d", ts, minTS)
+	}
+	// ...and only now does w1's group apply (ApplyBatch's second half).
+	if err := w1.applySorted(kvs, gen, e, minTS); err != nil {
+		t.Fatal(err)
+	}
+	relogs := tr.Counters().BatchRelogs
+
+	tr.Freeze()
+	pool.Crash()
+	tr2, _, err := Open(pool, opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr2.Freeze()
+	if got, ok := tr2.NewWorker(0).Lookup(key); !ok || got != val {
+		t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", key, got, ok, val)
+	}
+	if relogs != 1 {
+		t.Fatalf("group re-logged %d records, want 1", relogs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -70,6 +71,48 @@ func TestEpochReaderParkedAcrossGCFlip(t *testing.T) {
 	}
 	if got := tr.Counters().EpochReclaims; got != reclaims0+uint64(limbo0)+1 {
 		t.Fatalf("EpochReclaims advanced %d, want %d", got-reclaims0, limbo0+1)
+	}
+}
+
+// TestEpochReadPinsWhileRetrying: a lookup spinning on a locked node is
+// inside its read-side section, so it holds the reclamation epoch: a
+// leaf retired meanwhile waits in limbo until the read returns.
+func TestEpochReadPinsWhileRetrying(t *testing.T) {
+	tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+	if err := w.Upsert(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	n := tr.findBuffer(w.t, 1)
+	ver, ok := n.tryLock()
+	if !ok {
+		t.Fatal("node locked")
+	}
+	reader := tr.NewWorker(0)
+	retries := tr.Counters().ReadRetries
+	got := make(chan uint64)
+	go func() {
+		v, _ := reader.Lookup(1)
+		got <- v
+	}()
+	for tr.Counters().ReadRetries == retries {
+		runtime.Gosched() // wait until the reader is inside, retrying
+	}
+	a, err := tr.newLeaf(w.t, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.retireLeaf(a)
+	limbo := tr.epochLimboLen()
+	n.unlock(ver)
+	if v := <-got; v != 10 {
+		t.Fatalf("Lookup(1) = %d after the node unlocked, want 10", v)
+	}
+	if limbo != 1 {
+		t.Fatalf("limbo %d after a retire under a pinned reader, want 1", limbo)
+	}
+	tr.advanceEpoch()
+	if l := tr.epochLimboLen(); l != 0 {
+		t.Fatalf("limbo %d after the reader returned, want 0", l)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // crashDriver is one way of issuing the crash matrix's write stream:
@@ -122,6 +123,67 @@ func crashMatrix(t *testing.T, drivers ...crashDriver) {
 func TestCrashAtEveryFlushBoundary(t *testing.T) { crashMatrix(t, crashSingles) }
 func TestCrashAtEveryFlushBoundaryBatched(t *testing.T) {
 	crashMatrix(t, crashGroups24, crashGroups1)
+}
+
+// TestCrashHeaderDrainsBeforeData pins §4.2's data-then-metadata order
+// of a leaf flush. Power fails at the header persist of a trigger write
+// after the header line has reached media — hardware may write a dirty
+// line back at any time — but before the worker's own write-backs
+// complete. The new header's timestamp gates the WAL records of the
+// buffered writes the flush absorbed, so those acknowledged writes
+// survive only if their slots were durable before the header was
+// written.
+func TestCrashHeaderDrainsBeforeData(t *testing.T) {
+	pool := newTestPool(nil)
+	opts := Options{GC: GCOff, ChunkBytes: 16 << 10}
+	tr, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.NewWorker(0)
+	// Two buffer slots: keys 1–3 fill leaf slots 0–2 (slots 0–1 share
+	// the header's cacheline), 4 and 5 are buffered and logged, and 6
+	// triggers the flush that writes 4–6 into slots 3–5, all on the
+	// leaf's second cacheline.
+	for k := uint64(1); k <= 5; k++ {
+		if err := w.Upsert(k, 10*k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf := tr.head.leaf
+	hdrLine := leaf.Offset() / pmem.CachelineSize
+	pool.FailWhen(func(fp pmem.FaultPoint) bool {
+		return fp.Socket == leaf.Socket() && fp.Line == hdrLine
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(pmem.PowerFailure); !ok {
+					panic(r)
+				}
+			}
+		}()
+		_ = w.Upsert(6, 60)
+		t.Fatal("trigger write survived the armed header fault")
+	}()
+	tr.Freeze()
+	pool.FailWhen(nil)
+	// The header line drains; the data lines still wait on the worker's
+	// fence and are lost with the power.
+	pool.NewThread(leaf.Socket()).Persist(leaf, pmleaf.HeaderBytes)
+	pool.Crash()
+
+	tr2, _, err := Open(pool, opts, 1)
+	if err != nil {
+		t.Fatalf("recovery rejected the image: %v", err)
+	}
+	defer tr2.Freeze()
+	w2 := tr2.NewWorker(0)
+	for k := uint64(1); k <= 5; k++ {
+		if v, ok := w2.Lookup(k); !ok || v != 10*k {
+			t.Fatalf("acknowledged key %d recovered as %d,%v, want %d", k, v, ok, 10*k)
+		}
+	}
 }
 
 // runCrashPoint runs d's workload on a fresh tree with power failing at

@@ -83,18 +83,6 @@ type Options struct {
 	// capture eviction events. A nil (or disabled) tracer costs one
 	// atomic load per event site.
 	Tracer *obs.Tracer
-	// UnsafeSkipWALFence makes every worker's WAL appends skip the
-	// sfence (see wal.Log.UnsafeSkipFence): a deliberate durability bug
-	// used exclusively to prove the torture oracle catches real
-	// violations. Never set it outside oracle self-tests.
-	UnsafeSkipWALFence bool
-	// UnsafeSkipReadRecheck makes optimistic readers ignore the result
-	// of their seqlock re-validation, so torn reads racing a concurrent
-	// writer are returned as if consistent: a deliberate
-	// read-linearizability bug used exclusively to prove the torture
-	// oracle's read checks catch real violations. Never set it outside
-	// oracle self-tests.
-	UnsafeSkipReadRecheck bool
 	// HomeSocket is the NUMA socket the tree is pinned to: its
 	// superblock, chunk directory, head leaf, GC worker and recovery
 	// threads all live there (default 0, today's layout). The sharded DB

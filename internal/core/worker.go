@@ -107,10 +107,6 @@ func (tr *Tree) NewWorker(socket int) *Worker {
 	}
 	w.logs[0] = wal.NewLog(tr.walman, socket)
 	w.logs[1] = wal.NewLog(tr.walman, socket)
-	if tr.opts.UnsafeSkipWALFence {
-		w.logs[0].UnsafeSkipFence = true
-		w.logs[1].UnsafeSkipFence = true
-	}
 	w.blobs = blobArena{alloc: tr.alloc, socket: socket}
 	if tr.met != nil {
 		w.mh = tr.met.m.NewHandle()
@@ -144,10 +140,7 @@ func (w *Worker) readExit() {
 }
 
 // readRecheck re-validates an optimistic read section against the
-// version snapshotted at beginRead, charging the modeled load. Under
-// Options.UnsafeSkipReadRecheck (oracle self-tests only) the check
-// still executes but its verdict is discarded — the planted
-// read-linearizability bug the torture oracle must catch.
+// version snapshotted at beginRead, charging the modeled load.
 func (w *Worker) readRecheck(n *bufferNode, ver uint64) bool {
 	ok := n.validateRead(ver)
 	c := w.t.CostDRAM()
@@ -155,27 +148,10 @@ func (w *Worker) readRecheck(n *bufferNode, ver uint64) bool {
 	if w.spans {
 		w.segAcc[obs.SegValidate] += c
 	}
-	if w.tree.opts.UnsafeSkipReadRecheck {
-		return true
-	}
 	return ok
 }
 
-// unsafeReadTear widens the torn-read window when the planted
-// UnsafeSkipReadRecheck bug is armed: a seqlock reader can be preempted
-// between any two of its unsynchronized loads, and the recheck being
-// skipped is precisely what would have caught the resulting tear.
-// Yielding at the vulnerable point makes the torture oracle's self-test
-// catch deterministic instead of scheduler luck (required on single-CPU
-// runners, where natural preemption inside a two-instruction window is
-// vanishingly rare). Compiled down to one flag check in normal runs.
-func (w *Worker) unsafeReadTear() {
-	if w.tree.opts.UnsafeSkipReadRecheck {
-		runtime.Gosched()
-	}
-}
-
-// Thread exposes the worker's PM thread (virtual clock, tagging).
+// Thread exposes the worker's PM thread (virtual clock, scope).
 func (w *Worker) Thread() *pmem.Thread { return w.t }
 
 // findBuffer routes a key word to its owning buffer node.
@@ -419,7 +395,6 @@ func (w *Worker) lookupAttempt(key uint64) (val uint64, found, ok bool) {
 		// Leftmost match is the newest version (§4.3). The key and
 		// value words are read without synchronization — only the
 		// recheck below makes the pair trustworthy.
-		w.unsafeReadTear()
 		v := n.slotVal(i)
 		if !w.readRecheck(n, ver) {
 			return 0, false, false
@@ -532,7 +507,6 @@ func (w *Worker) collectNode(n *bufferNode, ver uint64) ([]KV, bool) {
 	cands := w.scanCands[:0]
 	for i := 0; i < n.nbatch(); i++ {
 		if k := n.slotKey(i); k != 0 {
-			w.unsafeReadTear()
 			cands = append(cands, scanCand{KV{k, n.slotVal(i)}, true})
 		}
 	}

@@ -32,12 +32,6 @@ func NewArtifact(res *Result) *Artifact {
 	if c.BatchSize > 1 {
 		cmd += fmt.Sprintf(" -batch %d", c.BatchSize)
 	}
-	if c.UnsafeSkipWALFence {
-		cmd += " -unsafe-skip-wal-fence"
-	}
-	if c.UnsafeSkipReadRecheck {
-		cmd += " -unsafe-skip-read-recheck"
-	}
 	return &Artifact{
 		Config:     c,
 		Rounds:     res.Rounds,

@@ -49,16 +49,6 @@ type Config struct {
 	// the durable-prefix oracle applies unchanged. 0 or 1 keeps the
 	// per-op write path.
 	BatchSize int `json:"batch_size,omitempty"`
-	// UnsafeSkipWALFence plants the deliberate durability bug (WAL
-	// appends flushed but never fenced) used to prove the oracle
-	// catches real violations. Never set outside oracle self-tests.
-	UnsafeSkipWALFence bool `json:"unsafe_skip_wal_fence,omitempty"`
-	// UnsafeSkipReadRecheck plants the deliberate read-linearizability
-	// bug (optimistic readers ignore their seqlock re-validation, so
-	// torn reads racing writers are returned as consistent), used to
-	// prove the read oracle catches real violations. Never set outside
-	// oracle self-tests.
-	UnsafeSkipReadRecheck bool `json:"unsafe_skip_read_recheck,omitempty"`
 }
 
 func (c Config) withDefaults() Config {
@@ -147,12 +137,7 @@ func Run(cfg Config) (*Result, error) {
 		Mode:           mode,
 		StrictPersist:  true,
 	})
-	opts := core.Options{
-		GC:                    gc,
-		ChunkBytes:            cfg.ChunkBytes,
-		UnsafeSkipWALFence:    cfg.UnsafeSkipWALFence,
-		UnsafeSkipReadRecheck: cfg.UnsafeSkipReadRecheck,
-	}
+	opts := core.Options{GC: gc, ChunkBytes: cfg.ChunkBytes}
 	tr, err := core.New(pool, opts)
 	if err != nil {
 		return nil, err

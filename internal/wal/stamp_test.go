@@ -79,30 +79,3 @@ func TestScanDropsFrankensteinRecord(t *testing.T) {
 		t.Fatalf("intact record mangled: %+v", got[0])
 	}
 }
-
-func TestUnsafeSkipFenceLeavesEntryVolatile(t *testing.T) {
-	// The seeded-bug switch the torture oracle must catch: with the
-	// fence skipped, Append returns "durable" but a crash loses the
-	// entry. A control log with the fence keeps its entry.
-	pool, m := testSetup(t, 4096)
-	th := pool.NewThread(0)
-
-	good := NewLog(m, 0)
-	if _, err := good.Append(th, Entry{Key: 1, Value: 10, Timestamp: 1}); err != nil {
-		t.Fatal(err)
-	}
-	bad := NewLog(m, 0)
-	bad.UnsafeSkipFence = true
-	if _, err := bad.Append(th, Entry{Key: 2, Value: 20, Timestamp: 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	pool.Crash()
-	th2 := pool.NewThread(0)
-	if got := good.Entries(th2); len(got) != 1 {
-		t.Fatalf("fenced entry lost across crash: %+v", got)
-	}
-	if got := bad.Entries(th2); len(got) != 0 {
-		t.Fatalf("unfenced entry survived crash — UnsafeSkipFence not skipping: %+v", got)
-	}
-}

@@ -204,14 +204,6 @@ type Log struct {
 	m      *Manager
 	socket int
 
-	// UnsafeSkipFence drops the sfence from Append, so an entry
-	// "returns durable" without being durable until some later fence
-	// happens to retire the flush. It deliberately breaks the WAL
-	// durability contract and exists ONLY so crash-testing oracles
-	// (internal/torture) can prove they catch the violation. Never set
-	// it outside such self-tests.
-	UnsafeSkipFence bool
-
 	mu      sync.Mutex
 	chunks  []pmem.Addr
 	tailOff int   // bytes used in the last chunk
@@ -310,11 +302,6 @@ func (l *Log) appendGroup(t *pmem.Thread, entries []Entry) (pmem.Addr, error) {
 		}
 	}
 	flushSpan()
-	if l.UnsafeSkipFence {
-		// Deliberately broken durability for oracle self-tests: every
-		// clwb issued, the fence omitted.
-		return addr, nil
-	}
 	t.Fence()
 	return addr, nil
 }

@@ -24,10 +24,6 @@ go vet ./...
 # artifact CI can upload to code scanning.
 lintdir=$(mktemp -d)
 go build -o "$lintdir/persistlint" ./cmd/persistlint
-# PL010 pre-gate: the seqlock read path lives in internal/core, and a
-# missed re-validation there is exactly the torn-read bug the torture
-# oracle hunts — fail fast on it before the expensive suites run.
-"$lintdir/persistlint" -tests -only PL010 ./internal/core/...
 "$lintdir/persistlint" -tests -stats -budget 3s \
     -sarif "$lintdir/persistlint.sarif" ./...
 grep -q '"version": "2.1.0"' "$lintdir/persistlint.sarif"
@@ -65,11 +61,17 @@ go test -race -run TestTortureShort ./internal/torture
 
 # The acceptance tests — batch speedup, read scaling (8 threads >= 3x 1),
 # shard scaling (8 shards >= 3x 1), the static read-path wiring check,
-# the planted skipped-recheck the torture oracle must catch, the godoc
-# examples — ran in `go test ./...` above and are not repeated here.
-# Regressions in the numbers are judged per PR by BENCHMARK.json
+# the godoc examples — ran in `go test ./...` above and are not repeated
+# here. Regressions in the numbers are judged per PR by BENCHMARK.json
 # (benchmark/run.sh -compare), both sides re-measured.
 go test -race -run 'TestPublicBatch|TestPublicRange' .
+
+# The kill matrix: every named source mutant against persistlint, its
+# package's tests and the torture oracles (internal/torture/
+# mutants_test.go). It prints one MUTANT line per cell; grep proves the
+# matrix ran rather than silently skipping.
+mutants=$(go test -count=1 -run TestMutants -v ./internal/torture)
+echo "$mutants" | grep MUTANT
 
 # Observability-tier gates. First the profiler overhead budget: the
 # instrumented lock sites, heat touches and span records must stay

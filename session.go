@@ -83,7 +83,7 @@ func (s *Session) settle(w *core.Worker) {
 }
 
 // Thread exposes the session's shard-0 PM thread (virtual clock and
-// tag). On a sharded DB, per-shard threads advance independently
+// scope). On a sharded DB, per-shard threads advance independently
 // between sync points; the serial clock is the maximum across them.
 func (s *Session) Thread() *pmem.Thread { return s.ws[0].Thread() }
 
