@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"cclbtree"
 	"cclbtree/internal/baselines/cclidx"
@@ -101,7 +100,6 @@ func Fig14(s Scale) ([]*Table, error) {
 		tp   []float64
 	}
 	var all []series
-	var gcStartBucket int
 
 	// One explicit GC event at 40% of the run, per the paper's Fig 14
 	// methodology (populate, clean buffers, then "when the GC is
@@ -121,69 +119,53 @@ func Fig14(s Scale) ([]*Table, error) {
 			return nil, err
 		}
 		// Populate, then measure a continuing insert stream, sampling
-		// (virtual time, ops) pairs per thread.
+		// each thread's virtual time every sampleEvery ops.
 		threads := s.MainThreads
-		handles := make([]index.Handle, threads)
-		for i := range handles {
-			handles[i] = idx.NewHandle(i % pool.Sockets())
-		}
-		var wg sync.WaitGroup
-		for th := 0; th < threads; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				h := handles[th]
-				for i := th; i < s.Warm; i += threads {
-					_ = h.Upsert(loadKey(nil, i), 7)
+		handles, clocks := spread(pool, threads, idx.NewHandle)
+		err = phase(threads, func(th int) error {
+			for i := th; i < s.Warm; i += threads {
+				if err := handles[th].Upsert(loadKey(nil, i), 7); err != nil {
+					return err
 				}
-			}(th)
-		}
-		wg.Wait()
-
-		type sample struct{ vt int64 }
-		samples := make([][]sample, threads)
+			}
+			return nil
+		})
+		samples := make([][]int64, threads)
 		perThread := s.Ops * 2 / threads
 		const sampleEvery = 512
-		start := make([]int64, threads)
-		for th, h := range handles {
-			start[th] = h.Thread().Now()
-		}
 		tree := idx.(*cclidx.Tree).DB()
-		for th := 0; th < threads; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				h := handles[th]
+		var res *Result
+		if err == nil {
+			res, err = measure(pool, clocks, func(th int) error {
+				t := clocks[th]
+				start := t.Now()
 				cursor := s.Warm + th
 				for i := 0; i < perThread; i++ {
 					if cfg.trigger && th == 0 && i == perThread*2/5 {
 						tree.StartGCAsync()
 					}
-					_ = h.Upsert(loadKey(nil, cursor), 7)
+					if err := handles[th].Upsert(loadKey(nil, cursor), 7); err != nil {
+						return err
+					}
 					cursor += threads
 					if i%sampleEvery == sampleEvery-1 {
-						samples[th] = append(samples[th], sample{h.Thread().Now() - start[th]})
+						samples[th] = append(samples[th], t.Now()-start)
 					}
 				}
-			}(th)
+				return nil
+			})
 		}
-		wg.Wait()
 		idx.Close()
+		if err != nil {
+			return nil, err
+		}
 
 		// Bucket ops-completed by virtual time across threads.
-		var maxVT int64
-		for th, h := range handles {
-			if d := h.Thread().Now() - start[th]; d > maxVT {
-				maxVT = d
-			}
-		}
-		if maxVT == 0 {
-			maxVT = 1
-		}
+		maxVT := max(res.ElapsedNS, 1)
 		counts := make([]int, buckets)
 		for th := range samples {
-			for _, sm := range samples[th] {
-				b := int(sm.vt * int64(buckets) / (maxVT + 1))
+			for _, vt := range samples[th] {
+				b := int(vt * int64(buckets) / (maxVT + 1))
 				counts[b] += sampleEvery
 			}
 		}
@@ -193,7 +175,6 @@ func Fig14(s Scale) ([]*Table, error) {
 			tp[i] = float64(c) * 1e3 / bucketNS // Mop/s
 		}
 		all = append(all, series{cfg.name, tp})
-		_ = gcStartBucket
 	}
 
 	t := &Table{

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"cclbtree"
 	"cclbtree/internal/workload"
@@ -59,87 +58,50 @@ func runBatchInsert(s Scale, batchSize int) (*Result, uint64, error) {
 	}
 	defer db.Close()
 	threads := s.MainThreads
-	sessions := make([]*cclbtree.Session, threads)
-	for i := range sessions {
-		sessions[i] = db.Session(i % pool.Sockets())
-	}
+	sessions, clocks := spread(pool, threads, db.Session)
 
 	// Warm identically across batch sizes, per-op.
-	var wg sync.WaitGroup
-	errs := make([]error, threads)
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for i := th; i < s.Warm; i += threads {
-				if err := sessions[th].Put(loadKey(nil, i), 7); err != nil {
-					errs[th] = err
-					return
-				}
+	err = phase(threads, func(th int) error {
+		for i := th; i < s.Warm; i += threads {
+			if err := sessions[th].Put(loadKey(nil, i), 7); err != nil {
+				return err
 			}
-		}(th)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 
 	// Measured phase: each thread ingests one contiguous key block far
 	// above the warm range, in groups of batchSize.
-	perThread := s.Ops / threads
-	if perThread == 0 {
-		perThread = 1
-	}
-	base := pool.Stats()
+	perThread := max(s.Ops/threads, 1)
 	trigBase := db.Metrics().Counters.TriggerWrites
-	start := make([]int64, threads)
-	for i, ss := range sessions {
-		start[i] = ss.Thread().Now()
-	}
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			ss := sessions[th]
-			firstKey := uint64(1)<<40 + uint64(th)*uint64(perThread)
-			// batchSize 1 is the single-write baseline: a group of one runs
-			// exactly as Put does.
-			var b cclbtree.Batch
-			for i := 0; i < perThread; i++ {
-				b.Put(firstKey+uint64(i), 7)
-				if b.Len() == batchSize || i == perThread-1 {
-					if err := ss.Apply(&b); err != nil {
-						errs[th] = err
-						return
-					}
-					b.Reset()
+	res, err := measure(pool, clocks, func(th int) error {
+		firstKey := uint64(1)<<40 + uint64(th)*uint64(perThread)
+		// batchSize 1 is the single-write baseline: a group of one runs
+		// exactly as Put does.
+		var b cclbtree.Batch
+		for i := 0; i < perThread; i++ {
+			b.Put(firstKey+uint64(i), 7)
+			if b.Len() == batchSize || i == perThread-1 {
+				if err := sessions[th].Apply(&b); err != nil {
+					return err
 				}
+				b.Reset()
 			}
-		}(th)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-
-	pool.DrainXPBuffers()
-	res := &Result{Ops: perThread * threads}
-	for i, ss := range sessions {
-		if d := ss.Thread().Now() - start[i]; d > res.ElapsedNS {
-			res.ElapsedNS = d
-		}
-	}
-	res.Stats = pool.Stats().Sub(base)
+	res.Ops = perThread * threads
 	res.UserBytes = uint64(res.Ops) * 16
-	res.DRAMBytes, res.PMBytes = db.MemoryUsage()
 	trig := db.Metrics().Counters.TriggerWrites - trigBase
-	recordPhase(fmt.Sprintf("CCL-batch%d", batchSize), Spec{
+	res.finish(fmt.Sprintf("CCL-batch%d", batchSize), Spec{
 		Threads: threads, Warm: s.Warm, Ops: s.Ops,
 		Mix: workload.Mix{Insert: 1}, Seed: s.Seed,
-	}, res)
+	}, db)
 	return res, trig, nil
 }

@@ -208,6 +208,16 @@ type profiled interface {
 	Profile() obs.Profile
 }
 
+// profileOf returns x's profile when x keeps one, nil otherwise.
+func profileOf(x any) *obs.Profile {
+	p, ok := x.(profiled)
+	if !ok {
+		return nil
+	}
+	pr := p.Profile()
+	return &pr
+}
+
 // ampStats is the phase's stats with the harness-computed payload
 // volume as denominator, so the pmem amplification helpers apply: the
 // harness measures every index with the same UserBytes regardless of
@@ -275,10 +285,13 @@ func (a *blobArena) write(t *pmem.Thread, size int) (uint64, error) {
 	addr := a.cur.Add(int64(a.off))
 	a.off += need
 	a.mu.Unlock()
+	// A blob is its length word, then the payload: recovery reads the
+	// length to bound the blob.
 	words := make([]uint64, need/8)
 	for i := range words {
 		words[i] = 0x5c5c5c5c5c5c5c5c
 	}
+	words[0] = uint64(need - 8)
 	t.WriteRange(addr, words)
 	t.Persist(addr, need)
 	return 1<<63 | addr.Pack48(), nil
@@ -295,158 +308,105 @@ func Run(pool *pmem.Pool, idx index.Index, spec Spec) (*Result, error) {
 	// profile itself, the live view carries the profile too.
 	obs.SetLive(func() obs.Observation {
 		o := obs.Observe(pool)
-		if p, ok := idx.(profiled); ok {
-			pr := p.Profile()
-			o.Profile = &pr
-		}
+		o.Profile = profileOf(idx)
 		return o
 	})
-	sockets := pool.Sockets()
-	handles := make([]index.Handle, spec.Threads)
-	for i := range handles {
-		handles[i] = idx.NewHandle(i % sockets)
-	}
+	handles, clocks := spread(pool, spec.Threads, idx.NewHandle)
 	var arena *blobArena
 	if spec.ValueBlobBytes > 0 {
 		arena = &blobArena{alloc: pmalloc.New(pool)}
 	}
 
-	valueFor := func(h index.Handle, key uint64) (uint64, error) {
-		if arena == nil {
-			return key + 1, nil
-		}
-		return arena.write(h.Thread(), spec.ValueBlobBytes)
-	}
-
-	// Load phase.
-	var wg sync.WaitGroup
-	loadErr := make([]error, spec.Threads)
-	for th := 0; th < spec.Threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			h := handles[th]
-			for i := th; i < spec.Warm; i += spec.Threads {
-				k := loadKey(spec.Keys, i)
-				v, err := valueFor(h, k)
-				if err == nil {
-					err = h.Upsert(k, v)
-				}
-				if err != nil {
-					loadErr[th] = err
-					return
-				}
+	// upsert writes key through h; its value is a fresh blob's pointer
+	// when the spec stores values out of band.
+	upsert := func(h index.Handle, key uint64) error {
+		v := key + 1
+		if arena != nil {
+			var err error
+			if v, err = arena.write(h.Thread(), spec.ValueBlobBytes); err != nil {
+				return err
 			}
-		}(th)
-	}
-	wg.Wait()
-	for _, err := range loadErr {
-		if err != nil {
-			return nil, fmt.Errorf("bench load: %w", err)
 		}
+		return h.Upsert(key, v)
 	}
 
-	// Measured phase.
-	base := pool.Stats()
-	startVT := make([]int64, spec.Threads)
-	for th, h := range handles {
-		startVT[th] = h.Thread().Now()
+	err := phase(spec.Threads, func(th int) error {
+		for i := th; i < spec.Warm; i += spec.Threads {
+			if err := upsert(handles[th], loadKey(spec.Keys, i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench load: %w", err)
 	}
-	perThread := spec.Ops / spec.Threads
-	if perThread == 0 {
-		perThread = 1
-	}
+
+	perThread := max(spec.Ops/spec.Threads, 1)
 	lat := make([][]int64, spec.Threads)
 	writeOps := make([]int64, spec.Threads)
-	runErr := make([]error, spec.Threads)
-	for th := 0; th < spec.Threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			h := handles[th]
-			t := h.Thread()
-			rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(th)))
-			var access workload.Access
-			if spec.Access != nil {
-				access = spec.Access(th)
-			} else {
-				access = workload.Uniform{N: uint64(max(spec.Warm, 1))}
-			}
-			insertCursor := spec.Warm + th
-			deleteCursor := th
-			scanOut := make([]index.KV, max(spec.Mix.ScanLen, 1))
-			if spec.Latency {
-				lat[th] = make([]int64, 0, perThread)
-			}
-			for i := 0; i < perThread; i++ {
-				before := t.Now()
-				var err error
-				switch spec.Mix.Pick(rng) {
-				case workload.OpInsert:
-					k := loadKey(spec.Keys, insertCursor)
-					insertCursor += spec.Threads
-					var v uint64
-					if v, err = valueFor(h, k); err == nil {
-						err = h.Upsert(k, v)
-					}
-					writeOps[th]++
-				case workload.OpUpdate:
-					k := access.Next(rng)
-					if spec.Keys != nil {
-						k = spec.Keys[k%uint64(len(spec.Keys))]
-					}
-					var v uint64
-					if v, err = valueFor(h, k); err == nil {
-						err = h.Upsert(k, v)
-					}
-					writeOps[th]++
-				case workload.OpRead:
-					k := access.Next(rng)
-					if spec.Keys != nil {
-						k = spec.Keys[k%uint64(len(spec.Keys))]
-					}
-					_, _ = h.Lookup(k)
-				case workload.OpScan:
-					k := access.Next(rng)
-					if spec.Keys != nil {
-						k = spec.Keys[k%uint64(len(spec.Keys))]
-					}
-					n := spec.Mix.ScanLen
-					if n <= 0 {
-						n = 100
-					}
-					_ = h.Scan(k, n, scanOut)
-				case workload.OpDelete:
-					k := loadKey(spec.Keys, deleteCursor)
-					deleteCursor += spec.Threads
-					err = h.Delete(k)
-					writeOps[th]++
-				}
-				if err != nil {
-					runErr[th] = err
-					return
-				}
-				if spec.Latency {
-					lat[th] = append(lat[th], t.Now()-before)
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
-	for _, err := range runErr {
-		if err != nil {
-			return nil, fmt.Errorf("bench run: %w", err)
+	res, err := measure(pool, clocks, func(th int) error {
+		h := handles[th]
+		t := h.Thread()
+		rng := rand.New(rand.NewSource(spec.Seed*7919 + int64(th)))
+		access := workload.Access(workload.Uniform{N: uint64(max(spec.Warm, 1))})
+		if spec.Access != nil {
+			access = spec.Access(th)
 		}
+		insertCursor := spec.Warm + th
+		deleteCursor := th
+		scanOut := make([]index.KV, max(spec.Mix.ScanLen, 1))
+		if spec.Latency {
+			lat[th] = make([]int64, 0, perThread)
+		}
+		// key draws the next read/update/scan key over the loaded space.
+		key := func() uint64 {
+			k := access.Next(rng)
+			if spec.Keys != nil {
+				k = spec.Keys[k%uint64(len(spec.Keys))]
+			}
+			return k
+		}
+		put := func(k uint64) error {
+			writeOps[th]++
+			return upsert(h, k)
+		}
+		for i := 0; i < perThread; i++ {
+			before := t.Now()
+			var err error
+			switch spec.Mix.Pick(rng) {
+			case workload.OpInsert:
+				err = put(loadKey(spec.Keys, insertCursor))
+				insertCursor += spec.Threads
+			case workload.OpUpdate:
+				err = put(key())
+			case workload.OpRead:
+				h.Lookup(key())
+			case workload.OpScan:
+				n := spec.Mix.ScanLen
+				if n <= 0 {
+					n = 100
+				}
+				h.Scan(key(), n, scanOut)
+			case workload.OpDelete:
+				err = h.Delete(loadKey(spec.Keys, deleteCursor))
+				deleteCursor += spec.Threads
+				writeOps[th]++
+			}
+			if err != nil {
+				return err
+			}
+			if spec.Latency {
+				lat[th] = append(lat[th], t.Now()-before)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench run: %w", err)
 	}
 
-	pool.DrainXPBuffers()
-	res := &Result{Ops: perThread * spec.Threads}
-	for th, h := range handles {
-		if d := h.Thread().Now() - startVT[th]; d > res.ElapsedNS {
-			res.ElapsedNS = d
-		}
-	}
-	res.Stats = pool.Stats().Sub(base)
+	res.Ops = perThread * spec.Threads
 	opBytes := uint64(16)
 	if spec.ValueBlobBytes > 0 {
 		opBytes = uint64(8 + spec.ValueBlobBytes)
@@ -454,26 +414,89 @@ func Run(pool *pmem.Pool, idx index.Index, spec Spec) (*Result, error) {
 	for _, w := range writeOps {
 		res.UserBytes += uint64(w) * opBytes
 	}
-	res.DRAMBytes, res.PMBytes = idx.MemoryUsage()
-	if p, ok := idx.(profiled); ok {
-		pr := p.Profile()
-		res.Profile = &pr
-	}
 	if spec.Latency {
 		for _, l := range lat {
 			res.Latencies = append(res.Latencies, l...)
 		}
 		sort.Slice(res.Latencies, func(i, j int) bool { return res.Latencies[i] < res.Latencies[j] })
 	}
-	recordPhase(idx.Name(), spec, res)
+	return res.finish(idx.Name(), spec, idx), nil
+}
+
+// spread builds n workers with newWorker, round-robin over the pool's
+// sockets, and returns them with their modeled threads: the clocks a
+// measured phase over them reads.
+func spread[W interface{ Thread() *pmem.Thread }](pool *pmem.Pool, n int, newWorker func(socket int) W) ([]W, []*pmem.Thread) {
+	ws := make([]W, n)
+	clocks := make([]*pmem.Thread, n)
+	for i := range ws {
+		ws[i] = newWorker(i % pool.Sockets())
+		clocks[i] = ws[i].Thread()
+	}
+	return ws, clocks
+}
+
+// phase runs body(th) for every th in [0, n), each on its own
+// goroutine, and returns the error of the lowest-numbered thread that
+// failed. It is where the harness starts every thread: each figure's
+// load, warm and measured phases run through it.
+func phase(n int, body func(th int) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for th := 0; th < n; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			errs[th] = body(th)
+		}(th)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// measure runs body as a measured phase, one goroutine per clock (see
+// phase). The Result carries the slowest thread's virtual-clock advance
+// over the phase and the pool's counter delta (see counted).
+func measure(pool *pmem.Pool, clocks []*pmem.Thread, body func(th int) error) (*Result, error) {
+	start := make([]int64, len(clocks))
+	for i, t := range clocks {
+		start[i] = t.Now()
+	}
+	res, err := counted(pool, func() error { return phase(len(clocks), body) })
+	if err != nil {
+		return nil, err
+	}
+	for i, t := range clocks {
+		res.ElapsedNS = max(res.ElapsedNS, t.Now()-start[i])
+	}
 	return res, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// counted runs fn and returns a Result holding the pool's counter
+// delta across it, taken after draining the XPBuffers so the media
+// counters are complete.
+func counted(pool *pmem.Pool, fn func() error) (*Result, error) {
+	base := pool.Stats()
+	if err := fn(); err != nil {
+		return nil, err
 	}
-	return b
+	pool.DrainXPBuffers()
+	return &Result{Stats: pool.Stats().Sub(base)}, nil
+}
+
+// finish completes a measured Result with the footprint of what it
+// measured, and its profile when it keeps one, then appends it to the
+// active report under name.
+func (r *Result) finish(name string, spec Spec, of interface{ MemoryUsage() (int64, int64) }) *Result {
+	r.DRAMBytes, r.PMBytes = of.MemoryUsage()
+	r.Profile = profileOf(of)
+	recordPhase(name, spec, r)
+	return r
 }
 
 // Table is a printable experiment result.

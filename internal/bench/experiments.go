@@ -65,19 +65,6 @@ type lineupResult struct {
 	Res  *Result
 }
 
-// runLineup measures spec against every factory, each on a fresh pool.
-func runLineup(factories []index.Factory, spec Spec) ([]lineupResult, error) {
-	var out []lineupResult
-	for _, f := range factories {
-		r, err := runOne(f, spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, *r)
-	}
-	return out, nil
-}
-
 // runOne measures spec against one factory on a fresh pool.
 func runOne(f index.Factory, spec Spec) (*lineupResult, error) {
 	pool := NewPool(spec.Warm+spec.Ops, spec.Threads)

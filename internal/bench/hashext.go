@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"cclbtree/internal/cclhash"
 	"cclbtree/internal/workload"
@@ -30,63 +29,45 @@ func ExtensionHash(s Scale) ([]*Table, error) {
 			return nil, err
 		}
 		threads := s.MainThreads
-		workers := make([]*cclhash.Worker, threads)
-		for i := range workers {
-			workers[i] = h.NewWorker(i % pool.Sockets())
-		}
-		var wg sync.WaitGroup
-		// Warm.
-		for th := 0; th < threads; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				w := workers[th]
-				for i := th; i < s.Warm; i += threads {
-					_ = w.Put(loadKey(nil, i), 7)
+		workers, clocks := spread(pool, threads, h.NewWorker)
+		err = phase(threads, func(th int) error {
+			for i := th; i < s.Warm; i += threads {
+				if err := workers[th].Put(loadKey(nil, i), 7); err != nil {
+					return err
 				}
-			}(th)
-		}
-		wg.Wait()
-		pool.ResetStats()
-		start := make([]int64, threads)
-		for i, w := range workers {
-			start[i] = w.Thread().Now()
-		}
+			}
+			return nil
+		})
 		perThread := s.Ops / threads
-		for th := 0; th < threads; th++ {
-			wg.Add(1)
-			go func(th int) {
-				defer wg.Done()
-				w := workers[th]
+		var res *Result
+		if err == nil {
+			res, err = measure(pool, clocks, func(th int) error {
 				rng := rand.New(rand.NewSource(s.Seed + int64(th)))
 				u := workload.Uniform{N: uint64(s.Warm)}
 				for i := 0; i < perThread; i++ {
-					_ = w.Put(u.Next(rng), 9)
+					if err := workers[th].Put(u.Next(rng), 9); err != nil {
+						return err
+					}
 				}
-			}(th)
+				return nil
+			})
 		}
-		wg.Wait()
-		var elapsed int64
-		for i, w := range workers {
-			if d := w.Thread().Now() - start[i]; d > elapsed {
-				elapsed = d
-			}
-		}
-		pool.DrainXPBuffers()
-		st := pool.Stats()
-		ops := perThread * threads
-		st.UserWriteBytes = uint64(ops * 16)
 		_, logged, gcRuns, _ := h.Stats()
 		h.Close()
+		if err != nil {
+			return nil, err
+		}
+		res.Ops = perThread * threads
+		res.UserBytes = uint64(res.Ops) * 16
 		label := fmt.Sprintf("%d", nb)
 		if nb == -1 {
 			label = "0 (naive)"
 		}
 		t.Rows = append(t.Rows, []string{
 			label,
-			f2(float64(ops) * 1e3 / float64(elapsed)),
-			f2(st.XBIAmplification()),
-			f2(float64(logged) / float64(ops+s.Warm)),
+			f2(res.Mops()),
+			f2(res.XBIAmp()),
+			f2(float64(logged) / float64(res.Ops+s.Warm)),
 			fmt.Sprintf("%d", gcRuns),
 		})
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"cclbtree"
 	"cclbtree/internal/pmem"
@@ -21,69 +20,38 @@ func runVarCCL(s Scale, threads, warm, ops int) (float64, error) {
 	}
 	defer db.Close()
 	sizer := workload.VarSizer{Min: 8, Max: 128}
-	workers := make([]*cclbtree.Session, threads)
-	for i := range workers {
-		workers[i] = db.Session(i % pool.Sockets())
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, threads)
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			w := workers[th]
-			rng := rand.New(rand.NewSource(s.Seed + int64(th)))
-			for i := th; i < warm; i += threads {
-				k := sizer.Bytes(rng, loadKey(nil, i))
-				if err := w.PutVar(k, sizer.Bytes(rng, uint64(i))); err != nil {
-					errs[th] = err
-					return
-				}
+	workers, clocks := spread(pool, threads, db.Session)
+	err = phase(threads, func(th int) error {
+		rng := rand.New(rand.NewSource(s.Seed + int64(th)))
+		for i := th; i < warm; i += threads {
+			k := sizer.Bytes(rng, loadKey(nil, i))
+			if err := workers[th].PutVar(k, sizer.Bytes(rng, uint64(i))); err != nil {
+				return err
 			}
-		}(th)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	wg.Wait()
-	start := make([]int64, threads)
-	for i, w := range workers {
-		start[i] = w.Thread().Now()
-	}
-	perThread := ops / threads
-	if perThread == 0 {
-		perThread = 1
-	}
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			w := workers[th]
-			rng := rand.New(rand.NewSource(s.Seed + 999 + int64(th)))
-			cursor := warm + th
-			for i := 0; i < perThread; i++ {
-				k := sizer.Bytes(rng, loadKey(nil, cursor))
-				cursor += threads
-				if err := w.PutVar(k, sizer.Bytes(rng, uint64(cursor))); err != nil {
-					errs[th] = err
-					return
-				}
+	perThread := max(ops/threads, 1)
+	res, err := measure(pool, clocks, func(th int) error {
+		rng := rand.New(rand.NewSource(s.Seed + 999 + int64(th)))
+		cursor := warm + th
+		for i := 0; i < perThread; i++ {
+			k := sizer.Bytes(rng, loadKey(nil, cursor))
+			cursor += threads
+			if err := workers[th].PutVar(k, sizer.Bytes(rng, uint64(cursor))); err != nil {
+				return err
 			}
-		}(th)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	var elapsed int64
-	for i, w := range workers {
-		if d := w.Thread().Now() - start[i]; d > elapsed {
-			elapsed = d
-		}
-	}
-	if elapsed == 0 {
-		elapsed = 1
-	}
-	return float64(perThread*threads) * 1e3 / float64(elapsed), nil
+	res.Ops = perThread * threads
+	return res.Mops(), nil
 }
 
 // Fig16 repeats the insert sweep on an eADR platform: no explicit
@@ -136,7 +104,11 @@ func Fig16(s Scale) ([]*Table, error) {
 func Fig17(s Scale) ([]*Table, error) {
 	s = s.withDefaults()
 	sizes := []int{s.Warm, 5 * s.Warm, 10 * s.Warm}
-	threadCounts := []int{s.MainThreads / 2, s.MainThreads}
+	// OpenWithStats clamps 0 recovery threads to 1: sweep distinct counts.
+	threadCounts := []int{s.MainThreads}
+	if s.MainThreads > 1 {
+		threadCounts = []int{s.MainThreads / 2, s.MainThreads}
+	}
 	t := &Table{
 		Title:  "Fig 17: recovery time (ms) vs #KVs",
 		Header: []string{"keys"},
@@ -158,23 +130,19 @@ func Fig17(s Scale) ([]*Table, error) {
 				return nil, err
 			}
 			threads := s.MainThreads
-			workers := make([]*cclbtree.Session, threads)
-			for i := range workers {
-				workers[i] = db.Session(i % pool.Sockets())
-			}
-			var wg sync.WaitGroup
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					w := workers[th]
-					for i := th; i < n; i += threads {
-						_ = w.Put(loadKey(nil, i), uint64(i+1))
+			workers, _ := spread(pool, threads, db.Session)
+			err = phase(threads, func(th int) error {
+				for i := th; i < n; i += threads {
+					if err := workers[th].Put(loadKey(nil, i), uint64(i+1)); err != nil {
+						return err
 					}
-				}(th)
-			}
-			wg.Wait()
+				}
+				return nil
+			})
 			db.Close()
+			if err != nil {
+				return nil, err
+			}
 			pool.Crash()
 			_, st, err := cclbtree.OpenWithStats(pool, cclbtree.Config{}, tc)
 			if err != nil {
@@ -288,32 +256,26 @@ func Table3Exp(s Scale) ([]*Table, error) {
 		{"Search", workload.Mix{Read: 1}},
 		{"Scan", workload.Mix{Scan: 1, ScanLen: s.ScanLen}},
 	}
-	cells := map[string][]string{}
-	order := []string{}
 	for _, m := range mixes {
 		ops := s.Ops
 		if m.name == "Scan" {
 			ops = s.Ops / 10
 		}
-		res, err := runLineup(LogStructured(), Spec{
-			Threads: s.MainThreads,
-			Warm:    s.Warm,
-			Ops:     ops,
-			Mix:     m.mix,
-			Seed:    s.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
 		row := []string{m.name}
-		for _, r := range res {
+		for _, f := range LogStructured() {
+			r, err := runOne(f, Spec{
+				Threads: s.MainThreads,
+				Warm:    s.Warm,
+				Ops:     ops,
+				Mix:     m.mix,
+				Seed:    s.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
 			row = append(row, f2(r.Res.Mops()))
 		}
-		cells[m.name] = row
-		order = append(order, m.name)
-	}
-	for _, k := range order {
-		t.Rows = append(t.Rows, cells[k])
+		t.Rows = append(t.Rows, row)
 	}
 	return []*Table{t}, nil
 }

@@ -68,11 +68,14 @@ func runShardedInsert(s Scale, shards int) (*Result, float64, error) {
 	}
 	defer srv.Close()
 
-	base := pool.Stats()
-	load, err := server.RunLoad(srv, server.Workload{
-		Clients:   s.MainThreads,
-		Ops:       s.Ops,
-		Clustered: true,
+	var load *server.LoadResult
+	res, err := counted(pool, func() (err error) {
+		load, err = server.RunLoad(srv, server.Workload{
+			Clients:   s.MainThreads,
+			Ops:       s.Ops,
+			Clustered: true,
+		})
+		return err
 	})
 	if err != nil {
 		return nil, 0, err
@@ -80,21 +83,15 @@ func runShardedInsert(s Scale, shards int) (*Result, float64, error) {
 	if load.Misread > 0 || load.Shed > 0 || load.Writes == 0 {
 		return nil, 0, fmt.Errorf("shards=%d: degenerate load: %+v", shards, load)
 	}
-	pool.DrainXPBuffers()
-
-	res := &Result{
-		Ops:       int(load.Writes),
-		ElapsedNS: load.WriteVirtualNS,
-	}
-	res.Stats = pool.Stats().Sub(base)
+	res.Ops = int(load.Writes)
+	res.ElapsedNS = load.WriteVirtualNS
 	res.UserBytes = load.Writes * 16
-	res.DRAMBytes, res.PMBytes = db.MemoryUsage()
 	for _, l := range srv.Stats().Lanes {
 		res.ShardBreakdown = append(res.ShardBreakdown, l.ShardPhase())
 	}
-	recordPhase(fmt.Sprintf("CCL-%dshard", shards), Spec{
+	res.finish(fmt.Sprintf("CCL-%dshard", shards), Spec{
 		Threads: s.MainThreads, Ops: s.Ops,
 		Mix: workload.Mix{Insert: 1}, Seed: s.Seed,
-	}, res)
+	}, db)
 	return res, load.AvgBatch, nil
 }

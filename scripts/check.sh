@@ -57,6 +57,11 @@ go test -race -short ./internal/server
 # Every comparison baseline runs on the shared primitives in
 # internal/baselines/prim (LB+-Tree's CAS leaf lock included).
 go test -race -short ./internal/baselines/...
+# The figure harness starts every thread in one phase driver
+# (internal/bench phase/measure). Race the experiments that build their
+# own threads on it rather than going through bench.Run; the whole
+# package under -race takes ~50 s.
+go test -race -short -run 'TestSmokeAllExperiments/(fig2|fig14|fig15b|fig17|batch|extension-hash)$' ./internal/bench
 go test -race -run TestTortureShort ./internal/torture
 
 # The acceptance tests — batch speedup, read scaling (8 threads >= 3x 1),
