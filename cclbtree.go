@@ -35,7 +35,6 @@ package cclbtree
 
 import (
 	"fmt"
-	"sync"
 
 	"cclbtree/internal/core"
 	"cclbtree/internal/obs"
@@ -171,7 +170,9 @@ type RecoveryStats = core.RecoveryStats
 // OpenWithStats is Open with parallel recovery and statistics (Fig 17).
 // Shards recover concurrently; the returned stats sum the per-shard
 // counters, and VirtualNS is the slowest shard (they run in parallel
-// on independent arenas).
+// on independent arenas). A power failure injected inside recovery
+// (Pool.FailWhen) panics pmem.PowerFailure on the caller once every
+// shard has stopped, so a crash harness can crash and open again.
 func OpenWithStats(pool *pmem.Pool, cfg Config, threads int) (*DB, *RecoveryStats, error) {
 	n := cfg.Shards
 	if n < 0 {
@@ -185,39 +186,28 @@ func OpenWithStats(pool *pmem.Pool, cfg Config, threads int) (*DB, *RecoveryStat
 		n = probed
 	}
 	db := &DB{pool: pool, shards: make([]*core.Tree, n)}
-	agg := &RecoveryStats{}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for i := range db.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tr, st, err := core.Open(pool, cfg.coreOptions(i, n, pool.Sockets()), threads)
-			if err != nil {
-				errs[i] = fmt.Errorf("cclbtree: shard %d: %w", i, err)
-				return
-			}
-			db.shards[i] = tr
-			mu.Lock()
-			agg.Leaves += st.Leaves
-			agg.ChunksScanned += st.ChunksScanned
-			agg.EntriesSeen += st.EntriesSeen
-			agg.EntriesReplayed += st.EntriesReplayed
-			agg.EntriesStale += st.EntriesStale
-			agg.EntriesDropped += st.EntriesDropped
-			agg.EmptyLeavesReclaimed += st.EmptyLeavesReclaimed
-			if st.VirtualNS > agg.VirtualNS {
-				agg.VirtualNS = st.VirtualNS
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	stats := make([]*core.RecoveryStats, n)
+	err := pmem.Parallel(n, func(i int) error {
+		tr, st, err := core.Open(pool, cfg.coreOptions(i, n, pool.Sockets()), threads)
 		if err != nil {
-			return nil, nil, err
+			return fmt.Errorf("cclbtree: shard %d: %w", i, err)
 		}
+		db.shards[i], stats[i] = tr, st
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	agg := &RecoveryStats{}
+	for _, st := range stats {
+		agg.Leaves += st.Leaves
+		agg.ChunksScanned += st.ChunksScanned
+		agg.EntriesSeen += st.EntriesSeen
+		agg.EntriesReplayed += st.EntriesReplayed
+		agg.EntriesStale += st.EntriesStale
+		agg.EntriesDropped += st.EntriesDropped
+		agg.EmptyLeavesReclaimed += st.EmptyLeavesReclaimed
+		agg.VirtualNS = max(agg.VirtualNS, st.VirtualNS)
 	}
 	return db, agg, nil
 }

@@ -158,22 +158,35 @@ func (fa *funcAnalysis) checkEscapes() []Finding {
 		}
 		return "", false
 	}
+	// goBody checks a closure that runs on a goroutine of its own.
+	goBody := func(lit *ast.FuncLit) {
+		local := declaredNames(lit.Body)
+		for _, fld := range lit.Type.Params.List {
+			for _, id := range fld.Names {
+				local[id.Name] = true
+			}
+		}
+		for _, id := range freeIdents(lit.Body) {
+			if kind, ok := identKind(id.Name); ok && !local[id.Name] {
+				emit(id.Pos(), fmt.Sprintf(
+					"%s %q captured by goroutine closure; %s is single-owner", kind, id.Name, kind))
+			}
+		}
+	}
 	ast.Inspect(fa.body, func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.CallExpr:
+			// pmem.Parallel runs its body on n goroutines at once.
+			if fa.isParallelCall(x) {
+				for _, arg := range x.Args {
+					if lit, ok := arg.(*ast.FuncLit); ok {
+						goBody(lit)
+					}
+				}
+			}
 		case *ast.GoStmt:
 			if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
-				local := declaredNames(lit.Body)
-				for _, fld := range lit.Type.Params.List {
-					for _, id := range fld.Names {
-						local[id.Name] = true
-					}
-				}
-				for _, id := range freeIdents(lit.Body) {
-					if kind, ok := identKind(id.Name); ok && !local[id.Name] {
-						emit(id.Pos(), fmt.Sprintf(
-							"%s %q captured by goroutine closure; %s is single-owner", kind, id.Name, kind))
-					}
-				}
+				goBody(lit)
 			}
 			for _, arg := range x.Call.Args {
 				if kind, ok := ownedKind(arg); ok {
@@ -190,6 +203,19 @@ func (fa *funcAnalysis) checkEscapes() []Finding {
 		return true
 	})
 	return out
+}
+
+// isParallelCall reports whether call is pmem.Parallel (a bare Parallel
+// inside package pmem).
+func (fa *funcAnalysis) isParallelCall(call *ast.CallExpr) bool {
+	switch f := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		id, ok := f.X.(*ast.Ident)
+		return ok && fa.fi.pmemName != "" && id.Name == fa.fi.pmemName && f.Sel.Name == "Parallel"
+	case *ast.Ident:
+		return fa.fi.inPmem && f.Name == "Parallel"
+	}
+	return false
 }
 
 // declaredNames collects names the closure body declares itself (:=,

@@ -47,3 +47,21 @@ func goShadowedParam(p *pmem.Pool, a pmem.Addr) {
 		t.Persist(a, 8)
 	}(p.NewThread(0))
 }
+
+// pmem.Parallel runs its body on goroutines of its own: a capture there
+// is a capture by a goroutine closure.
+func parallelCapture(t *pmem.Thread, a pmem.Addr) error {
+	return pmem.Parallel(2, func(i int) error {
+		t.Persist(a, 8) // want "PL004"
+		return nil
+	})
+}
+
+func parallelOwnThreads(p *pmem.Pool, a pmem.Addr) error {
+	return pmem.Parallel(2, func(i int) error {
+		t := p.NewThread(i)
+		t.Store(a, 1)
+		t.Persist(a, 8)
+		return nil
+	})
+}

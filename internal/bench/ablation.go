@@ -122,7 +122,7 @@ func Fig14(s Scale) ([]*Table, error) {
 		// each thread's virtual time every sampleEvery ops.
 		threads := s.MainThreads
 		handles, clocks := spread(pool, threads, idx.NewHandle)
-		err = phase(threads, func(th int) error {
+		err = pmem.Parallel(threads, func(th int) error {
 			for i := th; i < s.Warm; i += threads {
 				if err := handles[th].Upsert(loadKey(nil, i), 7); err != nil {
 					return err

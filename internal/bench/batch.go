@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cclbtree"
+	"cclbtree/internal/pmem"
 	"cclbtree/internal/workload"
 )
 
@@ -61,7 +62,7 @@ func runBatchInsert(s Scale, batchSize int) (*Result, uint64, error) {
 	sessions, clocks := spread(pool, threads, db.Session)
 
 	// Warm identically across batch sizes, per-op.
-	err = phase(threads, func(th int) error {
+	err = pmem.Parallel(threads, func(th int) error {
 		for i := th; i < s.Warm; i += threads {
 			if err := sessions[th].Put(loadKey(nil, i), 7); err != nil {
 				return err

@@ -330,7 +330,7 @@ func Run(pool *pmem.Pool, idx index.Index, spec Spec) (*Result, error) {
 		return h.Upsert(key, v)
 	}
 
-	err := phase(spec.Threads, func(th int) error {
+	err := pmem.Parallel(spec.Threads, func(th int) error {
 		for i := th; i < spec.Warm; i += spec.Threads {
 			if err := upsert(handles[th], loadKey(spec.Keys, i)); err != nil {
 				return err
@@ -436,38 +436,16 @@ func spread[W interface{ Thread() *pmem.Thread }](pool *pmem.Pool, n int, newWor
 	return ws, clocks
 }
 
-// phase runs body(th) for every th in [0, n), each on its own
-// goroutine, and returns the error of the lowest-numbered thread that
-// failed. It is where the harness starts every thread: each figure's
-// load, warm and measured phases run through it.
-func phase(n int, body func(th int) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for th := 0; th < n; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			errs[th] = body(th)
-		}(th)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// measure runs body as a measured phase, one goroutine per clock (see
-// phase). The Result carries the slowest thread's virtual-clock advance
-// over the phase and the pool's counter delta (see counted).
+// measure runs body as a measured phase, one goroutine per clock
+// through pmem.Parallel. The Result carries the slowest thread's
+// virtual-clock advance over the phase and the pool's counter delta
+// (see counted).
 func measure(pool *pmem.Pool, clocks []*pmem.Thread, body func(th int) error) (*Result, error) {
 	start := make([]int64, len(clocks))
 	for i, t := range clocks {
 		start[i] = t.Now()
 	}
-	res, err := counted(pool, func() error { return phase(len(clocks), body) })
+	res, err := counted(pool, func() error { return pmem.Parallel(len(clocks), body) })
 	if err != nil {
 		return nil, err
 	}

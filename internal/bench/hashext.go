@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"cclbtree/internal/cclhash"
+	"cclbtree/internal/pmem"
 	"cclbtree/internal/workload"
 )
 
@@ -30,7 +31,7 @@ func ExtensionHash(s Scale) ([]*Table, error) {
 		}
 		threads := s.MainThreads
 		workers, clocks := spread(pool, threads, h.NewWorker)
-		err = phase(threads, func(th int) error {
+		err = pmem.Parallel(threads, func(th int) error {
 			for i := th; i < s.Warm; i += threads {
 				if err := workers[th].Put(loadKey(nil, i), 7); err != nil {
 					return err

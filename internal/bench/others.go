@@ -21,7 +21,7 @@ func runVarCCL(s Scale, threads, warm, ops int) (float64, error) {
 	defer db.Close()
 	sizer := workload.VarSizer{Min: 8, Max: 128}
 	workers, clocks := spread(pool, threads, db.Session)
-	err = phase(threads, func(th int) error {
+	err = pmem.Parallel(threads, func(th int) error {
 		rng := rand.New(rand.NewSource(s.Seed + int64(th)))
 		for i := th; i < warm; i += threads {
 			k := sizer.Bytes(rng, loadKey(nil, i))
@@ -131,7 +131,7 @@ func Fig17(s Scale) ([]*Table, error) {
 			}
 			threads := s.MainThreads
 			workers, _ := spread(pool, threads, db.Session)
-			err = phase(threads, func(th int) error {
+			err = pmem.Parallel(threads, func(th int) error {
 				for i := th; i < n; i += threads {
 					if err := workers[th].Put(loadKey(nil, i), uint64(i+1)); err != nil {
 						return err

@@ -1,6 +1,8 @@
 package cclhash
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -243,15 +245,7 @@ func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
 	w := h.NewWorker(0)
 	ref := map[uint64]uint64{}
 	var inKey, inVal uint64
-	crashed := func() (c bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(pmem.PowerFailure); !ok {
-					panic(r)
-				}
-				c = true
-			}
-		}()
+	crashed := pmem.Survive(func() {
 		rng := rand.New(rand.NewSource(77))
 		base := pool.FlushCalls()
 		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+point })
@@ -262,8 +256,7 @@ func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
 			_ = w.Put(k, v)
 			ref[k] = v
 		}
-		return false
-	}()
+	})
 	pool.FailWhen(nil) // disarm before recovery flushes
 	if !crashed {
 		t.Fatalf("mode %d point %d: fault never fired", mode, point)
@@ -290,6 +283,109 @@ func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
 	got, ok := w2.Get(inKey)
 	if ok && got != inVal && got == 0 {
 		t.Fatalf("mode %d point %d: in-flight key %d garbage: %d", mode, point, inKey, got)
+	}
+}
+
+// TestHashCrashInsideRecover cuts power at every flush of Recover
+// itself, crashes, recovers again from the same chunk set, and requires
+// every acknowledged write. The crash image is built once and loaded
+// into a fresh pool per point; -short takes every fifth point.
+func TestHashCrashInsideRecover(t *testing.T) {
+	stride := int64(1)
+	if testing.Short() {
+		stride = 5
+	}
+	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
+	newPool := func() *pmem.Pool {
+		return pmem.NewPool(pmem.Config{
+			Sockets: 2, DIMMsPerSocket: 2, DeviceBytes: 1 << 20, XPBufferLines: 16, CacheLines: 1 << 13,
+		})
+	}
+	pool := newPool()
+	h, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := h.NewWorker(0)
+	ref := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(11))
+	for op := 0; op < 3000; op++ {
+		k := uint64(rng.Intn(1000) + 1)
+		if rng.Intn(6) == 0 {
+			_ = w.Delete(k)
+			delete(ref, k)
+		} else {
+			v := rng.Uint64() | 1
+			_ = w.Put(k, v)
+			ref[k] = v
+		}
+	}
+	h.Close()
+	var chunks []pmem.Addr
+	for e := 0; e < 2; e++ {
+		chunks = append(chunks, w.logs[e].Detach()...)
+	}
+	pool.Crash()
+	img := make([]bytes.Buffer, pool.Sockets())
+	for s := range img {
+		if err := pool.SavePersistent(s, &img[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func() *pmem.Pool {
+		p := newPool()
+		for s := range img {
+			if err := p.LoadPersistent(s, bytes.NewReader(img[s].Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	// lost reports the first acknowledged write h does not hold.
+	lost := func(h *Table) string {
+		w := h.NewWorker(0)
+		for k := uint64(1); k <= 1000; k++ {
+			v, ok := w.Get(k)
+			if wv, wok := ref[k]; ok != wok || v != wv {
+				return fmt.Sprintf("key %d reads %d,%v, want %d,%v", k, v, ok, wv, wok)
+			}
+		}
+		return ""
+	}
+
+	p := load()
+	base := p.FlushCalls()
+	h2, err := Recover(p, opts, h.base, chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := lost(h2); msg != "" {
+		t.Fatalf("uninterrupted recovery: %s", msg)
+	}
+	flushes := p.FlushCalls() - base
+	t.Logf("%d recovery flushes", flushes)
+	var bad []string
+	for k := int64(1); k <= flushes; k += stride {
+		p := load()
+		base := p.FlushCalls()
+		p.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+k })
+		pmem.Survive(func() { _, err = Recover(p, opts, h.base, chunks) })
+		p.FailWhen(nil)
+		if err != nil {
+			t.Fatalf("flush %d: %v", k, err)
+		}
+		p.Crash()
+		h3, err := Recover(p, opts, h.base, chunks)
+		if err != nil {
+			t.Fatalf("flush %d: reopen: %v", k, err)
+		}
+		if msg := lost(h3); msg != "" {
+			bad = append(bad, fmt.Sprintf("flush %d: %s", k, msg))
+		}
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d of %d crash points lost acknowledged writes; first: %s",
+			len(bad), (flushes+stride-1)/stride, bad[0])
 	}
 }
 

@@ -119,11 +119,13 @@ func (h *Table) runGC() {
 }
 
 // Recover rebuilds a table after a power failure: walk the bucket
-// array to restore volatile state, replay WAL entries newer than their
-// home bucket's timestamp, and reset bucket timestamps. The caller
-// passes the live chunk set (a host application persists it in a small
-// directory; the cclbtree core shows a fully persistent one — this
-// extension keeps that bookkeeping external).
+// array to restore volatile state, then replay WAL entries newer than
+// their home bucket's timestamp. The caller passes the live chunk set
+// (a host application persists it in a small directory; the cclbtree
+// core shows a fully persistent one — this extension keeps that
+// bookkeeping external). As in core.Open, the clock resumes above the
+// image and each bucket replays its entries as one batch, so a crash
+// inside Recover loses nothing and no stamp needs resetting.
 func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) (*Table, error) {
 	opts = opts.withDefaults()
 	h := &Table{
@@ -157,15 +159,18 @@ func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) 
 	for _, c := range chunks {
 		track(c, int64(opts.ChunkBytes))
 	}
+	maxTick := uint64(0)
 	homeTS := make([]uint64, opts.Buckets)
 	for b := 0; b < opts.Buckets; b++ {
 		var img pmleaf.Image
 		img.Read(t, h.bucketAddr(uint64(b)))
 		homeTS[b] = img.TS()
+		maxTick = max(maxTick, img.TS())
 		for next := img.Next(); !next.IsNil(); {
 			h.overflowCnt.Add(1)
 			track(next, BucketBytes)
 			img.Read(t, next)
+			maxTick = max(maxTick, img.TS())
 			next = img.Next()
 		}
 	}
@@ -177,30 +182,28 @@ func Recover(pool *pmem.Pool, opts Options, base pmem.Addr, chunks []pmem.Addr) 
 	// (bucket addresses are fixed, so routing is exact).
 	newest := map[uint64]wal.Entry{}
 	for _, e := range wal.ReadEntriesInChunks(t, chunks, opts.ChunkBytes) {
+		maxTick = max(maxTick, e.Timestamp)
 		if cur, ok := newest[e.Key]; !ok || e.Timestamp > cur.Timestamp {
 			newest[e.Key] = e
 		}
 	}
-	w := h.NewWorker(0)
+	h.clock.AdvanceTo(maxTick + h.clock.Boundary())
+	groups := make([][]kv, opts.Buckets)
 	for _, e := range newest {
 		b := hashKey(e.Key) & h.mask
-		if e.Timestamp <= homeTS[b] {
-			continue // covered by a completed flush
+		if e.Timestamp > homeTS[b] { // else covered by a completed flush
+			groups[b] = append(groups[b], kv{e.Key, e.Value})
 		}
-		if err := w.flushBatch(b, []kv{{e.Key, e.Value}}); err != nil {
+	}
+	w := h.NewWorker(0)
+	for b, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		if err := w.flushBatch(uint64(b), g); err != nil {
 			return nil, fmt.Errorf("cclhash: replay: %w", err)
 		}
 	}
-	// Reset timestamps for the fresh clock.
-	for b := 0; b < opts.Buckets; b++ {
-		a := pmleaf.TSAddr(h.bucketAddr(uint64(b)))
-		t.Store(a, 0)
-		t.Flush(a, 8)
-		if b%64 == 63 {
-			t.Fence()
-		}
-	}
-	t.Fence()
 	h.walman.AdoptChunks(chunks)
 	return h, nil
 }

@@ -255,17 +255,9 @@ func TestCrashDuringOptimisticRead(t *testing.T) {
 			// Kill the writer at its next WAL flush — inside
 			// applyRunLocked, version lock held.
 			pool.FailWhen(func(fp pmem.FaultPoint) bool { return true })
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(pmem.PowerFailure); !ok {
-							panic(r)
-						}
-					}
-				}()
-				_ = w.Upsert(7, 7777)
+			if !pmem.Survive(func() { _ = w.Upsert(7, 7777) }) {
 				t.Error("upsert survived an armed always-fire fault")
-			}()
+			}
 
 			// Both read shapes must abort, not spin.
 			reader := tr.NewWorker(0)
@@ -273,18 +265,9 @@ func TestCrashDuringOptimisticRead(t *testing.T) {
 				"lookup": func() { reader.Lookup(7) },
 				"scan":   func() { out := make([]KV, 8); reader.Scan(1, 8, out) },
 			} {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(pmem.PowerFailure); !ok {
-								panic(r)
-							}
-							return
-						}
-						t.Errorf("%s on a dead writer's node returned instead of aborting", name)
-					}()
-					read()
-				}()
+				if !pmem.Survive(read) {
+					t.Errorf("%s on a dead writer's node returned instead of aborting", name)
+				}
 			}
 
 			// Recovery proceeds as after any crash; the reader added no

@@ -155,17 +155,9 @@ func TestCrashHeaderDrainsBeforeData(t *testing.T) {
 	pool.FailWhen(func(fp pmem.FaultPoint) bool {
 		return fp.Socket == leaf.Socket() && fp.Line == hdrLine
 	})
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(pmem.PowerFailure); !ok {
-					panic(r)
-				}
-			}
-		}()
-		_ = w.Upsert(6, 60)
+	if !pmem.Survive(func() { _ = w.Upsert(6, 60) }) {
 		t.Fatal("trigger write survived the armed header fault")
-	}()
+	}
 	tr.Freeze()
 	pool.FailWhen(nil)
 	// The header line drains; the data lines still wait on the worker's
@@ -207,15 +199,7 @@ func runCrashPoint(t *testing.T, d crashDriver, mode pmem.Mode, gc GCPolicy, poi
 	// moves no data but still counts) since pool creation, matching
 	// FaultPoint.Seq numbering; the point is relative to here.
 	base := pool.FlushCalls()
-	crashed := func() (c bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(pmem.PowerFailure); !ok {
-					panic(r)
-				}
-				c = true
-			}
-		}()
+	crashed := pmem.Survive(func() {
 		if point > 0 {
 			pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+point })
 		}
@@ -235,8 +219,7 @@ func runCrashPoint(t *testing.T, d crashDriver, mode pmem.Mode, gc GCPolicy, poi
 			inFlight = nil
 			completed++
 		})
-		return false
-	}()
+	})
 	// Join background GC before losing power: the fault may have fired
 	// there (the GC goroutine recovers and exits), or — when the point
 	// lies beyond this run's flush count — GC may still be running.

@@ -41,23 +41,17 @@ func (tr *Tree) startGC() {
 		defer close(done)
 		defer tr.gcRunning.Store(false)
 		// An armed fault (pmem.FailWhen) can fire on the GC thread's
-		// flushes. Swallow exactly that panic: the simulated machine
-		// lost power, the round simply stops where it was, and the
-		// crash harness proceeds to Pool.Crash + recovery.
-		// Runs before the other defers (LIFO), so done still closes and
-		// gcRunning still clears — Freeze() keeps working mid-crash.
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(pmem.PowerFailure); !ok {
-					panic(r)
-				}
+		// flushes: the simulated machine lost power and the round stops
+		// where it was. done still closes and gcRunning still clears, so
+		// Freeze() keeps working mid-crash and the crash harness
+		// proceeds to Pool.Crash + recovery.
+		pmem.Survive(func() {
+			if tr.opts.GC == GCNaive {
+				tr.runNaiveGC()
+			} else {
+				tr.runLocalityGC()
 			}
-		}()
-		if tr.opts.GC == GCNaive {
-			tr.runNaiveGC()
-		} else {
-			tr.runLocalityGC()
-		}
+		})
 	}()
 }
 

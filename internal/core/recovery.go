@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"cclbtree/internal/obs"
 	"cclbtree/internal/ordo"
@@ -133,11 +133,6 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	// from before the crash — would outrank every post-recovery append
 	// at the NEXT crash, resurrecting overwritten values.
 	maxTick := uint64(0)
-	noteTick := func(ts uint64) {
-		if ts > maxTick {
-			maxTick = ts
-		}
-	}
 	maxEnd := make([]uint64, pool.Sockets())
 	track := func(a pmem.Addr, size int64) {
 		if end := a.Offset() + uint64(size); end > maxEnd[a.Socket()] {
@@ -212,7 +207,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		if img.TS() > wal.MaxTick {
 			return nil, nil, corruptf("leaf", cur, "flush timestamp %#x impossible", img.TS())
 		}
-		noteTick(img.TS())
+		maxTick = max(maxTick, img.TS())
 		next := img.Next()
 		if !next.IsNil() {
 			if !pool.ValidRange(next, LeafBytes) || next.Offset()%LeafBytes != 0 {
@@ -305,24 +300,25 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		scanThreads[i].PushScope(pmem.ScopeRecovery)
 	}
 	entryLists := make([][]wal.Entry, threads)
-	var wgScan sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wgScan.Add(1)
-		go func(i int) {
-			defer wgScan.Done()
-			for j := i; j < len(chunks); j += threads {
-				entryLists[i] = append(entryLists[i],
-					wal.ReadEntriesInChunks(scanThreads[i], []pmem.Addr{chunks[j]}, chunkBytes)...)
-			}
-		}(i)
+	err = pmem.Parallel(threads, func(i int) error {
+		for j := i; j < len(chunks); j += threads {
+			entryLists[i] = append(entryLists[i],
+				wal.ReadEntriesInChunks(scanThreads[i], []pmem.Addr{chunks[j]}, chunkBytes)...)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	wgScan.Wait()
 
 	type pending struct {
 		kv KV
 		ts uint64
 	}
-	newest := map[uint64][]pending{} // logical-key hash -> candidates
+	// candidates holds the newest version per logical key in scan order;
+	// newest indexes it by logical-key hash.
+	var candidates []pending
+	newest := map[uint64][]int{}
 	keyHash := func(kw uint64) uint64 {
 		if !opts.VarKV {
 			return kw
@@ -343,61 +339,67 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 				st.EntriesDropped++
 				continue
 			}
-			noteTick(e.Timestamp)
+			maxTick = max(maxTick, e.Timestamp)
 			h := keyHash(e.Key)
-			bucket := newest[h]
 			found := false
-			for i := range bucket {
-				if sameKey(bucket[i].kv.Key, e.Key) {
-					if e.Timestamp > bucket[i].ts {
-						bucket[i] = pending{KV{e.Key, e.Value}, e.Timestamp}
+			for _, c := range newest[h] {
+				if sameKey(candidates[c].kv.Key, e.Key) {
+					if e.Timestamp > candidates[c].ts {
+						candidates[c] = pending{KV{e.Key, e.Value}, e.Timestamp}
 					}
 					found = true
 					break
 				}
 			}
 			if !found {
-				bucket = append(bucket, pending{KV{e.Key, e.Value}, e.Timestamp})
+				newest[h] = append(newest[h], len(candidates))
+				candidates = append(candidates, pending{KV{e.Key, e.Value}, e.Timestamp})
 			}
-			newest[h] = bucket
 		}
-	}
-	candidates := make([]pending, 0, len(newest))
-	for _, bucket := range newest {
-		candidates = append(candidates, bucket...)
 	}
 	// Resume the tick domain past the image (plus the uncertainty
 	// boundary, so post-recovery ticks are *definitely* after pre-crash
 	// ones) before the replay workers start stamping.
 	tr.clock.AdvanceTo(maxTick + defaultOrdo)
 	// Route each candidate and compare with its leaf's pre-crash
-	// timestamp, in parallel (read-only).
-	replayLists := make([][]KV, threads)
-	staleCounts := make([]int, threads)
-	for i := 0; i < threads; i++ {
-		wgScan.Add(1)
-		go func(i int) {
-			defer wgScan.Done()
-			t := scanThreads[i]
-			for j := i; j < len(candidates); j += threads {
-				p := candidates[j]
-				n := tr.findBuffer(t, p.kv.Key)
-				leafTS := t.Load(pmleaf.TSAddr(n.leaf))
-				if p.ts > leafTS {
-					replayLists[i] = append(replayLists[i], p.kv)
-				} else {
-					staleCounts[i]++
-				}
+	// timestamp, in parallel (read-only). A survivor keeps the node it
+	// routed to; a stale record keeps nil.
+	route := make([]*bufferNode, len(candidates))
+	err = pmem.Parallel(threads, func(i int) error {
+		t := scanThreads[i]
+		for j := i; j < len(candidates); j += threads {
+			p := candidates[j]
+			n := tr.findBuffer(t, p.kv.Key)
+			leafTS := t.Load(pmleaf.TSAddr(n.leaf))
+			if p.ts > leafTS {
+				route[j] = n
 			}
-		}(i)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	wgScan.Wait()
-	var replay []KV
-	for i := range replayLists {
-		replay = append(replay, replayLists[i]...)
-		st.EntriesStale += staleCounts[i]
+	// Group the survivors per leaf, in leaf-chain order. Replaying a
+	// leaf's records as one batch is what makes recovery restartable: the
+	// flush that stamps a leaf above every pre-crash tick carries all of
+	// that leaf's records, so a crash inside replay never leaves a stamped
+	// leaf with records still waiting in the log, which the next recovery
+	// would gate out as stale.
+	chainPos := make(map[*bufferNode]int, len(nodes))
+	for i, n := range nodes {
+		chainPos[n] = i
 	}
-	st.EntriesReplayed = len(replay)
+	groups := make([][]KV, len(nodes))
+	for j, n := range route {
+		if n == nil {
+			st.EntriesStale++
+			continue
+		}
+		groups[chainPos[n]] = append(groups[chainPos[n]], candidates[j].kv)
+		st.EntriesReplayed++
+	}
+	groups = slices.DeleteFunc(groups, func(g []KV) bool { return len(g) == 0 })
 
 	// The bump pointers must clear every reachable object before any
 	// replay write allocates (splits).
@@ -408,9 +410,10 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		tr.alloc.Free(a, LeafBytes)
 	}
 
-	// Phase 3 (parallel): apply surviving entries directly to leaves
-	// through the normal batch-insert machinery (locking per node, so
-	// splits during replay stay correct).
+	// Phase 3 (parallel): apply each group to its leaf with one batch
+	// insert under the node's lock, groups round-robin over the workers.
+	// Splits during replay only mint nodes inside the splitting group's
+	// own range, so every group's first key still routes to its node.
 	workers := make([]*Worker, threads)
 	for i := range workers {
 		workers[i] = tr.NewWorker(recoverySocket(i))
@@ -419,25 +422,20 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		//persistlint:ignore PL012 replay workers live only for phase 3; their threads die scoped
 		workers[i].t.PushScope(pmem.ScopeRecovery)
 	}
-	var wg sync.WaitGroup
-	replayErrs := make([]error, threads)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			for j := i; j < len(replay); j += threads {
-				if err := w.replayApply(replay[j]); err != nil {
-					replayErrs[i] = err
-					return
-				}
+	err = pmem.Parallel(threads, func(i int) error {
+		w := workers[i]
+		for g := i; g < len(groups); g += threads {
+			n, v := w.lockOwner(groups[g][0].Key)
+			_, err := w.leafBatchInsert(n, groups[g])
+			n.unlock(v)
+			if err != nil {
+				return fmt.Errorf("core: recovery replay: %w", err)
 			}
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range replayErrs {
-		if err != nil {
-			return nil, nil, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Logs are now redundant: every surviving entry is durable in a
@@ -454,15 +452,11 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		// Recovery is over; the workers stay registered (their logs are
 		// reclaimed in later GC rounds) and must not keep attributing.
 		w.t.PopScope(pmem.ScopeNone)
-		if w.t.Now() > maxWorker {
-			maxWorker = w.t.Now()
-		}
+		maxWorker = max(maxWorker, w.t.Now())
 	}
 	var maxScan int64
 	for _, t := range scanThreads {
-		if t.Now() > maxScan {
-			maxScan = t.Now()
-		}
+		maxScan = max(maxScan, t.Now())
 	}
 	st.VirtualNS = t0.Now() + maxScan + maxWorker
 	tr.tracer.Emit(obs.EvRecovery, 0, st.VirtualNS,
@@ -488,16 +482,4 @@ func ProbeArenaCount(pool *pmem.Pool) (int, error) {
 	}
 	_, count := sbArena(sbw[5])
 	return count, nil
-}
-
-// replayApply routes one recovered KV to its leaf and applies it with
-// the normal crash-consistent batch insert.
-func (w *Worker) replayApply(kv KV) error {
-	n, v := w.lockOwner(kv.Key)
-	_, err := w.leafBatchInsert(n, []KV{kv})
-	n.unlock(v)
-	if err != nil {
-		return fmt.Errorf("core: recovery replay: %w", err)
-	}
-	return nil
 }

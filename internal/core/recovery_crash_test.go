@@ -1,0 +1,170 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"cclbtree/internal/pmem"
+)
+
+// TestCrashInsideRecovery cuts power at recovery's own flushes: leaf
+// unlinks, replay batches, splits and the chunk-directory reset. The
+// crash image (500 inserts, then 250 updates, every write acknowledged)
+// is built once per configuration and loaded into a fresh pool per
+// crash point; -short takes 8 strided points on one thread. Each point arms the fault at the k-th flush of
+// Open, crashes when Open carries the power failure back, reopens, and
+// requires every acknowledged write. Replaying record by record fails
+// here: a leaf stamped by the first of its records gates the rest out
+// of the next recovery as stale.
+func TestCrashInsideRecovery(t *testing.T) {
+	threadCounts, points := []int{1, 2}, int64(0)
+	if testing.Short() {
+		threadCounts, points = []int{1}, 8
+	}
+	for _, varKV := range []bool{false, true} {
+		for _, gc := range []bool{false, true} {
+			name := fmt.Sprintf("var=%v/gc=%v", varKV, gc)
+			t.Run(name, func(t *testing.T) {
+				img, check := recoveryCrashImage(t, varKV, gc)
+				for _, threads := range threadCounts {
+					pool := img.load(t)
+					base := pool.FlushCalls()
+					tr, _, err := Open(pool, Options{}, threads)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if msg := check(tr); msg != "" {
+						t.Fatalf("uninterrupted recovery: %s", msg)
+					}
+					flushes := pool.FlushCalls() - base
+					t.Logf("%d threads: %d recovery flushes", threads, flushes)
+					stride := int64(1)
+					if points > 0 && flushes > points {
+						stride = flushes / points
+					}
+					var lost []string
+					for k := int64(1); k <= flushes; k += stride {
+						if msg := crashOpenAt(t, img.load(t), threads, k, check); msg != "" {
+							lost = append(lost, fmt.Sprintf("flush %d: %s", k, msg))
+						}
+					}
+					if len(lost) > 0 {
+						t.Errorf("%d threads: %d of %d crash points lost acknowledged writes; first: %s",
+							threads, len(lost), (flushes+stride-1)/stride, lost[0])
+					}
+				}
+			})
+		}
+	}
+}
+
+// crashOpenAt opens pool with a power failure armed at the k-th flush
+// of recovery, then crashes and reopens it, and returns check's verdict
+// on the second recovery. A recovery that finishes before flush k (the
+// count varies with two threads) is checked as it is.
+func crashOpenAt(t *testing.T, pool *pmem.Pool, threads int, k int64, check func(*Tree) string) string {
+	t.Helper()
+	base := pool.FlushCalls()
+	pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+k })
+	var tr *Tree
+	var err error
+	died := pmem.Survive(func() { tr, _, err = Open(pool, Options{}, threads) })
+	pool.FailWhen(nil)
+	if err != nil {
+		t.Fatalf("flush %d: %v", k, err)
+	}
+	if died {
+		pool.Crash()
+		if tr, _, err = Open(pool, Options{}, threads); err != nil {
+			t.Fatalf("flush %d: reopen: %v", k, err)
+		}
+	}
+	return check(tr)
+}
+
+// crashImage is a saved persistent image, one buffer per socket.
+type crashImage [][]byte
+
+func (img crashImage) load(t *testing.T) *pmem.Pool {
+	t.Helper()
+	pool := newRecoveryCrashPool()
+	for s, b := range img {
+		if err := pool.LoadPersistent(s, bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pool
+}
+
+func newRecoveryCrashPool() *pmem.Pool {
+	return newTestPool(func(c *pmem.Config) { c.DeviceBytes = 512 << 10 })
+}
+
+// recoveryCrashImage runs the workload on a fresh tree, optionally
+// followed by one locality-GC round, crashes, and returns the saved
+// image with a check that reports the first acknowledged write a
+// recovered tree lost ("" when none).
+func recoveryCrashImage(t *testing.T, varKV, gc bool) (crashImage, func(*Tree) string) {
+	t.Helper()
+	pool := newRecoveryCrashPool()
+	opts := Options{VarKV: varKV, ChunkBytes: 16 << 10, GC: GCOff}
+	if gc {
+		opts.GC = GCLocalityAware
+	}
+	tr, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.NewWorker(0)
+	const keys = 500
+	want := make([]uint64, keys+1)
+	put := func(k, v uint64) {
+		var err error
+		if varKV {
+			err = w.UpsertVar(varKey(int(k)), varVal(int(v)))
+		} else {
+			err = w.Upsert(k, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, i := range rng.Perm(keys) {
+		put(uint64(i+1), uint64(i+1))
+	}
+	for i := 0; i < keys/2; i++ {
+		k := uint64(rng.Intn(keys) + 1)
+		put(k, want[k]+keys)
+	}
+	if gc {
+		tr.ForceGC()
+	}
+	tr.Freeze()
+	pool.Crash()
+	img := make(crashImage, pool.Sockets())
+	for s := range img {
+		var b bytes.Buffer
+		if err := pool.SavePersistent(s, &b); err != nil {
+			t.Fatal(err)
+		}
+		img[s] = b.Bytes()
+	}
+	check := func(tr *Tree) string {
+		w := tr.NewWorker(0)
+		for k := uint64(1); k <= keys; k++ {
+			if varKV {
+				if v, ok := w.LookupVar(varKey(int(k))); !ok || !bytes.Equal(v, varVal(int(want[k]))) {
+					return fmt.Sprintf("key %d reads %q,%v, want %q", k, v, ok, varVal(int(want[k])))
+				}
+			} else if v, ok := w.Lookup(k); !ok || v != want[k] {
+				return fmt.Sprintf("key %d reads %d,%v, want %d", k, v, ok, want[k])
+			}
+		}
+		return ""
+	}
+	return img, check
+}

@@ -1,6 +1,10 @@
 package pmem
 
-import "sync/atomic"
+import (
+	"cmp"
+	"sync"
+	"sync/atomic"
+)
 
 // This file implements the fault-injection surface the crash-recovery
 // test harnesses drive: predicate-armed power failures (FailWhen —
@@ -88,6 +92,48 @@ func (t *Thread) checkFault(a Addr) {
 		p.failFired.Store(true)
 		panic(PowerFailure{})
 	}
+}
+
+// Survive runs fn and reports whether it died of a PowerFailure: the
+// simulated machine lost power and fn stopped where it was. Any other
+// panic propagates.
+func Survive(fn func()) (died bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(PowerFailure); !ok {
+				panic(r)
+			}
+			died = true
+		}
+	}()
+	fn()
+	return false
+}
+
+// Parallel runs body(i) for every i in [0, n), each on its own
+// goroutine, and returns the error of the lowest i that failed: the one
+// fan-out for simulated threads. A goroutine that dies of a
+// PowerFailure does not take the process down; once every goroutine has
+// returned, Parallel re-panics PowerFailure on the caller, so a crash
+// harness sees the failure where it started the work.
+func Parallel(n int, body func(i int) error) error {
+	errs := make([]error, n)
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			if Survive(func() { errs[i] = body(i) }) {
+				failed.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() {
+		panic(PowerFailure{})
+	}
+	return cmp.Or(errs...)
 }
 
 // TearPending models torn XPLine write-backs at a power failure: for

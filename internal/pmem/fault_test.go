@@ -1,6 +1,8 @@
 package pmem
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 )
 
@@ -12,21 +14,6 @@ func faultTestPool(mode Mode) *Pool {
 		StrictPersist:  true,
 		Mode:           mode,
 	})
-}
-
-// recoverPowerFailure runs f, reporting whether it panicked with
-// PowerFailure (any other panic propagates).
-func recoverPowerFailure(f func()) (failed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(PowerFailure); !ok {
-				panic(r)
-			}
-			failed = true
-		}
-	}()
-	f()
-	return false
 }
 
 // TestTornFlushADR is the torn-line contract: a flush issued but not
@@ -152,7 +139,7 @@ func TestFailWhenScopeTargeted(t *testing.T) {
 	// WAL-scope flush fires.
 	prev := th.PushScope(ScopeWAL)
 	th.Store(a.Add(64), 2)
-	if !recoverPowerFailure(func() { th.Persist(a.Add(64), 8) }) {
+	if !Survive(func() { th.Persist(a.Add(64), 8) }) {
 		t.Fatal("WAL-scope flush did not trigger the armed fault")
 	}
 	th.PopScope(prev)
@@ -162,7 +149,7 @@ func TestFailWhenScopeTargeted(t *testing.T) {
 
 	// Sticky: an unrelated flush on the same pool dies too.
 	th.Store(a.Add(128), 3)
-	if !recoverPowerFailure(func() { th.Persist(a.Add(128), 8) }) {
+	if !Survive(func() { th.Persist(a.Add(128), 8) }) {
 		t.Fatal("post-trigger flush did not panic (sticky contract)")
 	}
 
@@ -190,7 +177,7 @@ func TestFailWhenFiresInEADR(t *testing.T) {
 	th.Persist(a, 8) // seq base+1
 	//persistlint:ignore PL001 the armed fault kills the persist; eADR keeps the store anyway
 	th.Store(a.Add(64), 2)
-	if !recoverPowerFailure(func() { th.Persist(a.Add(64), 8) }) {
+	if !Survive(func() { th.Persist(a.Add(64), 8) }) {
 		t.Fatal("second flush did not trigger in eADR")
 	}
 	p.FailWhen(nil)
@@ -218,5 +205,37 @@ func TestFlushCallsCountsBothModes(t *testing.T) {
 		if got := p.FlushCalls(); got != 5 {
 			t.Fatalf("mode %v: FlushCalls = %d, want 5", mode, got)
 		}
+	}
+}
+
+// TestParallel pins the fan-out's contract: the lowest-numbered error
+// wins, and a power failure on any goroutine is re-raised on the caller
+// only after every goroutine has returned.
+func TestParallel(t *testing.T) {
+	errA, errB := errors.New("a"), errors.New("b")
+	err := Parallel(4, func(i int) error {
+		switch i {
+		case 1:
+			return errA
+		case 3:
+			return errB
+		}
+		return nil
+	})
+	if err != errA {
+		t.Fatalf("Parallel returned %v, want the error of goroutine 1", err)
+	}
+	var finished atomic.Int32
+	died := Survive(func() {
+		_ = Parallel(4, func(i int) error {
+			if i == 0 {
+				panic(PowerFailure{})
+			}
+			finished.Add(1)
+			return nil
+		})
+	})
+	if !died || finished.Load() != 3 {
+		t.Fatalf("died %v with %d of 3 survivors finished", died, finished.Load())
 	}
 }

@@ -111,6 +111,16 @@ var mutants = []mutant{
 			"value or one that newest-tick dedup discards",
 	},
 	{
+		// Every surviving record becomes a group of its own and is
+		// replayed alone: a crash inside recovery then finds a leaf
+		// stamped while its other records still wait in the log.
+		name: "replay-per-record",
+		edits: []edit{{"internal/core/recovery.go",
+			"groups[chainPos[n]] = append(groups[chainPos[n]], candidates[j].kv)",
+			"groups = append(groups, []KV{candidates[j].kv})"}},
+		unit: coreUnit, want: row{unit: true, torture: true},
+	},
+	{
 		name:  "epoch-pin-skipped",
 		edits: []edit{{"internal/core/worker.go", "\tw.tree.epochEnter(w)\n", ""}},
 		unit:  coreUnit, want: row{unit: true},
@@ -128,7 +138,7 @@ var mutants = []mutant{
 //     with StrictPersist on;
 //   - torture: TestTortureShort, the crash-recovery and read oracles,
 //     on one processor: at GOMAXPROCS 2 the clean tree itself loses an
-//     update in about 1 run in 20 (ROADMAP item 1), which would flip
+//     update in about 1 run in 20 (ROADMAP item 2), which would flip
 //     the cells of the survivors.
 //
 // Each observed row must equal the committed one, so a gate that goes

@@ -8,10 +8,11 @@
 // goroutines that record per-op histories with ORDO invoke/return
 // ticks (history.go), crashes the modeled machine — rolling back every
 // unfenced flush, optionally tearing pending XPLines — recovers with
-// core.Open, and checks the recovered state against the history. The
-// next round continues on the recovered tree, so the harness also
-// exercises repeated crash-recover-crash sequences (which is how the
-// recovery clock-resume bug was found).
+// core.Open (in some rounds crashing inside recovery too), and checks
+// the recovered state against the history. The next round continues on
+// the recovered tree, so the harness also exercises repeated
+// crash-recover-crash sequences (which is how the recovery clock-resume
+// bug was found).
 //
 // Determinism: the workload, per-worker op streams, and crash plans
 // derive entirely from Config.Seed, so a failing seed re-runs the same
@@ -23,7 +24,6 @@ package torture
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"cclbtree/internal/core"
 	"cclbtree/internal/pmem"
@@ -148,6 +148,12 @@ func Run(cfg Config) (*Result, error) {
 	baseline := map[uint64]uint64{}
 	everWritten := map[uint64]map[uint64]bool{}
 	var flushBudget int64
+	// Whether and where a power failure also cuts into recovery is drawn
+	// from a source of its own, so the op streams and crash plans that
+	// master yields stay those of the seed. Until a recovery has been
+	// counted, the fault lands within its first 64 flushes.
+	recoveryCrashes := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
+	recoveryFlushes := int64(64)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		plan := planForRound(master, round, flushBudget)
@@ -167,25 +173,11 @@ func Run(cfg Config) (*Result, error) {
 		for i := range workers {
 			workers[i] = tr.NewWorker(i % cfg.Sockets)
 		}
-		var wg sync.WaitGroup
-		var workerErr error
-		var errMu sync.Mutex
-		for i := 0; i < cfg.Threads; i++ {
-			wg.Add(1)
-			go func(wid int) {
-				defer wg.Done()
-				if err := runWorker(tr, workers[wid], wid, round, seeds[wid], cfg, &histories[wid]); err != nil {
-					errMu.Lock()
-					if workerErr == nil {
-						workerErr = err
-					}
-					errMu.Unlock()
-				}
-			}(i)
-		}
-		wg.Wait()
-		if workerErr != nil {
-			return nil, fmt.Errorf("torture: round %d worker: %w", round, workerErr)
+		err := pmem.Parallel(cfg.Threads, func(wid int) error {
+			return runWorker(tr, workers[wid], wid, round, seeds[wid], cfg, &histories[wid])
+		})
+		if err != nil {
+			return nil, fmt.Errorf("torture: round %d worker: %w", round, err)
 		}
 
 		// Teardown in power-failure order: stop background activity,
@@ -201,7 +193,7 @@ func Run(cfg Config) (*Result, error) {
 		pool.FailWhen(nil)
 		pool.Crash()
 
-		rec, st, err := core.Open(pool, opts, cfg.Threads)
+		rec, st, err := openCrashing(pool, opts, cfg.Threads, recoveryCrashes, &recoveryFlushes)
 		if err != nil {
 			// The harness injects no corruption, so a rejected image is
 			// itself a crash-consistency failure.
@@ -261,6 +253,31 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// openCrashing recovers the crashed pool. In one round in three it
+// first arms a power failure at a flush drawn from the span of the last
+// recovery (*flushes), crashes when core.Open carries the failure back,
+// and recovers again: a crash inside recovery must lose nothing either.
+// *flushes becomes the completed recovery's flush count.
+func openCrashing(pool *pmem.Pool, opts core.Options, threads int, rng *rand.Rand, flushes *int64) (*core.Tree, *core.RecoveryStats, error) {
+	if rng.Intn(3) == 0 {
+		at := pool.FlushCalls() + 1 + rng.Int63n(*flushes)
+		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == at })
+		var tr *core.Tree
+		var st *core.RecoveryStats
+		var err error
+		died := pmem.Survive(func() { tr, st, err = core.Open(pool, opts, threads) })
+		pool.FailWhen(nil)
+		if !died {
+			return tr, st, err
+		}
+		pool.Crash()
+	}
+	base := pool.FlushCalls()
+	tr, st, err := core.Open(pool, opts, threads)
+	*flushes = max(pool.FlushCalls()-base, 1)
+	return tr, st, err
+}
+
 // runWorker drives one goroutine's share of the round's workload,
 // recording every operation. It returns a non-nil error only for real
 // tree errors (allocation failure); a simulated power failure ends the
@@ -285,19 +302,8 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 			return nil
 		}
 		invoke := clock.Now(socket)
-		died := false
-		err := func() (opErr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.PowerFailure); !ok {
-						panic(r)
-					}
-					died = true
-				}
-			}()
-			opErr = w.ApplyBatch(stagedOps)
-			return
-		}()
+		var err error
+		died := pmem.Survive(func() { err = w.ApplyBatch(stagedOps) })
 		if err != nil {
 			return err
 		}
@@ -348,21 +354,13 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 		}
 
 		op.Invoke = clock.Now(socket)
-		died := false
-		err := func() (opErr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.PowerFailure); !ok {
-						panic(r)
-					}
-					died = true
-				}
-			}()
+		var err error
+		died := pmem.Survive(func() {
 			switch op.Kind {
 			case OpUpsert:
-				opErr = w.Upsert(op.Key, op.Value)
+				err = w.Upsert(op.Key, op.Value)
 			case OpDelete:
-				opErr = w.Delete(op.Key)
+				err = w.Delete(op.Key)
 			case OpLookup:
 				op.Value, op.Found = w.Lookup(op.Key)
 			case OpScan:
@@ -374,8 +372,7 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 					op.Observed[i] = [2]uint64{kv.Key, kv.Value}
 				}
 			}
-			return
-		}()
+		})
 		if err != nil {
 			return err
 		}

@@ -57,8 +57,8 @@ go test -race -short ./internal/server
 # Every comparison baseline runs on the shared primitives in
 # internal/baselines/prim (LB+-Tree's CAS leaf lock included).
 go test -race -short ./internal/baselines/...
-# The figure harness starts every thread in one phase driver
-# (internal/bench phase/measure). Race the experiments that build their
+# The figure harness starts every thread through pmem.Parallel (directly
+# or through internal/bench's measure). Race the experiments that build their
 # own threads on it rather than going through bench.Run; the whole
 # package under -race takes ~50 s.
 go test -race -short -run 'TestSmokeAllExperiments/(fig2|fig14|fig15b|fig17|batch|extension-hash)$' ./internal/bench

@@ -44,6 +44,8 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 	}
 	var flushBudget int64
 	crashes := 0
+	openRNG := rand.New(rand.NewSource(8))
+	openFlushes, openCrashes := int64(0), 0
 
 	for round := 0; round < rounds; round++ {
 		seeds := make([]int64, writers)
@@ -86,23 +88,14 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 						op.Kind = torture.OpDelete
 					}
 					op.Invoke = clock.Now(socket)
-					died := false
-					err := func() (opErr error) {
-						defer func() {
-							if r := recover(); r != nil {
-								if _, ok := r.(pmem.PowerFailure); !ok {
-									panic(r)
-								}
-								died = true
-							}
-						}()
+					var err error
+					died := pmem.Survive(func() {
 						if op.Kind == torture.OpUpsert {
-							opErr = sess.Put(op.Key, op.Value)
+							err = sess.Put(op.Key, op.Value)
 						} else {
-							opErr = sess.Delete(op.Key)
+							err = sess.Delete(op.Key)
 						}
-						return
-					}()
+					})
 					if err != nil {
 						t.Error(err)
 						return
@@ -136,10 +129,30 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 			flushBudget = pool.FlushCalls() - flushStart
 		}
 
-		rec, err := Open(pool, Config{})
+		// Odd rounds cut power inside recovery too, then crash and
+		// reopen. The fault lands in the first half of the last
+		// recovery's flush span: recoveries vary, and one shorter than
+		// the last would otherwise finish before it.
+		openStart := pool.FlushCalls()
+		var rec *DB
+		if round%2 == 1 {
+			at := openStart + 1 + openRNG.Int63n(openFlushes/2)
+			pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == at })
+			died := pmem.Survive(func() { rec, err = Open(pool, Config{}) })
+			pool.FailWhen(nil)
+			if died {
+				openCrashes++
+				pool.Crash()
+				openStart = pool.FlushCalls()
+			}
+		}
+		if rec == nil && err == nil {
+			rec, err = Open(pool, Config{})
+		}
 		if err != nil {
 			t.Fatalf("round %d (crashed=%v): recovery rejected the crash image: %v", round, crashed, err)
 		}
+		openFlushes = pool.FlushCalls() - openStart
 		if rec.Shards() != shards {
 			t.Fatalf("round %d: auto-detected %d shards, want %d", round, rec.Shards(), shards)
 		}
@@ -176,6 +189,9 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 	}
 	if crashes == 0 {
 		t.Fatal("no round crashed mid-workload; the test exercised nothing")
+	}
+	if openCrashes == 0 {
+		t.Fatal("no round crashed inside recovery")
 	}
 
 	// Post-recovery memtree comparison: replay a deterministic mixed
@@ -227,13 +243,4 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 
 // freezeQuiet freezes the DB, swallowing the PowerFailure panic a
 // frozen-too-late background flush raises when the fault already fired.
-func freezeQuiet(db *DB) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.PowerFailure); !ok {
-				panic(r)
-			}
-		}
-	}()
-	db.Close()
-}
+func freezeQuiet(db *DB) { pmem.Survive(db.Close) }
