@@ -139,7 +139,7 @@ func (w *Worker) commit(kvs []KV) error {
 	if err := w.applySorted(kvs, gen, e, minTS); err != nil {
 		return err
 	}
-	tr.maybeTriggerGC()
+	tr.maybeTriggerGC(0)
 	return nil
 }
 
@@ -277,6 +277,11 @@ func (w *Worker) applyRunLocked(n *bufferNode, kvs []KV, gen uint64, e uint32, m
 	logged := minTS != 0
 	if !logged {
 		e = tr.epoch.Load()
+		// A full log chunk starts a round due within half a chunk; the
+		// record goes to the new generation (DESIGN.md, GC bullet).
+		if tr.opts.GC == GCLocalityAware && w.logs[e].TailFull() && tr.maybeTriggerGC(int64(tr.opts.ChunkBytes)/2) {
+			e = tr.epoch.Load()
+		}
 	} else {
 		relog := tr.epochGen.Load() != gen || n.gcTS >= minTS
 		if !relog {

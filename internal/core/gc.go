@@ -9,26 +9,41 @@ import (
 )
 
 // maybeTriggerGC starts a background reclamation round when the WAL
-// footprint exceeds THlog × leaf bytes (§3.4).
-func (tr *Tree) maybeTriggerGC() {
+// footprint, plus extra bytes about to be appended, exceeds THlog ×
+// leaf bytes (§3.4), and reports whether it did.
+func (tr *Tree) maybeTriggerGC(extra int64) bool {
 	if tr.opts.GC == GCOff || tr.gcRunning.Load() || tr.closed.Load() {
-		return
+		return false
 	}
-	logBytes := tr.logBytes.Load()
+	logBytes := tr.logBytes.Load() + extra
 	if logBytes < 2*int64(tr.opts.ChunkBytes) {
-		return // don't thrash tiny logs
+		return false // don't thrash tiny logs
 	}
 	leafBytes := tr.leafCount.Load() * LeafBytes
 	if float64(logBytes) <= tr.opts.THlog*float64(leafBytes) {
-		return
+		return false
 	}
 	tr.startGC()
+	return true
 }
 
-// startGC launches one asynchronous GC round if none is running.
+// startGC launches one asynchronous GC round if none is running. A
+// locality-aware round flips the epoch (its step 1) before startGC
+// returns, so no writer sees a round running under the old epoch.
 func (tr *Tree) startGC() {
 	if tr.closed.Load() || !tr.gcRunning.CompareAndSwap(false, true) {
 		return
+	}
+	var newE uint32
+	if tr.opts.GC != GCNaive {
+		newE = 1 - tr.epoch.Load()
+		tr.epoch.Store(newE)
+		// The generation counter moves strictly AFTER the epoch word: a
+		// batch writer that reads epochGen and then epoch (in that
+		// order) and sees the new generation is guaranteed to also see
+		// the new epoch, so its group commit lands in I-logs this round
+		// never reclaims. See Tree.epochGen and Worker.ApplyBatch.
+		tr.epochGen.Add(1)
 	}
 	done := make(chan struct{})
 	tok := tr.prof.Pre(obs.LockGC)
@@ -49,7 +64,7 @@ func (tr *Tree) startGC() {
 			if tr.opts.GC == GCNaive {
 				tr.runNaiveGC()
 			} else {
-				tr.runLocalityGC()
+				tr.runLocalityGC(newE)
 			}
 		})
 	}()
@@ -103,10 +118,10 @@ func (tr *Tree) gcWorker() *Worker {
 
 // runLocalityGC is the §3.4 locality-aware collection:
 //
-//  1. Flip the global epoch. Foreground inserts re-read it under their
-//     buffer-node lock, so every node is logged consistently: entries
-//     appended after the GC visits a node carry the new epoch and live
-//     in I-logs.
+//  1. Flip the global epoch to newE (startGC does). Foreground inserts
+//     re-read it under their buffer-node lock, so every node is logged
+//     consistently: entries appended after the GC visits a node carry
+//     the new epoch and live in I-logs.
 //  2. Scan the buffer-node chain; for each still-unflushed slot whose
 //     epoch bit is old, append a copy to the GC thread's I-log — a
 //     sequential write, never a random leaf flush — and restamp the
@@ -116,22 +131,14 @@ func (tr *Tree) gcWorker() *Worker {
 //
 // Foreground threads never stop: buffering, flushing and logging all
 // continue, which is exactly why Fig 14 shows no throughput dip.
-func (tr *Tree) runLocalityGC() {
+func (tr *Tree) runLocalityGC(newE uint32) {
 	tr.ctr.gcRuns.Add(1)
 	w := tr.gcWorker()
 	// The round's PM traffic is gc-caused; I-log appends still land in
 	// ScopeWAL (wal.Append overrides) per the attribution contract.
 	defer w.t.PopScope(w.t.PushScope(pmem.ScopeGC))
 	tr.tracer.Emit(obs.EvGCRound, w.id, w.t.Now(), uint64(tr.ctr.gcRuns.Load()), 0)
-	oldE := tr.epoch.Load()
-	newE := 1 - oldE
-	tr.epoch.Store(newE)
-	// The generation counter moves strictly AFTER the epoch word: a
-	// batch writer that reads epochGen and then epoch (in that order)
-	// and sees the new generation is guaranteed to also see the new
-	// epoch, so its group commit lands in I-logs this round never
-	// reclaims. See Tree.epochGen and Worker.ApplyBatch.
-	tr.epochGen.Add(1)
+	oldE := 1 - newE
 
 	for n := tr.head; n != nil; {
 		if tr.closed.Load() {
@@ -166,7 +173,7 @@ func (tr *Tree) runLocalityGC() {
 		n = nx
 	}
 
-	tr.reclaimLogs(oldE, false)
+	tr.reclaimLogs(oldE)
 	// Piggyback epoch reclamation on the GC cadence: leaves retired by
 	// merges since the last round become freeable once every reader
 	// pinned at retire time has exited.
@@ -234,8 +241,8 @@ func (tr *Tree) runNaiveGC() {
 		}
 		n.hdr.Store(packHdr(0, eb, false))
 	}
-	tr.reclaimLogs(0, true)
-	tr.reclaimLogs(1, true)
+	tr.reclaimLogs(0)
+	tr.reclaimLogs(1)
 	// Blocked foreground threads resume at the GC thread's clock.
 	if v := w.t.Now(); v > tr.stallVT.Load() {
 		tr.stallVT.Store(v)
@@ -244,11 +251,8 @@ func (tr *Tree) runNaiveGC() {
 }
 
 // reclaimLogs detaches generation e's chunks from every worker and
-// returns them to the free list. locked indicates the caller holds the
-// stop-the-world lock (naive GC); the locality-aware path relies on the
-// epoch protocol instead.
-func (tr *Tree) reclaimLogs(e uint32, locked bool) {
-	_ = locked
+// returns them to the free list.
+func (tr *Tree) reclaimLogs(e uint32) {
 	tok := tr.prof.Pre(obs.LockWorkers)
 	tr.workersMu.Lock()
 	tok = tr.prof.Acquired(obs.LockWorkers, tok)

@@ -12,15 +12,10 @@ import (
 	"cclbtree/internal/pmleaf"
 )
 
-// leafSearch performs the §4.3 point lookup inside one PM leaf: read
+// leafSearchFP performs the §4.3 point lookup inside one PM leaf: read
 // the 32 B header (one cacheline), filter candidate slots by validity
-// bitmap and fingerprint, then read only matching slots.
-func (w *Worker) leafSearch(leaf pmem.Addr, key uint64) (uint64, bool) {
-	return w.leafSearchFP(leaf, key, w.tree.keyFingerprint(w.t, key))
-}
-
-// leafSearchFP is leafSearch with the key's fingerprint precomputed —
-// the lock-free lookup path already derived it for the buffer probe.
+// bitmap and the key's fingerprint target, then read only matching
+// slots.
 func (w *Worker) leafSearchFP(leaf pmem.Addr, key uint64, target byte) (uint64, bool) {
 	tr := w.tree
 

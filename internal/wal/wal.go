@@ -320,6 +320,14 @@ func (l *Log) ChunkBytes() int64 {
 	return int64(len(l.chunks)) * int64(l.m.chunkBytes)
 }
 
+// TailFull reports whether the log's next record needs another chunk
+// because the last one it holds is full.
+func (l *Log) TailFull() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.chunks) > 0 && l.tailOff+EntrySize > l.m.chunkBytes
+}
+
 // Detach removes and returns the log's chunks, resetting it to empty.
 // The caller passes them to Manager.ReleaseChunks once no reader needs
 // them (end of a GC round).
