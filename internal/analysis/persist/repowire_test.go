@@ -29,8 +29,9 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		"../../core::Worker.Upsert",
 		"../../core::Worker.Delete",
 		"../../core::Worker.ApplyBatch",
-		"../../core::Worker.applyRunLocked",
-		"../../core::Worker.relogRun",
+		"../../core::Worker.lockRuns",
+		"../../core::Worker.placeRun",
+		"../../core::Worker.applyRun",
 		"../../core::Worker.groupCommit",
 	} {
 		if byKey[key] == nil {

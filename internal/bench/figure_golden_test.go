@@ -42,7 +42,7 @@ var figureGolden = map[string][]string{
 	"fig19":          {"bd17c644ed42b450"},
 	"table3":         {"a1dec98777272a64"},
 	"ycsbc":          {"13e6ad4a5c2b3af9"},
-	"batch":          {"16585f03f3872899"},
+	"batch":          {"10d16e32088d7d37"},
 	"shards":         {"a3296b59b9c10b47"},
 	"ablation-cache": {"8c064843e2da2a44"},
 	"extension-hash": {"d6816aba1db62933"},

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"cclbtree/internal/pmem"
-	"cclbtree/internal/pmleaf"
 )
 
 // applyOps is a test shorthand: apply ops and fail on error.
@@ -226,8 +226,9 @@ func TestApplyBatchSurvivesRecovery(t *testing.T) {
 }
 
 // TestApplyBatchConcurrentWithGC races batched writers against per-op
-// writers and forced GC rounds, exercising the epochGen re-log path,
-// then crashes and verifies every acknowledged write survived.
+// writers and forced GC rounds, each group holding several node locks
+// while rounds try-lock their way along the chain, then crashes and
+// verifies every acknowledged write survived.
 func TestApplyBatchConcurrentWithGC(t *testing.T) {
 	pool := newTestPool(func(c *pmem.Config) { c.DeviceBytes = 64 << 20 })
 	tr, err := New(pool, Options{ChunkBytes: 16 << 10})
@@ -311,19 +312,15 @@ func TestApplyBatchConcurrentWithGC(t *testing.T) {
 			}
 		}
 	}
-	c := tr2.Counters()
-	t.Logf("batchRelogs after %d forced GC interleavings: %d", c.GCRuns, c.BatchRelogs)
 }
 
-// TestBatchRelogsWhenGCCopyOvertakesGroupCommit replays, step by step,
-// the interleaving that lost an acknowledged batch write: a GC round
-// flips the epoch, THEN a batch stamps its group commit (so the batch
-// sees the round's generation and nothing looks stale), THEN the
-// round's scan reaches the node — before the batch locks it — and
-// copies the slot's old value into its I-log with a newer tick. The
-// batch's in-buffer update must re-log, or recovery's newest-tick
-// dedup resurrects the old value.
-func TestBatchRelogsWhenGCCopyOvertakesGroupCommit(t *testing.T) {
+// TestGroupUpdateOutranksGCCopy steps through a GC round that copies a
+// buffered slot's old value into its I-log while a group updating that
+// key waits for the node's lock, and then reclaims the old generation.
+// The group reads the epoch only once it holds the lock, so its record
+// is ticked after the copy and lives in the round's new generation:
+// the acknowledged value must recover.
+func TestGroupUpdateOutranksGCCopy(t *testing.T) {
 	pool := newTestPool(nil)
 	opts := Options{ChunkBytes: 16 << 10}
 	tr, err := New(pool, opts)
@@ -334,38 +331,35 @@ func TestBatchRelogsWhenGCCopyOvertakesGroupCommit(t *testing.T) {
 	const key, oldVal, newVal = 42, 1, 2
 	applyOps(t, w, []BatchOp{{Key: key, Value: oldVal}}) // buffered, old epoch
 
-	// The GC round starts (runLocalityGC's flip)...
-	gw := tr.gcWorker()
-	newE := 1 - tr.epoch.Load()
-	tr.epoch.Store(newE)
-	tr.epochGen.Add(1)
-	// ...the batch commits its records (ApplyBatch's first half)...
-	gen, e := tr.epochGen.Load(), tr.epoch.Load()
-	kvs := []KV{{key, newVal}}
-	minTS, err := w.groupCommit(kvs, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...the scan visits the node...
+	// The round's scan holds the node (runLocalityGC's tryLock) while the
+	// group routes to it and spins...
 	n := tr.findBuffer(w.t, key)
 	v, ok := n.tryLock()
 	if !ok {
 		t.Fatal("node locked")
 	}
-	if !tr.gcCopyNode(gw, n, newE) {
+	done := make(chan error)
+	go func() {
+		done <- w.ApplyBatch([]BatchOp{{Key: key, Value: newVal}, {Key: key + 1, Value: newVal}})
+	}()
+	for tr.Counters().Retries == 0 {
+		runtime.Gosched()
+	}
+	// ...the round flips the epoch and copies the old value...
+	newE := 1 - tr.epoch.Load()
+	tr.epoch.Store(newE)
+	if !tr.gcCopyNode(tr.gcWorker(), n, newE) {
 		t.Fatal("gc copy failed")
 	}
-	n.unlock(v)
 	if tr.Counters().GCCopiedEntries != 1 {
 		t.Fatalf("GC copied %d slots, want the one old-epoch slot", tr.Counters().GCCopiedEntries)
 	}
-	// ...and only now does the batch apply (ApplyBatch's second half).
-	if err := w.applySorted(kvs, gen, e, minTS); err != nil {
+	n.unlock(v)
+	// ...the group applies, and the round reclaims the old generation.
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Counters().BatchRelogs; got != 1 {
-		t.Fatalf("batch re-logged %d records, want 1: its record is older than the GC's copy of the old value", got)
-	}
+	tr.reclaimLogs(1 - newE)
 
 	tr.Freeze()
 	pool.Crash()
@@ -374,49 +368,67 @@ func TestBatchRelogsWhenGCCopyOvertakesGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Freeze()
-	if got, ok := tr2.NewWorker(0).Lookup(key); !ok || got != newVal {
-		t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", key, got, ok, newVal)
+	for _, k := range []uint64{key, key + 1} {
+		if got, ok := tr2.NewWorker(0).Lookup(k); !ok || got != newVal {
+			t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", k, got, ok, newVal)
+		}
 	}
 }
 
-// TestBatchRelogsOnTiedLeafStamp: ORDO ticks strictly increase per
-// socket but can tie across sockets, so a flush on socket 0 can stamp a
-// leaf with exactly the first tick of a group socket 1 committed but has
-// not applied yet. Recovery replays only records strictly above their
-// leaf's stamp, so the group's records no longer back its slots: the
-// relog gate must fire on the tie, not just on a later stamp.
-func TestBatchRelogsOnTiedLeafStamp(t *testing.T) {
+// TestGroupLogsOnlyBufferedOps: a group logs exactly the ops that end in
+// a buffer slot, §3.3's write-conservative rule at every group size. One
+// group carries a run that fits its node's buffer and a run that
+// overflows another node's: only the fitting op gets a record, the
+// overflowing run rides one trigger write, and after a crash every op
+// recovers.
+func TestGroupLogsOnlyBufferedOps(t *testing.T) {
 	pool := newTestPool(nil)
 	opts := Options{GC: GCOff, ChunkBytes: 16 << 10}
 	tr, err := New(pool, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w0, w1 := tr.NewWorker(0), tr.NewWorker(1)
-	// Fill the leaf's buffer, so w0's next write is a trigger write.
-	applyOps(t, w0, []BatchOp{{Key: 1, Value: 10}})
-	applyOps(t, w0, []BatchOp{{Key: 2, Value: 20}})
-
-	// w1 commits its group's record (ApplyBatch's first half)...
-	const key, val = 3, 30
-	gen, e := tr.epochGen.Load(), tr.epoch.Load()
-	kvs := []KV{{key, val}}
-	minTS, err := w1.groupCommit(kvs, e)
-	if err != nil {
-		t.Fatal(err)
+	w := tr.NewWorker(0)
+	ref := map[uint64]uint64{}
+	for k := uint64(10); k <= 2000; k += 10 {
+		if err := w.Upsert(k, k); err != nil {
+			t.Fatal(err)
+		}
+		ref[k] = k
 	}
-	// ...w0's trigger write flushes the leaf with the next tick drawn on
-	// socket 0...
-	applyOps(t, w0, []BatchOp{{Key: 4, Value: 40}})
-	n := tr.findBuffer(w0.t, key)
-	if ts := w0.t.Load(pmleaf.TSAddr(n.leaf)); ts != minTS {
-		t.Fatalf("setup: leaf stamp %d, want the tied tick %d", ts, minTS)
+	// fit has a free buffer slot; over is any later node. Keys are
+	// multiples of 10, so lowKey+1.. are absent and stay in range.
+	var fit, over *bufferNode
+	for n := tr.head; n != nil && over == nil; n = n.next.Load() {
+		if pos, _, _ := unpackHdr(n.hdr.Load()); fit == nil && pos < n.nbatch() {
+			fit = n
+		} else if fit != nil {
+			over = n
+		}
 	}
-	// ...and only now does w1's group apply (ApplyBatch's second half).
-	if err := w1.applySorted(kvs, gen, e, minTS); err != nil {
-		t.Fatal(err)
+	if over == nil {
+		t.Fatal("setup: no node with a free slot followed by another node")
 	}
-	relogs := tr.Counters().BatchRelogs
+	ops := []BatchOp{{Key: fit.lowKey + 1, Value: 7}}
+	pos, _, _ := unpackHdr(over.hdr.Load())
+	for i := 0; i <= over.nbatch()-pos; i++ { // one op more than the free slots
+		ops = append(ops, BatchOp{Key: over.lowKey + 1 + uint64(i), Value: 7})
+	}
+	c0 := tr.Counters()
+	applyOps(t, w, ops)
+	c1 := tr.Counters()
+	if got := c1.LoggedWrites - c0.LoggedWrites; got != 1 {
+		t.Errorf("group logged %d records, want 1: only the fitting op ends in a slot", got)
+	}
+	if got, want := c1.SkippedLogs-c0.SkippedLogs, uint64(len(ops)-1); got != want {
+		t.Errorf("group skipped %d records, want %d: the overflowing run", got, want)
+	}
+	if got := c1.TriggerWrites - c0.TriggerWrites; got != 1 {
+		t.Errorf("group made %d trigger writes, want 1", got)
+	}
+	for _, op := range ops {
+		ref[op.Key] = op.Value
+	}
 
 	tr.Freeze()
 	pool.Crash()
@@ -425,11 +437,11 @@ func TestBatchRelogsOnTiedLeafStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr2.Freeze()
-	if got, ok := tr2.NewWorker(0).Lookup(key); !ok || got != val {
-		t.Fatalf("after recovery Lookup(%d) = %d,%v, want the acknowledged %d", key, got, ok, val)
-	}
-	if relogs != 1 {
-		t.Fatalf("group re-logged %d records, want 1", relogs)
+	w2 := tr2.NewWorker(0)
+	for k, want := range ref {
+		if got, ok := w2.Lookup(k); !ok || got != want {
+			t.Fatalf("after recovery Lookup(%d) = %d,%v, want %d", k, got, ok, want)
+		}
 	}
 }
 

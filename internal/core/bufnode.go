@@ -36,10 +36,6 @@ type bufferNode struct {
 	// version lock, like the slots; a torn fp/key pairing seen by an
 	// optimistic reader is caught by validateRead.
 	fps [2]atomic.Uint64
-	// gcTS is the tick of the newest copy a locality-GC round made of one
-	// of this node's slots into an I-log; 0 if none. Read and written
-	// only with the version lock held (see applyRunLocked).
-	gcTS uint64
 	// next and prev maintain the DRAM chain mirroring leaf order;
 	// mutated only under the version locks involved.
 	next atomic.Pointer[bufferNode]

@@ -38,12 +38,6 @@ func (tr *Tree) startGC() {
 	if tr.opts.GC != GCNaive {
 		newE = 1 - tr.epoch.Load()
 		tr.epoch.Store(newE)
-		// The generation counter moves strictly AFTER the epoch word: a
-		// batch writer that reads epochGen and then epoch (in that
-		// order) and sees the new generation is guaranteed to also see
-		// the new epoch, so its group commit lands in I-logs this round
-		// never reclaims. See Tree.epochGen and Worker.ApplyBatch.
-		tr.epochGen.Add(1)
 	}
 	done := make(chan struct{})
 	tok := tr.prof.Pre(obs.LockGC)
@@ -182,10 +176,10 @@ func (tr *Tree) runLocalityGC(newE uint32) {
 
 // gcCopyNode is step 2 of runLocalityGC for one node, whose lock the
 // caller holds: every unflushed slot still stamped with the old epoch
-// is copied to the GC worker's new-generation I-log and restamped. It
-// records the newest copy's tick on the node: a batch whose group
-// commit was stamped before it must not let those records back a slot
-// (see applyRunLocked). It reports false when the I-log ran out of PM.
+// is copied to the GC worker's new-generation I-log and restamped. A
+// writer logs a slot under the same lock, so every copy is ticked after
+// the record of the value it copies. It reports false when the I-log
+// ran out of PM.
 func (tr *Tree) gcCopyNode(w *Worker, n *bufferNode, newE uint32) bool {
 	pos, eb, _ := unpackHdr(n.hdr.Load())
 	for i := 0; i < pos; i++ {
@@ -193,13 +187,11 @@ func (tr *Tree) gcCopyNode(w *Worker, n *bufferNode, newE uint32) bool {
 			tr.ctr.gcSkippedFresh.Add(1)
 			continue
 		}
-		ts := tr.clock.Now(w.socket)
 		if _, err := w.logs[newE].Append(w.t, wal.Entry{
-			Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: ts,
+			Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: tr.clock.Now(w.socket),
 		}); err != nil {
 			return false
 		}
-		n.gcTS = ts
 		eb = eb&^(1<<uint(i)) | uint16(newE)<<uint(i)
 		tr.logBytes.Add(wal.EntrySize)
 		tr.ctr.gcCopied.Add(1)

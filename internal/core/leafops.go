@@ -51,21 +51,15 @@ func (w *Worker) findLeafSlot(img *pmleaf.Image, bitmap uint16, key uint64) int 
 }
 
 // stampLeafTS returns the timestamp a leaf flush publishes: the current
-// ORDO tick, capped by w.tsCap (a logged group's run — keeping the stamp
-// below the group commit's record ticks so a mid-group flush never
-// gates the group's still-buffered records) and floored by the leaf's
-// previous stamp. The floor keeps leaf timestamps monotone: a lower
-// re-stamp could un-gate records an earlier flush already covered,
-// and recovery's replay of a resurrected record is only provably
-// idempotent while every newer record for its key still outranks it.
-// Under-stamping is otherwise the safe direction — recovery replays a
-// few extra records through the normal insert path and newest-tick
-// dedup discards the stale ones.
+// ORDO tick, floored by the leaf's previous stamp. The floor keeps leaf
+// timestamps monotone: a lower re-stamp could un-gate records an
+// earlier flush already covered, and recovery's replay of a resurrected
+// record is only provably idempotent while every newer record for its
+// key still outranks it. Under-stamping is otherwise the safe direction
+// — recovery replays a few extra records through the normal insert
+// path and newest-tick dedup discards the stale ones.
 func (w *Worker) stampLeafTS(prev uint64) uint64 {
 	ts := w.tree.clock.Now(w.socket)
-	if w.tsCap != 0 && ts > w.tsCap {
-		ts = w.tsCap
-	}
 	if ts < prev {
 		ts = prev
 	}

@@ -65,8 +65,7 @@ func (w *Worker) segEndExcl(seg obs.Segment, m segMark, excl int64) {
 // segCloseBuffer closes a locked buffer-node section into SegBuffer:
 // the section's interval minus flush/fence and minus the WAL/trigger
 // segments recorded within it (wal0/trig0 are those accumulators at
-// section entry). Deferred with value arguments so the write path
-// stays allocation-free.
+// section entry).
 func (w *Worker) segCloseBuffer(m segMark, wal0, trig0 int64) {
 	if !w.spans {
 		return

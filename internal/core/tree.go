@@ -74,17 +74,6 @@ type Tree struct {
 	// epoch is the global GC epoch (0/1), read under buffer-node locks
 	// (§3.4).
 	epoch atomic.Uint32
-	// epochGen counts epoch flips monotonically. The batch write path
-	// snapshots it before its WAL group commit and re-checks it under
-	// each buffer node's lock: a change means a GC round may already
-	// have scanned that node — before the batch's slots were published —
-	// and will reclaim the log generation holding the batch's records,
-	// so the node's run must be re-logged into the current generation.
-	// Raw epoch parity is not enough: two flips map back to the same
-	// parity. The flip order (epoch first, then epochGen, see
-	// runLocalityGC) is what makes an unchanged generation a proof that
-	// the records live in an unreclaimed generation.
-	epochGen atomic.Uint64
 
 	workersMu sync.Mutex
 	workers   []*Worker
@@ -148,7 +137,6 @@ type counters struct {
 	epochReclaims  atomic.Uint64
 	batchApplies   atomic.Uint64
 	batchedOps     atomic.Uint64
-	batchRelogs    atomic.Uint64
 }
 
 // Counters is a snapshot of the tree's behavioral statistics.
@@ -166,7 +154,6 @@ type Counters struct {
 	EpochReclaims                      uint64 // limbo leaves freed once no reader could route to them
 	BatchApplies                       uint64 // ApplyBatch group commits
 	BatchedOps                         uint64 // writes that went through ApplyBatch
-	BatchRelogs                        uint64 // batch records re-logged after a GC epoch flip
 }
 
 // Counters returns a snapshot of behavioral statistics.
@@ -191,7 +178,6 @@ func (tr *Tree) Counters() Counters {
 		EpochReclaims:   tr.ctr.epochReclaims.Load(),
 		BatchApplies:    tr.ctr.batchApplies.Load(),
 		BatchedOps:      tr.ctr.batchedOps.Load(),
-		BatchRelogs:     tr.ctr.batchRelogs.Load(),
 	}
 }
 
@@ -218,7 +204,6 @@ func (c Counters) Add(o Counters) Counters {
 	c.EpochReclaims += o.EpochReclaims
 	c.BatchApplies += o.BatchApplies
 	c.BatchedOps += o.BatchedOps
-	c.BatchRelogs += o.BatchRelogs
 	return c
 }
 

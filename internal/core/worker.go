@@ -43,11 +43,14 @@ type Worker struct {
 	scratch []KV // reused flush batch (trigger writes, merges)
 	split   splitScratch
 	slab    nodeSlab // buffer nodes for this worker's splits
-	// batchKVs/batchEnts are the write protocol's word-form group (one
-	// KV for a single write) and its WAL records (see groupCommit),
-	// reused call to call.
+	// batchKVs/batchEnts/runs/place are the write protocol's scratch,
+	// reused call to call and sized in NewWorker: the word-form group
+	// (one KV for a single write), its WAL records (see groupCommit), its
+	// locked runs and each op's buffer slot (see placeRun).
 	batchKVs  []KV
 	batchEnts []wal.Entry
+	runs      []groupRun
+	place     []int8
 	probeKey  []byte // current VarKV lookup/scan probe (see probeTag)
 	seenGen   uint64 // last naive-GC stall generation absorbed
 
@@ -71,15 +74,12 @@ type Worker struct {
 	segV0  int64 // virtual clock at beginSpan
 	segF0  int64 // Thread.FlushNS at beginSpan
 	segE0  int64 // Thread.FenceNS at beginSpan
-
-	// tsCap, when nonzero, caps the timestamp leaf flushes stamp (see
-	// stampLeafTS). applyRunLocked sets it to one tick below a logged
-	// group's smallest record timestamp for the duration of each run,
-	// so a flush mid-group never gates the group's still-buffered
-	// records as stale at recovery. Zero (unlogged runs, GC, recovery,
-	// merges) means stamp the current tick.
-	tsCap uint64
 }
+
+// groupScratch is the group size the write protocol's scratch is sized
+// for up front (the serving tier's default lane batch), so neither a
+// single write nor a typical group allocates on first use.
+const groupScratch = 64
 
 // syncStall lifts the worker's clock over the latest stop-the-world
 // pause, once per GC round (clocks across workers are only loosely
@@ -101,9 +101,13 @@ func (w *Worker) syncStall() {
 // socket (its WALs are allocated from local PM, §4.4 Optimization #1).
 func (tr *Tree) NewWorker(socket int) *Worker {
 	w := &Worker{
-		tree:   tr,
-		t:      tr.pool.NewThread(socket),
-		socket: socket,
+		tree:      tr,
+		t:         tr.pool.NewThread(socket),
+		socket:    socket,
+		batchKVs:  make([]KV, 0, groupScratch),
+		batchEnts: make([]wal.Entry, 0, groupScratch),
+		runs:      make([]groupRun, 0, groupScratch),
+		place:     make([]int8, groupScratch),
 	}
 	w.logs[0] = wal.NewLog(tr.walman, socket)
 	w.logs[1] = wal.NewLog(tr.walman, socket)

@@ -47,6 +47,10 @@ go test ./...
 # runner may have cores.
 go test -count=1 -run 'TestCrashAtEveryFlushBoundary' ./internal/core
 GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary' ./internal/core
+# A group holds several node locks at once while GC rounds try-lock
+# along the chain; a deadlock or a lost write there shows only under
+# some schedules, so race groups against GC uncached with spare Ps too.
+GOMAXPROCS=4 go test -count=1 -run 'TestApplyBatchConcurrentWithGC' ./internal/core
 # The write path's allocation ceilings (core tree, churn, and the public
 # Session entries above it) count objects, so a cached pass from an
 # earlier tree would hide a regression: run them uncached.
