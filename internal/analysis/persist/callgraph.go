@@ -356,9 +356,6 @@ func (cg *callGraph) computeSCCs() {
 	}
 }
 
-// inSameSCC reports whether the two node ids share a component.
-func (cg *callGraph) inSameSCC(a, b int) bool { return cg.sccOf[a] == cg.sccOf[b] }
-
 // resolveImports maps every file's import local names to analyzed
 // package directories, once all files are added. An import path matches
 // a directory when the cleaned dir path is a suffix of the import path

@@ -93,7 +93,7 @@ func (tr *Tree) ApplySorted(t *pmem.Thread, kvs []index.KV) error {
 		// floors every key).
 		low, _, _ := tr.dir.FindLE(kvs[i].Key)
 		bound, _, haveBound := tr.dirNextLow(low)
-		dirtyLo, dirtyHi := pmleaf.Words, -1
+		var dirty pmleaf.Span
 		setBitmap := func(bm uint16) { img.SetMeta(pmleaf.PackMeta(bm, img.Next())) }
 		full := false
 		for ; i < len(kvs) && (!haveBound || kvs[i].Key < bound); i++ {
@@ -106,7 +106,7 @@ func (tr *Tree) ApplySorted(t *pmem.Thread, kvs []index.KV) error {
 				}
 				img.SetFP(slot, pmleaf.FP(kv.Key))
 				setBitmap(img.Bitmap() | 1<<uint(slot))
-				dirtyLo = min(dirtyLo, pmleaf.SlotWord(slot))
+				dirty.Mark(pmleaf.SlotWord(slot))
 			}
 			switch {
 			case slot < 0: // deleting an absent key: nothing
@@ -114,18 +114,11 @@ func (tr *Tree) ApplySorted(t *pmem.Thread, kvs []index.KV) error {
 				setBitmap(img.Bitmap() &^ (1 << uint(slot)))
 			default:
 				img.SetKV(slot, kv.Key, kv.Value)
-				wd := pmleaf.SlotWord(slot) + 1
-				dirtyLo, dirtyHi = min(dirtyLo, wd), max(dirtyHi, wd)
+				dirty.Mark(pmleaf.SlotWord(slot) + 1)
 			}
 		}
 		// Persist this leaf's group: data then header.
-		if dirtyHi >= 0 {
-			for wd := dirtyLo; wd <= dirtyHi; wd++ {
-				t.Store(leaf.Add(int64(8*wd)), img.Words[wd])
-			}
-			t.Flush(leaf.Add(int64(8*dirtyLo)), 8*(dirtyHi-dirtyLo+1))
-			t.Fence()
-		}
+		pmleaf.PersistSpan(t, &img, dirty)
 		pmleaf.WriteHeader(t, &img)
 		if full {
 			// Split through the normal path, then continue the batch.

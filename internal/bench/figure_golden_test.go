@@ -45,7 +45,7 @@ var figureGolden = map[string][]string{
 	"batch":          {"10d16e32088d7d37"},
 	"shards":         {"a3296b59b9c10b47"},
 	"ablation-cache": {"8c064843e2da2a44"},
-	"extension-hash": {"d6816aba1db62933"},
+	"extension-hash": {"bb5b12a8e9f7901b"},
 }
 
 // TestFigureGolden renders every reproducible experiment at goldenScale

@@ -53,8 +53,8 @@ func ExtensionHash(s Scale) ([]*Table, error) {
 				return nil
 			})
 		}
-		_, logged, gcRuns, _ := h.Stats()
-		h.Close()
+		c := h.Counters()
+		h.Freeze()
 		if err != nil {
 			return nil, err
 		}
@@ -68,8 +68,8 @@ func ExtensionHash(s Scale) ([]*Table, error) {
 			label,
 			f2(res.Mops()),
 			f2(res.XBIAmp()),
-			f2(float64(logged) / float64(res.Ops+s.Warm)),
-			fmt.Sprintf("%d", gcRuns),
+			f2(float64(c.LoggedWrites) / float64(res.Ops+s.Warm)),
+			fmt.Sprintf("%d", c.GCRuns),
 		})
 	}
 	return []*Table{t}, nil

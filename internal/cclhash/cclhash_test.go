@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"cclbtree/internal/core"
 	"cclbtree/internal/pmem"
 )
 
@@ -25,13 +26,18 @@ func testPoolMode(mode pmem.Mode) *pmem.Pool {
 
 func newTable(t *testing.T, opts Options) (*Table, *Worker) {
 	t.Helper()
+	return newTableOn(t, testPool(), opts)
+}
+
+func newTableOn(t *testing.T, pool *pmem.Pool, opts Options) (*Table, *Worker) {
+	t.Helper()
 	if opts.Buckets == 0 {
 		opts.Buckets = 1 << 10
 	}
 	if opts.ChunkBytes == 0 {
 		opts.ChunkBytes = 16 << 10
 	}
-	h, err := New(testPool(), opts)
+	h, err := New(pool, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +104,7 @@ func TestOverflowChains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, _, _, overflow := h.Stats()
-	if overflow == 0 {
+	if overflow := h.LeafCount() - int64(h.d.n); overflow == 0 {
 		t.Fatal("no overflow buckets despite 500 keys in 4 buckets")
 	}
 	for i := uint64(1); i <= n; i++ {
@@ -115,7 +120,7 @@ func TestWriteConservativeLoggingHash(t *testing.T) {
 	for i := uint64(1); i <= n; i++ {
 		_ = w.Put(i, i)
 	}
-	trig, logged, _, _ := h.Stats()
+	trig, logged := h.Counters().TriggerWrites, h.Counters().LoggedWrites
 	if trig == 0 {
 		t.Fatal("no trigger writes")
 	}
@@ -161,8 +166,7 @@ func TestHashGCPreservesData(t *testing.T) {
 		_ = w.Put(i, i)
 	}
 	h.ForceGC()
-	_, _, runs, _ := h.Stats()
-	if runs == 0 {
+	if runs := h.Counters().GCRuns; runs == 0 {
 		t.Fatal("GC never ran")
 	}
 	for i := uint64(1); i <= n; i++ {
@@ -193,16 +197,9 @@ func TestHashCrashRecovery(t *testing.T) {
 			ref[k] = v
 		}
 	}
-	// Collect the live chunk set (stands in for the host's directory).
-	h.Close()
-	var chunks []pmem.Addr
-	for _, wk := range h.workers {
-		for e := 0; e < 2; e++ {
-			chunks = append(chunks, wk.logs[e].Detach()...)
-		}
-	}
+	h.Freeze()
 	pool.Crash()
-	h2, err := Recover(pool, opts, h.base, chunks)
+	h2, err := Recover(pool, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +258,8 @@ func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
 	if !crashed {
 		t.Fatalf("mode %d point %d: fault never fired", mode, point)
 	}
-	var chunks []pmem.Addr
-	for e := 0; e < 2; e++ {
-		chunks = append(chunks, w.logs[e].Detach()...)
-	}
 	pool.Crash()
-	h2, err := Recover(pool, opts, h.base, chunks)
+	h2, err := Recover(pool, opts)
 	if err != nil {
 		t.Fatalf("mode %d point %d: %v", mode, point, err)
 	}
@@ -320,11 +313,7 @@ func TestHashCrashInsideRecover(t *testing.T) {
 			ref[k] = v
 		}
 	}
-	h.Close()
-	var chunks []pmem.Addr
-	for e := 0; e < 2; e++ {
-		chunks = append(chunks, w.logs[e].Detach()...)
-	}
+	h.Freeze()
 	pool.Crash()
 	img := make([]bytes.Buffer, pool.Sockets())
 	for s := range img {
@@ -355,7 +344,7 @@ func TestHashCrashInsideRecover(t *testing.T) {
 
 	p := load()
 	base := p.FlushCalls()
-	h2, err := Recover(p, opts, h.base, chunks)
+	h2, err := Recover(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +358,13 @@ func TestHashCrashInsideRecover(t *testing.T) {
 		p := load()
 		base := p.FlushCalls()
 		p.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+k })
-		pmem.Survive(func() { _, err = Recover(p, opts, h.base, chunks) })
+		pmem.Survive(func() { _, err = Recover(p, opts) })
 		p.FailWhen(nil)
 		if err != nil {
 			t.Fatalf("flush %d: %v", k, err)
 		}
 		p.Crash()
-		h3, err := Recover(p, opts, h.base, chunks)
+		h3, err := Recover(p, opts)
 		if err != nil {
 			t.Fatalf("flush %d: reopen: %v", k, err)
 		}
@@ -444,4 +433,130 @@ func TestHashXBIBelowNaive(t *testing.T) {
 	if ccl >= naive {
 		t.Fatalf("hash XBI with buffering (%.1f) not below naive (%.1f)", ccl, naive)
 	}
+}
+
+// TestImageKindMismatchRejected opens a hash table's image as a tree and
+// a tree's image as a hash table: the superblock's directory bit makes
+// both fail instead of walking the other index's lines as their own.
+func TestImageKindMismatchRejected(t *testing.T) {
+	opts := Options{Buckets: 1 << 6, ChunkBytes: 16 << 10}
+	pool := testPool()
+	h, w := newTableOn(t, pool, opts)
+	for k := uint64(1); k <= 300; k++ {
+		if err := w.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Freeze()
+	pool.Crash()
+	if _, _, err := core.Open(pool, core.Options{ChunkBytes: 16 << 10}, 1); err == nil {
+		t.Fatal("a hash table's image opened as a tree")
+	}
+	if _, err := Recover(pool, opts); err != nil {
+		t.Fatalf("the hash table's own image rejected: %v", err)
+	}
+
+	pool = testPool()
+	tr, err := core.New(pool, core.Options{ChunkBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := tr.NewWorker(0)
+	for k := uint64(1); k <= 300; k++ {
+		if err := tw.Upsert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Freeze()
+	pool.Crash()
+	if _, err := Recover(pool, opts); err == nil {
+		t.Fatal("a tree's image opened as a hash table")
+	}
+	if _, _, err := core.Open(pool, core.Options{ChunkBytes: 16 << 10}, 1); err != nil {
+		t.Fatalf("the tree's own image rejected: %v", err)
+	}
+}
+
+// TestDeleteInOverflowBucket deletes keys that live in an overflow
+// bucket, in flushes that carry no insert, then cycles the buffer so no
+// cached tombstone hides the chain: the deletes must reach the overflow
+// bucket, before and after a crash.
+func TestDeleteInOverflowBucket(t *testing.T) {
+	opts := Options{Buckets: 1, ChunkBytes: 16 << 10, DisableGC: true}
+	pool := testPool()
+	h, w := newTableOn(t, pool, opts)
+	for k := uint64(1); k <= 40; k++ {
+		if err := w.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint64(31); k <= 40; k++ {
+		if err := w.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := uint64(0); round < 4; round++ {
+		for k := uint64(1); k <= 10; k++ {
+			if err := w.Put(k, k+round); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(w *Worker, when string) {
+		for k := uint64(31); k <= 40; k++ {
+			if v, ok := w.Get(k); ok {
+				t.Fatalf("%s: deleted key %d reads %d", when, k, v)
+			}
+		}
+	}
+	check(w, "before the crash")
+	h.Freeze()
+	pool.Crash()
+	h2, err := Recover(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(h2.NewWorker(0), "after recovery")
+}
+
+// TestGroupAcrossBuckets drives engine groups (ApplyBatch) through the
+// table: the group sorts by bucket, each bucket's ops form one locked
+// run, and every op survives a crash.
+func TestGroupAcrossBuckets(t *testing.T) {
+	opts := Options{Buckets: 8, ChunkBytes: 16 << 10, DisableGC: true}
+	pool := testPool()
+	h, w := newTableOn(t, pool, opts)
+	ref := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(9))
+	for g := 0; g < 40; g++ {
+		ops := make([]core.BatchOp, 1+rng.Intn(30))
+		for i := range ops {
+			k := uint64(rng.Intn(300) + 1)
+			ops[i] = core.BatchOp{Key: k, Value: uint64(rng.Intn(1<<20) + 1), Delete: rng.Intn(5) == 0}
+			if ops[i].Delete {
+				delete(ref, k)
+			} else {
+				ref[k] = ops[i].Value
+			}
+		}
+		if err := w.w.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(w *Worker, when string) {
+		for k := uint64(1); k <= 300; k++ {
+			v, ok := w.Get(k)
+			if wv, wok := ref[k]; ok != wok || v != wv {
+				t.Fatalf("%s: key %d reads %d,%v, want %d,%v", when, k, v, ok, wv, wok)
+			}
+		}
+	}
+	check(w, "before the crash")
+	h.Freeze()
+	pool.Crash()
+	h2, err := Recover(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(h2.NewWorker(0), "after recovery")
 }

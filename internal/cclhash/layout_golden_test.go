@@ -47,11 +47,11 @@ func TestBucketLayoutGolden(t *testing.T) {
 		}
 	}
 
-	th := h.pool.NewThread(0)
+	th := h.Pool().NewThread(0)
 	var got goldenLine
-	th.ReadRange(h.bucketAddr(0), got[:])
+	th.ReadRange(h.d.nodes[0].Line(), got[:])
 	want := goldenLine{
-		0x51003fd1,         // bitmap 0x3fd1 (deletes cleared slots 1, 2, 3, 5) | next<<16
+		0xd1003fd1,         // bitmap 0x3fd1 (deletes cleared slots 1, 2, 3, 5) | next<<16
 		0x22,               // timestamp of the last flush
 		0xef1e3f2f9ac1d580, // fingerprints, slots 0-7
 		0xac8c665f974e,     // fingerprints, slots 8-13
@@ -92,8 +92,8 @@ func TestBucketLayoutGolden(t *testing.T) {
 			t.Errorf("decoded key %d = %#x, want %#x", k, gotKV[k], v)
 		}
 	}
-	if next == 0 || h.overflowCnt.Load() != 1 {
-		t.Fatalf("next %#x, %d overflow buckets: want one linked overflow bucket", next, h.overflowCnt.Load())
+	if overflow := h.LeafCount() - 1; next == 0 || overflow != 1 {
+		t.Fatalf("next %#x, %d overflow buckets: want one linked overflow bucket", next, overflow)
 	}
 	var over goldenLine
 	th.ReadRange(pmem.Unpack48(next), over[:])

@@ -114,12 +114,13 @@ func (w *Worker) commit(kvs []KV) error {
 		defer w.stwExit(w.stwEnter())
 	}
 	if len(kvs) > 1 {
-		// Sort by key so the ops group into per-node runs. The stable
-		// sort keeps a key's ops in submission order: the last write to
-		// a key within the group wins, both in DRAM (applied later) and
-		// at recovery (logged with a later ORDO tick).
+		// Sort in the directory's order (key order, for the tree) so the
+		// ops group into per-node runs. The stable sort keeps a key's ops
+		// in submission order: the last write to a key within the group
+		// wins, both in DRAM (applied later) and at recovery (logged with
+		// a later ORDO tick).
 		slices.SortStableFunc(kvs, func(a, b KV) int {
-			return tr.compare(w.t, a.Key, b.Key)
+			return tr.index.Compare(w.t, a.Key, b.Key)
 		})
 		w.t.Advance(int64(len(kvs)) * w.t.CostDRAM() * 2) // DRAM sort cost
 	}
@@ -207,8 +208,8 @@ type groupRun struct {
 	underfull  bool // the trigger write left the leaf a merge candidate
 }
 
-// lockRuns locks the owner of each run of the sorted group, in
-// ascending key order, and returns the runs in worker scratch. Writers
+// lockRuns locks the owner of each run of the sorted group, in the
+// directory's order, and returns the runs in worker scratch. Writers
 // share this one lock order and GC rounds and merges only try-lock, so
 // holding several node locks cannot deadlock; and a held node's range
 // cannot change, so the run boundaries found here hold until unlock.
@@ -217,24 +218,12 @@ func (w *Worker) lockRuns(kvs []KV) []groupRun {
 	for i := 0; i < len(kvs); {
 		n, v := w.lockOwner(kvs[i].Key)
 		w.tree.heat.Touch(uint64(n.leaf), true)
-		end := i + w.ownedRun(n, kvs[i:])
+		end := i + w.tree.index.RunEnd(w.t, n, kvs[i:])
 		runs = append(runs, groupRun{n: n, v: v, start: i, end: end})
 		i = end
 	}
 	w.runs = runs
 	return runs
-}
-
-// ownedRun returns how many leading ops of kvs n owns, under n's lock;
-// kvs[0] is known to be owned (lockOwner checked rangeOK), so only the
-// right boundary is compared.
-func (w *Worker) ownedRun(n *bufferNode, kvs []KV) int {
-	nx := n.next.Load()
-	end := 1
-	for end < len(kvs) && (nx == nil || w.tree.compare(w.t, kvs[end].Key, nx.lowKey) < 0) {
-		end++
-	}
-	return end
 }
 
 // placeRun decides, before anything is written, where each op of the
@@ -330,7 +319,7 @@ func (w *Worker) applyRun(r *groupRun, kvs []KV, e uint32) error {
 	batch = append(batch, run...)
 	w.scratch = batch
 	tm := w.segBegin()
-	valid, err := w.leafBatchInsert(n, batch)
+	valid, err := tr.index.Flush(w, n, batch)
 	w.segEnd(obs.SegTrigger, tm)
 	if err != nil {
 		return err

@@ -333,7 +333,7 @@ func TestGroupUpdateOutranksGCCopy(t *testing.T) {
 
 	// The round's scan holds the node (runLocalityGC's tryLock) while the
 	// group routes to it and spins...
-	n := tr.findBuffer(w.t, key)
+	n := tr.index.Find(w.t, key)
 	v, ok := n.tryLock()
 	if !ok {
 		t.Fatal("node locked")

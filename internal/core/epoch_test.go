@@ -82,7 +82,7 @@ func TestEpochReadPinsWhileRetrying(t *testing.T) {
 	if err := w.Upsert(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	n := tr.findBuffer(w.t, 1)
+	n := tr.index.Find(w.t, 1)
 	ver, ok := n.tryLock()
 	if !ok {
 		t.Fatal("node locked")

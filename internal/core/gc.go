@@ -228,7 +228,7 @@ func (tr *Tree) runNaiveGC() {
 		for i := 0; i < pos; i++ {
 			batch = append(batch, KV{n.slotKey(i), n.slotVal(i)})
 		}
-		if _, err := w.leafBatchInsert(n, batch); err != nil {
+		if _, err := tr.index.Flush(w, n, batch); err != nil {
 			return
 		}
 		n.hdr.Store(packHdr(0, eb, false))

@@ -12,13 +12,12 @@ import (
 	"cclbtree/internal/pmleaf"
 )
 
-// leafSearchFP performs the §4.3 point lookup inside one PM leaf: read
-// the 32 B header (one cacheline), filter candidate slots by validity
+// Search performs the §4.3 point lookup inside n's PM leaf: read the
+// 32 B header (one cacheline), filter candidate slots by validity
 // bitmap and the key's fingerprint target, then read only matching
 // slots.
-func (w *Worker) leafSearchFP(leaf pmem.Addr, key uint64, target byte) (uint64, bool) {
-	tr := w.tree
-
+func (d treeDir) Search(w *Worker, n *Node, key uint64, target byte) (uint64, bool) {
+	tr, leaf := d.tr, n.leaf
 	var hdr pmleaf.Image
 	hdr.ReadHeader(w.t, leaf)
 	bitmap := hdr.Bitmap()
@@ -50,15 +49,15 @@ func (w *Worker) findLeafSlot(img *pmleaf.Image, bitmap uint16, key uint64) int 
 	return -1
 }
 
-// stampLeafTS returns the timestamp a leaf flush publishes: the current
-// ORDO tick, floored by the leaf's previous stamp. The floor keeps leaf
-// timestamps monotone: a lower re-stamp could un-gate records an
-// earlier flush already covered, and recovery's replay of a resurrected
-// record is only provably idempotent while every newer record for its
-// key still outranks it. Under-stamping is otherwise the safe direction
+// Stamp returns the timestamp a flush publishes on a directory line (a
+// leaf, a bucket): the current ORDO tick, floored by the line's previous
+// stamp. The floor keeps line timestamps monotone: a lower re-stamp
+// could un-gate records an earlier flush already covered, and
+// recovery's replay of a resurrected record is only provably idempotent
+// while every newer record for its key still outranks it. Under-stamping is otherwise the safe direction
 // — recovery replays a few extra records through the normal insert
 // path and newest-tick dedup discards the stale ones.
-func (w *Worker) stampLeafTS(prev uint64) uint64 {
+func (w *Worker) Stamp(prev uint64) uint64 {
 	ts := w.tree.clock.Now(w.socket)
 	if ts < prev {
 		ts = prev
@@ -99,15 +98,7 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 	orig := img.Bitmap()
 	cur := orig
 	var assigned uint16 // slots given to new keys in this batch
-	dirtyLo, dirtyHi := pmleaf.Words, -1
-	markDirty := func(word int) {
-		if word < dirtyLo {
-			dirtyLo = word
-		}
-		if word > dirtyHi {
-			dirtyHi = word
-		}
-	}
+	var dirty pmleaf.Span
 
 	for _, kv := range batch {
 		slot := w.findLeafSlot(&img, cur, kv.Key)
@@ -122,7 +113,7 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 			// splits and merges, whose timestamp bump makes dropping
 			// them safe against any older WAL entry.
 			img.SetKV(slot, img.Key(slot), kv.Value)
-			markDirty(pmleaf.SlotWord(slot) + 1)
+			dirty.Mark(pmleaf.SlotWord(slot) + 1)
 			continue
 		}
 		if kv.Value == Tombstone {
@@ -141,25 +132,19 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 		img.SetFP(slot, tr.keyFingerprint(w.t, kv.Key))
 		assigned |= 1 << uint(slot)
 		cur |= 1 << uint(slot)
-		markDirty(pmleaf.SlotWord(slot))
-		markDirty(pmleaf.SlotWord(slot) + 1)
+		dirty.Mark(pmleaf.SlotWord(slot))
+		dirty.Mark(pmleaf.SlotWord(slot) + 1)
 	}
 
 	// Step 1+2: data region.
-	if dirtyHi >= 0 {
-		for wd := dirtyLo; wd <= dirtyHi; wd++ {
-			w.t.Store(n.leaf.Add(int64(8*wd)), img.Words[wd])
-		}
-		w.t.Flush(n.leaf.Add(int64(8*dirtyLo)), 8*(dirtyHi-dirtyLo+1))
-		w.t.Fence()
-	}
+	pmleaf.PersistSpan(w.t, &img, dirty)
 	// Step 3: metadata region (fingerprints + timestamp + bitmap/next),
 	// single cacheline, atomic publish through the meta word.
 	next := img.Next()
 	if overrideNext {
 		next = newNext
 	}
-	img.SetTS(w.stampLeafTS(img.TS()))
+	img.SetTS(w.Stamp(img.TS()))
 	img.SetMeta(pmleaf.PackMeta(cur, next))
 	pmleaf.WriteHeader(w.t, &img)
 	// Report live (non-fence) occupancy for the merge heuristic.
@@ -329,7 +314,7 @@ func (w *Worker) splitLeaf(n *bufferNode, img *pmleaf.Image, batch []KV) (int, e
 		if k < numNew-1 {
 			next = news[k+1].addr
 		}
-		rimg.SetTS(w.stampLeafTS(0))
+		rimg.SetTS(w.Stamp(0))
 		rimg.SetMeta(pmleaf.PackMeta(rbm, next))
 		pmleaf.WriteWhole(w.t, &rimg)
 	}

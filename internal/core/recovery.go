@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"cclbtree/internal/obs"
-	"cclbtree/internal/ordo"
-	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
@@ -47,25 +45,21 @@ type RecoveryStats struct {
 // logged, leaf-only) had long superseded. The torture harness's
 // crash-recover-crash rounds catch exactly that resurrection.
 func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, error) {
+	return OpenIndex(pool, opts, threads, nil)
+}
+
+// OpenIndex is Open for an index whose directory is dir (nil: the
+// tree's): dir.Build rebuilds the nodes, and the engine replays the log
+// into them.
+func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree, *RecoveryStats, error) {
 	if threads < 1 {
 		threads = 1
 	}
-	// Defaulting resolves the arena placement before the superblock is
-	// located: the superblock lives at the arena's base on the home
-	// socket, so a wrong placement finds no magic rather than another
-	// tree's state.
-	opts, err := opts.withDefaults()
+	opts, alloc, err := setup(pool, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.HomeSocket >= pool.Sockets() {
-		return nil, nil, fmt.Errorf("core: home socket %d out of range (pool has %d)", opts.HomeSocket, pool.Sockets())
-	}
 	home := opts.HomeSocket
-	alloc, err := pmalloc.NewArena(pool, opts.ArenaIndex, opts.ArenaCount)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
 	t0 := pool.NewThread(home)
 	//persistlint:ignore PL012 t0 is recovery-dedicated; the scope holds until the thread is dropped at the end of Open
 	t0.PushScope(pmem.ScopeRecovery)
@@ -82,10 +76,12 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	dirAddr := pmem.Addr(sbw[2])
 	dirSlots := int(sbw[3])
 	chunkBytes := int(sbw[4])
-	varKV := sbw[5]&1 != 0
 	if idx, cnt := sbArena(sbw[5]); idx != opts.ArenaIndex || cnt != opts.ArenaCount {
 		return nil, nil, fmt.Errorf("core: tree was created as arena %d of %d, opened as %d of %d",
 			idx, cnt, opts.ArenaIndex, opts.ArenaCount)
+	}
+	if other := sbw[5]&sbIndex != 0; other != (dir != nil) {
+		return nil, nil, fmt.Errorf("core: image and opener disagree on the directory (image is another index's: %v)", other)
 	}
 
 	// Everything below the magic word is untrusted until validated: a
@@ -108,177 +104,38 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	}
 
 	opts.ChunkBytes = chunkBytes
-	opts.VarKV = varKV
+	opts.VarKV = sbw[5]&1 != 0
 	opts.DirSlots = dirSlots
-
-	tr := &Tree{
-		pool:   pool,
-		alloc:  alloc,
-		clock:  ordo.New(pool.Sockets(), defaultOrdo),
-		opts:   opts,
-		gcDone: make(chan struct{}),
-	}
-	close(tr.gcDone)
-	tr.reclaim.init()
-	tr.inner = newInnerTree(tr.compare)
-	tr.walman = wal.NewManager(tr.alloc, opts.ChunkBytes)
-	tr.initObs()
-	tr.inner.prof = tr.prof
+	tr := newTree(pool, alloc, opts, dir)
 
 	st := &RecoveryStats{}
-	// maxTick tracks the highest ORDO tick durably stamped anywhere in
-	// the image (WAL entries and leaf flush timestamps). The new tree's
+	// rb.maxTick tracks the highest ORDO tick durably stamped anywhere in
+	// the image (WAL entries and line flush timestamps). The new tree's
 	// clock must resume above it: ticks restart at zero otherwise, and
 	// any stale record left on a recycled chunk — a fully intact entry
 	// from before the crash — would outrank every post-recovery append
 	// at the NEXT crash, resurrecting overwritten values.
-	maxTick := uint64(0)
-	maxEnd := make([]uint64, pool.Sockets())
-	track := func(a pmem.Addr, size int64) {
-		if end := a.Offset() + uint64(size); end > maxEnd[a.Socket()] {
-			maxEnd[a.Socket()] = end
-		}
-	}
-	// trackWord validates an indirection pointer before chasing it and
-	// extends the allocator high-water mark over the blob it names.
-	trackWord := func(w uint64) error {
-		if !IsBlobWord(w) {
-			return nil
-		}
-		a := blobAddr(w)
-		if !pool.ValidRange(a, pmem.WordSize) || a.Offset()%pmem.WordSize != 0 {
-			return corruptf("blob", a, "pointer invalid")
-		}
-		n := int64(t0.Load(a))
-		if n < 0 || n > blobArenaChunk {
-			return corruptf("blob", a, "length %d impossible", n)
-		}
-		size := 8 * (1 + (n+7)/8)
-		if !pool.ValidRange(a, size) {
-			return corruptf("blob", a, "%d-byte blob runs off the device", n)
-		}
-		track(a, size)
-		return nil
-	}
-	// keyOK/valOK check that a stored word is possible in this tree's
-	// mode — the superblock's VarKV flag is itself untrusted, and a
-	// flipped flag would otherwise make recovery (and every later
-	// lookup) chase plain integers as blob pointers or vice versa.
-	keyOK := func(w uint64) bool {
-		if opts.VarKV {
-			return IsBlobWord(w)
-		}
-		return w >= 1 && w <= MaxValue
-	}
-	valOK := func(w uint64) bool {
-		if w == Tombstone || IsBlobWord(w) {
-			return true // tombstones and out-of-band blobs occur in both modes
-		}
-		return !opts.VarKV && w <= MaxValue
-	}
-	track(dirAddr, int64(dirSlots*pmem.WordSize))
+	rb := &Rebuild{tr: tr, t: t0, maxEnd: make([]uint64, pool.Sockets()), st: st}
+	rb.track(dirAddr, int64(dirSlots*pmem.WordSize))
 
-	// Phase 1 (sequential): walk the persistent leaf list, rebuilding
-	// buffer nodes, the DRAM chain, and the inner directory. Empty
-	// non-head leaves are unlinked and reclaimed on the way.
+	// Phase 1 (sequential): the directory rebuilds the buffer nodes and
+	// the DRAM chain from the image.
 	chunks := readChunkDir(t0, dirAddr, dirSlots)
 	for _, c := range chunks {
 		if !pool.ValidRange(c, int64(chunkBytes)) || c.Offset()%pmem.XPLineSize != 0 {
 			return nil, nil, corruptf("chunk directory", c, "chunk address invalid")
 		}
-		track(c, int64(chunkBytes))
+		rb.track(c, int64(chunkBytes))
 	}
 	st.ChunksScanned = len(chunks)
-
-	var nodes []*bufferNode
-	var slab nodeSlab
-	var emptyLeaves []pmem.Addr
-	var prevNode *bufferNode
-	prevLeaf := pmem.NilAddr
-	seen := map[pmem.Addr]bool{headLeaf: true}
-	cur := headLeaf
-	for !cur.IsNil() {
-		var img pmleaf.Image
-		img.Read(t0, cur)
-		track(cur, LeafBytes)
-		// Leaf flush timestamps come from the same clock that stamps WAL
-		// entries, so they share its bound; anything larger is corruption
-		// (and would poison the resumed clock below).
-		if img.TS() > wal.MaxTick {
-			return nil, nil, corruptf("leaf", cur, "flush timestamp %#x impossible", img.TS())
-		}
-		maxTick = max(maxTick, img.TS())
-		next := img.Next()
-		if !next.IsNil() {
-			if !pool.ValidRange(next, LeafBytes) || next.Offset()%LeafBytes != 0 {
-				return nil, nil, corruptf("leaf list", next, "next pointer invalid")
-			}
-			if seen[next] {
-				return nil, nil, corruptf("leaf list", next, "cycle detected")
-			}
-			seen[next] = true
-		}
-		if img.Bitmap() == 0 && cur != headLeaf {
-			// Unlink: predecessor's meta gets our successor, one
-			// atomic word. The leaf is reclaimed afterwards.
-			var pimg pmleaf.Image
-			pimg.Read(t0, prevLeaf)
-			pimg.SetMeta(pmleaf.PackMeta(pimg.Bitmap(), next))
-			t0.Store(pmleaf.MetaAddr(prevLeaf), pimg.Meta())
-			t0.Persist(prevLeaf, pmem.WordSize)
-			emptyLeaves = append(emptyLeaves, cur)
-			st.EmptyLeavesReclaimed++
-			cur = next
-			continue
-		}
-		for i := 0; i < LeafSlots; i++ {
-			if !img.Valid(i) {
-				continue
-			}
-			if !keyOK(img.Key(i)) || !valOK(img.Val(i)) {
-				return nil, nil, corruptf("leaf", cur, "slot %d words impossible in this mode", i)
-			}
-			if err := trackWord(img.Key(i)); err != nil {
-				return nil, nil, err
-			}
-			if err := trackWord(img.Val(i)); err != nil {
-				return nil, nil, err
-			}
-		}
-		lowKey := uint64(0)
-		if cur != headLeaf {
-			first := true
-			for i := 0; i < LeafSlots; i++ {
-				if !img.Valid(i) {
-					continue
-				}
-				if first || tr.compare(t0, img.Key(i), lowKey) < 0 {
-					lowKey = img.Key(i)
-					first = false
-				}
-			}
-		}
-		// Leaves must be ordered: low keys strictly increase along the
-		// chain. A violation would send the replay router in circles
-		// (findBuffer routes by key order, rangeOK checks chain order).
-		if prevNode != nil && tr.compare(t0, lowKey, prevNode.lowKey) <= 0 {
-			return nil, nil, corruptf("leaf list", cur, "low keys out of order")
-		}
-		n := slab.newNode(cur, lowKey, opts.Nbatch)
-		if prevNode != nil {
-			prevNode.next.Store(n)
-			n.prev.Store(prevNode)
-		} else {
-			tr.head = n
-		}
-		tr.inner.put(t0, lowKey, n)
-		nodes = append(nodes, n)
-		tr.leafCount.Add(1)
-		prevNode = n
-		prevLeaf = cur
-		cur = next
+	if _, err := tr.index.Build(tr, t0, headLeaf, rb); err != nil {
+		return nil, nil, err
 	}
-	st.Leaves = int64(len(nodes))
+	chainPos := map[*bufferNode]int{}
+	for n := tr.head; n != nil; n = n.next.Load() {
+		chainPos[n] = len(chainPos)
+	}
+	st.Leaves = int64(len(chainPos))
 
 	// Phase 2: scan all live chunks (parallel over chunks), dedup
 	// entries to the newest version per logical key, and decide replay
@@ -326,20 +183,19 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		return hashKeyBytes(readBlob(t0, kw))
 	}
 	sameKey := func(a, b uint64) bool { return tr.compare(t0, a, b) == 0 }
-	// entryOK rejects records whose words cannot have come from a real
-	// append in this tree's mode. Unlike structural corruption, a bad log
-	// record is dropped rather than fatal: recycled chunks legitimately
-	// hold residue, and recovery's job is to replay what is provably
-	// intact.
-	entryOK := func(e wal.Entry) bool { return keyOK(e.Key) && valOK(e.Value) }
 	for _, lst := range entryLists {
 		for _, e := range lst {
 			st.EntriesSeen++
-			if !entryOK(e) || trackWord(e.Key) != nil || trackWord(e.Value) != nil {
+			// A record whose words cannot have come from a real append
+			// in this index is dropped rather than fatal, unlike
+			// structural corruption: recycled chunks legitimately hold
+			// residue, and recovery's job is to replay what is provably
+			// intact.
+			if rb.words(e.Key, e.Value) != nil {
 				st.EntriesDropped++
 				continue
 			}
-			maxTick = max(maxTick, e.Timestamp)
+			rb.maxTick = max(rb.maxTick, e.Timestamp)
 			h := keyHash(e.Key)
 			found := false
 			for _, c := range newest[h] {
@@ -360,8 +216,8 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	// Resume the tick domain past the image (plus the uncertainty
 	// boundary, so post-recovery ticks are *definitely* after pre-crash
 	// ones) before the replay workers start stamping.
-	tr.clock.AdvanceTo(maxTick + defaultOrdo)
-	// Route each candidate and compare with its leaf's pre-crash
+	tr.clock.AdvanceTo(rb.maxTick + defaultOrdo)
+	// Route each candidate and compare with its line's pre-crash
 	// timestamp, in parallel (read-only). A survivor keeps the node it
 	// routed to; a stale record keeps nil.
 	route := make([]*bufferNode, len(candidates))
@@ -369,7 +225,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		t := scanThreads[i]
 		for j := i; j < len(candidates); j += threads {
 			p := candidates[j]
-			n := tr.findBuffer(t, p.kv.Key)
+			n := tr.index.Find(t, p.kv.Key)
 			leafTS := t.Load(pmleaf.TSAddr(n.leaf))
 			if p.ts > leafTS {
 				route[j] = n
@@ -380,17 +236,13 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 	if err != nil {
 		return nil, nil, err
 	}
-	// Group the survivors per leaf, in leaf-chain order. Replaying a
-	// leaf's records as one batch is what makes recovery restartable: the
-	// flush that stamps a leaf above every pre-crash tick carries all of
-	// that leaf's records, so a crash inside replay never leaves a stamped
-	// leaf with records still waiting in the log, which the next recovery
-	// would gate out as stale.
-	chainPos := make(map[*bufferNode]int, len(nodes))
-	for i, n := range nodes {
-		chainPos[n] = i
-	}
-	groups := make([][]KV, len(nodes))
+	// Group the survivors per node, in chain order. Replaying a node's
+	// records as one batch is what makes recovery restartable: the flush
+	// that stamps a line above every pre-crash tick carries all of that
+	// node's records, so a crash inside replay never leaves a stamped
+	// line with records still waiting in the log, which the next
+	// recovery would gate out as stale.
+	groups := make([][]KV, len(chainPos))
 	for j, n := range route {
 		if n == nil {
 			st.EntriesStale++
@@ -403,15 +255,13 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 
 	// The bump pointers must clear every reachable object before any
 	// replay write allocates (splits).
-	for s := range maxEnd {
-		tr.alloc.SetBump(s, maxEnd[s])
-	}
-	for _, a := range emptyLeaves {
-		tr.alloc.Free(a, LeafBytes)
+	for s, end := range rb.maxEnd {
+		tr.alloc.SetBump(s, end)
 	}
 
-	// Phase 3 (parallel): apply each group to its leaf with one batch
-	// insert under the node's lock, groups round-robin over the workers.
+	// Phase 3 (parallel): apply each group to its node with one
+	// directory flush under the node's lock, groups round-robin over the
+	// workers.
 	// Splits during replay only mint nodes inside the splitting group's
 	// own range, so every group's first key still routes to its node.
 	workers := make([]*Worker, threads)
@@ -426,7 +276,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 		w := workers[i]
 		for g := i; g < len(groups); g += threads {
 			n, v := w.lockOwner(groups[g][0].Key)
-			_, err := w.leafBatchInsert(n, groups[g])
+			_, err := tr.index.Flush(w, n, groups[g])
 			n.unlock(v)
 			if err != nil {
 				return fmt.Errorf("core: recovery replay: %w", err)

@@ -9,7 +9,6 @@ import (
 	"cclbtree/internal/ordo"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
-	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -22,25 +21,30 @@ import (
 //	word 2  chunk directory address
 //	word 3  chunk directory slot count
 //	word 4  WAL chunk bytes
-//	word 5  flags (bit 0: VarKV; bits 8-23: arena count, 0 meaning 1;
-//	        bits 24-39: arena index)
+//	word 5  flags (bit 0: VarKV; bit 1: another directory's image;
+//	        bits 8-23: arena count, 0 meaning 1; bits 24-39: arena index)
 //
 // The arena placement is part of the superblock because arena 0 of any
 // count starts at offset 0: without it, opening an 8-shard pool as a
 // single tree would find shard 0's magic and silently recover one
-// eighth of the data.
+// eighth of the data. The directory bit keeps a tree from opening a
+// hash table's image and the reverse; tree images never set it.
 const (
 	sbOffset = 256
 	sbMagic  = 0xcc1b7ee0_2024_0001
 	sbWords  = 6
+	sbIndex  = 1 << 1
 )
 
-// sbFlags packs the VarKV bit and the arena placement into the
-// superblock flags word.
-func sbFlags(o Options) uint64 {
+// sbFlags packs the VarKV bit, the directory bit and the arena
+// placement into the superblock flags word.
+func sbFlags(o Options, tree bool) uint64 {
 	var flags uint64
 	if o.VarKV {
 		flags |= 1
+	}
+	if !tree {
+		flags |= sbIndex
 	}
 	flags |= uint64(o.ArenaCount) << 8
 	flags |= uint64(o.ArenaIndex) << 24
@@ -68,6 +72,9 @@ type Tree struct {
 	clock  *ordo.Clock
 	opts   Options
 
+	// index is the directory (see Directory): treeDir over inner, or
+	// another index's. head starts the buffer-node chain.
+	index Directory
 	inner *innerTree
 	head  *bufferNode
 
@@ -210,32 +217,16 @@ func (c Counters) Add(o Counters) Counters {
 // New creates an empty CCL-BTree on the pool, homed on
 // Options.HomeSocket and placed in its PM arena (whole device by
 // default).
-func New(pool *pmem.Pool, opts Options) (*Tree, error) {
-	opts, err := opts.withDefaults()
+func New(pool *pmem.Pool, opts Options) (*Tree, error) { return NewIndex(pool, opts, nil) }
+
+// NewIndex is New for an index whose directory is dir (nil: the tree's).
+func NewIndex(pool *pmem.Pool, opts Options, dir Directory) (*Tree, error) {
+	opts, alloc, err := setup(pool, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.HomeSocket >= pool.Sockets() {
-		return nil, fmt.Errorf("core: home socket %d out of range (pool has %d)", opts.HomeSocket, pool.Sockets())
-	}
 	home := opts.HomeSocket
-	alloc, err := pmalloc.NewArena(pool, opts.ArenaIndex, opts.ArenaCount)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	tr := &Tree{
-		pool:   pool,
-		alloc:  alloc,
-		clock:  ordo.New(pool.Sockets(), defaultOrdo),
-		opts:   opts,
-		gcDone: make(chan struct{}),
-	}
-	close(tr.gcDone)
-	tr.reclaim.init()
-	tr.inner = newInnerTree(tr.compare)
-	tr.walman = wal.NewManager(tr.alloc, opts.ChunkBytes)
-	tr.initObs()
-	tr.inner.prof = tr.prof
+	tr := newTree(pool, alloc, opts, dir)
 
 	t := pool.NewThread(home)
 	prevScope := t.PushScope(pmem.ScopeMeta)
@@ -258,22 +249,60 @@ func New(pool *pmem.Pool, opts Options) (*Tree, error) {
 	tr.walman.OnAcquire = tr.dir.register
 	tr.walman.OnRelease = tr.dir.unregister
 
-	// Head leaf: an empty 256 B leaf anchoring the linked list.
-	headLeaf, err := tr.newLeaf(t, home)
+	root, err := tr.index.Build(tr, t, pmem.NilAddr, nil)
 	if err != nil {
 		return nil, err
 	}
-	pmleaf.WriteWhole(t, &pmleaf.Image{Addr: headLeaf})
-	tr.head = new(nodeSlab).newNode(headLeaf, 0, opts.Nbatch)
-	tr.inner.put(t, 0, tr.head)
 
 	// Superblock.
 	sb := tr.sbAddr()
-	for i, w := range []uint64{sbMagic, uint64(headLeaf), uint64(dirAddr), uint64(opts.DirSlots), uint64(opts.ChunkBytes), sbFlags(opts)} {
+	for i, w := range []uint64{sbMagic, uint64(root), uint64(dirAddr), uint64(opts.DirSlots), uint64(opts.ChunkBytes), sbFlags(opts, dir == nil)} {
 		t.Store(sb.Add(int64(8*i)), w)
 	}
 	t.Persist(sb, sbWords*pmem.WordSize)
 	return tr, nil
+}
+
+// setup defaults opts and opens the tree's PM arena. Defaulting
+// resolves the arena placement before the superblock is located: the
+// superblock lives at the arena's base on the home socket, so a wrong
+// placement finds no magic rather than another tree's state.
+func setup(pool *pmem.Pool, opts Options) (Options, *pmalloc.Allocator, error) {
+	opts, err := opts.withDefaults()
+	if err != nil {
+		return opts, nil, err
+	}
+	if opts.HomeSocket >= pool.Sockets() {
+		return opts, nil, fmt.Errorf("core: home socket %d out of range (pool has %d)", opts.HomeSocket, pool.Sockets())
+	}
+	alloc, err := pmalloc.NewArena(pool, opts.ArenaIndex, opts.ArenaCount)
+	if err != nil {
+		return opts, nil, fmt.Errorf("core: %w", err)
+	}
+	return opts, alloc, nil
+}
+
+// newTree is the volatile half of New and Open: the engine with no
+// nodes yet, on directory dir (nil: the tree's).
+func newTree(pool *pmem.Pool, alloc *pmalloc.Allocator, opts Options, dir Directory) *Tree {
+	tr := &Tree{
+		pool:   pool,
+		alloc:  alloc,
+		clock:  ordo.New(pool.Sockets(), defaultOrdo),
+		opts:   opts,
+		index:  dir,
+		gcDone: make(chan struct{}),
+	}
+	if dir == nil {
+		tr.index = treeDir{tr}
+	}
+	close(tr.gcDone)
+	tr.reclaim.init()
+	tr.inner = newInnerTree(tr.compare)
+	tr.walman = wal.NewManager(tr.alloc, opts.ChunkBytes)
+	tr.initObs()
+	tr.inner.prof = tr.prof
+	return tr
 }
 
 // sbAddr is the tree's superblock location: arena base + sbOffset on

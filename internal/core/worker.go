@@ -158,29 +158,6 @@ func (w *Worker) readRecheck(n *bufferNode, ver uint64) bool {
 // Thread exposes the worker's PM thread (virtual clock, scope).
 func (w *Worker) Thread() *pmem.Thread { return w.t }
 
-// findBuffer routes a key word to its owning buffer node.
-func (tr *Tree) findBuffer(t *pmem.Thread, key uint64) *bufferNode {
-	if n := tr.inner.findLE(t, key); n != nil {
-		return n
-	}
-	return tr.head
-}
-
-// rangeOK checks, under the node's lock or an optimistic read, that n
-// still owns key.
-func (w *Worker) rangeOK(n *bufferNode, key uint64) bool {
-	if n.dead() {
-		return false
-	}
-	if n.lowKey != 0 && w.tree.compare(w.t, key, n.lowKey) < 0 {
-		return false
-	}
-	if nx := n.next.Load(); nx != nil && w.tree.compare(w.t, key, nx.lowKey) >= 0 {
-		return false
-	}
-	return true
-}
-
 // MaxValue bounds direct 8 B keys and values: the top two bits tag
 // indirection pointers (blobs) and probes, so recovery can tell payload
 // from pointer unambiguously. Larger payloads go through
@@ -271,9 +248,9 @@ func (w *Worker) retry(attemptVT int64, read bool) {
 	runtime.Gosched()
 }
 
-// lockOwner routes key to the buffer node owning it and returns the
-// node with its version lock held (v is the token unlock takes); failed
-// attempts go through retry. Every locked path shares it: the write
+// lockOwner routes key through the directory to the buffer node owning
+// it and returns the node with its version lock held (v is the token
+// unlock takes); failed attempts go through retry. Every locked path shares it: the write
 // protocol and recovery's replay. crashAbort is safe in recovery too:
 // once a fault has fired every flush panics, so a replay worker is
 // already dead at its next leaf write, and the check only turns a spin
@@ -282,9 +259,9 @@ func (w *Worker) lockOwner(key uint64) (*bufferNode, uint64) {
 	for {
 		attemptVT := w.t.Now()
 		m := w.segBegin()
-		n := w.tree.findBuffer(w.t, key)
+		n := w.tree.index.Find(w.t, key)
 		if v, locked := n.tryLock(); locked {
-			if w.rangeOK(n, key) {
+			if w.tree.index.Owns(w.t, n, key) {
 				w.segEnd(obs.SegTraverse, m)
 				return n, v
 			}
@@ -374,12 +351,12 @@ func (w *Worker) lookupWord(key uint64) (uint64, bool) {
 // version changed underneath and the caller must retry.
 func (w *Worker) lookupAttempt(key uint64) (val uint64, found, ok bool) {
 	tr := w.tree
-	n := tr.findBuffer(w.t, key)
+	n := tr.index.Find(w.t, key)
 	ver, clean := n.beginRead()
 	if !clean {
 		return 0, false, false
 	}
-	if !w.rangeOK(n, key) {
+	if !tr.index.Owns(w.t, n, key) {
 		return 0, false, false
 	}
 	// Buffer probe: the packed per-slot fingerprints short-circuit the
@@ -407,9 +384,9 @@ func (w *Worker) lookupAttempt(key uint64) (val uint64, found, ok bool) {
 		tr.heat.Touch(uint64(n.leaf), false)
 		return v, true, true
 	}
-	// Leaf search: bitmap + fingerprints in the header cacheline
-	// filter the PM reads (§4.1).
-	v, f := w.leafSearchFP(n.leaf, key, target)
+	// Line search (the tree's: bitmap + fingerprints in the header
+	// cacheline filter the PM reads, §4.1).
+	v, f := tr.index.Search(w, n, key, target)
 	if !w.readRecheck(n, ver) {
 		return 0, false, false
 	}
@@ -424,7 +401,7 @@ func (w *Worker) scanWords(start uint64, out []KV) int {
 	count := 0
 	var lastKey uint64
 	haveLast := false
-	n := tr.findBuffer(w.t, start)
+	n := tr.index.Find(w.t, start)
 	for n != nil && count < len(out) {
 		attemptVT := w.t.Now()
 		ents, nx, st := w.scanNode(n)
@@ -438,7 +415,7 @@ func (w *Worker) scanWords(start uint64, out []KV) int {
 			if haveLast {
 				from = lastKey
 			}
-			n = tr.findBuffer(w.t, from)
+			n = tr.index.Find(w.t, from)
 			continue
 		case scanRetry:
 			w.retry(attemptVT, true)

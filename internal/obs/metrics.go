@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -285,13 +284,4 @@ func (s *Snapshot) Merge(o *Snapshot) {
 		cp := *h
 		s.Hists[name] = &cp
 	}
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (m *Metrics) CounterNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]string(nil), m.counterNames...)
-	sort.Strings(out)
-	return out
 }

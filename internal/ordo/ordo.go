@@ -42,9 +42,6 @@ func (c *Clock) Now(socket int) uint64 {
 	return c.counter.Add(1) + c.skew[socket]
 }
 
-// Boundary returns the ORDO uncertainty window.
-func (c *Clock) Boundary() uint64 { return c.boundary }
-
 // AdvanceTo raises the clock so that every future Now, on any socket,
 // returns a timestamp strictly greater than ts. Recovery uses it to
 // resume the tick domain above everything durably stamped in the

@@ -139,10 +139,6 @@ func (d *device) clearDirtyBit(line uint64) {
 	}
 }
 
-func (d *device) xplineResident(xp uint64) bool {
-	return d.residentBits[xp/32].Load()&(1<<(xp%32)) != 0
-}
-
 func (d *device) setResident(xp uint64, v bool) {
 	w := &d.residentBits[xp/32]
 	bit := uint32(1) << (xp % 32)

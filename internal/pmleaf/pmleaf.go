@@ -193,6 +193,30 @@ func WriteHeader(t *pmem.Thread, li *Image) {
 	t.Persist(li.Addr, HeaderBytes)
 }
 
+// Span is the range of an image's words a batch rewrote, so that only
+// those are written back (PersistSpan). The zero value is empty.
+type Span struct{ Lo, Hi int } // words [Lo, Hi)
+
+// Mark adds word wd to the span.
+func (s *Span) Mark(wd int) {
+	if s.Hi == 0 {
+		s.Lo = wd
+	}
+	s.Lo, s.Hi = min(s.Lo, wd), max(s.Hi, wd+1)
+}
+
+// PersistSpan stores li's words in s and persists them with one flush
+// over the range and one fence; an empty span writes nothing.
+func PersistSpan(t *pmem.Thread, li *Image, s Span) {
+	if s.Hi == 0 {
+		return
+	}
+	for wd := s.Lo; wd < s.Hi; wd++ {
+		t.Store(li.Addr.Add(int64(8*wd)), li.Words[wd])
+	}
+	t.Persist(li.Addr.Add(int64(8*s.Lo)), 8*(s.Hi-s.Lo))
+}
+
 // SortedLive returns the leaf's valid entries sorted by key, paired
 // with their slot indices.
 func (li *Image) SortedLive() (kvs []index.KV, slots []int) {

@@ -44,6 +44,9 @@ var coreUnit = []string{"-short", "-run", "^(TestCrash[^A]|TestGroup|TestEpoch)"
 // walUnit is the whole wal suite.
 var walUnit = []string{"-short", "./internal/wal"}
 
+// hashUnit is the whole cclhash suite.
+var hashUnit = []string{"-short", "./internal/cclhash"}
+
 // mutants is the kill matrix. DESIGN.md ("Scoring the gates") carries
 // the same table.
 var mutants = []mutant{
@@ -84,14 +87,16 @@ var mutants = []mutant{
 	{
 		name: "leaf-data-nofence",
 		edits: []edit{{"internal/core/leafops.go",
-			"\t\tw.t.Flush(n.leaf.Add(int64(8*dirtyLo)), 8*(dirtyHi-dirtyLo+1))\n\t\tw.t.Fence()\n",
-			"\t\tw.t.Flush(n.leaf.Add(int64(8*dirtyLo)), 8*(dirtyHi-dirtyLo+1))\n"}},
+			"\tpmleaf.PersistSpan(w.t, &img, dirty)\n",
+			"\tif dirty.Hi > 0 {\n\t\tfor wd := dirty.Lo; wd < dirty.Hi; wd++ {\n" +
+				"\t\t\tw.t.Store(n.leaf.Add(int64(8*wd)), img.Words[wd])\n\t\t}\n" +
+				"\t\tw.t.Flush(n.leaf.Add(int64(8*dirty.Lo)), 8*(dirty.Hi-dirty.Lo))\n\t}\n"}},
 		unit: coreUnit, want: row{unit: true},
 	},
 	{
 		name: "leaf-stamp-skipped",
 		edits: []edit{{"internal/core/leafops.go",
-			"img.SetTS(w.stampLeafTS(img.TS()))", "img.SetTS(img.TS())"}},
+			"img.SetTS(w.Stamp(img.TS()))", "img.SetTS(img.TS())"}},
 		unit: coreUnit, want: row{unit: true, torture: true},
 	},
 	{
@@ -134,6 +139,18 @@ var mutants = []mutant{
 			"groups[chainPos[n]] = append(groups[chainPos[n]], candidates[j].kv)",
 			"groups = append(groups, []KV{candidates[j].kv})"}},
 		unit: coreUnit, want: row{unit: true, torture: true},
+	},
+	{
+		// The hash table's chain flush stamps and publishes the home
+		// bucket's header before its data is written: a crash in
+		// between leaves a bitmap naming unwritten slots and a stamp
+		// that gates the bucket's records out of replay.
+		name: "hash-home-published-first",
+		edits: []edit{{"internal/cclhash/cclhash.go",
+			"\t// Phase 1: data, durable before any header is published. Fresh\n",
+			"\tchain[0].img.SetTS(w.Stamp(chain[0].img.TS()))\n\tpmleaf.WriteHeader(t, &chain[0].img)\n" +
+				"\t// Phase 1: data, durable before any header is published. Fresh\n"}},
+		unit: hashUnit, want: row{unit: true},
 	},
 	{
 		name:  "epoch-pin-skipped",

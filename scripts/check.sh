@@ -56,7 +56,9 @@ GOMAXPROCS=4 go test -count=1 -run 'TestApplyBatchConcurrentWithGC' ./internal/c
 # earlier tree would hide a regression: run them uncached.
 go test -count=1 -run 'TestUpsertAllocCeiling' ./internal/core
 go test -count=1 -run 'TestSessionWriteAllocCeiling' .
-go test -race -short ./internal/core/... ./internal/pmem/... ./internal/obs/...
+# The hash table runs core's write path, GC and recovery through its
+# bucket directory, so it races with the engine's own packages.
+go test -race -short ./internal/core/... ./internal/cclhash/... ./internal/pmem/... ./internal/obs/...
 go test -race -short ./internal/server
 # Every comparison baseline runs on the shared primitives in
 # internal/baselines/prim (LB+-Tree's CAS leaf lock included).
