@@ -1,12 +1,8 @@
 // Command persistlint statically checks the repository's persistent
 // memory discipline (see internal/analysis/persist): every PM store
 // must be flushed and fenced on every path to return, flushes must be
-// fenced, flushing under eADR-only branches is dead code, PM pointers
-// must not be published over unfenced data, lock acquisition must
-// follow the declared order, *pmem.Thread handles must not cross
-// goroutine boundaries, atomic-disciplined fields must not be accessed
-// plainly, guarded fields must hold their lock, seqlock readers must
-// re-check, persistence work must not be provably wasted, and
+// fenced, lock acquisition must follow the declared order at any call
+// depth, seqlock readers must re-check on every path, and
 // PushScope/PopScope must balance.
 //
 // Usage:
@@ -160,12 +156,8 @@ func printStats(w io.Writer, s persist.Stats) {
 	fmt.Fprintf(w, "  call graph sccs     %6d\n", s.CallSCCs)
 	fmt.Fprintf(w, "  discharge summaries %6d\n", s.DischargeSummaries)
 	fmt.Fprintf(w, "  lock summaries      %6d\n", s.LockSummaries)
-	fmt.Fprintf(w, "  atomic fields       %6d\n", s.AtomicFields)
-	fmt.Fprintf(w, "  guarded fields      %6d\n", s.GuardedFields)
-	fmt.Fprintf(w, "  field accesses      %6d\n", s.FieldAccesses)
 	fmt.Fprintf(w, "  seqlock reads       %6d\n", s.SeqlockReads)
 	fmt.Fprintf(w, "  scope sites         %6d\n", s.ScopeSites)
-	fmt.Fprintf(w, "  entry points        %6d\n", s.EntryPoints)
 	fmt.Fprintf(w, "  findings total      %6d\n", s.Findings)
 	codes := make([]string, 0, len(s.FindingsByCode))
 	for c := range s.FindingsByCode {

@@ -162,7 +162,8 @@ func TestBudgetFlag(t *testing.T) {
 
 // TestCorpusDeterminism runs the analyzer's full golden corpus — every
 // rule firing at once — through -json twice and demands byte-identical
-// output, and that each concurrency rule contributes at least one line.
+// output, and that each lock and concurrency rule contributes at least
+// one line.
 func TestCorpusDeterminism(t *testing.T) {
 	var first string
 	for i := 0; i < 2; i++ {
@@ -172,7 +173,7 @@ func TestCorpusDeterminism(t *testing.T) {
 		}
 		if i == 0 {
 			first = out.String()
-			for _, c := range []string{"PL008", "PL009", "PL010", "PL011", "PL012"} {
+			for _, c := range []string{"PL006", "PL010", "PL012", "PL014"} {
 				if !strings.Contains(first, c) {
 					t.Errorf("corpus JSON missing %s findings", c)
 				}
@@ -229,7 +230,7 @@ func TestSARIFOutput(t *testing.T) {
 	for _, r := range run0.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"PL001", "PL013", "PL014", "PL015"} {
+	for _, want := range []string{"PL001", "PL006", "PL012", "PL014"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule catalog missing %s", want)
 		}
@@ -336,14 +337,15 @@ func TestStatsFlag(t *testing.T) {
 		t.Errorf("stats leaked to stdout:\n%s", out.String())
 	}
 
-	// Over the golden corpus the concurrency counters are all live.
+	// Over the golden corpus the lock and concurrency counters are all
+	// live.
 	out.Reset()
 	errb.Reset()
 	if code := run([]string{"-stats", corpusDir}, &out, &errb); code != 1 {
 		t.Fatalf("corpus -stats: exit %d, want 1", code)
 	}
 	se = errb.String()
-	for _, want := range []string{"atomic fields", "guarded fields", "field accesses", "seqlock reads", "scope sites"} {
+	for _, want := range []string{"lock summaries", "seqlock reads", "scope sites"} {
 		if !strings.Contains(se, want) {
 			t.Errorf("corpus -stats stderr missing %q:\n%s", want, se)
 		}

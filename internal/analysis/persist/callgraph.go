@@ -11,9 +11,9 @@ package persist
 //  1. pkg.Fn(...) through an import of an analyzed package, and
 //     bare Fn(...) against the caller's own package, resolve to
 //     exactly one free function.
-//  2. x.M(...) where the syntactic type resolution (typeOf, shared
-//     with PL008/PL009) yields x's struct base type T resolves to the
-//     analyzed methods named M with receiver base T.
+//  2. x.M(...) where the syntactic type resolution (typeOf, types.go)
+//     yields x's struct base type T resolves to the analyzed methods
+//     named M with receiver base T.
 //  3. Anything else falls back to every analyzed function or method
 //     with that bare name — the old conservative AND-merge semantics,
 //     now explicit as a multi-candidate edge set.
@@ -46,15 +46,8 @@ type funcNode struct {
 	// syncCallees is the subset of callees reached without crossing a
 	// go statement: lock-order propagation follows only these (an
 	// acquire on another goroutine cannot invert against what THIS
-	// stack holds), while reachability (PL015) and cache invalidation
-	// follow every edge.
+	// stack holds).
 	syncCallees []int
-
-	// entry is the non-empty reason when the function is a PL015
-	// analysis entry point (recovery by name, or declared with
-	// //persistlint:entrypoint). Seqlock-session entry points are
-	// discovered later, during the rule pass.
-	entry string
 }
 
 // callGraph is the whole-program graph plus its SCC decomposition.
@@ -72,17 +65,6 @@ type callGraph struct {
 	sccOf []int
 
 	edgeCount int
-}
-
-// nodeKey of the declaration this analysis covers ("" for bodies that
-// never entered the graph). Function literals inherit the declaring
-// function's node, so reachability and load attribution stay with the
-// declaration.
-func (fa *funcAnalysis) nodeKey() string {
-	if fa.node == nil {
-		return ""
-	}
-	return fa.node.key
 }
 
 // buildCallGraph registers every function declaration, resolves every
@@ -120,7 +102,6 @@ func (a *Analyzer) buildCallGraph() {
 			}
 			n.key = n.pkgID + "::" + member
 			n.display = fi.f.Name.Name + "." + member
-			n.entry = entryPointReason(a, fi, fd)
 			cg.nodes = append(cg.nodes, n)
 			cg.byBare[n.bare] = append(cg.byBare[n.bare], n)
 			cg.byDecl[fd] = n
@@ -182,28 +163,6 @@ func (a *Analyzer) buildCallGraph() {
 	a.stats.CallSCCs = len(cg.sccs)
 }
 
-// entryPointReason classifies fd as a PL015 entry point: a recovery
-// path by naming convention, or an explicit //persistlint:entrypoint
-// declaration in the doc comment.
-func entryPointReason(a *Analyzer, fi *fileInfo, fd *ast.FuncDecl) string {
-	if strings.HasPrefix(strings.ToLower(fd.Name.Name), "recover") {
-		return "recovery"
-	}
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if rest, ok := strings.CutPrefix(text, "persistlint:entrypoint"); ok {
-				label := strings.TrimSpace(rest)
-				if label == "" {
-					label = "declared"
-				}
-				return label
-			}
-		}
-	}
-	return ""
-}
-
 // calleeCandidates resolves one call expression to the keys of every
 // analyzed function it may invoke (nil when the callee is certainly
 // outside the analyzed set — a builtin, the stdlib, a closure value).
@@ -249,8 +208,7 @@ func (fa *funcAnalysis) calleeCandidates(call *ast.CallExpr) []string {
 // isLocalName reports whether the identifier is a value in this
 // function's scope (so x.M is a method call, not a package selector).
 func (fa *funcAnalysis) isLocalName(name string) bool {
-	return fa.threads[name] || fa.handles[name] || fa.addrs[name] ||
-		fa.varTypes[name] != "" || fa.muOwners[name] != ""
+	return fa.threads[name] || fa.varTypes[name] != "" || fa.muOwners[name] != ""
 }
 
 func appendUnique(xs []int, id int) []int {

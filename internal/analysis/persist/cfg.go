@@ -46,32 +46,20 @@ const (
 	evSeqBegin          // v := x.version.Load(): opens a seqlock re-check obligation (PL010)
 	evSeqRecheck        // x.version.Load() ==/!= v (or a CAS on v): discharges it
 	evSeqValid          // v tested against a literal: the bail-on-invalid path owes no re-check
-	evAccess            // tracked struct-field access (PL008/PL009 collection)
-	evKillVar           // identifier reassigned: wasted-persist addr states mentioning it die (PL011)
-	evEscape            // a pmem address flows into a heap structure/channel/goroutine (PL013 site)
-	evLoad              // Thread.Load/ReadRange: a PM read (PL015 collection)
+	evKillVar           // identifier reassigned: seqlock sessions keyed on it die
 )
 
 // event is one obligation- or lock-relevant action inside a CFG node.
 type event struct {
-	pos     token.Pos
-	kind    int
-	key     string // rendered thread expression ("t", "w.t", ...); evSeqBegin/Recheck: "base|var"; evKillVar: identifier
-	method  string // Store/WriteRange/Flush/Fence/Persist
-	publish bool   // Store of a PM pointer (PL005 site)
-	addrKey string // evStore/evFlush/evPersist: rendered address argument ("" if value-producing)
+	pos    token.Pos
+	kind   int
+	key    string // rendered thread expression ("t", "w.t", ...); evSeqBegin/Recheck: "base|var"; evKillVar: identifier
+	method string // Store/WriteRange/Flush/Fence/Persist
 
 	calleeKeys []string // evCall: resolved call-graph candidate keys (sorted)
 	threadArgs []string // evCall: thread-expression keys passed as args
 
 	class string // evLock/evUnlock: lock class name
-
-	escKind string // evEscape: "heap structure" | "channel" | "goroutine"
-	escDesc string // evEscape: rendered sink (the assigned field, channel, call)
-
-	accessField  string // evAccess: bare field name
-	accessOwner  string // evAccess: resolved owning struct type ("" unknown)
-	accessAtomic bool   // evAccess: performed through sync/atomic
 }
 
 // cfgNode is one straight-line step of the function.
@@ -210,13 +198,8 @@ func (b *cfgBuilder) buildStmt(s ast.Stmt, preds []*cfgNode) []*cfgNode {
 		return []*cfgNode{n}
 
 	case *ast.GoStmt:
-		// The goroutine body runs elsewhere; PL004 polices the handle
-		// values crossing the boundary and the body is analyzed
-		// separately. PM addresses crossing here are PL013 escape sites,
-		// judged against the obligations open at THIS point — so the
-		// escape events land in the go statement's own node.
+		// The goroutine body runs elsewhere: it is analyzed separately.
 		n := b.newNode()
-		n.events = b.fa.goEscapeEvents(x)
 		if lit, ok := x.Call.Fun.(*ast.FuncLit); ok {
 			b.subs = append(b.subs, lit)
 		}

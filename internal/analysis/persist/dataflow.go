@@ -31,20 +31,15 @@ const (
 	obFlush        // awaiting Fence/Persist → PL002 if it survives
 	obScope        // PushScope awaiting PopScope → PL012 if it survives
 	obSeq          // seqlock version load awaiting its re-check → PL010
-	obDirty        // an address stored to, not yet fenced → PL013 if it escapes
 )
 
 // obl is one open obligation. Seeds used for interprocedural summaries
-// carry negative origins and are never reported. For obDirty the
-// method field carries the rendered address expression — the identity
-// an escape site must match — and the fact is never reported at exit
-// (an address may stay dirty to return on purpose; only escaping while
-// dirty is the defect).
+// carry negative origins and are never reported.
 type obl struct {
 	origin token.Pos
 	key    string
 	kind   int
-	method string // Store/WriteRange/Flush for the message; obDirty: address rendering
+	method string // Store/WriteRange/Flush, for the message
 }
 
 type oblSet map[obl]struct{}
@@ -77,46 +72,25 @@ func (s oblSet) killKey(key string, kind int) {
 	}
 }
 
-// applyObl is the transfer function for one event. report, when
-// non-nil, receives PL005 publish-before-persist hits.
-func (fa *funcAnalysis) applyObl(s oblSet, e event, report func(code string, pos token.Pos, msg string)) {
+// applyObl is the transfer function for one event.
+func (fa *funcAnalysis) applyObl(s oblSet, e event) {
 	switch e.kind {
 	case evStore:
-		if e.publish && report != nil {
-			var hit *obl
-			for o := range s {
-				if o.key == e.key && (o.kind == obStore || o.kind == obFlush) {
-					if hit == nil || o.origin < hit.origin || (o.origin == hit.origin && o.method < hit.method) {
-						oo := o
-						hit = &oo
-					}
-				}
-			}
-			if hit != nil {
-				report(CodePublishBeforePersist, e.pos, fmt.Sprintf(
-					"%s.Store publishes a PM pointer while an earlier %s on %s is not yet fenced: a crash exposes reachable-but-unpersisted data; fence the data before the publish", e.key, hit.method, e.key))
-			}
-		}
 		s[obl{origin: e.pos, key: e.key, kind: obStore, method: e.method}] = struct{}{}
-		if e.addrKey != "" {
-			s[obl{origin: e.pos, key: e.key, kind: obDirty, method: e.addrKey}] = struct{}{}
-		}
 	case evFlush:
 		s.killKey(e.key, obStore)
 		s[obl{origin: e.pos, key: e.key, kind: obFlush, method: "Flush"}] = struct{}{}
 	case evFence:
 		s.killKey(e.key, obFlush)
-		s.killKey(e.key, obDirty)
 	case evPersist:
 		s.killKey(e.key, obStore)
 		s.killKey(e.key, obFlush)
-		s.killKey(e.key, obDirty)
 	case evEADR:
 		// Inside the eADR persistence domain stores are durable at
 		// retirement: nothing on this path needs flushing. Scope and
 		// seqlock obligations are not persistence state and survive.
 		for o := range s {
-			if o.kind == obStore || o.kind == obFlush || o.kind == obDirty {
+			if o.kind == obStore || o.kind == obFlush {
 				delete(s, o)
 			}
 		}
@@ -144,26 +118,10 @@ func (fa *funcAnalysis) applyObl(s oblSet, e event, report func(code string, pos
 		// A seqlock session keyed on a rebound variable (loop iteration
 		// rebinding the slot or the saved version) cannot be re-checked
 		// any more — and demanding a re-check of a dead binding would be
-		// a false positive on every early loop exit. A dirty fact whose
-		// rendering mentions the rebound variable names a different
-		// address now and is likewise dropped.
+		// a false positive on every early loop exit.
 		for o := range s {
 			if o.kind == obSeq && keyMentionsIdent(o.key, e.key) {
 				delete(s, o)
-			}
-			if o.kind == obDirty && keyMentionsIdent(o.method, e.key) {
-				delete(s, o)
-			}
-		}
-	case evEscape:
-		if report == nil {
-			return
-		}
-		for o := range s {
-			if o.kind == obDirty && dirtyMatches(o.method, e.addrKey) {
-				report(CodeEscapeBeforePersist, e.pos, fmt.Sprintf(
-					"PM address %s flows into %s %s while its store on %s is not yet fenced: whoever receives it can chase the address to bytes a crash throws away; persist before publishing the address", e.addrKey, e.escKind, e.escDesc, o.key))
-				break
 			}
 		}
 	case evCall:
@@ -176,22 +134,10 @@ func (fa *funcAnalysis) applyObl(s oblSet, e event, report func(code string, pos
 				s.killKey(k, obFlush)
 				if sum.coversStore {
 					s.killKey(k, obStore)
-					s.killKey(k, obDirty)
 				}
 			}
 		}
 	}
-}
-
-// dirtyMatches reports whether an escaping address rendering reaches
-// the bytes a dirty fact covers: the same rendering, or a bare
-// identifier the dirty rendering dereferences through ("leaf" escaping
-// reaches "leaf.next"; "eq" does not reach "s.seq").
-func dirtyMatches(dirty, escaped string) bool {
-	if dirty == escaped {
-		return true
-	}
-	return !strings.Contains(escaped, ".") && keyMentionsIdent(dirty, escaped)
 }
 
 // oblFixpoint computes the set of obligations possibly open on entry
@@ -218,7 +164,7 @@ func (fa *funcAnalysis) oblFixpoint(g *cfg, seeds oblSet) []oblSet {
 		queued[n.id] = false
 		out := in[n.id].clone()
 		for _, e := range n.events {
-			fa.applyObl(out, e, nil)
+			fa.applyObl(out, e)
 		}
 		for _, succ := range n.succs {
 			grew := in[succ.id].addAll(out)
@@ -237,37 +183,25 @@ func (fa *funcAnalysis) oblFixpoint(g *cfg, seeds oblSet) []oblSet {
 func (fa *funcAnalysis) exitResidue(g *cfg, in []oblSet) oblSet {
 	s := in[g.exit.id].clone()
 	for i := len(g.deferred) - 1; i >= 0; i-- {
-		fa.applyObl(s, g.deferred[i], nil)
+		fa.applyObl(s, g.deferred[i])
 	}
 	return s
 }
 
-// checkObligations reports PL001/PL002 for obligations open at exit
-// and PL005 for publishes that overtake pending obligations.
+// checkObligations reports the obligations open at exit: PL001/PL002
+// for unpersisted stores and unfenced flushes, PL012 for unpopped
+// scopes and PL010 for unre-checked seqlock reads.
 func (fa *funcAnalysis) checkObligations(g *cfg, emit func(code string, pos token.Pos, msg string)) {
 	in := fa.oblFixpoint(g, oblSet{})
-
-	// PL005: replay each node's events against its entry set. The same
-	// replay records PL012 push sites for -stats.
-	seen := map[token.Pos]bool{}
-	report := func(code string, pos token.Pos, msg string) {
-		if !seen[pos] {
-			seen[pos] = true
-			emit(code, pos, msg)
-		}
-	}
 	for _, n := range g.nodes {
-		s := in[n.id].clone()
 		for _, e := range n.events {
 			if e.kind == evScopePush {
 				fa.an.scopeSites[e.pos] = true
 			}
-			fa.recordReadAfterPublish(s, e)
-			fa.applyObl(s, e, report)
 		}
 	}
 
-	// PL001/PL002: residue at exit, reported at the origin site.
+	// Residue at exit, reported at the origin site.
 	residue := fa.exitResidue(g, in)
 	var open []obl
 	for o := range residue {
@@ -383,7 +317,7 @@ func (fa *funcAnalysis) applyLock(s heldSet, e event, check func(class string, p
 }
 
 // lockFixpoint computes the set of lock classes possibly held on entry
-// to each node. Shared by PL006 and the PL008/PL009 access collection.
+// to each node.
 func (fa *funcAnalysis) lockFixpoint(g *cfg) []heldSet {
 	in := make([]heldSet, len(g.nodes))
 	for i := range in {
@@ -445,187 +379,6 @@ func (fa *funcAnalysis) checkLockOrder(g *cfg, in []heldSet, emit func(code stri
 		s := in[n.id].clone()
 		for _, e := range n.events {
 			fa.applyLock(s, e, check)
-		}
-	}
-}
-
-// --- wasted-persist must-analysis (PL011) -------------------------------
-
-// Unlike the obligation rules (may-analysis: a defect on SOME path),
-// PL011 reports only what is wasted on EVERY path: a Flush of an
-// address provably not dirtied since it was last flushed, a Persist of
-// an address provably clean since the last fence, and a Fence with
-// provably no store or flush on its thread since the previous fence.
-// The meet therefore drops any fact the joining paths disagree on, any
-// call clears everything (the callee may dirty anything), and address
-// identity is the rendered argument expression — a store to one
-// address invalidates every other tracked address, since two renderings
-// may alias.
-
-// Per-address persistence states, in progression order.
-const (
-	wpDirty   = iota // stored since its last flush
-	wpFlushed        // flushed, fence pending
-	wpClean          // flushed and fenced, not dirtied since
-)
-
-// wpState is the must-knowledge at one program point.
-type wpState struct {
-	addrs      map[string]int  // rendered address → wp* state
-	fenceClean map[string]bool // thread key → provably nothing since its last fence
-}
-
-func newWPState() *wpState {
-	return &wpState{addrs: map[string]int{}, fenceClean: map[string]bool{}}
-}
-
-func (s *wpState) clone() *wpState {
-	out := newWPState()
-	for k, v := range s.addrs {
-		out.addrs[k] = v
-	}
-	for k := range s.fenceClean {
-		out.fenceClean[k] = true
-	}
-	return out
-}
-
-// meetWith intersects src into s, reporting whether s shrank.
-func (s *wpState) meetWith(src *wpState) bool {
-	shrank := false
-	for k, v := range s.addrs {
-		if w, ok := src.addrs[k]; !ok || w != v {
-			delete(s.addrs, k)
-			shrank = true
-		}
-	}
-	for k := range s.fenceClean {
-		if !src.fenceClean[k] {
-			delete(s.fenceClean, k)
-			shrank = true
-		}
-	}
-	return shrank
-}
-
-// applyWP is the PL011 transfer function. report, when non-nil,
-// receives the wasted-work findings.
-func (fa *funcAnalysis) applyWP(s *wpState, e event, report func(code string, pos token.Pos, msg string)) {
-	clearAll := func() {
-		s.addrs = map[string]int{}
-		s.fenceClean = map[string]bool{}
-	}
-	switch e.kind {
-	case evStore:
-		if e.addrKey == "" {
-			s.addrs = map[string]int{}
-		} else {
-			for k := range s.addrs {
-				if k != e.addrKey {
-					delete(s.addrs, k) // the store may alias any of them
-				}
-			}
-			s.addrs[e.addrKey] = wpDirty
-		}
-		delete(s.fenceClean, e.key)
-	case evFlush:
-		if e.addrKey != "" {
-			if st, ok := s.addrs[e.addrKey]; ok && st != wpDirty && report != nil {
-				report(CodeWastedPersist, e.pos, fmt.Sprintf(
-					"%s.Flush(%s, ...) flushes an address provably not stored to since its last flush on every path: the clwb writes back nothing", e.key, e.addrKey))
-			}
-			s.addrs[e.addrKey] = wpFlushed
-		}
-		delete(s.fenceClean, e.key)
-	case evFence:
-		if s.fenceClean[e.key] && report != nil {
-			report(CodeWastedPersist, e.pos, fmt.Sprintf(
-				"%s.Fence with provably no %s.Store/Flush since the previous fence on every path: the sfence orders nothing", e.key, e.key))
-		}
-		for k, st := range s.addrs {
-			if st == wpFlushed {
-				s.addrs[k] = wpClean
-			}
-		}
-		s.fenceClean[e.key] = true
-	case evPersist:
-		if e.addrKey != "" {
-			if st, ok := s.addrs[e.addrKey]; ok && st == wpClean && report != nil {
-				report(CodeWastedPersist, e.pos, fmt.Sprintf(
-					"%s.Persist(%s, ...) persists an address provably clean since the last fence on every path: both the clwb and the sfence are wasted", e.key, e.addrKey))
-			}
-			s.addrs[e.addrKey] = wpClean
-		}
-		for k, st := range s.addrs {
-			if st == wpFlushed {
-				s.addrs[k] = wpClean
-			}
-		}
-		s.fenceClean[e.key] = true
-	case evCall, evEADR:
-		clearAll()
-	case evKillVar:
-		for k := range s.addrs {
-			if keyMentionsIdent(k, e.key) {
-				delete(s.addrs, k)
-			}
-		}
-	}
-}
-
-// checkWastedPersist runs the must-analysis to fixpoint, then replays
-// each node once to report. Deferred events are replayed at exit so a
-// `defer t.Persist(...)` after an inline persist of the same address is
-// caught too.
-func (fa *funcAnalysis) checkWastedPersist(g *cfg, emit func(code string, pos token.Pos, msg string)) {
-	in := make([]*wpState, len(g.nodes)) // nil = not yet reached
-	in[g.entry.id] = newWPState()
-	queued := make([]bool, len(g.nodes))
-	work := []*cfgNode{g.entry}
-	queued[g.entry.id] = true
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		queued[n.id] = false
-		out := in[n.id].clone()
-		for _, e := range n.events {
-			fa.applyWP(out, e, nil)
-		}
-		for _, succ := range n.succs {
-			changed := false
-			if in[succ.id] == nil {
-				in[succ.id] = out.clone()
-				changed = true
-			} else if in[succ.id].meetWith(out) {
-				changed = true
-			}
-			if changed && !queued[succ.id] {
-				queued[succ.id] = true
-				work = append(work, succ)
-			}
-		}
-	}
-
-	seen := map[token.Pos]bool{}
-	report := func(code string, pos token.Pos, msg string) {
-		if !seen[pos] {
-			seen[pos] = true
-			emit(code, pos, msg)
-		}
-	}
-	for _, n := range g.nodes {
-		if in[n.id] == nil {
-			continue
-		}
-		s := in[n.id].clone()
-		for _, e := range n.events {
-			fa.applyWP(s, e, report)
-		}
-	}
-	if s := in[g.exit.id]; s != nil {
-		s = s.clone()
-		for i := len(g.deferred) - 1; i >= 0; i-- {
-			fa.applyWP(s, g.deferred[i], report)
 		}
 	}
 }

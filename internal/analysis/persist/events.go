@@ -11,28 +11,19 @@ import (
 	"go/ast"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // extract lowers one expression or statement into events, in source
 // order. Non-deferred FuncLit bodies are skipped here and queued on
 // b.subs for separate analysis.
 //
-// Besides the thread-API and lock events, the walk records:
-//
-//   - evAccess for every selector ending in a tracked field name
-//     (PL008/PL009), with atomic context marked for x.f addressed by a
-//     functional sync/atomic call. Method selections (the Fun of a
-//     call) and the mutex chains of lock calls are not accesses.
-//   - evSeqBegin/evSeqRecheck for seqlock version loads and their
-//     re-check comparisons (PL010).
-//   - evKillVar for identifier rebindings, so facts keyed on a
-//     variable (seqlock sessions, wasted-persist address states) do
-//     not survive its reassignment.
+// Besides the thread-API and lock events, the walk records
+// evSeqBegin/evSeqRecheck for seqlock version loads and their re-check
+// comparisons (PL010), and evKillVar for identifier rebindings, so a
+// seqlock session keyed on a variable does not survive its
+// reassignment.
 func (b *cfgBuilder) extract(root ast.Node) []event {
 	var out []event
-	atomicMark := map[ast.Node]bool{}
-	skipMark := map[ast.Node]bool{}
 	ast.Inspect(root, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
@@ -40,9 +31,6 @@ func (b *cfgBuilder) extract(root ast.Node) []event {
 			return false
 		case *ast.AssignStmt:
 			out = append(out, b.fa.assignEvents(x)...)
-			out = append(out, b.fa.escapeEvents(x)...)
-		case *ast.SendStmt:
-			out = append(out, b.fa.sendEscapeEvents(x)...)
 		case *ast.IncDecStmt:
 			if id, ok := x.X.(*ast.Ident); ok {
 				out = append(out, event{pos: x.Pos(), kind: evKillVar, key: id.Name})
@@ -54,63 +42,17 @@ func (b *cfgBuilder) extract(root ast.Node) []event {
 				out = append(out, event{pos: x.Pos(), kind: evSeqValid, key: v})
 			}
 		case *ast.CallExpr:
-			if fun, ok := x.Fun.(*ast.SelectorExpr); ok {
-				skipMark[fun] = true // method selection, not a field access
-			}
 			if e, ok := b.fa.seqCASEvent(x); ok {
 				out = append(out, e)
 			}
 			if e, ok := b.fa.callEvent(x); ok {
 				out = append(out, e)
-				if e.kind == evLock || e.kind == evUnlock {
-					// tr.inner.mu.Lock(): reading `inner` to reach the
-					// mutex is the guard acquisition itself, not a
-					// judgeable access of the field.
-					ast.Inspect(x.Fun, func(m ast.Node) bool {
-						if s, ok := m.(*ast.SelectorExpr); ok {
-							skipMark[s] = true
-						}
-						return true
-					})
-				}
-			}
-			if fs := b.fa.functionalAtomicField(x); fs != nil {
-				atomicMark[fs] = true
-			}
-		case *ast.SelectorExpr:
-			if skipMark[x] {
-				return true // still descend: the base may contain accesses
-			}
-			if f := x.Sel.Name; b.fa.an.trackedFields[f] {
-				out = append(out, event{
-					pos:          x.Sel.Pos(),
-					kind:         evAccess,
-					accessField:  f,
-					accessOwner:  b.fa.typeOf(x.X),
-					accessAtomic: atomicMark[x],
-				})
 			}
 		}
 		return true
 	})
 	sort.SliceStable(out, func(i, j int) bool { return out[i].pos < out[j].pos })
 	return out
-}
-
-// functionalAtomicField returns the x.f selector addressed by a
-// functional sync/atomic call (atomic.StoreUint64(&x.f, v)), or nil.
-func (fa *funcAnalysis) functionalAtomicField(call *ast.CallExpr) *ast.SelectorExpr {
-	if fa.fi.atomicName == "" || len(call.Args) == 0 {
-		return nil
-	}
-	fun, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !atomicFuncs[fun.Sel.Name] {
-		return nil
-	}
-	if id, ok := fun.X.(*ast.Ident); !ok || id.Name != fa.fi.atomicName {
-		return nil
-	}
-	return atomicArgField(call.Args[0])
 }
 
 // assignEvents lowers one assignment: a kill for every rebound
@@ -218,12 +160,7 @@ func (fa *funcAnalysis) callEvent(call *ast.CallExpr) (event, bool) {
 	if key, method, ok := fa.threadCall(call); ok {
 		e := event{pos: call.Pos(), key: key, method: method}
 		switch method {
-		case "Store":
-			e.kind = evStore
-			if len(call.Args) >= 2 {
-				e.publish = fa.isPublishValue(call.Args[1])
-			}
-		case "WriteRange":
+		case "Store", "WriteRange":
 			e.kind = evStore
 		case "Flush":
 			e.kind = evFlush
@@ -235,18 +172,8 @@ func (fa *funcAnalysis) callEvent(call *ast.CallExpr) (event, bool) {
 			e.kind = evScopePush
 		case "PopScope":
 			e.kind = evScopePop
-		case "Load", "ReadRange":
-			e.kind = evLoad
 		default:
 			return event{}, false
-		}
-		if len(call.Args) >= 1 && (e.kind == evStore || e.kind == evFlush || e.kind == evPersist || e.kind == evLoad) {
-			// Address identity for PL011: only stable renderings qualify —
-			// anything involving a call could name a different address
-			// each time.
-			if r := renderExpr(call.Args[0]); !strings.Contains(r, "(") {
-				e.addrKey = r
-			}
 		}
 		return e, true
 	}
@@ -271,100 +198,4 @@ func (fa *funcAnalysis) callEvent(call *ast.CallExpr) (event, bool) {
 		}
 	}
 	return e, true
-}
-
-// --- PL005 publish detection -------------------------------------------
-
-// isPublishValue reports whether a stored value contains uint64(X)
-// where X is a PM address: writing such a word into PM publishes a
-// pointer that makes other PM data reachable (a next-link, a root, a
-// directory slot). Ordering demands that data be fenced first.
-func (fa *funcAnalysis) isPublishValue(v ast.Expr) bool {
-	found := false
-	ast.Inspect(v, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "uint64" && fa.isAddrExpr(call.Args[0]) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// isAddrType reports whether the type expression denotes pmem.Addr
-// (or Addr inside package pmem). Addr is a value type, never starred.
-func (fi *fileInfo) isAddrType(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		id, ok := x.X.(*ast.Ident)
-		return ok && fi.pmemName != "" && id.Name == fi.pmemName && x.Sel.Name == "Addr"
-	case *ast.Ident:
-		return fi.inPmem && x.Name == "Addr"
-	}
-	return false
-}
-
-// isAddrExpr reports whether e syntactically denotes a pmem.Addr: a
-// known addr identifier or field, a MakeAddr call, an .Add offset on an
-// addr, or an explicit pmem.Addr conversion.
-func (fa *funcAnalysis) isAddrExpr(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return fa.isAddrExpr(x.X)
-	case *ast.Ident:
-		return fa.addrs[x.Name]
-	case *ast.SelectorExpr:
-		return fa.an.addrFields[x.Sel.Name]
-	case *ast.CallExpr:
-		switch f := x.Fun.(type) {
-		case *ast.Ident:
-			if f.Name == "MakeAddr" && fa.fi.inPmem {
-				return true
-			}
-		case *ast.SelectorExpr:
-			if f.Sel.Name == "MakeAddr" {
-				return true
-			}
-			if f.Sel.Name == "Add" && fa.isAddrExpr(f.X) {
-				return true
-			}
-		}
-		if fa.fi.isAddrType(x.Fun) && len(x.Args) == 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// collectAddrVars seeds the addr-identifier set from parameters and
-// from single-value assignments whose right side is an addr expression.
-func (fa *funcAnalysis) collectAddrVars() {
-	fa.addrs = map[string]bool{}
-	for _, fld := range fa.fn.Type.Params.List {
-		if fa.fi.isAddrType(fld.Type) {
-			for _, n := range fld.Names {
-				fa.addrs[n.Name] = true
-			}
-		}
-	}
-	ast.Inspect(fa.fn.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			id, isIdent := as.Lhs[i].(*ast.Ident)
-			if !isIdent || id.Name == "_" {
-				continue
-			}
-			if fa.isAddrExpr(rhs) {
-				fa.addrs[id.Name] = true
-			}
-		}
-		return true
-	})
 }

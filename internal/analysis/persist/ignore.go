@@ -68,46 +68,20 @@ func parseDirectives(fset *token.FileSet, f *ast.File) map[int][]*directive {
 	return out
 }
 
-// guardDecl is one parsed //persistlint:guardedby comment: an explicit
-// declaration that the struct field it annotates is protected by the
-// named lock class. Unlike ignore directives it needs no reason — it
-// states an invariant, not an excuse — and PL009 enforces it on every
-// non-constructor access instead of inferring dominance.
-type guardDecl struct {
-	pos   token.Position
-	class string
-}
-
-// parseFieldDirectives indexes //persistlint:guardedby and
-// //persistlint:seqlock comments by line. They attach to the struct
-// field declared on the same line or the line below (matching how doc
-// comments sit above declarations).
-func parseFieldDirectives(fset *token.FileSet, f *ast.File) (map[int]*guardDecl, map[int]bool) {
-	guards := map[int]*guardDecl{}
+// parseSeqlockDirectives indexes //persistlint:seqlock comments by
+// line. They attach to the struct field declared on the same line or
+// the line below (matching how doc comments sit above declarations).
+func parseSeqlockDirectives(fset *token.FileSet, f *ast.File) map[int]bool {
 	seqs := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			pos := fset.Position(c.Pos())
-			if rest, ok := strings.CutPrefix(text, "persistlint:guardedby"); ok {
-				class, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
-				guards[pos.Line] = &guardDecl{pos: pos, class: class}
-			}
 			if text == "persistlint:seqlock" || strings.HasPrefix(text, "persistlint:seqlock ") {
-				seqs[pos.Line] = true
+				seqs[fset.Position(c.Pos()).Line] = true
 			}
 		}
 	}
-	return guards, seqs
-}
-
-// fieldDirective returns the guardedby declaration attached to a field
-// declared at the given line (same line or the line above).
-func (fi *fileInfo) fieldGuard(line int) *guardDecl {
-	if d := fi.guards[line]; d != nil {
-		return d
-	}
-	return fi.guards[line-1]
+	return seqs
 }
 
 // fieldSeqlock reports whether a //persistlint:seqlock directive

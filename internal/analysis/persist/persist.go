@@ -29,6 +29,10 @@
 //
 // # Rule catalog
 //
+// A rule stays only while a mutant of its own bug class in the kill
+// matrix (internal/torture/mutants_test.go) is killed by that rule and
+// by no test; DESIGN.md ("Scoring the gates") names the rows.
+//
 // PL001 — a Store/WriteRange with a path to return on which no Flush
 // or Persist on the same thread intervenes: the store may never
 // persist. The canonical failing shape is the early return a
@@ -53,38 +57,6 @@
 //	}
 //
 // Fix: fence unconditionally, or use t.Persist(a, 8).
-//
-// PL003 — a Flush/Persist only reachable inside an eADR-only branch.
-// In the eADR persistence domain stores are durable at retirement, so
-// the flush is dead code that suggests a misunderstood mode split:
-//
-//	if mode == pmem.EADR {
-//		t.Flush(a, 8) // PL003: no-op under eADR
-//		t.Fence()
-//	}
-//
-// Fix: invert the condition (flush under ADR), or delete the branch.
-//
-// PL004 — a *pmem.Thread or *obs.Handle crossing a goroutine boundary
-// (captured by a go-closure, passed as a go-call argument, or sent on
-// a channel). Both types are documented single-owner:
-//
-//	go func() { t.Persist(a, 8) }() // PL004: t crosses goroutines
-//
-// Fix: have the goroutine own its handle — pool.NewThread(socket)
-// inside the closure.
-//
-// PL005 — a Store that publishes a PM pointer (a value containing
-// uint64(addr)) while earlier writes on the same thread are not yet
-// fenced: a crash between the publish and the fence recovers a
-// pointer to unpersisted bytes (the split-ordering bug the tree's
-// logless leaf split is built around):
-//
-//	t.Store(newLeaf, img)
-//	t.Store(meta, uint64(newLeaf)) // PL005: newLeaf image unfenced
-//	t.Persist(meta, 8)
-//
-// Fix: t.Persist(newLeaf, 8) before the publish.
 //
 // PL006 — a lock acquire (direct, or one call level deep through a
 // summary) that inverts the declared partial order
@@ -111,35 +83,6 @@
 //
 // Fix: delete the directive. PL007 is itself not suppressible.
 //
-// PL008 — a struct field accessed through the functional sync/atomic
-// API anywhere (atomic.AddUint64(&d.ticks, 1)) and read or written
-// plainly elsewhere: the plain access can observe a torn or stale
-// value on schedules the race detector never sees. Matching is
-// owner-aware — the same field name on an unrelated struct is not
-// indicted — and a plain access provably holding the field's declared
-// guard (the lock-for-writes protocol) or sitting in a constructor is
-// exempt:
-//
-//	atomic.AddUint64(&d.ticks, 1) // writer
-//	...
-//	return d.ticks // PL008: racy plain read of an atomic field
-//
-// Fix: atomic.LoadUint64(&d.ticks), or take the field's guard.
-//
-// PL009 — an access of a lock-guarded field without the guard held.
-// The guard is either declared (//persistlint:guardedby CLASS on the
-// field declaration, enforced on every non-constructor access) or
-// inferred: when at least 4 judged accesses exist and 75%+ of them
-// hold one declared lock class, the outliers holding nothing are the
-// accesses a lock-free refactor would silently race:
-//
-//	r.gcMu.Lock(); r.items = append(r.items, v); r.gcMu.Unlock() // ×3
-//	...
-//	return r.items[0] // PL009: every other access takes gcMu first
-//
-// Fix: take the lock, or declare the real protocol on the field.
-// A guardedby directive naming an unknown class is PL000.
-//
 // PL010 — a seqlock read session violating the protocol: save the
 // version (v := s.seq.Load()), bail when the saved value marks a
 // write in progress, read the data, re-check the version and retry on
@@ -158,21 +101,6 @@
 // caller). Version fields are typed-atomic fields named version/seq,
 // plus //persistlint:seqlock declarations.
 //
-// PL011 — provably wasted persistence work, the inverse of
-// PL001/PL002, as a must-analysis: a Flush of an address not stored to
-// since its last flush on every path, a Persist of an address clean
-// since the last fence, a Fence with nothing to order. Each one is a
-// full XPBuffer round-trip (or pipeline drain) spent on nothing:
-//
-//	t.Store(a, 1)
-//	t.Flush(a, 8)
-//	t.Flush(a, 8) // PL011: the line is provably still clean
-//	t.Fence()
-//
-// Fix: delete the duplicate. Facts die at joins that disagree, at any
-// call, and at any computed address rendering, so a maybe-dirty line
-// is never reported.
-//
 // PL012 — a Thread.PushScope with a path to return and no matching
 // PopScope (defers included): the scope leaks onto the thread's next
 // unrelated work and every later byte it writes is attributed to the
@@ -187,21 +115,6 @@
 // Fix: defer t.PopScope(prev) at the push site (or the one-liner
 // defer t.PopScope(t.PushScope(s))).
 //
-// PL013 — a PM address (or its uint64 image) stored into a heap
-// structure, sent on a channel, or handed to a goroutine while the
-// bytes behind it still carry an unfenced store on the same thread.
-// Whoever receives the address can chase it — through a DRAM cache, a
-// work queue, another goroutine — to data a crash throws away, long
-// after the publishing function returned clean:
-//
-//	t.Store(leaf, img)
-//	cache.slots["k"] = leaf // PL013: leaf's image is not yet fenced
-//	t.Persist(leaf, 8)
-//
-// Fix: t.Persist(leaf, 8) before the address escapes. Plain call
-// arguments do not count as escapes (the callee is analyzed in its
-// own right); container writes, sends, and goroutine hand-offs do.
-//
 // PL014 — a lock-order inversion whose acquire is buried two or more
 // calls deep. PL006 sees direct acquires and one-level summaries;
 // PL014 lifts the same declared order over the whole call graph and
@@ -214,21 +127,6 @@
 //
 // Fix: release before the call, or hoist the deep acquire to the
 // declared order.
-//
-// PL015 — a read reachable from a recovery or optimistic-read entry
-// point of a field some writer publishes before fencing it. The
-// writer-side bug is PL005; PL015 is the reader-side blast radius: the
-// recovery path (any recover* function, or a function marked
-// //persistlint:entrypoint, or a seqlock read session) can chase a
-// durable pointer into unpersisted bytes:
-//
-//	func recoverChain(t *pmem.Thread, a pmem.Addr) {
-//		next := t.Load(a) // PL015: a writer publishes "next" unfenced
-//		...
-//	}
-//
-// Fix: fence before the publish (clears both PL005 and PL015), or
-// re-validate the read against a version after chasing it.
 //
 // Suppression:
 //
@@ -255,54 +153,34 @@ import (
 // Category codes. PL000 and PL007 are reserved for defects in the
 // directives themselves.
 const (
-	CodeBadDirective         = "PL000"
-	CodeStoreNoPersist       = "PL001"
-	CodeFlushNoFence         = "PL002"
-	CodeDeadFlush            = "PL003"
-	CodeThreadEscape         = "PL004"
-	CodePublishBeforePersist = "PL005"
-	CodeLockOrder            = "PL006"
-	CodeStaleIgnore          = "PL007"
-	CodeAtomicMix            = "PL008"
-	CodeGuardedBy            = "PL009"
-	CodeSeqlock              = "PL010"
-	CodeWastedPersist        = "PL011"
-	CodeScopeBalance         = "PL012"
-	CodeEscapeBeforePersist  = "PL013"
-	CodeLockOrderGraph       = "PL014"
-	CodeReadAfterPublish     = "PL015"
+	CodeBadDirective   = "PL000"
+	CodeStoreNoPersist = "PL001"
+	CodeFlushNoFence   = "PL002"
+	CodeLockOrder      = "PL006"
+	CodeStaleIgnore    = "PL007"
+	CodeSeqlock        = "PL010"
+	CodeScopeBalance   = "PL012"
+	CodeLockOrderGraph = "PL014"
 )
 
 // RuleTitles maps every rule code to a one-line description, for SARIF
 // rule metadata and documentation generators.
 func RuleTitles() map[string]string {
 	return map[string]string{
-		CodeBadDirective:         "persistlint directive without a justification",
-		CodeStoreNoPersist:       "PM store with a path to return that never flushes it",
-		CodeFlushNoFence:         "PM flush with a path to return that never fences it",
-		CodeDeadFlush:            "flush/persist under an eADR-only branch is a no-op",
-		CodeThreadEscape:         "single-owner *pmem.Thread/*obs.Handle crosses a goroutine boundary",
-		CodePublishBeforePersist: "PM pointer published while its pointee is unfenced",
-		CodeLockOrder:            "lock acquisition inverts the declared order (direct or one call deep)",
-		CodeStaleIgnore:          "persistlint:ignore directive that suppresses nothing",
-		CodeAtomicMix:            "plain access to a field used with sync/atomic elsewhere",
-		CodeGuardedBy:            "access to a lock-guarded field without its guard held",
-		CodeSeqlock:              "seqlock read session with a path that never re-checks the version",
-		CodeWastedPersist:        "provably redundant flush/fence/persist",
-		CodeScopeBalance:         "PushScope with a path to return that never pops it",
-		CodeEscapeBeforePersist:  "PM address escapes into a heap structure, channel, or goroutine while unfenced",
-		CodeLockOrderGraph:       "lock acquisition inverts the declared order through the whole call graph",
-		CodeReadAfterPublish:     "recovery/optimistic-read path reads a slot some writer publishes before fencing",
+		CodeBadDirective:   "persistlint directive without a justification",
+		CodeStoreNoPersist: "PM store with a path to return that never flushes it",
+		CodeFlushNoFence:   "PM flush with a path to return that never fences it",
+		CodeLockOrder:      "lock acquisition inverts the declared order (direct or one call deep)",
+		CodeStaleIgnore:    "persistlint:ignore directive that suppresses nothing",
+		CodeSeqlock:        "seqlock read session with a path that never re-checks the version",
+		CodeScopeBalance:   "PushScope with a path to return that never pops it",
+		CodeLockOrderGraph: "lock acquisition inverts the declared order through the whole call graph",
 	}
 }
 
 // pmemImportPath identifies the modeled-PM package; any import path
 // with this suffix (plus the package's own files) activates analysis.
 const pmemImportPath = "internal/pmem"
-
-// obsImportPath identifies the observability package, whose *Handle is
-// a second single-owner type PL004 polices.
-const obsImportPath = "internal/obs"
 
 // Finding is one rule violation.
 type Finding struct {
@@ -327,12 +205,8 @@ type Stats struct {
 	CallSCCs           int // strongly connected components in the call graph
 	DischargeSummaries int // declarations with a discharge summary
 	LockSummaries      int // declarations with a transitive lock-acquire summary
-	AtomicFields       int // fields accessed via functional sync/atomic (PL008 domain)
-	GuardedFields      int // fields with a declared or inferred lock guard (PL009)
-	FieldAccesses      int // tracked field accesses collected for PL008/PL009
 	SeqlockReads       int // qualifying seqlock read sessions checked (PL010)
 	ScopeSites         int // PushScope sites checked for balance (PL012)
-	EntryPoints        int // PL015 entry points (recovery, declared, seqlock readers)
 
 	// Findings and FindingsByCode are filled from the findings Run
 	// actually returned, so -stats totals reconcile with emitted
@@ -353,11 +227,6 @@ type Analyzer struct {
 	// anywhere in the analyzed set ("t" in practice): any selector
 	// expression ending in one of these is treated as a thread.
 	threadFields map[string]bool
-	// handleFields is the same for struct fields declared *obs.Handle.
-	handleFields map[string]bool
-	// addrFields is the same for fields declared pmem.Addr (PL005's
-	// notion of "a PM pointer lives here").
-	addrFields map[string]bool
 	// lockOwnerFields maps field names declared with a mu-owning type
 	// ("inner" → "innerTree", "dir" → "chunkDir") for resolving the
 	// ambiguous field name "mu" through a selector chain.
@@ -376,47 +245,13 @@ type Analyzer struct {
 	lockTrans  map[string][]string
 	lockVia    map[string]map[string]string
 
-	// hotPublishes/loadSites/seqFns drive PL015: slots published while
-	// obligations were open, thread Load sites, and functions containing
-	// seqlock read sessions (optimistic-read entry points). Collected
-	// during the rule pass, judged afterwards (readpub.go).
-	hotPublishes map[string][]publishSite
-	loadSites    []loadSite
-	seqFns       map[string]bool
-
 	// structFields maps struct type name → field name → declared type
-	// base name, for resolving the owning struct of a field access.
+	// base name, for resolving the struct type of an expression.
 	structFields map[string]map[string]string
-	// structLocks maps struct type name → classed lock fields it
-	// declares (guard candidates for its sibling fields).
-	structLocks map[string][]string
-	// typedAtomicFields holds bare names of fields declared with a
-	// sync/atomic value type (atomic.Uint64, atomic.Bool, ...): the
-	// type system already forbids plain access, so PL008/PL009 skip
-	// them.
-	typedAtomicFields map[string]bool
-	// atomicFields holds bare names of fields accessed through the
-	// functional sync/atomic API (atomic.LoadUint64(&x.f), ...) —
-	// PL008's domain.
-	atomicFields map[string]bool
 	// seqFields holds names of version-counter fields whose readers
 	// must follow the seqlock protocol (PL010): atomic.Uint32/Uint64
 	// fields named version/seq, plus //persistlint:seqlock declarations.
 	seqFields map[string]bool
-	// guardDecls maps "Type.field" to the lock class declared with
-	// //persistlint:guardedby; guardDeclPos records the declaration
-	// site for error reporting.
-	guardDecls   map[string]string
-	guardDeclPos map[string]token.Pos
-	// trackedFields is the union of field names whose accesses are
-	// collected for PL008/PL009.
-	trackedFields map[string]bool
-	// accesses is every tracked field access with its held-lock
-	// snapshot, in deterministic collection order.
-	accesses []*fieldAccess
-	// inferredGuards maps "Type.field" to the dominant lock class
-	// inferred by PL009 (guardDecls take precedence).
-	inferredGuards map[string]string
 	// scopeSites/seqSites count distinct PL012/PL010 program points for
 	// -stats.
 	scopeSites map[token.Pos]bool
@@ -425,50 +260,28 @@ type Analyzer struct {
 	stats Stats
 }
 
-// fieldAccess is one collected access to a tracked struct field.
-type fieldAccess struct {
-	pos    token.Pos
-	fa     *funcAnalysis
-	field  string // bare field name
-	owner  string // resolved owning struct type name ("" if unresolved)
-	atomic bool   // access went through sync/atomic (functional or typed)
-	held   map[string]bool
-	ctor   bool // access sits in a constructor/init path
-}
-
 type fileInfo struct {
 	path       string
 	dir        string // cleaned slash path of the declaring directory (call-graph pkg id)
 	f          *ast.File
 	pmemName   string            // local import name of internal/pmem ("" if absent)
-	obsName    string            // local import name of internal/obs ("" if absent)
 	atomicName string            // local import name of sync/atomic ("" if absent)
 	inPmem     bool              // file belongs to package pmem itself
-	inObs      bool              // file belongs to package obs itself
 	importPkg  map[string]string // import local name → analyzed package dir (resolveImports)
 	ignores    map[int][]*directive
-	guards     map[int]*guardDecl // //persistlint:guardedby by line
-	seqDecls   map[int]bool       // //persistlint:seqlock by line
+	seqDecls   map[int]bool // //persistlint:seqlock by line
 }
 
 // NewAnalyzer returns an empty analyzer with every rule enabled.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		fset:              token.NewFileSet(),
-		threadFields:      map[string]bool{},
-		handleFields:      map[string]bool{},
-		addrFields:        map[string]bool{},
-		lockOwnerFields:   map[string]string{},
-		structFields:      map[string]map[string]string{},
-		structLocks:       map[string][]string{},
-		typedAtomicFields: map[string]bool{},
-		atomicFields:      map[string]bool{},
-		seqFields:         map[string]bool{},
-		guardDecls:        map[string]string{},
-		guardDeclPos:      map[string]token.Pos{},
-		trackedFields:     map[string]bool{},
-		scopeSites:        map[token.Pos]bool{},
-		seqSites:          map[token.Pos]bool{},
+		fset:            token.NewFileSet(),
+		threadFields:    map[string]bool{},
+		lockOwnerFields: map[string]string{},
+		structFields:    map[string]map[string]string{},
+		seqFields:       map[string]bool{},
+		scopeSites:      map[token.Pos]bool{},
+		seqSites:        map[token.Pos]bool{},
 	}
 }
 
@@ -494,7 +307,6 @@ func (a *Analyzer) AddFile(path string, src []byte) error {
 		dir:    filepath.ToSlash(filepath.Clean(filepath.Dir(path))),
 		f:      f,
 		inPmem: f.Name.Name == "pmem",
-		inObs:  f.Name.Name == "obs",
 	}
 	for _, imp := range f.Imports {
 		p := strings.Trim(imp.Path.Value, `"`)
@@ -503,13 +315,6 @@ func (a *Analyzer) AddFile(path string, src []byte) error {
 				fi.pmemName = imp.Name.Name
 			} else {
 				fi.pmemName = "pmem"
-			}
-		}
-		if p == obsImportPath || strings.HasSuffix(p, "/"+obsImportPath) {
-			if imp.Name != nil {
-				fi.obsName = imp.Name.Name
-			} else {
-				fi.obsName = "obs"
 			}
 		}
 		if p == "sync/atomic" {
@@ -521,7 +326,7 @@ func (a *Analyzer) AddFile(path string, src []byte) error {
 		}
 	}
 	fi.ignores = parseDirectives(a.fset, f)
-	fi.guards, fi.seqDecls = parseFieldDirectives(a.fset, f)
+	fi.seqDecls = parseSeqlockDirectives(a.fset, f)
 	a.files = append(a.files, fi)
 	return nil
 }
@@ -567,20 +372,12 @@ func (a *Analyzer) AddDir(dir string, includeTests bool) error {
 // deterministic order (position, then code, then message).
 func (a *Analyzer) Run() []Finding {
 	a.stats = Stats{Files: len(a.files)}
-	a.accesses = nil
 	a.scopeSites = map[token.Pos]bool{}
 	a.seqSites = map[token.Pos]bool{}
-	a.hotPublishes = map[string][]publishSite{}
-	a.loadSites = nil
-	a.seqFns = map[string]bool{}
 	for _, fi := range a.files {
 		a.collectThreadFields(fi)
 		a.collectStructInfo(fi)
 	}
-	for _, fi := range a.files {
-		a.collectAtomicUses(fi)
-	}
-	a.buildTrackedFields()
 	a.resolveImports()
 	a.buildCallGraph()
 	a.computeSummaries()
@@ -588,14 +385,7 @@ func (a *Analyzer) Run() []Finding {
 	for _, fi := range a.files {
 		out = append(out, a.checkFile(fi)...)
 	}
-	a.inferGuards()
-	out = append(out, a.checkAtomicConsistency()...)
-	out = append(out, a.checkGuardedBy()...)
-	out = append(out, a.checkReadAfterPublish()...)
 	out = append(out, a.checkStaleDirectives()...)
-	a.stats.AtomicFields = len(a.atomicFields)
-	a.stats.FieldAccesses = len(a.accesses)
-	a.stats.GuardedFields = len(a.inferredGuards) + len(a.guardDecls)
 	a.stats.SeqlockReads = len(a.seqSites)
 	a.stats.ScopeSites = len(a.scopeSites)
 	a.stats.Findings = len(out)
@@ -663,25 +453,8 @@ func (fi *fileInfo) isThreadType(e ast.Expr) bool {
 	return false
 }
 
-// isHandleType reports whether the type expression denotes
-// *obs.Handle (or *Handle inside package obs).
-func (fi *fileInfo) isHandleType(e ast.Expr) bool {
-	st, ok := e.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	switch x := st.X.(type) {
-	case *ast.SelectorExpr:
-		id, ok := x.X.(*ast.Ident)
-		return ok && fi.obsName != "" && id.Name == fi.obsName && x.Sel.Name == "Handle"
-	case *ast.Ident:
-		return fi.inObs && x.Name == "Handle"
-	}
-	return false
-}
-
 // collectThreadFields records struct field names declared
-// *pmem.Thread, *obs.Handle, pmem.Addr, or a mu-owning lock type.
+// *pmem.Thread or a mu-owning lock type.
 func (a *Analyzer) collectThreadFields(fi *fileInfo) {
 	ast.Inspect(fi.f, func(n ast.Node) bool {
 		st, ok := n.(*ast.StructType)
@@ -693,14 +466,6 @@ func (a *Analyzer) collectThreadFields(fi *fileInfo) {
 			case fi.isThreadType(fld.Type):
 				for _, name := range fld.Names {
 					a.threadFields[name.Name] = true
-				}
-			case fi.isHandleType(fld.Type):
-				for _, name := range fld.Names {
-					a.handleFields[name.Name] = true
-				}
-			case fi.isAddrType(fld.Type):
-				for _, name := range fld.Names {
-					a.addrFields[name.Name] = true
 				}
 			default:
 				if base := typeBaseName(fld.Type); muOwnerClass[base] != "" {
@@ -748,7 +513,7 @@ func (a *Analyzer) checkFile(fi *fileInfo) []Finding {
 
 // funcAnalysis is the per-function state shared by the rules. For a
 // function literal it shares the declaration's environment (threads,
-// addrs, lock owners) extended with the literal's own parameters.
+// lock owners, types) extended with the literal's own parameters.
 type funcAnalysis struct {
 	an    *Analyzer
 	fi    *fileInfo
@@ -758,11 +523,8 @@ type funcAnalysis struct {
 	fname string         // display name, e.g. "(*Worker).upsert.func1"
 
 	threads  map[string]bool   // identifiers known to hold *pmem.Thread
-	handles  map[string]bool   // identifiers known to hold *obs.Handle
-	addrs    map[string]bool   // identifiers known to hold pmem.Addr
 	muOwners map[string]string // identifiers whose type owns a "mu" field → class
 	varTypes map[string]string // identifiers with a resolvable struct type base name
-	ctor     bool              // body is a constructor/init path (PL008/PL009 exempt)
 
 	// seqQualified marks seqlock-session keys whose missing re-check is
 	// reportable (PL010), set by checkSeqlock before the dataflow runs.
@@ -771,7 +533,7 @@ type funcAnalysis struct {
 
 // newFuncAnalysis builds the analysis state for one declared function.
 func newFuncAnalysis(a *Analyzer, fi *fileInfo, fd *ast.FuncDecl) *funcAnalysis {
-	fa := &funcAnalysis{an: a, fi: fi, fn: fd, body: fd.Body, threads: map[string]bool{}, handles: map[string]bool{}}
+	fa := &funcAnalysis{an: a, fi: fi, fn: fd, body: fd.Body, threads: map[string]bool{}}
 	if a.cg != nil {
 		fa.node = a.cg.byDecl[fd]
 	}
@@ -781,30 +543,9 @@ func newFuncAnalysis(a *Analyzer, fi *fileInfo, fd *ast.FuncDecl) *funcAnalysis 
 		fa.fname = "(" + renderExpr(fd.Recv.List[0].Type) + ")." + fd.Name.Name
 	}
 	fa.collectThreadVars()
-	fa.collectAddrVars()
 	fa.collectLockOwnerTypes()
 	fa.collectVarTypes()
-	fa.ctor = isCtorName(fa.fname)
 	return fa
-}
-
-// isCtorName reports whether the function name denotes a constructor
-// or init path: struct fields are routinely filled before the value is
-// published, so guard rules do not apply there.
-func isCtorName(fname string) bool {
-	name := fname
-	if i := strings.LastIndex(name, ")."); i >= 0 {
-		name = name[i+2:]
-	}
-	if i := strings.Index(name, "."); i >= 0 {
-		name = name[:i] // closures inherit the declaring function's role
-	}
-	for _, p := range []string{"new", "New", "open", "Open", "init", "Init", "make", "Make"} {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // forLit derives the analysis state for the idx-th function literal of
@@ -815,25 +556,14 @@ func (fa *funcAnalysis) forLit(lit *ast.FuncLit, idx int) *funcAnalysis {
 		body:     lit.Body,
 		fname:    fmt.Sprintf("%s.func%d", fa.fname, idx+1),
 		threads:  copyBoolMap(fa.threads),
-		handles:  copyBoolMap(fa.handles),
-		addrs:    copyBoolMap(fa.addrs),
 		muOwners: copyStringMap(fa.muOwners),
 		varTypes: copyStringMap(fa.varTypes),
-		ctor:     fa.ctor,
 	}
 	for _, fld := range lit.Type.Params.List {
 		switch {
 		case fa.fi.isThreadType(fld.Type):
 			for _, n := range fld.Names {
 				sub.threads[n.Name] = true
-			}
-		case fa.fi.isHandleType(fld.Type):
-			for _, n := range fld.Names {
-				sub.handles[n.Name] = true
-			}
-		case fa.fi.isAddrType(fld.Type):
-			for _, n := range fld.Names {
-				sub.addrs[n.Name] = true
 			}
 		default:
 			if cls, ok := muOwnerClass[typeBaseName(fld.Type)]; ok {
@@ -880,11 +610,6 @@ func (fa *funcAnalysis) collectThreadVars() {
 				fa.threads[n.Name] = true
 			}
 		}
-		if fa.fi.isHandleType(fld.Type) {
-			for _, n := range fld.Names {
-				fa.handles[n.Name] = true
-			}
-		}
 	}
 	if fa.fn.Recv != nil {
 		for _, fld := range fa.fn.Recv.List {
@@ -907,8 +632,6 @@ func (fa *funcAnalysis) collectThreadVars() {
 			}
 			if fa.isThreadExpr(rhs) {
 				fa.threads[id.Name] = true
-			} else if fa.isHandleExpr(rhs) {
-				fa.handles[id.Name] = true
 			}
 		}
 		return true
@@ -934,30 +657,6 @@ func (fa *funcAnalysis) isThreadExpr(e ast.Expr) bool {
 			if sel.Sel.Name == "Thread" && len(x.Args) == 0 {
 				return true
 			}
-		}
-	}
-	return false
-}
-
-// isHandleExpr reports whether e syntactically denotes an *obs.Handle:
-// a known handle identifier, a selector ending in a known handle field,
-// or a NewHandle call. The call heuristic only applies in files that
-// import internal/obs (index.Index also has a NewHandle method; files
-// using only that interface are not confused).
-func (fa *funcAnalysis) isHandleExpr(e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return fa.isHandleExpr(x.X)
-	case *ast.Ident:
-		return fa.handles[x.Name]
-	case *ast.SelectorExpr:
-		return fa.an.handleFields[x.Sel.Name]
-	case *ast.CallExpr:
-		if fa.fi.obsName == "" && !fa.fi.inObs {
-			return false
-		}
-		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewHandle" {
-			return true
 		}
 	}
 	return false

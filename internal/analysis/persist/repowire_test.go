@@ -16,7 +16,7 @@ import (
 // discharge of the foreground append is checked on the path users
 // actually run. The discharge itself is exercised by the corpus; this
 // test guards the real-repo names against silent resolution regressions
-// — an unresolved edge would quietly demote PL001/PL002/PL013 checking
+// — an unresolved edge would quietly demote PL001/PL002 checking
 // of every writer to the bare-name merge, and the write path must stay
 // free of those findings.
 func TestRepoBatchPathWiring(t *testing.T) {
@@ -71,7 +71,7 @@ func TestRepoBatchPathWiring(t *testing.T) {
 	for _, f := range findings {
 		if strings.HasSuffix(f.Pos.Filename, "wal/wal.go") || strings.HasSuffix(f.Pos.Filename, "core/batch.go") {
 			switch f.Code {
-			case CodeStoreNoPersist, CodeFlushNoFence, CodeEscapeBeforePersist:
+			case CodeStoreNoPersist, CodeFlushNoFence:
 				t.Errorf("batch path regressed: %s", f)
 			}
 		}

@@ -90,9 +90,6 @@ func (fa *funcAnalysis) checkSeqlock(emit func(code string, pos token.Pos, msg s
 
 	for _, ss := range sessions {
 		fa.an.seqSites[ss.pos] = true
-		if k := fa.nodeKey(); k != "" {
-			fa.an.seqFns[k] = true // optimistic-read entry point for PL015
-		}
 		key := ss.base + "|" + ss.v
 		switch {
 		case returned[ss.v]:

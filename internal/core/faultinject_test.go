@@ -178,6 +178,55 @@ func TestCrashHeaderDrainsBeforeData(t *testing.T) {
 	}
 }
 
+// TestCrashSplitLeavesBeforeMeta pins the split's order: the new right
+// leaves are durable before the splitting leaf's meta word points at
+// them. Power fails at the meta persist of the head leaf's first split,
+// after the meta line has reached media; every acknowledged write must
+// survive recovery.
+func TestCrashSplitLeavesBeforeMeta(t *testing.T) {
+	pool := newTestPool(nil)
+	opts := Options{GC: GCOff, ChunkBytes: 16 << 10}
+	tr, err := New(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tr.NewWorker(0)
+	leaf := tr.head.leaf
+	hdrLine := leaf.Offset() / pmem.CachelineSize
+	pool.FailWhen(func(fp pmem.FaultPoint) bool {
+		return fp.Scope == pmem.ScopeSplit && fp.Socket == leaf.Socket() && fp.Line == hdrLine
+	})
+	acked := map[uint64]uint64{}
+	for k := uint64(1); k <= 4*LeafSlots; k++ {
+		if pmem.Survive(func() { err = w.Upsert(k, 10*k) }) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked[k] = 10 * k
+	}
+	if !pool.FaultFired() {
+		t.Fatal("the head leaf never split")
+	}
+	tr.Freeze()
+	pool.FailWhen(nil)
+	pool.NewThread(leaf.Socket()).Persist(leaf, pmleaf.HeaderBytes)
+	pool.Crash()
+
+	tr2, _, err := Open(pool, opts, 1)
+	if err != nil {
+		t.Fatalf("recovery rejected the image: %v", err)
+	}
+	defer tr2.Freeze()
+	w2 := tr2.NewWorker(0)
+	for k, want := range acked {
+		if v, ok := w2.Lookup(k); !ok || v != want {
+			t.Fatalf("acknowledged key %d recovered as %d,%v, want %d", k, v, ok, want)
+		}
+	}
+}
+
 // runCrashPoint runs d's workload on a fresh tree with power failing at
 // the point-th flush from here (0: never), then recovers and checks the
 // contract above. It returns the number of flushes the run issued.

@@ -7,14 +7,17 @@ import (
 	"testing"
 
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
 )
 
 // TestCrashInsideRecovery cuts power at recovery's own flushes: leaf
 // unlinks, replay batches, splits and the chunk-directory reset. The
 // crash image (500 inserts, then 250 updates, every write acknowledged)
 // is built once per configuration and loaded into a fresh pool per
-// crash point; -short takes 8 strided points on one thread. Each point arms the fault at the k-th flush of
-// Open, crashes when Open carries the power failure back, reopens, and
+// crash point; one image also carries an empty leaf behind the head, so
+// that recovery's unlink persist is crashed too. -short takes 8
+// strided points on one thread. Each point arms the fault at the k-th
+// flush of Open, crashes when Open carries the power failure back, reopens, and
 // requires every acknowledged write. Replaying record by record fails
 // here: a leaf stamped by the first of its records gates the rest out
 // of the next recovery as stale.
@@ -23,40 +26,45 @@ func TestCrashInsideRecovery(t *testing.T) {
 	if testing.Short() {
 		threadCounts, points = []int{1}, 8
 	}
-	for _, varKV := range []bool{false, true} {
-		for _, gc := range []bool{false, true} {
-			name := fmt.Sprintf("var=%v/gc=%v", varKV, gc)
-			t.Run(name, func(t *testing.T) {
-				img, check := recoveryCrashImage(t, varKV, gc)
-				for _, threads := range threadCounts {
-					pool := img.load(t)
-					base := pool.FlushCalls()
-					tr, _, err := Open(pool, Options{}, threads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if msg := check(tr); msg != "" {
-						t.Fatalf("uninterrupted recovery: %s", msg)
-					}
-					flushes := pool.FlushCalls() - base
-					t.Logf("%d threads: %d recovery flushes", threads, flushes)
-					stride := int64(1)
-					if points > 0 && flushes > points {
-						stride = flushes / points
-					}
-					var lost []string
-					for k := int64(1); k <= flushes; k += stride {
-						if msg := crashOpenAt(t, img.load(t), threads, k, check); msg != "" {
-							lost = append(lost, fmt.Sprintf("flush %d: %s", k, msg))
-						}
-					}
-					if len(lost) > 0 {
-						t.Errorf("%d threads: %d of %d crash points lost acknowledged writes; first: %s",
-							threads, len(lost), (flushes+stride-1)/stride, lost[0])
+	cases := []struct{ varKV, gc, emptyLeaf bool }{
+		{false, false, false}, {false, true, false}, {true, false, false}, {true, true, false},
+		{false, false, true},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("var=%v/gc=%v", c.varKV, c.gc)
+		if c.emptyLeaf {
+			name = "empty-leaf"
+		}
+		t.Run(name, func(t *testing.T) {
+			img, check := recoveryCrashImage(t, c.varKV, c.gc, c.emptyLeaf)
+			for _, threads := range threadCounts {
+				pool := img.load(t)
+				base := pool.FlushCalls()
+				tr, _, err := Open(pool, Options{}, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if msg := check(tr); msg != "" {
+					t.Fatalf("uninterrupted recovery: %s", msg)
+				}
+				flushes := pool.FlushCalls() - base
+				t.Logf("%d threads: %d recovery flushes", threads, flushes)
+				stride := int64(1)
+				if points > 0 && flushes > points {
+					stride = flushes / points
+				}
+				var lost []string
+				for k := int64(1); k <= flushes; k += stride {
+					if msg := crashOpenAt(t, img.load(t), threads, k, check); msg != "" {
+						lost = append(lost, fmt.Sprintf("flush %d: %s", k, msg))
 					}
 				}
-			})
-		}
+				if len(lost) > 0 {
+					t.Errorf("%d threads: %d of %d crash points lost acknowledged writes; first: %s",
+						threads, len(lost), (flushes+stride-1)/stride, lost[0])
+				}
+			}
+		})
 	}
 }
 
@@ -84,6 +92,26 @@ func crashOpenAt(t *testing.T, pool *pmem.Pool, threads int, k int64, check func
 	return check(tr)
 }
 
+// linkEmptyLeaf links a fresh empty leaf behind the head leaf, so the
+// image carries the shape recovery's leaf walk unlinks (one persisted
+// meta word on the predecessor) before it replays the log.
+func linkEmptyLeaf(t *testing.T, tr *Tree) {
+	t.Helper()
+	th := tr.pool.NewThread(0)
+	var head pmleaf.Image
+	head.Read(th, pmem.Addr(th.Load(tr.sbAddr().Add(8))))
+	e, err := tr.newLeaf(th, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := pmleaf.Image{Addr: e}
+	empty.SetMeta(pmleaf.PackMeta(0, head.Next()))
+	pmleaf.WriteWhole(th, &empty)
+	head.SetMeta(pmleaf.PackMeta(head.Bitmap(), e))
+	th.Store(pmleaf.MetaAddr(head.Addr), head.Meta())
+	th.Persist(pmleaf.MetaAddr(head.Addr), pmem.WordSize)
+}
+
 // crashImage is a saved persistent image, one buffer per socket.
 type crashImage [][]byte
 
@@ -106,7 +134,7 @@ func newRecoveryCrashPool() *pmem.Pool {
 // followed by one locality-GC round, crashes, and returns the saved
 // image with a check that reports the first acknowledged write a
 // recovered tree lost ("" when none).
-func recoveryCrashImage(t *testing.T, varKV, gc bool) (crashImage, func(*Tree) string) {
+func recoveryCrashImage(t *testing.T, varKV, gc, emptyLeaf bool) (crashImage, func(*Tree) string) {
 	t.Helper()
 	pool := newRecoveryCrashPool()
 	opts := Options{VarKV: varKV, ChunkBytes: 16 << 10, GC: GCOff}
@@ -144,6 +172,9 @@ func recoveryCrashImage(t *testing.T, varKV, gc bool) (crashImage, func(*Tree) s
 		tr.ForceGC()
 	}
 	tr.Freeze()
+	if emptyLeaf {
+		linkEmptyLeaf(t, tr)
+	}
 	pool.Crash()
 	img := make(crashImage, pool.Sockets())
 	for s := range img {

@@ -72,7 +72,7 @@ func TestCountersAggregateAcrossHandles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				//persistlint:ignore PL004 a fresh handle is created per iteration; ownership transfers to the goroutine
+				// A fresh handle is created per iteration; ownership transfers to the goroutine.
 				h.Add(ops, 1)
 			}
 		}()

@@ -21,7 +21,7 @@ func TestDoubleFlushSameLine(t *testing.T) {
 	a := MakeAddr(0, 4096)
 	th.Store(a, 7)
 	th.Flush(a, 8)
-	//persistlint:ignore PL011 the redundant flush is the behavior under test (dirty-count bookkeeping)
+	// The redundant flush is the behavior under test (dirty-count bookkeeping).
 	th.Flush(a, 8) // same line, still dirty: second pending entry
 	th.Fence()
 	d := p.devs[0]

@@ -61,7 +61,8 @@ func TestStrictNonStrictUnaffected(t *testing.T) {
 	p.Close()    // no-op
 }
 
-//persistlint:ignore PL004 cross-goroutine misuse is the subject under test; strict mode polices it at runtime
+// TestStrictConcurrentUsePanics misuses a thread across goroutines:
+// strict mode polices that at runtime.
 func TestStrictConcurrentUsePanics(t *testing.T) {
 	p := strictPool(t)
 	th := p.NewThread(0)

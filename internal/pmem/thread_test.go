@@ -1,6 +1,9 @@
 package pmem
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestWriteRangeSpansLines(t *testing.T) {
 	p := testPool(t, nil)
@@ -138,5 +141,40 @@ func TestReadRangeChargesPerXPLine(t *testing.T) {
 	rd.ReadRange(MakeAddr(0, 0), dst)
 	if s := p.Stats(); s.MediaReadBytes != XPLineSize {
 		t.Fatalf("whole-leaf read cost %d media bytes, want one XPLine", s.MediaReadBytes)
+	}
+}
+
+// TestConcurrentLoadStoreSameWord has one thread store a word while
+// another loads it. Device words are shared by every thread of the
+// pool, so each access is atomic; under -race a plain access on either
+// side is reported. The loader caches the line before the storer
+// starts and yields between loads, so on every schedule some load runs
+// between stores it is not ordered with.
+func TestConcurrentLoadStoreSameWord(t *testing.T) {
+	p := testPool(t, nil)
+	a := MakeAddr(0, 4096)
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		<-started
+		th := p.NewThread(0)
+		for i := uint64(1); i <= 1000; i++ {
+			th.Store(a, i)
+		}
+		th.Persist(a, WordSize)
+	}()
+	th := p.NewThread(0)
+	th.Load(a)
+	close(started)
+	for {
+		if v := th.Load(a); v > 1000 {
+			t.Fatalf("loaded %d, never stored", v)
+		}
+		select {
+		case <-done:
+			return
+		default:
+			runtime.Gosched()
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"runtime"
 	"testing"
 
 	"cclbtree/internal/pmalloc"
@@ -259,5 +260,76 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(5000, appendOne); avg != 0 {
 		t.Fatalf("Append allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestAppendErrorFencesPrefix runs a group out of chunks halfway: the
+// records laid down before AcquireChunk failed must be durable when
+// AppendBatch returns its error, so a crash right after keeps them.
+func TestAppendErrorFencesPrefix(t *testing.T) {
+	pool := pmem.NewPool(pmem.Config{Sockets: 1, DIMMsPerSocket: 1, DeviceBytes: 1 << 20, StrictPersist: true})
+	alloc := pmalloc.New(pool)
+	m := NewManager(alloc, 256) // 10 records per chunk
+	th := pool.NewThread(0)
+	l := NewLog(m, 0)
+	if _, err := l.Append(th, Entry{Key: 1, Value: 1, Timestamp: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := alloc.Alloc(0, 256); err != nil {
+			break
+		}
+	}
+	var group []Entry
+	for i := uint64(2); i <= 20; i++ {
+		group = append(group, Entry{Key: i, Value: i, Timestamp: i})
+	}
+	if err := l.AppendBatch(th, group); err == nil {
+		t.Fatal("AppendBatch past the last chunk succeeded")
+	}
+	pool.Crash()
+	got := l.Entries(pool.NewThread(0))
+	if len(got) != 10 {
+		t.Fatalf("after crash %d records, want the 10 that fit the chunk", len(got))
+	}
+	for i, e := range got {
+		if e.Key != uint64(i+1) {
+			t.Fatalf("record %d = %+v", i, e)
+		}
+	}
+}
+
+// TestAppendConcurrentWithLogReads appends to one log while another
+// goroutine reads its size and tail state, as the GC trigger and a GC
+// round's reclaim do: the tail and chunk list are guarded by the log's
+// lock on both sides, and -race reports an unguarded one.
+func TestAppendConcurrentWithLogReads(t *testing.T) {
+	pool, m := testSetup(t, 256)
+	l := NewLog(m, 0)
+	done := make(chan error, 1)
+	go func() {
+		th := pool.NewThread(0)
+		for i := uint64(1); i <= 200; i++ {
+			if _, err := l.Append(th, Entry{Key: i, Timestamp: i}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		if b, c := l.Bytes(), l.ChunkBytes(); b > c {
+			t.Fatalf("log holds %d record bytes in %d chunk bytes", b, c)
+		}
+		_ = l.TailFull()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+			runtime.Gosched()
+		}
 	}
 }

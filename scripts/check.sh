@@ -16,8 +16,8 @@ fi
 
 go build ./...
 go vet ./...
-# All rules (PL001–PL015, whole-program layer included) over every
-# package, test files included, with a wall-clock budget so analyzer
+# Every rule (PL000–PL002, PL006, PL007, PL010, PL012, PL014,
+# whole-program layer included) over every package, test files included, with a wall-clock budget so analyzer
 # regressions surface as CI failures rather than slow drift (a cold
 # whole-repo run is ~0.4 s). Built as a binary once: `go run` would
 # charge compile time against the budget. The run also emits the SARIF
@@ -27,7 +27,7 @@ go build -o "$lintdir/persistlint" ./cmd/persistlint
 "$lintdir/persistlint" -tests -stats -budget 3s \
     -sarif "$lintdir/persistlint.sarif" ./...
 grep -q '"version": "2.1.0"' "$lintdir/persistlint.sarif"
-grep -q '"id": "PL015"' "$lintdir/persistlint.sarif"
+grep -q '"id": "PL014"' "$lintdir/persistlint.sarif"
 
 # Self-lint: the golden corpus must parse and yield findings (exit 1 —
 # exit 2 would mean a corpus file stopped parsing, exit 0 that the
@@ -77,11 +77,13 @@ go test -race -run TestTortureShort ./internal/torture
 # (benchmark/run.sh -compare), both sides re-measured.
 go test -race -run 'TestPublicBatch|TestPublicRange' .
 
-# The kill matrix: every named source mutant against persistlint, its
-# package's tests and the torture oracles (internal/torture/
-# mutants_test.go). It prints one MUTANT line per cell; grep proves the
-# matrix ran rather than silently skipping.
-mutants=$(go test -count=1 -run TestMutants -v ./internal/torture)
+# The kill matrix: every named and generated source mutant against
+# persistlint, its package's tests, the torture oracles, the race
+# detector and the goldens (internal/torture/mutants_test.go). Only a
+# run that names TestMutants scores every row (13–15 min on two cores);
+# `go test ./...` scores one. It prints one MUTANT line per cell; grep
+# proves the matrix ran rather than silently skipping.
+mutants=$(go test -count=1 -timeout 60m -run TestMutants -v ./internal/torture)
 echo "$mutants" | grep MUTANT
 
 # Observability-tier gates. First the profiler overhead budget: the
