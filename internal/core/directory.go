@@ -32,7 +32,10 @@ type Directory interface {
 	Search(w *Worker, n *Node, key uint64, fp byte) (uint64, bool)
 	// Build lays out an empty index when rb is nil and returns the
 	// superblock's root word; given an image's root and rb, it rebuilds
-	// the nodes, reporting every line it reaches through rb.Line.
+	// the nodes, reporting every line it reaches, with the stamp it
+	// read there, through rb.Line. It runs beside the log scan and
+	// must not write a stamp: replay gates a node's records by the
+	// stamp reported for its line.
 	Build(tr *Tree, t *pmem.Thread, root pmem.Addr, rb *Rebuild) (pmem.Addr, error)
 }
 
@@ -84,15 +87,20 @@ type Rebuild struct {
 	t       *pmem.Thread
 	maxEnd  []uint64
 	maxTick uint64
-	st      *RecoveryStats
+	// stamps holds the stamp the walk read on every line it reached;
+	// recovery gates each record against its node's line from here
+	// instead of reading the stamp from PM again.
+	stamps map[pmem.Addr]uint64
+	st     *RecoveryStats
 }
 
 // Line records a line the directory reached and the stamp on it: the
 // allocator resumes above every reachable line, the clock above every
-// stamp.
+// stamp, and replay gates the line's records by the stamp.
 func (rb *Rebuild) Line(a pmem.Addr, ts uint64) {
 	rb.track(a, LeafBytes)
 	rb.maxTick = max(rb.maxTick, ts)
+	rb.stamps[a] = ts
 }
 
 func (rb *Rebuild) track(a pmem.Addr, size int64) {

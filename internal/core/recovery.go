@@ -6,7 +6,6 @@ import (
 
 	"cclbtree/internal/obs"
 	"cclbtree/internal/pmem"
-	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
 )
 
@@ -22,8 +21,10 @@ type RecoveryStats struct {
 	// chunks that slipped past the WAL check code, or plain corruption.
 	EntriesDropped       int
 	EmptyLeavesReclaimed int
-	// VirtualNS is the modeled recovery time: the sequential leaf-list
-	// walk plus the slowest parallel replay worker.
+	// VirtualNS is the modeled recovery time on one timeline that starts
+	// at zero when the pool restarts: the end of the last phase (replay),
+	// whose threads started where the routing phase ended, which started
+	// where the overlapped leaf walk and log scan ended.
 	VirtualNS int64
 }
 
@@ -32,7 +33,8 @@ type RecoveryStats struct {
 // It implements the §3.3 failure recovery: rebuild the DRAM inner and
 // buffer layers by walking the persistent leaf list, then replay WAL
 // entries newer than their leaf's timestamp. threads sets the
-// parallelism of the scan and replay phases.
+// parallelism: one thread walks the leaf list while the others scan the
+// log, then all of them route and replay.
 //
 // Deviation from §3.3 step 3: the paper resets leaf timestamps after
 // replay because real rdtsc restarts at reboot, which would leave old
@@ -115,11 +117,10 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// any stale record left on a recycled chunk — a fully intact entry
 	// from before the crash — would outrank every post-recovery append
 	// at the NEXT crash, resurrecting overwritten values.
-	rb := &Rebuild{tr: tr, t: t0, maxEnd: make([]uint64, pool.Sockets()), st: st}
+	rb := &Rebuild{tr: tr, t: t0, maxEnd: make([]uint64, pool.Sockets()),
+		stamps: map[pmem.Addr]uint64{}, st: st}
 	rb.track(dirAddr, int64(dirSlots*pmem.WordSize))
 
-	// Phase 1 (sequential): the directory rebuilds the buffer nodes and
-	// the DRAM chain from the image.
 	chunks := readChunkDir(t0, dirAddr, dirSlots)
 	for _, c := range chunks {
 		if !pool.ValidRange(c, int64(chunkBytes)) || c.Offset()%pmem.XPLineSize != 0 {
@@ -128,7 +129,45 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		rb.track(c, int64(chunkBytes))
 	}
 	st.ChunksScanned = len(chunks)
-	if _, err := tr.index.Build(tr, t0, headLeaf, rb); err != nil {
+
+	// Recovery runs on one timeline that starts when the pool restarts:
+	// t0 starts at zero, and every phase's threads start where the
+	// previous phase ended. A pinned shard keeps even its recovery
+	// threads on the home socket (the whole point of the placement); a
+	// whole-device tree spreads them across sockets.
+	recoverySocket := func(i int) int {
+		if opts.ArenaCount > 1 {
+			return home
+		}
+		return i % pool.Sockets()
+	}
+	scanThreads := make([]*pmem.Thread, threads)
+	scanThreads[0] = t0
+	for i := 1; i < threads; i++ {
+		scanThreads[i] = pool.NewThread(recoverySocket(i))
+		scanThreads[i].PushScope(pmem.ScopeRecovery)
+	}
+	syncClocks(scanThreads, t0.Now())
+
+	// Phase 1: t0 walks the image, the directory rebuilding the buffer
+	// nodes and the DRAM chain, while the other threads scan equal record
+	// ranges of the live chunks. A lone thread walks, then scans. The walk
+	// reports every line's stamp to rb, and nothing writes a stamp before
+	// the candidates are routed against them below: the walk's only
+	// write, an unlink, touches the predecessor's meta word.
+	parts := max(threads-1, 1)
+	entryLists := make([][]wal.Entry, parts)
+	err = pmem.Parallel(threads, func(i int) error {
+		if i == 0 {
+			if _, err := tr.index.Build(tr, t0, headLeaf, rb); err != nil || threads > 1 {
+				return err
+			}
+		}
+		part := max(i-1, 0)
+		entryLists[part] = wal.ReadEntryPart(scanThreads[i], chunks, chunkBytes, part, parts)
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 	chainPos := map[*bufferNode]int{}
@@ -137,37 +176,8 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	}
 	st.Leaves = int64(len(chainPos))
 
-	// Phase 2: scan all live chunks (parallel over chunks), dedup
-	// entries to the newest version per logical key, and decide replay
-	// vs stale by comparing with the pre-crash leaf timestamps
-	// (parallel over entries). No writes happen here, so the timestamp
-	// comparisons are stable even though later replay may split leaves.
-	// A pinned shard keeps even its recovery threads on the home socket
-	// (the whole point of the placement); a whole-device tree spreads
-	// them across sockets as before.
-	recoverySocket := func(i int) int {
-		if opts.ArenaCount > 1 {
-			return home
-		}
-		return i % pool.Sockets()
-	}
-	scanThreads := make([]*pmem.Thread, threads)
-	for i := range scanThreads {
-		scanThreads[i] = pool.NewThread(recoverySocket(i))
-		scanThreads[i].PushScope(pmem.ScopeRecovery)
-	}
-	entryLists := make([][]wal.Entry, threads)
-	err = pmem.Parallel(threads, func(i int) error {
-		for j := i; j < len(chunks); j += threads {
-			entryLists[i] = append(entryLists[i],
-				wal.ReadEntriesInChunks(scanThreads[i], []pmem.Addr{chunks[j]}, chunkBytes)...)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
+	// Dedup the scanned entries to the newest version per logical key
+	// (sequential, once every scanner is done).
 	type pending struct {
 		kv KV
 		ts uint64
@@ -183,6 +193,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		return hashKeyBytes(readBlob(t0, kw))
 	}
 	sameKey := func(a, b uint64) bool { return tr.compare(t0, a, b) == 0 }
+	t0.SyncClock(endClock(scanThreads))
 	for _, lst := range entryLists {
 		for _, e := range lst {
 			st.EntriesSeen++
@@ -217,16 +228,18 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// boundary, so post-recovery ticks are *definitely* after pre-crash
 	// ones) before the replay workers start stamping.
 	tr.clock.AdvanceTo(rb.maxTick + defaultOrdo)
-	// Route each candidate and compare with its line's pre-crash
-	// timestamp, in parallel (read-only). A survivor keeps the node it
-	// routed to; a stale record keeps nil.
+	// Phase 2: route each candidate and compare with its line's pre-crash
+	// stamp as the walk read it (a DRAM lookup), in parallel. A survivor
+	// keeps the node it routed to; a stale record keeps nil.
 	route := make([]*bufferNode, len(candidates))
+	syncClocks(scanThreads, t0.Now())
 	err = pmem.Parallel(threads, func(i int) error {
 		t := scanThreads[i]
 		for j := i; j < len(candidates); j += threads {
 			p := candidates[j]
 			n := tr.index.Find(t, p.kv.Key)
-			leafTS := t.Load(pmleaf.TSAddr(n.leaf))
+			leafTS := rb.stamps[n.leaf]
+			t.Advance(t.CostDRAM())
 			if p.ts > leafTS {
 				route[j] = n
 			}
@@ -265,8 +278,10 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// Splits during replay only mint nodes inside the splitting group's
 	// own range, so every group's first key still routes to its node.
 	workers := make([]*Worker, threads)
+	routed := endClock(scanThreads)
 	for i := range workers {
 		workers[i] = tr.NewWorker(recoverySocket(i))
+		workers[i].t.SyncClock(routed)
 		// Replay traffic (leaf flushes, splits, log re-appends) is
 		// recovery-caused; wal.Append still claims its own bytes.
 		//persistlint:ignore PL012 replay workers live only for phase 3; their threads die scoped
@@ -297,21 +312,32 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	tr.walman.OnRelease = tr.dir.unregister
 	tr.walman.AdoptChunks(chunks)
 
-	var maxWorker int64
 	for _, w := range workers {
 		// Recovery is over; the workers stay registered (their logs are
 		// reclaimed in later GC rounds) and must not keep attributing.
 		w.t.PopScope(pmem.ScopeNone)
-		maxWorker = max(maxWorker, w.t.Now())
+		st.VirtualNS = max(st.VirtualNS, w.t.Now())
 	}
-	var maxScan int64
-	for _, t := range scanThreads {
-		maxScan = max(maxScan, t.Now())
-	}
-	st.VirtualNS = t0.Now() + maxScan + maxWorker
 	tr.tracer.Emit(obs.EvRecovery, 0, st.VirtualNS,
 		uint64(st.EntriesReplayed), uint64(st.EntriesStale))
 	return tr, st, nil
+}
+
+// syncClocks starts every thread of a phase at v, where the previous
+// phase ended.
+func syncClocks(ts []*pmem.Thread, v int64) {
+	for _, t := range ts {
+		t.SyncClock(v)
+	}
+}
+
+// endClock is when a phase ends: the clock of its slowest thread.
+func endClock(ts []*pmem.Thread) int64 {
+	var end int64
+	for _, t := range ts {
+		end = max(end, t.Now())
+	}
+	return end
 }
 
 // ProbeArenaCount reports how many arenas the pool was carved into when

@@ -327,8 +327,15 @@ func (d *device) drain(p *Pool) {
 // with a pre-image is restored, the dirty set is cleared. XPBuffer and
 // WPQ contents are inside the ADR power-fail domain and survive (they
 // are accounting-only in this model; the flushed data already lives in
-// words).
+// words). The media work queued before the failure does not: a power
+// cycle restarts every DIMM arbiter idle, so the first thread after the
+// restart, whose clock starts at zero, does not wait behind the whole
+// pre-crash run. A crashed device then costs what a device rebuilt by
+// LoadPersistent costs.
 func (d *device) crash() {
+	for _, dm := range d.dimms {
+		dm.busyUntil.Store(0)
+	}
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()

@@ -17,7 +17,10 @@
 //     (ADR mode). Pool.Crash simulates a power failure: every store that
 //     was not both flushed and fenced (or evicted by the cache model) is
 //     rolled back, everything else survives. eADR mode persists stores
-//     immediately.
+//     immediately. Like a power cycle, Crash also restarts every DIMM's
+//     bandwidth arbiter idle, so threads created after it start at
+//     virtual time zero on idle media, exactly as on a pool rebuilt by
+//     LoadPersistent.
 //
 //  2. Hardware counters. Like ipmctl on real Optane, the pool counts
 //     bytes arriving at the XPBuffer (cacheline flushes) and bytes

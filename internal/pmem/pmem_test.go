@@ -415,6 +415,28 @@ func TestConcurrentDisjointAccess(t *testing.T) {
 	}
 }
 
+// TestCrashRestartsDIMMsIdle checks that a power failure empties the
+// DIMM arbiters: the first media access after Crash costs what it costs
+// on a fresh pool, not a wait behind the media work queued before it.
+func TestCrashRestartsDIMMsIdle(t *testing.T) {
+	p := testPool(t, nil)
+	th := p.NewThread(0)
+	for i := int64(0); i < 512; i++ {
+		a := MakeAddr(0, uint64(i*XPLineSize))
+		th.Store(a, uint64(i+1))
+		th.Persist(a, WordSize)
+	}
+	p.Crash()
+	probe := MakeAddr(0, 600*XPLineSize)
+	after := p.NewThread(0)
+	after.Load(probe)
+	fresh := testPool(t, nil).NewThread(0)
+	fresh.Load(probe)
+	if after.Now() != fresh.Now() {
+		t.Fatalf("first load after Crash took %d ns, on a fresh pool %d ns", after.Now(), fresh.Now())
+	}
+}
+
 func TestSaveLoadPersistent(t *testing.T) {
 	p := testPool(t, nil)
 	th := p.NewThread(0)

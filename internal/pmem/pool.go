@@ -157,7 +157,9 @@ func (PowerFailure) Error() string { return "pmem: simulated power failure" }
 // Crash simulates a power failure under the configured mode: in ADR,
 // all stores not yet flushed+fenced are rolled back; in eADR everything
 // survives. Existing Threads must be discarded afterwards (their pending
-// flush sets are meaningless post-restart).
+// flush sets are meaningless post-restart). The restart finds every DIMM
+// arbiter idle: the media work queued before the failure is not charged
+// to the threads that run after it, whose clocks start at zero.
 func (p *Pool) Crash() {
 	if p.cfg.Mode == ADR && p.cfg.DisableCrashTracking {
 		panic("pmem: Crash called with DisableCrashTracking set")

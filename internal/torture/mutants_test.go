@@ -189,12 +189,13 @@ var named = []mutant{
 		unit: unitCore,
 	},
 	{
-		// Recovery's log scan runs every goroutine on the one
-		// recovery thread instead of one thread each.
+		// Recovery's log scan runs on the one recovery thread, which
+		// walks the leaf list at the same time, instead of one thread
+		// per scanner.
 		name: "scan-thread-shared", class: "PL004",
 		edits: []edit{{"internal/core/recovery.go",
-			"wal.ReadEntriesInChunks(scanThreads[i], []pmem.Addr{chunks[j]}, chunkBytes)",
-			"wal.ReadEntriesInChunks(t0, []pmem.Addr{chunks[j]}, chunkBytes)"}},
+			"wal.ReadEntryPart(scanThreads[i], chunks, chunkBytes, part, parts)",
+			"wal.ReadEntryPart(t0, chunks, chunkBytes, part, parts)"}},
 		unit: unitCore,
 	},
 	{

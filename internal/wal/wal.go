@@ -389,13 +389,30 @@ func decodeRecords(w []uint64, limit int, out []Entry) []Entry {
 
 // ReadEntriesInChunks scans the given raw chunks (e.g. after a restart
 // when the Log object is gone) yielding the valid entries (see
-// decodeRecords for what is skipped).
+// decodeRecords for what is skipped). It is ReadEntryPart's one-part
+// scan.
 func ReadEntriesInChunks(t *pmem.Thread, chunks []pmem.Addr, chunkBytes int) []Entry {
+	return ReadEntryPart(t, chunks, chunkBytes, 0, 1)
+}
+
+// ReadEntryPart scans part p of n of the given raw chunks: their record
+// slots, in chunk order, cut into n ranges whose sizes differ by at most
+// one record. The n parts, concatenated in order, are the whole scan, so
+// n threads can share a chunk set evenly however few chunks it holds. A
+// chunk's tail shorter than a record is never read.
+func ReadEntryPart(t *pmem.Thread, chunks []pmem.Addr, chunkBytes, p, n int) []Entry {
+	per := chunkBytes / EntrySize
+	total := len(chunks) * per
+	lo, hi := p*total/n, (p+1)*total/n
 	var out []Entry
-	w := make([]uint64, chunkBytes/pmem.WordSize)
-	for _, c := range chunks {
-		t.ReadRange(c, w)
-		out = decodeRecords(w, chunkBytes, out)
+	w := make([]uint64, min(hi-lo, per)*EntrySize/pmem.WordSize)
+	for r := lo; r < hi; {
+		first := r % per
+		cnt := min(per-first, hi-r)
+		words := w[:cnt*EntrySize/pmem.WordSize]
+		t.ReadRange(chunks[r/per].Add(int64(first*EntrySize)), words)
+		out = decodeRecords(words, cnt*EntrySize, out)
+		r += cnt
 	}
 	return out
 }

@@ -114,6 +114,52 @@ func TestRawChunkScanSeesStaleEntries(t *testing.T) {
 	}
 }
 
+// TestReadEntryPartsTileTheScan checks that the n parts of a chunk set,
+// concatenated, are exactly the whole-chunk scan in order, for part
+// boundaries on and inside chunks. A 256 B chunk holds 10 records and a
+// 16 B tail; the last of the three chunks is partly unwritten.
+func TestReadEntryPartsTileTheScan(t *testing.T) {
+	pool, m := testSetup(t, 256)
+	th := pool.NewThread(0)
+	l := NewLog(m, 0)
+	for i := uint64(1); i <= 28; i++ {
+		if _, err := l.Append(th, Entry{Key: i, Value: i * 3, Timestamp: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks := l.Detach()
+	if len(chunks) != 3 {
+		t.Fatalf("%d chunks, want 3", len(chunks))
+	}
+	whole := ReadEntriesInChunks(th, chunks, 256)
+	if len(whole) != 28 {
+		t.Fatalf("whole scan found %d entries, want 28", len(whole))
+	}
+	for i, e := range whole {
+		if want := uint64(i + 1); e != (Entry{Key: want, Value: want * 3, Timestamp: want}) {
+			t.Fatalf("whole scan entry %d = %+v", i, e)
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		var got []Entry
+		for p := 0; p < n; p++ {
+			part := ReadEntryPart(th, chunks, 256, p, n)
+			if len(part) > 30/n+1 {
+				t.Fatalf("n=%d: part %d holds %d records of 30 slots", n, p, len(part))
+			}
+			got = append(got, part...)
+		}
+		if len(got) != len(whole) {
+			t.Fatalf("n=%d: parts hold %d entries, whole scan %d", n, len(got), len(whole))
+		}
+		for i := range got {
+			if got[i] != whole[i] {
+				t.Fatalf("n=%d: entry %d = %+v, whole scan has %+v", n, i, got[i], whole[i])
+			}
+		}
+	}
+}
+
 func TestAppendsSurviveCrash(t *testing.T) {
 	pool, m := testSetup(t, 4096)
 	th := pool.NewThread(0)
