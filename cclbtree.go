@@ -66,8 +66,8 @@ type Config struct {
 	// The shard count is recorded persistently: Open with Shards 0
 	// auto-detects it, Open with a mismatched count fails.
 	Shards int
-	// Nbatch is the buffer-node capacity; 0 means the default (2),
-	// -1 disables buffering (the paper's "Base" ablation).
+	// Nbatch is the buffer-node capacity, at most 8; 0 means the
+	// default (2), -1 disables buffering (the paper's "Base" ablation).
 	Nbatch int
 	// THlog is the GC trigger ratio (log bytes / leaf bytes); 0 means
 	// the default 0.20.

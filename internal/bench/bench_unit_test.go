@@ -138,9 +138,7 @@ func TestRunReportsErrors(t *testing.T) {
 // blobs (the Fig 15c / Fig 18 path), crashes the pool and reopens it:
 // recovery reads each blob's length word, so the harness must write a
 // real one, and every key must come back with the pointer it stored.
-// The load runs on one socket: loaded from both, the tree loses an
-// acknowledged insert across the crash in about 1 run in 5, blobs or
-// not (ROADMAP item 1), which is not what this test is about.
+// The load runs on two threads, one per socket.
 func TestBlobLoadRecovers(t *testing.T) {
 	const warm = 2000
 	pool := pmem.NewPool(pmem.Config{Sockets: 2, DIMMsPerSocket: 4, DeviceBytes: deviceBytes(warm, 1)})
@@ -148,7 +146,7 @@ func TestBlobLoadRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(pool, idx, Spec{Threads: 1, Warm: warm, Ops: 1, Mix: workload.Mix{Read: 1}, ValueBlobBytes: 64}); err != nil {
+	if _, err := Run(pool, idx, Spec{Threads: 2, Warm: warm, Ops: 1, Mix: workload.Mix{Read: 1}, ValueBlobBytes: 64}); err != nil {
 		t.Fatal(err)
 	}
 	h := idx.NewHandle(0)

@@ -278,7 +278,7 @@ func (d *buckets) Flush(w *core.Worker, n *core.Node, batch []core.KV) (int, err
 	// timestamp lands last.
 	for i := len(chain) - 1; i >= 0; i-- {
 		if p := chain[i]; !p.fresh {
-			p.img.SetTS(w.Stamp(p.img.TS()))
+			p.img.SetTS(w.Stamp(n))
 			pmleaf.WriteHeader(t, &p.img)
 		}
 	}

@@ -560,3 +560,33 @@ func TestGroupAcrossBuckets(t *testing.T) {
 	}
 	check(h2.NewWorker(0), "after recovery")
 }
+
+// TestCrashStampTriggerThenRecord is core's test of the same name on
+// the bucket directory: a trigger write on socket 1 stamps the home
+// bucket at the raw tick that the next record, drawn on socket 0 (the
+// clock's skew of socket s is s ticks), also reads. The record must
+// still outrank the stamp, or recovery gates the acknowledged update
+// out as already flushed.
+func TestCrashStampTriggerThenRecord(t *testing.T) {
+	pool := testPool()
+	opts := Options{Buckets: 1, DisableGC: true}
+	h, w0 := newTableOn(t, pool, opts)
+	w1 := h.NewWorker(1)
+	for _, op := range []struct {
+		w    *Worker
+		k, v uint64
+	}{{w0, 1, 10}, {w0, 2, 20}, {w1, 3, 30}, {w0, 1, 99}} {
+		if err := op.w.Put(op.k, op.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Freeze()
+	pool.Crash()
+	h2, err := Recover(pool, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := h2.NewWorker(0).Get(1); v != 99 {
+		t.Fatalf("key 1 recovered as %d, want 99", v)
+	}
+}

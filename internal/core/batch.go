@@ -107,7 +107,8 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 // a buffer slot are logged in one group commit (one fence), and the runs
 // are applied. An op that overflows its buffer rides the trigger write
 // and gets no record (§3.3; NaiveLogging logs it anyway). Records, leaf
-// stamps and GC copies are thus all ticked under their node's lock.
+// stamps and GC copies are thus all ticked from their node under its
+// lock (Worker.Stamp), in the lock's order.
 func (w *Worker) commit(kvs []KV) error {
 	tr := w.tree
 	if tr.opts.GC == GCNaive {
@@ -118,7 +119,7 @@ func (w *Worker) commit(kvs []KV) error {
 		// ops group into per-node runs. The stable sort keeps a key's ops
 		// in submission order: the last write to a key within the group
 		// wins, both in DRAM (applied later) and at recovery (logged with
-		// a later ORDO tick).
+		// a later tick of its node).
 		slices.SortStableFunc(kvs, func(a, b KV) int {
 			return tr.index.Compare(w.t, a.Key, b.Key)
 		})
@@ -229,7 +230,8 @@ func (w *Worker) lockRuns(kvs []KV) []groupRun {
 // placeRun decides, before anything is written, where each op of the
 // locked run r ends. If the whole run fits n's buffer, every op takes
 // a slot — an unflushed slot already holding its key, else the next
-// free one — recorded in w.place, and gets a record appended to ents.
+// free one — recorded in w.place, and gets a record, ticked from n,
+// appended to ents.
 // Otherwise no slot is written: the buffered KVs and the whole run go to
 // the leaf in one trigger write, durable when the flush is, so they get
 // no record (NaiveLogging records them anyway; Nbatch 0 logs nothing).
@@ -262,7 +264,7 @@ func (w *Worker) placeRun(r *groupRun, kvs []KV, ents []wal.Entry) []wal.Entry {
 	}
 	if r.fits || (tr.opts.NaiveLogging && n.nbatch() > 0) {
 		for _, kv := range kvs[r.start:r.end] {
-			ents = append(ents, wal.Entry{Key: kv.Key, Value: kv.Value})
+			ents = append(ents, wal.Entry{Key: kv.Key, Value: kv.Value, Timestamp: w.Stamp(n)})
 		}
 	}
 	return ents
@@ -342,17 +344,14 @@ func (w *Worker) applyRun(r *groupRun, kvs []KV, e uint32) error {
 	return nil
 }
 
-// groupCommit is the foreground WAL append: it ticks every record of
-// ents (non-empty) and appends them to generation e's log under a
-// single fence. The records are worker-owned scratch, which no caller
-// reads after the append. The peak log size is sampled whenever the
-// record count crosses a multiple of 512 — often enough for Table 2,
-// rare enough to stay off the single-write path.
+// groupCommit is the foreground WAL append: it appends the ticked
+// records ents (non-empty) to generation e's log under a single fence.
+// The records are worker-owned scratch, which no caller reads after the
+// append. The peak log size is sampled whenever the record count
+// crosses a multiple of 512 — often enough for Table 2, rare enough to
+// stay off the single-write path.
 func (w *Worker) groupCommit(ents []wal.Entry, e uint32) error {
 	tr := w.tree
-	for i := range ents {
-		ents[i].Timestamp = tr.clock.Now(w.socket)
-	}
 	m := w.segBegin()
 	err := w.logs[e].AppendBatch(w.t, ents)
 	w.segEnd(obs.SegWAL, m)

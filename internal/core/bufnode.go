@@ -30,12 +30,17 @@ type bufferNode struct {
 	lowKey uint64
 	// slots interleaves key/value words: slot i at 2i, 2i+1.
 	slots []atomic.Uint64
-	// fps packs one fingerprint byte per slot (maxNbatch = 16 → two
-	// words), mirroring the leaf's fingerprint array so lookups touch
+	// fps packs one fingerprint byte per slot (maxNbatch = 8 → one
+	// word), mirroring the leaf's fingerprint array so lookups touch
 	// one DRAM word instead of Nbatch key words. Written only under the
 	// version lock, like the slots; a torn fp/key pairing seen by an
 	// optimistic reader is caught by validateRead.
-	fps [2]atomic.Uint64
+	fps atomic.Uint64
+	// floor is the last tick drawn for this node (Worker.Stamp): its
+	// records, line stamps and GC copies are ordered by its lock, not by
+	// the socket that drew them. Read and written only under the
+	// version lock.
+	floor uint64
 	// next and prev maintain the DRAM chain mirroring leaf order;
 	// mutated only under the version locks involved.
 	next atomic.Pointer[bufferNode]
@@ -72,7 +77,7 @@ const nodeSlabSize = 64
 // chain walker, tryMerge and lockOwner hold *bufferNode unpinned across
 // lock spins, so reuse would need writers in the epoch protocol. The Go
 // collector frees a chunk when its last node dies: a live node pins at
-// most its chunk, 64 × (96 + 16·Nbatch) B ≈ 8 KB at Nbatch = 2.
+// most its chunk, 64 × (88 + 16·Nbatch) B ≈ 7.5 KB at Nbatch = 2.
 type nodeSlab struct {
 	nodes []bufferNode
 	words []atomic.Uint64
@@ -97,7 +102,7 @@ func (n *bufferNode) slotVal(i int) uint64 { return n.slots[2*i+1].Load() }
 
 // slotFP returns slot i's fingerprint byte.
 func (n *bufferNode) slotFP(i int) byte {
-	return byte(n.fps[i/8].Load() >> (8 * uint(i%8)))
+	return byte(n.fps.Load() >> (8 * uint(i)))
 }
 
 // setSlot publishes slot i. fp must be the key's fingerprint
@@ -107,9 +112,8 @@ func (n *bufferNode) slotFP(i int) byte {
 func (n *bufferNode) setSlot(i int, k, v uint64, fp byte) {
 	n.slots[2*i].Store(k)
 	n.slots[2*i+1].Store(v)
-	sh := 8 * uint(i%8)
-	word := &n.fps[i/8]
-	word.Store(word.Load()&^(uint64(0xff)<<sh) | uint64(fp)<<sh)
+	sh := 8 * uint(i)
+	n.fps.Store(n.fps.Load()&^(uint64(0xff)<<sh) | uint64(fp)<<sh)
 }
 
 // tryLock attempts to take the version lock. On success it returns the

@@ -177,9 +177,9 @@ func (tr *Tree) runLocalityGC(newE uint32) {
 // gcCopyNode is step 2 of runLocalityGC for one node, whose lock the
 // caller holds: every unflushed slot still stamped with the old epoch
 // is copied to the GC worker's new-generation I-log and restamped. A
-// writer logs a slot under the same lock, so every copy is ticked after
-// the record of the value it copies. It reports false when the I-log
-// ran out of PM.
+// writer ticks a slot's record from the same node (Worker.Stamp), so
+// every copy outranks the record of the value it copies. It reports
+// false when the I-log ran out of PM.
 func (tr *Tree) gcCopyNode(w *Worker, n *bufferNode, newE uint32) bool {
 	pos, eb, _ := unpackHdr(n.hdr.Load())
 	for i := 0; i < pos; i++ {
@@ -188,7 +188,7 @@ func (tr *Tree) gcCopyNode(w *Worker, n *bufferNode, newE uint32) bool {
 			continue
 		}
 		if _, err := w.logs[newE].Append(w.t, wal.Entry{
-			Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: tr.clock.Now(w.socket),
+			Key: n.slotKey(i), Value: n.slotVal(i), Timestamp: w.Stamp(n),
 		}); err != nil {
 			return false
 		}

@@ -49,20 +49,17 @@ func (w *Worker) findLeafSlot(img *pmleaf.Image, bitmap uint16, key uint64) int 
 	return -1
 }
 
-// Stamp returns the timestamp a flush publishes on a directory line (a
-// leaf, a bucket): the current ORDO tick, floored by the line's previous
-// stamp. The floor keeps line timestamps monotone: a lower re-stamp
-// could un-gate records an earlier flush already covered, and
-// recovery's replay of a resurrected record is only provably idempotent
-// while every newer record for its key still outranks it. Under-stamping is otherwise the safe direction
-// — recovery replays a few extra records through the normal insert
-// path and newest-tick dedup discards the stale ones.
-func (w *Worker) Stamp(prev uint64) uint64 {
-	ts := w.tree.clock.Now(w.socket)
-	if ts < prev {
-		ts = prev
-	}
-	return ts
+// Stamp draws the next tick of n, whose lock the caller holds, for one
+// of its WAL records, line stamps or GC copies: the current ORDO tick of
+// the worker's socket, raised above the last tick drawn for n. Sockets'
+// ticks are skewed, so the raw tick of a later holder of the lock can
+// fall below an earlier holder's; the floor makes every node's ticks
+// follow its lock order, which is the order recovery needs: a line's
+// stamp outranks every record it covers, and a key's newest record
+// outranks its older ones.
+func (w *Worker) Stamp(n *Node) uint64 {
+	n.floor = max(w.tree.clock.Now(w.socket), n.floor+1)
+	return n.floor
 }
 
 // leafBatchInsert applies batch (in order — later entries supersede
@@ -144,7 +141,7 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 	if overrideNext {
 		next = newNext
 	}
-	img.SetTS(w.Stamp(img.TS()))
+	img.SetTS(w.Stamp(n))
 	img.SetMeta(pmleaf.PackMeta(cur, next))
 	pmleaf.WriteHeader(w.t, &img)
 	// Report live (non-fence) occupancy for the merge heuristic.
@@ -314,7 +311,7 @@ func (w *Worker) splitLeaf(n *bufferNode, img *pmleaf.Image, batch []KV) (int, e
 		if k < numNew-1 {
 			next = news[k+1].addr
 		}
-		rimg.SetTS(w.Stamp(0))
+		rimg.SetTS(w.Stamp(n))
 		rimg.SetMeta(pmleaf.PackMeta(rbm, next))
 		pmleaf.WriteWhole(w.t, &rimg)
 	}
@@ -348,10 +345,12 @@ func (w *Worker) splitLeaf(n *bufferNode, img *pmleaf.Image, batch []KV) (int, e
 
 	// DRAM structures: new buffer nodes, chain links, inner routing.
 	// The whole new segment is wired internally before the single
-	// n.next publish makes it reachable.
+	// n.next publish makes it reachable. The new nodes inherit n's
+	// floor: their keys' records so far were ticked from n.
 	nx := n.next.Load()
 	for k := range news {
 		news[k].nb = w.slab.newNode(news[k].addr, news[k].low, tr.opts.Nbatch)
+		news[k].nb.floor = n.floor
 	}
 	for k := range news {
 		if k > 0 {
@@ -483,6 +482,9 @@ func (w *Worker) mergeLocked(left, n *bufferNode) bool {
 		return false
 	}
 
+	// n's records were ticked under n's lock; left's stamp must outrank
+	// them.
+	left.floor = max(left.floor, n.floor)
 	if _, err := w.leafBatchInsertNext(left, batch, nimg.Next(), true); err != nil {
 		return false
 	}

@@ -105,7 +105,7 @@ const (
 	defaultTHlog    = 0.20
 	defaultDirSlots = 4096
 	// defaultOrdo is the cross-socket timestamp uncertainty window in
-	// ticks.
+	// ticks, inside which the clock synthesizes its per-socket skews.
 	defaultOrdo = 16
 )
 
@@ -147,7 +147,7 @@ func (o Options) withDefaults() (Options, error) {
 // flags word (16 bits each for index and count).
 const maxArenaFlag = 0xffff
 
-// maxNbatch bounds the buffer node's slot count so the packed header
-// (position counter + per-slot epoch bits) fits comfortably; the paper
-// evaluates 1–5.
-const maxNbatch = 16
+// maxNbatch bounds the buffer node's slot count so its fingerprints
+// pack into one word (and the packed header's per-slot epoch bits fit);
+// the paper evaluates 1–5.
+const maxNbatch = 8

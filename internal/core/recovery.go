@@ -224,10 +224,10 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 			}
 		}
 	}
-	// Resume the tick domain past the image (plus the uncertainty
-	// boundary, so post-recovery ticks are *definitely* after pre-crash
-	// ones) before the replay workers start stamping.
-	tr.clock.AdvanceTo(rb.maxTick + defaultOrdo)
+	// Resume the tick domain above the image before the replay workers
+	// start stamping: the rebuilt nodes' floors start at zero, so every
+	// tick from here on, on any socket, must outrank every pre-crash one.
+	tr.clock.AdvanceTo(rb.maxTick)
 	// Phase 2: route each candidate and compare with its line's pre-crash
 	// stamp as the walk read it (a DRAM lookup), in parallel. A survivor
 	// keeps the node it routed to; a stale record keeps nil.

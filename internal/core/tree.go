@@ -314,13 +314,6 @@ func (tr *Tree) sbAddr() pmem.Addr {
 // Pool returns the PM pool the tree lives on.
 func (tr *Tree) Pool() *pmem.Pool { return tr.pool }
 
-// Clock exposes the tree's ORDO clock. Crash harnesses use it to stamp
-// operation invocation/return times in the same timestamp domain the
-// tree's WAL entries and recovery comparisons use, so "definitely
-// before/after" questions (ordo.Clock.After) are answerable against the
-// recovered state.
-func (tr *Tree) Clock() *ordo.Clock { return tr.clock }
-
 // crashAbort re-raises the pool's sticky power failure inside retry
 // loops. A goroutine that dies mid-operation (pmem.FailWhen fired at
 // one of its flushes) can leave a buffer node's version lock held

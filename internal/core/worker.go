@@ -360,9 +360,9 @@ func (w *Worker) lookupAttempt(key uint64) (val uint64, found, ok bool) {
 		return 0, false, false
 	}
 	// Buffer probe: the packed per-slot fingerprints short-circuit the
-	// key comparisons — one DRAM word covers eight slots, so most
-	// probes touch no slot at all (§4.1's fingerprint filter, applied
-	// to the DRAM cache).
+	// key comparisons — one DRAM word covers every slot, so most probes
+	// touch no slot at all (§4.1's fingerprint filter, applied to the
+	// DRAM cache).
 	target := tr.keyFingerprint(w.t, key)
 	w.t.Advance(int64(1+(n.nbatch()+7)/8) * w.t.CostDRAM())
 	for i := 0; i < n.nbatch(); i++ {

@@ -3,21 +3,22 @@
 // to order WAL entries across sockets (§3.3).
 //
 // Real TSCs on different sockets are synchronized only up to a constant
-// offset; ORDO exposes a measured uncertainty boundary so software can
-// tell "definitely earlier" from "possibly concurrent". The model keeps
-// one logical counter plus a constant per-socket skew, so timestamps are
-// cheap, strictly increasing per socket, and cross-socket comparisons
-// behave exactly like the primitive: ordering is reliable only beyond
-// the boundary.
+// offset, bounded by ORDO's uncertainty boundary. The model keeps one
+// logical counter plus a constant per-socket skew synthesized inside
+// that boundary, so timestamps are cheap and strictly increasing per
+// socket, and cross-socket reads genuinely disagree: a tick drawn later
+// on one socket can be lower than one drawn earlier on another. Nothing
+// is ordered by comparing raw ticks across sockets; the tree raises each
+// tick above the last one drawn under the same node lock (core's
+// Worker.Stamp), so its ticks follow lock order.
 package ordo
 
 import "sync/atomic"
 
 // Clock issues ORDO timestamps. The zero value is unusable; use New.
 type Clock struct {
-	counter  atomic.Uint64
-	skew     []uint64
-	boundary uint64
+	counter atomic.Uint64
+	skew    []uint64
 }
 
 // New creates a clock for the given socket count. boundary is the ORDO
@@ -27,7 +28,7 @@ func New(sockets int, boundary uint64) *Clock {
 	if sockets < 1 {
 		sockets = 1
 	}
-	c := &Clock{skew: make([]uint64, sockets), boundary: boundary}
+	c := &Clock{skew: make([]uint64, sockets)}
 	for i := range c.skew {
 		if boundary > 0 {
 			c.skew[i] = (uint64(i) * 2654435761) % boundary
@@ -57,16 +58,7 @@ func (c *Clock) AdvanceTo(ts uint64) {
 	}
 }
 
-// After reports whether timestamp a is definitely after b, i.e. their
-// gap exceeds the uncertainty boundary. Within the boundary the order is
-// unknown and callers must treat the events as concurrent.
-func (c *Clock) After(a, b uint64) bool {
-	return a > b && a-b > c.boundary
-}
-
-// Max returns the later of two timestamps (by raw value; callers use it
-// where either order is acceptable inside the boundary, e.g. recovery
-// picking the newest version).
+// Max returns the later of two timestamps by raw value.
 func Max(a, b uint64) uint64 {
 	if a > b {
 		return a

@@ -24,32 +24,6 @@ func TestNeverZero(t *testing.T) {
 	}
 }
 
-func TestAfterRespectsBoundary(t *testing.T) {
-	c := New(2, 100)
-	if c.After(150, 100) {
-		t.Fatal("gap 50 is inside the boundary; must not be 'after'")
-	}
-	if !c.After(250, 100) {
-		t.Fatal("gap 150 exceeds the boundary; must be 'after'")
-	}
-	if c.After(100, 250) {
-		t.Fatal("earlier timestamp reported as after")
-	}
-}
-
-func TestCrossSocketOrderingBeyondBoundary(t *testing.T) {
-	c := New(4, 64)
-	a := c.Now(0)
-	var b uint64
-	// Enough intervening ticks to clear any skew.
-	for i := 0; i < 200; i++ {
-		b = c.Now(3)
-	}
-	if !c.After(b, a) {
-		t.Fatalf("clearly-later cross-socket timestamp not ordered: %d vs %d", b, a)
-	}
-}
-
 func TestSkewsDifferAcrossSockets(t *testing.T) {
 	c := New(4, 1000)
 	seen := map[uint64]bool{}

@@ -25,9 +25,11 @@ func (k OpKind) String() string {
 }
 
 // Op is one recorded operation in a worker's history. Invoke and Return
-// are ORDO ticks from the tree's clock — the same timestamp domain the
-// WAL stamps entries with, so "definitely before the crash" can be
-// decided with the clock's uncertainty boundary rather than wall time.
+// are points on one sequence every worker of the run draws from, just
+// before and just after the call: an op returned before another was
+// invoked exactly when its Return is below the other's Invoke. The
+// oracles judge by that observed order, never by the tree's own
+// timestamps.
 type Op struct {
 	Worker int    `json:"worker"`
 	Seq    int    `json:"seq"`

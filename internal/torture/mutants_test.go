@@ -123,7 +123,17 @@ var named = []mutant{
 	{
 		name: "leaf-stamp-skipped",
 		edits: []edit{{"internal/core/leafops.go",
-			"img.SetTS(w.Stamp(img.TS()))", "img.SetTS(img.TS())"}},
+			"\timg.SetTS(w.Stamp(n))\n", "\timg.SetTS(img.TS())\n"}},
+		unit: unitCore,
+	},
+	{
+		// Stamp hands out the raw tick of the worker's socket: a later
+		// holder of a node's lock can draw a tick below an earlier
+		// holder's, on a socket of smaller skew.
+		name: "stamp-floor-dropped",
+		edits: []edit{{"internal/core/leafops.go",
+			"\tn.floor = max(w.tree.clock.Now(w.socket), n.floor+1)\n\treturn n.floor\n",
+			"\treturn w.tree.clock.Now(w.socket)\n"}},
 		unit: unitCore,
 	},
 	{
@@ -170,7 +180,7 @@ var named = []mutant{
 		name: "hash-home-published-first", class: "PL005",
 		edits: []edit{{"internal/cclhash/cclhash.go",
 			"\t// Phase 1: data, durable before any header is published. Fresh\n",
-			"\tchain[0].img.SetTS(w.Stamp(chain[0].img.TS()))\n\tpmleaf.WriteHeader(t, &chain[0].img)\n" +
+			"\tchain[0].img.SetTS(w.Stamp(n))\n\tpmleaf.WriteHeader(t, &chain[0].img)\n" +
 				"\t// Phase 1: data, durable before any header is published. Fresh\n"}},
 		unit: unitHash,
 	},
@@ -629,9 +639,10 @@ func fullMatrix() bool {
 //   - unit: the mutated package's own -short tests, whose pools run
 //     with StrictPersist on;
 //   - torture: TestTortureShort, the crash-recovery and read oracles,
-//     on one processor: at GOMAXPROCS 2 the clean tree itself loses an
-//     update in about 1 run in 20 (ROADMAP item 2), which would flip
-//     the cells of the survivors;
+//     on one processor: at GOMAXPROCS 2 its verdict on some mutants
+//     depends on the schedule (stamp-floor-dropped was killed in 8 runs
+//     of 10, and survived one of two full matrix runs), which would
+//     flip their cells;
 //   - race: the unit column's tests under -race;
 //   - golden: the figure and baseline goldens of internal/bench and
 //     the layout and shape goldens.

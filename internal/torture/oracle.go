@@ -3,8 +3,6 @@ package torture
 import (
 	"fmt"
 	"sort"
-
-	"cclbtree/internal/ordo"
 )
 
 // The durable-prefix linearizability oracle.
@@ -25,12 +23,12 @@ import (
 //     write that was actually invoked (or the key's pre-round state).
 //
 // Concretely, the recovered value must equal the value of a candidate
-// write that is not *definitely overwritten*: w is definitely
-// overwritten when some completed write w' was invoked definitely
-// after w returned (ORDO's After — the gap exceeds the uncertainty
-// boundary). In-flight writes have no return point, so nothing
-// definitely follows them; the pre-round state is treated as a virtual
-// write that returned before everything.
+// write that is not *overwritten*: w is overwritten when some completed
+// write w' was invoked after w returned, in the order the harness
+// observed (Op.Invoke and Op.Return draw from one sequence shared by
+// every worker, around each call). In-flight writes have no return
+// point, so nothing follows them; the pre-round state is treated as a
+// virtual write that returned before everything.
 
 // Violation is one oracle finding.
 type Violation struct {
@@ -51,7 +49,7 @@ func (v Violation) String() string {
 // history. baseline is the durable state the round started from (the
 // previous recovery's snapshot; absent keys omitted). recovered is the
 // post-recovery snapshot, value 0 meaning absent.
-func checkDurablePrefix(clock *ordo.Clock, baseline map[uint64]uint64, h *history, recovered map[uint64]uint64, round int) []Violation {
+func checkDurablePrefix(baseline map[uint64]uint64, h *history, recovered map[uint64]uint64, round int) []Violation {
 	keys := map[uint64]bool{}
 	for k := range baseline {
 		keys[k] = true
@@ -74,11 +72,11 @@ func checkDurablePrefix(clock *ordo.Clock, baseline map[uint64]uint64, h *histor
 		writes := h.writes[k]
 
 		// ruledOut: w (a completed write or the virtual initial state,
-		// with return tick ret) is definitely overwritten when a
-		// completed write was invoked definitely after ret.
+		// returned at ret) is overwritten when a completed write was
+		// invoked after ret.
 		ruledOut := func(ret uint64, self *Op) bool {
 			for _, w := range writes {
-				if w != self && w.Done && clock.After(w.Invoke, ret) {
+				if w != self && w.Done && w.Invoke > ret {
 					return true
 				}
 			}
@@ -106,7 +104,7 @@ func checkDurablePrefix(clock *ordo.Clock, baseline map[uint64]uint64, h *histor
 		if !seen[got] {
 			reason := "recovered value matches no invoked write (fabricated or torn)"
 			if wasEverWritten(writes, baseline, k, got) {
-				reason = "lost update: a later completed write definitely overwrote this value"
+				reason = "lost update: a later completed write overwrote this value"
 			}
 			out = append(out, Violation{
 				Round: round, Key: k, Got: got,
@@ -119,14 +117,14 @@ func checkDurablePrefix(clock *ordo.Clock, baseline map[uint64]uint64, h *histor
 
 // CheckDurablePrefix runs the durable-prefix oracle over an externally
 // recorded history: perWorker holds each worker's op log (Invoke and
-// Return in clock's tick domain), baseline the durable state the round
-// began from, and recovered the post-recovery snapshot (absent keys
-// omitted, value 0 meaning absent). Exported for crash harnesses
-// outside this package — the sharded-DB crash test partitions one
-// multi-shard history by routing shard and checks each shard's tree
-// against its own clock independently.
-func CheckDurablePrefix(clock *ordo.Clock, baseline map[uint64]uint64, perWorker [][]Op, recovered map[uint64]uint64, round int) []Violation {
-	return checkDurablePrefix(clock, baseline, newHistory(perWorker), recovered, round)
+// Return drawn from one sequence shared by every worker), baseline the
+// durable state the round began from, and recovered the post-recovery
+// snapshot (absent keys omitted, value 0 meaning absent). Exported for
+// crash harnesses outside this package — the sharded-DB crash test
+// partitions one multi-shard history by routing shard and checks each
+// shard's tree independently.
+func CheckDurablePrefix(baseline map[uint64]uint64, perWorker [][]Op, recovered map[uint64]uint64, round int) []Violation {
+	return checkDurablePrefix(baseline, newHistory(perWorker), recovered, round)
 }
 
 // wasEverWritten distinguishes "stale but real" from "fabricated".
@@ -166,32 +164,33 @@ func checkReads(h *history, everWritten map[uint64]map[uint64]bool, round int) [
 // checkReadLinearizability validates every completed optimistic read
 // (lookup or scan observation) against real-time order: the value a
 // read r observed for key k must be attributable to a write w whose
-// invoke/return window is consistent with r's ORDO window —
+// invoke/return window is consistent with r's window —
 //
-//   - w was not invoked definitely after r returned (a read cannot see
-//     the future), and
-//   - w was not definitely overwritten before r began: no completed
-//     write w′ was invoked definitely after w returned AND returned
-//     definitely before r was invoked.
+//   - w was not invoked after r returned (a read cannot see the
+//     future), and
+//   - w was not overwritten before r began: no completed write w′ was
+//     invoked after w returned AND returned before r was invoked.
 //
-// The round's starting state acts as a virtual write that returned
-// before everything (return tick 0). In-flight writes have no return
-// point, so nothing definitely follows them and they stay candidates.
-// Both "definitely" relations use the ORDO uncertainty boundary, so
-// the check is conservative: an overlap is never flagged, only reads
-// that returned a value provably stale (the seqlock recheck failed to
-// retry a torn section) or provably fabricated. Reads are validated
-// per-round only — the round's history plus its recovered baseline is
-// a complete candidate set, because earlier rounds' superseded values
-// are absent from the recovered image.
-func checkReadLinearizability(clock *ordo.Clock, baseline map[uint64]uint64, h *history, round int) []Violation {
+// "After" and "before" are the order the harness observed: every
+// Invoke and Return draws from one sequence shared by all workers, so
+// two calls are ordered exactly when one returned before the other was
+// invoked, and overlapping calls are never flagged. The round's
+// starting state acts as a virtual write that returned before
+// everything (return 0). In-flight writes have no return point, so
+// nothing follows them and they stay candidates. A flagged read
+// returned a value provably stale (the seqlock recheck failed to retry
+// a torn section) or provably fabricated. Reads are validated per-round
+// only — the round's history plus its recovered baseline is a complete
+// candidate set, because earlier rounds' superseded values are absent
+// from the recovered image.
+func checkReadLinearizability(baseline map[uint64]uint64, h *history, round int) []Violation {
 	legal := func(r *Op, key, got uint64) bool {
 		writes := h.writes[key]
-		// overwrittenBeforeRead: a completed write was invoked
-		// definitely after ret and returned definitely before r began.
+		// overwrittenBeforeRead: a completed write was invoked after ret
+		// and returned before r began.
 		overwrittenBeforeRead := func(ret uint64) bool {
 			for _, w2 := range writes {
-				if w2.Done && clock.After(w2.Invoke, ret) && clock.After(r.Invoke, w2.Return) {
+				if w2.Done && w2.Invoke > ret && r.Invoke > w2.Return {
 					return true
 				}
 			}
@@ -205,8 +204,8 @@ func checkReadLinearizability(clock *ordo.Clock, baseline map[uint64]uint64, h *
 			if w.writtenValue() != got {
 				continue
 			}
-			if clock.After(w.Invoke, r.Return) {
-				continue // invoked definitely after the read ended
+			if w.Invoke > r.Return {
+				continue // invoked after the read ended
 			}
 			if w.Done && overwrittenBeforeRead(w.Return) {
 				continue

@@ -3,14 +3,10 @@ package torture
 import (
 	"strings"
 	"testing"
-
-	"cclbtree/internal/ordo"
 )
 
 // oracle tests drive checkDurablePrefix with hand-built histories and
-// explicit ticks. boundary 16 matches the default ORDO window; ticks
-// are spaced ≥ 100 apart where "definitely ordered" is intended.
-func testClock() *ordo.Clock { return ordo.New(1, 16) }
+// explicit invoke/return points on the harness's sequence.
 
 func mkHistory(ops []Op) *history {
 	per := [][]Op{ops}
@@ -31,7 +27,7 @@ func TestOracleAcceptsLatestCompletedWrite(t *testing.T) {
 		write(0, 0, 1, 0xA, 100, 200),
 		write(0, 1, 1, 0xB, 300, 400),
 	})
-	vs := checkDurablePrefix(testClock(), nil, h, map[uint64]uint64{1: 0xB}, 0)
+	vs := checkDurablePrefix(nil, h, map[uint64]uint64{1: 0xB}, 0)
 	if len(vs) != 0 {
 		t.Fatalf("valid state flagged: %v", vs)
 	}
@@ -40,15 +36,15 @@ func TestOracleAcceptsLatestCompletedWrite(t *testing.T) {
 func TestOracleCatchesLostCompletedWrite(t *testing.T) {
 	h := mkHistory([]Op{
 		write(0, 0, 1, 0xA, 100, 200),
-		write(0, 1, 1, 0xB, 300, 400), // completed, definitely after A
+		write(0, 1, 1, 0xB, 300, 400), // completed, after A returned
 	})
 	// Recovered A: B — a completed write — was lost.
-	vs := checkDurablePrefix(testClock(), nil, h, map[uint64]uint64{1: 0xA}, 0)
+	vs := checkDurablePrefix(nil, h, map[uint64]uint64{1: 0xA}, 0)
 	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "lost update") {
 		t.Fatalf("lost completed write not caught: %v", vs)
 	}
 	// Recovered absent: even worse, also a violation.
-	vs = checkDurablePrefix(testClock(), nil, h, map[uint64]uint64{}, 0)
+	vs = checkDurablePrefix(nil, h, map[uint64]uint64{}, 0)
 	if len(vs) != 1 {
 		t.Fatalf("lost key not caught: %v", vs)
 	}
@@ -61,12 +57,12 @@ func TestOracleInFlightWriteIsAtomic(t *testing.T) {
 	})
 	// Both "landed" and "did not land" are legal.
 	for _, rec := range []map[uint64]uint64{{1: 0xA}, {1: 0xB}} {
-		if vs := checkDurablePrefix(testClock(), nil, h, rec, 0); len(vs) != 0 {
+		if vs := checkDurablePrefix(nil, h, rec, 0); len(vs) != 0 {
 			t.Fatalf("legal in-flight outcome %v flagged: %v", rec, vs)
 		}
 	}
 	// A value from nowhere is not.
-	vs := checkDurablePrefix(testClock(), nil, h, map[uint64]uint64{1: 0xEE}, 0)
+	vs := checkDurablePrefix(nil, h, map[uint64]uint64{1: 0xEE}, 0)
 	if len(vs) != 1 || !strings.Contains(vs[0].Reason, "fabricated") {
 		t.Fatalf("fabricated value not caught: %v", vs)
 	}
@@ -81,24 +77,12 @@ func TestOracleConcurrentWritesEitherOrder(t *testing.T) {
 		write(1, 0, 1, 0xB, 200, 250),
 	})
 	for _, rec := range []map[uint64]uint64{{1: 0xA}, {1: 0xB}} {
-		if vs := checkDurablePrefix(testClock(), nil, h, rec, 0); len(vs) != 0 {
+		if vs := checkDurablePrefix(nil, h, rec, 0); len(vs) != 0 {
 			t.Fatalf("concurrent outcome %v flagged: %v", rec, vs)
 		}
 	}
-	if vs := checkDurablePrefix(testClock(), nil, h, map[uint64]uint64{}, 0); len(vs) != 1 {
+	if vs := checkDurablePrefix(nil, h, map[uint64]uint64{}, 0); len(vs) != 1 {
 		t.Fatal("losing both concurrent completed writes must be a violation")
-	}
-}
-
-func TestOracleBoundaryUncertaintyIsConcurrent(t *testing.T) {
-	// B invoked 10 ticks after A returned — inside the 16-tick ORDO
-	// boundary, so the order is uncertain and A surviving is legal.
-	h := mkHistory([]Op{
-		write(0, 0, 1, 0xA, 100, 200),
-		write(1, 0, 1, 0xB, 210, 220),
-	})
-	if vs := checkDurablePrefix(testClock(), nil, h, map[uint64]uint64{1: 0xA}, 0); len(vs) != 0 {
-		t.Fatalf("within-boundary order treated as definite: %v", vs)
 	}
 }
 
@@ -106,20 +90,20 @@ func TestOracleBaselineCarriesAcrossRounds(t *testing.T) {
 	base := map[uint64]uint64{5: 0xBA5E}
 	// Untouched key keeps its baseline value.
 	h := mkHistory(nil)
-	if vs := checkDurablePrefix(testClock(), base, h, map[uint64]uint64{5: 0xBA5E}, 1); len(vs) != 0 {
+	if vs := checkDurablePrefix(base, h, map[uint64]uint64{5: 0xBA5E}, 1); len(vs) != 0 {
 		t.Fatalf("baseline state flagged: %v", vs)
 	}
 	// Losing it with no writes this round is a violation.
-	if vs := checkDurablePrefix(testClock(), base, h, map[uint64]uint64{}, 1); len(vs) != 1 {
+	if vs := checkDurablePrefix(base, h, map[uint64]uint64{}, 1); len(vs) != 1 {
 		t.Fatal("lost baseline key not caught")
 	}
 	// A completed delete makes absence legal — and the baseline stale.
 	h = mkHistory([]Op{{Worker: 0, Kind: OpDelete, Key: 5, Invoke: 100, Return: 200, Done: true}})
-	if vs := checkDurablePrefix(testClock(), base, h, map[uint64]uint64{}, 1); len(vs) != 0 {
+	if vs := checkDurablePrefix(base, h, map[uint64]uint64{}, 1); len(vs) != 0 {
 		t.Fatalf("completed delete flagged: %v", vs)
 	}
-	if vs := checkDurablePrefix(testClock(), base, h, map[uint64]uint64{5: 0xBA5E}, 1); len(vs) != 1 {
-		t.Fatal("baseline surviving a definitely-later completed delete not caught")
+	if vs := checkDurablePrefix(base, h, map[uint64]uint64{5: 0xBA5E}, 1); len(vs) != 1 {
+		t.Fatal("baseline surviving a later completed delete not caught")
 	}
 }
 

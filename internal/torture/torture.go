@@ -5,14 +5,14 @@
 //
 // One Run is a sequence of rounds against a single persistent image.
 // Each round arms a crash plan (crashplan.go), drives N worker
-// goroutines that record per-op histories with ORDO invoke/return
-// ticks (history.go), crashes the modeled machine — rolling back every
-// unfenced flush, optionally tearing pending XPLines — recovers with
-// core.Open (in some rounds crashing inside recovery too), and checks
-// the recovered state against the history. The next round continues on
-// the recovered tree, so the harness also exercises repeated
-// crash-recover-crash sequences (which is how the recovery clock-resume
-// bug was found).
+// goroutines that record per-op histories with invoke/return points on
+// one sequence the workers share (history.go), crashes the modeled
+// machine — rolling back every unfenced flush, optionally tearing
+// pending XPLines — recovers with core.Open (in some rounds crashing
+// inside recovery too), and checks the recovered state against the
+// history. The next round continues on the recovered tree, so the
+// harness also exercises repeated crash-recover-crash sequences (which
+// is how the recovery clock-resume bug was found).
 //
 // Determinism: the workload, per-worker op streams, and crash plans
 // derive entirely from Config.Seed, so a failing seed re-runs the same
@@ -24,6 +24,7 @@ package torture
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"cclbtree/internal/core"
 	"cclbtree/internal/pmem"
@@ -154,6 +155,10 @@ func Run(cfg Config) (*Result, error) {
 	// counted, the fault lands within its first 64 flushes.
 	recoveryCrashes := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 	recoveryFlushes := int64(64)
+	// order is the harness's own clock: every op draws its invoke and
+	// return points from it, so the oracles judge the order the workers
+	// observed, not the tree's timestamps.
+	var order atomic.Uint64
 
 	for round := 0; round < cfg.Rounds; round++ {
 		plan := planForRound(master, round, flushBudget)
@@ -174,7 +179,7 @@ func Run(cfg Config) (*Result, error) {
 			workers[i] = tr.NewWorker(i % cfg.Sockets)
 		}
 		err := pmem.Parallel(cfg.Threads, func(wid int) error {
-			return runWorker(tr, workers[wid], wid, round, seeds[wid], cfg, &histories[wid])
+			return runWorker(tr, workers[wid], wid, round, seeds[wid], cfg, &order, &histories[wid])
 		})
 		if err != nil {
 			return nil, fmt.Errorf("torture: round %d worker: %w", round, err)
@@ -227,9 +232,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		byLookup, byScan := snapshot(rec, cfg.KeySpace)
-		vs := checkDurablePrefix(rec.Clock(), baseline, h, byLookup, round)
+		vs := checkDurablePrefix(baseline, h, byLookup, round)
 		vs = append(vs, checkReads(h, everWritten, round)...)
-		vs = append(vs, checkReadLinearizability(rec.Clock(), baseline, h, round)...)
+		vs = append(vs, checkReadLinearizability(baseline, h, round)...)
 		vs = append(vs, checkScanAgreement(byLookup, byScan, round)...)
 
 		res.Rounds = append(res.Rounds, RoundReport{
@@ -281,11 +286,10 @@ func openCrashing(pool *pmem.Pool, opts core.Options, threads int, rng *rand.Ran
 // runWorker drives one goroutine's share of the round's workload,
 // recording every operation. It returns a non-nil error only for real
 // tree errors (allocation failure); a simulated power failure ends the
-// loop normally with the dying op left in-flight.
-func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Config, out *[]Op) error {
+// loop normally with the dying op left in-flight. Invoke and return
+// points are drawn from order around each call.
+func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Config, order *atomic.Uint64, out *[]Op) error {
 	rng := rand.New(rand.NewSource(seed))
-	clock := tr.Clock()
-	socket := wid % cfg.Sockets
 	pool := tr.Pool()
 	ops := make([]Op, 0, cfg.OpsPerThread)
 	defer func() { *out = ops }()
@@ -301,13 +305,13 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 		if len(staged) == 0 {
 			return nil
 		}
-		invoke := clock.Now(socket)
+		invoke := order.Add(1)
 		var err error
 		died := pmem.Survive(func() { err = w.ApplyBatch(stagedOps) })
 		if err != nil {
 			return err
 		}
-		ret := clock.Now(socket)
+		ret := order.Add(1)
 		for i := range staged {
 			staged[i].Invoke = invoke
 			if !died {
@@ -353,7 +357,7 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 			continue
 		}
 
-		op.Invoke = clock.Now(socket)
+		op.Invoke = order.Add(1)
 		var err error
 		died := pmem.Survive(func() {
 			switch op.Kind {
@@ -377,7 +381,7 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 			return err
 		}
 		if !died {
-			op.Return = clock.Now(socket)
+			op.Return = order.Add(1)
 			op.Done = true
 		}
 		ops = append(ops, op)

@@ -69,6 +69,18 @@ go test -race -short ./internal/baselines/...
 # package under -race takes ~50 s.
 go test -race -short -run 'TestSmokeAllExperiments/(fig2|fig14|fig15b|fig17|batch|extension-hash)$' ./internal/bench
 go test -race -run TestTortureShort ./internal/torture
+# A node's records and stamps are ticked in its lock's order whatever
+# socket draws them, and the oracles judge by the order the harness
+# observed: with spare processors, a cross-socket reordering shows up as
+# a lost update within a few runs. Run uncached.
+GOMAXPROCS=2 go test -count=20 -run '^TestTortureShort$' ./internal/torture
+# The benchmark's two-socket seating skips when the read-back after a
+# crash finds an acknowledged update lost; fail on any skip.
+twosockets=$(go test -count=20 -run TwoSockets -v ./benchmark)
+if echo "$twosockets" | grep -q -- '--- SKIP'; then
+    echo "$twosockets" | grep -A1 -- '--- SKIP' >&2
+    exit 1
+fi
 
 # The acceptance tests — batch speedup, read scaling (8 threads >= 3x 1),
 # shard scaling (8 shards >= 3x 1), the static read-path wiring check,

@@ -17,10 +17,10 @@ import (
 // in-flight state dies at once), the DB is reopened with shard
 // auto-detection, and each shard's recovered tree must independently
 // satisfy the durable-prefix linearizability oracle against the slice
-// of the history that routed to it — checked with that shard's own
-// ORDO clock, since shards share no tick domain. Rounds chain: each
-// continues on the recovered image, so crash-recover-crash sequences
-// and recovered-clock resume are exercised per shard.
+// of the history that routed to it, ordered by one invoke/return
+// sequence the writers share. Rounds chain: each continues on the
+// recovered image, so crash-recover-crash sequences and recovered-clock
+// resume are exercised per shard.
 func TestShardedCrashDurablePrefix(t *testing.T) {
 	const (
 		shards   = 4
@@ -46,6 +46,7 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 	crashes := 0
 	openRNG := rand.New(rand.NewSource(8))
 	openFlushes, openCrashes := int64(0), 0
+	var order atomic.Uint64 // the writers' shared invoke/return sequence
 
 	for round := 0; round < rounds; round++ {
 		seeds := make([]int64, writers)
@@ -78,8 +79,6 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 					}
 					key := 1 + rng.Uint64()%keySpace
 					shard := db.ShardFor(key)
-					clock := db.shards[shard].Clock()
-					socket := db.ShardHomeSocket(shard)
 					op := torture.Op{Worker: wid, Seq: seq, Key: key}
 					if rng.Intn(4) < 3 {
 						op.Kind = torture.OpUpsert
@@ -87,7 +86,7 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 					} else {
 						op.Kind = torture.OpDelete
 					}
-					op.Invoke = clock.Now(socket)
+					op.Invoke = order.Add(1)
 					var err error
 					died := pmem.Survive(func() {
 						if op.Kind == torture.OpUpsert {
@@ -101,7 +100,7 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 						return
 					}
 					if !died {
-						op.Return = clock.Now(socket)
+						op.Return = order.Add(1)
 						op.Done = true
 					}
 					hist[wid][shard] = append(hist[wid][shard], op)
@@ -170,13 +169,13 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 		}
 
 		// Each shard independently satisfies the durable-prefix oracle
-		// against its slice of the history, on its own clock.
+		// against its slice of the history.
 		for shard := 0; shard < shards; shard++ {
 			perWorker := make([][]torture.Op, writers)
 			for w := 0; w < writers; w++ {
 				perWorker[w] = hist[w][shard]
 			}
-			vs := torture.CheckDurablePrefix(rec.shards[shard].Clock(), baseline[shard], perWorker, recovered[shard], round)
+			vs := torture.CheckDurablePrefix(baseline[shard], perWorker, recovered[shard], round)
 			for _, v := range vs {
 				t.Errorf("shard %d (crashed=%v): %v", shard, crashed, v)
 			}
