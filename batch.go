@@ -6,9 +6,11 @@ import "cclbtree/internal/core"
 // ready to use; Reset recycles the backing storage across groups.
 //
 // A batch holds either fixed 8 B ops (Put/Delete) or variable-size ops
-// (PutVar/DeleteVar), matching the tree's mode — Apply rejects the
-// whole group (with ErrVarKVRequired / ErrFixedKVRequired, before any
-// side effect) on a mismatch. Byte slices passed to PutVar/DeleteVar
+// (PutVar/DeleteVar), matching the tree's mode. Each staged op is
+// checked by the validator the single writes pass, so Apply rejects an
+// op with the error the matching single write returns (ErrZeroKey,
+// ErrVarKVRequired, ErrFixedKVRequired, ...), and it rejects the whole
+// group before any side effect. Byte slices passed to PutVar/DeleteVar
 // are retained, not copied: the caller must not modify them until
 // Apply returns.
 type Batch struct {
@@ -48,14 +50,14 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (b *Batch) Reset() { b.ops = b.ops[:0] }
 
 // Apply applies every staged op with one WAL group commit per shard:
-// the ops are split by key hash, each shard's slice is sorted by key,
-// all its log records are persisted under a single fence (instead of
-// one fence per op), and ops landing on the same leaf share one
-// buffer-flush. On a batch of N ops this saves N−1 fences (per shard)
-// and turns N same-leaf trigger writes into one leaf write — the
-// source of group commit's throughput and write-amplification win
-// (see the "Batched writes" section of the README). A shard's slice of
-// one op runs exactly as Put/Delete do.
+// the ops are split by the route single writes take (key hash), each
+// shard's slice is sorted by key, all its log records are persisted
+// under a single fence (instead of one fence per op), and ops landing
+// on the same leaf share one buffer-flush. On a batch of N ops this
+// saves N−1 fences (per shard) and turns N same-leaf trigger writes
+// into one leaf write — the source of group commit's throughput and
+// write-amplification win (see the "Batched writes" section of the
+// README). A shard's slice of one op runs exactly as Put/Delete do.
 //
 // Durability is the same as issuing the ops individually: when Apply
 // returns every op is durable, and ops to the same key take effect in
@@ -73,19 +75,13 @@ func (s *Session) Apply(b *Batch) error {
 	if len(s.ws) == 1 {
 		return s.ws[0].ApplyBatch(b.ops)
 	}
-	db := s.db
 	perShard := s.perShard
 	for i := range perShard {
 		perShard[i] = perShard[i][:0]
 	}
-	for _, op := range b.ops {
-		shard := 0
-		if op.KeyBytes != nil {
-			shard = db.shardForBytes(op.KeyBytes)
-		} else {
-			shard = db.shardFor(op.Key)
-		}
-		perShard[shard] = append(perShard[shard], op)
+	for i := range b.ops {
+		shard := s.db.shardOf(&b.ops[i])
+		perShard[shard] = append(perShard[shard], b.ops[i])
 	}
 	// All-or-nothing validation across shards, then commit shard by
 	// shard. Serial-clock discipline as everywhere in the session: the

@@ -222,10 +222,10 @@ func (db *DB) Shards() int { return len(db.shards) }
 // ShardFor reports which shard a fixed 8 B key routes to. The hash is
 // a stable bit-mix (identical across processes and restarts), so the
 // serving tier can route before touching the DB.
-func (db *DB) ShardFor(key uint64) int { return db.shardFor(key) }
+func (db *DB) ShardFor(key uint64) int { return db.shardOf(&core.BatchOp{Key: key}) }
 
 // ShardForVar reports which shard a variable-size key routes to.
-func (db *DB) ShardForVar(key []byte) int { return db.shardForBytes(key) }
+func (db *DB) ShardForVar(key []byte) int { return db.shardOf(&core.BatchOp{KeyBytes: key}) }
 
 // ShardHomeSocket reports the NUMA socket shard i is pinned to. The
 // serving tier uses it to place each shard's commit lane on the

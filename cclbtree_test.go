@@ -109,6 +109,13 @@ func TestPublicLargeValues(t *testing.T) {
 	if !ok || !bytes.Equal(v, big) {
 		t.Fatal("large value roundtrip failed")
 	}
+	// A nil value is an empty blob, not the tombstone.
+	if err := s.PutLargeValue(43, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.GetLargeValue(43); !ok || len(v) != 0 {
+		t.Fatalf("nil large value read back as %q,%v", v, ok)
+	}
 }
 
 func TestPublicStatsSurface(t *testing.T) {

@@ -6,8 +6,11 @@ import (
 	"cclbtree/internal/core"
 )
 
-// Sentinel errors returned (wrapped) by the write paths. Check with
-// errors.Is; the wrapped messages carry the operation name.
+// Sentinel errors returned (wrapped) by the write paths. Every write —
+// Put, Delete, PutVar, DeleteVar, PutLargeValue, PutIndirect and each op
+// of an Apply — passes one validator, so a malformed op returns the same
+// sentinel alone and in a batch. Check with errors.Is; the wrapped
+// messages carry the operation kind (put or delete).
 var (
 	// ErrZeroKey reports a zero fixed key or an empty variable key.
 	// Zero is reserved: it is the probe sentinel in fixed mode and an

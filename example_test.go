@@ -1,6 +1,7 @@
 package cclbtree_test
 
 import (
+	"bytes"
 	"fmt"
 
 	"cclbtree"
@@ -65,6 +66,18 @@ func ExampleConfig_varKV() {
 	// Output:
 	// user:alice -> {"role":"admin"}
 	// user:bob -> {"role":"dev"}
+}
+
+// Large values on a fixed-key tree: the value goes out of band as a
+// blob, and the leaf stores an 8 B indirection pointer to it (§4.4).
+func ExampleSession_PutLargeValue() {
+	db, _ := cclbtree.New(cclbtree.Config{Platform: smallPlatform()})
+	defer db.Close()
+	s := db.Session(0)
+	_ = s.PutLargeValue(7, bytes.Repeat([]byte("ab"), 100))
+	v, ok := s.GetLargeValue(7)
+	fmt.Println(len(v), ok, string(v[:6]))
+	// Output: 200 true ababab
 }
 
 // Group commit: stage a batch of writes and apply them with a single

@@ -11,10 +11,11 @@ import (
 // write-protocol helpers, resolve groupCommit's AppendBatch call edge
 // (the one foreground WAL-append site) across the package boundary,
 // enter both in the summary table (both take a *pmem.Thread), and reach
-// groupCommit from every public write entry point — single writes
-// included, which run the same protocol as a group of one — so PL-rule
-// discharge of the foreground append is checked on the path users
-// actually run. The discharge itself is exercised by the corpus; this
+// groupCommit and the one validator (validateOp) from every exported
+// write entry point — single writes included, which run the same
+// protocol as a group of one — so PL-rule discharge of the foreground
+// append is checked on the path users actually run, and no write skips
+// the checks. The discharge itself is exercised by the corpus; this
 // test guards the real-repo names against silent resolution regressions
 // — an unresolved edge would quietly demote PL001/PL002 checking
 // of every writer to the bare-name merge, and the write path must stay
@@ -33,6 +34,7 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		"../../core::Worker.placeRun",
 		"../../core::Worker.applyRun",
 		"../../core::Worker.groupCommit",
+		"../../core::Worker.validateOp",
 	} {
 		if byKey[key] == nil {
 			t.Fatalf("call graph has no node %q; the batch path is not wired", key)
@@ -54,7 +56,8 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		t.Errorf("groupCommit -> AppendBatch edge missing; cross-package discharge and cache invalidation both break")
 	}
 
-	for _, entry := range []string{"Upsert", "Delete", "UpsertVar", "DeleteVar", "UpsertIndirect", "UpsertLargeValue", "ApplyBatch"} {
+	validate := byKey["../../core::Worker.validateOp"]
+	for _, entry := range []string{"Write", "Upsert", "Delete", "UpsertIndirect", "ApplyBatch"} {
 		from := byKey["../../core::Worker."+entry]
 		if from == nil {
 			t.Fatalf("call graph has no node for Worker.%s", entry)
@@ -62,10 +65,13 @@ func TestRepoBatchPathWiring(t *testing.T) {
 		if !reachesSync(an, from, commit) {
 			t.Errorf("Worker.%s does not reach groupCommit; the single write path is not the checked one", entry)
 		}
+		if !reachesSync(an, from, validate) {
+			t.Errorf("Worker.%s does not reach validateOp; a write skips the one validator", entry)
+		}
 	}
-	// The walk must be able to say no: a read never logs.
-	if reachesSync(an, byKey["../../core::Worker.Lookup"], commit) {
-		t.Errorf("Worker.Lookup reaches groupCommit; the reachability walk proves nothing")
+	// The walk must be able to say no: a read never logs or validates.
+	if reachesSync(an, byKey["../../core::Worker.Lookup"], commit) || reachesSync(an, byKey["../../core::Worker.Lookup"], validate) {
+		t.Errorf("Worker.Lookup reaches groupCommit or validateOp; the reachability walk proves nothing")
 	}
 
 	for _, f := range findings {

@@ -104,23 +104,16 @@ func (h *Table) NewWorker(socket int) *Worker { return &Worker{h.Tree.NewWorker(
 // Thread exposes the worker's PM thread.
 func (w *Worker) Thread() *pmem.Thread { return w.w.Thread() }
 
-// Put inserts or updates a pair. Key must be nonzero; value 0 is the
-// tombstone (use Delete).
+// Put inserts or updates a pair through the engine's checked single-
+// write entry. Key must be nonzero; value 0 is the tombstone (use
+// Delete).
 func (w *Worker) Put(key, value uint64) error {
-	if value == 0 {
-		return fmt.Errorf("cclhash: value 0 is the tombstone; use Delete")
-	}
-	return w.write(key, value)
+	return w.w.Write(&core.BatchOp{Key: key, Value: value}, false)
 }
 
 // Delete removes key via a buffered tombstone.
-func (w *Worker) Delete(key uint64) error { return w.write(key, core.Tombstone) }
-
-func (w *Worker) write(key, value uint64) error {
-	if key == 0 {
-		return fmt.Errorf("cclhash: key 0 is reserved")
-	}
-	return w.w.Write(key, value)
+func (w *Worker) Delete(key uint64) error {
+	return w.w.Write(&core.BatchOp{Key: key, Delete: true}, false)
 }
 
 // Get returns the value for key.

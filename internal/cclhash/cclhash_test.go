@@ -2,6 +2,7 @@ package cclhash
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -588,5 +589,54 @@ func TestCrashStampTriggerThenRecord(t *testing.T) {
 	}
 	if v, _ := h2.NewWorker(0).Get(1); v != 99 {
 		t.Fatalf("key 1 recovered as %d, want 99", v)
+	}
+}
+
+// TestRejectsWhatTheTreeRejects: the table's writes pass the engine's
+// one validator, so they fail with the tree's sentinels: key 0 and the
+// tombstone as a value are refused, and so is every write after Freeze,
+// which leaves the table as it was.
+func TestRejectsWhatTheTreeRejects(t *testing.T) {
+	h, w := newTable(t, Options{})
+	if err := w.Put(3, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		err, want error
+	}{
+		"Put key 0":    {w.Put(0, 1), core.ErrZeroKey},
+		"Delete key 0": {w.Delete(0), core.ErrZeroKey},
+	} {
+		if !errors.Is(c.err, c.want) {
+			t.Errorf("%s: got %v, want %v", name, c.err, c.want)
+		}
+	}
+	if err := w.Put(3, core.Tombstone); err == nil {
+		t.Error("Put of the tombstone value accepted")
+	}
+	h.Freeze()
+	for name, err := range map[string]error{"Put": w.Put(3, 4), "Delete": w.Delete(3)} {
+		if !errors.Is(err, core.ErrClosed) {
+			t.Errorf("%s after Freeze: got %v, want ErrClosed", name, err)
+		}
+	}
+	if v, ok := w.Get(3); !ok || v != 1 {
+		t.Fatalf("Get(3) after rejected writes = %d,%v, want 1", v, ok)
+	}
+}
+
+// TestInspectRefusesTable: the tree inspector reads one whole-device
+// tree's leaf list, so a hash table's image, whose superblock roots a
+// bucket array, is refused instead of read as leaves.
+func TestInspectRefusesTable(t *testing.T) {
+	h, w := newTable(t, Options{})
+	for i := uint64(1); i <= 500; i++ {
+		if err := w.Put(i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Freeze()
+	if rep, err := core.Inspect(h.Pool()); err == nil {
+		t.Fatalf("Inspect read a hash table as a tree: %+v", rep)
 	}
 }

@@ -1,18 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"cclbtree/internal/obs"
 	"cclbtree/internal/wal"
 )
 
-// BatchOp is one staged write: an ApplyBatch op, or a single write on
-// its way through writeOne. In fixed mode Key/Value carry the 8 B
-// words; in VarKV mode KeyBytes (and, for puts, ValueBytes) carry the
-// pair and the words are materialized during apply. Delete marks a
-// tombstone insertion in either mode.
+// BatchOp is one staged write: an ApplyBatch op, or the single write
+// Write runs. Every write of the module takes this one shape from the
+// API down to commit, checked by validateOp. In fixed mode Key carries
+// the 8 B key and Value the value word, or ValueBytes a value blob (the
+// word left 0); in VarKV mode KeyBytes (and, for puts, ValueBytes)
+// carry the pair and the words are materialized during apply. Delete
+// marks a tombstone insertion in either mode.
 type BatchOp struct {
 	Key        uint64
 	Value      uint64
@@ -24,9 +25,9 @@ type BatchOp struct {
 // materialize turns one validated op into word form and accounts it
 // (op counter, user bytes): a VarKV key is written out as a blob, and so
 // is the value of a VarKV put or of a fixed put that carries no value
-// word (0 is the tombstone, never a storable inline value — this is
-// UpsertLargeValue). The blobs are persisted here, before anything is
-// logged.
+// word (0 is the tombstone, never a storable inline value: validateOp
+// admits it only beside ValueBytes). The blobs are persisted here,
+// before anything is logged.
 func (w *Worker) materialize(op *BatchOp) (kv KV, err error) {
 	tr := w.tree
 	kv = KV{op.Key, op.Value}
@@ -57,15 +58,15 @@ func (w *Worker) materialize(op *BatchOp) (kv KV, err error) {
 // (commit): one WAL group commit for the whole group — §3.3's per-op
 // append + fence collapsed to one fence — and per-leaf coalescing, so N
 // ops triggering a flush on one leaf cost one leaf write, not N. A
-// group of one has no fence to share and runs exactly as Upsert/Delete
-// do.
+// group of one has no fence to share and runs exactly as Write does.
 //
 // Crash atomicity stays per-op, exactly the durable-prefix contract:
 // when ApplyBatch returns, every op in the group is durable; if the
 // machine dies mid-call, each op independently either survives (its
 // record is check-code-complete and newest for its key) or vanishes —
-// the group is not transactional. Validation runs before any side
-// effect, so a rejected batch leaves the tree untouched.
+// the group is not transactional. Every op passes the validator a
+// single write passes (validateOp) before any side effect, so a
+// rejected batch leaves the tree untouched.
 func (w *Worker) ApplyBatch(ops []BatchOp) error {
 	tr := w.tree
 	if len(ops) == 0 {
@@ -99,8 +100,8 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 }
 
 // commit is the write protocol (DESIGN.md "Write protocol"): every
-// foreground write — Upsert, Delete, the Var/Indirect/LargeValue
-// variants and ApplyBatch — arrives here as a group of word-form KVs in
+// foreground write — Write (under Upsert, Delete and UpsertIndirect) and
+// ApplyBatch — arrives here as a group of word-form KVs in
 // worker scratch, a single write as a group of one. Every run of the
 // sorted group has its node locked before anything is logged; with all
 // locks held the epoch is read, each run is placed, the ops that end in
@@ -163,38 +164,16 @@ func (w *Worker) commit(kvs []KV) error {
 	return nil
 }
 
-// ValidateBatch runs ApplyBatch's pre-flight validation without any
-// side effect. The sharded DB frontend uses it to reject a malformed
-// multi-shard batch atomically: every shard's slice is validated before
-// any shard's group commit starts, preserving the single-tree contract
-// that a rejected batch leaves the store untouched.
+// ValidateBatch runs ApplyBatch's pre-flight validation (validateOp on
+// every op) without any side effect. The sharded DB frontend uses it to
+// reject a malformed multi-shard batch atomically: every shard's slice
+// is validated before any shard's group commit starts, preserving the
+// single-tree contract that a rejected batch leaves the store untouched.
 func (w *Worker) ValidateBatch(ops []BatchOp) error {
 	for i := range ops {
-		if err := w.validateBatchOp(&ops[i]); err != nil {
+		if err := w.validateOp(&ops[i], false); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// validateBatchOp rejects malformed ops before ApplyBatch has any side
-// effect.
-func (w *Worker) validateBatchOp(op *BatchOp) error {
-	tr := w.tree
-	if !tr.opts.VarKV {
-		if op.KeyBytes != nil || op.ValueBytes != nil {
-			return fmt.Errorf("core: ApplyBatch: byte-slice op: %w", ErrVarKVRequired)
-		}
-		return w.validateFixed("ApplyBatch", op.Key, op.Value, !op.Delete)
-	}
-	if tr.closed.Load() {
-		return fmt.Errorf("core: ApplyBatch: %w", ErrClosed)
-	}
-	if op.KeyBytes == nil && op.Key != 0 {
-		return fmt.Errorf("core: ApplyBatch: fixed-word op: %w", ErrFixedKVRequired)
-	}
-	if len(op.KeyBytes) == 0 {
-		return fmt.Errorf("core: ApplyBatch: %w", ErrZeroKey)
 	}
 	return nil
 }

@@ -134,17 +134,29 @@ func TestApplyBatchVarKV(t *testing.T) {
 
 func TestApplyBatchValidation(t *testing.T) {
 	tr, w := newTestTree(t, Options{}, nil)
+	_, wv := newTestTree(t, Options{VarKV: true}, nil)
+	// Each group's last op is the malformed one; it must fail with the
+	// same sentinel when written alone.
 	cases := []struct {
 		name string
+		w    *Worker
 		ops  []BatchOp
 		want error
 	}{
-		{"zero key", []BatchOp{{Key: 1, Value: 1}, {Key: 0, Value: 2}}, ErrZeroKey},
-		{"var op on fixed tree", []BatchOp{{KeyBytes: []byte("k"), ValueBytes: []byte("v")}}, ErrVarKVRequired},
+		{"zero key", w, []BatchOp{{Key: 1, Value: 1}, {Key: 0, Value: 2}}, ErrZeroKey},
+		{"var op on fixed tree", w, []BatchOp{{KeyBytes: []byte("k"), ValueBytes: []byte("v")}}, ErrVarKVRequired},
+		{"var delete on fixed tree", w, []BatchOp{{Key: 1, Value: 1}, {KeyBytes: []byte("k"), Delete: true}}, ErrVarKVRequired},
+		{"fixed op on VarKV tree", wv, []BatchOp{{Key: 5, Value: 5}}, ErrFixedKVRequired},
+		{"fixed delete on VarKV tree", wv, []BatchOp{{KeyBytes: []byte("a")}, {Key: 5, Delete: true}}, ErrFixedKVRequired},
+		{"value word on VarKV tree", wv, []BatchOp{{KeyBytes: []byte("a"), Value: 5}}, ErrFixedKVRequired},
+		{"empty var key", wv, []BatchOp{{KeyBytes: []byte{}}}, ErrZeroKey},
 	}
 	for _, tc := range cases {
-		if err := w.ApplyBatch(tc.ops); !errors.Is(err, tc.want) {
+		if err := tc.w.ApplyBatch(tc.ops); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+		if err := tc.w.Write(&tc.ops[len(tc.ops)-1], false); !errors.Is(err, tc.want) {
+			t.Fatalf("%s alone: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 	// Validation failures must have no side effects: op 1 above was
@@ -172,13 +184,8 @@ func TestApplyBatchValidation(t *testing.T) {
 	if err := w.ApplyBatch([]BatchOp{{Key: 2, Value: 2}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after Freeze: got %v, want ErrClosed", err)
 	}
-
-	_, wv := newTestTree(t, Options{VarKV: true}, nil)
-	if err := wv.ApplyBatch([]BatchOp{{Key: 5, Value: 5}}); !errors.Is(err, ErrFixedKVRequired) {
-		t.Fatalf("fixed op on VarKV tree: got %v, want ErrFixedKVRequired", err)
-	}
-	if err := wv.ApplyBatch([]BatchOp{{KeyBytes: []byte{}}}); !errors.Is(err, ErrZeroKey) {
-		t.Fatalf("empty var key: got %v, want ErrZeroKey", err)
+	if err := w.Write(&BatchOp{Key: 2, Value: 2}, false); !errors.Is(err, ErrClosed) {
+		t.Fatalf("single write after Freeze: got %v, want ErrClosed", err)
 	}
 }
 
@@ -446,7 +453,8 @@ func TestGroupLogsOnlyBufferedOps(t *testing.T) {
 }
 
 // TestSingleWriteIsGroupOfOne pins what the single write protocol makes
-// true: Upsert/Delete and a one-op ApplyBatch are the same program. The
+// true: a single write and a one-op ApplyBatch are the same program, for
+// fixed words, VarKV pairs and fixed keys with value blobs alike. The
 // same stream issued either way logs, skips and flushes identically and
 // costs the same virtual time and media traffic.
 func TestSingleWriteIsGroupOfOne(t *testing.T) {
@@ -455,9 +463,11 @@ func TestSingleWriteIsGroupOfOne(t *testing.T) {
 		now                       int64
 		media                     uint64
 	}
-	run := func(issue func(w *Worker, ops []BatchOp) error) outcome {
-		tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+	run := func(t *testing.T, opts Options, shape func(*BatchOp), issue func(w *Worker, ops []BatchOp) error) outcome {
+		opts.GC = GCOff
+		tr, w := newTestTree(t, opts, func(c *pmem.Config) { c.DeviceBytes = 64 << 20 })
 		crashWorkload(7, 20000, 1, 4000, func(ops []BatchOp) {
+			shape(&ops[0])
 			if err := issue(w, ops); err != nil {
 				t.Fatal(err)
 			}
@@ -468,8 +478,33 @@ func TestSingleWriteIsGroupOfOne(t *testing.T) {
 		}
 		return outcome{c.LoggedWrites, c.SkippedLogs, c.TriggerWrites, w.Thread().Now(), tr.Pool().Stats().MediaWriteBytes}
 	}
-	singles, groups := run(issueSingle), run((*Worker).ApplyBatch)
-	if singles != groups {
-		t.Fatalf("Upsert/Delete and one-op ApplyBatch diverge:\n singles %+v\n groups  %+v", singles, groups)
+	write := func(w *Worker, ops []BatchOp) error { return w.Write(&ops[0], false) }
+	for _, in := range []struct {
+		name   string
+		opts   Options
+		shape  func(*BatchOp)
+		single func(w *Worker, ops []BatchOp) error
+	}{
+		{"fixed", Options{}, func(*BatchOp) {}, issueSingle},
+		{"varkv", Options{VarKV: true}, func(op *BatchOp) {
+			op.KeyBytes = []byte(fmt.Sprintf("key-%06d", op.Key))
+			if !op.Delete {
+				op.ValueBytes = []byte(fmt.Sprint(op.Value))
+			}
+			op.Key, op.Value = 0, 0
+		}, write},
+		{"large-value", Options{}, func(op *BatchOp) {
+			if !op.Delete {
+				op.ValueBytes = []byte(fmt.Sprintf("value-%024d", op.Value))
+				op.Value = 0
+			}
+		}, write},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			singles, groups := run(t, in.opts, in.shape, in.single), run(t, in.opts, in.shape, (*Worker).ApplyBatch)
+			if singles != groups {
+				t.Fatalf("single writes and one-op ApplyBatch diverge:\n singles %+v\n groups  %+v", singles, groups)
+			}
+		})
 	}
 }

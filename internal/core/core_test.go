@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -74,12 +75,37 @@ func TestKeyZeroRejected(t *testing.T) {
 		{"Delete key 0", w.Delete(0)},
 		{"Delete key above MaxValue", w.Delete(tagged)},
 		{"UpsertIndirect key above MaxValue", w.UpsertIndirect(tagged, blob)},
-		{"UpsertLargeValue key 0", w.UpsertLargeValue(0, []byte("v"))},
-		{"UpsertLargeValue key above MaxValue", w.UpsertLargeValue(tagged, []byte("v"))},
+		{"large value key 0", putLarge(w, 0, []byte("v"))},
+		{"large value key above MaxValue", putLarge(w, tagged, []byte("v"))},
 	}
 	for _, c := range cases {
 		if c.err == nil {
 			t.Errorf("%s accepted", c.name)
+		}
+	}
+	// One validator: a malformed op fails with the same error alone
+	// and in a group, behind a valid op the group then leaves unapplied.
+	for _, c := range []struct {
+		op   BatchOp
+		want error // the sentinel, where the rejection has one
+	}{
+		{BatchOp{Key: 0, Value: 1}, ErrZeroKey},
+		{BatchOp{Delete: true}, ErrZeroKey},
+		{BatchOp{ValueBytes: []byte("v")}, ErrZeroKey},
+		{BatchOp{KeyBytes: []byte("k"), ValueBytes: []byte("v")}, ErrVarKVRequired},
+		{BatchOp{Key: tagged, Value: 1}, nil},
+		{BatchOp{Key: tagged, ValueBytes: []byte("v")}, nil},
+		{BatchOp{Key: 1, Value: Tombstone}, nil},
+		{BatchOp{Key: 1, Value: MaxValue + 1}, nil},
+		{BatchOp{Key: 1, Value: blob}, nil}, // a tagged pointer outside UpsertIndirect
+		{BatchOp{Key: 1, Value: 2, ValueBytes: []byte("v")}, nil},
+	} {
+		alone := w.Write(&c.op, false)
+		group := w.ApplyBatch([]BatchOp{{Key: 2, Value: 2}, c.op})
+		if alone == nil || group == nil || alone.Error() != group.Error() {
+			t.Errorf("%+v: alone %v, in a group %v", c.op, alone, group)
+		} else if c.want != nil && (!errors.Is(alone, c.want) || !errors.Is(group, c.want)) {
+			t.Errorf("%+v: alone %v, in a group %v, want %v", c.op, alone, group, c.want)
 		}
 	}
 	if c := tr.Counters(); c.LoggedWrites != 0 || c.Upserts != 0 || c.Deletes != 0 {

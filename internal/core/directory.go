@@ -74,12 +74,6 @@ func (tr *Tree) chain(slab *nodeSlab, prev *bufferNode, leaf pmem.Addr, lowKey u
 // NewLine allocates and counts one more line on the worker's socket.
 func (w *Worker) NewLine() (pmem.Addr, error) { return w.tree.newLeaf(w.t, w.socket) }
 
-// Write is Upsert (value Tombstone: Delete) without the tree's word
-// checks: another directory stores any nonzero key and any value.
-func (w *Worker) Write(key, value uint64) error {
-	return w.writeOne(&BatchOp{Key: key, Value: value, Delete: value == Tombstone})
-}
-
 // Rebuild is Open's bookkeeping while a directory rebuilds its nodes
 // from an image.
 type Rebuild struct {
@@ -153,6 +147,23 @@ func (rb *Rebuild) trackWord(w uint64) error {
 	return nil
 }
 
+// nextLeaf checks the next pointer of a leaf a walk of the leaf list
+// (Build, Inspect) stands on, before the walk follows it: nil ends the
+// list; anything else must be a leaf-aligned line on the device that the
+// walk has not reached yet (seen, which gains it).
+func nextLeaf(pool *pmem.Pool, next pmem.Addr, seen map[pmem.Addr]bool) error {
+	switch {
+	case next.IsNil():
+		return nil
+	case !pool.ValidRange(next, LeafBytes) || next.Offset()%LeafBytes != 0:
+		return corruptf("leaf list", next, "next pointer invalid")
+	case seen[next]:
+		return corruptf("leaf list", next, "cycle detected")
+	}
+	seen[next] = true
+	return nil
+}
+
 // treeDir is the tree's directory: the inner index over the leaf list,
 // with leafBatchInsert/splitLeaf/tryMerge behind Flush.
 type treeDir struct{ tr *Tree }
@@ -216,14 +227,8 @@ func (d treeDir) Build(tr *Tree, t *pmem.Thread, headLeaf pmem.Addr, rb *Rebuild
 		}
 		rb.Line(cur, img.TS())
 		next := img.Next()
-		if !next.IsNil() {
-			if !pool.ValidRange(next, LeafBytes) || next.Offset()%LeafBytes != 0 {
-				return headLeaf, corruptf("leaf list", next, "next pointer invalid")
-			}
-			if seen[next] {
-				return headLeaf, corruptf("leaf list", next, "cycle detected")
-			}
-			seen[next] = true
+		if err := nextLeaf(pool, next, seen); err != nil {
+			return headLeaf, err
 		}
 		if img.Bitmap() == 0 && cur != headLeaf {
 			// Unlink: predecessor's meta gets our successor, one

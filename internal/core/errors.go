@@ -23,46 +23,63 @@ var (
 	ErrClosed = errors.New("tree is closed")
 )
 
-// validateFixed is the one validator of the fixed-mode write entry
-// points (Upsert, Delete, UpsertIndirect, UpsertLargeValue and every
-// fixed ApplyBatch op): the tree must be open and not in VarKV mode, and
-// key must lie in [1, MaxValue] — the top two bits tag indirection
+// validateOp is the one validator of every write, alone (Write) or in
+// a group (ApplyBatch), run before any side effect. The tree must be
+// open. Another directory's words are raw (Rebuild.words): its op needs
+// a nonzero key and, for a put, a value other than the tombstone. In
+// VarKV mode the key is nonempty KeyBytes and no word is set. In fixed
+// mode the key lies in [1, MaxValue] — the top two bits tag indirection
 // pointers and probes, and recovery drops a record whose key carries
-// them. A put of an inline value (inline true) also needs value in
-// [1, MaxValue]; deletes and the entry points whose value word is a blob
-// pointer pass false.
-func (w *Worker) validateFixed(op string, key, value uint64, inline bool) error {
-	if w.tree.closed.Load() {
-		return fmt.Errorf("core: %s: %w", op, ErrClosed)
+// them — and a put's value is an inline word in [1, MaxValue], or
+// ValueBytes (word 0) for materialize to write as a blob, or a tagged
+// pointer when indirect says the caller is UpsertIndirect.
+func (w *Worker) validateOp(op *BatchOp, indirect bool) error {
+	tr := w.tree
+	_, tree := tr.index.(treeDir)
+	switch {
+	case tr.closed.Load():
+		return opErr(op, "%w", ErrClosed)
+	case !tree:
+		if op.Key == 0 {
+			return opErr(op, "%w", ErrZeroKey)
+		}
+	case tr.opts.VarKV:
+		if op.Key != 0 || op.Value != 0 {
+			return opErr(op, "fixed-word op: %w", ErrFixedKVRequired)
+		}
+		if len(op.KeyBytes) == 0 {
+			return opErr(op, "%w", ErrZeroKey)
+		}
+		return nil
+	case op.KeyBytes != nil:
+		return opErr(op, "byte-slice key: %w", ErrVarKVRequired)
+	case op.Key == 0:
+		return opErr(op, "%w", ErrZeroKey)
+	case op.Key > MaxValue:
+		return opErr(op, "key %#x outside [1, MaxValue]", op.Key)
 	}
-	if w.tree.opts.VarKV {
-		return fmt.Errorf("core: %s: %w", op, ErrFixedKVRequired)
-	}
-	if key == 0 {
-		return fmt.Errorf("core: %s: %w", op, ErrZeroKey)
-	}
-	if key > MaxValue {
-		return fmt.Errorf("core: %s: key %#x outside [1, MaxValue]", op, key)
-	}
-	if inline && value == Tombstone {
-		return fmt.Errorf("core: %s: value 0 is the tombstone; delete instead", op)
-	}
-	if inline && value > MaxValue {
-		return fmt.Errorf("core: %s: value %#x exceeds MaxValue; use UpsertLargeValue", op, value)
+	switch {
+	case op.Delete, tree && op.Value == 0 && op.ValueBytes != nil: // a tombstone; a blob to write
+		return nil
+	case op.Value == Tombstone:
+		return opErr(op, "value 0 is the tombstone; delete instead")
+	case !tree:
+		return nil
+	case op.ValueBytes != nil:
+		return opErr(op, "value word %#x beside value bytes", op.Value)
+	case indirect && !IsBlobWord(op.Value):
+		return opErr(op, "%#x is not an indirection pointer", op.Value)
+	case !indirect && op.Value > MaxValue:
+		return opErr(op, "value %#x exceeds MaxValue; store it as a large value", op.Value)
 	}
 	return nil
 }
 
-// writableVar guards the VarKV single-write entry points.
-func (w *Worker) writableVar(op string, key []byte) error {
-	if w.tree.closed.Load() {
-		return fmt.Errorf("core: %s: %w", op, ErrClosed)
+// opErr wraps a rejection of op, named by its kind.
+func opErr(op *BatchOp, format string, a ...any) error {
+	kind := "put"
+	if op.Delete {
+		kind = "delete"
 	}
-	if !w.tree.opts.VarKV {
-		return fmt.Errorf("core: %s: %w", op, ErrVarKVRequired)
-	}
-	if len(key) == 0 {
-		return fmt.Errorf("core: %s: %w", op, ErrZeroKey)
-	}
-	return nil
+	return fmt.Errorf("core: "+kind+": "+format, a...)
 }

@@ -20,10 +20,11 @@ func fuzzOpts(varKV bool) Options {
 }
 
 // FuzzRecoveryScan builds a small valid tree, crashes it, pokes
-// arbitrary words into the persistent image, and recovers. The
-// contract: Open either succeeds or returns an error (typically
-// *CorruptError) — it must never panic or hang on malformed persisted
-// bytes — and when it accepts the image, basic reads must be safe.
+// arbitrary words into the persistent image, inspects it and recovers.
+// The contract: Inspect and Open each either succeed or return an error
+// (typically *CorruptError) — neither may panic or hang on malformed
+// persisted bytes — and when Open accepts the image, basic reads must
+// be safe.
 func FuzzRecoveryScan(f *testing.F) {
 	poke := func(off uint32, v uint64) []byte {
 		var b [12]byte
@@ -48,7 +49,7 @@ func FuzzRecoveryScan(f *testing.F) {
 		if varKV {
 			for i := 0; i < 8; i++ {
 				k := []byte{byte(i + 1), 0xaa}
-				if err := w.UpsertVar(k, append(k, 0xbb)); err != nil {
+				if err := putVar(w, k, append(k, 0xbb)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -74,6 +75,9 @@ func FuzzRecoveryScan(f *testing.F) {
 			th.Persist(a, pmem.WordSize)
 		}
 
+		if rep, err := Inspect(pool); rep == nil && err == nil {
+			t.Fatal("Inspect returned neither a report nor an error")
+		}
 		tr2, _, err := Open(pool, Options{}, 2)
 		if err != nil {
 			return // typed rejection is a legal outcome for a corrupt image
@@ -113,7 +117,7 @@ func FuzzVarKVRoundTrip(f *testing.F) {
 		for i := 0; i < variants; i++ {
 			k := append(append([]byte{}, key...), byte(i))
 			v := append(append([]byte{}, value...), byte(i))
-			if err := w.UpsertVar(k, v); err != nil {
+			if err := putVar(w, k, v); err != nil {
 				t.Fatal(err)
 			}
 			want[string(k)] = v
@@ -121,7 +125,7 @@ func FuzzVarKVRoundTrip(f *testing.F) {
 		// Overwrite the first variant: the newest version must win.
 		k0 := append(append([]byte{}, key...), byte(0))
 		v0 := append(append([]byte{}, value...), 0xff)
-		if err := w.UpsertVar(k0, v0); err != nil {
+		if err := putVar(w, k0, v0); err != nil {
 			t.Fatal(err)
 		}
 		want[string(k0)] = v0
@@ -137,6 +141,9 @@ func FuzzVarKVRoundTrip(f *testing.F) {
 		check(w, "live")
 		tr.Freeze()
 		pool.Crash()
+		if rep, err := Inspect(pool); rep == nil && err == nil {
+			t.Fatal("Inspect returned neither a report nor an error")
+		}
 		tr2, _, err := Open(pool, Options{}, 2)
 		if err != nil {
 			t.Fatalf("recovery of a valid image failed: %v", err)

@@ -26,27 +26,40 @@ type InspectReport struct {
 }
 
 // Inspect reads a pool's persistent image (no recovery, no mutation)
-// and reports structural statistics plus an inter-leaf order check.
+// and reports structural statistics plus an inter-leaf order check. It
+// reads the image through Open's checks — the validated superblock and
+// chunk directory, and the leaf walk's range, alignment and cycle
+// checks — so a corrupt image returns an error (typically
+// *CorruptError) rather than a panic or an endless walk. Leaves out of
+// key order are reported (ChainBrokenAt), not rejected. Only one
+// whole-device tree has a leaf list at the superblock's root: another
+// index's image or a sharded pool is refused.
 func Inspect(pool *pmem.Pool) (*InspectReport, error) {
 	t := pool.NewThread(0)
-	sb := pmem.MakeAddr(0, sbOffset)
-	var sbw [sbWords]uint64
-	t.ReadRange(sb, sbw[:])
-	if sbw[0] != sbMagic {
-		return nil, fmt.Errorf("core: no tree in pool (magic %#x)", sbw[0])
+	sb, err := readSuperblock(pool, t, pmem.MakeAddr(0, sbOffset))
+	if err != nil {
+		return nil, err
+	}
+	if _, count := sbArena(sb.flags); count > 1 || sb.flags&sbIndex != 0 {
+		return nil, fmt.Errorf("core: not one whole-device tree (%d arenas, another index's image: %v)",
+			count, sb.flags&sbIndex != 0)
+	}
+	chunks, err := sb.chunks(pool, t)
+	if err != nil {
+		return nil, err
 	}
 	rep := &InspectReport{
-		VarKV:         sbw[5]&1 != 0,
-		ChunkBytes:    int(sbw[4]),
+		VarKV:         sb.flags&1 != 0,
+		ChunkBytes:    sb.chunkBytes,
 		ChainBrokenAt: -1,
 	}
-	chunks := readChunkDir(t, pmem.Addr(sbw[2]), int(sbw[3]))
 	rep.RegisteredLogs = len(chunks)
 	for _, c := range chunks {
 		rep.LogEntries += len(wal.ReadEntriesInChunks(t, []pmem.Addr{c}, rep.ChunkBytes))
 	}
 
-	cur := pmem.Addr(sbw[1])
+	cur := sb.root
+	seen := map[pmem.Addr]bool{cur: true}
 	var prevMax uint64
 	havePrev := false
 	idx := 0
@@ -92,6 +105,9 @@ func Inspect(pool *pmem.Pool) (*InspectReport, error) {
 			havePrev = true
 		}
 		cur = img.Next()
+		if err := nextLeaf(pool, cur, seen); err != nil {
+			return nil, err
+		}
 		idx++
 	}
 	rep.PMLeafBytes = int64(rep.Leaves) * LeafBytes

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"cclbtree/internal/pmem"
 	"cclbtree/internal/pmleaf"
@@ -79,4 +81,86 @@ func TestInspectRejectsEmptyPool(t *testing.T) {
 	if _, err := Inspect(pool); err == nil {
 		t.Fatal("empty pool accepted")
 	}
+}
+
+// TestInspectRejectsMalformedImages: Inspect reads an image through
+// Open's checks, so a head leaf whose next pointer names itself or runs
+// off the device is a *CorruptError (not an endless walk or a panic),
+// and an image that is not one whole-device tree is refused instead of
+// read as a leaf list. Each call runs under a deadline, so a hang fails
+// the test instead of stalling the suite.
+func TestInspectRejectsMalformedImages(t *testing.T) {
+	cases := []struct {
+		name    string
+		opts    Options
+		poke    func(tr *Tree, th *pmem.Thread)
+		corrupt bool // the error must be a *CorruptError
+	}{
+		{"head leaf names itself", Options{}, func(tr *Tree, th *pmem.Thread) {
+			setNext(th, tr.head.leaf, tr.head.leaf)
+		}, true},
+		{"head leaf points off the device", Options{}, func(tr *Tree, th *pmem.Thread) {
+			setNext(th, tr.head.leaf, pmem.MakeAddr(0, uint64(tr.Pool().DeviceBytes())+LeafBytes))
+		}, true},
+		// The superblock flags word of a hash table's image (internal/cclhash):
+		// the directory bit is set and the root is a bucket array.
+		{"another index's image", Options{}, func(tr *Tree, th *pmem.Thread) {
+			flags := tr.sbAddr().Add(5 * pmem.WordSize)
+			th.Store(flags, th.Load(flags)|sbIndex)
+			th.Persist(flags, pmem.WordSize)
+		}, false},
+		{"arena 0 of two", Options{ArenaCount: 2}, nil, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.opts.GC = GCOff
+			tr, w := newTestTree(t, c.opts, nil)
+			for i := uint64(1); i <= 300; i++ {
+				if err := w.Upsert(i, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr.Freeze()
+			if c.poke != nil {
+				c.poke(tr, tr.Pool().NewThread(0))
+			}
+			type outcome struct {
+				err   error
+				panic any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- outcome{panic: p}
+					}
+				}()
+				_, err := Inspect(tr.Pool())
+				done <- outcome{err: err}
+			}()
+			select {
+			case o := <-done:
+				var ce *CorruptError
+				switch {
+				case o.panic != nil:
+					t.Fatalf("Inspect panicked: %v", o.panic)
+				case o.err == nil:
+					t.Fatal("Inspect accepted the image")
+				case c.corrupt && !errors.As(o.err, &ce):
+					t.Fatalf("Inspect: %v, want a *CorruptError", o.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Inspect did not return within 10 s")
+			}
+		})
+	}
+}
+
+// setNext points leaf's persistent next pointer at next, keeping its
+// bitmap.
+func setNext(th *pmem.Thread, leaf, next pmem.Addr) {
+	var img pmleaf.Image
+	img.Read(th, leaf)
+	th.Store(pmleaf.MetaAddr(leaf), pmleaf.PackMeta(img.Bitmap(), next))
+	th.Persist(pmleaf.MetaAddr(leaf), pmem.WordSize)
 }

@@ -75,7 +75,7 @@ func TestRecoveryAfterVarKVMixedSockets(t *testing.T) {
 			w := tr.NewWorker(s)
 			for i := 0; i < 500; i++ {
 				k := []byte{byte(s), byte(i >> 8), byte(i)}
-				if err := w.UpsertVar(k, append(k, 0xee)); err != nil {
+				if err := putVar(w, k, append(k, 0xee)); err != nil {
 					t.Error(err)
 					return
 				}

@@ -134,7 +134,7 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 	t.Run("VarKV", func(t *testing.T) {
 		tr, w := newTestTree(t, Options{Metrics: true, VarKV: true}, nil)
 		for i := 0; i < 100; i++ {
-			if err := w.UpsertVar([]byte(fmt.Sprintf("key-%03d", i)), []byte("value")); err != nil {
+			if err := putVar(w, []byte(fmt.Sprintf("key-%03d", i)), []byte("value")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -144,7 +144,7 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 			}
 		}
 		for i := 0; i < 10; i++ {
-			if err := w.DeleteVar([]byte(fmt.Sprintf("key-%03d", i))); err != nil {
+			if err := deleteVar(w, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -160,7 +160,7 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := uint64(1); i <= 100; i++ {
-			if err := w.UpsertLargeValue(i, make([]byte, 64)); err != nil {
+			if err := putLarge(w, i, make([]byte, 64)); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.UpsertIndirect(1000+i, blob); err != nil {

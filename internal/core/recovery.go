@@ -66,48 +66,22 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	//persistlint:ignore PL012 t0 is recovery-dedicated; the scope holds until the thread is dropped at the end of Open
 	t0.PushScope(pmem.ScopeRecovery)
 
-	// Superblock.
-	sb := pmem.MakeAddr(home, alloc.BaseOffset()+sbOffset)
-	var sbw [sbWords]uint64
-	t0.ReadRange(sb, sbw[:])
-	if sbw[0] != sbMagic {
-		return nil, nil, fmt.Errorf("core: no tree found in pool (bad superblock magic %#x at arena %d/%d, socket %d)",
-			sbw[0], opts.ArenaIndex, opts.ArenaCount, home)
+	sb, err := readSuperblock(pool, t0, pmem.MakeAddr(home, alloc.BaseOffset()+sbOffset))
+	if err != nil {
+		return nil, nil, err
 	}
-	headLeaf := pmem.Addr(sbw[1])
-	dirAddr := pmem.Addr(sbw[2])
-	dirSlots := int(sbw[3])
-	chunkBytes := int(sbw[4])
-	if idx, cnt := sbArena(sbw[5]); idx != opts.ArenaIndex || cnt != opts.ArenaCount {
+	if idx, cnt := sbArena(sb.flags); idx != opts.ArenaIndex || cnt != opts.ArenaCount {
 		return nil, nil, fmt.Errorf("core: tree was created as arena %d of %d, opened as %d of %d",
 			idx, cnt, opts.ArenaIndex, opts.ArenaCount)
 	}
-	if other := sbw[5]&sbIndex != 0; other != (dir != nil) {
+	if other := sb.flags&sbIndex != 0; other != (dir != nil) {
 		return nil, nil, fmt.Errorf("core: image and opener disagree on the directory (image is another index's: %v)", other)
 	}
-
-	// Everything below the magic word is untrusted until validated: a
-	// torn or corrupted image must surface as *CorruptError, never as an
-	// out-of-range panic or an endless walk.
-	if !pool.ValidRange(headLeaf, LeafBytes) || headLeaf.Offset()%LeafBytes != 0 {
-		return nil, nil, corruptf("superblock", headLeaf, "head leaf address invalid")
-	}
-	// Bound the slot count before the byte-size multiply: a poked word
-	// like 0x2000000000008020 would overflow int64(dirSlots)*WordSize
-	// into a small positive size that passes ValidRange, then panic in
-	// make([]uint64, dirSlots).
-	if dirSlots <= 0 || int64(dirSlots) > pool.DeviceBytes()/pmem.WordSize ||
-		!pool.ValidRange(dirAddr, int64(dirSlots)*pmem.WordSize) ||
-		dirAddr.Offset()%pmem.WordSize != 0 {
-		return nil, nil, corruptf("superblock", dirAddr, "chunk directory (%d slots) invalid", dirSlots)
-	}
-	if chunkBytes <= 0 || chunkBytes%pmem.XPLineSize != 0 || int64(chunkBytes) > pool.DeviceBytes() {
-		return nil, nil, corruptf("superblock", pmem.NilAddr, "chunk size %d invalid", chunkBytes)
-	}
+	chunkBytes := sb.chunkBytes
 
 	opts.ChunkBytes = chunkBytes
-	opts.VarKV = sbw[5]&1 != 0
-	opts.DirSlots = dirSlots
+	opts.VarKV = sb.flags&1 != 0
+	opts.DirSlots = sb.dirSlots
 	tr := newTree(pool, alloc, opts, dir)
 
 	st := &RecoveryStats{}
@@ -119,13 +93,13 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// at the NEXT crash, resurrecting overwritten values.
 	rb := &Rebuild{tr: tr, t: t0, maxEnd: make([]uint64, pool.Sockets()),
 		stamps: map[pmem.Addr]uint64{}, st: st}
-	rb.track(dirAddr, int64(dirSlots*pmem.WordSize))
+	rb.track(sb.dirAddr, int64(sb.dirSlots*pmem.WordSize))
 
-	chunks := readChunkDir(t0, dirAddr, dirSlots)
+	chunks, err := sb.chunks(pool, t0)
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, c := range chunks {
-		if !pool.ValidRange(c, int64(chunkBytes)) || c.Offset()%pmem.XPLineSize != 0 {
-			return nil, nil, corruptf("chunk directory", c, "chunk address invalid")
-		}
 		rb.track(c, int64(chunkBytes))
 	}
 	st.ChunksScanned = len(chunks)
@@ -159,7 +133,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	entryLists := make([][]wal.Entry, parts)
 	err = pmem.Parallel(threads, func(i int) error {
 		if i == 0 {
-			if _, err := tr.index.Build(tr, t0, headLeaf, rb); err != nil || threads > 1 {
+			if _, err := tr.index.Build(tr, t0, sb.root, rb); err != nil || threads > 1 {
 				return err
 			}
 		}
@@ -305,7 +279,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 
 	// Logs are now redundant: every surviving entry is durable in a
 	// leaf. Rebuild the directory empty and recycle the chunk space.
-	tr.dir = newChunkDir(pool.NewThread(home), dirAddr, dirSlots)
+	tr.dir = newChunkDir(pool.NewThread(home), sb.dirAddr, sb.dirSlots)
 	tr.dir.prof = tr.prof
 	tr.dir.clearAll()
 	tr.walman.OnAcquire = tr.dir.register
@@ -351,11 +325,58 @@ func ProbeArenaCount(pool *pmem.Pool) (int, error) {
 	t := pool.NewThread(0)
 	//persistlint:ignore PL012 probe thread is dropped at return; nothing to pop for
 	t.PushScope(pmem.ScopeRecovery)
-	var sbw [sbWords]uint64
-	t.ReadRange(pmem.MakeAddr(0, sbOffset), sbw[:])
-	if sbw[0] != sbMagic {
-		return 0, fmt.Errorf("core: no tree found in pool (bad superblock magic %#x)", sbw[0])
+	sb, err := readSuperblock(pool, t, pmem.MakeAddr(0, sbOffset))
+	if err != nil {
+		return 0, err
 	}
-	_, count := sbArena(sbw[5])
+	_, count := sbArena(sb.flags)
 	return count, nil
+}
+
+// superblock is an image's root record (layout in tree.go), as
+// readSuperblock validated it.
+type superblock struct {
+	root, dirAddr        pmem.Addr
+	dirSlots, chunkBytes int
+	flags                uint64
+}
+
+// readSuperblock reads the superblock at sb on t. Open,
+// ProbeArenaCount and Inspect all read it here, and everything below the
+// magic word is untrusted until checked: a torn or corrupted image must
+// surface as *CorruptError, never as an out-of-range panic or an
+// endless walk.
+func readSuperblock(pool *pmem.Pool, t *pmem.Thread, sb pmem.Addr) (superblock, error) {
+	var w [sbWords]uint64
+	t.ReadRange(sb, w[:])
+	s := superblock{pmem.Addr(w[1]), pmem.Addr(w[2]), int(w[3]), int(w[4]), w[5]}
+	switch {
+	case w[0] != sbMagic:
+		return s, fmt.Errorf("core: no tree found in pool (bad superblock magic %#x at %v)", w[0], sb)
+	case !pool.ValidRange(s.root, LeafBytes) || s.root.Offset()%LeafBytes != 0:
+		return s, corruptf("superblock", s.root, "head leaf address invalid")
+	// Bound the slot count before the byte-size multiply: a poked word
+	// like 0x2000000000008020 would overflow int64(dirSlots)*WordSize
+	// into a small positive size that passes ValidRange, then panic in
+	// make([]uint64, dirSlots).
+	case s.dirSlots <= 0 || int64(s.dirSlots) > pool.DeviceBytes()/pmem.WordSize ||
+		!pool.ValidRange(s.dirAddr, int64(s.dirSlots)*pmem.WordSize) ||
+		s.dirAddr.Offset()%pmem.WordSize != 0:
+		return s, corruptf("superblock", s.dirAddr, "chunk directory (%d slots) invalid", s.dirSlots)
+	case s.chunkBytes <= 0 || s.chunkBytes%pmem.XPLineSize != 0 || int64(s.chunkBytes) > pool.DeviceBytes():
+		return s, corruptf("superblock", pmem.NilAddr, "chunk size %d invalid", s.chunkBytes)
+	}
+	return s, nil
+}
+
+// chunks reads the chunk directory s names on t and checks every chunk
+// address in it: on the device for a whole chunk, and line-aligned.
+func (s superblock) chunks(pool *pmem.Pool, t *pmem.Thread) ([]pmem.Addr, error) {
+	chunks := readChunkDir(t, s.dirAddr, s.dirSlots)
+	for _, c := range chunks {
+		if !pool.ValidRange(c, int64(s.chunkBytes)) || c.Offset()%pmem.XPLineSize != 0 {
+			return nil, corruptf("chunk directory", c, "chunk address invalid")
+		}
+	}
+	return chunks, nil
 }

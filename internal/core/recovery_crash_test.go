@@ -221,7 +221,7 @@ func recoveryCrashImage(t *testing.T, varKV, gc, emptyLeaf bool) (crashImage, fu
 	put := func(k, v uint64) {
 		var err error
 		if varKV {
-			err = w.UpsertVar(varKey(int(k)), varVal(int(v)))
+			err = putVar(w, varKey(int(k)), varVal(int(v)))
 		} else {
 			err = w.Upsert(k, v)
 		}

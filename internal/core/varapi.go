@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"cclbtree/internal/obs"
@@ -18,15 +17,6 @@ type KVBytes struct {
 	Key, Value []byte
 }
 
-// UpsertVar inserts or updates a variable-size pair. key must be
-// non-empty.
-func (w *Worker) UpsertVar(key, value []byte) error {
-	if err := w.writableVar("UpsertVar", key); err != nil {
-		return err
-	}
-	return w.writeOne(&BatchOp{KeyBytes: key, ValueBytes: value})
-}
-
 // LookupVar finds the value for a variable-size key.
 func (w *Worker) LookupVar(key []byte) ([]byte, bool) {
 	v, n := w.read(obs.EvLookup, true, w.tempKeyWord(key), nil)
@@ -34,14 +24,6 @@ func (w *Worker) LookupVar(key []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return readBlob(w.t, v), true
-}
-
-// DeleteVar inserts a tombstone for a variable-size key.
-func (w *Worker) DeleteVar(key []byte) error {
-	if err := w.writableVar("DeleteVar", key); err != nil {
-		return err
-	}
-	return w.writeOne(&BatchOp{KeyBytes: key, Delete: true})
 }
 
 // scanVarPage is how many entries ScanVar pulls per scan of the tree, so
@@ -83,26 +65,11 @@ func (w *Worker) tempKeyWord(key []byte) uint64 {
 // pointer word (IsBlobWord must hold). Harnesses that manage their own
 // value blobs use this to drive every index through one code path.
 func (w *Worker) UpsertIndirect(key, pointerWord uint64) error {
-	if err := w.validateFixed("UpsertIndirect", key, pointerWord, false); err != nil {
-		return err
-	}
-	if !IsBlobWord(pointerWord) {
-		return fmt.Errorf("core: %#x is not an indirection pointer", pointerWord)
-	}
-	return w.writeOne(&BatchOp{Key: key, Value: pointerWord})
+	return w.Write(&BatchOp{Key: key, Value: pointerWord}, true)
 }
 
-// UpsertLargeValue stores a fixed 8 B key with an out-of-band value
-// blob — the Fig 15c configuration (8 B keys, 64–512 B values through
-// indirection pointers). Works in fixed-key mode.
-func (w *Worker) UpsertLargeValue(key uint64, value []byte) error {
-	if err := w.validateFixed("UpsertLargeValue", key, 0, false); err != nil {
-		return err
-	}
-	return w.writeOne(&BatchOp{Key: key, ValueBytes: value})
-}
-
-// LookupLargeValue fetches a value stored with UpsertLargeValue.
+// LookupLargeValue fetches a value stored as a blob from a fixed put's
+// ValueBytes.
 func (w *Worker) LookupLargeValue(key uint64) ([]byte, bool) {
 	v, n := w.read(obs.EvLookup, false, key, nil)
 	if n == 0 {

@@ -20,10 +20,22 @@ func newVarTree(t *testing.T) (*Tree, *Worker) {
 func varKey(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 func varVal(i int) []byte { return []byte(fmt.Sprintf("value-%d-%s", i, "payload")) }
 
+// putVar, deleteVar and putLarge are the byte-carrying single writes,
+// each one op through Write as the DB frontend issues it.
+func putVar(w *Worker, k, v []byte) error {
+	return w.Write(&BatchOp{KeyBytes: k, ValueBytes: v}, false)
+}
+
+func deleteVar(w *Worker, k []byte) error { return w.Write(&BatchOp{KeyBytes: k, Delete: true}, false) }
+
+func putLarge(w *Worker, k uint64, v []byte) error {
+	return w.Write(&BatchOp{Key: k, ValueBytes: v}, false)
+}
+
 func TestVarRoundtrip(t *testing.T) {
 	_, w := newVarTree(t)
 	for i := 0; i < 1000; i++ {
-		if err := w.UpsertVar(varKey(i), varVal(i)); err != nil {
+		if err := putVar(w, varKey(i), varVal(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,13 +53,13 @@ func TestVarRoundtrip(t *testing.T) {
 func TestVarUpdateDelete(t *testing.T) {
 	_, w := newVarTree(t)
 	for i := 0; i < 300; i++ {
-		_ = w.UpsertVar(varKey(i), varVal(i))
+		_ = putVar(w, varKey(i), varVal(i))
 	}
 	for i := 0; i < 300; i += 2 {
-		_ = w.UpsertVar(varKey(i), []byte("updated"))
+		_ = putVar(w, varKey(i), []byte("updated"))
 	}
 	for i := 1; i < 300; i += 4 {
-		_ = w.DeleteVar(varKey(i))
+		_ = deleteVar(w, varKey(i))
 	}
 	for i := 0; i < 300; i++ {
 		v, ok := w.LookupVar(varKey(i))
@@ -73,7 +85,7 @@ func TestVarScanLexicographic(t *testing.T) {
 	keys := []string{"apple", "banana", "cherry", "date", "elderberry", "fig", "grape"}
 	perm := rand.New(rand.NewSource(5)).Perm(len(keys))
 	for _, i := range perm {
-		_ = w.UpsertVar([]byte(keys[i]), []byte("v-"+keys[i]))
+		_ = putVar(w, []byte(keys[i]), []byte("v-"+keys[i]))
 	}
 	got := w.ScanVar([]byte("banana"), 4)
 	want := []string{"banana", "cherry", "date", "elderberry"}
@@ -104,14 +116,14 @@ func TestVarRandomSizesAgainstModel(t *testing.T) {
 		case 0:
 			// Delete a random existing key.
 			for k := range ref {
-				_ = w.DeleteVar([]byte(k))
+				_ = deleteVar(w, []byte(k))
 				delete(ref, k)
 				break
 			}
 		default:
 			k := randBytes(8, 128)
 			v := randBytes(8, 128)
-			_ = w.UpsertVar(k, v)
+			_ = putVar(w, k, v)
 			ref[string(k)] = string(v)
 		}
 	}
@@ -141,10 +153,10 @@ func TestVarRandomSizesAgainstModel(t *testing.T) {
 func TestVarRecovery(t *testing.T) {
 	tr, w := newVarTree(t)
 	for i := 0; i < 800; i++ {
-		_ = w.UpsertVar(varKey(i), varVal(i))
+		_ = putVar(w, varKey(i), varVal(i))
 	}
 	for i := 0; i < 800; i += 5 {
-		_ = w.DeleteVar(varKey(i))
+		_ = deleteVar(w, varKey(i))
 	}
 	tr.Freeze()
 	tr.Pool().Crash()
@@ -172,12 +184,12 @@ func TestVarRecovery(t *testing.T) {
 
 func TestVarRejectsFixedAPIMix(t *testing.T) {
 	_, w := newVarTree(t)
-	if err := w.UpsertVar(nil, []byte("v")); err == nil {
+	if err := putVar(w, nil, []byte("v")); err == nil {
 		t.Fatal("empty var key accepted")
 	}
 	_, wFixed := newTestTree(t, Options{}, nil)
-	if err := wFixed.UpsertVar([]byte("k"), []byte("v")); err == nil {
-		t.Fatal("UpsertVar accepted on fixed-mode tree")
+	if err := putVar(wFixed, []byte("k"), []byte("v")); err == nil {
+		t.Fatal("a VarKV put accepted on fixed-mode tree")
 	}
 }
 
@@ -186,7 +198,7 @@ func TestLargeValueIndirection(t *testing.T) {
 	val := bytes.Repeat([]byte{0xab}, 512)
 	for i := uint64(1); i <= 500; i++ {
 		v := append(append([]byte(nil), val...), byte(i))
-		if err := w.UpsertLargeValue(i, v); err != nil {
+		if err := putLarge(w, i, v); err != nil {
 			t.Fatal(err)
 		}
 	}

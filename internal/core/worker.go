@@ -160,36 +160,34 @@ func (w *Worker) Thread() *pmem.Thread { return w.t }
 
 // MaxValue bounds direct 8 B keys and values: the top two bits tag
 // indirection pointers (blobs) and probes, so recovery can tell payload
-// from pointer unambiguously. Larger payloads go through
-// UpsertLargeValue.
+// from pointer unambiguously. Larger payloads go through a value blob
+// (BatchOp.ValueBytes).
 const MaxValue = 1<<62 - 1
 
 // Upsert inserts or updates a fixed 8 B key/value pair. key must be in
 // [1, MaxValue]; value must be in [1, MaxValue] (0 is the tombstone —
 // use Delete).
 func (w *Worker) Upsert(key, value uint64) error {
-	if err := w.validateFixed("Upsert", key, value, true); err != nil {
-		return err
-	}
-	return w.writeOne(&BatchOp{Key: key, Value: value})
+	return w.Write(&BatchOp{Key: key, Value: value}, false)
 }
 
 // Delete inserts a tombstone for key (§4.2 treats deletion as an
 // insertion so it benefits from buffering and logging identically).
 func (w *Worker) Delete(key uint64) error {
-	if err := w.validateFixed("Delete", key, Tombstone, false); err != nil {
-		return err
-	}
-	return w.writeOne(&BatchOp{Key: key, Delete: true})
+	return w.Write(&BatchOp{Key: key, Delete: true}, false)
 }
 
-// writeOne is the single-write entry shim under Upsert, Delete and the
-// Var/Indirect/LargeValue variants: one validated op is opened as an
-// OpPut span (a delete is a tombstone upsert and walks the identical
-// critical path), materialized and accounted exactly as an ApplyBatch op
-// is, handed to the write protocol (commit) as a group of one staged in
-// the worker scratch ApplyBatch uses, and sampled into insert_ns.
-func (w *Worker) writeOne(op *BatchOp) error {
+// Write is the one checked single-write entry (under Upsert, Delete,
+// UpsertIndirect, the DB frontend's single writes and cclhash): op
+// passes validateOp — indirect admits a tagged pointer as a fixed put's
+// value word, for UpsertIndirect — and then runs as a one-op ApplyBatch
+// does: an OpPut span (a delete is a tombstone upsert on the identical
+// critical path), materialize, commit as a group of one in the worker
+// scratch ApplyBatch uses, and an insert_ns sample.
+func (w *Worker) Write(op *BatchOp, indirect bool) error {
+	if err := w.validateOp(op, indirect); err != nil {
+		return err
+	}
 	start := w.t.Now()
 	w.beginSpan(obs.OpPut)
 	kv, err := w.materialize(op)

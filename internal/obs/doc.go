@@ -1,17 +1,17 @@
-// Package obs is the observability layer: typed counters, latency
-// histograms, an event tracer, and machine-readable bench emission,
-// spanning the stack from the pmem device model through the WAL and
-// tree up to the bench harness.
+// Package obs is the observability layer: latency histograms, an event
+// tracer, and machine-readable bench emission, spanning the stack from
+// the pmem device model through the WAL and tree up to the bench
+// harness.
 //
-// # Counters and histograms
+// # Histograms
 //
-// A Metrics registry holds named counters and latency histograms.
+// A Metrics registry holds named latency histograms (the tree's
+// behavioral counts are core.Counters, plain atomics on the tree).
 // Recording goes through per-thread Handles (NewHandle): each handle
-// owns private atomic cells, so the hot path is a single uncontended
-// atomic add — no locks, no allocation. Snapshot aggregates across all
+// owns private atomic cells, so the hot path is a few uncontended
+// atomic adds — no locks, no allocation. Snapshot aggregates across all
 // handles on demand. Like pmem.Thread, a Handle is single-owner: one
-// goroutine at a time (persistlint rule PL004 enforces this
-// statically). Histograms use log2 buckets refined by 3 mantissa bits
+// goroutine at a time. Histograms use log2 buckets refined by 3 mantissa bits
 // (~half-percent relative error on quantiles), enough to report the
 // p50/p99 the bench records need without per-sample storage.
 //
@@ -42,8 +42,8 @@
 // # Overhead expectations
 //
 // Everything here is pay-for-what-you-enable. Metrics disabled: zero
-// cost (no handles exist). Metrics enabled: one atomic add per counter
-// bump, two per histogram sample. Tracer disabled: one atomic bool
+// cost (no handles exist). Metrics enabled: a few atomic adds per
+// histogram sample. Tracer disabled: one atomic bool
 // load per Emit site. Tracer enabled: ~6 atomic stores per event, no
 // allocation. The acceptance bar for this layer is <3% insert-path
 // regression with everything disabled and 0 allocations per op.

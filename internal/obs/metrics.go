@@ -7,13 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// CounterID names a registered counter; HistID a registered histogram.
-// IDs are dense indexes into per-handle cell arrays, so recording is an
-// array index plus one atomic add.
-type (
-	CounterID int
-	HistID    int
-)
+// HistID names a registered histogram: a dense index into per-handle
+// cell arrays, so recording is an array index plus atomic adds.
+type HistID int
 
 // Histogram bucketing: values 0..7 map to their own bucket; larger
 // values map to a log2 octave refined by the top 3 mantissa bits, so
@@ -63,34 +59,17 @@ func (h *histShard) observe(v uint64) {
 	}
 }
 
-// Metrics is a registry of named counters and histograms. Register
-// everything (Counter, Histogram) before creating Handles: handles are
-// sized at creation and do not grow.
+// Metrics is a registry of named latency histograms. Register every
+// Histogram before creating Handles: handles are sized at creation and
+// do not grow. Behavioral counts live elsewhere (core.Counters).
 type Metrics struct {
-	mu           sync.Mutex
-	counterNames []string
-	histNames    []string
-	handles      []*Handle
+	mu        sync.Mutex
+	histNames []string
+	handles   []*Handle
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics { return &Metrics{} }
-
-// Counter registers (or finds) a counter by name.
-func (m *Metrics) Counter(name string) CounterID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, n := range m.counterNames {
-		if n == name {
-			return CounterID(i)
-		}
-	}
-	if len(m.handles) > 0 {
-		panic(fmt.Sprintf("obs: Counter(%q) after NewHandle; register first", name))
-	}
-	m.counterNames = append(m.counterNames, name)
-	return CounterID(len(m.counterNames) - 1)
-}
 
 // Histogram registers (or finds) a latency histogram by name. Samples
 // are unitless uint64s; by convention this codebase records virtual
@@ -111,33 +90,20 @@ func (m *Metrics) Histogram(name string) HistID {
 }
 
 // Handle is a per-thread recording shard. Like pmem.Thread it is
-// single-owner: one goroutine at a time (PL004 checks this). All
-// methods are allocation-free and nil-safe — a nil *Handle records
-// nothing, so call sites need no "metrics enabled?" branch of their
-// own.
+// single-owner: one goroutine at a time. All methods are
+// allocation-free and nil-safe — a nil *Handle records nothing, so call
+// sites need no "metrics enabled?" branch of their own.
 type Handle struct {
-	counters []atomic.Uint64
-	hists    []histShard
+	hists []histShard
 }
 
 // NewHandle creates a recording shard registered with m.
 func (m *Metrics) NewHandle() *Handle {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h := &Handle{
-		counters: make([]atomic.Uint64, len(m.counterNames)),
-		hists:    make([]histShard, len(m.histNames)),
-	}
+	h := &Handle{hists: make([]histShard, len(m.histNames))}
 	m.handles = append(m.handles, h)
 	return h
-}
-
-// Add bumps counter id by n.
-func (h *Handle) Add(id CounterID, n uint64) {
-	if h == nil {
-		return
-	}
-	h.counters[id].Add(n)
 }
 
 // Observe records one histogram sample.
@@ -229,8 +195,7 @@ func (h *HistSnapshot) P999() uint64 { return h.Quantile(0.999) }
 
 // Snapshot is a point-in-time aggregation over every handle.
 type Snapshot struct {
-	Counters map[string]uint64        `json:"counters"`
-	Hists    map[string]*HistSnapshot `json:"histograms"`
+	Hists map[string]*HistSnapshot `json:"histograms"`
 }
 
 // Snapshot aggregates all handles. Handles may keep recording
@@ -239,17 +204,7 @@ type Snapshot struct {
 func (m *Metrics) Snapshot() *Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := &Snapshot{
-		Counters: make(map[string]uint64, len(m.counterNames)),
-		Hists:    make(map[string]*HistSnapshot, len(m.histNames)),
-	}
-	for i, name := range m.counterNames {
-		var total uint64
-		for _, h := range m.handles {
-			total += h.counters[i].Load()
-		}
-		s.Counters[name] = total
-	}
+	s := &Snapshot{Hists: make(map[string]*HistSnapshot, len(m.histNames))}
 	for i, name := range m.histNames {
 		hs := &HistSnapshot{Name: name}
 		for _, h := range m.handles {
@@ -260,21 +215,15 @@ func (m *Metrics) Snapshot() *Snapshot {
 	return s
 }
 
-// Merge folds o into s: counters sum, histograms merge bucket-wise
-// (exact, same layout). The sharded DB frontend uses it to aggregate
+// Merge folds o into s: histograms merge bucket-wise (exact, same
+// layout). The sharded DB frontend uses it to aggregate
 // per-shard latency snapshots into one DB-wide view.
 func (s *Snapshot) Merge(o *Snapshot) {
 	if o == nil {
 		return
 	}
-	if s.Counters == nil {
-		s.Counters = map[string]uint64{}
-	}
 	if s.Hists == nil {
 		s.Hists = map[string]*HistSnapshot{}
-	}
-	for name, v := range o.Counters {
-		s.Counters[name] += v
 	}
 	for name, h := range o.Hists {
 		if mine := s.Hists[name]; mine != nil {

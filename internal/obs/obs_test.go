@@ -61,10 +61,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestCountersAggregateAcrossHandles(t *testing.T) {
+func TestHistogramsAggregateAcrossHandles(t *testing.T) {
 	m := NewMetrics()
-	ops := m.Counter("ops")
-	errs := m.Counter("errs")
+	lat := m.Histogram("lat")
+	m.Histogram("idle")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		h := m.NewHandle()
@@ -72,20 +72,18 @@ func TestCountersAggregateAcrossHandles(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				// A fresh handle is created per iteration; ownership transfers to the goroutine.
-				h.Add(ops, 1)
+				h.Observe(lat, uint64(w*1000+i))
 			}
 		}()
 	}
 	wg.Wait()
 	s := m.Snapshot()
-	if s.Counters["ops"] != 4000 {
-		t.Fatalf("ops = %d, want 4000", s.Counters["ops"])
+	if got := s.Hists["lat"]; got.Count != 4000 || got.Max != 3999 || got.Sum != 3999*4000/2 {
+		t.Fatalf("lat = count %d, max %d, sum %d; want 4000, 3999, %d", got.Count, got.Max, got.Sum, 3999*4000/2)
 	}
-	if s.Counters["errs"] != 0 {
-		t.Fatalf("errs = %d", s.Counters["errs"])
+	if got := s.Hists["idle"]; got.Count != 0 {
+		t.Fatalf("idle count = %d", got.Count)
 	}
-	_ = errs
 }
 
 func TestRegisterAfterHandlePanics(t *testing.T) {
@@ -96,12 +94,11 @@ func TestRegisterAfterHandlePanics(t *testing.T) {
 			t.Fatal("expected panic registering after NewHandle")
 		}
 	}()
-	m.Counter("late")
+	m.Histogram("late")
 }
 
 func TestNilHandleSafe(t *testing.T) {
 	var h *Handle
-	h.Add(0, 1)
 	h.Observe(0, 1)
 }
 
@@ -137,11 +134,9 @@ func TestEmitEnabledZeroAlloc(t *testing.T) {
 // Metrics recording must be allocation-free too.
 func TestHandleZeroAlloc(t *testing.T) {
 	m := NewMetrics()
-	c := m.Counter("ops")
 	hid := m.Histogram("lat")
 	h := m.NewHandle()
 	if n := testing.AllocsPerRun(1000, func() {
-		h.Add(c, 1)
 		h.Observe(hid, 137)
 	}); n != 0 {
 		t.Fatalf("recording allocates %v/op, want 0", n)

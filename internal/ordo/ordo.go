@@ -57,11 +57,3 @@ func (c *Clock) AdvanceTo(ts uint64) {
 		}
 	}
 }
-
-// Max returns the later of two timestamps by raw value.
-func Max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

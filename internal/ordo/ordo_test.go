@@ -61,9 +61,3 @@ func TestConcurrentIssue(t *testing.T) {
 		}
 	}
 }
-
-func TestMax(t *testing.T) {
-	if Max(3, 5) != 5 || Max(5, 3) != 5 || Max(4, 4) != 4 {
-		t.Fatal("Max wrong")
-	}
-}

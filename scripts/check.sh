@@ -119,7 +119,9 @@ rm -rf "$servedir"
 go test -race -run TestShardedCrashDurablePrefix .
 
 # Short fuzz smokes: each target gets 10s of coverage-guided input
-# generation on top of its checked-in corpus.
+# generation on top of its checked-in corpus. FuzzRecoveryScan runs the
+# inspector (ccldump's Inspect) on every poked image before Open, so it
+# covers both readers of an untrusted image.
 go test -run '^$' -fuzz FuzzWALRecordParse -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzRecoveryScan -fuzztime 10s ./internal/core
 go test -run '^$' -fuzz FuzzVarKVRoundTrip -fuzztime 10s ./internal/core

@@ -87,13 +87,21 @@ func (s *Session) settle(w *core.Worker) {
 // between sync points; the serial clock is the maximum across them.
 func (s *Session) Thread() *pmem.Thread { return s.ws[0].Thread() }
 
+// write runs one staged op on its shard: the one route (shardOf), sync
+// and settle under every single write, and the one checked core entry
+// (Worker.Write). indirect admits a tagged pointer as the value word
+// (PutIndirect).
+func (s *Session) write(op core.BatchOp, indirect bool) error {
+	w := s.worker(s.db.shardOf(&op))
+	err := w.Write(&op, indirect)
+	s.settle(w)
+	return err
+}
+
 // Put inserts or updates a fixed 8 B pair. Key must be nonzero and
 // value nonzero (zero is the paper's tombstone sentinel).
 func (s *Session) Put(key, value uint64) error {
-	w := s.worker(s.db.shardFor(key))
-	err := w.Upsert(key, value)
-	s.settle(w)
-	return err
+	return s.write(core.BatchOp{Key: key, Value: value}, false)
 }
 
 // Get returns the value for key. Reads are lock-free: the session
@@ -101,7 +109,7 @@ func (s *Session) Put(key, value uint64) error {
 // concurrent writer's version change, never blocking it (seqlock
 // discipline; see Counters.ReadRetries).
 func (s *Session) Get(key uint64) (uint64, bool) {
-	w := s.worker(s.db.shardFor(key))
+	w := s.worker(s.db.ShardFor(key))
 	v, ok := w.Lookup(key)
 	s.settle(w)
 	return v, ok
@@ -110,10 +118,7 @@ func (s *Session) Get(key uint64) (uint64, bool) {
 // Delete removes key (tombstone insertion; space is reclaimed when the
 // tombstone reaches the leaf).
 func (s *Session) Delete(key uint64) error {
-	w := s.worker(s.db.shardFor(key))
-	err := w.Delete(key)
-	s.settle(w)
-	return err
+	return s.write(core.BatchOp{Key: key, Delete: true}, false)
 }
 
 // KV is a fixed-size scan result.
@@ -142,15 +147,12 @@ func (s *Session) Scan(start uint64, out []KV) int {
 
 // PutVar inserts or updates a variable-size pair (requires VarKV).
 func (s *Session) PutVar(key, value []byte) error {
-	w := s.worker(s.db.shardForBytes(key))
-	err := w.UpsertVar(key, value)
-	s.settle(w)
-	return err
+	return s.write(core.BatchOp{KeyBytes: key, ValueBytes: value}, false)
 }
 
 // GetVar returns the value for a variable-size key.
 func (s *Session) GetVar(key []byte) ([]byte, bool) {
-	w := s.worker(s.db.shardForBytes(key))
+	w := s.worker(s.db.ShardForVar(key))
 	v, ok := w.LookupVar(key)
 	s.settle(w)
 	return v, ok
@@ -158,10 +160,7 @@ func (s *Session) GetVar(key []byte) ([]byte, bool) {
 
 // DeleteVar removes a variable-size key.
 func (s *Session) DeleteVar(key []byte) error {
-	w := s.worker(s.db.shardForBytes(key))
-	err := w.DeleteVar(key)
-	s.settle(w)
-	return err
+	return s.write(core.BatchOp{KeyBytes: key, Delete: true}, false)
 }
 
 // KVBytes is a variable-size scan result.
@@ -189,15 +188,15 @@ func (s *Session) ScanVar(start []byte, max int) []KVBytes {
 // PutLargeValue stores an 8 B key with an out-of-band value blob
 // through an indirection pointer (§4.4), for values larger than 8 B.
 func (s *Session) PutLargeValue(key uint64, value []byte) error {
-	w := s.worker(s.db.shardFor(key))
-	err := w.UpsertLargeValue(key, value)
-	s.settle(w)
-	return err
+	if value == nil {
+		value = []byte{} // an empty blob: an op with no value bytes and no word is a tombstone
+	}
+	return s.write(core.BatchOp{Key: key, ValueBytes: value}, false)
 }
 
 // GetLargeValue fetches a value stored with PutLargeValue (or Put).
 func (s *Session) GetLargeValue(key uint64) ([]byte, bool) {
-	w := s.worker(s.db.shardFor(key))
+	w := s.worker(s.db.ShardFor(key))
 	v, ok := w.LookupLargeValue(key)
 	s.settle(w)
 	return v, ok
@@ -207,8 +206,5 @@ func (s *Session) GetLargeValue(key uint64) ([]byte, bool) {
 // pointer word (IsIndirect must hold). Harnesses that manage their own
 // value blobs use this to drive every index through one code path.
 func (s *Session) PutIndirect(key, pointerWord uint64) error {
-	w := s.worker(s.db.shardFor(key))
-	err := w.UpsertIndirect(key, pointerWord)
-	s.settle(w)
-	return err
+	return s.write(core.BatchOp{Key: key, Value: pointerWord}, true)
 }

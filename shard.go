@@ -1,5 +1,7 @@
 package cclbtree
 
+import "cclbtree/internal/core"
+
 // The routing hash must be stable across processes and restarts — the
 // shard a key lives on is persistent state, so anything seeded per
 // process (hash/maphash) would scatter a reopened DB's keys to the
@@ -28,16 +30,16 @@ func hashBytes(b []byte) uint64 {
 	return mix64(h)
 }
 
-func (db *DB) shardFor(key uint64) int {
+// shardOf is the one route: Apply, every single write and (through
+// ShardFor and ShardForVar) every read pick an op's shard with it. An op
+// with byte-slice key routes by those bytes, any other by its key word.
+func (db *DB) shardOf(op *core.BatchOp) int {
 	if len(db.shards) == 1 {
 		return 0
 	}
-	return int(mix64(key) % uint64(len(db.shards)))
-}
-
-func (db *DB) shardForBytes(key []byte) int {
-	if len(db.shards) == 1 {
-		return 0
+	h := mix64(op.Key)
+	if op.KeyBytes != nil {
+		h = hashBytes(op.KeyBytes)
 	}
-	return int(hashBytes(key) % uint64(len(db.shards)))
+	return int(h % uint64(len(db.shards)))
 }
