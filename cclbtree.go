@@ -169,8 +169,8 @@ type RecoveryStats = core.RecoveryStats
 
 // OpenWithStats is Open with parallel recovery and statistics (Fig 17).
 // Shards recover concurrently; the returned stats sum the per-shard
-// counters, and VirtualNS is the slowest shard (they run in parallel
-// on independent arenas). A power failure injected inside recovery
+// counters, and each phase end and VirtualNS is the slowest shard's
+// (they run in parallel on independent arenas). A power failure injected inside recovery
 // (Pool.FailWhen) panics pmem.PowerFailure on the caller once every
 // shard has stopped, so a crash harness can crash and open again.
 func OpenWithStats(pool *pmem.Pool, cfg Config, threads int) (*DB, *RecoveryStats, error) {
@@ -207,6 +207,11 @@ func OpenWithStats(pool *pmem.Pool, cfg Config, threads int) (*DB, *RecoveryStat
 		agg.EntriesStale += st.EntriesStale
 		agg.EntriesDropped += st.EntriesDropped
 		agg.EmptyLeavesReclaimed += st.EmptyLeavesReclaimed
+		agg.UncarvedLines += st.UncarvedLines
+		agg.DiscoverEndNS = max(agg.DiscoverEndNS, st.DiscoverEndNS)
+		agg.LinkEndNS = max(agg.LinkEndNS, st.LinkEndNS)
+		agg.RouteEndNS = max(agg.RouteEndNS, st.RouteEndNS)
+		agg.ReplayEndNS = max(agg.ReplayEndNS, st.ReplayEndNS)
 		agg.VirtualNS = max(agg.VirtualNS, st.VirtualNS)
 	}
 	return db, agg, nil

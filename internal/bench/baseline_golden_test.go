@@ -149,28 +149,28 @@ func TestBaselineModelGolden(t *testing.T) {
 		want [2]modelGolden // one handle; two handles on sockets 0 and 1
 	}{
 		{"FPTree", fptree.Factory(), [2]modelGolden{
-			{Now: [2]int64{9504300, 0}, MediaWrite: 0xa9300, MediaRead: 0xf7700, XPBufWrite: 0x118100, WriteHits: 0x4445, WriteMisses: 0x1bf, ReadHits: 0x18ec, ReadMisses: 0xdb8, RemoteAccesses: 0x0, DRAM: 8940, PM: 114432, Results: scriptResults},
-			{Now: [2]int64{5704566, 5841502}, MediaWrite: 0x0, MediaRead: 0x1bf00, XPBufWrite: 0x118100, WriteHits: 0x4445, WriteMisses: 0x1bf, ReadHits: 0x26d4, ReadMisses: 0x0, RemoteAccesses: 0x8ee4, DRAM: 8940, PM: 114432, Results: scriptResults},
+			{Now: [2]int64{9504430, 0}, MediaWrite: 0xa9300, MediaRead: 0xf7700, XPBufWrite: 0x118100, WriteHits: 0x4445, WriteMisses: 0x1bf, ReadHits: 0x18ec, ReadMisses: 0xdb8, RemoteAccesses: 0x0, DRAM: 8940, PM: 114432, Results: scriptResults},
+			{Now: [2]int64{5704696, 5841632}, MediaWrite: 0x0, MediaRead: 0x1bf00, XPBufWrite: 0x118100, WriteHits: 0x4445, WriteMisses: 0x1bf, ReadHits: 0x26d4, ReadMisses: 0x0, RemoteAccesses: 0x8ee4, DRAM: 8940, PM: 114432, Results: scriptResults},
 		}},
 		{"FAST&FAIR", fastfair.Factory(), [2]modelGolden{
-			{Now: [2]int64{11309500, 0}, MediaWrite: 0xb2a00, MediaRead: 0x103a00, XPBufWrite: 0x18d5c0, WriteHits: 0x619f, WriteMisses: 0x1b8, ReadHits: 0x354a, ReadMisses: 0xe82, RemoteAccesses: 0x0, DRAM: 0, PM: 112640, Results: scriptResults},
-			{Now: [2]int64{7561198, 7698150}, MediaWrite: 0x0, MediaRead: 0x1b800, XPBufWrite: 0x18d5c0, WriteHits: 0x619f, WriteMisses: 0x1b8, ReadHits: 0x441a, ReadMisses: 0x0, RemoteAccesses: 0xfac8, DRAM: 0, PM: 112640, Results: scriptResults},
+			{Now: [2]int64{11309630, 0}, MediaWrite: 0xb2a00, MediaRead: 0x103a00, XPBufWrite: 0x18d5c0, WriteHits: 0x619f, WriteMisses: 0x1b8, ReadHits: 0x354a, ReadMisses: 0xe82, RemoteAccesses: 0x0, DRAM: 0, PM: 112640, Results: scriptResults},
+			{Now: [2]int64{7561328, 7698280}, MediaWrite: 0x0, MediaRead: 0x1b800, XPBufWrite: 0x18d5c0, WriteHits: 0x619f, WriteMisses: 0x1b8, ReadHits: 0x441a, ReadMisses: 0x0, RemoteAccesses: 0xfac8, DRAM: 0, PM: 112640, Results: scriptResults},
 		}},
 		{"DPTree", dptree.Factory(), [2]modelGolden{
-			{Now: [2]int64{5346986, 0}, MediaWrite: 0x7ba00, MediaRead: 0xfed00, XPBufWrite: 0x111340, WriteHits: 0x3edd, WriteMisses: 0x570, ReadHits: 0x781, ReadMisses: 0xa7d, RemoteAccesses: 0x0, DRAM: 16788, PM: 1722624, Results: scriptResults},
-			{Now: [2]int64{2664794, 3107418}, MediaWrite: 0x6bb00, MediaRead: 0xfdf00, XPBufWrite: 0x111340, WriteHits: 0x3edb, WriteMisses: 0x572, ReadHits: 0x770, ReadMisses: 0xa6d, RemoteAccesses: 0xc5e, DRAM: 16788, PM: 2246912, Results: scriptResults},
+			{Now: [2]int64{5346966, 0}, MediaWrite: 0x7ba00, MediaRead: 0xfec00, XPBufWrite: 0x111340, WriteHits: 0x3edd, WriteMisses: 0x570, ReadHits: 0x782, ReadMisses: 0xa7c, RemoteAccesses: 0x0, DRAM: 16788, PM: 1722624, Results: scriptResults},
+			{Now: [2]int64{2664924, 3107698}, MediaWrite: 0x6bb00, MediaRead: 0xfe000, XPBufWrite: 0x111340, WriteHits: 0x3edb, WriteMisses: 0x572, ReadHits: 0x76f, ReadMisses: 0xa6e, RemoteAccesses: 0xc5e, DRAM: 16788, PM: 2246912, Results: scriptResults},
 		}},
 		{"uTree", utree.Factory(), [2]modelGolden{
-			{Now: [2]int64{8486602, 0}, MediaWrite: 0x184400, MediaRead: 0x2cad00, XPBufWrite: 0xc6fc0, WriteHits: 0x2122, WriteMisses: 0x109d, ReadHits: 0xe43, ReadMisses: 0x1c10, RemoteAccesses: 0x0, DRAM: 90304, PM: 180672, Results: scriptResults},
-			{Now: [2]int64{4429176, 4577530}, MediaWrite: 0x109800, MediaRead: 0x1dcf00, XPBufWrite: 0xc6fc0, WriteHits: 0x24b8, WriteMisses: 0xd07, ReadHits: 0x1967, ReadMisses: 0x10c8, RemoteAccesses: 0x3588, DRAM: 90304, PM: 180672, Results: scriptResults},
+			{Now: [2]int64{8486732, 0}, MediaWrite: 0x184400, MediaRead: 0x2cad00, XPBufWrite: 0xc6fc0, WriteHits: 0x2122, WriteMisses: 0x109d, ReadHits: 0xe43, ReadMisses: 0x1c10, RemoteAccesses: 0x0, DRAM: 90304, PM: 180672, Results: scriptResults},
+			{Now: [2]int64{4429306, 4577660}, MediaWrite: 0x109800, MediaRead: 0x1dcf00, XPBufWrite: 0xc6fc0, WriteHits: 0x24b8, WriteMisses: 0xd07, ReadHits: 0x1967, ReadMisses: 0x10c8, RemoteAccesses: 0x3588, DRAM: 90304, PM: 180672, Results: scriptResults},
 		}},
 		{"LB+-Tree", lbtree.Factory(), [2]modelGolden{
-			{Now: [2]int64{8250124, 0}, MediaWrite: 0x9f800, MediaRead: 0xe7700, XPBufWrite: 0xe7240, WriteHits: 0x3820, WriteMisses: 0x1a9, ReadHits: 0x197e, ReadMisses: 0xcce, RemoteAccesses: 0x0, DRAM: 10200, PM: 108800, Results: scriptResults},
-			{Now: [2]int64{4951158, 5049530}, MediaWrite: 0x0, MediaRead: 0x1a900, XPBufWrite: 0xe7240, WriteHits: 0x3820, WriteMisses: 0x1a9, ReadHits: 0x2687, ReadMisses: 0x0, RemoteAccesses: 0x6df7, DRAM: 10200, PM: 108800, Results: scriptResults},
+			{Now: [2]int64{8250254, 0}, MediaWrite: 0x9f800, MediaRead: 0xe7700, XPBufWrite: 0xe7240, WriteHits: 0x3820, WriteMisses: 0x1a9, ReadHits: 0x197e, ReadMisses: 0xcce, RemoteAccesses: 0x0, DRAM: 10200, PM: 108800, Results: scriptResults},
+			{Now: [2]int64{4951288, 5049660}, MediaWrite: 0x0, MediaRead: 0x1a900, XPBufWrite: 0xe7240, WriteHits: 0x3820, WriteMisses: 0x1a9, ReadHits: 0x2687, ReadMisses: 0x0, RemoteAccesses: 0x6df7, DRAM: 10200, PM: 108800, Results: scriptResults},
 		}},
 		{"PACTree", pactree.Factory(), [2]modelGolden{
-			{Now: [2]int64{9226906, 0}, MediaWrite: 0x8ee00, MediaRead: 0xccc00, XPBufWrite: 0x1593c0, WriteHits: 0x54ba, WriteMisses: 0x195, ReadHits: 0x1a97, ReadMisses: 0xb37, RemoteAccesses: 0x0, DRAM: 8100, PM: 103680, Results: scriptResults},
-			{Now: [2]int64{5995382, 5984842}, MediaWrite: 0x0, MediaRead: 0x19500, XPBufWrite: 0x1593c0, WriteHits: 0x54ba, WriteMisses: 0x195, ReadHits: 0x25ef, ReadMisses: 0x0, RemoteAccesses: 0xb15f, DRAM: 8100, PM: 103680, Results: scriptResults},
+			{Now: [2]int64{9227036, 0}, MediaWrite: 0x8ee00, MediaRead: 0xccc00, XPBufWrite: 0x1593c0, WriteHits: 0x54ba, WriteMisses: 0x195, ReadHits: 0x1a97, ReadMisses: 0xb37, RemoteAccesses: 0x0, DRAM: 8100, PM: 103680, Results: scriptResults},
+			{Now: [2]int64{5995512, 5984972}, MediaWrite: 0x0, MediaRead: 0x19500, XPBufWrite: 0x1593c0, WriteHits: 0x54ba, WriteMisses: 0x195, ReadHits: 0x25ef, ReadMisses: 0x0, RemoteAccesses: 0xb15f, DRAM: 8100, PM: 103680, Results: scriptResults},
 		}},
 		{"FlatStore", flatstore.Factory(), [2]modelGolden{
 			{Now: [2]int64{5470868, 0}, MediaWrite: 0x32700, MediaRead: 0xc1f00, XPBufWrite: 0xa7f80, WriteHits: 0x26d7, WriteMisses: 0x327, ReadHits: 0xca6, ReadMisses: 0x8f8, RemoteAccesses: 0x0, DRAM: 67728, PM: 524288, Results: scriptResults},

@@ -25,27 +25,27 @@ var goldenSkip = map[string]bool{
 // table at goldenScale, in output order.
 var figureGolden = map[string][]string{
 	"fig2":           {"265a918de6ebee20", "82230b2cdc892d67"},
-	"fig3":           {"08a4ef769b41ea50"},
-	"fig4":           {"b173eb67e1225564"},
+	"fig3":           {"15d05f94236992dc"},
+	"fig4":           {"2172d34dc06460a2"},
 	"fig5":           {"631360aa24bda0d2"},
 	"fig10":          {"2e24c98fe0b40bc9", "34e369b6da8cde37", "2100ee17251f5398", "9f8e21f9011a9ee3", "de5a08f2c32657c1"},
 	"fig11":          {"c70e9b0889024aad", "ac9750d6fe4ecb38", "aced90484fa88ddc", "af917f8521355def", "f36568da5427c584"},
 	"fig12":          {"b17e9fec80432dbd", "89bcf9e8e00a7b4c"},
-	"fig13":          {"46f80c741deddc59", "9c44c315bc85268e"},
-	"table1":         {"f1f8d549efb9a17d"},
+	"fig13":          {"46f80c741deddc59", "fa93cd4237360461"},
+	"table1":         {"2b1fca1802721143"},
 	"fig15a":         {"90d032713d7576da"},
 	"fig15b":         {"5aeb12c1a0c2f0b4"},
 	"fig15c":         {"45c9e88a0d9e1a60"},
 	"fig15d":         {"f69c1996712e569e"},
 	"fig16":          {"77f92cdf2744cae5"},
-	"fig18":          {"ac48d5bfe4ca0752", "3b79efb6fee87362"},
+	"fig18":          {"ac48d5bfe4ca0752", "e06d810c2c672e7a"},
 	"fig19":          {"bd17c644ed42b450"},
 	"table3":         {"a1dec98777272a64"},
 	"ycsbc":          {"13e6ad4a5c2b3af9"},
-	"batch":          {"10d16e32088d7d37"},
-	"shards":         {"a3296b59b9c10b47"},
+	"batch":          {"285039bd82f21afb"},
+	"shards":         {"be3a7b721edbfeed"},
 	"ablation-cache": {"8c064843e2da2a44"},
-	"extension-hash": {"bb5b12a8e9f7901b"},
+	"extension-hash": {"4cf313757b382fb4"},
 }
 
 // TestFigureGolden renders every reproducible experiment at goldenScale

@@ -100,7 +100,8 @@ func Fig16(s Scale) ([]*Table, error) {
 }
 
 // Fig17 measures recovery time versus dataset size and thread count:
-// the leaf-list walk plus parallel WAL replay and timestamp reset.
+// parallel discovery of the carved lines beside the log scan, the link
+// pass over the leaf list, then parallel routing and replay.
 func Fig17(s Scale) ([]*Table, error) {
 	s = s.withDefaults()
 	sizes := []int{s.Warm, 5 * s.Warm, 10 * s.Warm}

@@ -138,7 +138,10 @@ func (d *buckets) RunEnd(t *pmem.Thread, n *core.Node, kvs []core.KV) int {
 }
 
 // Build formats a zeroed bucket array, or walks an image's array and
-// its overflow chains; either way one node fronts each home bucket.
+// its overflow chains; either way one node fronts each home bucket. The
+// walk reads each home bucket's header and follows its chain through
+// the engine's checker (core.Rebuild), which reads the overflow buckets
+// from recovery's table of carved lines.
 func (d *buckets) Build(tr *core.Tree, t *pmem.Thread, base pmem.Addr, rb *core.Rebuild) (pmem.Addr, error) {
 	if rb == nil {
 		var err error
@@ -148,16 +151,27 @@ func (d *buckets) Build(tr *core.Tree, t *pmem.Thread, base pmem.Addr, rb *core.
 		t.WriteRange(base, make([]uint64, d.n*pmleaf.Words))
 		t.Persist(base, d.n*pmleaf.Bytes)
 	}
+	if rb != nil && !tr.Pool().ValidRange(base, int64(d.n*pmleaf.Bytes)) {
+		return base, &core.CorruptError{Struct: "bucket array", Addr: base,
+			Detail: fmt.Sprintf("%d buckets run off the device", d.n)}
+	}
 	homes := make([]pmem.Addr, d.n)
 	lines := 0
 	for b := range homes {
 		homes[b] = base.Add(int64(b * pmleaf.Bytes))
-		for a := homes[b]; rb != nil && !a.IsNil(); lines++ {
-			var hdr pmleaf.Image
-			hdr.ReadHeader(t, a)
-			rb.Line(a, hdr.TS())
-			a = hdr.Next()
+		if rb == nil {
+			continue
 		}
+		var hdr pmleaf.Image
+		hdr.ReadHeader(t, homes[b])
+		err := rb.Line(homes[b], hdr.TS())
+		for next := hdr.Next(); err == nil && !next.IsNil(); lines++ {
+			next, err = rb.Follow(next)
+		}
+		if err != nil {
+			return base, err
+		}
+		lines++
 	}
 	d.nodes = tr.Link(homes, max(lines, d.n)) // a fresh array walks none
 	return base, nil

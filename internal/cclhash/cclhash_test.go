@@ -7,9 +7,12 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"cclbtree/internal/core"
 	"cclbtree/internal/pmem"
+	"cclbtree/internal/pmleaf"
+	"cclbtree/internal/wal"
 )
 
 func testPool() *pmem.Pool { return testPoolMode(pmem.ADR) }
@@ -638,5 +641,76 @@ func TestInspectRefusesTable(t *testing.T) {
 	h.Freeze()
 	if rep, err := core.Inspect(h.Pool()); err == nil {
 		t.Fatalf("Inspect read a hash table as a tree: %+v", rep)
+	}
+}
+
+// TestRecoverRejectsMalformedChains pokes one word of a crashed table's
+// bucket chains, then recovers. Recovery follows every chain through
+// the engine's one checker (core.Rebuild), so each malformed chain must
+// come back as *core.CorruptError within 10 s: never a hang on a cycle,
+// a panic on a pointer off the device, or an accepted table.
+func TestRecoverRejectsMalformedChains(t *testing.T) {
+	opts := Options{Buckets: 2, ChunkBytes: 16 << 10, DisableGC: true}
+	type chain struct{ home, over pmem.Addr }
+	setMeta := func(th *pmem.Thread, line, next pmem.Addr) {
+		var img pmleaf.Image
+		img.ReadHeader(th, line)
+		th.Store(pmleaf.MetaAddr(line), pmleaf.PackMeta(img.Bitmap(), next))
+		th.Persist(pmleaf.MetaAddr(line), pmem.WordSize)
+	}
+	setTS := func(th *pmem.Thread, line pmem.Addr, ts uint64) {
+		th.Store(pmleaf.TSAddr(line), ts)
+		th.Persist(pmleaf.TSAddr(line), pmem.WordSize)
+	}
+	cases := []struct {
+		name string
+		poke func(th *pmem.Thread, c chain)
+	}{
+		{"home-self-linked", func(th *pmem.Thread, c chain) { setMeta(th, c.home, c.home) }},
+		{"overflow-self-linked", func(th *pmem.Thread, c chain) { setMeta(th, c.over, c.over) }},
+		{"overflow-back-to-home", func(th *pmem.Thread, c chain) { setMeta(th, c.over, c.home) }},
+		{"off-device", func(th *pmem.Thread, c chain) { setMeta(th, c.home, pmem.MakeAddr(0, 64<<20+pmleaf.Bytes)) }},
+		{"misaligned", func(th *pmem.Thread, c chain) { setMeta(th, c.home, c.over.Add(64)) }},
+		{"overflow-stamp-beyond-clock", func(th *pmem.Thread, c chain) { setTS(th, c.over, wal.MaxTick+1) }},
+		{"home-stamp-beyond-clock", func(th *pmem.Thread, c chain) { setTS(th, c.home, wal.MaxTick+1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := testPool()
+			h, w := newTableOn(t, pool, opts)
+			for k := uint64(1); k <= 120; k++ {
+				if err := w.Put(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.Freeze()
+			pool.Crash()
+			th := pool.NewThread(0)
+			c := chain{home: h.d.nodes[0].Line()}
+			var hdr pmleaf.Image
+			hdr.ReadHeader(th, c.home)
+			if c.over = hdr.Next(); c.over.IsNil() {
+				t.Fatal("home bucket 0 has no overflow bucket to poke")
+			}
+			tc.poke(th, c)
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						done <- fmt.Errorf("panic: %v", p)
+					}
+				}()
+				_, err := Recover(pool, opts)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if ce := (*core.CorruptError)(nil); !errors.As(err, &ce) {
+					t.Fatalf("Recover returned %v, want a *core.CorruptError", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Recover did not return within 10 s")
+			}
+		})
 	}
 }

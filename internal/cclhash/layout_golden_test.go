@@ -51,7 +51,7 @@ func TestBucketLayoutGolden(t *testing.T) {
 	var got goldenLine
 	th.ReadRange(h.d.nodes[0].Line(), got[:])
 	want := goldenLine{
-		0xd1003fd1,         // bitmap 0x3fd1 (deletes cleared slots 1, 2, 3, 5) | next<<16
+		0xd2003fd1,         // bitmap 0x3fd1 (deletes cleared slots 1, 2, 3, 5) | next<<16: the first line of the first carve
 		0x22,               // timestamp of the last flush
 		0xef1e3f2f9ac1d580, // fingerprints, slots 0-7
 		0xac8c665f974e,     // fingerprints, slots 8-13

@@ -48,6 +48,7 @@ func TestRecoveryRejectsCorruptImage(t *testing.T) {
 		{"dir slots huge", sbOffset + 24, 1 << 50},
 		{"chunk bytes unaligned", sbOffset + 32, 100},
 		{"chunk bytes huge", sbOffset + 32, 1 << 40},
+		{"no carve directory", sbOffset + 48, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -59,6 +60,33 @@ func TestRecoveryRejectsCorruptImage(t *testing.T) {
 				t.Fatalf("Open = %v, want *CorruptError", err)
 			}
 		})
+	}
+}
+
+// TestOpenRefusesPreCarveImage opens an image in the format from
+// before the carve directory (old magic, word 6 zero): Open and
+// ProbeArenaCount must refuse it without writing a word, since the word
+// after such an image's chunk slots can be its head leaf's meta word.
+func TestOpenRefusesPreCarveImage(t *testing.T) {
+	pool := crashedTree(t)
+	corruptWord(pool, sbOffset, sbMagicNoCarves)
+	corruptWord(pool, sbOffset+48, 0)
+	th := pool.NewThread(0)
+	sb := pmem.MakeAddr(0, sbOffset)
+	after := pmem.Addr(th.Load(sb.Add(16))).Add(int64(8 * th.Load(sb.Add(24))))
+	want := th.Load(after)
+	before := pool.Stats().XPBufWriteBytes
+	if _, _, err := Open(pool, Options{}, 2); err == nil {
+		t.Fatal("Open of a pre-carve image succeeded")
+	}
+	if _, err := ProbeArenaCount(pool); err == nil {
+		t.Fatal("ProbeArenaCount of a pre-carve image succeeded")
+	}
+	if got := pool.Stats().XPBufWriteBytes - before; got != 0 {
+		t.Fatalf("refused Open flushed %d bytes", got)
+	}
+	if got := th.Load(after); got != want {
+		t.Fatalf("word after the chunk slots %#x → %#x", want, got)
 	}
 }
 

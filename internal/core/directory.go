@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sort"
+
+	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 	"cclbtree/internal/pmleaf"
 	"cclbtree/internal/wal"
@@ -32,10 +35,11 @@ type Directory interface {
 	Search(w *Worker, n *Node, key uint64, fp byte) (uint64, bool)
 	// Build lays out an empty index when rb is nil and returns the
 	// superblock's root word; given an image's root and rb, it rebuilds
-	// the nodes, reporting every line it reaches, with the stamp it
-	// read there, through rb.Line. It runs beside the log scan and
-	// must not write a stamp: replay gates a node's records by the
-	// stamp reported for its line.
+	// the nodes, following every chain through rb (Follow, Line), which
+	// checks each line and records the stamp on it; the lines a chain
+	// reaches in recorded carves come from discovery's table. It must
+	// not write a stamp: replay gates a node's records by the stamp
+	// recorded for its line.
 	Build(tr *Tree, t *pmem.Thread, root pmem.Addr, rb *Rebuild) (pmem.Addr, error)
 }
 
@@ -75,26 +79,149 @@ func (tr *Tree) chain(slab *nodeSlab, prev *bufferNode, leaf pmem.Addr, lowKey u
 func (w *Worker) NewLine() (pmem.Addr, error) { return w.tree.newLeaf(w.t, w.socket) }
 
 // Rebuild is Open's bookkeeping while a directory rebuilds its nodes
-// from an image.
+// from an image. Before Build runs, discovery has read every line of
+// every recorded carve into a DRAM table (found), in parallel; Build
+// then follows its chains over that table, and Rebuild checks every
+// line a chain reaches, for both directories.
 type Rebuild struct {
 	tr      *Tree
 	t       *pmem.Thread
 	maxEnd  []uint64
 	maxTick uint64
-	// stamps holds the stamp the walk read on every line it reached;
-	// recovery gates each record against its node's line from here
-	// instead of reading the stamp from PM again.
+	// stamps holds the stamp on every line a chain reached; recovery
+	// gates each record against its node's line from here instead of
+	// reading the stamp from PM again.
 	stamps map[pmem.Addr]uint64
+	// carves are the recorded carves in address order; found[i] holds
+	// the lines of carves[i] as discovery read them.
+	carves []pmalloc.Carve
+	found  [][]foundLine
 	st     *RecoveryStats
+}
+
+// foundLine is one line as discovery read it: its header words, its
+// smallest valid key, and what its slots hold beyond plain words.
+type foundLine struct {
+	ts, meta, lowKey uint64
+	extra            *lineExtra // nil: every pair possible, no blob word
+}
+
+// lineExtra is the rest of a line's word check: the first impossible
+// pair, or the blobs the pairs point to.
+type lineExtra struct {
+	err   error
+	blobs []blobSpan
+}
+
+// blobSpan is one blob a word points to.
+type blobSpan struct {
+	a    pmem.Addr
+	size int64
+}
+
+func (f *foundLine) next() pmem.Addr { _, n := pmleaf.UnpackMeta(f.meta); return n }
+
+// readLine reads the line at a on t into a foundLine. The word check
+// and the low key are the tree's rules; another directory's words are
+// raw (see words), and it uses only the header.
+func (rb *Rebuild) readLine(t *pmem.Thread, a pmem.Addr) foundLine {
+	var img pmleaf.Image
+	img.Read(t, a)
+	f := foundLine{ts: img.TS(), meta: img.Meta()}
+	var x lineExtra
+	first := true
+	for i := 0; i < LeafSlots && x.err == nil; i++ {
+		if !img.Valid(i) {
+			continue
+		}
+		k := img.Key(i)
+		if x.blobs, x.err = rb.words(t, k, img.Val(i), x.blobs); x.err == nil &&
+			(first || rb.tr.compare(t, k, f.lowKey) < 0) {
+			f.lowKey = k
+			first = false
+		}
+	}
+	if x.err != nil || len(x.blobs) > 0 {
+		f.extra = &x
+	}
+	return f
+}
+
+// discover reads carve i's lines into the table on t: one sequential
+// run of PM reads, one DRAM table entry per line.
+func (rb *Rebuild) discover(t *pmem.Thread, i int) {
+	c := rb.carves[i]
+	lines := make([]foundLine, c.Lines)
+	for j := range lines {
+		lines[j] = rb.readLine(t, c.Start.Add(int64(j*LeafBytes)))
+		t.Advance(t.CostDRAM())
+	}
+	rb.found[i] = lines
+}
+
+// lookup returns the table entry of the line at a, if a recorded carve
+// holds it.
+func (rb *Rebuild) lookup(a pmem.Addr) (foundLine, bool) {
+	i := sort.Search(len(rb.carves), func(i int) bool { return rb.carves[i].Start > a }) - 1
+	if i < 0 {
+		return foundLine{}, false
+	}
+	c := rb.carves[i]
+	j := int(uint64(a-c.Start) / LeafBytes)
+	if j >= c.Lines || rb.found[i] == nil {
+		return foundLine{}, false
+	}
+	return rb.found[i][j], true
+}
+
+// follow returns the line a chain reaches at a (the root, or a next
+// pointer) from the table, checked and recorded as Line does. A line
+// outside every recorded carve is read from PM here and counted
+// (RecoveryStats.UncarvedLines): the carve directory only speeds
+// discovery up, the chain decides what is live.
+func (rb *Rebuild) follow(a pmem.Addr) (foundLine, error) {
+	if err := nextLeaf(rb.tr.pool, a, rb.stamps); err != nil {
+		return foundLine{}, err
+	}
+	rb.t.Advance(rb.t.CostDRAM())
+	f, ok := rb.lookup(a)
+	if !ok {
+		f = rb.readLine(rb.t, a)
+		rb.st.UncarvedLines++
+	}
+	return f, rb.record(a, f.ts)
+}
+
+// Follow checks a next pointer a line holds before the directory
+// follows it, and returns the next pointer of the line it names (nil
+// ends the chain). The line is recorded as Line records it.
+func (rb *Rebuild) Follow(next pmem.Addr) (pmem.Addr, error) {
+	f, err := rb.follow(next)
+	return f.next(), err
 }
 
 // Line records a line the directory reached and the stamp on it: the
 // allocator resumes above every reachable line, the clock above every
-// stamp, and replay gates the line's records by the stamp.
-func (rb *Rebuild) Line(a pmem.Addr, ts uint64) {
+// stamp, and replay gates the line's records by the stamp. A line must
+// lie on the device, leaf-aligned, reached once, and carry a stamp the
+// clock could have drawn (anything larger is corruption, and would
+// poison the resumed clock).
+func (rb *Rebuild) Line(a pmem.Addr, ts uint64) error {
+	if err := nextLeaf(rb.tr.pool, a, rb.stamps); err != nil {
+		return err
+	}
+	return rb.record(a, ts)
+}
+
+// record is Line after nextLeaf's check.
+func (rb *Rebuild) record(a pmem.Addr, ts uint64) error {
+	if ts > wal.MaxTick {
+		return corruptf("line", a, "flush timestamp %#x impossible", ts)
+	}
 	rb.track(a, LeafBytes)
 	rb.maxTick = max(rb.maxTick, ts)
 	rb.stamps[a] = ts
+	return nil
 }
 
 func (rb *Rebuild) track(a pmem.Addr, size int64) {
@@ -103,64 +230,62 @@ func (rb *Rebuild) track(a pmem.Addr, size int64) {
 	}
 }
 
-// words checks that a stored pair is possible in this index and extends
-// the allocator's high-water mark over the blobs it points to. The
-// superblock's VarKV flag is itself untrusted, and a flipped flag would
-// otherwise make recovery (and every later lookup) chase plain integers
-// as blob pointers or vice versa. Another directory's words are raw: any
-// nonzero key.
-func (rb *Rebuild) words(k, v uint64) error {
+// words checks that a stored pair is possible in this index, on t, and
+// appends the blobs it points to to blobs. The superblock's VarKV flag
+// is itself untrusted, and a flipped flag would otherwise make recovery
+// (and every later lookup) chase plain integers as blob pointers or vice
+// versa. Another directory's words are raw: any nonzero key.
+func (rb *Rebuild) words(t *pmem.Thread, k, v uint64, blobs []blobSpan) ([]blobSpan, error) {
 	_, tree := rb.tr.index.(treeDir)
 	switch varKV := rb.tr.opts.VarKV; {
 	case !tree && k != 0:
-		return nil
+		return blobs, nil
 	case !tree, varKV && !IsBlobWord(k), !varKV && (k < 1 || k > MaxValue),
 		v != Tombstone && !IsBlobWord(v) && (varKV || v > MaxValue):
 		// Tombstones and out-of-band blobs occur in both modes.
-		return corruptf("words", pmem.NilAddr, "%#x/%#x impossible in this mode", k, v)
+		return blobs, corruptf("words", pmem.NilAddr, "%#x/%#x impossible in this mode", k, v)
 	}
-	if err := rb.trackWord(k); err != nil {
-		return err
+	blobs, err := rb.blob(t, k, blobs)
+	if err != nil {
+		return blobs, err
 	}
-	return rb.trackWord(v)
+	return rb.blob(t, v, blobs)
 }
 
-// trackWord validates an indirection pointer before chasing it and
-// extends the allocator high-water mark over the blob it names.
-func (rb *Rebuild) trackWord(w uint64) error {
+// blob validates an indirection pointer before chasing it and appends
+// the blob it names.
+func (rb *Rebuild) blob(t *pmem.Thread, w uint64, blobs []blobSpan) ([]blobSpan, error) {
 	if !IsBlobWord(w) {
-		return nil
+		return blobs, nil
 	}
 	a := blobAddr(w)
 	if !rb.tr.pool.ValidRange(a, pmem.WordSize) || a.Offset()%pmem.WordSize != 0 {
-		return corruptf("blob", a, "pointer invalid")
+		return blobs, corruptf("blob", a, "pointer invalid")
 	}
-	n := int64(rb.t.Load(a))
+	n := int64(t.Load(a))
 	if n < 0 || n > blobArenaChunk {
-		return corruptf("blob", a, "length %d impossible", n)
+		return blobs, corruptf("blob", a, "length %d impossible", n)
 	}
 	size := 8 * (1 + (n+7)/8)
 	if !rb.tr.pool.ValidRange(a, size) {
-		return corruptf("blob", a, "%d-byte blob runs off the device", n)
+		return blobs, corruptf("blob", a, "%d-byte blob runs off the device", n)
 	}
-	rb.track(a, size)
-	return nil
+	return append(blobs, blobSpan{a, size}), nil
 }
 
-// nextLeaf checks the next pointer of a leaf a walk of the leaf list
-// (Build, Inspect) stands on, before the walk follows it: nil ends the
-// list; anything else must be a leaf-aligned line on the device that the
-// walk has not reached yet (seen, which gains it).
-func nextLeaf(pool *pmem.Pool, next pmem.Addr, seen map[pmem.Addr]bool) error {
-	switch {
+// nextLeaf checks a line address a chain walk (Rebuild, Inspect) is
+// about to follow, against seen, the lines the walk has reached: nil
+// ends the chain; anything else must be a leaf-aligned line on the
+// device that the walk has not reached yet. The caller adds it to seen.
+func nextLeaf[V any](pool *pmem.Pool, next pmem.Addr, seen map[pmem.Addr]V) error {
+	switch _, again := seen[next]; {
 	case next.IsNil():
 		return nil
 	case !pool.ValidRange(next, LeafBytes) || next.Offset()%LeafBytes != 0:
-		return corruptf("leaf list", next, "next pointer invalid")
-	case seen[next]:
-		return corruptf("leaf list", next, "cycle detected")
+		return corruptf("line chain", next, "next pointer invalid")
+	case again:
+		return corruptf("line chain", next, "cycle detected")
 	}
-	seen[next] = true
 	return nil
 }
 
@@ -196,10 +321,11 @@ func (d treeDir) Flush(w *Worker, n *Node, batch []KV) (int, error) {
 	return w.leafBatchInsert(n, batch)
 }
 
-// Build makes the empty head leaf anchoring the leaf list, or walks the
-// persistent leaf list of an image, rebuilding buffer nodes, the DRAM
-// chain and the inner index. Empty non-head leaves are unlinked and
-// reclaimed on the way.
+// Build makes the empty head leaf anchoring the leaf list, or follows
+// the persistent leaf list of an image over discovery's table,
+// rebuilding buffer nodes, the DRAM chain and the inner index: a DRAM
+// pass, but for the leaves the carve directory missed. Empty non-head
+// leaves are unlinked and reclaimed on the way.
 func (d treeDir) Build(tr *Tree, t *pmem.Thread, headLeaf pmem.Addr, rb *Rebuild) (pmem.Addr, error) {
 	if rb == nil {
 		headLeaf, err := tr.newLeaf(t, tr.opts.HomeSocket)
@@ -210,59 +336,39 @@ func (d treeDir) Build(tr *Tree, t *pmem.Thread, headLeaf pmem.Addr, rb *Rebuild
 		tr.inner.put(t, 0, tr.chain(new(nodeSlab), nil, headLeaf, 0))
 		return headLeaf, nil
 	}
-	pool := tr.pool
 	var slab nodeSlab
 	var prevNode *bufferNode
-	prevLeaf := pmem.NilAddr
-	seen := map[pmem.Addr]bool{headLeaf: true}
-	cur := headLeaf
-	for !cur.IsNil() {
-		var img pmleaf.Image
-		img.Read(t, cur)
-		// Leaf flush timestamps come from the same clock that stamps WAL
-		// entries, so they share its bound; anything larger is corruption
-		// (and would poison the resumed clock).
-		if img.TS() > wal.MaxTick {
-			return headLeaf, corruptf("leaf", cur, "flush timestamp %#x impossible", img.TS())
-		}
-		rb.Line(cur, img.TS())
-		next := img.Next()
-		if err := nextLeaf(pool, next, seen); err != nil {
+	var prevMeta uint64
+	for cur := headLeaf; !cur.IsNil(); {
+		f, err := rb.follow(cur)
+		if err != nil {
 			return headLeaf, err
 		}
-		if img.Bitmap() == 0 && cur != headLeaf {
+		bm, next := pmleaf.UnpackMeta(f.meta)
+		if bm == 0 && cur != headLeaf {
 			// Unlink: predecessor's meta gets our successor, one
 			// atomic word. The leaf is reclaimed.
-			var pimg pmleaf.Image
-			pimg.Read(t, prevLeaf)
-			pimg.SetMeta(pmleaf.PackMeta(pimg.Bitmap(), next))
-			t.Store(pmleaf.MetaAddr(prevLeaf), pimg.Meta())
+			prevLeaf := prevNode.leaf
+			prevBM, _ := pmleaf.UnpackMeta(prevMeta)
+			prevMeta = pmleaf.PackMeta(prevBM, next)
+			t.Store(pmleaf.MetaAddr(prevLeaf), prevMeta)
 			t.Persist(prevLeaf, pmem.WordSize)
 			tr.alloc.Free(cur, LeafBytes)
 			rb.st.EmptyLeavesReclaimed++
 			cur = next
 			continue
 		}
-		for i := 0; i < LeafSlots; i++ {
-			if !img.Valid(i) {
-				continue
+		if x := f.extra; x != nil {
+			if x.err != nil {
+				return headLeaf, x.err
 			}
-			if err := rb.words(img.Key(i), img.Val(i)); err != nil {
-				return headLeaf, err
+			for _, b := range x.blobs {
+				rb.track(b.a, b.size)
 			}
 		}
-		lowKey := uint64(0)
-		if cur != headLeaf {
-			first := true
-			for i := 0; i < LeafSlots; i++ {
-				if !img.Valid(i) {
-					continue
-				}
-				if first || tr.compare(t, img.Key(i), lowKey) < 0 {
-					lowKey = img.Key(i)
-					first = false
-				}
-			}
+		lowKey := f.lowKey
+		if cur == headLeaf {
+			lowKey = 0
 		}
 		// Leaves must be ordered: low keys strictly increase along the
 		// chain. A violation would send the replay router in circles
@@ -273,8 +379,7 @@ func (d treeDir) Build(tr *Tree, t *pmem.Thread, headLeaf pmem.Addr, rb *Rebuild
 		n := tr.chain(&slab, prevNode, cur, lowKey)
 		tr.inner.put(t, lowKey, n)
 		tr.leafCount.Add(1)
-		prevNode = n
-		prevLeaf = cur
+		prevNode, prevMeta = n, f.meta
 		cur = next
 	}
 	return headLeaf, nil

@@ -110,7 +110,7 @@ func TestInnerTreeStaleSeparatorRouting(t *testing.T) {
 func TestChunkDirRegisterUnregister(t *testing.T) {
 	pool := pmem.NewPool(pmem.Config{Sockets: 1, DeviceBytes: 4 << 20, StrictPersist: true})
 	base := pmem.MakeAddr(0, 8192)
-	d := newChunkDir(pool.NewThread(0), base, 16)
+	d := newChunkDir(pool.NewThread(0), base, 16, 0, 0)
 	d.clearAll()
 	c1 := pmem.MakeAddr(0, 1<<20)
 	c2 := pmem.MakeAddr(0, 2<<20)
@@ -139,7 +139,7 @@ func TestChunkDirRegisterUnregister(t *testing.T) {
 func TestChunkDirSurvivesCrash(t *testing.T) {
 	pool := pmem.NewPool(pmem.Config{Sockets: 1, DeviceBytes: 4 << 20, StrictPersist: true})
 	base := pmem.MakeAddr(0, 8192)
-	d := newChunkDir(pool.NewThread(0), base, 8)
+	d := newChunkDir(pool.NewThread(0), base, 8, 0, 0)
 	d.clearAll()
 	c := pmem.MakeAddr(0, 1<<20)
 	d.register(c)

@@ -108,6 +108,7 @@ func Inspect(pool *pmem.Pool) (*InspectReport, error) {
 		if err := nextLeaf(pool, cur, seen); err != nil {
 			return nil, err
 		}
+		seen[cur] = true
 		idx++
 	}
 	rep.PMLeafBytes = int64(rep.Leaves) * LeafBytes

@@ -56,7 +56,7 @@ func TestLeafLayoutGolden(t *testing.T) {
 	var got goldenLine
 	th.ReadRange(tr.head.leaf, got[:])
 	want := goldenLine{
-		0xd1000cff,         // bitmap 0x0cff (slots 0-7, 10, 11) | next<<16
+		0xb2000cff,         // bitmap 0x0cff (slots 0-7, 10, 11) | next<<16: the line after the head's in its carve
 		0x1f,               // timestamp of the last flush
 		0xe30b72c7a0517a64, // fingerprints, slots 0-7
 		0x83f001c6,         // fingerprints, slots 8-13

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -97,6 +98,95 @@ func TestRecoveryAfterVarKVMixedSockets(t *testing.T) {
 			if !ok || len(v) != 4 || v[3] != 0xee {
 				t.Fatalf("var key %v lost across sockets+crash: %v %v", k, v, ok)
 			}
+		}
+	}
+}
+
+// placementImage loads keys on a tree homed on socket 0 through one
+// worker per socket in sockets, with GC off so part of it stays in the
+// log, crashes, and returns the saved image and the contents written.
+func placementImage(t *testing.T, sockets ...int) (crashImage, map[uint64]uint64) {
+	t.Helper()
+	pool := newTestPool(nil)
+	tr, err := New(pool, Options{GC: GCOff, ChunkBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]uint64{}
+	for i, s := range sockets {
+		w := tr.NewWorker(s)
+		for k := uint64(i + 1); k <= 6000; k += uint64(len(sockets)) {
+			v := k*7 + uint64(s)
+			if err := w.Upsert(k*0x9E3779B97F4A7C15>>8|1, v); err != nil {
+				t.Fatal(err)
+			}
+			want[k*0x9E3779B97F4A7C15>>8|1] = v
+		}
+	}
+	tr.Freeze()
+	pool.Crash()
+	return saveImage(t, pool), want
+}
+
+// TestOneSocketRecoveryIsLocal recovers an image whose every line and
+// log chunk is on socket 0 with two threads: seated by where the PM
+// work is, both run on socket 0, and recovery makes no remote access.
+func TestOneSocketRecoveryIsLocal(t *testing.T) {
+	img, _ := placementImage(t, 0)
+	pool := img.loadInto(t, newTestPool(nil))
+	before := pool.Stats().RemoteAccesses
+	if _, _, err := Open(pool, Options{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := pool.Stats().RemoteAccesses - before; n != 0 {
+		t.Fatalf("recovering a one-socket image made %d remote PM accesses", n)
+	}
+}
+
+// TestTwoSocketRecoveryMatchesSerial recovers an image written from
+// both sockets with 1 to 4 threads: however the phases seat their
+// threads across the sockets, every count recovers the same contents.
+func TestTwoSocketRecoveryMatchesSerial(t *testing.T) {
+	img, want := placementImage(t, 0, 1)
+	for threads := 1; threads <= 4; threads++ {
+		tr, st, err := Open(img.loadInto(t, newTestPool(nil)), Options{}, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.EntriesReplayed == 0 {
+			t.Fatalf("%d threads: nothing replayed; the image should leave records in the log", threads)
+		}
+		w := tr.NewWorker(0)
+		out := make([]KV, len(want)+1)
+		if n := w.Scan(1, len(out), out); n != len(want) {
+			t.Fatalf("%d threads: recovered %d keys, want %d", threads, n, len(want))
+		}
+		for _, kv := range out[:len(want)] {
+			if want[kv.Key] != kv.Value {
+				t.Fatalf("%d threads: key %#x reads %d, want %d", threads, kv.Key, kv.Value, want[kv.Key])
+			}
+		}
+	}
+}
+
+// TestRecoveryPhaseEnds checks the phase ends RecoveryStats reports on
+// the restart timeline: discovery beside the log scan, the link pass,
+// routing and replay. Each phase starts where the one before ended, so
+// the ends never decrease, and the last one is VirtualNS.
+func TestRecoveryPhaseEnds(t *testing.T) {
+	img, _ := placementImage(t, 0, 1)
+	for _, threads := range []int{1, 3} {
+		_, st, err := Open(img.loadInto(t, newTestPool(nil)), Options{}, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends := []int64{st.DiscoverEndNS, st.LinkEndNS, st.RouteEndNS, st.ReplayEndNS}
+		t.Logf("%d threads: phase ends %v ns", threads, ends)
+		if ends[0] <= 0 {
+			t.Fatalf("%d threads: discovery ends at %d", threads, ends[0])
+		}
+		if !slices.IsSorted(ends) || ends[3] != st.VirtualNS {
+			t.Fatalf("%d threads: phase ends %v, VirtualNS %d", threads, ends, st.VirtualNS)
 		}
 	}
 }

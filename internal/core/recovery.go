@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"cclbtree/internal/obs"
+	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 	"cclbtree/internal/wal"
 )
@@ -21,20 +23,28 @@ type RecoveryStats struct {
 	// chunks that slipped past the WAL check code, or plain corruption.
 	EntriesDropped       int
 	EmptyLeavesReclaimed int
+	// UncarvedLines counts the lines a chain reached outside every
+	// recorded carve, which recovery then read from PM one at a time: 0
+	// unless the carve directory lost a record.
+	UncarvedLines int
+	// The phase ends, on the restart timeline (ns): discovery of the
+	// carved lines beside the log scan; the link pass over the chain and
+	// the log's dedup; routing; replay. Each phase starts where the one
+	// before it ended.
+	DiscoverEndNS, LinkEndNS, RouteEndNS, ReplayEndNS int64
 	// VirtualNS is the modeled recovery time on one timeline that starts
-	// at zero when the pool restarts: the end of the last phase (replay),
-	// whose threads started where the routing phase ended, which started
-	// where the overlapped leaf walk and log scan ended.
+	// at zero when the pool restarts: the end of the last phase,
+	// ReplayEndNS.
 	VirtualNS int64
 }
 
 // Open recovers a CCL-BTree from a pool that holds a previously created
 // tree — after Pool.Crash, or after LoadPersistent in a new process.
 // It implements the §3.3 failure recovery: rebuild the DRAM inner and
-// buffer layers by walking the persistent leaf list, then replay WAL
-// entries newer than their leaf's timestamp. threads sets the
-// parallelism: one thread walks the leaf list while the others scan the
-// log, then all of them route and replay.
+// buffer layers from the persistent leaf list, then replay WAL entries
+// newer than their leaf's timestamp. threads sets the parallelism of
+// every phase but the link pass: discovery and log scan, routing and
+// replay.
 //
 // Deviation from §3.3 step 3: the paper resets leaf timestamps after
 // replay because real rdtsc restarts at reboot, which would leave old
@@ -54,9 +64,7 @@ func Open(pool *pmem.Pool, opts Options, threads int) (*Tree, *RecoveryStats, er
 // tree's): dir.Build rebuilds the nodes, and the engine replays the log
 // into them.
 func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree, *RecoveryStats, error) {
-	if threads < 1 {
-		threads = 1
-	}
+	threads = max(threads, 1)
 	opts, alloc, err := setup(pool, opts)
 	if err != nil {
 		return nil, nil, err
@@ -93,65 +101,83 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// at the NEXT crash, resurrecting overwritten values.
 	rb := &Rebuild{tr: tr, t: t0, maxEnd: make([]uint64, pool.Sockets()),
 		stamps: map[pmem.Addr]uint64{}, st: st}
-	rb.track(sb.dirAddr, int64(sb.dirSlots*pmem.WordSize))
+	rb.track(sb.dirAddr, int64((sb.dirSlots+sb.carveSlots+1)*pmem.WordSize))
 
 	chunks, err := sb.chunks(pool, t0)
 	if err != nil {
 		return nil, nil, err
 	}
+	if rb.carves, err = sb.carves(pool, t0); err != nil {
+		return nil, nil, err
+	}
+	rb.found = make([][]foundLine, len(rb.carves))
+	// PM work per socket, in lines: each recorded carve's, and each log
+	// chunk's.
+	work := make([]int64, pool.Sockets())
+	for _, c := range rb.carves {
+		rb.track(c.Start, int64(c.Lines*LeafBytes))
+		work[c.Start.Socket()] += int64(c.Lines)
+	}
 	for _, c := range chunks {
 		rb.track(c, int64(chunkBytes))
+		work[c.Socket()] += int64(chunkBytes / LeafBytes)
 	}
 	st.ChunksScanned = len(chunks)
 
 	// Recovery runs on one timeline that starts when the pool restarts:
 	// t0 starts at zero, and every phase's threads start where the
-	// previous phase ended. A pinned shard keeps even its recovery
-	// threads on the home socket (the whole point of the placement); a
-	// whole-device tree spreads them across sockets.
-	recoverySocket := func(i int) int {
-		if opts.ArenaCount > 1 {
-			return home
-		}
-		return i % pool.Sockets()
+	// previous phase ended, seated where its PM work is (seat).
+	//
+	// Phase 1: the threads on each socket read that socket's recorded
+	// carves into rb's table (discover) and its log chunks, each a share
+	// of both. Nothing writes a stamp before the candidates are routed
+	// against the stamps the link pass reads from the table.
+	seats := seat(threads, work, home)
+	phase := make([]*pmem.Thread, threads)
+	for i := range phase {
+		phase[i] = pool.NewThread(seats[i])
+		phase[i].PushScope(pmem.ScopeRecovery)
 	}
-	scanThreads := make([]*pmem.Thread, threads)
-	scanThreads[0] = t0
-	for i := 1; i < threads; i++ {
-		scanThreads[i] = pool.NewThread(recoverySocket(i))
-		scanThreads[i].PushScope(pmem.ScopeRecovery)
+	syncClocks(phase, t0.Now())
+	carvesOn := make([][]int, pool.Sockets())
+	for i, c := range rb.carves {
+		carvesOn[c.Start.Socket()] = append(carvesOn[c.Start.Socket()], i)
 	}
-	syncClocks(scanThreads, t0.Now())
-
-	// Phase 1: t0 walks the image, the directory rebuilding the buffer
-	// nodes and the DRAM chain, while the other threads scan equal record
-	// ranges of the live chunks. A lone thread walks, then scans. The walk
-	// reports every line's stamp to rb, and nothing writes a stamp before
-	// the candidates are routed against them below: the walk's only
-	// write, an unlink, touches the predecessor's meta word.
-	parts := max(threads-1, 1)
-	entryLists := make([][]wal.Entry, parts)
+	chunksOn := make([][]pmem.Addr, pool.Sockets())
+	for _, c := range chunks {
+		chunksOn[c.Socket()] = append(chunksOn[c.Socket()], c)
+	}
+	entryLists := make([][]wal.Entry, threads)
 	err = pmem.Parallel(threads, func(i int) error {
-		if i == 0 {
-			if _, err := tr.index.Build(tr, t0, sb.root, rb); err != nil || threads > 1 {
-				return err
+		t := phase[i]
+		for _, sh := range shares(seats, pool.Sockets(), i) {
+			for j := sh.k; j < len(carvesOn[sh.s]); j += sh.n {
+				rb.discover(t, carvesOn[sh.s][j])
 			}
+			entryLists[i] = append(entryLists[i], wal.ReadEntryPart(t, chunksOn[sh.s], chunkBytes, sh.k, sh.n)...)
 		}
-		part := max(i-1, 0)
-		entryLists[part] = wal.ReadEntryPart(scanThreads[i], chunks, chunkBytes, part, parts)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	st.DiscoverEndNS = endClock(phase)
+
+	// Phase 2, on t0: the directory links its nodes by following its
+	// chains over the table (a DRAM pass; its only write, an unlink,
+	// touches the predecessor's meta word), then the scanned entries are
+	// deduplicated to the newest version per logical key.
+	t0.SyncClock(st.DiscoverEndNS)
+	if _, err := tr.index.Build(tr, t0, sb.root, rb); err != nil {
+		return nil, nil, err
+	}
+	rb.found = nil
 	chainPos := map[*bufferNode]int{}
 	for n := tr.head; n != nil; n = n.next.Load() {
 		chainPos[n] = len(chainPos)
 	}
 	st.Leaves = int64(len(chainPos))
 
-	// Dedup the scanned entries to the newest version per logical key
-	// (sequential, once every scanner is done).
 	type pending struct {
 		kv KV
 		ts uint64
@@ -167,7 +193,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		return hashKeyBytes(readBlob(t0, kw))
 	}
 	sameKey := func(a, b uint64) bool { return tr.compare(t0, a, b) == 0 }
-	t0.SyncClock(endClock(scanThreads))
+	var blobs []blobSpan
 	for _, lst := range entryLists {
 		for _, e := range lst {
 			st.EntriesSeen++
@@ -176,9 +202,13 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 			// structural corruption: recycled chunks legitimately hold
 			// residue, and recovery's job is to replay what is provably
 			// intact.
-			if rb.words(e.Key, e.Value) != nil {
+			var err error
+			if blobs, err = rb.words(t0, e.Key, e.Value, blobs[:0]); err != nil {
 				st.EntriesDropped++
 				continue
+			}
+			for _, b := range blobs {
+				rb.track(b.a, b.size)
 			}
 			rb.maxTick = max(rb.maxTick, e.Timestamp)
 			h := keyHash(e.Key)
@@ -198,17 +228,20 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 			}
 		}
 	}
+	st.LinkEndNS = t0.Now()
 	// Resume the tick domain above the image before the replay workers
 	// start stamping: the rebuilt nodes' floors start at zero, so every
 	// tick from here on, on any socket, must outrank every pre-crash one.
 	tr.clock.AdvanceTo(rb.maxTick)
-	// Phase 2: route each candidate and compare with its line's pre-crash
-	// stamp as the walk read it (a DRAM lookup), in parallel. A survivor
-	// keeps the node it routed to; a stale record keeps nil.
+
+	// Phase 3: route each candidate and compare with its line's pre-crash
+	// stamp as the link pass read it (a DRAM lookup), in parallel on the
+	// phase-1 threads. A survivor keeps the node it routed to; a stale
+	// record keeps nil.
 	route := make([]*bufferNode, len(candidates))
-	syncClocks(scanThreads, t0.Now())
+	syncClocks(phase, st.LinkEndNS)
 	err = pmem.Parallel(threads, func(i int) error {
-		t := scanThreads[i]
+		t := phase[i]
 		for j := i; j < len(candidates); j += threads {
 			p := candidates[j]
 			n := tr.index.Find(t, p.kv.Key)
@@ -223,6 +256,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	if err != nil {
 		return nil, nil, err
 	}
+	st.RouteEndNS = endClock(phase)
 	// Group the survivors per node, in chain order. Replaying a node's
 	// records as one batch is what makes recovery restartable: the flush
 	// that stamps a line above every pre-crash tick carries all of that
@@ -238,37 +272,52 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		groups[chainPos[n]] = append(groups[chainPos[n]], candidates[j].kv)
 		st.EntriesReplayed++
 	}
-	groups = slices.DeleteFunc(groups, func(g []KV) bool { return len(g) == 0 })
+	// Each socket's groups, in chain order: replay seats its workers by
+	// where the lines it writes are.
+	groupsOn := make([][]int, pool.Sockets())
+	clear(work)
+	for n, i := tr.head, 0; n != nil; n, i = n.next.Load(), i+1 {
+		if len(groups[i]) > 0 {
+			groupsOn[n.leaf.Socket()] = append(groupsOn[n.leaf.Socket()], i)
+			work[n.leaf.Socket()]++
+		}
+	}
 
 	// The bump pointers must clear every reachable object before any
-	// replay write allocates (splits).
+	// replay write allocates (splits), and the carve directory must
+	// record the carves those splits take, after the ones it holds.
 	for s, end := range rb.maxEnd {
 		tr.alloc.SetBump(s, end)
 	}
+	tr.dir = newChunkDir(dirThread(pool, home), sb.dirAddr, sb.dirSlots, sb.carveSlots, len(rb.carves))
+	tr.dir.prof = tr.prof
+	tr.alloc.SetCarveRecorder(tr.dir.recordCarve)
 
-	// Phase 3 (parallel): apply each group to its node with one
-	// directory flush under the node's lock, groups round-robin over the
-	// workers.
+	// Phase 4: each worker applies its share of its socket's groups, each
+	// group to its node with one directory flush under the node's lock.
 	// Splits during replay only mint nodes inside the splitting group's
 	// own range, so every group's first key still routes to its node.
+	seats = seat(threads, work, home)
 	workers := make([]*Worker, threads)
-	routed := endClock(scanThreads)
 	for i := range workers {
-		workers[i] = tr.NewWorker(recoverySocket(i))
-		workers[i].t.SyncClock(routed)
+		workers[i] = tr.NewWorker(seats[i])
+		workers[i].t.SyncClock(st.RouteEndNS)
 		// Replay traffic (leaf flushes, splits, log re-appends) is
 		// recovery-caused; wal.Append still claims its own bytes.
-		//persistlint:ignore PL012 replay workers live only for phase 3; their threads die scoped
+		//persistlint:ignore PL012 replay workers live only for phase 4; their threads die scoped
 		workers[i].t.PushScope(pmem.ScopeRecovery)
 	}
 	err = pmem.Parallel(threads, func(i int) error {
 		w := workers[i]
-		for g := i; g < len(groups); g += threads {
-			n, v := w.lockOwner(groups[g][0].Key)
-			_, err := tr.index.Flush(w, n, groups[g])
-			n.unlock(v)
-			if err != nil {
-				return fmt.Errorf("core: recovery replay: %w", err)
+		for _, sh := range shares(seats, pool.Sockets(), i) {
+			for j := sh.k; j < len(groupsOn[sh.s]); j += sh.n {
+				g := groups[groupsOn[sh.s][j]]
+				n, v := w.lockOwner(g[0].Key)
+				_, err := tr.index.Flush(w, n, g)
+				n.unlock(v)
+				if err != nil {
+					return fmt.Errorf("core: recovery replay: %w", err)
+				}
 			}
 		}
 		return nil
@@ -278,9 +327,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	}
 
 	// Logs are now redundant: every surviving entry is durable in a
-	// leaf. Rebuild the directory empty and recycle the chunk space.
-	tr.dir = newChunkDir(pool.NewThread(home), sb.dirAddr, sb.dirSlots)
-	tr.dir.prof = tr.prof
+	// leaf. Empty the chunk slots and recycle the chunk space.
 	tr.dir.clearAll()
 	tr.walman.OnAcquire = tr.dir.register
 	tr.walman.OnRelease = tr.dir.unregister
@@ -290,11 +337,79 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		// Recovery is over; the workers stay registered (their logs are
 		// reclaimed in later GC rounds) and must not keep attributing.
 		w.t.PopScope(pmem.ScopeNone)
-		st.VirtualNS = max(st.VirtualNS, w.t.Now())
+		st.ReplayEndNS = max(st.ReplayEndNS, w.t.Now())
 	}
+	st.VirtualNS = st.ReplayEndNS
 	tr.tracer.Emit(obs.EvRecovery, 0, st.VirtualNS,
 		uint64(st.EntriesReplayed), uint64(st.EntriesStale))
 	return tr, st, nil
+}
+
+// seat places n threads on sockets in proportion to work, the PM work
+// on each socket, and returns each thread's socket, in socket order.
+// Every socket with work gets a thread while threads last, the busiest
+// first; each further thread goes where the work per thread is largest.
+// With no work at all, every thread sits on home.
+func seat(n int, work []int64, home int) []int {
+	var busy []int
+	for s, w := range work {
+		if w > 0 {
+			busy = append(busy, s)
+		}
+	}
+	per := make([]int, len(work))
+	if len(busy) == 0 {
+		per[home] = n
+	} else {
+		slices.SortStableFunc(busy, func(a, b int) int { return cmp.Compare(work[b], work[a]) })
+		for i := range n {
+			best := busy[0]
+			if i < len(busy) {
+				best = busy[i]
+			} else {
+				for _, s := range busy[1:] {
+					if work[s]*int64(per[best]) > work[best]*int64(per[s]) {
+						best = s
+					}
+				}
+			}
+			per[best]++
+		}
+	}
+	seats := make([]int, 0, n)
+	for s, k := range per {
+		for range k {
+			seats = append(seats, s)
+		}
+	}
+	return seats
+}
+
+// share is the part of one socket's work a thread takes: items k,
+// k+n, … of it.
+type share struct{ s, k, n int }
+
+// shares lists the parts thread i of a phase seated at seats takes, one
+// per socket it shares: a socket's work is shared by the threads seated
+// on it, or by every thread when none is (fewer threads than busy
+// sockets).
+func shares(seats []int, sockets, i int) []share {
+	var out []share
+	for s := range sockets {
+		lo, n := slices.Index(seats, s), 0
+		for _, x := range seats {
+			if x == s {
+				n++
+			}
+		}
+		switch {
+		case n == 0:
+			out = append(out, share{s, i, len(seats)})
+		case seats[i] == s:
+			out = append(out, share{s, i - lo, n})
+		}
+	}
+	return out
 }
 
 // syncClocks starts every thread of a phase at v, where the previous
@@ -336,9 +451,9 @@ func ProbeArenaCount(pool *pmem.Pool) (int, error) {
 // superblock is an image's root record (layout in tree.go), as
 // readSuperblock validated it.
 type superblock struct {
-	root, dirAddr        pmem.Addr
-	dirSlots, chunkBytes int
-	flags                uint64
+	root, dirAddr                    pmem.Addr
+	dirSlots, chunkBytes, carveSlots int
+	flags                            uint64
 }
 
 // readSuperblock reads the superblock at sb on t. Open,
@@ -349,8 +464,10 @@ type superblock struct {
 func readSuperblock(pool *pmem.Pool, t *pmem.Thread, sb pmem.Addr) (superblock, error) {
 	var w [sbWords]uint64
 	t.ReadRange(sb, w[:])
-	s := superblock{pmem.Addr(w[1]), pmem.Addr(w[2]), int(w[3]), int(w[4]), w[5]}
+	s := superblock{pmem.Addr(w[1]), pmem.Addr(w[2]), int(w[3]), int(w[4]), int(w[6]), w[5]}
 	switch {
+	case w[0] == sbMagicNoCarves:
+		return s, fmt.Errorf("core: image at %v predates the carve directory; recreate it", sb)
 	case w[0] != sbMagic:
 		return s, fmt.Errorf("core: no tree found in pool (bad superblock magic %#x at %v)", w[0], sb)
 	case !pool.ValidRange(s.root, LeafBytes) || s.root.Offset()%LeafBytes != 0:
@@ -360,13 +477,29 @@ func readSuperblock(pool *pmem.Pool, t *pmem.Thread, sb pmem.Addr) (superblock, 
 	// into a small positive size that passes ValidRange, then panic in
 	// make([]uint64, dirSlots).
 	case s.dirSlots <= 0 || int64(s.dirSlots) > pool.DeviceBytes()/pmem.WordSize ||
-		!pool.ValidRange(s.dirAddr, int64(s.dirSlots)*pmem.WordSize) ||
+		s.carveSlots <= 0 || int64(s.carveSlots) > pool.DeviceBytes()/pmem.WordSize ||
+		!pool.ValidRange(s.dirAddr, int64(s.dirSlots+s.carveSlots+1)*pmem.WordSize) ||
 		s.dirAddr.Offset()%pmem.WordSize != 0:
-		return s, corruptf("superblock", s.dirAddr, "chunk directory (%d slots) invalid", s.dirSlots)
+		return s, corruptf("superblock", s.dirAddr, "chunk directory (%d slots, %d carve records) invalid",
+			s.dirSlots, s.carveSlots)
 	case s.chunkBytes <= 0 || s.chunkBytes%pmem.XPLineSize != 0 || int64(s.chunkBytes) > pool.DeviceBytes():
 		return s, corruptf("superblock", pmem.NilAddr, "chunk size %d invalid", s.chunkBytes)
 	}
 	return s, nil
+}
+
+// carves reads the carve directory s names on t and checks every carve
+// in it: its lines on the device and line-aligned. They come back in
+// address order.
+func (s superblock) carves(pool *pmem.Pool, t *pmem.Thread) ([]pmalloc.Carve, error) {
+	carves := readCarves(t, s.dirAddr, s.dirSlots, s.carveSlots)
+	for _, c := range carves {
+		if !pool.ValidRange(c.Start, int64(c.Lines*LeafBytes)) || c.Start.Offset()%LeafBytes != 0 {
+			return nil, corruptf("carve directory", c.Start, "carve of %d lines invalid", c.Lines)
+		}
+	}
+	slices.SortFunc(carves, func(a, b pmalloc.Carve) int { return cmp.Compare(a.Start, b.Start) })
+	return carves, nil
 }
 
 // chunks reads the chunk directory s names on t and checks every chunk

@@ -23,6 +23,8 @@ import (
 //	word 4  WAL chunk bytes
 //	word 5  flags (bit 0: VarKV; bit 1: another directory's image;
 //	        bits 8-23: arena count, 0 meaning 1; bits 24-39: arena index)
+//	word 6  carve directory capacity in records, its region right
+//	        after the chunk directory's slots (see chunkDir)
 //
 // The arena placement is part of the superblock because arena 0 of any
 // count starts at offset 0: without it, opening an 8-shard pool as a
@@ -31,9 +33,14 @@ import (
 // hash table's image and the reverse; tree images never set it.
 const (
 	sbOffset = 256
-	sbMagic  = 0xcc1b7ee0_2024_0001
-	sbWords  = 6
+	sbMagic  = 0xcc1b7ee0_2024_0002
+	sbWords  = 7
 	sbIndex  = 1 << 1
+	// sbMagicNoCarves marks an image from before the carve directory:
+	// its word 6 is zero, and the word after its chunk slots may be the
+	// head leaf's meta word. Open refuses it rather than clear that word
+	// as a carve terminator.
+	sbMagicNoCarves = 0xcc1b7ee0_2024_0001
 )
 
 // sbFlags packs the VarKV bit, the directory bit and the arena
@@ -232,20 +239,20 @@ func NewIndex(pool *pmem.Pool, opts Options, dir Directory) (*Tree, error) {
 	prevScope := t.PushScope(pmem.ScopeMeta)
 	defer t.PopScope(prevScope)
 
-	// Persistent chunk directory. Its dedicated thread keeps ScopeMeta
-	// for life: register/unregister fire from whatever operation
-	// acquires or releases a chunk, and directory writes are metadata
-	// regardless of the trigger.
-	dirAddr, err := tr.alloc.Alloc(home, opts.DirSlots*pmem.WordSize)
+	// Persistent chunk directory, with the carve directory after its
+	// slots, sized by the arena. Its dedicated thread keeps ScopeMeta
+	// for life: register/unregister/recordCarve fire from whatever
+	// operation acquires or releases a chunk or carves lines, and
+	// directory writes are metadata regardless of the trigger.
+	carveSlots := tr.alloc.CarveSlots()
+	dirAddr, err := tr.alloc.Alloc(home, (opts.DirSlots+carveSlots+1)*pmem.WordSize)
 	if err != nil {
 		return nil, fmt.Errorf("core: allocate chunk directory: %w", err)
 	}
-	dirThread := pool.NewThread(home)
-	//persistlint:ignore PL012 dirThread serves the chunk directory for the tree's lifetime; all its work is ScopeMeta
-	dirThread.PushScope(pmem.ScopeMeta)
-	tr.dir = newChunkDir(dirThread, dirAddr, opts.DirSlots)
+	tr.dir = newChunkDir(dirThread(pool, home), dirAddr, opts.DirSlots, carveSlots, 0)
 	tr.dir.prof = tr.prof
 	tr.dir.clearAll()
+	tr.alloc.SetCarveRecorder(tr.dir.recordCarve)
 	tr.walman.OnAcquire = tr.dir.register
 	tr.walman.OnRelease = tr.dir.unregister
 
@@ -256,11 +263,21 @@ func NewIndex(pool *pmem.Pool, opts Options, dir Directory) (*Tree, error) {
 
 	// Superblock.
 	sb := tr.sbAddr()
-	for i, w := range []uint64{sbMagic, uint64(root), uint64(dirAddr), uint64(opts.DirSlots), uint64(opts.ChunkBytes), sbFlags(opts, dir == nil)} {
+	for i, w := range []uint64{sbMagic, uint64(root), uint64(dirAddr), uint64(opts.DirSlots), uint64(opts.ChunkBytes),
+		sbFlags(opts, dir == nil), uint64(carveSlots)} {
 		t.Store(sb.Add(int64(8*i)), w)
 	}
 	t.Persist(sb, sbWords*pmem.WordSize)
 	return tr, nil
+}
+
+// dirThread is the chunk directory's thread on home. It keeps
+// ScopeMeta for life.
+func dirThread(pool *pmem.Pool, home int) *pmem.Thread {
+	t := pool.NewThread(home)
+	//persistlint:ignore PL012 the directory thread serves the chunk directory for the tree's lifetime; all its work is ScopeMeta
+	t.PushScope(pmem.ScopeMeta)
+	return t
 }
 
 // setup defaults opts and opens the tree's PM arena. Defaulting

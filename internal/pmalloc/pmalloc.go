@@ -5,6 +5,16 @@
 // recovery reclaims by rebuilding reachability from the leaf linked
 // list.
 //
+// The 256 B line class (tree leaves, hash overflow buckets, baseline
+// leaves) takes the bump region 64 KB at a time: one carve of 256
+// lines, handed out in address order. A recorder installed with
+// SetCarveRecorder sees every carve before any line of it is handed
+// out; the engine persists each one in its carve directory, next to the
+// WAL chunk directory, so recovery can read every line that was ever a
+// leaf in parallel, carve by carve, instead of chasing the leaf list
+// through PM. The record is a hint: the leaf list still decides which
+// lines are live.
+//
 // Allocator metadata lives in DRAM: like the modeled indexes, recovery
 // never trusts volatile allocator state — it re-derives liveness from
 // the persistent structures. Exact-size free lists make Free/Alloc pairs
@@ -15,6 +25,7 @@ package pmalloc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cclbtree/internal/pmem"
 )
@@ -25,9 +36,29 @@ import (
 // arena base + 256).
 const reserveBytes = 4096
 
-// carveBytes is how much a size class grabs from the bump region at a
-// time, amortizing the lock.
+// lineBytes is the line class: requests that round to it are carved.
+const lineBytes = pmem.XPLineSize
+
+// carveBytes is how much the line class takes from the bump region at a
+// time: 256 lines.
 const carveBytes = 64 << 10
+
+// Carve is one run of Lines consecutive lines the line class took from
+// a socket's bump region, starting at Start. Every carve is whole but
+// one at the end of an arena.
+type Carve struct {
+	Start pmem.Addr
+	Lines int
+}
+
+// Word packs the carve into one nonzero word: Start is line-aligned and
+// above the arena's reserve, and Lines−1 fits the low byte.
+func (c Carve) Word() uint64 { return uint64(c.Start) | uint64(c.Lines-1) }
+
+// CarveOf unpacks a word Word packed.
+func CarveOf(w uint64) Carve {
+	return Carve{pmem.Addr(w &^ (lineBytes - 1)), int(w&(lineBytes-1)) + 1}
+}
 
 // Allocator hands out PM blocks from per-socket arenas. An Allocator
 // covers either the whole device (New) or one of count equal slices of
@@ -38,16 +69,22 @@ type Allocator struct {
 	pool    *pmem.Pool
 	base    uint64 // arena start offset, identical on every socket
 	sockets []socketArena
+	// record is the installed carve recorder (SetCarveRecorder), nil
+	// when none is.
+	record atomic.Pointer[func(Carve)]
 }
 
 type socketArena struct {
-	mu     sync.Mutex
-	base   uint64 // arena start offset on this socket
-	next   uint64 // bump pointer
-	limit  uint64
-	free   map[int][]pmem.Addr // size class -> free addresses
-	inUse  int64
-	wasted int64 // rounding loss
+	mu    sync.Mutex
+	base  uint64 // arena start offset on this socket
+	next  uint64 // bump pointer
+	limit uint64
+	free  map[int][]pmem.Addr // size class -> free addresses
+	// carve, carveEnd bound the line class's unused rest of its current
+	// carve.
+	carve, carveEnd uint64
+	inUse           int64
+	wasted          int64 // rounding loss
 }
 
 // New returns the pool's whole-device allocator, creating it on first
@@ -124,6 +161,23 @@ func roundSize(size int) int {
 	return (size + pmem.XPLineSize - 1) &^ (pmem.XPLineSize - 1)
 }
 
+// SetCarveRecorder installs record. It runs for every later carve of
+// the line class with the socket's lock held, before any line of the
+// carve is handed out, and must not allocate: a line of the carve can
+// be published only after record returns. A record that panics (a power
+// failure) leaves the carve untaken. The index that owns the arena
+// installs it when it is created or opened, replacing the one a crashed
+// predecessor left: an arena holds one index, whose superblock sits at
+// the arena's base.
+func (a *Allocator) SetCarveRecorder(record func(Carve)) { a.record.Store(&record) }
+
+// CarveSlots bounds how many carves the arena can ever hold, over all
+// its sockets: a carve directory of this many records never fills.
+func (a *Allocator) CarveSlots() int {
+	s := &a.sockets[0]
+	return len(a.sockets) * int((s.limit-s.base-reserveBytes+carveBytes-1)/carveBytes)
+}
+
 // Alloc returns a block of at least size bytes on the given socket,
 // aligned so that 256 B objects occupy exactly one XPLine.
 func (a *Allocator) Alloc(socket, size int) (pmem.Addr, error) {
@@ -131,26 +185,7 @@ func (a *Allocator) Alloc(socket, size int) (pmem.Addr, error) {
 	s := &a.sockets[socket]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if lst := s.free[size]; len(lst) > 0 {
-		addr := lst[len(lst)-1]
-		s.free[size] = lst[:len(lst)-1]
-		s.inUse += int64(size)
-		return addr, nil
-	}
-	// Align the bump pointer: XPLine alignment for XPLine-sized-and-up
-	// classes, cacheline alignment otherwise.
-	align := uint64(pmem.CachelineSize)
-	if size >= pmem.XPLineSize {
-		align = pmem.XPLineSize
-	}
-	aligned := (s.next + align - 1) &^ (align - 1)
-	s.wasted += int64(aligned - s.next)
-	if aligned+uint64(size) > s.limit {
-		return pmem.NilAddr, fmt.Errorf("pmalloc: socket %d out of PM (%d in use, %d capacity)", socket, s.inUse, s.limit)
-	}
-	s.next = aligned + uint64(size)
-	s.inUse += int64(size)
-	return pmem.MakeAddr(socket, aligned), nil
+	return a.take(socket, s, size)
 }
 
 // AllocBatch fills dst with blocks of the given size, amortizing the
@@ -161,31 +196,84 @@ func (a *Allocator) AllocBatch(socket, size int, dst []pmem.Addr) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range dst {
-		if lst := s.free[size]; len(lst) > 0 {
-			dst[i] = lst[len(lst)-1]
-			s.free[size] = lst[:len(lst)-1]
-			s.inUse += int64(size)
-			continue
-		}
-		align := uint64(pmem.CachelineSize)
-		if size >= pmem.XPLineSize {
-			align = pmem.XPLineSize
-		}
-		aligned := (s.next + align - 1) &^ (align - 1)
-		s.wasted += int64(aligned - s.next)
-		if aligned+uint64(size) > s.limit {
+		addr, err := a.take(socket, s, size)
+		if err != nil {
 			// Roll back what this call took.
 			for j := 0; j < i; j++ {
 				s.free[size] = append(s.free[size], dst[j])
 				s.inUse -= int64(size)
 			}
-			return fmt.Errorf("pmalloc: socket %d out of PM", socket)
+			return err
 		}
-		s.next = aligned + uint64(size)
-		s.inUse += int64(size)
-		dst[i] = pmem.MakeAddr(socket, aligned)
+		dst[i] = addr
 	}
 	return nil
+}
+
+// take hands out one block of a rounded size on socket s (lock held):
+// from the size's free list, else from the line class's carve, else
+// from the bump region.
+func (a *Allocator) take(socket int, s *socketArena, size int) (pmem.Addr, error) {
+	if lst := s.free[size]; len(lst) > 0 {
+		addr := lst[len(lst)-1]
+		s.free[size] = lst[:len(lst)-1]
+		s.inUse += int64(size)
+		return addr, nil
+	}
+	if size == lineBytes {
+		if s.carve == s.carveEnd {
+			if err := a.carveLines(socket, s); err != nil {
+				return pmem.NilAddr, err
+			}
+		}
+		off := s.carve
+		s.carve += lineBytes
+		s.inUse += lineBytes
+		return pmem.MakeAddr(socket, off), nil
+	}
+	// Align the bump pointer: XPLine alignment for XPLine-sized-and-up
+	// classes, cacheline alignment otherwise.
+	align := uint64(pmem.CachelineSize)
+	if size >= pmem.XPLineSize {
+		align = pmem.XPLineSize
+	}
+	aligned, err := s.bump(socket, align, uint64(size))
+	if err != nil {
+		return pmem.NilAddr, err
+	}
+	s.inUse += int64(size)
+	return pmem.MakeAddr(socket, aligned), nil
+}
+
+// carveLines takes the line class's next carve from the bump region
+// (lock held): up to 256 lines, fewer only where the arena ends.
+// The recorder sees it before the bump pointer moves.
+func (a *Allocator) carveLines(socket int, s *socketArena) error {
+	aligned := (s.next + lineBytes - 1) &^ (lineBytes - 1)
+	lines := min(carveBytes, s.limit-min(aligned, s.limit)) / lineBytes
+	if lines == 0 {
+		return fmt.Errorf("pmalloc: socket %d out of PM (%d in use, %d capacity)", socket, s.inUse, s.limit)
+	}
+	if record := a.record.Load(); record != nil {
+		(*record)(Carve{pmem.MakeAddr(socket, aligned), int(lines)})
+	}
+	off, err := s.bump(socket, lineBytes, lines*lineBytes)
+	if err != nil {
+		return err
+	}
+	s.carve, s.carveEnd = off, off+lines*lineBytes
+	return nil
+}
+
+// bump takes n bytes aligned to align from the bump region (lock held).
+func (s *socketArena) bump(socket int, align, n uint64) (uint64, error) {
+	aligned := (s.next + align - 1) &^ (align - 1)
+	if aligned+n > s.limit {
+		return 0, fmt.Errorf("pmalloc: socket %d out of PM (%d in use, %d capacity)", socket, s.inUse, s.limit)
+	}
+	s.wasted += int64(aligned - s.next)
+	s.next = aligned + n
+	return aligned, nil
 }
 
 // Free returns a block to its size-class free list. size must be the

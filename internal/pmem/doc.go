@@ -20,7 +20,9 @@
 //     immediately. Like a power cycle, Crash also restarts every DIMM's
 //     bandwidth arbiter idle, so threads created after it start at
 //     virtual time zero on idle media, exactly as on a pool rebuilt by
-//     LoadPersistent.
+//     LoadPersistent. Every thread starts at the pool's work frontier,
+//     the largest DIMM work sum: one clock origin, so a thread created
+//     after a preload does not pay the whole preload as backpressure.
 //
 //  2. Hardware counters. Like ipmctl on real Optane, the pool counts
 //     bytes arriving at the XPBuffer (cacheline flushes) and bytes

@@ -159,7 +159,8 @@ func (PowerFailure) Error() string { return "pmem: simulated power failure" }
 // survives. Existing Threads must be discarded afterwards (their pending
 // flush sets are meaningless post-restart). The restart finds every DIMM
 // arbiter idle: the media work queued before the failure is not charged
-// to the threads that run after it, whose clocks start at zero.
+// to the threads that run after it, whose clocks start at zero (the
+// frontier of idle media).
 func (p *Pool) Crash() {
 	if p.cfg.Mode == ADR && p.cfg.DisableCrashTracking {
 		panic("pmem: Crash called with DisableCrashTracking set")
@@ -194,18 +195,36 @@ func (p *Pool) DrainXPBuffers() {
 }
 
 // NewThread creates an access handle bound to a socket (its "local"
-// NUMA node). A Thread must be used by one goroutine at a time.
+// NUMA node). A Thread must be used by one goroutine at a time. Its
+// clock starts at the pool's work frontier: a thread created
+// after a preload starts where the media stand, instead of at zero
+// behind all the work queued so far, which its first access would pay
+// as backpressure.
 func (p *Pool) NewThread(socket int) *Thread {
 	if socket < 0 || socket >= len(p.devs) {
 		panic(fmt.Sprintf("pmem: socket %d out of range", socket))
 	}
-	t := &Thread{pool: p, socket: socket, strict: p.cfg.StrictPersist}
+	t := &Thread{pool: p, socket: socket, vt: p.frontier(), strict: p.cfg.StrictPersist}
 	if t.strict {
 		p.strictMu.Lock()
 		p.strictThreads = append(p.strictThreads, t)
 		p.strictMu.Unlock()
 	}
 	return t
+}
+
+// frontier is the pool's work frontier: the largest work sum of any
+// DIMM on any socket, the virtual time by which every media access
+// issued so far has been served. It is 0 on a fresh pool and right after
+// Crash.
+func (p *Pool) frontier() int64 {
+	var f int64
+	for _, d := range p.devs {
+		for _, dm := range d.dimms {
+			f = max(f, dm.busyUntil.Load())
+		}
+	}
+	return f
 }
 
 // persistentWord returns the crash-consistent value of word idx on

@@ -199,13 +199,13 @@ var named = []mutant{
 		unit: unitCore,
 	},
 	{
-		// Recovery's log scan runs on the one recovery thread, which
-		// walks the leaf list at the same time, instead of one thread
-		// per scanner.
+		// Every phase-1 thread scans its log share on the first one,
+		// which discovers carved lines at the same time, instead of on
+		// its own thread.
 		name: "scan-thread-shared", class: "PL004",
 		edits: []edit{{"internal/core/recovery.go",
-			"wal.ReadEntryPart(scanThreads[i], chunks, chunkBytes, part, parts)",
-			"wal.ReadEntryPart(t0, chunks, chunkBytes, part, parts)"}},
+			"wal.ReadEntryPart(t, chunksOn[sh.s], chunkBytes, sh.k, sh.n)",
+			"wal.ReadEntryPart(phase[0], chunksOn[sh.s], chunkBytes, sh.k, sh.n)"}},
 		unit: unitCore,
 	},
 	{

@@ -45,8 +45,8 @@ go test ./...
 # from an earlier tree once hid a lost-acknowledged-write bug from the
 # line above) at the default GOMAXPROCS and with more Ps than this
 # runner may have cores.
-go test -count=1 -run 'TestCrashAtEveryFlushBoundary' ./internal/core
-GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary' ./internal/core
+go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord' ./internal/core
+GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord' ./internal/core
 # A group holds several node locks at once while GC rounds try-lock
 # along the chain; a deadlock or a lost write there shows only under
 # some schedules, so race groups against GC uncached with spare Ps too.
