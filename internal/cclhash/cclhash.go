@@ -13,6 +13,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cclbtree/internal/core"
 	"cclbtree/internal/pmem"
@@ -193,23 +194,26 @@ func (d *buckets) Search(w *core.Worker, n *core.Node, key uint64, _ byte) (uint
 	return 0, false
 }
 
-// plan is one bucket of a chain flush: its new image and the range of
-// data words it dirties.
+// plan is one bucket of a chain flush: its new image, the range of
+// data words it dirties and the fingerprint words of the slots it
+// fills.
 type plan struct {
-	img   pmleaf.Image
-	next  pmem.Addr // successor before the flush
-	dirty pmleaf.Span
-	fresh bool // newly allocated overflow bucket
+	img        pmleaf.Image
+	next       pmem.Addr // successor before the flush
+	dirty, fps pmleaf.Span
+	fresh      bool // newly allocated overflow bucket
 }
 
-// Flush applies the batch to n's bucket chain crash-consistently: plan
-// slot assignments over the whole chain, write data words and fence,
-// then publish headers from the TAIL of the chain back to the home
-// bucket. The home bucket's timestamp — which gates WAL replay for
-// every entry this buffer held — therefore persists only after all of
-// the batch's data is durable; a crash before it replays the entries
-// idempotently.
-func (d *buckets) Flush(w *core.Worker, n *core.Node, batch []core.KV) (int, error) {
+// Stage is the first half of a chain flush, in a wave of the engine:
+// it plans slot assignments over n's whole chain and writes and flushes
+// the data, fresh buckets whole and existing ones only their dirty slot
+// words (and, in a shared wave, the home bucket's new fingerprints; see
+// core.Staged). Publish then writes the headers from the TAIL of the
+// chain back to the home bucket, so the home bucket's timestamp — which
+// gates WAL replay for every entry this buffer held — persists only
+// after all of the batch's data is durable; a crash before it replays
+// the entries idempotently.
+func (d *buckets) Stage(w *core.Worker, n *core.Node, s *core.Staged, batch []core.KV) error {
 	t := w.Thread()
 	var chain []*plan
 	for addr, rest := n.Line(), batch; ; {
@@ -217,7 +221,7 @@ func (d *buckets) Flush(w *core.Worker, n *core.Node, batch []core.KV) (int, err
 		var err error
 		if p.fresh { // only reached when live entries still need slots
 			if p.img.Addr, err = w.NewLine(); err != nil {
-				return 0, fmt.Errorf("cclhash: overflow bucket: %w", err)
+				return fmt.Errorf("cclhash: overflow bucket: %w", err)
 			}
 		} else {
 			p.img.Read(t, addr)
@@ -253,6 +257,7 @@ func (d *buckets) Flush(w *core.Worker, n *core.Node, batch []core.KV) (int, err
 				bm |= 1 << uint(i)
 				p.dirty.Mark(pmleaf.SlotWord(i))
 				p.dirty.Mark(pmleaf.SlotWord(i) + 1)
+				p.fps.Mark(pmleaf.FPWord(i))
 			}
 		}
 		// Each bucket keeps its successor: the existing link (and any
@@ -271,23 +276,40 @@ func (d *buckets) Flush(w *core.Worker, n *core.Node, batch []core.KV) (int, err
 		addr, rest = p.next, deferred
 	}
 
-	// Phase 1: data, durable before any header is published. Fresh
-	// buckets persist whole, existing ones only their dirty slot words.
-	for _, p := range chain {
+	// Phase 1: data, durable at the wave's fence before any header is
+	// published. Fresh buckets go whole, existing ones only their dirty
+	// slot words.
+	for i, p := range chain {
 		if p.fresh {
-			pmleaf.WriteWhole(t, &p.img)
-		} else {
-			pmleaf.PersistSpan(t, &p.img, p.dirty)
+			t.WriteRange(p.img.Addr, p.img.Words[:])
+			t.Flush(p.img.Addr, pmleaf.Bytes) //persistlint:ignore PL002 the wave fences the staged data
+			s.Flushed = true
+			continue
 		}
+		if i == 0 && s.Shared && p.fps.Hi > 0 {
+			p.dirty.Mark(p.fps.Lo)
+			p.dirty.Mark(p.fps.Hi - 1)
+		}
+		s.Flushed = pmleaf.FlushSpan(t, &p.img, p.dirty) || s.Flushed
 	}
+	s.Aux = chain
+	return nil
+}
 
-	// Phase 2: publish headers tail -> home; the home bucket's
-	// timestamp lands last.
-	for i := len(chain) - 1; i >= 0; i-- {
-		if p := chain[i]; !p.fresh {
+// Publish is phase 2 of a chain flush, once the wave's fence made the
+// data durable: the headers tail -> home, each tail bucket's fenced
+// before the next, so the home bucket's timestamp lands last.
+func (d *buckets) Publish(w *core.Worker, n *core.Node, s *core.Staged) {
+	t := w.Thread()
+	chain := s.Aux.([]*plan)
+	for _, p := range slices.Backward(chain[1:]) {
+		if !p.fresh {
 			p.img.SetTS(w.Stamp(n))
 			pmleaf.WriteHeader(t, &p.img)
 		}
 	}
-	return pmleaf.Slots, nil // buckets never merge: report a full line
+	home := &chain[0].img
+	home.SetTS(w.Stamp(n))
+	pmleaf.FlushHeader(t, home)
+	s.Live = pmleaf.Slots // buckets never merge: report a full line
 }

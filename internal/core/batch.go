@@ -134,18 +134,33 @@ func (w *Worker) commit(kvs []KV) error {
 	if tr.opts.GC == GCLocalityAware && w.logs[e].TailFull() && tr.maybeTriggerGC(int64(tr.opts.ChunkBytes)/2) {
 		e = tr.epoch.Load()
 	}
-	ents := w.batchEnts[:0]
+	ents, triggers := w.batchEnts[:0], 0
 	for i := range runs {
-		ents = w.placeRun(&runs[i], kvs, ents)
+		if ents = w.placeRun(&runs[i], kvs, ents); !runs[i].fits {
+			triggers++
+		}
 	}
 	w.batchEnts = ents
 	var err error
 	if len(ents) > 0 {
 		err = w.groupCommit(ents, e)
 	}
+	w.wave = w.wave[:0]
 	for i := range runs {
 		if err == nil {
-			err = w.applyRun(&runs[i], kvs, e)
+			err = w.applyRun(&runs[i], kvs, e, triggers > 1)
+		}
+	}
+	if len(w.wave) > 0 {
+		// Publish what was staged even when a later run failed: those
+		// trigger writes are whole.
+		tm := w.segBegin()
+		w.publish()
+		w.segEnd(obs.SegTrigger, tm)
+		for i := range runs {
+			if runs[i].staged >= 0 {
+				w.finishTrigger(&runs[i], kvs)
+			}
 		}
 	}
 	w.segCloseBuffer(sm, wal0, trig0)
@@ -185,6 +200,7 @@ type groupRun struct {
 	v          uint64
 	start, end int
 	fits       bool // every op ends in a buffer slot (w.place); else one trigger write
+	staged     int  // the trigger write's index in the group's wave; -1 until staged
 	underfull  bool // the trigger write left the leaf a merge candidate
 }
 
@@ -199,7 +215,7 @@ func (w *Worker) lockRuns(kvs []KV) []groupRun {
 		n, v := w.lockOwner(kvs[i].Key)
 		w.tree.heat.Touch(uint64(n.leaf), true)
 		end := i + w.tree.index.RunEnd(w.t, n, kvs[i:])
-		runs = append(runs, groupRun{n: n, v: v, start: i, end: end})
+		runs = append(runs, groupRun{n: n, v: v, start: i, end: end, staged: -1})
 		i = end
 	}
 	w.runs = runs
@@ -251,9 +267,10 @@ func (w *Worker) placeRun(r *groupRun, kvs []KV, ents []wal.Entry) []wal.Entry {
 
 // applyRun is the §3.2 insert flow for the placed run r, with its node
 // locked and its records (if any) durable: the ops take their slots,
-// stamped with epoch e; or the buffered KVs plus the whole run flush to
-// the leaf in one trigger write (§3.3).
-func (w *Worker) applyRun(r *groupRun, kvs []KV, e uint32) error {
+// stamped with epoch e; or the buffered KVs plus the whole run are
+// staged in the group's wave as one trigger write (§3.3), shared when
+// the group has other trigger writes.
+func (w *Worker) applyRun(r *groupRun, kvs []KV, e uint32, shared bool) error {
 	tr := w.tree
 	n := r.n
 	pos, eb, _ := unpackHdr(n.hdr.Load())
@@ -300,27 +317,36 @@ func (w *Worker) applyRun(r *groupRun, kvs []KV, e uint32) error {
 	batch = append(batch, run...)
 	w.scratch = batch
 	tm := w.segBegin()
-	valid, err := tr.index.Flush(w, n, batch)
+	i, err := w.stage(n, batch, shared)
 	w.segEnd(obs.SegTrigger, tm)
-	if err != nil {
-		return err
+	if err == nil {
+		r.staged = i
 	}
-	// Slots stay populated as a read cache; refresh stale copies of the
-	// keys just flushed so reads cannot see older values.
+	return err
+}
+
+// finishTrigger ends the trigger write of run r once its wave is
+// published: the buffer empties, its slots staying populated as a read
+// cache.
+func (w *Worker) finishTrigger(r *groupRun, kvs []KV) {
+	tr := w.tree
+	n := r.n
+	_, eb, _ := unpackHdr(n.hdr.Load())
+	// Refresh stale copies of the keys just flushed so reads cannot see
+	// older values.
 	for i := 0; i < n.nbatch(); i++ {
 		sk := n.slotKey(i)
 		if sk == 0 {
 			continue
 		}
-		for _, f := range run {
+		for _, f := range kvs[r.start:r.end] {
 			if tr.compare(w.t, sk, f.Key) == 0 {
 				n.slots[2*i+1].Store(f.Value)
 			}
 		}
 	}
 	n.hdr.Store(packHdr(0, eb, false))
-	r.underfull = valid < LeafSlots/2 && n != tr.head
-	return nil
+	r.underfull = w.wave[r.staged].Live < LeafSlots/2 && n != tr.head
 }
 
 // groupCommit is the foreground WAL append: it appends the ticked

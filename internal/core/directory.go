@@ -25,12 +25,17 @@ type Directory interface {
 	Compare(t *pmem.Thread, a, b uint64) int
 	// RunEnd counts the leading keys of the sorted kvs n owns (kvs[0]).
 	RunEnd(t *pmem.Thread, n *Node, kvs []KV) int
-	// Flush applies batch (later entries win) to n's lines crash-
-	// consistently, stamping them (Worker.Stamp) only once the data is
-	// durable: recovery replays a record only while it is newer than the
-	// stamp on n's line. It returns n's live KV count; under half a leaf
-	// the engine tries a merge.
-	Flush(w *Worker, n *Node, batch []KV) (live int, err error)
+	// Stage and Publish flush batch (later entries win) into n's lines
+	// crash-consistently, as one node of a wave (wave.go). Stage writes
+	// the data words and flushes them, without a fence, and keeps in s
+	// what Publish needs; it sets s.Flushed when it flushed, and s.Done
+	// when it published n itself.
+	Stage(w *Worker, n *Node, s *Staged, batch []KV) error
+	// Publish runs once the wave's fence has made the staged data
+	// durable: it stamps n's line (Worker.Stamp) and writes and flushes
+	// its header, without a fence, and sets s.Live. Recovery replays a
+	// record only while it is newer than the stamp on n's line.
+	Publish(w *Worker, n *Node, s *Staged)
 	// Search probes n's lines for key, whose engine fingerprint is fp.
 	Search(w *Worker, n *Node, key uint64, fp byte) (uint64, bool)
 	// Build lays out an empty index when rb is nil and returns the
@@ -290,7 +295,7 @@ func nextLeaf[V any](pool *pmem.Pool, next pmem.Addr, seen map[pmem.Addr]V) erro
 }
 
 // treeDir is the tree's directory: the inner index over the leaf list,
-// with leafBatchInsert/splitLeaf/tryMerge behind Flush.
+// with stageLeaf/publishLeaf, splitLeaf and tryMerge behind its waves.
 type treeDir struct{ tr *Tree }
 
 func (d treeDir) Find(t *pmem.Thread, key uint64) *Node {
@@ -317,8 +322,20 @@ func (d treeDir) RunEnd(t *pmem.Thread, n *Node, kvs []KV) int {
 	return end
 }
 
-func (d treeDir) Flush(w *Worker, n *Node, batch []KV) (int, error) {
-	return w.leafBatchInsert(n, batch)
+// Stage and Publish charge a foreground leaf write to leafbuf (see
+// stageLeaf).
+func (d treeDir) Stage(w *Worker, n *Node, s *Staged, batch []KV) error {
+	if w.t.Scope() == pmem.ScopeNone {
+		defer w.t.PopScope(w.t.PushScope(pmem.ScopeLeafBuf))
+	}
+	return w.stageLeaf(n, s, batch, pmem.NilAddr, false)
+}
+
+func (d treeDir) Publish(w *Worker, n *Node, s *Staged) {
+	if w.t.Scope() == pmem.ScopeNone {
+		defer w.t.PopScope(w.t.PushScope(pmem.ScopeLeafBuf))
+	}
+	w.publishLeaf(n, s)
 }
 
 // Build makes the empty head leaf anchoring the leaf list, or follows

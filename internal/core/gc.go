@@ -228,9 +228,11 @@ func (tr *Tree) runNaiveGC() {
 		for i := 0; i < pos; i++ {
 			batch = append(batch, KV{n.slotKey(i), n.slotVal(i)})
 		}
-		if _, err := tr.index.Flush(w, n, batch); err != nil {
+		w.wave = w.wave[:0]
+		if _, err := w.stage(n, batch, false); err != nil {
 			return
 		}
+		w.publish()
 		n.hdr.Store(packHdr(0, eb, false))
 	}
 	tr.reclaimLogs(0)

@@ -63,42 +63,61 @@ func (w *Worker) Stamp(n *Node) uint64 {
 }
 
 // leafBatchInsert applies batch (in order — later entries supersede
-// earlier ones) to n's leaf with the §4.2 three-step protocol:
-//
-//  1. write new/updated KVs into slots, unsorted;
-//  2. persist the modified data cachelines, one sfence;
-//  3. update fingerprints, timestamp and bitmap(+next) and persist the
-//     32 B metadata region with a single flush.
-//
-// New keys only occupy slots that were free under the pre-batch bitmap,
-// so nothing becomes visible before step 3's atomic meta publish.
-// Returns the leaf's valid-slot count afterwards. Splits when the batch
-// does not fit (unless the caller pins next, in which case capacity was
-// pre-checked).
+// earlier ones) to n's leaf with the §4.2 three-step protocol, as a
+// wave of one (wave.go): stageLeaf's steps 1+2, one sfence,
+// publishLeaf's step 3, one sfence. It returns the leaf's live KV
+// count afterwards. The split's follow-up and the merge flush here;
+// every other leaf write goes through the engine's waves, under the
+// same two halves.
 func (w *Worker) leafBatchInsert(n *bufferNode, batch []KV) (int, error) {
 	return w.leafBatchInsertNext(n, batch, pmem.NilAddr, false)
 }
 
 func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Addr, overrideNext bool) (int, error) {
-	tr := w.tree
-	var img pmleaf.Image
-	// Attribute the flush to leafbuf only when no task scope is active:
-	// a GC- or recovery-driven flush stays charged to its task, so "gc"
-	// media bytes remain visibly gc-caused (the nesting contract in
-	// pmem.Scope).
 	if w.t.Scope() == pmem.ScopeNone {
 		defer w.t.PopScope(w.t.PushScope(pmem.ScopeLeafBuf))
 	}
+	var s Staged
+	if err := w.stageLeaf(n, &s, batch, newNext, overrideNext); err != nil || s.Done {
+		return s.Live, err
+	}
+	if s.Flushed {
+		w.t.Fence()
+	}
+	w.publishLeaf(n, &s)
+	w.t.Fence()
+	return s.Live, nil
+}
+
+// stageLeaf is the first half of a leaf write:
+//
+//  1. write new/updated KVs into slots, unsorted;
+//  2. flush the modified data cachelines (the wave fences them);
+//
+// and, in s.Img, the header step 3 publishes: fingerprints, bitmap and
+// next. New keys only occupy slots that were free under the pre-batch
+// bitmap, so nothing becomes visible before the header publishes.
+// Splits when the batch does not fit (unless the caller pins next, in
+// which case capacity was pre-checked): the split orders its own
+// persists and publishes n itself (s.Done).
+//
+// The caller charges the flushes to leafbuf when no task scope is
+// active; a GC- or recovery-driven flush stays charged to its task, so
+// "gc" media bytes remain visibly gc-caused (the nesting contract in
+// pmem.Scope).
+func (w *Worker) stageLeaf(n *bufferNode, s *Staged, batch []KV, newNext pmem.Addr, overrideNext bool) error {
+	tr := w.tree
+	img := &s.Img
 	tr.tracer.Emit(obs.EvFlushBatch, w.id, w.t.Now(), uint64(len(batch)), uint64(n.lowKey))
 	img.Read(w.t, n.leaf)
 
 	orig := img.Bitmap()
 	cur := orig
 	var assigned uint16 // slots given to new keys in this batch
-	var dirty pmleaf.Span
+	var dirty, fps pmleaf.Span
 
 	for _, kv := range batch {
-		slot := w.findLeafSlot(&img, cur, kv.Key)
+		slot := w.findLeafSlot(img, cur, kv.Key)
 		if slot >= 0 {
 			// In-place 8 B value update: failure-atomic, and the WAL
 			// entry (or the batch's meta publish) makes the new value
@@ -120,9 +139,11 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 		freeMask := ^uint32(orig) & ^uint32(assigned) & pmleaf.BitmapMask
 		if freeMask == 0 {
 			if overrideNext {
-				return 0, fmt.Errorf("core: merge batch overflowed leaf (capacity pre-check bug)")
+				return fmt.Errorf("core: merge batch overflowed leaf (capacity pre-check bug)")
 			}
-			return w.splitLeaf(n, &img, batch)
+			live, err := w.splitLeaf(n, img, batch)
+			s.Live, s.Done = live, true
+			return err
 		}
 		slot = bits.TrailingZeros32(freeMask)
 		img.SetKV(slot, kv.Key, kv.Value)
@@ -131,27 +152,41 @@ func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Add
 		cur |= 1 << uint(slot)
 		dirty.Mark(pmleaf.SlotWord(slot))
 		dirty.Mark(pmleaf.SlotWord(slot) + 1)
+		fps.Mark(pmleaf.FPWord(slot))
 	}
 
-	// Step 1+2: data region.
-	pmleaf.PersistSpan(w.t, &img, dirty)
-	// Step 3: metadata region (fingerprints + timestamp + bitmap/next),
-	// single cacheline, atomic publish through the meta word.
+	// Step 1+2: data region; a shared wave's fingerprints go with it
+	// (Staged.Shared), in the same flush when the data reaches the
+	// header's cacheline.
+	if s.Shared && fps.Hi > 0 && dirty.Lo < pmem.CachelineSize/pmem.WordSize {
+		dirty.Mark(fps.Lo)
+	} else if s.Shared {
+		s.Flushed = pmleaf.FlushSpan(w.t, img, fps)
+	}
+	s.Flushed = pmleaf.FlushSpan(w.t, img, dirty) || s.Flushed
+	// Step 3's header, published by publishLeaf: fingerprints, bitmap
+	// and next.
 	next := img.Next()
 	if overrideNext {
 		next = newNext
 	}
-	img.SetTS(w.Stamp(n))
 	img.SetMeta(pmleaf.PackMeta(cur, next))
-	pmleaf.WriteHeader(w.t, &img)
 	// Report live (non-fence) occupancy for the merge heuristic.
-	live := 0
 	for i := 0; i < LeafSlots; i++ {
 		if cur&(1<<uint(i)) != 0 && img.Val(i) != Tombstone {
-			live++
+			s.Live++
 		}
 	}
-	return live, nil
+	return nil
+}
+
+// publishLeaf is step 3 of a leaf write, once its wave's fence made the
+// staged data durable: the timestamp and the 32 B metadata region
+// (fingerprints + timestamp + bitmap/next, one cacheline) flushed
+// together, an atomic publish through the meta word once fenced.
+func (w *Worker) publishLeaf(n *bufferNode, s *Staged) {
+	s.Img.SetTS(w.Stamp(n))
+	pmleaf.FlushHeader(w.t, &s.Img)
 }
 
 // slotRef is one key of a splitting leaf: a live slot of the old leaf

@@ -173,10 +173,12 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	}
 	rb.found = nil
 	chainPos := map[*bufferNode]int{}
+	var chain []*bufferNode
 	for n := tr.head; n != nil; n = n.next.Load() {
-		chainPos[n] = len(chainPos)
+		chainPos[n] = len(chain)
+		chain = append(chain, n)
 	}
-	st.Leaves = int64(len(chainPos))
+	st.Leaves = int64(len(chain))
 
 	type pending struct {
 		kv KV
@@ -263,7 +265,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// node's records, so a crash inside replay never leaves a stamped
 	// line with records still waiting in the log, which the next
 	// recovery would gate out as stale.
-	groups := make([][]KV, len(chainPos))
+	groups := make([][]KV, len(chain))
 	for j, n := range route {
 		if n == nil {
 			st.EntriesStale++
@@ -276,7 +278,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	// where the lines it writes are.
 	groupsOn := make([][]int, pool.Sockets())
 	clear(work)
-	for n, i := tr.head, 0; n != nil; n, i = n.next.Load(), i+1 {
+	for i, n := range chain {
 		if len(groups[i]) > 0 {
 			groupsOn[n.leaf.Socket()] = append(groupsOn[n.leaf.Socket()], i)
 			work[n.leaf.Socket()]++
@@ -293,10 +295,14 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	tr.dir.prof = tr.prof
 	tr.alloc.SetCarveRecorder(tr.dir.recordCarve)
 
-	// Phase 4: each worker applies its share of its socket's groups, each
-	// group to its node with one directory flush under the node's lock.
-	// Splits during replay only mint nodes inside the splitting group's
-	// own range, so every group's first key still routes to its node.
+	// Phase 4: each worker applies its share of its socket's groups, in
+	// chain order, in waves of replayWave groups (wave.go): it locks the
+	// node phase 3 routed each group to, stages the group into it, and
+	// publishes the wave's nodes before it unlocks them. Splits during
+	// replay only mint nodes inside the splitting group's own range, so
+	// every group's node still owns its first key; a node that does not
+	// is routed again. Each wave locks its nodes in chain order, the one
+	// lock order every writer shares.
 	seats = seat(threads, work, home)
 	workers := make([]*Worker, threads)
 	for i := range workers {
@@ -309,15 +315,42 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	}
 	err = pmem.Parallel(threads, func(i int) error {
 		w := workers[i]
+		var mine []int // chain positions of the worker's groups
 		for _, sh := range shares(seats, pool.Sockets(), i) {
 			for j := sh.k; j < len(groupsOn[sh.s]); j += sh.n {
-				g := groups[groupsOn[sh.s][j]]
-				n, v := w.lockOwner(g[0].Key)
-				_, err := tr.index.Flush(w, n, g)
-				n.unlock(v)
-				if err != nil {
-					return fmt.Errorf("core: recovery replay: %w", err)
+				mine = append(mine, groupsOn[sh.s][j])
+			}
+		}
+		slices.Sort(mine)
+		held := make([]groupRun, 0, replayWave)
+		for len(mine) > 0 {
+			wave := mine[:min(replayWave, len(mine))]
+			mine = mine[len(wave):]
+			w.wave, held = w.wave[:0], held[:0]
+			var err error
+			for _, gi := range wave {
+				g, n := groups[gi], chain[gi]
+				v, ok := n.tryLock()
+				if ok && !tr.index.Owns(w.t, n, g[0].Key) {
+					n.unlock(v)
+					ok = false
 				}
+				if !ok {
+					n, v = w.lockOwner(g[0].Key)
+				}
+				held = append(held, groupRun{n: n, v: v})
+				if _, err = w.stage(n, g, len(wave) > 1); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				w.publish()
+			}
+			for _, h := range held {
+				h.n.unlock(h.v)
+			}
+			if err != nil {
+				return fmt.Errorf("core: recovery replay: %w", err)
 			}
 		}
 		return nil

@@ -40,7 +40,8 @@ type Worker struct {
 	// off). Single-owner like the Thread: one goroutine at a time.
 	mh *obs.Handle
 
-	scratch []KV // reused flush batch (trigger writes, merges)
+	scratch []KV     // reused flush batch (trigger writes, merges)
+	wave    []Staged // the worker's persist wave (wave.go)
 	split   splitScratch
 	slab    nodeSlab // buffer nodes for this worker's splits
 	// batchKVs/batchEnts/runs/place are the write protocol's scratch,

@@ -166,6 +166,27 @@ func (t *Thread) TearPending(seed int64) int {
 	return torn
 }
 
+// TearPending on a pool is Thread.TearPending on each of its threads
+// still in use, for a harness that cannot reach the threads a power
+// failure stopped (those Open starts for recovery). It returns the
+// number of lines torn. Only a StrictPersist pool keeps its threads; on
+// any other it panics.
+func (p *Pool) TearPending(seed int64) int {
+	if !p.cfg.StrictPersist {
+		panic("pmem: Pool.TearPending needs StrictPersist")
+	}
+	p.strictMu.Lock()
+	ts := append([]*Thread(nil), p.strictThreads...)
+	p.strictMu.Unlock()
+	torn := 0
+	for _, t := range ts {
+		if !t.released {
+			torn += t.TearPending(seed)
+		}
+	}
+	return torn
+}
+
 // TearPendingPrefix is TearPending with a fixed prefix length of k
 // words (0 ≤ k ≤ 8) applied to every pending line, for tests that need
 // a specific tear point rather than a seeded one.

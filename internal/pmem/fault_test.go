@@ -118,6 +118,52 @@ func TestTearPendingSeededDeterministic(t *testing.T) {
 	}
 }
 
+// TestPoolTearPendingEveryThread: the pool-wide form tears the pending
+// flushes of every thread in use as that thread's own TearPending
+// would, with the same seed, and skips released threads.
+func TestPoolTearPendingEveryThread(t *testing.T) {
+	p := faultTestPool(ADR)
+	threads := []*Thread{p.NewThread(0), p.NewThread(0), p.NewThread(0)}
+	for k, th := range threads {
+		base := MakeAddr(0, uint64(4096+k*CachelineSize))
+		for i := int64(0); i < 8; i++ {
+			th.Store(base.Add(8*i), uint64(100*int64(k)+10+i))
+		}
+		if k == 2 {
+			th.Persist(base, CachelineSize)
+			th.Release()
+			continue
+		}
+		//persistlint:ignore PL002 deliberately unfenced: the pool-wide tear under test
+		th.Flush(base, CachelineSize)
+	}
+	const seed = 11
+	want := 0
+	for k := range 2 {
+		if tornPrefix(seed, 0, uint64(4096/CachelineSize+k)) > 0 {
+			want++
+		}
+	}
+	if torn := p.TearPending(seed); torn != want {
+		t.Fatalf("Pool.TearPending tore %d lines, want %d", torn, want)
+	}
+	p.Crash()
+	th := p.NewThread(0)
+	for k := range 2 {
+		base := MakeAddr(0, uint64(4096+k*CachelineSize))
+		n := tornPrefix(seed, 0, uint64(4096/CachelineSize+k))
+		for i := int64(0); i < 8; i++ {
+			w := uint64(0)
+			if i < int64(n) {
+				w = uint64(100*k + 10 + int(i))
+			}
+			if got := th.Load(base.Add(8 * i)); got != w {
+				t.Fatalf("thread %d word %d after the pool-wide tear = %d, want %d (prefix %d)", k, i, got, w, n)
+			}
+		}
+	}
+}
+
 // TestFailWhenScopeTargeted: the predicate fires on the first flush in
 // the requested scope, and the trigger is sticky — the next flush on
 // any thread panics too.

@@ -166,6 +166,10 @@ func (li *Image) FindKey(key uint64) int {
 // next word).
 func SlotWord(i int) int { return slotBase + 2*i }
 
+// FPWord returns the index of the header word holding slot i's
+// fingerprint.
+func FPWord(i int) int { return fpWord + i/8 }
+
 // SlotAddr returns the PM address of slot i's key word.
 func SlotAddr(leaf pmem.Addr, i int) pmem.Addr {
 	return leaf.Add(int64(8 * SlotWord(i)))
@@ -193,6 +197,15 @@ func WriteHeader(t *pmem.Thread, li *Image) {
 	t.Persist(li.Addr, HeaderBytes)
 }
 
+// FlushHeader is WriteHeader without the fence, for a caller that
+// fences several lines' headers at once (a persist wave).
+func FlushHeader(t *pmem.Thread, li *Image) {
+	for wd := 0; wd < HeaderWords; wd++ {
+		t.Store(li.Addr.Add(int64(8*wd)), li.Words[wd])
+	}
+	t.Flush(li.Addr, HeaderBytes) //persistlint:ignore PL002 the caller fences: a wave of headers
+}
+
 // Span is the range of an image's words a batch rewrote, so that only
 // those are written back (PersistSpan). The zero value is empty.
 type Span struct{ Lo, Hi int } // words [Lo, Hi)
@@ -215,6 +228,20 @@ func PersistSpan(t *pmem.Thread, li *Image, s Span) {
 		t.Store(li.Addr.Add(int64(8*wd)), li.Words[wd])
 	}
 	t.Persist(li.Addr.Add(int64(8*s.Lo)), 8*(s.Hi-s.Lo))
+}
+
+// FlushSpan is PersistSpan without the fence, for a caller that fences
+// several lines' data at once (a persist wave). It reports whether it
+// flushed anything.
+func FlushSpan(t *pmem.Thread, li *Image, s Span) bool {
+	if s.Hi == 0 {
+		return false
+	}
+	for wd := s.Lo; wd < s.Hi; wd++ {
+		t.Store(li.Addr.Add(int64(8*wd)), li.Words[wd])
+	}
+	t.Flush(li.Addr.Add(int64(8*s.Lo)), 8*(s.Hi-s.Lo)) //persistlint:ignore PL002 the caller fences: a wave of lines
+	return true
 }
 
 // SortedLive returns the leaf's valid entries sorted by key, paired

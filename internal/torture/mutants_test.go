@@ -112,18 +112,31 @@ var named = []mutant{
 		unit: unitCore,
 	},
 	{
+		// A persist wave publishes its headers before the fence over
+		// its data: a crash tears a published header over unwritten
+		// slots.
 		name: "leaf-data-nofence", class: "PL002",
+		edits: []edit{{"internal/core/wave.go",
+			"\tif flushed {\n\t\tw.t.Fence()\n\t}\n" +
+				"\tfor i := range w.wave {\n\t\tif s := &w.wave[i]; !s.Done {\n" +
+				"\t\t\tw.tree.index.Publish(w, s.n, s)\n\t\t\tpublished = true\n\t\t}\n\t}\n",
+			"\tfor i := range w.wave {\n\t\tif s := &w.wave[i]; !s.Done {\n" +
+				"\t\t\tw.tree.index.Publish(w, s.n, s)\n\t\t\tpublished = true\n\t\t}\n\t}\n" +
+				"\tif flushed {\n\t\tw.t.Fence()\n\t}\n"}},
+		unit: unitCore,
+	},
+	{
+		// The same for a leaf's wave of one.
+		name: "leaf-data-fence-later", class: "PL002",
 		edits: []edit{{"internal/core/leafops.go",
-			"\tpmleaf.PersistSpan(w.t, &img, dirty)\n",
-			"\tif dirty.Hi > 0 {\n\t\tfor wd := dirty.Lo; wd < dirty.Hi; wd++ {\n" +
-				"\t\t\tw.t.Store(n.leaf.Add(int64(8*wd)), img.Words[wd])\n\t\t}\n" +
-				"\t\tw.t.Flush(n.leaf.Add(int64(8*dirty.Lo)), 8*(dirty.Hi-dirty.Lo))\n\t}\n"}},
+			"\tif s.Flushed {\n\t\tw.t.Fence()\n\t}\n\tw.publishLeaf(n, &s)\n",
+			"\tw.publishLeaf(n, &s)\n\tif s.Flushed {\n\t\tw.t.Fence()\n\t}\n"}},
 		unit: unitCore,
 	},
 	{
 		name: "leaf-stamp-skipped",
 		edits: []edit{{"internal/core/leafops.go",
-			"\timg.SetTS(w.Stamp(n))\n", "\timg.SetTS(img.TS())\n"}},
+			"\ts.Img.SetTS(w.Stamp(n))\n", "\ts.Img.SetTS(s.Img.TS())\n"}},
 		unit: unitCore,
 	},
 	{
@@ -179,9 +192,9 @@ var named = []mutant{
 		// that gates the bucket's records out of replay.
 		name: "hash-home-published-first", class: "PL005",
 		edits: []edit{{"internal/cclhash/cclhash.go",
-			"\t// Phase 1: data, durable before any header is published. Fresh\n",
+			"\t// Phase 1: data, durable at the wave's fence before any header is\n",
 			"\tchain[0].img.SetTS(w.Stamp(n))\n\tpmleaf.WriteHeader(t, &chain[0].img)\n" +
-				"\t// Phase 1: data, durable before any header is published. Fresh\n"}},
+				"\t// Phase 1: data, durable at the wave's fence before any header is\n"}},
 		unit: unitHash,
 	},
 	{

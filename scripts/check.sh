@@ -45,8 +45,8 @@ go test ./...
 # from an earlier tree once hid a lost-acknowledged-write bug from the
 # line above) at the default GOMAXPROCS and with more Ps than this
 # runner may have cores.
-go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord' ./internal/core
-GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord' ./internal/core
+go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideReplayWave' ./internal/core
+GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideReplayWave' ./internal/core
 # A group holds several node locks at once while GC rounds try-lock
 # along the chain; a deadlock or a lost write there shows only under
 # some schedules, so race groups against GC uncached with spare Ps too.
@@ -92,7 +92,7 @@ go test -race -run 'TestPublicBatch|TestPublicRange' .
 # The kill matrix: every named and generated source mutant against
 # persistlint, its package's tests, the torture oracles, the race
 # detector and the goldens (internal/torture/mutants_test.go). Only a
-# run that names TestMutants scores every row (13–15 min on two cores);
+# run that names TestMutants scores every row (~30 min on two cores);
 # `go test ./...` scores one. It prints one MUTANT line per cell; grep
 # proves the matrix ran rather than silently skipping.
 mutants=$(go test -count=1 -timeout 60m -run TestMutants -v ./internal/torture)
