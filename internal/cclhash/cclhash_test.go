@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -712,5 +713,96 @@ func TestRecoverRejectsMalformedChains(t *testing.T) {
 				t.Fatal("Recover did not return within 10 s")
 			}
 		})
+	}
+}
+
+// TestChainRunsInCompareOrder pins the Directory contract recovery's
+// route walks: node i of the chain fronts bucket i, and Compare orders
+// keys by bucket first, so keys sorted by Compare meet their nodes in
+// chain order.
+func TestChainRunsInCompareOrder(t *testing.T) {
+	h, _ := newTable(t, Options{Buckets: 1 << 6})
+	rng := rand.New(rand.NewSource(1))
+	for range 5000 {
+		a, b := rng.Uint64()|1, rng.Uint64()|1
+		if got := h.d.Find(nil, a); got != h.d.nodes[h.d.bucket(a)] {
+			t.Fatalf("key %#x: Find is not node %d", a, h.d.bucket(a))
+		}
+		ba, bb := h.d.bucket(a), h.d.bucket(b)
+		if c := h.d.Compare(nil, a, b); ba != bb && (c < 0) != (ba < bb) {
+			t.Fatalf("Compare(%#x, %#x) = %d, buckets %d, %d", a, b, c, ba, bb)
+		}
+	}
+}
+
+// stageSpy is the table's directory, recording what replay stages into
+// which node and counting keys staged into a node Find does not name.
+type stageSpy struct {
+	*buckets
+	mu        sync.Mutex
+	staged    map[uint64]uint64
+	misrouted int
+}
+
+func (s *stageSpy) Stage(w *core.Worker, n *core.Node, st *core.Staged, batch []core.KV) error {
+	s.mu.Lock()
+	for _, kv := range batch {
+		if s.Find(nil, kv.Key) != n {
+			s.misrouted++
+		}
+		s.staged[kv.Key] = kv.Value
+	}
+	s.mu.Unlock()
+	return s.buckets.Stage(w, n, st, batch)
+}
+
+// TestRouteMatchesFindHash is core's TestRouteMatchesFind on a hash
+// table image with overflow chains: at 1 to 4 recovery threads, every
+// record replay stages goes to the node Find names for its key, and
+// each thread count replays the same records with the same counts into
+// the same contents.
+func TestRouteMatchesFindHash(t *testing.T) {
+	opts := Options{Buckets: 1 << 6, ChunkBytes: 16 << 10, DisableGC: true}
+	var first, firstGot map[uint64]uint64
+	var firstSt core.RecoveryStats
+	for threads := 1; threads <= 4; threads++ {
+		pool := testPool()
+		h, err := New(pool, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := h.NewWorker(0)
+		rng := rand.New(rand.NewSource(5))
+		for range 6000 {
+			if k := uint64(rng.Intn(2000) + 1); rng.Intn(6) == 0 {
+				_ = w.Delete(k)
+			} else {
+				_ = w.Put(k, rng.Uint64()|1)
+			}
+		}
+		h.Freeze()
+		pool.Crash()
+		spy := &stageSpy{buckets: newBuckets(opts.Buckets), staged: map[uint64]uint64{}}
+		tr, st, err := core.OpenIndex(pool, opts.core(), threads, spy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spy.misrouted != 0 || len(spy.staged) != st.EntriesReplayed || st.EntriesReplayed == 0 || st.EntriesStale == 0 {
+			t.Fatalf("%d threads: %d of %d staged records misrouted; stats %+v", threads, spy.misrouted, len(spy.staged), st)
+		}
+		w2 := (&Table{tr, spy.buckets}).NewWorker(0)
+		got := map[uint64]uint64{}
+		for k := uint64(1); k <= 2000; k++ {
+			if v, ok := w2.Get(k); ok {
+				got[k] = v
+			}
+		}
+		s := *st
+		s.DiscoverEndNS, s.LinkEndNS, s.RouteEndNS, s.ReplayEndNS, s.VirtualNS = 0, 0, 0, 0, 0
+		if threads > 1 && (s != firstSt || !maps.Equal(spy.staged, first) || !maps.Equal(got, firstGot)) {
+			t.Fatalf("%d threads: stats %+v, %d staged, %d keys; 1 thread: %+v, %d, %d",
+				threads, s, len(spy.staged), len(got), firstSt, len(first), len(firstGot))
+		}
+		first, firstGot, firstSt = spy.staged, got, s
 	}
 }

@@ -124,7 +124,7 @@ func (w *Worker) commit(kvs []KV) error {
 		slices.SortStableFunc(kvs, func(a, b KV) int {
 			return tr.index.Compare(w.t, a.Key, b.Key)
 		})
-		w.t.Advance(int64(len(kvs)) * w.t.CostDRAM() * 2) // DRAM sort cost
+		chargeSort(w.t, len(kvs))
 	}
 	runs := w.lockRuns(kvs)
 	sm, wal0, trig0 := w.segBegin(), w.segAcc[obs.SegWAL], w.segAcc[obs.SegTrigger]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sort"
 
 	"cclbtree/internal/pmalloc"
@@ -14,7 +15,10 @@ import (
 // and owns the PM lines behind each node; the engine owns everything
 // else. The tree's inner index is one (New, Open), internal/cclhash's
 // bucket array the other (NewIndex, OpenIndex). Methods that take a node
-// run under its lock, except Search, inside an optimistic read.
+// run under its lock, except Search, inside an optimistic read. The node
+// chain (Tree.head, next) runs in Compare order: every key a node owns
+// sorts before every key its successors own. Recovery routes the log by
+// walking the chain beside the records sorted in that order.
 type Directory interface {
 	// Find routes key to a node; the engine re-checks Owns under the
 	// node's lock and routes again on a miss.
@@ -164,6 +168,60 @@ func (rb *Rebuild) discover(t *pmem.Thread, i int) {
 	rb.found[i] = lines
 }
 
+// record is one valid log record as recovery routes it; key holds the
+// key's bytes in var-KV mode, read once at scan time.
+type record struct {
+	kv  KV
+	ts  uint64
+	key []byte
+}
+
+// order compares two records in the directory's Compare order; in
+// var-KV mode (the tree's byte order) on their key bytes in DRAM, so a
+// sort re-reads no blob.
+func (tr *Tree) order(t *pmem.Thread, a, b *record) int {
+	if tr.opts.VarKV {
+		return bytes.Compare(a.key, b.key)
+	}
+	return tr.index.Compare(t, a.kv.Key, b.kv.Key)
+}
+
+// scanned is one phase thread's checked share of the log, and what it
+// adds to the image's reach.
+type scanned struct {
+	recs    []record
+	maxEnd  []uint64 // per socket, as Rebuild.maxEnd
+	maxTick uint64
+	dropped int
+}
+
+// check keeps the records of ents whose words could have come from a
+// real append in this index, on t. One that fails is dropped rather
+// than fatal, unlike structural corruption: recycled chunks
+// legitimately hold residue, and recovery's job is to replay what is
+// provably intact.
+func (rb *Rebuild) check(t *pmem.Thread, ents []wal.Entry) scanned {
+	sc := scanned{recs: make([]record, 0, len(ents)), maxEnd: make([]uint64, len(rb.maxEnd))}
+	var blobs []blobSpan
+	for _, e := range ents {
+		var err error
+		if blobs, err = rb.words(t, e.Key, e.Value, blobs[:0]); err != nil {
+			sc.dropped++
+			continue
+		}
+		for _, b := range blobs {
+			reach(sc.maxEnd, b.a, b.size)
+		}
+		sc.maxTick = max(sc.maxTick, e.Timestamp)
+		r := record{kv: KV{e.Key, e.Value}, ts: e.Timestamp}
+		if rb.tr.opts.VarKV {
+			r.key = readBlob(t, e.Key)
+		}
+		sc.recs = append(sc.recs, r)
+	}
+	return sc
+}
+
 // lookup returns the table entry of the line at a, if a recorded carve
 // holds it.
 func (rb *Rebuild) lookup(a pmem.Addr) (foundLine, bool) {
@@ -229,10 +287,12 @@ func (rb *Rebuild) record(a pmem.Addr, ts uint64) error {
 	return nil
 }
 
-func (rb *Rebuild) track(a pmem.Addr, size int64) {
-	if end := a.Offset() + uint64(size); end > rb.maxEnd[a.Socket()] {
-		rb.maxEnd[a.Socket()] = end
-	}
+func (rb *Rebuild) track(a pmem.Addr, size int64) { reach(rb.maxEnd, a, size) }
+
+// reach raises maxEnd, the end of the reachable objects per socket, to
+// cover the size bytes at a.
+func reach(maxEnd []uint64, a pmem.Addr, size int64) {
+	maxEnd[a.Socket()] = max(maxEnd[a.Socket()], a.Offset()+uint64(size))
 }
 
 // words checks that a stored pair is possible in this index, on t, and

@@ -534,6 +534,11 @@ func (w *Worker) collectNode(n *bufferNode, ver uint64) ([]KV, bool) {
 		ents[j] = c.kv
 	}
 	w.scanEnts = ents
-	w.t.Advance(int64(len(ents)) * w.t.CostDRAM() * 2) // DRAM sort cost
+	chargeSort(w.t, len(ents))
 	return ents, true
 }
+
+// chargeSort charges t the model's cost of sorting n entries in DRAM:
+// the engine's one definition of it, for a group's ops, a scanned
+// node's entries and recovery's log records.
+func chargeSort(t *pmem.Thread, n int) { t.Advance(int64(n) * t.CostDRAM() * 2) }

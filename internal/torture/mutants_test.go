@@ -176,13 +176,21 @@ var named = []mutant{
 		unit: unitCore,
 	},
 	{
-		// Every surviving record becomes a group of its own and is
-		// replayed alone: a crash inside recovery then finds a leaf
-		// stamped while its other records still wait in the log.
+		// Every surviving record becomes a group of its own, outside
+		// the node it routed to, so replay never flushes it into that
+		// node's line.
 		name: "replay-per-record",
 		edits: []edit{{"internal/core/recovery.go",
-			"groups[chainPos[n]] = append(groups[chainPos[n]], candidates[j].kv)",
-			"groups = append(groups, []KV{candidates[j].kv})"}},
+			"routes[i] = join(routes[i], n, p.kv)",
+			"routes[i] = append(routes[i], group{kvs: []KV{p.kv}})"}},
+		unit: unitCore,
+	},
+	{
+		// Each equal-key run of the sorted log keeps its oldest record
+		// instead of its newest.
+		name: "replay-dedup-keeps-oldest",
+		edits: []edit{{"internal/core/recovery.go",
+			"cmp.Compare(b.ts, a.ts)", "cmp.Compare(a.ts, b.ts)"}},
 		unit: unitCore,
 	},
 	{
