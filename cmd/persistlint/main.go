@@ -1,9 +1,9 @@
 // Command persistlint statically checks the repository's persistent
 // memory discipline (see internal/analysis/persist): every PM store
 // must be flushed and fenced on every path to return, flushes must be
-// fenced, lock acquisition must follow the declared order at any call
-// depth, seqlock readers must re-check on every path, and
-// PushScope/PopScope must balance.
+// fenced, and seqlock readers must re-check on every path. Lock order
+// and PushScope/PopScope balance are checked where they run instead,
+// by internal/core under pmem.Config.StrictPersist.
 //
 // Usage:
 //
@@ -155,9 +155,7 @@ func printStats(w io.Writer, s persist.Stats) {
 	fmt.Fprintf(w, "  call graph edges    %6d\n", s.CallEdges)
 	fmt.Fprintf(w, "  call graph sccs     %6d\n", s.CallSCCs)
 	fmt.Fprintf(w, "  discharge summaries %6d\n", s.DischargeSummaries)
-	fmt.Fprintf(w, "  lock summaries      %6d\n", s.LockSummaries)
 	fmt.Fprintf(w, "  seqlock reads       %6d\n", s.SeqlockReads)
-	fmt.Fprintf(w, "  scope sites         %6d\n", s.ScopeSites)
 	fmt.Fprintf(w, "  findings total      %6d\n", s.Findings)
 	codes := make([]string, 0, len(s.FindingsByCode))
 	for c := range s.FindingsByCode {

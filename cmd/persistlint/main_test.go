@@ -139,7 +139,7 @@ func TestDeterministicOutput(t *testing.T) {
 }
 
 // corpusDir is the analyzer's own golden corpus: the one directory
-// guaranteed to exercise every rule, PL008–PL012 included.
+// guaranteed to exercise every rule.
 const corpusDir = "../../internal/analysis/persist/testdata"
 
 // TestBudgetFlag: an impossible budget fails the run with exit 2, a
@@ -162,8 +162,7 @@ func TestBudgetFlag(t *testing.T) {
 
 // TestCorpusDeterminism runs the analyzer's full golden corpus — every
 // rule firing at once — through -json twice and demands byte-identical
-// output, and that each lock and concurrency rule contributes at least
-// one line.
+// output, and that each rule contributes at least one line.
 func TestCorpusDeterminism(t *testing.T) {
 	var first string
 	for i := 0; i < 2; i++ {
@@ -173,7 +172,7 @@ func TestCorpusDeterminism(t *testing.T) {
 		}
 		if i == 0 {
 			first = out.String()
-			for _, c := range []string{"PL006", "PL010", "PL012", "PL014"} {
+			for _, c := range []string{"PL001", "PL002", "PL007", "PL010"} {
 				if !strings.Contains(first, c) {
 					t.Errorf("corpus JSON missing %s findings", c)
 				}
@@ -230,7 +229,7 @@ func TestSARIFOutput(t *testing.T) {
 	for _, r := range run0.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"PL001", "PL006", "PL012", "PL014"} {
+	for _, want := range []string{"PL000", "PL001", "PL002", "PL007", "PL010"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule catalog missing %s", want)
 		}
@@ -337,7 +336,7 @@ func TestStatsFlag(t *testing.T) {
 		t.Errorf("stats leaked to stdout:\n%s", out.String())
 	}
 
-	// Over the golden corpus the lock and concurrency counters are all
+	// Over the golden corpus the summary and seqlock counters are
 	// live.
 	out.Reset()
 	errb.Reset()
@@ -345,7 +344,7 @@ func TestStatsFlag(t *testing.T) {
 		t.Fatalf("corpus -stats: exit %d, want 1", code)
 	}
 	se = errb.String()
-	for _, want := range []string{"lock summaries", "seqlock reads", "scope sites"} {
+	for _, want := range []string{"discharge summaries", "seqlock reads"} {
 		if !strings.Contains(se, want) {
 			t.Errorf("corpus -stats stderr missing %q:\n%s", want, se)
 		}

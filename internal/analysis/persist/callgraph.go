@@ -43,11 +43,6 @@ type funcNode struct {
 
 	id      int
 	callees []int // resolved candidate edges, deduped, in first-seen order
-	// syncCallees is the subset of callees reached without crossing a
-	// go statement: lock-order propagation follows only these (an
-	// acquire on another goroutine cannot invert against what THIS
-	// stack holds).
-	syncCallees []int
 }
 
 // callGraph is the whole-program graph plus its SCC decomposition.
@@ -117,44 +112,25 @@ func (a *Analyzer) buildCallGraph() {
 		n.fa = newFuncAnalysis(a, n.fi, n.fd)
 	}
 
-	// Pass 3: edges. Closures are included in the walk — they may run
-	// synchronously inside the declaring function, and for summaries and
-	// lock sets the conservative direction is to count their calls. Go
-	// statements split the walk: their subtrees contribute async edges
-	// (reachability, invalidation) but not sync ones (lock order).
+	// Pass 3: edges. Closures and go statements are included in the
+	// walk — they may run inside the declaring function, and for
+	// summaries the conservative direction is to count their calls.
 	for _, n := range cg.nodes {
 		seen := map[int]bool{}
-		addEdges := func(root ast.Node, sync bool) []*ast.GoStmt {
-			var gos []*ast.GoStmt
-			ast.Inspect(root, func(x ast.Node) bool {
-				if g, ok := x.(*ast.GoStmt); ok && sync {
-					gos = append(gos, g)
-					return false
-				}
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				for _, key := range n.fa.calleeCandidates(call) {
-					if m := cg.byKey[key]; m != nil && !seen[m.id] {
-						seen[m.id] = true
-						n.callees = append(n.callees, m.id)
-						cg.edgeCount++
-					}
-					if m := cg.byKey[key]; m != nil && sync {
-						n.syncCallees = appendUnique(n.syncCallees, m.id)
-					}
-				}
+		ast.Inspect(n.fd.Body, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-			return gos
-		}
-		pending := addEdges(n.fd.Body, true)
-		for len(pending) > 0 {
-			g := pending[0]
-			pending = pending[1:]
-			addEdges(g.Call, false) // nested go statements stay async
-		}
+			}
+			for _, key := range n.fa.calleeCandidates(call) {
+				if m := cg.byKey[key]; m != nil && !seen[m.id] {
+					seen[m.id] = true
+					n.callees = append(n.callees, m.id)
+					cg.edgeCount++
+				}
+			}
+			return true
+		})
 	}
 
 	cg.computeSCCs()
@@ -208,16 +184,7 @@ func (fa *funcAnalysis) calleeCandidates(call *ast.CallExpr) []string {
 // isLocalName reports whether the identifier is a value in this
 // function's scope (so x.M is a method call, not a package selector).
 func (fa *funcAnalysis) isLocalName(name string) bool {
-	return fa.threads[name] || fa.varTypes[name] != "" || fa.muOwners[name] != ""
-}
-
-func appendUnique(xs []int, id int) []int {
-	for _, x := range xs {
-		if x == id {
-			return xs
-		}
-	}
-	return append(xs, id)
+	return fa.threads[name] || fa.varTypes[name] != ""
 }
 
 func nodeKeys(ns []*funcNode) []string {

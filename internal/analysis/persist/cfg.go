@@ -2,7 +2,7 @@ package persist
 
 // cfg.go builds a hand-rolled control-flow graph over one function
 // body (stdlib go/ast only). Each CFG node carries the thread-API and
-// lock events that execute when control passes through it, in source
+// seqlock events that execute when control passes through it, in source
 // order; edges follow Go's statement-level control flow: if/else,
 // for/range (with back edges), switch/type-switch/select (including
 // fallthrough), break/continue (labeled and not), return, and calls
@@ -38,18 +38,14 @@ const (
 	evFence             // Fence: discharges flush obligations
 	evPersist           // Persist: discharges both
 	evCall              // call with *pmem.Thread arguments (summary site)
-	evLock              // acquire of a declared-order lock class
-	evUnlock            // release of a declared-order lock class
 	evEADR              // control entered an eADR-only region: all durable
-	evScopePush         // PushScope: opens a scope-balance obligation (PL012)
-	evScopePop          // PopScope: discharges the thread's scope obligation
 	evSeqBegin          // v := x.version.Load(): opens a seqlock re-check obligation (PL010)
 	evSeqRecheck        // x.version.Load() ==/!= v (or a CAS on v): discharges it
 	evSeqValid          // v tested against a literal: the bail-on-invalid path owes no re-check
 	evKillVar           // identifier reassigned: seqlock sessions keyed on it die
 )
 
-// event is one obligation- or lock-relevant action inside a CFG node.
+// event is one obligation-relevant action inside a CFG node.
 type event struct {
 	pos    token.Pos
 	kind   int
@@ -58,8 +54,6 @@ type event struct {
 
 	calleeKeys []string // evCall: resolved call-graph candidate keys (sorted)
 	threadArgs []string // evCall: thread-expression keys passed as args
-
-	class string // evLock/evUnlock: lock class name
 }
 
 // cfgNode is one straight-line step of the function.
@@ -187,9 +181,8 @@ func (b *cfgBuilder) buildStmt(s ast.Stmt, preds []*cfgNode) []*cfgNode {
 
 	case *ast.DeferStmt:
 		n := b.newNode()
-		// Argument evaluation happens now, at the defer statement — the
-		// idiom `defer t.PopScope(t.PushScope(s))` pushes here and pops
-		// at exit, so the push event must land in this node.
+		// Argument evaluation happens now, at the defer statement, so
+		// the events of `defer f(t.Persist(...))` land in this node.
 		for _, arg := range x.Call.Args {
 			n.events = append(n.events, b.extract(arg)...)
 		}

@@ -1,6 +1,6 @@
 package persist
 
-// dataflow.go runs two forward may-analyses over a function's CFG.
+// dataflow.go runs a forward may-analysis over a function's CFG.
 //
 // Obligations: a Store/WriteRange opens a flush obligation on its
 // thread; a Flush discharges stores and opens a fence obligation; a
@@ -12,11 +12,6 @@ package persist
 // check was not. Obligations are per thread key and address-
 // insensitive (any Flush on the thread discharges its stores), which
 // matches how the batched leaf-flush code is written.
-//
-// Held locks: an acquire of a declared class while any held class has
-// equal or higher rank is a PL006 inversion. Deferred unlocks are
-// ignored — a lock held to return cannot invert anything after the
-// last acquire.
 
 import (
 	"fmt"
@@ -29,7 +24,6 @@ import (
 const (
 	obStore = iota // awaiting Flush/Persist → PL001 if it survives
 	obFlush        // awaiting Fence/Persist → PL002 if it survives
-	obScope        // PushScope awaiting PopScope → PL012 if it survives
 	obSeq          // seqlock version load awaiting its re-check → PL010
 )
 
@@ -87,17 +81,13 @@ func (fa *funcAnalysis) applyObl(s oblSet, e event) {
 		s.killKey(e.key, obFlush)
 	case evEADR:
 		// Inside the eADR persistence domain stores are durable at
-		// retirement: nothing on this path needs flushing. Scope and
-		// seqlock obligations are not persistence state and survive.
+		// retirement: nothing on this path needs flushing. Seqlock
+		// obligations are not persistence state and survive.
 		for o := range s {
 			if o.kind == obStore || o.kind == obFlush {
 				delete(s, o)
 			}
 		}
-	case evScopePush:
-		s[obl{origin: e.pos, key: e.key, kind: obScope, method: "PushScope"}] = struct{}{}
-	case evScopePop:
-		s.killKey(e.key, obScope)
 	case evSeqBegin:
 		s.killKey(e.key, obSeq) // a fresh load supersedes the prior session
 		s[obl{origin: e.pos, key: e.key, kind: obSeq, method: "Load"}] = struct{}{}
@@ -189,17 +179,10 @@ func (fa *funcAnalysis) exitResidue(g *cfg, in []oblSet) oblSet {
 }
 
 // checkObligations reports the obligations open at exit: PL001/PL002
-// for unpersisted stores and unfenced flushes, PL012 for unpopped
-// scopes and PL010 for unre-checked seqlock reads.
+// for unpersisted stores and unfenced flushes and PL010 for
+// unre-checked seqlock reads.
 func (fa *funcAnalysis) checkObligations(g *cfg, emit func(code string, pos token.Pos, msg string)) {
 	in := fa.oblFixpoint(g, oblSet{})
-	for _, n := range g.nodes {
-		for _, e := range n.events {
-			if e.kind == evScopePush {
-				fa.an.scopeSites[e.pos] = true
-			}
-		}
-	}
 
 	// Residue at exit, reported at the origin site.
 	residue := fa.exitResidue(g, in)
@@ -218,9 +201,6 @@ func (fa *funcAnalysis) checkObligations(g *cfg, emit func(code string, pos toke
 		case obFlush:
 			emit(CodeFlushNoFence, o.origin, fmt.Sprintf(
 				"%s.Flush with a path to return with no %s.Fence/Persist: the clwb never retires", o.key, o.key))
-		case obScope:
-			emit(CodeScopeBalance, o.origin, fmt.Sprintf(
-				"%s.PushScope with a path to return with no matching %s.PopScope (defers included): the thread leaks the scope to its next unrelated work", o.key, o.key))
 		case obSeq:
 			if fa.seqQualified[o.key] {
 				base, _, _ := strings.Cut(o.key, "|")
@@ -241,144 +221,4 @@ func keyMentionsIdent(key, ident string) bool {
 		}
 	}
 	return false
-}
-
-// --- lock-order analysis ------------------------------------------------
-
-// heldSet maps lock class → position of the (earliest) live acquire.
-type heldSet map[string]token.Pos
-
-func (s heldSet) clone() heldSet {
-	out := make(heldSet, len(s))
-	for c, p := range s {
-		out[c] = p
-	}
-	return out
-}
-
-func (dst heldSet) addAll(src heldSet) bool {
-	grew := false
-	for c, p := range src {
-		if q, ok := dst[c]; !ok || p < q {
-			if !ok {
-				grew = true
-			} else if p < q {
-				grew = true
-			}
-			dst[c] = p
-		}
-	}
-	return grew
-}
-
-// applyLock is the lock transfer function. check, when non-nil,
-// receives (acquiring class, its position, held set, acquisition
-// chain) — chain is nil for a direct or one-hop acquire (PL006) and
-// the display-name call path for a deeper transitive one (PL014).
-func (fa *funcAnalysis) applyLock(s heldSet, e event, check func(class string, pos token.Pos, held heldSet, chain []string)) {
-	switch e.kind {
-	case evLock:
-		if check != nil {
-			check(e.class, e.pos, s, nil)
-		}
-		if _, ok := s[e.class]; !ok {
-			s[e.class] = e.pos
-		}
-	case evUnlock:
-		delete(s, e.class)
-	case evCall:
-		if check == nil {
-			return
-		}
-		// One hop: classes any candidate callee acquires in its own body
-		// must respect the order against what we hold (PL006, as the
-		// one-level engine reported it). Deeper: classes reachable only
-		// through the callee's transitive closure are PL014, reported
-		// with the witness call chain so the path is actionable.
-		direct := map[string]bool{}
-		for _, key := range e.calleeKeys {
-			for _, class := range fa.an.lockDirect[key] {
-				if !direct[class] {
-					direct[class] = true
-					check(class, e.pos, s, nil)
-				}
-			}
-		}
-		deep := map[string]bool{}
-		for _, key := range e.calleeKeys {
-			for _, class := range fa.an.lockTrans[key] {
-				if !direct[class] && !deep[class] {
-					deep[class] = true
-					check(class, e.pos, s, fa.an.lockChain(key, class))
-				}
-			}
-		}
-	}
-}
-
-// lockFixpoint computes the set of lock classes possibly held on entry
-// to each node.
-func (fa *funcAnalysis) lockFixpoint(g *cfg) []heldSet {
-	in := make([]heldSet, len(g.nodes))
-	for i := range in {
-		in[i] = heldSet{}
-	}
-	reached := make([]bool, len(g.nodes))
-	queued := make([]bool, len(g.nodes))
-	work := []*cfgNode{g.entry}
-	reached[g.entry.id] = true
-	queued[g.entry.id] = true
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		queued[n.id] = false
-		out := in[n.id].clone()
-		for _, e := range n.events {
-			fa.applyLock(out, e, nil)
-		}
-		for _, succ := range n.succs {
-			grew := in[succ.id].addAll(out)
-			if (grew || !reached[succ.id]) && !queued[succ.id] {
-				reached[succ.id] = true
-				queued[succ.id] = true
-				work = append(work, succ)
-			}
-		}
-	}
-	return in
-}
-
-// checkLockOrder reports PL006 for acquires (direct or one call away)
-// that violate the declared partial order, and PL014 for acquires
-// buried deeper in the call graph, with the witness chain.
-func (fa *funcAnalysis) checkLockOrder(g *cfg, in []heldSet, emit func(code string, pos token.Pos, msg string)) {
-	seen := map[string]bool{}
-	check := func(class string, pos token.Pos, held heldSet, chain []string) {
-		key := fmt.Sprintf("%d|%s", pos, class)
-		if seen[key] {
-			return
-		}
-		var worst string
-		for h := range held {
-			if lockRank[h] >= lockRank[class] && (worst == "" || lockRank[h] > lockRank[worst] || (lockRank[h] == lockRank[worst] && h < worst)) {
-				worst = h
-			}
-		}
-		if worst != "" {
-			seen[key] = true
-			if chain == nil {
-				emit(CodeLockOrder, pos, fmt.Sprintf(
-					"acquiring %s while holding %s inverts the declared lock order %s", class, worst, lockOrderDecl))
-			} else {
-				emit(CodeLockOrderGraph, pos, fmt.Sprintf(
-					"this call acquires %s (via %s) while holding %s, inverting the declared lock order %s", class, strings.Join(chain, " -> "), worst, lockOrderDecl))
-			}
-		}
-	}
-	for _, n := range g.nodes {
-		s := in[n.id].clone()
-		for _, e := range n.events {
-			fa.applyLock(s, e, check)
-		}
-	}
 }

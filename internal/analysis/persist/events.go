@@ -1,10 +1,9 @@
 package persist
 
 // events.go lowers AST fragments into the event stream the dataflow
-// analyses consume: thread-API calls (Store/WriteRange/Flush/Fence/
-// Persist), lock acquires/releases on declared classes, and plain
-// calls that may discharge obligations through an interprocedural
-// summary. Function literals are not lowered in place — their bodies
+// analysis consumes: thread-API calls (Store/WriteRange/Flush/Fence/
+// Persist) and plain calls that may discharge obligations through an
+// interprocedural summary. Function literals are not lowered in place — their bodies
 // run elsewhere (or never), so they are registered as sub-analyses.
 
 import (
@@ -17,7 +16,7 @@ import (
 // order. Non-deferred FuncLit bodies are skipped here and queued on
 // b.subs for separate analysis.
 //
-// Besides the thread-API and lock events, the walk records
+// Besides the thread-API events, the walk records
 // evSeqBegin/evSeqRecheck for seqlock version loads and their re-check
 // comparisons (PL010), and evKillVar for identifier rebindings, so a
 // seqlock session keyed on a variable does not survive its
@@ -168,21 +167,10 @@ func (fa *funcAnalysis) callEvent(call *ast.CallExpr) (event, bool) {
 			e.kind = evFence
 		case "Persist":
 			e.kind = evPersist
-		case "PushScope":
-			e.kind = evScopePush
-		case "PopScope":
-			e.kind = evScopePop
 		default:
 			return event{}, false
 		}
 		return e, true
-	}
-	if class, acquire, ok := fa.lockCall(call); ok {
-		kind := evUnlock
-		if acquire {
-			kind = evLock
-		}
-		return event{pos: call.Pos(), kind: kind, class: class}, true
 	}
 	// Plain call: a summary site when the call graph resolves any
 	// candidates (exact where the receiver type is known, the bare-name

@@ -19,13 +19,14 @@
 // soundly instead of by source position. The interprocedural layer is
 // whole-program: a call graph over every analyzed package (receiver-
 // type-qualified method resolution, Tarjan SCC collapse) carries
-// discharge and lock summaries to a fixpoint, so a helper that
-// persists through two more helpers — or a mutually-recursive pair —
-// is credited at its call sites exactly like a direct Persist (wal's
-// Append and AppendBatch, the tree's writeWholeLeaf). Call edges that
-// cross a go statement are kept for reachability but excluded from
-// lock-order propagation: those acquires happen on another
-// goroutine's stack.
+// discharge summaries to a fixpoint, so a helper that persists through
+// two more helpers — or a mutually-recursive pair — is credited at its
+// call sites exactly like a direct Persist (wal's Append and
+// AppendBatch, the tree's writeWholeLeaf).
+//
+// Lock order and scope balance are not rules here: internal/core checks
+// both where they run, under pmem.Config.StrictPersist (the classed
+// locks' rank check and Thread.CheckScope).
 //
 // # Rule catalog
 //
@@ -58,21 +59,6 @@
 //
 // Fix: fence unconditionally, or use t.Persist(a, 8).
 //
-// PL006 — a lock acquire (direct, or one call level deep through a
-// summary) that inverts the declared partial order
-//
-//	stw → workersMu → {gcMu, inner.mu, chunkdir.mu}
-//
-// Locks of equal rank are unordered among themselves, so holding one
-// while taking another is also reported, as is re-acquiring a held
-// lock:
-//
-//	tr.workersMu.Lock()
-//	tr.stw.Lock() // PL006: the symmetric path deadlocks
-//
-// Fix: release before acquiring up-order, or take the locks in
-// declared order.
-//
 // PL007 — a reasoned //persistlint:ignore directive that suppressed
 // nothing this run: the analysis outgrew the excuse and the directive
 // now only hides future regressions.
@@ -100,33 +86,6 @@
 // version counts; returning the version hands the obligation to the
 // caller). Version fields are typed-atomic fields named version/seq,
 // plus //persistlint:seqlock declarations.
-//
-// PL012 — a Thread.PushScope with a path to return and no matching
-// PopScope (defers included): the scope leaks onto the thread's next
-// unrelated work and every later byte it writes is attributed to the
-// wrong component. Paths that die in a panic owe nothing:
-//
-//	prev := t.PushScope(pmem.ScopeMeta) // PL012
-//	if fail {
-//		return err // the scope leaks here
-//	}
-//	t.PopScope(prev)
-//
-// Fix: defer t.PopScope(prev) at the push site (or the one-liner
-// defer t.PopScope(t.PushScope(s))).
-//
-// PL014 — a lock-order inversion whose acquire is buried two or more
-// calls deep. PL006 sees direct acquires and one-level summaries;
-// PL014 lifts the same declared order over the whole call graph and
-// names the witness chain, excluding acquires on the far side of a go
-// statement (they run on another goroutine's stack and cannot invert
-// against the caller's held set):
-//
-//	tr.gcMu.Lock()
-//	tr.rebalance() // PL014: acquires workersMu via rebalance -> drainWorkers
-//
-// Fix: release before the call, or hoist the deep acquire to the
-// declared order.
 //
 // Suppression:
 //
@@ -156,11 +115,8 @@ const (
 	CodeBadDirective   = "PL000"
 	CodeStoreNoPersist = "PL001"
 	CodeFlushNoFence   = "PL002"
-	CodeLockOrder      = "PL006"
 	CodeStaleIgnore    = "PL007"
 	CodeSeqlock        = "PL010"
-	CodeScopeBalance   = "PL012"
-	CodeLockOrderGraph = "PL014"
 )
 
 // RuleTitles maps every rule code to a one-line description, for SARIF
@@ -170,11 +126,8 @@ func RuleTitles() map[string]string {
 		CodeBadDirective:   "persistlint directive without a justification",
 		CodeStoreNoPersist: "PM store with a path to return that never flushes it",
 		CodeFlushNoFence:   "PM flush with a path to return that never fences it",
-		CodeLockOrder:      "lock acquisition inverts the declared order (direct or one call deep)",
 		CodeStaleIgnore:    "persistlint:ignore directive that suppresses nothing",
 		CodeSeqlock:        "seqlock read session with a path that never re-checks the version",
-		CodeScopeBalance:   "PushScope with a path to return that never pops it",
-		CodeLockOrderGraph: "lock acquisition inverts the declared order through the whole call graph",
 	}
 }
 
@@ -204,9 +157,7 @@ type Stats struct {
 	CallEdges          int // resolved call-graph edges (candidate-deduped)
 	CallSCCs           int // strongly connected components in the call graph
 	DischargeSummaries int // declarations with a discharge summary
-	LockSummaries      int // declarations with a transitive lock-acquire summary
 	SeqlockReads       int // qualifying seqlock read sessions checked (PL010)
-	ScopeSites         int // PushScope sites checked for balance (PL012)
 
 	// Findings and FindingsByCode are filled from the findings Run
 	// actually returned, so -stats totals reconcile with emitted
@@ -227,23 +178,15 @@ type Analyzer struct {
 	// anywhere in the analyzed set ("t" in practice): any selector
 	// expression ending in one of these is treated as a thread.
 	threadFields map[string]bool
-	// lockOwnerFields maps field names declared with a mu-owning type
-	// ("inner" → "innerTree", "dir" → "chunkDir") for resolving the
-	// ambiguous field name "mu" through a selector chain.
-	lockOwnerFields map[string]string
 
 	// cg is the whole-program call graph (callgraph.go), built once per
 	// Run before the summaries.
 	cg *callGraph
 
 	// summaries holds per-declaration discharge summaries computed to a
-	// fixpoint over the call graph; lockDirect/lockTrans are the direct
-	// and transitively closed lock-acquire sets, and lockVia the PL014
-	// witness next-hops (see summary.go). All keyed by funcNode.key.
-	summaries  map[string]summary
-	lockDirect map[string][]string
-	lockTrans  map[string][]string
-	lockVia    map[string]map[string]string
+	// fixpoint over the call graph (see summary.go), keyed by
+	// funcNode.key.
+	summaries map[string]summary
 
 	// structFields maps struct type name → field name → declared type
 	// base name, for resolving the struct type of an expression.
@@ -252,10 +195,8 @@ type Analyzer struct {
 	// must follow the seqlock protocol (PL010): atomic.Uint32/Uint64
 	// fields named version/seq, plus //persistlint:seqlock declarations.
 	seqFields map[string]bool
-	// scopeSites/seqSites count distinct PL012/PL010 program points for
-	// -stats.
-	scopeSites map[token.Pos]bool
-	seqSites   map[token.Pos]bool
+	// seqSites counts distinct PL010 program points for -stats.
+	seqSites map[token.Pos]bool
 
 	stats Stats
 }
@@ -275,13 +216,11 @@ type fileInfo struct {
 // NewAnalyzer returns an empty analyzer with every rule enabled.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		fset:            token.NewFileSet(),
-		threadFields:    map[string]bool{},
-		lockOwnerFields: map[string]string{},
-		structFields:    map[string]map[string]string{},
-		seqFields:       map[string]bool{},
-		scopeSites:      map[token.Pos]bool{},
-		seqSites:        map[token.Pos]bool{},
+		fset:         token.NewFileSet(),
+		threadFields: map[string]bool{},
+		structFields: map[string]map[string]string{},
+		seqFields:    map[string]bool{},
+		seqSites:     map[token.Pos]bool{},
 	}
 }
 
@@ -372,7 +311,6 @@ func (a *Analyzer) AddDir(dir string, includeTests bool) error {
 // deterministic order (position, then code, then message).
 func (a *Analyzer) Run() []Finding {
 	a.stats = Stats{Files: len(a.files)}
-	a.scopeSites = map[token.Pos]bool{}
 	a.seqSites = map[token.Pos]bool{}
 	for _, fi := range a.files {
 		a.collectThreadFields(fi)
@@ -387,7 +325,6 @@ func (a *Analyzer) Run() []Finding {
 	}
 	out = append(out, a.checkStaleDirectives()...)
 	a.stats.SeqlockReads = len(a.seqSites)
-	a.stats.ScopeSites = len(a.scopeSites)
 	a.stats.Findings = len(out)
 	a.stats.FindingsByCode = map[string]int{}
 	for _, f := range out {
@@ -454,7 +391,7 @@ func (fi *fileInfo) isThreadType(e ast.Expr) bool {
 }
 
 // collectThreadFields records struct field names declared
-// *pmem.Thread or a mu-owning lock type.
+// *pmem.Thread.
 func (a *Analyzer) collectThreadFields(fi *fileInfo) {
 	ast.Inspect(fi.f, func(n ast.Node) bool {
 		st, ok := n.(*ast.StructType)
@@ -462,16 +399,9 @@ func (a *Analyzer) collectThreadFields(fi *fileInfo) {
 			return true
 		}
 		for _, fld := range st.Fields.List {
-			switch {
-			case fi.isThreadType(fld.Type):
+			if fi.isThreadType(fld.Type) {
 				for _, name := range fld.Names {
 					a.threadFields[name.Name] = true
-				}
-			default:
-				if base := typeBaseName(fld.Type); muOwnerClass[base] != "" {
-					for _, name := range fld.Names {
-						a.lockOwnerFields[name.Name] = base
-					}
 				}
 			}
 		}
@@ -513,7 +443,7 @@ func (a *Analyzer) checkFile(fi *fileInfo) []Finding {
 
 // funcAnalysis is the per-function state shared by the rules. For a
 // function literal it shares the declaration's environment (threads,
-// lock owners, types) extended with the literal's own parameters.
+// types) extended with the literal's own parameters.
 type funcAnalysis struct {
 	an    *Analyzer
 	fi    *fileInfo
@@ -523,7 +453,6 @@ type funcAnalysis struct {
 	fname string         // display name, e.g. "(*Worker).upsert.func1"
 
 	threads  map[string]bool   // identifiers known to hold *pmem.Thread
-	muOwners map[string]string // identifiers whose type owns a "mu" field → class
 	varTypes map[string]string // identifiers with a resolvable struct type base name
 
 	// seqQualified marks seqlock-session keys whose missing re-check is
@@ -543,7 +472,6 @@ func newFuncAnalysis(a *Analyzer, fi *fileInfo, fd *ast.FuncDecl) *funcAnalysis 
 		fa.fname = "(" + renderExpr(fd.Recv.List[0].Type) + ")." + fd.Name.Name
 	}
 	fa.collectThreadVars()
-	fa.collectLockOwnerTypes()
 	fa.collectVarTypes()
 	return fa
 }
@@ -556,20 +484,12 @@ func (fa *funcAnalysis) forLit(lit *ast.FuncLit, idx int) *funcAnalysis {
 		body:     lit.Body,
 		fname:    fmt.Sprintf("%s.func%d", fa.fname, idx+1),
 		threads:  copyBoolMap(fa.threads),
-		muOwners: copyStringMap(fa.muOwners),
 		varTypes: copyStringMap(fa.varTypes),
 	}
 	for _, fld := range lit.Type.Params.List {
-		switch {
-		case fa.fi.isThreadType(fld.Type):
+		if fa.fi.isThreadType(fld.Type) {
 			for _, n := range fld.Names {
 				sub.threads[n.Name] = true
-			}
-		default:
-			if cls, ok := muOwnerClass[typeBaseName(fld.Type)]; ok {
-				for _, n := range fld.Names {
-					sub.muOwners[n.Name] = cls
-				}
 			}
 		}
 		if t := typeBaseName(fld.Type); t != "" {

@@ -257,7 +257,7 @@ func TestLinearAnalysisMissesEarlyReturn(t *testing.T) {
 // an analysis that parsed files and built CFGs must say so.
 func TestStats(t *testing.T) {
 	an := NewAnalyzer()
-	for _, name := range []string{"cfgpaths.go", "summaries.go", "locks.go"} {
+	for _, name := range []string{"cfgpaths.go", "summaries.go", "seqlockread.go"} {
 		if err := an.AddFile(filepath.Join("testdata", name), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -273,8 +273,8 @@ func TestStats(t *testing.T) {
 	if s.DischargeSummaries == 0 {
 		t.Errorf("DischargeSummaries = 0, want > 0 (summaries.go defines helpers)")
 	}
-	if s.LockSummaries == 0 {
-		t.Errorf("LockSummaries = 0, want > 0 (locks.go acquires locks)")
+	if s.SeqlockReads == 0 {
+		t.Errorf("SeqlockReads = 0, want > 0 (seqlockread.go reads seqlocks)")
 	}
 }
 

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"go/ast"
 	"strings"
 	"testing"
 )
@@ -111,12 +112,21 @@ func reachesSync(an *Analyzer, from, to *funcNode) bool {
 			return false
 		}
 		seen[n] = true
-		for _, c := range n.syncCallees {
-			if walk(an.cg.nodes[c]) {
-				return true
+		found := false
+		ast.Inspect(n.fd.Body, func(x ast.Node) bool {
+			if _, ok := x.(*ast.GoStmt); ok || found {
+				return false
 			}
-		}
-		return false
+			if call, ok := x.(*ast.CallExpr); ok {
+				for _, key := range n.fa.calleeCandidates(call) {
+					if m := an.cg.byKey[key]; m != nil && walk(m) {
+						found = true
+					}
+				}
+			}
+			return true
+		})
+		return found
 	}
 	return walk(from)
 }

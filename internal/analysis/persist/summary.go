@@ -27,20 +27,8 @@ package persist
 // merge with AND semantics: every candidate must cover for the site to
 // be credited — the same conservative rule the old one-level engine
 // applied, minus its blindness to multi-hop discharge.
-//
-// Lock summaries: lockDirect is the set of declared lock classes a
-// function body acquires itself (closures included — they may run
-// synchronously); lockTrans closes that over the call graph, with
-// lockVia recording one witness callee per (function, class) so PL014
-// findings can print the acquisition chain. PL006 keeps its one-level
-// semantics over lockDirect; PL014 reports the classes only lockTrans
-// can see.
 
-import (
-	"go/ast"
-	"go/token"
-	"sort"
-)
+import "go/token"
 
 // summary is the discharge behavior of one declared function.
 type summary struct {
@@ -48,20 +36,10 @@ type summary struct {
 	coversFlush bool // Fence or Persist on every thread param, all paths
 }
 
-// computeSummaries fills an.summaries, an.lockDirect, an.lockTrans and
-// an.lockVia from the call graph. Must run after buildCallGraph and
-// before the rule pass.
+// computeSummaries fills an.summaries from the call graph. Must run
+// after buildCallGraph and before the rule pass.
 func (a *Analyzer) computeSummaries() {
 	a.summaries = map[string]summary{}
-	a.lockDirect = map[string][]string{}
-	a.lockTrans = map[string][]string{}
-	a.lockVia = map[string]map[string]string{}
-
-	for _, n := range a.cg.nodes {
-		if classes := directLockClasses(n); len(classes) > 0 {
-			a.lockDirect[n.key] = classes
-		}
-	}
 
 	// Callee-first over the SCC condensation; optimistic within an SCC,
 	// iterated to a (greatest) fixpoint. a.summaries is the live table
@@ -87,10 +65,7 @@ func (a *Analyzer) computeSummaries() {
 			}
 		}
 	}
-
-	a.closeLockSummaries()
 	a.stats.DischargeSummaries = len(a.summaries)
-	a.stats.LockSummaries = len(a.lockTrans)
 }
 
 // hasThreadParams reports whether the declaration takes any
@@ -161,116 +136,4 @@ func (a *Analyzer) callSummary(calleeKeys []string) (summary, bool) {
 		merged.coversFlush = merged.coversFlush && s.coversFlush
 	}
 	return merged, found
-}
-
-// directLockClasses collects the lock classes fd's body acquires
-// directly. Plain closures are included — they may run synchronously —
-// but go-statement subtrees are not: those acquires happen on another
-// goroutine's stack and cannot invert against the caller's held set.
-func directLockClasses(n *funcNode) []string {
-	classes := map[string]bool{}
-	ast.Inspect(n.fd.Body, func(x ast.Node) bool {
-		if _, ok := x.(*ast.GoStmt); ok {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if class, acquire, ok := n.fa.lockCall(call); ok && acquire {
-			classes[class] = true
-		}
-		return true
-	})
-	return sortedClassSet(classes)
-}
-
-// closeLockSummaries computes the transitive lock-acquire sets by
-// iterating union-over-callees to a fixpoint in callee-first SCC
-// order (one global loop handles the cycles). lockVia records, per
-// (function, class), the first callee that contributed the class —
-// the next hop of a witness chain for PL014 messages.
-func (a *Analyzer) closeLockSummaries() {
-	trans := map[string]map[string]bool{}
-	for k, classes := range a.lockDirect {
-		set := map[string]bool{}
-		for _, c := range classes {
-			set[c] = true
-		}
-		trans[k] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, comp := range a.cg.sccs {
-			for _, n := range comp {
-				for _, ci := range n.syncCallees {
-					callee := a.cg.nodes[ci]
-					for c := range trans[callee.key] {
-						set := trans[n.key]
-						if set == nil {
-							set = map[string]bool{}
-							trans[n.key] = set
-						}
-						if !set[c] {
-							set[c] = true
-							changed = true
-							if a.lockVia[n.key] == nil {
-								a.lockVia[n.key] = map[string]string{}
-							}
-							a.lockVia[n.key][c] = callee.key
-						}
-					}
-				}
-			}
-		}
-	}
-	for k, set := range trans {
-		a.lockTrans[k] = sortedClassSet(set)
-	}
-}
-
-// lockChain reconstructs a witness acquisition chain from a function
-// to a direct acquire of class, as display names ("core.gcCycle ->
-// core.(*Tree).collect"). The via map always bottoms out in a function
-// whose direct set holds the class.
-func (a *Analyzer) lockChain(fromKey, class string) []string {
-	var chain []string
-	cur := fromKey
-	for hops := 0; hops < 64; hops++ {
-		n := a.cg.byKey[cur]
-		if n == nil {
-			break
-		}
-		chain = append(chain, n.display)
-		if hasClass(a.lockDirect[cur], class) {
-			return chain
-		}
-		next := a.lockVia[cur][class]
-		if next == "" || next == cur {
-			break
-		}
-		cur = next
-	}
-	return chain
-}
-
-func hasClass(classes []string, c string) bool {
-	for _, x := range classes {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedClassSet(set map[string]bool) []string {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -143,3 +143,19 @@ func (a *Analyzer) uniqueFieldType(field string) string {
 	}
 	return found
 }
+
+// typeBaseName returns the rightmost identifier of a (possibly starred
+// or package-qualified) type expression: *core.innerTree → innerTree.
+func typeBaseName(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return typeBaseName(x.X)
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.ParenExpr:
+		return typeBaseName(x.X)
+	}
+	return ""
+}

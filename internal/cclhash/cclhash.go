@@ -258,6 +258,12 @@ func (d *buckets) Stage(w *core.Worker, n *core.Node, s *core.Staged, batch []co
 				p.dirty.Mark(pmleaf.SlotWord(i))
 				p.dirty.Mark(pmleaf.SlotWord(i) + 1)
 				p.fps.Mark(pmleaf.FPWord(i))
+				if !p.next.IsNil() {
+					// A delete freed this slot after the key
+					// overflowed: its older copy further down goes,
+					// or a later delete would clear only this one.
+					deferred = append(deferred, core.KV{Key: e.Key, Value: core.Tombstone})
+				}
 			}
 		}
 		// Each bucket keeps its successor: the existing link (and any

@@ -135,32 +135,56 @@ func TestWriteConservativeLoggingHash(t *testing.T) {
 	}
 }
 
+// TestRandomOpsAgainstModelHash runs random puts, deletes and gets
+// against a map, then compares the whole key space again after a
+// freeze, crash and recovery. The 64-bucket table grows overflow
+// chains, where a put can land in a home-bucket slot that a delete
+// freed while an older copy of its key still sits further down the
+// chain.
 func TestRandomOpsAgainstModelHash(t *testing.T) {
-	_, w := newTable(t, Options{})
-	ref := map[uint64]uint64{}
-	rng := rand.New(rand.NewSource(12))
-	for op := 0; op < 30000; op++ {
-		k := uint64(rng.Intn(2000) + 1)
-		switch rng.Intn(10) {
-		case 0, 1:
-			_ = w.Delete(k)
-			delete(ref, k)
-		case 2:
-			v, ok := w.Get(k)
-			wv, wok := ref[k]
-			if ok != wok || (ok && v != wv) {
-				t.Fatalf("op %d: Get(%d) = %d,%v want %d,%v", op, k, v, ok, wv, wok)
+	for _, buckets := range []int{1 << 10, 64} {
+		t.Run(fmt.Sprintf("buckets=%d", buckets), func(t *testing.T) {
+			opts := Options{Buckets: buckets}
+			h, w := newTable(t, opts)
+			const keys = 2000
+			ref := map[uint64]uint64{}
+			check := func(when string, w *Worker) {
+				t.Helper()
+				for k := uint64(1); k <= keys; k++ {
+					v, ok := w.Get(k)
+					if wv, wok := ref[k]; ok != wok || (ok && v != wv) {
+						t.Fatalf("%s: Get(%d) = %d,%v want %d,%v", when, k, v, ok, wv, wok)
+					}
+				}
 			}
-		default:
-			v := rng.Uint64() | 1
-			_ = w.Put(k, v)
-			ref[k] = v
-		}
-	}
-	for k, v := range ref {
-		if got, ok := w.Get(k); !ok || got != v {
-			t.Fatalf("final Get(%d) = %d,%v want %d", k, got, ok, v)
-		}
+			rng := rand.New(rand.NewSource(12))
+			for op := 0; op < 30000; op++ {
+				k := uint64(rng.Intn(keys) + 1)
+				switch rng.Intn(10) {
+				case 0, 1:
+					_ = w.Delete(k)
+					delete(ref, k)
+				case 2:
+					v, ok := w.Get(k)
+					wv, wok := ref[k]
+					if ok != wok || (ok && v != wv) {
+						t.Fatalf("op %d: Get(%d) = %d,%v want %d,%v", op, k, v, ok, wv, wok)
+					}
+				default:
+					v := rng.Uint64() | 1
+					_ = w.Put(k, v)
+					ref[k] = v
+				}
+			}
+			check("final", w)
+			h.Freeze()
+			h.Pool().Crash()
+			h2, err := Recover(h.Pool(), Options{Buckets: buckets, ChunkBytes: 16 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("after recovery", h2.NewWorker(0))
+		})
 	}
 }
 

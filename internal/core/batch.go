@@ -75,6 +75,7 @@ func (w *Worker) ApplyBatch(ops []BatchOp) error {
 	if err := w.ValidateBatch(ops); err != nil {
 		return err
 	}
+	defer w.t.CheckScope(w.t.Scope())
 	start := w.t.Now()
 	w.beginSpan(obs.OpBatch)
 

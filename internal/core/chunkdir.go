@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-
-	"cclbtree/internal/obs"
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 )
@@ -32,7 +29,7 @@ import (
 // itself. Its capacity is the arena's carve bound
 // (pmalloc.Allocator.CarveSlots), so it never fills.
 type chunkDir struct {
-	mu    sync.Mutex
+	mu    classedLock
 	t     *pmem.Thread
 	base  pmem.Addr
 	slots int
@@ -43,10 +40,6 @@ type chunkDir struct {
 	// carveSlots records fit in the carve directory; carveCount are in
 	// use.
 	carveSlots, carveCount int
-
-	// prof is the owning tree's lock profiler (nil when metrics are
-	// off); every mu acquisition below is bracketed with it.
-	prof *obs.LockProfiler
 }
 
 // newChunkDir fronts the directory at base: slots chunk slots, then a
@@ -65,11 +58,7 @@ func newChunkDir(t *pmem.Thread, base pmem.Addr, slots, carveSlots, carveCount i
 // whose logs are replayed), and the carve directory's terminator while
 // no carve is recorded: the word after the chunk slots.
 func (d *chunkDir) clearAll() {
-	tok := d.prof.Pre(obs.LockChunkDir)
-	d.mu.Lock()
-	tok = d.prof.Acquired(obs.LockChunkDir, tok)
-	defer d.prof.Released(obs.LockChunkDir, tok)
-	defer d.mu.Unlock()
+	defer d.mu.unlock(d.mu.lock())
 	words := d.slots
 	if d.carveCount == 0 {
 		words++
@@ -82,11 +71,7 @@ func (d *chunkDir) clearAll() {
 // carve directory and persists it, with the zero terminator after it,
 // before the allocator hands out any line of c.
 func (d *chunkDir) recordCarve(c pmalloc.Carve) {
-	tok := d.prof.Pre(obs.LockChunkDir)
-	d.mu.Lock()
-	tok = d.prof.Acquired(obs.LockChunkDir, tok)
-	defer d.prof.Released(obs.LockChunkDir, tok)
-	defer d.mu.Unlock()
+	defer d.mu.unlock(d.mu.lock())
 	if d.carveCount == d.carveSlots {
 		panic("core: carve directory full") // CarveSlots bounds every arena's carves
 	}
@@ -101,11 +86,7 @@ func (d *chunkDir) recordCarve(c pmalloc.Carve) {
 func (d *chunkDir) carveAddr(i int) pmem.Addr { return d.base.Add(int64(8 * (d.slots + i))) }
 
 func (d *chunkDir) register(chunk pmem.Addr) {
-	tok := d.prof.Pre(obs.LockChunkDir)
-	d.mu.Lock()
-	tok = d.prof.Acquired(obs.LockChunkDir, tok)
-	defer d.prof.Released(obs.LockChunkDir, tok)
-	defer d.mu.Unlock()
+	defer d.mu.unlock(d.mu.lock())
 	if len(d.free) == 0 {
 		// Directory full: recovery would miss this chunk's entries.
 		// With default sizing this is 16 GB of outstanding logs, far
@@ -121,11 +102,7 @@ func (d *chunkDir) register(chunk pmem.Addr) {
 }
 
 func (d *chunkDir) unregister(chunk pmem.Addr) {
-	tok := d.prof.Pre(obs.LockChunkDir)
-	d.mu.Lock()
-	tok = d.prof.Acquired(obs.LockChunkDir, tok)
-	defer d.prof.Released(obs.LockChunkDir, tok)
-	defer d.mu.Unlock()
+	defer d.mu.unlock(d.mu.lock())
 	slot, ok := d.slotOf[chunk]
 	if !ok {
 		return

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cclbtree/internal/obs"
 	"cclbtree/internal/pmem"
 )
 
@@ -115,16 +114,13 @@ func (tr *Tree) reclaimRetired(force bool) {
 	}
 	min := em.global.Load()
 	if !force {
-		tok := tr.prof.Pre(obs.LockWorkers)
-		tr.workersMu.Lock()
-		tok = tr.prof.Acquired(obs.LockWorkers, tok)
+		tok := tr.workersMu.rlock()
 		for _, wk := range tr.workers {
 			if e := wk.epochSlot.Load(); e != 0 && e < min {
 				min = e
 			}
 		}
-		tr.workersMu.Unlock()
-		tr.prof.Released(obs.LockWorkers, tok)
+		tr.workersMu.runlock(tok)
 	}
 	kept := em.limbo[:0]
 	for _, r := range em.limbo {

@@ -40,12 +40,9 @@ func (tr *Tree) startGC() {
 		tr.epoch.Store(newE)
 	}
 	done := make(chan struct{})
-	tok := tr.prof.Pre(obs.LockGC)
-	tr.gcMu.Lock()
-	tok = tr.prof.Acquired(obs.LockGC, tok)
+	tok := tr.gcMu.lock()
 	tr.gcDone = done
-	tr.gcMu.Unlock()
-	tr.prof.Released(obs.LockGC, tok)
+	tr.gcMu.unlock(tok)
 	go func() {
 		defer close(done)
 		defer tr.gcRunning.Store(false)
@@ -93,12 +90,9 @@ func (tr *Tree) Freeze() {
 
 // WaitGC blocks until the in-flight GC round, if any, completes.
 func (tr *Tree) WaitGC() {
-	tok := tr.prof.Pre(obs.LockGC)
-	tr.gcMu.Lock()
-	tok = tr.prof.Acquired(obs.LockGC, tok)
+	tok := tr.gcMu.lock()
 	done := tr.gcDone
-	tr.gcMu.Unlock()
-	tr.prof.Released(obs.LockGC, tok)
+	tr.gcMu.unlock(tok)
 	<-done
 }
 
@@ -128,6 +122,7 @@ func (tr *Tree) gcWorker() *Worker {
 func (tr *Tree) runLocalityGC(newE uint32) {
 	tr.ctr.gcRuns.Add(1)
 	w := tr.gcWorker()
+	defer w.t.CheckScope(w.t.Scope())
 	// The round's PM traffic is gc-caused; I-log appends still land in
 	// ScopeWAL (wal.Append overrides) per the attribution contract.
 	defer w.t.PopScope(w.t.PushScope(pmem.ScopeGC))
@@ -206,13 +201,10 @@ func (tr *Tree) gcCopyNode(w *Worker, n *bufferNode, newE uint32) bool {
 func (tr *Tree) runNaiveGC() {
 	tr.ctr.gcRuns.Add(1)
 	w := tr.gcWorker()
+	defer w.t.CheckScope(w.t.Scope())
 	defer w.t.PopScope(w.t.PushScope(pmem.ScopeGC))
 	tr.tracer.Emit(obs.EvGCRound, w.id, w.t.Now(), uint64(tr.ctr.gcRuns.Load()), 1)
-	tok := tr.prof.Pre(obs.LockSTW)
-	tr.stw.Lock()
-	tok = tr.prof.Acquired(obs.LockSTW, tok)
-	defer tr.prof.Released(obs.LockSTW, tok)
-	defer tr.stw.Unlock()
+	defer tr.stw.unlock(tr.stw.lock())
 	for n := tr.head; n != nil; n = n.next.Load() {
 		if tr.closed.Load() {
 			return
@@ -247,12 +239,9 @@ func (tr *Tree) runNaiveGC() {
 // reclaimLogs detaches generation e's chunks from every worker and
 // returns them to the free list.
 func (tr *Tree) reclaimLogs(e uint32) {
-	tok := tr.prof.Pre(obs.LockWorkers)
-	tr.workersMu.Lock()
-	tok = tr.prof.Acquired(obs.LockWorkers, tok)
+	tok := tr.workersMu.rlock()
 	ws := append([]*Worker(nil), tr.workers...)
-	tr.workersMu.Unlock()
-	tr.prof.Released(obs.LockWorkers, tok)
+	tr.workersMu.runlock(tok)
 	var chunks []pmem.Addr
 	for _, wk := range ws {
 		tr.logBytes.Add(-wk.logs[e].Bytes())

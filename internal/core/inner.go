@@ -2,10 +2,8 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
-	"cclbtree/internal/obs"
 	"cclbtree/internal/pmem"
 )
 
@@ -31,17 +29,13 @@ import (
 // validateRead) catches and retries — exactly the conflict path the
 // paper's protocol prescribes.
 type innerTree struct {
-	mu      sync.Mutex
+	mu      classedLock
 	cmp     func(t *pmem.Thread, a, b uint64) int
 	version atomic.Uint64
 	root    atomic.Pointer[innerNode]
 	size    atomic.Int64
 	// path is the writer's root-to-leaf descent (see descend).
 	path []innerStep
-	// prof is the owning tree's lock profiler (nil when metrics are
-	// off); the writer-side mu acquisitions below are bracketed with it.
-	// Reads take no lock and so record nothing here.
-	prof *obs.LockProfiler
 }
 
 const innerFanout = 32
@@ -169,11 +163,7 @@ func (tr *innerTree) descend(t *pmem.Thread, key uint64) ([]innerStep, bool) {
 
 // put inserts a routing entry (split publication).
 func (tr *innerTree) put(t *pmem.Thread, key uint64, v *bufferNode) {
-	tok := tr.prof.Pre(obs.LockInner)
-	tr.mu.Lock()
-	tok = tr.prof.Acquired(obs.LockInner, tok)
-	defer tr.prof.Released(obs.LockInner, tok)
-	defer tr.mu.Unlock()
+	defer tr.mu.unlock(tr.mu.lock())
 	path, eq := tr.descend(t, key)
 	lv := len(path) - 1
 	tr.version.Add(1)
@@ -256,11 +246,7 @@ func (n *innerNode) insertKid(i int, upKey uint64, sib *innerNode) (uint64, *inn
 // rebalancing is needed (routing entries are sparse and re-splits of
 // the same region re-populate it).
 func (tr *innerTree) remove(t *pmem.Thread, key uint64) bool {
-	tok := tr.prof.Pre(obs.LockInner)
-	tr.mu.Lock()
-	tok = tr.prof.Acquired(obs.LockInner, tok)
-	defer tr.prof.Released(obs.LockInner, tok)
-	defer tr.mu.Unlock()
+	defer tr.mu.unlock(tr.mu.lock())
 	path, eq := tr.descend(t, key)
 	if !eq {
 		return false

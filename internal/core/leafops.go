@@ -66,17 +66,14 @@ func (w *Worker) Stamp(n *Node) uint64 {
 // earlier ones) to n's leaf with the §4.2 three-step protocol, as a
 // wave of one (wave.go): stageLeaf's steps 1+2, one sfence,
 // publishLeaf's step 3, one sfence. It returns the leaf's live KV
-// count afterwards. The split's follow-up and the merge flush here;
-// every other leaf write goes through the engine's waves, under the
-// same two halves.
+// count afterwards. The split's follow-up and the merge flush here, so
+// the thread already holds ScopeSplit or a task scope; every other leaf
+// write goes through the engine's waves, under the same two halves.
 func (w *Worker) leafBatchInsert(n *bufferNode, batch []KV) (int, error) {
 	return w.leafBatchInsertNext(n, batch, pmem.NilAddr, false)
 }
 
 func (w *Worker) leafBatchInsertNext(n *bufferNode, batch []KV, newNext pmem.Addr, overrideNext bool) (int, error) {
-	if w.t.Scope() == pmem.ScopeNone {
-		defer w.t.PopScope(w.t.PushScope(pmem.ScopeLeafBuf))
-	}
 	var s Staged
 	if err := w.stageLeaf(n, &s, batch, newNext, overrideNext); err != nil || s.Done {
 		return s.Live, err
@@ -228,7 +225,10 @@ type splitScratch struct {
 func (w *Worker) splitLeaf(n *bufferNode, img *pmleaf.Image, batch []KV) (int, error) {
 	tr := w.tree
 	// Structural writes override a leafbuf scope but not an active task
-	// scope (gc, recovery).
+	// scope (gc, recovery). The leaf write around a split pops its own
+	// push by value, which would hide a leak here from the op's check,
+	// so the split checks its own return.
+	defer w.t.CheckScope(w.t.Scope())
 	if s := w.t.Scope(); s == pmem.ScopeNone || s == pmem.ScopeLeafBuf {
 		defer w.t.PopScope(w.t.PushScope(pmem.ScopeSplit))
 	}

@@ -90,7 +90,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		tr.alloc.SetBump(s, end)
 	}
 	tr.dir = newChunkDir(dirThread(pool, home), sb.dirAddr, sb.dirSlots, sb.carveSlots, len(rb.carves))
-	tr.dir.prof = tr.prof
+	tr.initLock(&tr.dir.mu, obs.LockChunkDir)
 	tr.alloc.SetCarveRecorder(tr.dir.recordCarve)
 
 	// Phase 4: each worker applies its share of its socket's groups, in
@@ -107,8 +107,8 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 		workers[i] = tr.NewWorker(seats[i])
 		workers[i].t.SyncClock(st.RouteEndNS)
 		// Replay traffic (leaf flushes, splits, log re-appends) is
-		// recovery-caused; wal.Append still claims its own bytes.
-		//persistlint:ignore PL012 replay workers live only for phase 4; their threads die scoped
+		// recovery-caused; wal.Append still claims its own bytes. The
+		// scope is popped once replay ends.
 		workers[i].t.PushScope(pmem.ScopeRecovery)
 	}
 	err = pmem.Parallel(threads, func(i int) error {
@@ -195,8 +195,8 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 		return nil, err
 	}
 	home := opts.HomeSocket
+	// t0 is recovery's own: it dies scoped at the end of Open.
 	t0 := pool.NewThread(home)
-	//persistlint:ignore PL012 t0 is recovery-dedicated; the scope holds until the thread is dropped at the end of Open
 	t0.PushScope(pmem.ScopeRecovery)
 
 	sb, err := readSuperblock(pool, t0, pmem.MakeAddr(home, alloc.BaseOffset()+sbOffset))
@@ -536,8 +536,7 @@ func endClock(ts []*pmem.Thread) int64 {
 // auto-detect the shard count on Open instead of requiring the caller
 // to remember it. Returns an error if the pool holds no tree at all.
 func ProbeArenaCount(pool *pmem.Pool) (int, error) {
-	t := pool.NewThread(0)
-	//persistlint:ignore PL012 probe thread is dropped at return; nothing to pop for
+	t := pool.NewThread(0) // dies scoped at return
 	t.PushScope(pmem.ScopeRecovery)
 	sb, err := readSuperblock(pool, t, pmem.MakeAddr(0, sbOffset))
 	if err != nil {

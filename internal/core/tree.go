@@ -89,7 +89,7 @@ type Tree struct {
 	// (§3.4).
 	epoch atomic.Uint32
 
-	workersMu sync.Mutex
+	workersMu classedLock
 	workers   []*Worker
 
 	// reclaim is the epoch-based reclamation state keeping merged
@@ -98,7 +98,7 @@ type Tree struct {
 
 	closed    atomic.Bool
 	gcRunning atomic.Bool
-	gcMu      sync.Mutex
+	gcMu      classedLock
 	gcDone    chan struct{} // closed when the current GC round finishes
 	gcW       *Worker
 	gcOnce    sync.Once
@@ -106,7 +106,7 @@ type Tree struct {
 	// only when the policy is GCNaive. stallVT propagates the GC
 	// thread's virtual clock to foreground threads it blocked, so the
 	// stop-the-world pause shows up in simulated time (Fig 14).
-	stw      sync.RWMutex
+	stw      classedLock
 	stallVT  atomic.Int64
 	stallGen atomic.Uint64
 
@@ -235,9 +235,8 @@ func NewIndex(pool *pmem.Pool, opts Options, dir Directory) (*Tree, error) {
 	home := opts.HomeSocket
 	tr := newTree(pool, alloc, opts, dir)
 
-	t := pool.NewThread(home)
-	prevScope := t.PushScope(pmem.ScopeMeta)
-	defer t.PopScope(prevScope)
+	t := pool.NewThread(home) // dies scoped at return
+	t.PushScope(pmem.ScopeMeta)
 
 	// Persistent chunk directory, with the carve directory after its
 	// slots, sized by the arena. Its dedicated thread keeps ScopeMeta
@@ -250,7 +249,7 @@ func NewIndex(pool *pmem.Pool, opts Options, dir Directory) (*Tree, error) {
 		return nil, fmt.Errorf("core: allocate chunk directory: %w", err)
 	}
 	tr.dir = newChunkDir(dirThread(pool, home), dirAddr, opts.DirSlots, carveSlots, 0)
-	tr.dir.prof = tr.prof
+	tr.initLock(&tr.dir.mu, obs.LockChunkDir)
 	tr.dir.clearAll()
 	tr.alloc.SetCarveRecorder(tr.dir.recordCarve)
 	tr.walman.OnAcquire = tr.dir.register
@@ -275,7 +274,6 @@ func NewIndex(pool *pmem.Pool, opts Options, dir Directory) (*Tree, error) {
 // ScopeMeta for life.
 func dirThread(pool *pmem.Pool, home int) *pmem.Thread {
 	t := pool.NewThread(home)
-	//persistlint:ignore PL012 the directory thread serves the chunk directory for the tree's lifetime; all its work is ScopeMeta
 	t.PushScope(pmem.ScopeMeta)
 	return t
 }
@@ -318,8 +316,17 @@ func newTree(pool *pmem.Pool, alloc *pmalloc.Allocator, opts Options, dir Direct
 	tr.inner = newInnerTree(tr.compare)
 	tr.walman = wal.NewManager(tr.alloc, opts.ChunkBytes)
 	tr.initObs()
-	tr.inner.prof = tr.prof
+	tr.initLock(&tr.stw, obs.LockSTW)
+	tr.initLock(&tr.workersMu, obs.LockWorkers)
+	tr.initLock(&tr.gcMu, obs.LockGC)
+	tr.initLock(&tr.inner.mu, obs.LockInner)
 	return tr
+}
+
+// initLock classes one of the tree's locks (see lockRank) before its
+// first use.
+func (tr *Tree) initLock(l *classedLock, c obs.LockClass) {
+	*l = classedLock{class: c, prof: tr.prof, strict: tr.pool.Config().StrictPersist}
 }
 
 // sbAddr is the tree's superblock location: arena base + sbOffset on

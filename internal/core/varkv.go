@@ -132,9 +132,9 @@ func (tr *Tree) keyBytes(t *pmem.Thread, w uint64) []byte {
 
 // probeBytes fetches a registered worker's current probe key.
 func (tr *Tree) probeBytes(id int) []byte {
-	tr.workersMu.Lock()
+	tok := tr.workersMu.rlock()
 	w := tr.workers[id]
-	tr.workersMu.Unlock()
+	tr.workersMu.runlock(tok)
 	return w.probeKey
 }
 

@@ -117,13 +117,10 @@ func (tr *Tree) NewWorker(socket int) *Worker {
 		w.mh = tr.met.m.NewHandle()
 		w.spans = true
 	}
-	tok := tr.prof.Pre(obs.LockWorkers)
-	tr.workersMu.Lock()
-	tok = tr.prof.Acquired(obs.LockWorkers, tok)
+	tok := tr.workersMu.lock()
 	w.id = len(tr.workers)
 	tr.workers = append(tr.workers, w)
-	tr.workersMu.Unlock()
-	tr.prof.Released(obs.LockWorkers, tok)
+	tr.workersMu.unlock(tok)
 	return w
 }
 
@@ -186,6 +183,7 @@ func (w *Worker) Delete(key uint64) error {
 // critical path), materialize, commit as a group of one in the worker
 // scratch ApplyBatch uses, and an insert_ns sample.
 func (w *Worker) Write(op *BatchOp, indirect bool) error {
+	defer w.t.CheckScope(w.t.Scope())
 	if err := w.validateOp(op, indirect); err != nil {
 		return err
 	}
@@ -211,19 +209,13 @@ func (w *Worker) Write(op *BatchOp, indirect bool) error {
 // runs under GCNaive (and only there): it takes the read side of the
 // naive collector's lock and lifts the worker's clock over the pause it
 // may have sat out. Callers defer stwExit with the returned token.
-func (w *Worker) stwEnter() obs.LockToken {
-	tr := w.tree
-	tok := tr.prof.Pre(obs.LockSTW)
-	tr.stw.RLock()
-	tok = tr.prof.Acquired(obs.LockSTW, tok)
+func (w *Worker) stwEnter() lockToken {
+	tok := w.tree.stw.rlock()
 	w.syncStall()
 	return tok
 }
 
-func (w *Worker) stwExit(tok obs.LockToken) {
-	w.tree.stw.RUnlock()
-	w.tree.prof.Released(obs.LockSTW, tok)
-}
+func (w *Worker) stwExit(tok lockToken) { w.tree.stw.runlock(tok) }
 
 // retry is the one retry rule of the optimistic protocols, read side
 // and write side: a failed attempt — the node's version lock is held or
@@ -306,6 +298,7 @@ func (w *Worker) read(op obs.EventKind, varKV bool, key uint64, out []KV) (val u
 		return 0, 0
 	}
 	start := w.t.Now()
+	defer w.t.CheckScope(w.t.Scope())
 	w.beginSpan(obs.OpGet)
 	if tr.opts.GC == GCNaive {
 		defer w.stwExit(w.stwEnter())

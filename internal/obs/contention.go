@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// LockClass names one of the concurrency layer's declared locks — the
-// same classes persistlint's lock-order rule (PL006) declares, so the
-// profiler's output and the linter's discipline speak about the same
-// objects.
+// LockClass names one of the concurrency layer's declared locks. The
+// classes' acquisition order is internal/core's (lockRank); obs keeps
+// only the names it prints.
 type LockClass uint8
 
 // The instrumented lock classes, outermost first.
@@ -80,13 +79,15 @@ type LockToken struct {
 }
 
 // Pre counts one acquisition of c and opens a wait-time sample for one
-// in 2^lockSampleShift of them. Call immediately before Lock/RLock:
+// in 2^lockSampleShift of them. Call immediately before Lock/RLock,
+// Acquired right after it and Released right after the unlock:
 //
-//	tok := p.Pre(obs.LockInner)
-//	tr.mu.Lock()
-//	tok = p.Acquired(obs.LockInner, tok)
-//	defer p.Released(obs.LockInner, tok)
-//	defer tr.mu.Unlock()
+//	tok := p.Pre(c)
+//	mu.Lock()
+//	tok = p.Acquired(c, tok)
+//	... critical section ...
+//	mu.Unlock()
+//	p.Released(c, tok)
 func (p *LockProfiler) Pre(c LockClass) LockToken {
 	if p == nil {
 		return LockToken{}
@@ -117,9 +118,8 @@ func (p *LockProfiler) Acquired(c LockClass, tok LockToken) LockToken {
 	return LockToken{t0: now}
 }
 
-// Released closes the hold-time sample. Call after the unlock (with
-// the paired-defer pattern above it runs right after the deferred
-// Unlock, so the tail of the critical section is included).
+// Released closes the hold-time sample. Call right after the unlock,
+// so the tail of the critical section is included.
 func (p *LockProfiler) Released(c LockClass, tok LockToken) {
 	if p == nil || tok.t0 == 0 {
 		return

@@ -9,8 +9,7 @@ import (
 // This file implements StrictPersist, the runtime half of the
 // persistence-discipline tooling (cmd/persistlint is the static half).
 // Strict mode trades a little per-operation overhead for
-// panic-with-context on the misuse classes the static analyzer cannot
-// prove absent:
+// panic-with-context on misuse that only shows when the code runs:
 //
 //   - a Thread used concurrently from two goroutines (Thread is a
 //     single-owner handle; sequential hand-off between goroutines is
@@ -22,15 +21,18 @@ import (
 //     pending their Fence (the clwb was issued but never retired);
 //   - Pool.Close with cachelines still dirty in the modeled CPU cache
 //     outside a declared-volatile region (data that a crash at that
-//     point would lose).
+//     point would lose);
+//   - a checked section (CheckScope) that returns with a scope it
+//     pushed and never popped.
 //
-// All checks are gated on Config.StrictPersist so the default-mode hot
-// paths stay branch-cheap.
+// internal/core adds its lock-order check on strict pools, using GoID
+// for the held set. All checks are gated on Config.StrictPersist so the
+// default-mode hot paths stay branch-cheap.
 
-// goid returns the current goroutine's id by parsing the first
-// runtime.Stack line ("goroutine N [running]:"). Only called on the
-// panic path, so its cost never touches a correct program.
-func goid() int64 {
+// GoID returns the current goroutine's id by parsing the first
+// runtime.Stack line ("goroutine N [running]:"). It costs a stack walk,
+// so only strict-mode checks and panic paths call it.
+func GoID() int64 {
 	var buf [64]byte
 	n := runtime.Stack(buf[:], false)
 	const prefix = len("goroutine ")
@@ -58,7 +60,7 @@ func (t *Thread) beginOp(op string) {
 	if !t.inOp.CompareAndSwap(0, 1) {
 		panic(fmt.Sprintf(
 			"pmem: StrictPersist: Thread (socket %d) used concurrently: goroutine %d entered %s while another operation was in flight",
-			t.socket, goid(), op))
+			t.socket, GoID(), op))
 	}
 }
 
@@ -90,6 +92,22 @@ func (t *Thread) Release() {
 			t.socket, n, t.pendingDesc(1)))
 	}
 	t.released = true
+}
+
+// CheckScope panics, in strict mode, when the thread's scope is not
+// entered, the one a checked section began at: the section pushed a
+// scope and never popped it, so every later byte on the thread would be
+// charged to the wrong component. Sections defer it at entry:
+//
+//	defer t.CheckScope(t.Scope())
+//
+// A no-op outside strict mode, and once an armed fault has fired: a
+// section that a power failure ends owes nothing.
+func (t *Thread) CheckScope(entered Scope) {
+	if t.strict && t.scope != entered && !t.pool.FaultFired() {
+		panic(fmt.Sprintf("pmem: StrictPersist: Thread (socket %d) leaves a checked section at scope %v, entered at %v: a PushScope was never popped",
+			t.socket, t.scope, entered))
+	}
 }
 
 // pendingDesc renders up to max pending-flush targets for panic text.

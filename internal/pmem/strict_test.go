@@ -167,3 +167,34 @@ func TestStrictCrashDiscardsThreads(t *testing.T) {
 		t.Fatalf("unfenced store survived crash: %d", v)
 	}
 }
+
+// TestStrictCheckScopeLeak checks the scope-balance assertion: a
+// strict thread that leaves a checked section with a scope it pushed
+// and never popped panics, naming both scopes; a balanced section, a
+// non-strict thread and a section a power failure ended do not.
+func TestStrictCheckScopeLeak(t *testing.T) {
+	section := func(th *Thread, leak bool) {
+		defer th.CheckScope(th.Scope())
+		prev := th.PushScope(ScopeGC)
+		if !leak {
+			th.PopScope(prev)
+		}
+	}
+	p := strictPool(t)
+	th := p.NewThread(0)
+	section(th, false)
+	mustPanic(t, "leaves a checked section at scope gc, entered at data", func() { section(th, true) })
+
+	lax := NewPool(Config{Sockets: 1, DeviceBytes: 1 << 20}).NewThread(0)
+	section(lax, true)
+
+	th = p.NewThread(0)
+	p.FailWhen(func(FaultPoint) bool { return true })
+	if !Survive(func() {
+		defer th.CheckScope(th.Scope())
+		th.PushScope(ScopeGC)
+		th.Persist(MakeAddr(0, 0), 8)
+	}) {
+		t.Fatal("the armed fault never fired")
+	}
+}

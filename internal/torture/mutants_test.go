@@ -236,7 +236,7 @@ var named = []mutant{
 		name: "register-under-workers-takes-stw", class: "PL006",
 		edits: []edit{{"internal/core/worker.go",
 			"\tw.id = len(tr.workers)\n\ttr.workers = append(tr.workers, w)\n",
-			"\ttr.stw.RLock()\n\tw.id = len(tr.workers)\n\ttr.workers = append(tr.workers, w)\n\ttr.stw.RUnlock()\n"}},
+			"\tstok := tr.stw.rlock()\n\tw.id = len(tr.workers)\n\ttr.workers = append(tr.workers, w)\n\ttr.stw.runlock(stok)\n"}},
 		unit: unitCore,
 	},
 	{
@@ -248,9 +248,9 @@ var named = []mutant{
 				"\tw.id = len(tr.workers)\n\ttr.workers = append(tr.workers, w)\n",
 				"\tw.waitPause()\n\tw.id = len(tr.workers)\n\ttr.workers = append(tr.workers, w)\n"},
 			{"internal/core/worker.go",
-				"func (w *Worker) stwExit(tok obs.LockToken) {",
+				"func (w *Worker) stwExit(tok lockToken) {",
 				"func (w *Worker) waitPause() {\n\tif w.tree.opts.GC == GCNaive {\n\t\tw.stwExit(w.stwEnter())\n\t}\n}\n\n" +
-					"func (w *Worker) stwExit(tok obs.LockToken) {"},
+					"func (w *Worker) stwExit(tok lockToken) {"},
 		},
 		unit: unitCore,
 	},

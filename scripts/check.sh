@@ -16,8 +16,8 @@ fi
 
 go build ./...
 go vet ./...
-# Every rule (PL000–PL002, PL006, PL007, PL010, PL012, PL014,
-# whole-program layer included) over every package, test files included, with a wall-clock budget so analyzer
+# Every rule (PL000–PL002, PL007, PL010, whole-program layer
+# included) over every package, test files included, with a wall-clock budget so analyzer
 # regressions surface as CI failures rather than slow drift (a cold
 # whole-repo run is ~0.4 s). Built as a binary once: `go run` would
 # charge compile time against the budget. The run also emits the SARIF
@@ -27,7 +27,7 @@ go build -o "$lintdir/persistlint" ./cmd/persistlint
 "$lintdir/persistlint" -tests -stats -budget 3s \
     -sarif "$lintdir/persistlint.sarif" ./...
 grep -q '"version": "2.1.0"' "$lintdir/persistlint.sarif"
-grep -q '"id": "PL014"' "$lintdir/persistlint.sarif"
+grep -q '"id": "PL010"' "$lintdir/persistlint.sarif"
 
 # Self-lint: the golden corpus must parse and yield findings (exit 1 —
 # exit 2 would mean a corpus file stopped parsing, exit 0 that the
