@@ -312,18 +312,19 @@ func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
 // itself, crashes, recovers again from the same chunk set, and requires
 // every acknowledged write. The crash image is built once and loaded
 // into a fresh pool per point; -short takes every fifth point.
-func TestHashCrashInsideRecover(t *testing.T) {
-	stride := int64(1)
-	if testing.Short() {
-		stride = 5
-	}
-	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
+// hashImage writes 3,000 random puts and deletes over 1,000 keys to a
+// table with opts, with no GC, and crashes it. It returns a loader of
+// the crash image into a fresh pool, and a check that reports the first
+// acknowledged write a table does not hold ("" when none).
+func hashImage(t *testing.T, opts Options) (func() *pmem.Pool, func(*Table) string) {
+	t.Helper()
 	newPool := func() *pmem.Pool {
 		return pmem.NewPool(pmem.Config{
 			Sockets: 2, DIMMsPerSocket: 2, DeviceBytes: 1 << 20, XPBufferLines: 16, CacheLines: 1 << 13,
 		})
 	}
 	pool := newPool()
+	opts.DisableGC = true
 	h, err := New(pool, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +360,6 @@ func TestHashCrashInsideRecover(t *testing.T) {
 		}
 		return p
 	}
-	// lost reports the first acknowledged write h does not hold.
 	lost := func(h *Table) string {
 		w := h.NewWorker(0)
 		for k := uint64(1); k <= 1000; k++ {
@@ -370,6 +370,22 @@ func TestHashCrashInsideRecover(t *testing.T) {
 		}
 		return ""
 	}
+	return load, lost
+}
+
+// TestHashCrashInsideRecover cuts power at every flush of a recovery
+// that flushes buckets: the image is written with Nbatch 8 and
+// recovered with the default 2, so buckets whose records overflow their
+// buffers replay in waves.
+func TestHashCrashInsideRecover(t *testing.T) {
+	stride := int64(1)
+	if testing.Short() {
+		stride = 5
+	}
+	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
+	written := opts
+	written.Nbatch = 8
+	load, lost := hashImage(t, written)
 
 	p := load()
 	base := p.FlushCalls()
@@ -382,6 +398,9 @@ func TestHashCrashInsideRecover(t *testing.T) {
 	}
 	flushes := p.FlushCalls() - base
 	t.Logf("%d recovery flushes", flushes)
+	if flushes < 50 {
+		t.Fatalf("recovery flushed %d times: no bucket overflowed its buffer", flushes)
+	}
 	var bad []string
 	for k := int64(1); k <= flushes; k += stride {
 		p := load()
@@ -404,6 +423,88 @@ func TestHashCrashInsideRecover(t *testing.T) {
 	if len(bad) > 0 {
 		t.Errorf("%d of %d crash points lost acknowledged writes; first: %s",
 			len(bad), (flushes+stride-1)/stride, bad[0])
+	}
+}
+
+// TestHashCrashTwiceBeforeGC recovers a table whose surviving records
+// all fit their buffers, crashes before any write or GC round, and
+// recovers again: both recoveries read every acknowledged write and
+// replay the same records, which live only in the log chunks the first
+// one kept registered.
+func TestHashCrashTwiceBeforeGC(t *testing.T) {
+	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
+	load, lost := hashImage(t, opts)
+	pool := load()
+	var replayed []int
+	for round := range 3 {
+		d := newBuckets(opts.Buckets)
+		tr, st, err := core.OpenIndex(pool, opts.core(), 2, d)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if msg := lost(&Table{tr, d}); msg != "" {
+			t.Fatalf("round %d: %s", round, msg)
+		}
+		replayed = append(replayed, st.EntriesReplayed)
+		tr.Freeze()
+		pool.Crash()
+	}
+	if replayed[0] == 0 || replayed[1] != replayed[0] || replayed[2] != replayed[0] {
+		t.Fatalf("the rounds replayed %v records", replayed)
+	}
+}
+
+// TestHashCrashInFirstGCRound cuts power at every flush of the first GC
+// round after a recovery, locality-aware and naive: every point must
+// recover every acknowledged write. -short takes 20 strided points a
+// policy.
+func TestHashCrashInFirstGCRound(t *testing.T) {
+	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10}
+	load, lost := hashImage(t, opts)
+	for _, policy := range []core.GCPolicy{core.GCLocalityAware, core.GCNaive} {
+		t.Run(policy.String(), func(t *testing.T) {
+			co := opts.core()
+			co.GC = policy
+			open := func(p *pmem.Pool) *Table {
+				d := newBuckets(opts.Buckets)
+				tr, _, err := core.OpenIndex(p, co, 2, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &Table{tr, d}
+			}
+			p := load()
+			h := open(p)
+			base := p.FlushCalls()
+			h.ForceGC()
+			flushes := p.FlushCalls() - base
+			if msg := lost(h); msg != "" {
+				t.Fatalf("uninterrupted round: %s", msg)
+			}
+			t.Logf("%d flushes in the round", flushes)
+			stride := int64(1)
+			if testing.Short() && flushes > 20 {
+				stride = flushes / 20
+			}
+			var bad []string
+			for k := int64(1); k <= flushes; k += stride {
+				p := load()
+				h := open(p)
+				at := p.FlushCalls() + k
+				p.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == at })
+				h.ForceGC()
+				h.Freeze()
+				p.FailWhen(nil)
+				p.Crash()
+				if msg := lost(open(p)); msg != "" {
+					bad = append(bad, fmt.Sprintf("flush %d: %s", k, msg))
+				}
+			}
+			if len(bad) > 0 {
+				t.Errorf("%d of %d crash points lost acknowledged writes; first: %s",
+					len(bad), (flushes+stride-1)/stride, bad[0])
+			}
+		})
 	}
 }
 
@@ -781,27 +882,40 @@ func (s *stageSpy) Stage(w *core.Worker, n *core.Node, st *core.Staged, batch []
 }
 
 // TestRouteMatchesFindHash is core's TestRouteMatchesFind on a hash
-// table image with overflow chains: at 1 to 4 recovery threads, every
-// record replay stages goes to the node Find names for its key, and
-// each thread count replays the same records with the same counts into
-// the same contents.
+// table image with overflow chains, written with Nbatch 8 and recovered
+// with the default 2, so that replay stages the buckets whose records
+// overflow their buffers and puts the rest into buffer slots: at 1 to 4
+// recovery threads, every record replay stages goes to the node Find
+// names for its key, the table reads every acknowledged write, and each
+// thread count replays the same records with the same counts into the
+// same contents.
 func TestRouteMatchesFindHash(t *testing.T) {
 	opts := Options{Buckets: 1 << 6, ChunkBytes: 16 << 10, DisableGC: true}
 	var first, firstGot map[uint64]uint64
 	var firstSt core.RecoveryStats
 	for threads := 1; threads <= 4; threads++ {
 		pool := testPool()
-		h, err := New(pool, opts)
+		written := opts
+		written.Nbatch = 8
+		h, err := New(pool, written)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := h.NewWorker(0)
 		rng := rand.New(rand.NewSource(5))
+		want := map[uint64]uint64{}
 		for range 6000 {
 			if k := uint64(rng.Intn(2000) + 1); rng.Intn(6) == 0 {
-				_ = w.Delete(k)
+				if err := w.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(want, k)
 			} else {
-				_ = w.Put(k, rng.Uint64()|1)
+				v := rng.Uint64() | 1
+				if err := w.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = v
 			}
 		}
 		h.Freeze()
@@ -811,7 +925,7 @@ func TestRouteMatchesFindHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spy.misrouted != 0 || len(spy.staged) != st.EntriesReplayed || st.EntriesReplayed == 0 || st.EntriesStale == 0 {
+		if spy.misrouted != 0 || len(spy.staged) == 0 || len(spy.staged) >= st.EntriesReplayed || st.EntriesStale == 0 {
 			t.Fatalf("%d threads: %d of %d staged records misrouted; stats %+v", threads, spy.misrouted, len(spy.staged), st)
 		}
 		w2 := (&Table{tr, spy.buckets}).NewWorker(0)
@@ -820,6 +934,9 @@ func TestRouteMatchesFindHash(t *testing.T) {
 			if v, ok := w2.Get(k); ok {
 				got[k] = v
 			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%d threads: recovered %d keys, %d acknowledged", threads, len(got), len(want))
 		}
 		s := *st
 		s.DiscoverEndNS, s.LinkEndNS, s.RouteEndNS, s.ReplayEndNS, s.VirtualNS = 0, 0, 0, 0, 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 
 	"cclbtree/internal/obs"
@@ -224,14 +225,32 @@ func (w *Worker) lockRuns(kvs []KV) []groupRun {
 }
 
 // placeRun decides, before anything is written, where each op of the
-// locked run r ends. If the whole run fits n's buffer, every op takes
-// a slot — an unflushed slot already holding its key, else the next
-// free one — recorded in w.place, and gets a record, ticked from n,
-// appended to ents.
-// Otherwise no slot is written: the buffered KVs and the whole run go to
-// the leaf in one trigger write, durable when the flush is, so they get
-// no record (NaiveLogging records them anyway; Nbatch 0 logs nothing).
+// locked run r ends. If the whole run fits n's buffer (placeSlots),
+// every op takes a slot and gets a record, ticked from n, appended to
+// ents. Otherwise no slot is written: the buffered KVs and the whole run
+// go to the leaf in one trigger write, durable when the flush is, so
+// they get no record (NaiveLogging records them anyway; Nbatch 0 logs
+// nothing).
 func (w *Worker) placeRun(r *groupRun, kvs []KV, ents []wal.Entry) []wal.Entry {
+	tr := w.tree
+	n := r.n
+	r.fits = w.placeSlots(r, kvs, nil)
+	if r.fits || (tr.opts.NaiveLogging && n.nbatch() > 0) {
+		for _, kv := range kvs[r.start:r.end] {
+			ents = append(ents, wal.Entry{Key: kv.Key, Value: kv.Value, Timestamp: w.Stamp(n)})
+		}
+	}
+	return ents
+}
+
+// placeSlots is the first half of the slot machine the write protocol
+// (placeRun) and recovery's replay (refill) share: it reports whether
+// the whole locked run r fits its node's buffer, and if so records in
+// w.place the slot each op takes, an unflushed slot already holding its
+// key, else the next free one. keys, when set, holds the bytes of each
+// var-KV key of kvs (replay's DRAM copies), so the run's equal keys are
+// found without reading a blob.
+func (w *Worker) placeSlots(r *groupRun, kvs []KV, keys [][]byte) bool {
 	tr := w.tree
 	n := r.n
 	pos, _, _ := unpackHdr(n.hdr.Load())
@@ -240,10 +259,10 @@ func (w *Worker) placeRun(r *groupRun, kvs []KV, ents []wal.Entry) []wal.Entry {
 	}
 	place := w.place[:len(kvs)]
 	free := pos
-	r.fits = true
-	for i := r.start; i < r.end && r.fits; i++ {
+	fits := true
+	for i := r.start; i < r.end && fits; i++ {
 		slot := -1
-		if i > r.start && tr.compare(w.t, kvs[i-1].Key, kvs[i].Key) == 0 {
+		if i > r.start && w.sameKey(kvs, keys, i-1, i) {
 			slot = int(place[i-1]) // the sort put the key's earlier op just before
 		}
 		for j := 0; slot < 0 && j < pos; j++ {
@@ -256,50 +275,71 @@ func (w *Worker) placeRun(r *groupRun, kvs []KV, ents []wal.Entry) []wal.Entry {
 			free++
 		}
 		place[i] = int8(slot)
-		r.fits = slot >= 0
+		fits = slot >= 0
 	}
-	if r.fits || (tr.opts.NaiveLogging && n.nbatch() > 0) {
-		for _, kv := range kvs[r.start:r.end] {
-			ents = append(ents, wal.Entry{Key: kv.Key, Value: kv.Value, Timestamp: w.Stamp(n)})
+	return fits
+}
+
+// fillSlots is the slot machine's second half: the ops of the placed
+// run r take their slots, stamped with epoch e. keys is placeSlots'.
+func (w *Worker) fillSlots(r *groupRun, kvs []KV, keys [][]byte, e uint32) {
+	tr := w.tree
+	n := r.n
+	pos, eb, _ := unpackHdr(n.hdr.Load())
+	for i := r.start; i < r.end; i++ {
+		kv, slot := kvs[i], int(w.place[i])
+		if slot < pos {
+			n.slots[2*slot+1].Store(kv.Value)
+		} else {
+			pos++
+			n.setSlot(slot, kv.Key, kv.Value, w.fingerprint(kvs, keys, i))
+			// Purge stale cached copies from earlier flush rounds:
+			// slots beyond pos may hold an older version (even a
+			// tombstone) of this key at a HIGHER index, which a later
+			// round's overwrites could leave shadowing the leaf's
+			// newer value.
+			for j := pos; j < n.nbatch(); j++ {
+				if sk := n.slotKey(j); sk != 0 && tr.compare(w.t, sk, kv.Key) == 0 {
+					n.setSlot(j, 0, 0, 0)
+				}
+			}
 		}
+		eb = eb&^(1<<uint(slot)) | uint16(e)<<uint(slot)
 	}
-	return ents
+	n.hdr.Store(packHdr(pos, eb, false))
+}
+
+// sameKey reports whether ops i and j of kvs share a key; keys is
+// placeSlots'.
+func (w *Worker) sameKey(kvs []KV, keys [][]byte, i, j int) bool {
+	if keys != nil {
+		return bytes.Equal(keys[i], keys[j])
+	}
+	return w.tree.compare(w.t, kvs[i].Key, kvs[j].Key) == 0
+}
+
+// fingerprint is the fingerprint of op i's key; keys is placeSlots'.
+func (w *Worker) fingerprint(kvs []KV, keys [][]byte, i int) byte {
+	if keys != nil {
+		return fpHash(hashKeyBytes(keys[i]))
+	}
+	return w.tree.keyFingerprint(w.t, kvs[i].Key)
 }
 
 // applyRun is the §3.2 insert flow for the placed run r, with its node
 // locked and its records (if any) durable: the ops take their slots,
-// stamped with epoch e; or the buffered KVs plus the whole run are
-// staged in the group's wave as one trigger write (§3.3), shared when
-// the group has other trigger writes.
+// stamped with epoch e (fillSlots); or the buffered KVs plus the whole
+// run are staged in the group's wave as one trigger write (§3.3),
+// shared when the group has other trigger writes.
 func (w *Worker) applyRun(r *groupRun, kvs []KV, e uint32, shared bool) error {
-	tr := w.tree
-	n := r.n
-	pos, eb, _ := unpackHdr(n.hdr.Load())
-	run := kvs[r.start:r.end]
 	if r.fits {
-		for i, kv := range run {
-			slot := int(w.place[r.start+i])
-			if slot < pos {
-				n.slots[2*slot+1].Store(kv.Value)
-			} else {
-				pos++
-				n.setSlot(slot, kv.Key, kv.Value, tr.keyFingerprint(w.t, kv.Key))
-				// Purge stale cached copies from earlier flush rounds:
-				// slots beyond pos may hold an older version (even a
-				// tombstone) of this key at a HIGHER index, which a later
-				// round's overwrites could leave shadowing the leaf's
-				// newer value.
-				for j := pos; j < n.nbatch(); j++ {
-					if sk := n.slotKey(j); sk != 0 && tr.compare(w.t, sk, kv.Key) == 0 {
-						n.setSlot(j, 0, 0, 0)
-					}
-				}
-			}
-			eb = eb&^(1<<uint(slot)) | uint16(e)<<uint(slot)
-		}
-		n.hdr.Store(packHdr(pos, eb, false))
+		w.fillSlots(r, kvs, nil, e)
 		return nil
 	}
+	tr := w.tree
+	n := r.n
+	pos, _, _ := unpackHdr(n.hdr.Load())
+	run := kvs[r.start:r.end]
 
 	// Trigger write (§3.3): the buffered KVs plus the whole run flush to
 	// the leaf in one XPLine write. This is where batching pays: N ops

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"cclbtree/internal/pmalloc"
 	"cclbtree/internal/pmem"
 )
@@ -54,9 +56,21 @@ func newChunkDir(t *pmem.Thread, base pmem.Addr, slots, carveSlots, carveCount i
 	return d
 }
 
-// clearAll zeroes the chunk slots (a fresh tree, or a recovered one
-// whose logs are replayed), and the carve directory's terminator while
-// no carve is recorded: the word after the chunk slots.
+// hold seeds the directory with the chunks recovery found in it, at
+// the slots it found them in, so that unregister releases each one.
+func (d *chunkDir) hold(chunks []pmem.Addr, slots []int) {
+	defer d.mu.unlock(d.mu.lock())
+	used := make([]bool, d.slots)
+	for i, c := range chunks {
+		d.slotOf[c] = slots[i]
+		used[slots[i]] = true
+	}
+	d.free = slices.DeleteFunc(d.free, func(s int) bool { return used[s] })
+}
+
+// clearAll zeroes the chunk slots of a fresh tree, and the carve
+// directory's terminator while no carve is recorded: the word after the
+// chunk slots.
 func (d *chunkDir) clearAll() {
 	defer d.mu.unlock(d.mu.lock())
 	words := d.slots
@@ -133,15 +147,15 @@ func readCarves(t *pmem.Thread, base pmem.Addr, slots, carveSlots int) []pmalloc
 	return out
 }
 
-// readChunkDir loads the live chunk set from PM (recovery path).
-func readChunkDir(t *pmem.Thread, base pmem.Addr, slots int) []pmem.Addr {
+// readChunkDir loads the live chunk set from PM, and the slot each
+// chunk is in (recovery path).
+func readChunkDir(t *pmem.Thread, base pmem.Addr, slots int) (chunks []pmem.Addr, at []int) {
 	words := make([]uint64, slots)
 	t.ReadRange(base, words)
-	var out []pmem.Addr
-	for _, w := range words {
+	for i, w := range words {
 		if w != 0 {
-			out = append(out, pmem.Addr(w))
+			chunks, at = append(chunks, pmem.Addr(w)), append(at, i)
 		}
 	}
-	return out
+	return chunks, at
 }

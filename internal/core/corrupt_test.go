@@ -90,6 +90,26 @@ func TestOpenRefusesPreCarveImage(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectsChunkInTwoSlots names a registered log chunk in a
+// second, empty directory slot: Open releases chunks by their slot, so
+// it must refuse the image rather than free-list a chunk a log holds.
+func TestRecoveryRejectsChunkInTwoSlots(t *testing.T) {
+	pool := crashedTree(t)
+	th := pool.NewThread(0)
+	sb := pmem.MakeAddr(0, sbOffset)
+	dir, slots := pmem.Addr(th.Load(sb.Add(16))), int(th.Load(sb.Add(24)))
+	chunks, at := readChunkDir(th, dir, slots)
+	if len(chunks) == 0 || at[len(at)-1] == slots-1 {
+		t.Fatalf("directory holds chunks at %v of %d slots", at, slots)
+	}
+	corruptWord(pool, dir.Add(int64(8*(slots-1))).Offset(), uint64(chunks[0]))
+	_, _, err := Open(pool, Options{}, 2)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Open with a chunk in two slots = %v, want *CorruptError", err)
+	}
+}
+
 func TestRecoveryDetectsLeafCycle(t *testing.T) {
 	pool := crashedTree(t)
 	// Point the head leaf's next pointer back at itself.
@@ -131,7 +151,7 @@ func TestRecoveryCountsDroppedGarbageEntries(t *testing.T) {
 	dirAddr := pmem.Addr(th.Load(sb.Add(16)))
 	dirSlots := int(th.Load(sb.Add(24)))
 	chunkBytes := int(th.Load(sb.Add(32)))
-	chunks := readChunkDir(th, dirAddr, dirSlots)
+	chunks, _ := readChunkDir(th, dirAddr, dirSlots)
 	if len(chunks) == 0 {
 		t.Fatal("no registered chunks")
 	}

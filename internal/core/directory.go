@@ -169,11 +169,13 @@ func (rb *Rebuild) discover(t *pmem.Thread, i int) {
 }
 
 // record is one valid log record as recovery routes it; key holds the
-// key's bytes in var-KV mode, read once at scan time.
+// key's bytes in var-KV mode, read once at scan time, and chunk the
+// index of the chunk it is in among those the directory names.
 type record struct {
-	kv  KV
-	ts  uint64
-	key []byte
+	kv    KV
+	ts    uint64
+	key   []byte
+	chunk int32
 }
 
 // order compares two records in the directory's Compare order; in
@@ -196,14 +198,14 @@ type scanned struct {
 }
 
 // check keeps the records of ents whose words could have come from a
-// real append in this index, on t. One that fails is dropped rather
-// than fatal, unlike structural corruption: recycled chunks
-// legitimately hold residue, and recovery's job is to replay what is
-// provably intact.
-func (rb *Rebuild) check(t *pmem.Thread, ents []wal.Entry) scanned {
+// real append in this index, on t; from names the chunk each is in. One
+// that fails is dropped rather than fatal, unlike structural
+// corruption: recycled chunks legitimately hold residue, and recovery's
+// job is to replay what is provably intact.
+func (rb *Rebuild) check(t *pmem.Thread, ents []wal.Entry, from []int32) scanned {
 	sc := scanned{recs: make([]record, 0, len(ents)), maxEnd: make([]uint64, len(rb.maxEnd))}
 	var blobs []blobSpan
-	for _, e := range ents {
+	for k, e := range ents {
 		var err error
 		if blobs, err = rb.words(t, e.Key, e.Value, blobs[:0]); err != nil {
 			sc.dropped++
@@ -213,7 +215,7 @@ func (rb *Rebuild) check(t *pmem.Thread, ents []wal.Entry) scanned {
 			reach(sc.maxEnd, b.a, b.size)
 		}
 		sc.maxTick = max(sc.maxTick, e.Timestamp)
-		r := record{kv: KV{e.Key, e.Value}, ts: e.Timestamp}
+		r := record{kv: KV{e.Key, e.Value}, ts: e.Timestamp, chunk: from[k]}
 		if rb.tr.opts.VarKV {
 			r.key = readBlob(t, e.Key)
 		}

@@ -116,12 +116,12 @@ func TestChunkDirRegisterUnregister(t *testing.T) {
 	c2 := pmem.MakeAddr(0, 2<<20)
 	d.register(c1)
 	d.register(c2)
-	got := readChunkDir(pool.NewThread(0), base, 16)
+	got, _ := readChunkDir(pool.NewThread(0), base, 16)
 	if len(got) != 2 {
 		t.Fatalf("dir holds %d chunks", len(got))
 	}
 	d.unregister(c1)
-	got = readChunkDir(pool.NewThread(0), base, 16)
+	got, _ = readChunkDir(pool.NewThread(0), base, 16)
 	if len(got) != 1 || got[0] != c2 {
 		t.Fatalf("after unregister: %v", got)
 	}
@@ -131,7 +131,7 @@ func TestChunkDirRegisterUnregister(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		d.register(pmem.MakeAddr(0, uint64(3+i)<<20))
 	}
-	if got := readChunkDir(pool.NewThread(0), base, 16); len(got) != 16 {
+	if got, _ := readChunkDir(pool.NewThread(0), base, 16); len(got) != 16 {
 		t.Fatalf("slot recycling broken: %d", len(got))
 	}
 }
@@ -144,7 +144,7 @@ func TestChunkDirSurvivesCrash(t *testing.T) {
 	c := pmem.MakeAddr(0, 1<<20)
 	d.register(c)
 	pool.Crash()
-	got := readChunkDir(pool.NewThread(0), base, 8)
+	got, _ := readChunkDir(pool.NewThread(0), base, 8)
 	if len(got) != 1 || got[0] != c {
 		t.Fatalf("registration lost in crash: %v", got)
 	}

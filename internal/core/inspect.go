@@ -44,7 +44,7 @@ func Inspect(pool *pmem.Pool) (*InspectReport, error) {
 		return nil, fmt.Errorf("core: not one whole-device tree (%d arenas, another index's image: %v)",
 			count, sb.flags&sbIndex != 0)
 	}
-	chunks, err := sb.chunks(pool, t)
+	chunks, _, err := sb.chunks(pool, t)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -44,7 +45,8 @@ type RecoveryStats struct {
 // tree — after Pool.Crash, or after LoadPersistent in a new process.
 // It implements the §3.3 failure recovery: rebuild the DRAM inner and
 // buffer layers from the persistent leaf list, then replay WAL entries
-// newer than their leaf's timestamp. threads sets the parallelism of
+// newer than their leaf's timestamp, into their buffer nodes' slots
+// where they fit. threads sets the parallelism of
 // every phase but the link pass: discovery and log scan, routing and
 // replay.
 //
@@ -85,34 +87,37 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 
 	// The bump pointers must clear every reachable object before any
 	// replay write allocates (splits), and the carve directory must
-	// record the carves those splits take, after the ones it holds.
+	// record the carves those splits take, after the ones it holds. The
+	// chunk directory holds the chunks it names at the slots it names
+	// them in, until the end of Open releases the ones no record needs.
 	for s, end := range rb.maxEnd {
 		tr.alloc.SetBump(s, end)
 	}
 	tr.dir = newChunkDir(dirThread(pool, home), sb.dirAddr, sb.dirSlots, sb.carveSlots, len(rb.carves))
 	tr.initLock(&tr.dir.mu, obs.LockChunkDir)
+	tr.dir.hold(r.chunks, r.slots)
 	tr.alloc.SetCarveRecorder(tr.dir.recordCarve)
 
-	// Phase 4: each worker applies its share of its socket's groups, in
-	// chain order, in waves of replayWave groups (wave.go): it locks the
-	// node phase 3 routed each group to, stages the group into it, and
-	// publishes the wave's nodes before it unlocks them. Splits during
-	// replay only mint nodes inside the splitting group's own range, so
-	// every group's node still owns its first key; a node that does not
-	// is routed again. Each wave locks its nodes in chain order, the one
-	// lock order every writer shares.
+	// Phase 4: each worker replays its share of its socket's groups, in
+	// chain order (Worker.replay): into buffer slots, or through the
+	// node's lines when a group overflows its buffer. The workers start
+	// where routing ended, not at the pool's work frontier: discovery's
+	// reads may still queue on some DIMMs, and only an access to one of
+	// them should wait for them.
+	e := tr.epoch.Load()
 	seats := seat(threads, work, home)
 	workers := make([]*Worker, threads)
+	keeps := make([][]bool, threads)
 	for i := range workers {
 		workers[i] = tr.NewWorker(seats[i])
+		workers[i].t.Rewind(st.RouteEndNS)
 		workers[i].t.SyncClock(st.RouteEndNS)
-		// Replay traffic (leaf flushes, splits, log re-appends) is
-		// recovery-caused; wal.Append still claims its own bytes. The
+		// Replay traffic (leaf flushes, splits) is recovery-caused. The
 		// scope is popped once replay ends.
 		workers[i].t.PushScope(pmem.ScopeRecovery)
+		keeps[i] = make([]bool, len(r.chunks))
 	}
 	err = pmem.Parallel(threads, func(i int) error {
-		w := workers[i]
 		var mine []int // the worker's groups, by position in chain order
 		for _, sh := range shares(seats, pool.Sockets(), i) {
 			for j := sh.k; j < len(groupsOn[sh.s]); j += sh.n {
@@ -120,49 +125,33 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 			}
 		}
 		slices.Sort(mine)
-		held := make([]groupRun, 0, replayWave)
-		for len(mine) > 0 {
-			wave := mine[:min(replayWave, len(mine))]
-			mine = mine[len(wave):]
-			w.wave, held = w.wave[:0], held[:0]
-			var err error
-			for _, gi := range wave {
-				g, n := groups[gi].kvs, groups[gi].n
-				v, ok := n.tryLock()
-				if ok && !tr.index.Owns(w.t, n, g[0].Key) {
-					n.unlock(v)
-					ok = false
-				}
-				if !ok {
-					n, v = w.lockOwner(g[0].Key)
-				}
-				held = append(held, groupRun{n: n, v: v})
-				if _, err = w.stage(n, g, len(wave) > 1); err != nil {
-					break
-				}
-			}
-			if err == nil {
-				w.publish()
-			}
-			for _, h := range held {
-				h.n.unlock(h.v)
-			}
-			if err != nil {
-				return fmt.Errorf("core: recovery replay: %w", err)
-			}
-		}
-		return nil
+		return workers[i].replay(groups, mine, e, keeps[i])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Logs are now redundant: every surviving entry is durable in a
-	// leaf. Empty the chunk slots and recycle the chunk space.
-	tr.dir.clearAll()
+	// The chunks that hold a record now in a slot stay registered and
+	// become worker 0's log of epoch e, so the first GC round copies
+	// (or flushes) those slots before it reclaims them, as it does for
+	// any buffered entry, and the log's bytes count toward its trigger.
+	// Every other chunk holds no record recovery still needs: the slot
+	// groups' other records are older or gated, and the waves made
+	// theirs durable in lines. They are unregistered one slot at a time
+	// and free-listed.
+	var kept, spare []pmem.Addr
+	for c, a := range r.chunks {
+		if slices.ContainsFunc(keeps, func(k []bool) bool { return k[c] }) {
+			kept = append(kept, a)
+		} else {
+			spare = append(spare, a)
+		}
+	}
 	tr.walman.OnAcquire = tr.dir.register
 	tr.walman.OnRelease = tr.dir.unregister
-	tr.walman.AdoptChunks(r.chunks)
+	tr.walman.AdoptChunks(spare)
+	workers[0].logs[e].Adopt(kept)
+	tr.logBytes.Add(workers[0].logs[e].Bytes())
 
 	for _, w := range workers {
 		// Recovery is over; the workers stay registered (their logs are
@@ -176,15 +165,117 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	return tr, st, nil
 }
 
+// replay applies the groups mine names, in chain order. A group that
+// fits its node's buffer goes into its slots (refill) and marks the
+// chunks its records are in as kept: it stays what it was at the crash,
+// a buffered entry whose record is in the log. A larger group (an image
+// written with a larger Nbatch) is flushed into its node's line, in
+// waves of replayWave groups (wave.go) that lock each node, stage the
+// group into it, and publish the wave before unlocking. Splits during
+// replay only mint nodes inside the splitting group's own range, so
+// every group's node still owns its first key; a node that does not is
+// routed again (lockGroup). Each wave locks its nodes in chain order,
+// the one lock order every writer shares.
+func (w *Worker) replay(groups []group, mine []int, e uint32, keep []bool) error {
+	var spill []int
+	for _, gi := range mine {
+		g := &groups[gi]
+		if len(g.recs) <= g.n.nbatch() {
+			n, v := w.lockGroup(g)
+			ok := w.refill(n, g.recs, e)
+			n.unlock(v)
+			if ok {
+				for _, p := range g.recs {
+					keep[p.chunk] = true
+				}
+				continue
+			}
+		}
+		spill = append(spill, gi)
+	}
+	held := make([]groupRun, 0, replayWave)
+	for len(spill) > 0 {
+		wave := spill[:min(replayWave, len(spill))]
+		spill = spill[len(wave):]
+		w.wave, held = w.wave[:0], held[:0]
+		var err error
+		for _, gi := range wave {
+			g := &groups[gi]
+			n, v := w.lockGroup(g)
+			held = append(held, groupRun{n: n, v: v})
+			batch := make([]KV, len(g.recs))
+			for k, p := range g.recs {
+				batch[k] = p.kv
+			}
+			if _, err = w.stage(n, batch, len(wave) > 1); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			w.publish()
+		}
+		for _, h := range held {
+			h.n.unlock(h.v)
+		}
+		if err != nil {
+			return fmt.Errorf("core: recovery replay: %w", err)
+		}
+	}
+	return nil
+}
+
+// lockGroup locks the node phase 3 routed g to, charging the lock and
+// the Owns check, or the owner of g's first key if that node no longer
+// owns it.
+func (w *Worker) lockGroup(g *group) (*Node, uint64) {
+	n, key := g.n, g.recs[0].kv.Key
+	w.t.Advance(2 * w.t.CostDRAM())
+	v, ok := n.tryLock()
+	if ok && !w.tree.index.Owns(w.t, n, key) {
+		n.unlock(v)
+		ok = false
+	}
+	if !ok {
+		n, v = w.lockOwner(key)
+	}
+	return n, v
+}
+
+// refill puts recs, one replayed group, into the slots of n, which the
+// caller holds locked, through the foreground's slot machine
+// (placeSlots, fillSlots) with epoch e, and reports whether they fit; if
+// not, it writes nothing. It draws no tick and appends no record: the
+// records are in the log already. A var-KV key's fingerprint comes from
+// the bytes Rebuild.check read, not from its blob.
+func (w *Worker) refill(n *Node, recs []record, e uint32) bool {
+	kvs := w.batchKVs[:0]
+	var keys [][]byte
+	for _, p := range recs {
+		kvs = append(kvs, p.kv)
+		if w.tree.opts.VarKV {
+			keys = append(keys, p.key)
+		}
+	}
+	w.batchKVs = kvs
+	r := groupRun{n: n, end: len(kvs)}
+	if !w.placeSlots(&r, kvs, keys) {
+		return false
+	}
+	w.fillSlots(&r, kvs, keys, e)
+	return true
+}
+
 // routed is an Open after phase 3: the rebuilt tree, the groups of log
 // records to replay into it in chain order, and what replay needs of
-// the image.
+// the image, among it the log chunks the chunk directory names and the
+// slots it names them in.
 type routed struct {
 	tr     *Tree
 	st     *RecoveryStats
 	rb     *Rebuild
 	sb     superblock
 	chunks []pmem.Addr
+	slots  []int
 	groups []group
 }
 
@@ -228,7 +319,7 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 		stamps: map[pmem.Addr]uint64{}, st: st}
 	rb.track(sb.dirAddr, int64((sb.dirSlots+sb.carveSlots+1)*pmem.WordSize))
 
-	chunks, err := sb.chunks(pool, t0)
+	chunks, slots, err := sb.chunks(pool, t0)
 	if err != nil {
 		return nil, err
 	}
@@ -269,21 +360,28 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 	for i, c := range rb.carves {
 		carvesOn[c.Start.Socket()] = append(carvesOn[c.Start.Socket()], i)
 	}
-	chunksOn := make([][]pmem.Addr, pool.Sockets())
-	for _, c := range chunks {
+	// chunksOn[s] are socket s's chunks, idxOn[s] their places in chunks.
+	chunksOn, idxOn := make([][]pmem.Addr, pool.Sockets()), make([][]int32, pool.Sockets())
+	for i, c := range chunks {
 		chunksOn[c.Socket()] = append(chunksOn[c.Socket()], c)
+		idxOn[c.Socket()] = append(idxOn[c.Socket()], int32(i))
 	}
 	scans := make([]scanned, threads)
 	err = pmem.Parallel(threads, func(i int) error {
 		t := phase[i]
 		var ents []wal.Entry
+		var from []int32 // the chunk each of ents is in
 		for _, sh := range shares(seats, pool.Sockets(), i) {
 			for j := sh.k; j < len(carvesOn[sh.s]); j += sh.n {
 				rb.discover(t, carvesOn[sh.s][j])
 			}
-			ents = append(ents, wal.ReadEntryPart(t, chunksOn[sh.s], chunkBytes, sh.k, sh.n)...)
+			part, in := wal.ReadEntryPart(t, chunksOn[sh.s], chunkBytes, sh.k, sh.n)
+			ents = append(ents, part...)
+			for _, k := range in {
+				from = append(from, idxOn[sh.s][k])
+			}
 		}
-		scans[i] = rb.check(t, ents)
+		scans[i] = rb.check(t, ents, from)
 		return nil
 	})
 	if err != nil {
@@ -332,9 +430,9 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 	// range by key, newest first, keeps each key's newest record (equal
 	// keys share a range, so this dedups the whole log), and walks the
 	// node chain beside the sorted records from one Find of the first
-	// (the chain runs in Compare order, Directory). It gates each record
-	// by its line's pre-crash stamp as the link pass read it (a DRAM
-	// lookup); a survivor joins its node's group.
+	// (the chain runs in Compare order, Directory; owned). It gates each
+	// record by its line's pre-crash stamp as the link pass read it (a
+	// DRAM lookup); a survivor joins its node's group.
 	parts := make([][][]record, threads)
 	syncClocks(phase, st.LinkEndNS)
 	err = pmem.Parallel(threads, func(i int) error {
@@ -378,20 +476,23 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 		chargeSort(t, len(recs))
 		recs = slices.CompactFunc(recs, func(a, b record) bool { return tr.order(t, &a, &b) == 0 })
 		var n *Node
+		var hi []byte
 		for _, p := range recs {
 			if n == nil {
 				n = tr.index.Find(t, p.kv.Key)
+				hi = tr.bound(t, n)
 			}
-			for !tr.index.Owns(t, n, p.kv.Key) {
+			for !tr.owned(t, n, &p, hi) {
 				t.Advance(t.CostDRAM())
 				if n = n.next.Load(); n == nil {
 					return corruptf("node chain", pmem.NilAddr, "not in key order")
 				}
+				hi = tr.bound(t, n)
 			}
 			leafTS := rb.stamps[n.leaf]
 			t.Advance(t.CostDRAM())
 			if p.ts > leafTS {
-				routes[i] = join(routes[i], n, p.kv)
+				routes[i] = join(routes[i], n, p)
 			} else {
 				stale[i]++
 			}
@@ -414,11 +515,32 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 	for i, gs := range routes {
 		st.EntriesStale += stale[i]
 		for _, g := range gs {
-			groups = join(groups, g.n, g.kvs...)
-			st.EntriesReplayed += len(g.kvs)
+			groups = join(groups, g.n, g.recs...)
+			st.EntriesReplayed += len(g.recs)
 		}
 	}
-	return &routed{tr, st, rb, sb, chunks, groups}, nil
+	return &routed{tr, st, rb, sb, chunks, slots, groups}, nil
+}
+
+// owned is Owns for the route walk, which reaches n by Find or from its
+// predecessor, so p's key is at least n's low key. In var-KV mode (the
+// tree's directory) it compares p's DRAM key copy with hi, the bytes of
+// the low key of n's successor (bound), instead of reading p's key blob
+// and both low keys' for every record.
+func (tr *Tree) owned(t *pmem.Thread, n *Node, p *record, hi []byte) bool {
+	if !tr.opts.VarKV {
+		return tr.index.Owns(t, n, p.kv.Key)
+	}
+	return n.next.Load() == nil || bytes.Compare(p.key, hi) < 0
+}
+
+// bound reads, in var-KV mode, the bytes of the low key of n's
+// successor for owned: once per step of the route walk.
+func (tr *Tree) bound(t *pmem.Thread, n *Node) []byte {
+	if nx := n.next.Load(); tr.opts.VarKV && nx != nil {
+		return readBlob(t, nx.lowKey)
+	}
+	return nil
 }
 
 // splitSample is how many records recovery samples in all, evenly from
@@ -427,21 +549,21 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 // each range still rests on about 85 samples.
 const splitSample = 4096
 
-// group is one node's surviving records, which replay flushes as one
+// group is one node's surviving records, which replay applies as one
 // batch.
 type group struct {
-	n   *Node
-	kvs []KV
+	n    *Node
+	recs []record
 }
 
-// join adds kvs to gs as n's: to the last group if it is n's, else as a
-// new one.
-func join(gs []group, n *Node, kvs ...KV) []group {
+// join adds recs to gs as n's: to the last group if it is n's, else as
+// a new one.
+func join(gs []group, n *Node, recs ...record) []group {
 	if k := len(gs) - 1; k >= 0 && gs[k].n == n {
-		gs[k].kvs = append(gs[k].kvs, kvs...)
+		gs[k].recs = append(gs[k].recs, recs...)
 		return gs
 	}
-	return append(gs, group{n, kvs})
+	return append(gs, group{n, recs})
 }
 
 // seat places n threads on sockets in proportion to work, the PM work
@@ -600,14 +722,21 @@ func (s superblock) carves(pool *pmem.Pool, t *pmem.Thread) ([]pmalloc.Carve, er
 	return carves, nil
 }
 
-// chunks reads the chunk directory s names on t and checks every chunk
-// address in it: on the device for a whole chunk, and line-aligned.
-func (s superblock) chunks(pool *pmem.Pool, t *pmem.Thread) ([]pmem.Addr, error) {
-	chunks := readChunkDir(t, s.dirAddr, s.dirSlots)
+// chunks reads the chunk directory s names on t, and the slot each
+// chunk is in, and checks every chunk address in it: on the device for
+// a whole chunk, line-aligned, and in one slot only (recovery releases a
+// chunk by its slot).
+func (s superblock) chunks(pool *pmem.Pool, t *pmem.Thread) ([]pmem.Addr, []int, error) {
+	chunks, slots := readChunkDir(t, s.dirAddr, s.dirSlots)
+	seen := make(map[pmem.Addr]bool, len(chunks))
 	for _, c := range chunks {
 		if !pool.ValidRange(c, int64(s.chunkBytes)) || c.Offset()%pmem.XPLineSize != 0 {
-			return nil, corruptf("chunk directory", c, "chunk address invalid")
+			return nil, nil, corruptf("chunk directory", c, "chunk address invalid")
 		}
+		if seen[c] {
+			return nil, nil, corruptf("chunk directory", c, "chunk registered twice")
+		}
+		seen[c] = true
 	}
-	return chunks, nil
+	return chunks, slots, nil
 }

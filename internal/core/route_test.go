@@ -205,7 +205,7 @@ func checkRoute(t *testing.T, r *routed) {
 	}
 	newest := map[string]version{}
 	dropped := 0
-	for _, e := range wal.ReadEntryPart(th, r.chunks, r.sb.chunkBytes, 0, 1) {
+	for _, e := range wal.ReadEntriesInChunks(th, r.chunks, r.sb.chunkBytes) {
 		if _, err := r.rb.words(th, e.Key, e.Value, nil); err != nil {
 			dropped++
 			continue
@@ -230,7 +230,8 @@ func checkRoute(t *testing.T, r *routed) {
 			t.Fatalf("group at chain position %d after one at %d", pos[g.n], last)
 		}
 		last = pos[g.n]
-		for _, kv := range g.kvs {
+		for _, p := range g.recs {
+			kv := p.kv
 			lk := logical(kv.Key)
 			if n, ok := want[lk]; !ok || n != g.n || kv != newest[lk].kv {
 				t.Fatalf("key %s: routed %v to chain position %d; reference: survivor %v, newest %v, position %d",

@@ -91,6 +91,10 @@ type Tree struct {
 
 	workersMu classedLock
 	workers   []*Worker
+	// registry is an immutable snapshot of workers, replaced under
+	// workersMu at each registration: a worker's place in it never
+	// changes, so a reader indexes it without the lock.
+	registry atomic.Pointer[[]*Worker]
 
 	// reclaim is the epoch-based reclamation state keeping merged
 	// leaves mapped while lock-free readers may still probe them.
@@ -121,8 +125,9 @@ type Tree struct {
 
 	leafCount atomic.Int64
 	// logBytes tracks live appended WAL bytes (entries in unreclaimed
-	// generations); this — not chunk footprint — feeds the THlog
-	// trigger ratio, matching the paper's "log file size".
+	// generations, and the full chunks recovery kept for the slots it
+	// refilled); this — not chunk footprint — feeds the THlog trigger
+	// ratio, matching the paper's "log file size".
 	logBytes atomic.Int64
 	peakLog  atomic.Int64
 	ctr      counters

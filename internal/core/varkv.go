@@ -130,12 +130,10 @@ func (tr *Tree) keyBytes(t *pmem.Thread, w uint64) []byte {
 	return readBlob(t, w)
 }
 
-// probeBytes fetches a registered worker's current probe key.
+// probeBytes fetches a registered worker's current probe key, from the
+// registry's snapshot: no lock on a var-KV comparison.
 func (tr *Tree) probeBytes(id int) []byte {
-	tok := tr.workersMu.rlock()
-	w := tr.workers[id]
-	tr.workersMu.runlock(tok)
-	return w.probeKey
+	return (*tr.registry.Load())[id].probeKey
 }
 
 // hashKeyBytes hashes key bytes (FNV-1a) for fingerprinting and

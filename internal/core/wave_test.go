@@ -10,19 +10,25 @@ import (
 	"cclbtree/internal/wal"
 )
 
-// waveImage is a crash image whose replay runs in waves: keys 100, 200,
-// … 100·keys written straight to their leaves (no buffer, so no
-// records), then records appended to the log, acknowledged (each group
-// fenced) and newer than every leaf stamp: an update of every step-th
-// key and a new key beside it, and, with split set, twenty new keys of
-// one leaf, whose group splits.
+// waveImage is a crash image whose records overflow the default
+// 2-slot buffers, as those of a tree written with Nbatch 8 can: keys
+// 100, 200, … 100·keys written straight to their leaves (no buffer, so
+// no records), then records appended to the log, acknowledged (each
+// group fenced) and newer than every leaf stamp: an update of every
+// step-th key and a new key beside it, and, with split set, twenty new
+// keys of one leaf, whose group splits. When a leaf holds several
+// step-th keys, its node's group overflows a 2-slot buffer and replay
+// flushes it in a wave; when step exceeds a leaf's keys, every group
+// fits its buffer.
 type waveImage struct {
 	img crashImage
 	mut func(*pmem.Config)
 	// want holds every key of the image at its last version.
 	want map[uint64]uint64
-	// groups counts the nodes the records route to: replay's groups.
-	groups int
+	// groups counts the nodes the records route to: replay's groups;
+	// over those of more than two records, which replay flushes in
+	// waves.
+	groups, over int
 }
 
 func newWaveImage(t *testing.T, keys, step int, split bool, mut func(*pmem.Config)) waveImage {
@@ -38,12 +44,12 @@ func newWaveImage(t *testing.T, keys, step int, split bool, mut func(*pmem.Confi
 	}
 	ts := tr.clock.Now(0) + 1
 	var ents []wal.Entry
-	nodes := map[*bufferNode]bool{}
+	nodes := map[*bufferNode]int{}
 	record := func(k, v uint64) {
 		ents = append(ents, wal.Entry{Key: k, Value: v, Timestamp: ts})
 		ts++
 		wi.want[k] = v
-		nodes[tr.index.Find(w.t, k)] = true
+		nodes[tr.index.Find(w.t, k)]++
 	}
 	for i := step; i <= keys-LeafSlots; i += step { // the last leaf may be full
 		record(uint64(100*i), uint64(100*i+1))
@@ -56,6 +62,11 @@ func newWaveImage(t *testing.T, keys, step int, split bool, mut func(*pmem.Confi
 		}
 	}
 	wi.groups = len(nodes)
+	for _, recs := range nodes {
+		if recs > 2 {
+			wi.over++
+		}
+	}
 	for len(ents) > 0 {
 		g := ents[:min(16, len(ents))]
 		if err := w.logs[0].AppendBatch(w.t, g); err != nil {
@@ -99,7 +110,8 @@ func (wi waveImage) check(tr *Tree) string {
 }
 
 // TestCrashInsideReplayWave cuts power at every flush of a replay that
-// runs in several waves, at 1 and 2 threads, with one splitting group,
+// runs in several waves, at 1 and 2 threads, with one splitting group
+// (an image whose groups overflow their buffers, newWaveImage),
 // and tears every line the replaying threads flushed but did not fence
 // (Pool.TearPending) before the crash: a header published in a wave is
 // pending until the wave's last fence, and so is, until the wave's
@@ -124,14 +136,15 @@ func TestCrashInsideReplayWave(t *testing.T) {
 		if msg := wi.check(tr); msg != "" {
 			t.Fatalf("%d threads, uninterrupted recovery: %s", threads, msg)
 		}
-		if perThread := wi.groups / threads; perThread <= 2*replayWave {
-			t.Fatalf("%d groups on %d threads replay in under 3 waves each", wi.groups, threads)
+		if perThread := wi.over / threads; perThread <= 2*replayWave {
+			t.Fatalf("%d overflowing groups on %d threads replay in under 3 waves each", wi.over, threads)
 		}
 		if tr.Counters().Splits == 0 {
 			t.Fatal("no replayed group split")
 		}
 		flushes := pool.FlushCalls() - base
-		t.Logf("%d threads: %d groups, %d records, %d recovery flushes", threads, wi.groups, st.EntriesReplayed, flushes)
+		t.Logf("%d threads: %d groups (%d overflowing), %d records, %d recovery flushes",
+			threads, wi.groups, wi.over, st.EntriesReplayed, flushes)
 		stride := int64(1)
 		if points > 0 && flushes > points {
 			stride = flushes / points
@@ -165,26 +178,48 @@ func TestCrashInsideReplayWave(t *testing.T) {
 	}
 }
 
-// TestReplayFenceBudget counts the fences replay issues on one thread:
-// G groups that do not split take 2⌈G/32⌉, a data fence and a header
-// fence per wave of replayWave groups.
+// TestReplayFenceBudget counts the fences replay issues on one thread,
+// and what it writes. Groups that fit their buffers go into slots: no
+// fence, no media write of the recovery scope, and no charge but each
+// group's lock and Owns check (two DRAM accesses). G groups that
+// overflow their buffers and do not split take 2⌈G/32⌉ fences, a data
+// fence and a header fence per wave of replayWave groups.
 func TestReplayFenceBudget(t *testing.T) {
-	wi := newWaveImage(t, 1200, 2, false, func(c *pmem.Config) { c.DeviceBytes = 1 << 20 })
-	pool := wi.load(t)
-	tr, _, err := Open(pool, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg := wi.check(tr); msg != "" {
-		t.Fatal(msg)
-	}
-	if s := tr.Counters().Splits; s != 0 {
-		t.Fatalf("replay split %d times", s)
-	}
-	replay := tr.workers[0].t // phase 4's worker registers first
-	fences := replay.FenceNS() / pool.Config().Cost.FenceIssue
-	if want := 2 * int64((wi.groups+replayWave-1)/replayWave); fences != want {
-		t.Fatalf("%d groups replayed with %d fences, want %d", wi.groups, fences, want)
+	for _, c := range []struct {
+		name string
+		step int
+		over bool // every group overflows, else every group fits
+	}{{"fitting", 3 * LeafSlots, false}, {"overflowing", 2, true}} {
+		wi := newWaveImage(t, 1200, c.step, false, func(c *pmem.Config) { c.DeviceBytes = 1 << 20 })
+		if wi.groups == 0 || (wi.over == wi.groups) != c.over || (wi.over == 0) == c.over {
+			t.Fatalf("%s: %d of %d groups overflow", c.name, wi.over, wi.groups)
+		}
+		pool := wi.load(t)
+		base := pool.Stats().MediaWriteByScope[pmem.ScopeRecovery]
+		tr, st, err := Open(pool, Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := wi.check(tr); msg != "" {
+			t.Fatalf("%s: %s", c.name, msg)
+		}
+		if d, most := st.ReplayEndNS-st.RouteEndNS, int64(wi.groups)*2*pool.Config().Cost.DRAMAccess; !c.over && d > most {
+			t.Errorf("%s: replay of %d groups took %d ns, its DRAM charges at most %d", c.name, wi.groups, d, most)
+		}
+		if s := tr.Counters().Splits; s != 0 {
+			t.Fatalf("%s: replay split %d times", c.name, s)
+		}
+		replay := tr.workers[0].t // phase 4's worker registers first
+		fences := replay.FenceNS() / pool.Config().Cost.FenceIssue
+		pool.DrainXPBuffers()
+		written := pool.Stats().MediaWriteByScope[pmem.ScopeRecovery] - base
+		want := 2 * int64((wi.over+replayWave-1)/replayWave)
+		if !c.over && written != 0 {
+			t.Errorf("%s: %d groups replayed into slots wrote %d recovery media bytes", c.name, wi.groups, written)
+		}
+		if fences != want {
+			t.Errorf("%s: %d groups replayed with %d fences, want %d", c.name, wi.groups, fences, want)
+		}
 	}
 }
 
@@ -250,9 +285,10 @@ func TestGroupTriggersShareOneWave(t *testing.T) {
 
 // TestReplayWaveCombinesInXPBuffer holds a replay wave inside one DIMM's
 // XPBuffer: each staged line's data flush and header flush combine into
-// one media write, so replaying groups that do not split writes about
-// one 256 B line per group. A wave of more lines than the buffer holds
-// evicts each line between its two flushes and writes it twice.
+// one media write, so replaying overflowing groups that do not split
+// writes about one 256 B line per group. A wave of more lines than the
+// buffer holds evicts each line between its two flushes and writes it
+// twice.
 func TestReplayWaveCombinesInXPBuffer(t *testing.T) {
 	mut := func(c *pmem.Config) {
 		c.Sockets, c.DIMMsPerSocket, c.XPBufferLines, c.DeviceBytes = 1, 1, 64, 2<<20
@@ -265,6 +301,9 @@ func TestReplayWaveCombinesInXPBuffer(t *testing.T) {
 	}
 	if s := tr.Counters().Splits; s != 0 {
 		t.Fatalf("replay split %d times", s)
+	}
+	if wi.over != wi.groups {
+		t.Fatalf("%d of %d groups overflow their buffers", wi.over, wi.groups)
 	}
 	pool.DrainXPBuffers()
 	per := float64(pool.Stats().MediaWriteByScope[pmem.ScopeRecovery]) / float64(wi.groups)

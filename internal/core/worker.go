@@ -120,6 +120,8 @@ func (tr *Tree) NewWorker(socket int) *Worker {
 	tok := tr.workersMu.lock()
 	w.id = len(tr.workers)
 	tr.workers = append(tr.workers, w)
+	ws := tr.workers
+	tr.registry.Store(&ws)
 	tr.workersMu.unlock(tok)
 	return w
 }

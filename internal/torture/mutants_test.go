@@ -177,12 +177,23 @@ var named = []mutant{
 	},
 	{
 		// Every surviving record becomes a group of its own, outside
-		// the node it routed to, so replay never flushes it into that
-		// node's line.
+		// the node it routed to, so replay never puts it into that
+		// node's slots or line.
 		name: "replay-per-record",
 		edits: []edit{{"internal/core/recovery.go",
-			"routes[i] = join(routes[i], n, p.kv)",
-			"routes[i] = append(routes[i], group{kvs: []KV{p.kv}})"}},
+			"routes[i] = join(routes[i], n, p)",
+			"routes[i] = append(routes[i], group{recs: []record{p}})"}},
+		unit: unitCore,
+	},
+	{
+		// Open clears the chunk directory and free-lists every log
+		// chunk, as it did when replay flushed every group into its
+		// line, while the records replay put into buffer slots are
+		// durable only in those chunks: a second crash loses them.
+		name: "recovery-clears-log",
+		edits: []edit{{"internal/core/recovery.go",
+			"\ttr.walman.AdoptChunks(spare)\n\tworkers[0].logs[e].Adopt(kept)\n",
+			"\ttr.dir.clearAll()\n\ttr.walman.AdoptChunks(append(spare, kept...))\n"}},
 		unit: unitCore,
 	},
 	{

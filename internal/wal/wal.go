@@ -9,8 +9,9 @@
 // append an XPBuffer-friendly sequential write. Chunk recycling never
 // zeroes PM (that would itself cause XPLine writes): recovery instead
 // filters stale entries by timestamp against the leaf they belong to,
-// which is sound because any reclaimed entry's KV was flushed to a leaf
-// whose timestamp field is newer than the entry (see core's recovery).
+// which is sound because any reclaimed entry is superseded by a newer
+// record of its key in a live chunk or by the stamp of a leaf its KV
+// was flushed to (see core's recovery).
 //
 // On PM, the timestamp word is checksum-stamped: the ORDO tick lives in
 // the upper 48 bits and a 16-bit check code over (key, value, tick) in
@@ -174,12 +175,18 @@ func (m *Manager) ReleaseChunks(chunks []pmem.Addr) {
 }
 
 // AdoptChunks takes ownership of externally discovered chunks (recovery
-// hands back the pre-crash log chunks) and free-lists them.
+// hands back the pre-crash log chunks that hold no record it still
+// needs) and free-lists them.
 func (m *Manager) AdoptChunks(chunks []pmem.Addr) {
-	m.mu.Lock()
-	m.allocated += int64(len(chunks))
-	m.mu.Unlock()
+	m.adopt(len(chunks))
 	m.ReleaseChunks(chunks)
+}
+
+// adopt counts n externally discovered chunks as the manager's.
+func (m *Manager) adopt(n int) {
+	m.mu.Lock()
+	m.allocated += int64(n)
+	m.mu.Unlock()
 }
 
 // FreeChunks reports the number of free-listed chunks on a socket.
@@ -328,6 +335,22 @@ func (l *Log) TailFull() bool {
 	return len(l.chunks) > 0 && l.tailOff+EntrySize > l.m.chunkBytes
 }
 
+// Adopt hands the log externally discovered chunks that hold records it
+// must keep (recovery's pre-crash chunks whose records live on in DRAM),
+// as full chunks ahead of its own: its next append takes a chunk of its
+// own, and Detach releases them with the rest. Each counts as a full
+// chunk of records in Bytes.
+func (l *Log) Adopt(chunks []pmem.Addr) {
+	l.m.adopt(len(chunks))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.chunks) == 0 {
+		l.tailOff = l.m.chunkBytes
+	}
+	l.chunks = append(append([]pmem.Addr(nil), chunks...), l.chunks...)
+	l.bytes += int64(len(chunks) * (l.m.chunkBytes / EntrySize) * EntrySize)
+}
+
 // Detach removes and returns the log's chunks, resetting it to empty.
 // The caller passes them to Manager.ReleaseChunks once no reader needs
 // them (end of a GC round).
@@ -392,19 +415,23 @@ func decodeRecords(w []uint64, limit int, out []Entry) []Entry {
 // decodeRecords for what is skipped). It is ReadEntryPart's one-part
 // scan.
 func ReadEntriesInChunks(t *pmem.Thread, chunks []pmem.Addr, chunkBytes int) []Entry {
-	return ReadEntryPart(t, chunks, chunkBytes, 0, 1)
+	ents, _ := ReadEntryPart(t, chunks, chunkBytes, 0, 1)
+	return ents
 }
 
 // ReadEntryPart scans part p of n of the given raw chunks: their record
 // slots, in chunk order, cut into n ranges whose sizes differ by at most
 // one record. The n parts, concatenated in order, are the whole scan, so
 // n threads can share a chunk set evenly however few chunks it holds. A
-// chunk's tail shorter than a record is never read.
-func ReadEntryPart(t *pmem.Thread, chunks []pmem.Addr, chunkBytes, p, n int) []Entry {
+// chunk's tail shorter than a record is never read. Beside the valid
+// entries it returns, for each, the index in chunks of the chunk that
+// holds it.
+func ReadEntryPart(t *pmem.Thread, chunks []pmem.Addr, chunkBytes, p, n int) ([]Entry, []int32) {
 	per := chunkBytes / EntrySize
 	total := len(chunks) * per
 	lo, hi := p*total/n, (p+1)*total/n
 	var out []Entry
+	var in []int32
 	w := make([]uint64, min(hi-lo, per)*EntrySize/pmem.WordSize)
 	for r := lo; r < hi; {
 		first := r % per
@@ -412,7 +439,10 @@ func ReadEntryPart(t *pmem.Thread, chunks []pmem.Addr, chunkBytes, p, n int) []E
 		words := w[:cnt*EntrySize/pmem.WordSize]
 		t.ReadRange(chunks[r/per].Add(int64(first*EntrySize)), words)
 		out = decodeRecords(words, cnt*EntrySize, out)
+		for len(in) < len(out) {
+			in = append(in, int32(r/per))
+		}
 		r += cnt
 	}
-	return out
+	return out, in
 }

@@ -91,6 +91,45 @@ func TestDetachAndRecycle(t *testing.T) {
 	}
 }
 
+// TestAdoptHoldsFullChunks checks that adopted chunks stay in use and
+// full: the next append takes a chunk of its own, Bytes counts each
+// adopted chunk as full of records, and Detach hands them back with the
+// log's own.
+func TestAdoptHoldsFullChunks(t *testing.T) {
+	pool, m := testSetup(t, 256)
+	th := pool.NewThread(0)
+	old := NewLog(m, 0)
+	for i := uint64(1); i <= 20; i++ {
+		_, _ = old.Append(th, Entry{Key: i, Timestamp: i})
+	}
+	kept := old.Detach() // what a restart finds registered
+	m2 := NewManager(m.alloc, 256)
+	l := NewLog(m2, 0)
+	l.Adopt(kept)
+	if !l.TailFull() || l.Bytes() != 2*10*EntrySize || m2.InUseChunks() != 2 {
+		t.Fatalf("after Adopt: tail full %v, %d bytes, %d chunks in use", l.TailFull(), l.Bytes(), m2.InUseChunks())
+	}
+	a, err := l.Append(th, Entry{Key: 99, Timestamp: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range kept {
+		if a >= c && a < c.Add(256) {
+			t.Fatalf("append at %v wrote into adopted chunk %v", a, c)
+		}
+	}
+	if m2.InUseChunks() != 3 {
+		t.Fatalf("%d chunks in use after the append, want 3", m2.InUseChunks())
+	}
+	got := l.Detach()
+	if len(got) != 3 || got[0] != kept[0] || got[1] != kept[1] {
+		t.Fatalf("Detach returned %v, want the adopted %v first", got, kept)
+	}
+	if e := ReadEntriesInChunks(th, got[:2], 256); len(e) != 20 {
+		t.Fatalf("adopted chunks hold %d records, want 20", len(e))
+	}
+}
+
 func TestRawChunkScanSeesStaleEntries(t *testing.T) {
 	// ReadEntriesInChunks is the restart path: it scans whole chunks
 	// and WILL see stale entries; callers filter by timestamp. Verify
@@ -143,9 +182,15 @@ func TestReadEntryPartsTileTheScan(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		var got []Entry
 		for p := 0; p < n; p++ {
-			part := ReadEntryPart(th, chunks, 256, p, n)
+			part, in := ReadEntryPart(th, chunks, 256, p, n)
 			if len(part) > 30/n+1 {
 				t.Fatalf("n=%d: part %d holds %d records of 30 slots", n, p, len(part))
+			}
+			for i, e := range part {
+				// Entry k (from 1) sits in chunk (k-1)/10.
+				if want := int32((e.Key - 1) / 10); in[i] != want {
+					t.Fatalf("n=%d: entry %+v reported in chunk %d, want %d", n, e, in[i], want)
+				}
 			}
 			got = append(got, part...)
 		}
