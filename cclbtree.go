@@ -68,6 +68,8 @@ type Config struct {
 	Shards int
 	// Nbatch is the buffer-node capacity, at most 8; 0 means the
 	// default (2), -1 disables buffering (the paper's "Base" ablation).
+	// The image records it: Open adopts the image's value, and uses
+	// this one only for an image written before Nbatch was recorded.
 	Nbatch int
 	// THlog is the GC trigger ratio (log bytes / leaf bytes); 0 means
 	// the default 0.20.

@@ -25,7 +25,8 @@ type Options struct {
 	// Buckets is the home-bucket count (rounded up to a power of two;
 	// default 16384).
 	Buckets int
-	// Nbatch is the per-bucket DRAM buffer capacity (default 2).
+	// Nbatch is the per-bucket DRAM buffer capacity (default 2). The
+	// image records it: Recover adopts the image's value.
 	Nbatch int
 	// THlog triggers GC when live log bytes exceed THlog × bucket
 	// bytes (default 0.2).

@@ -309,10 +309,6 @@ func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
 	}
 }
 
-// TestHashCrashInsideRecover cuts power at every flush of Recover
-// itself, crashes, recovers again from the same chunk set, and requires
-// every acknowledged write. The crash image is built once and loaded
-// into a fresh pool per point; -short takes every fifth point.
 // hashImage writes 3,000 random puts and deletes over 1,000 keys to a
 // table with opts, with no GC, and crashes it. It returns a loader of
 // the crash image into a fresh pool, and a check that reports the first
@@ -376,18 +372,16 @@ func hashImage(t *testing.T, opts Options) (func() *pmem.Pool, func(*Table) stri
 }
 
 // TestHashCrashInsideRecover cuts power at every flush of a recovery
-// that flushes buckets: the image is written with Nbatch 8 and
-// recovered with the default 2, so buckets whose records overflow their
-// buffers replay in waves.
+// of a table reopened with the Nbatch it was written with: every group
+// fits its bucket's buffer, so the flushes are the chunk directory's
+// unregisters of the chunks whose records no slot needs (few buckets
+// and small chunks, so most chunks hold only superseded records). Every
+// line the failed recovery flushed but did not fence is torn
+// (Pool.TearPending) before the crash, and the reopened table must hold
+// every acknowledged write.
 func TestHashCrashInsideRecover(t *testing.T) {
-	stride := int64(1)
-	if testing.Short() {
-		stride = 5
-	}
-	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
-	written := opts
-	written.Nbatch = 8
-	load, lost := hashImage(t, written)
+	opts := Options{Buckets: 1 << 6, ChunkBytes: 4 << 10, DisableGC: true}
+	load, lost := hashImage(t, opts)
 
 	p := load()
 	base := p.FlushCalls()
@@ -400,11 +394,11 @@ func TestHashCrashInsideRecover(t *testing.T) {
 	}
 	flushes := p.FlushCalls() - base
 	t.Logf("%d recovery flushes", flushes)
-	if flushes < 50 {
-		t.Fatalf("recovery flushed %d times: no bucket overflowed its buffer", flushes)
+	if flushes == 0 {
+		t.Fatal("recovery released no chunk")
 	}
 	var bad []string
-	for k := int64(1); k <= flushes; k += stride {
+	for k := int64(1); k <= flushes; k++ {
 		p := load()
 		base := p.FlushCalls()
 		p.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+k })
@@ -413,6 +407,7 @@ func TestHashCrashInsideRecover(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flush %d: %v", k, err)
 		}
+		p.TearPending(k)
 		p.Crash()
 		h3, err := Recover(p, opts)
 		if err != nil {
@@ -423,8 +418,55 @@ func TestHashCrashInsideRecover(t *testing.T) {
 		}
 	}
 	if len(bad) > 0 {
-		t.Errorf("%d of %d crash points lost acknowledged writes; first: %s",
-			len(bad), (flushes+stride-1)/stride, bad[0])
+		t.Errorf("%d of %d crash points lost acknowledged writes; first: %s", len(bad), flushes, bad[0])
+	}
+}
+
+// TestRecoverAdoptsImageNbatch is core's TestOpenAdoptsImageNbatch on
+// a table: one created at each Nbatch (-1 is Base, 0 slots) recovers
+// with it under Options{}, and an empty bucket of the recovered table
+// then buffers exactly that many new keys before its first trigger
+// write.
+func TestRecoverAdoptsImageNbatch(t *testing.T) {
+	for _, c := range []struct{ created, want int }{{-1, 0}, {2, 2}, {4, 4}, {8, 8}} {
+		pool := pmem.NewPool(pmem.Config{Sockets: 1, DIMMsPerSocket: 1, DeviceBytes: 1 << 20, StrictPersist: true})
+		opts := Options{Buckets: 1 << 4, ChunkBytes: 16 << 10, DisableGC: true}
+		created := opts
+		created.Nbatch = c.created
+		h, err := New(pool, created)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Freeze()
+		pool.Crash()
+		if h, err = Recover(pool, opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Options().Nbatch; got != c.want {
+			t.Fatalf("created at %d: recovered with Nbatch %d, want %d", c.created, got, c.want)
+		}
+		w := h.NewWorker(0)
+		var keys []uint64
+		for k := uint64(1); len(keys) <= c.want; k++ {
+			if h.d.bucket(k) == 0 {
+				keys = append(keys, k)
+			}
+		}
+		for i, k := range keys {
+			before := h.Counters().TriggerWrites
+			if err := w.Put(k, k); err != nil {
+				t.Fatal(err)
+			}
+			if trig := h.Counters().TriggerWrites != before; trig != (i == c.want) {
+				t.Fatalf("created at %d: put %d into an empty bucket made a trigger write: %v", c.created, i+1, trig)
+			}
+		}
+		for _, k := range keys {
+			if v, ok := w.Get(k); !ok || v != k {
+				t.Fatalf("created at %d: key %d reads %d,%v", c.created, k, v, ok)
+			}
+		}
+		h.Freeze()
 	}
 }
 
@@ -862,7 +904,7 @@ func TestChainRunsInCompareOrder(t *testing.T) {
 	}
 }
 
-// stageSpy is the table's directory, recording what replay stages into
+// stageSpy is the table's directory, recording what is staged into
 // which node and counting keys staged into a node Find does not name.
 type stageSpy struct {
 	*buckets
@@ -884,22 +926,21 @@ func (s *stageSpy) Stage(w *core.Worker, n *core.Node, st *core.Staged, batch []
 }
 
 // TestRouteMatchesFindHash is core's TestRouteMatchesFind on a hash
-// table image with overflow chains, written with Nbatch 8 and recovered
-// with the default 2, so that replay stages the buckets whose records
-// overflow their buffers and puts the rest into buffer slots: at 1 to 4
-// recovery threads, every record replay stages goes to the node Find
-// names for its key, the table reads every acknowledged write, and each
-// thread count replays the same records with the same counts into the
-// same contents.
+// table image with overflow chains, reopened with the Nbatch it was
+// written with, so that replay puts every surviving record into its
+// bucket's buffer slots. A naive GC round then flushes every slot
+// through the directory's Stage: at 1 to 4 recovery threads, every
+// record replay put into a bucket's slots belongs to the bucket Find
+// names, and every replayed record is in one; the table reads every
+// acknowledged write, and each thread count replays the same records
+// with the same counts into the same contents.
 func TestRouteMatchesFindHash(t *testing.T) {
 	opts := Options{Buckets: 1 << 6, ChunkBytes: 16 << 10, DisableGC: true}
 	var first, firstGot map[uint64]uint64
 	var firstSt core.RecoveryStats
 	for threads := 1; threads <= 4; threads++ {
 		pool := testPool()
-		written := opts
-		written.Nbatch = 8
-		h, err := New(pool, written)
+		h, err := New(pool, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -923,12 +964,18 @@ func TestRouteMatchesFindHash(t *testing.T) {
 		h.Freeze()
 		pool.Crash()
 		spy := &stageSpy{buckets: newBuckets(opts.Buckets), staged: map[uint64]uint64{}}
-		tr, st, err := core.OpenIndex(pool, opts.core(), threads, spy)
+		co := opts.core()
+		co.GC = core.GCNaive
+		tr, st, err := core.OpenIndex(pool, co, threads, spy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spy.misrouted != 0 || len(spy.staged) == 0 || len(spy.staged) >= st.EntriesReplayed || st.EntriesStale == 0 {
-			t.Fatalf("%d threads: %d of %d staged records misrouted; stats %+v", threads, spy.misrouted, len(spy.staged), st)
+		if len(spy.staged) != 0 {
+			t.Fatalf("%d threads: replay staged %d records", threads, len(spy.staged))
+		}
+		tr.ForceGC()
+		if spy.misrouted != 0 || len(spy.staged) != st.EntriesReplayed || st.EntriesStale == 0 {
+			t.Fatalf("%d threads: %d of %d slot records misrouted; stats %+v", threads, spy.misrouted, len(spy.staged), st)
 		}
 		w2 := (&Table{tr, spy.buckets}).NewWorker(0)
 		got := map[uint64]uint64{}
@@ -943,9 +990,10 @@ func TestRouteMatchesFindHash(t *testing.T) {
 		s := *st
 		s.DiscoverEndNS, s.LinkEndNS, s.RouteEndNS, s.ReplayEndNS, s.VirtualNS = 0, 0, 0, 0, 0
 		if threads > 1 && (s != firstSt || !maps.Equal(spy.staged, first) || !maps.Equal(got, firstGot)) {
-			t.Fatalf("%d threads: stats %+v, %d staged, %d keys; 1 thread: %+v, %d, %d",
+			t.Fatalf("%d threads: stats %+v, %d in slots, %d keys; 1 thread: %+v, %d, %d",
 				threads, s, len(spy.staged), len(got), firstSt, len(first), len(firstGot))
 		}
 		first, firstGot, firstSt = spy.staged, got, s
+		tr.Freeze()
 	}
 }

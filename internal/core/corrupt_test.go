@@ -49,6 +49,8 @@ func TestRecoveryRejectsCorruptImage(t *testing.T) {
 		{"chunk bytes unaligned", sbOffset + 32, 100},
 		{"chunk bytes huge", sbOffset + 32, 1 << 40},
 		{"no carve directory", sbOffset + 48, 0},
+		// Arena 0 of 1, and an Nbatch field past maxNbatch+1.
+		{"Nbatch field too large", sbOffset + 40, 1<<8 | sbNbatchMask<<sbNbatchShift},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

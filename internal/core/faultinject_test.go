@@ -72,8 +72,9 @@ func crashWorkload(seed int64, groups, size, space int, fn func(ops []BatchOp)) 
 //     — a group is atomic per op, not as a unit.
 //
 // The sweep runs each write driver in both persistence domains (ADR
-// rolls back unfenced flushes at Crash; eADR keeps every store), with
-// and without background GC. GC-enabled sweeps rely on the sticky
+// tears the lines flushed but not fenced at the failure, then rolls
+// back what did not drain; eADR keeps every store), with and without
+// background GC. GC-enabled sweeps rely on the sticky
 // FailWhen trigger: the fault may fire first on the GC goroutine (which
 // recovers and exits), and stickiness guarantees the workload thread
 // dies at its own next flush instead of completing operations on a
@@ -281,6 +282,10 @@ func runCrashPoint(t *testing.T, d crashDriver, mode pmem.Mode, gc GCPolicy, poi
 		return flushes
 	}
 
+	// Every line flushed but not fenced at the failure persists fully,
+	// not at all, or as a torn prefix (seeded by the point): a header
+	// published in a shared wave is pending until the wave's last fence.
+	pool.TearPending(point)
 	pool.Crash()
 	tr2, _, err := Open(pool, opts, 1)
 	if err != nil {

@@ -36,6 +36,7 @@ func FuzzRecoveryScan(f *testing.F) {
 	f.Add(true, []byte{})
 	f.Add(false, poke(256+8, ^uint64(0)))      // superblock head-leaf word
 	f.Add(false, poke(256+24, 1))              // superblock dir-slots word
+	f.Add(false, poke(256+40, 1<<8|0x3f<<2))   // superblock flags: Nbatch field 63
 	f.Add(true, poke(64<<10, uint64(1)<<63|1)) // a bogus blob pointer somewhere
 	f.Add(false, append(poke(4096, 0xffff), poke(8192, 3)...))
 

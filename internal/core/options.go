@@ -53,6 +53,8 @@ type Options struct {
 	// insert goes straight to the leaf in one flush, which is the
 	// "Base" configuration of the Fig 13 ablation (it also disables
 	// logging — with no volatile buffer there is nothing to protect).
+	// The superblock records it: Open adopts the image's value, as it
+	// does VarKV and ChunkBytes, unless the image predates the record.
 	Nbatch int
 	// THlog is the GC trigger threshold: reclaim when log bytes exceed
 	// THlog × leaf bytes (default 0.20, §5.4 Table 2).

@@ -100,7 +100,7 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 
 	// Phase 4: each worker replays its share of its socket's groups, in
 	// chain order (Worker.replay): into buffer slots, or through the
-	// node's lines when a group overflows its buffer. The workers start
+	// node's line when a group overflows its buffer. The workers start
 	// where routing ended, not at the pool's work frontier: discovery's
 	// reads may still queue on some DIMMs, and only an access to one of
 	// them should wait for them.
@@ -165,58 +165,35 @@ func OpenIndex(pool *pmem.Pool, opts Options, threads int, dir Directory) (*Tree
 	return tr, st, nil
 }
 
-// replay applies the groups mine names, in chain order. A group that
-// fits its node's buffer goes into its slots (refill) and marks the
-// chunks its records are in as kept: it stays what it was at the crash,
-// a buffered entry whose record is in the log. A larger group (an image
-// written with a larger Nbatch) is flushed into its node's line, in
-// waves of replayWave groups (wave.go) that lock each node, stage the
-// group into it, and publish the wave before unlocking. Splits during
-// replay only mint nodes inside the splitting group's own range, so
-// every group's node still owns its first key; a node that does not is
-// routed again (lockGroup). Each wave locks its nodes in chain order,
-// the one lock order every writer shares.
+// replay applies the groups mine names, in chain order, one node
+// locked at a time. A group that fits its node's buffer goes into its
+// slots (refill) and marks the chunks its records are in as kept: it
+// stays what it was at the crash, a buffered entry whose record is in
+// the log. A larger group (a neighbour's group joined by the records of
+// a leaf the link pass reclaimed, or one of an image written with larger
+// buffers before the superblock recorded Nbatch) is staged as a trigger
+// write and published as a wave of one (wave.go) before the node is
+// unlocked.
+// Splits during replay only mint nodes inside the splitting group's own
+// range, so every group's node still owns its first key; a node that
+// does not is routed again (lockGroup).
 func (w *Worker) replay(groups []group, mine []int, e uint32, keep []bool) error {
-	var spill []int
 	for _, gi := range mine {
 		g := &groups[gi]
-		if len(g.recs) <= g.n.nbatch() {
-			n, v := w.lockGroup(g)
-			ok := w.refill(n, g.recs, e)
-			n.unlock(v)
-			if ok {
-				for _, p := range g.recs {
-					keep[p.chunk] = true
-				}
-				continue
-			}
-		}
-		spill = append(spill, gi)
-	}
-	held := make([]groupRun, 0, replayWave)
-	for len(spill) > 0 {
-		wave := spill[:min(replayWave, len(spill))]
-		spill = spill[len(wave):]
-		w.wave, held = w.wave[:0], held[:0]
+		n, v := w.lockGroup(g)
+		kvs, fits := w.refill(n, g.recs, e)
 		var err error
-		for _, gi := range wave {
-			g := &groups[gi]
-			n, v := w.lockGroup(g)
-			held = append(held, groupRun{n: n, v: v})
-			batch := make([]KV, len(g.recs))
-			for k, p := range g.recs {
-				batch[k] = p.kv
+		if fits {
+			for _, p := range g.recs {
+				keep[p.chunk] = true
 			}
-			if _, err = w.stage(n, batch, len(wave) > 1); err != nil {
-				break
+		} else {
+			w.wave = w.wave[:0]
+			if _, err = w.stage(n, kvs, false); err == nil {
+				w.publish()
 			}
 		}
-		if err == nil {
-			w.publish()
-		}
-		for _, h := range held {
-			h.n.unlock(h.v)
-		}
+		n.unlock(v)
 		if err != nil {
 			return fmt.Errorf("core: recovery replay: %w", err)
 		}
@@ -244,10 +221,11 @@ func (w *Worker) lockGroup(g *group) (*Node, uint64) {
 // refill puts recs, one replayed group, into the slots of n, which the
 // caller holds locked, through the foreground's slot machine
 // (placeSlots, fillSlots) with epoch e, and reports whether they fit; if
-// not, it writes nothing. It draws no tick and appends no record: the
-// records are in the log already. A var-KV key's fingerprint comes from
-// the bytes Rebuild.check read, not from its blob.
-func (w *Worker) refill(n *Node, recs []record, e uint32) bool {
+// not, it writes nothing. Either way it returns the group's KVs, in
+// worker scratch. It draws no tick and appends no record: the records
+// are in the log already. A var-KV key's fingerprint comes from the
+// bytes Rebuild.check read, not from its blob.
+func (w *Worker) refill(n *Node, recs []record, e uint32) ([]KV, bool) {
 	kvs := w.batchKVs[:0]
 	var keys [][]byte
 	for _, p := range recs {
@@ -259,10 +237,10 @@ func (w *Worker) refill(n *Node, recs []record, e uint32) bool {
 	w.batchKVs = kvs
 	r := groupRun{n: n, end: len(kvs)}
 	if !w.placeSlots(&r, kvs, keys) {
-		return false
+		return kvs, false
 	}
 	w.fillSlots(&r, kvs, keys, e)
-	return true
+	return kvs, true
 }
 
 // routed is an Open after phase 3: the rebuilt tree, the groups of log
@@ -306,6 +284,9 @@ func route(pool *pmem.Pool, opts Options, threads int, dir Directory) (*routed, 
 	opts.ChunkBytes = chunkBytes
 	opts.VarKV = sb.flags&1 != 0
 	opts.DirSlots = sb.dirSlots
+	if nb, ok := sbNbatch(sb.flags); ok {
+		opts.Nbatch = nb
+	}
 	tr := newTree(pool, alloc, opts, dir)
 
 	st := &RecoveryStats{}
@@ -685,6 +666,7 @@ func readSuperblock(pool *pmem.Pool, t *pmem.Thread, sb pmem.Addr) (superblock, 
 	var w [sbWords]uint64
 	t.ReadRange(sb, w[:])
 	s := superblock{pmem.Addr(w[1]), pmem.Addr(w[2]), int(w[3]), int(w[4]), int(w[6]), w[5]}
+	nbatch, _ := sbNbatch(s.flags)
 	switch {
 	case w[0] == sbMagicNoCarves:
 		return s, fmt.Errorf("core: image at %v predates the carve directory; recreate it", sb)
@@ -704,6 +686,8 @@ func readSuperblock(pool *pmem.Pool, t *pmem.Thread, sb pmem.Addr) (superblock, 
 			s.dirSlots, s.carveSlots)
 	case s.chunkBytes <= 0 || s.chunkBytes%pmem.XPLineSize != 0 || int64(s.chunkBytes) > pool.DeviceBytes():
 		return s, corruptf("superblock", pmem.NilAddr, "chunk size %d invalid", s.chunkBytes)
+	case nbatch > maxNbatch:
+		return s, corruptf("superblock", pmem.NilAddr, "Nbatch %d invalid", nbatch)
 	}
 	return s, nil
 }

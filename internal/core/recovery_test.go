@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cclbtree/internal/pmem"
@@ -292,15 +293,80 @@ func TestRecoveryStartsAtRestart(t *testing.T) {
 	}
 	// Two threads share the DIMM arbiters, and the host schedule decides
 	// the order their media operations arrive in: the walk and the scan
-	// each stall more or less for it, a few percent either way. A restart
-	// that kept the pre-crash DIMM work would cost several times that.
-	c2, r2 := recoverBoth(2)
+	// each stall more or less for it, a few percent either way, and now
+	// and then one run stalls for over a tenth. So each side is the
+	// median of five builds. A restart that kept the pre-crash DIMM work
+	// would cost several times that.
+	var cs, rs []int64
+	for range 5 {
+		c, r := recoverBoth(2)
+		cs, rs = append(cs, c), append(rs, r)
+	}
+	slices.Sort(cs)
+	slices.Sort(rs)
+	c2, r2 := cs[len(cs)/2], rs[len(rs)/2]
 	if d := max(c2, r2) - min(c2, r2); d*10 > r2 {
 		t.Errorf("2 threads: recovery after Crash took %d ns, after LoadPersistent %d ns", c2, r2)
 	}
 	if r2 >= r1 {
 		t.Errorf("2 threads recover in %d ns, 1 thread in %d ns", r2, r1)
 	}
+}
+
+// TestOpenAdoptsImageNbatch reopens trees created at each Nbatch (-1
+// is Base, 0 slots) with Options{} and with another Nbatch: every node
+// keeps the buffer the image was written with, as Options reports, and
+// reads every write. An image whose Nbatch field is zero, as one
+// written before the superblock recorded it, reopens with the Options
+// value.
+func TestOpenAdoptsImageNbatch(t *testing.T) {
+	mut := func(c *pmem.Config) { c.DeviceBytes = 1 << 20 }
+	build := func(nbatch int) *pmem.Pool {
+		tr, w := newTestTree(t, Options{Nbatch: nbatch, GC: GCOff}, mut)
+		for k := uint64(1); k <= 300; k++ {
+			if err := w.Upsert(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.Freeze()
+		tr.Pool().Crash()
+		return tr.Pool()
+	}
+	check := func(pool *pmem.Pool, opts Options, want int) {
+		t.Helper()
+		tr, _, err := Open(pool, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Options().Nbatch; got != want {
+			t.Errorf("opened with Nbatch %d: Options().Nbatch = %d, want %d", opts.Nbatch, got, want)
+		}
+		for n := tr.head; n != nil; n = n.next.Load() {
+			if n.nbatch() != want {
+				t.Fatalf("opened with Nbatch %d: a node has %d slots, want %d", opts.Nbatch, n.nbatch(), want)
+			}
+		}
+		w := tr.NewWorker(0)
+		for k := uint64(1); k <= 300; k++ {
+			if v, ok := w.Lookup(k); !ok || v != k+1 {
+				t.Fatalf("opened with Nbatch %d: key %d reads %d,%v", opts.Nbatch, k, v, ok)
+			}
+		}
+		tr.Freeze()
+		pool.Crash()
+	}
+	for _, c := range []struct{ created, want int }{{-1, 0}, {2, 2}, {4, 4}, {8, 8}} {
+		pool := build(c.created)
+		check(pool, Options{}, c.want)
+		check(pool, Options{Nbatch: 3}, c.want)
+	}
+
+	pool := build(8)
+	th := pool.NewThread(0)
+	flags := pmem.MakeAddr(0, sbOffset+40)
+	th.Store(flags, th.Load(flags)&^(sbNbatchMask<<sbNbatchShift))
+	th.Persist(flags, pmem.WordSize)
+	check(pool, Options{Nbatch: 4}, 4)
 }
 
 func TestOpenRejectsEmptyPool(t *testing.T) {

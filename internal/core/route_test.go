@@ -31,7 +31,7 @@ type routeImage struct {
 // the same seed gives the same image.
 func fixedImage(t *testing.T, seed int64) routeImage {
 	t.Helper()
-	tr, w := newTestTree(t, Options{GC: GCOff}, nil)
+	tr, w := newTestTree(t, Options{GC: GCOff}, fixedDevice)
 	rng := rand.New(rand.NewSource(seed))
 	img := routeImage{pool: tr.Pool(), want: map[string][]byte{}}
 	put := func(k uint64) {
@@ -97,6 +97,9 @@ func fixedImage(t *testing.T, seed int64) routeImage {
 	return img
 }
 
+// fixedDevice sizes fixedImage's pool: the image takes under 1 MB.
+func fixedDevice(c *pmem.Config) { c.DeviceBytes = 2 << 20 }
+
 // varImage builds a var-KV tree with updated and deleted keys and
 // crashes it.
 func varImage(t *testing.T, seed int64) routeImage {
@@ -153,11 +156,14 @@ func TestRouteMatchesFind(t *testing.T) {
 				if counts(*rs) != counts(*r.st) {
 					t.Fatalf("Open's stats %+v, the route's %+v", rs, r.st)
 				}
-				contents := checkContents(t, tr, img)
-				if threads > 1 && !maps.EqualFunc(contents, first, bytes.Equal) {
+				got, msg := contents(tr, img)
+				if msg != "" {
+					t.Fatal(msg)
+				}
+				if threads > 1 && !maps.EqualFunc(got, first, bytes.Equal) {
 					t.Fatalf("%d threads recovered other contents than 1", threads)
 				}
-				first = contents
+				first = got
 				st := counts(*rs)
 				stats = append(stats, st)
 				if name == "fixed" && st.EmptyLeavesReclaimed == 0 {
@@ -251,10 +257,10 @@ func checkRoute(t *testing.T, r *routed) {
 	}
 }
 
-// checkContents scans the whole recovered tree and checks it against
-// img's contents outside its skipped range; it returns what it scanned.
-func checkContents(t *testing.T, tr *Tree, img routeImage) map[string][]byte {
-	t.Helper()
+// contents scans the whole recovered tree and returns what it scanned,
+// with the first difference from img's contents outside its skipped
+// range ("" when none).
+func contents(tr *Tree, img routeImage) (map[string][]byte, string) {
 	w := tr.NewWorker(0)
 	got := map[string][]byte{}
 	if tr.opts.VarKV {
@@ -269,13 +275,77 @@ func checkContents(t *testing.T, tr *Tree, img routeImage) map[string][]byte {
 	}
 	for k, v := range got {
 		if _, ok := img.want[k]; !ok && !img.skip(k) {
-			t.Fatalf("key %s = %q resurrected", k, v)
+			return got, fmt.Sprintf("key %s = %q resurrected", k, v)
 		}
 	}
 	for k, v := range img.want {
 		if !img.skip(k) && !bytes.Equal(got[k], v) {
-			t.Fatalf("key %s: recovered %q, want %q", k, got[k], v)
+			return got, fmt.Sprintf("key %s: recovered %q, want %q", k, got[k], v)
 		}
 	}
-	return got
+	return got, ""
+}
+
+// TestCrashInsideOverflowReplay cuts power at every flush of the
+// recovery of TestRouteMatchesFind's fixed image. Its link pass
+// reclaims an empty leaf and routing joins the leaf's records to its
+// neighbour's group, which then overflows the neighbour's buffer:
+// replay writes that group into the node's line as a trigger write, a
+// wave of one, beside the chunk directory's unregisters. Every line the
+// failed recovery flushed but did not fence is torn (Pool.TearPending)
+// before the crash; reopening must find every acknowledged write at its
+// last version outside the reclaimed leaf's range.
+func TestCrashInsideOverflowReplay(t *testing.T) {
+	ri := fixedImage(t, 7)
+	img := saveImage(t, ri.pool)
+	load := func() *pmem.Pool { return img.loadInto(t, newTestPool(fixedDevice)) }
+	r, err := route(load(), Options{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := 0
+	for _, g := range r.groups {
+		if len(g.recs) > g.n.nbatch() {
+			over++
+		}
+	}
+	if over == 0 {
+		t.Fatal("no replay group overflows its buffer")
+	}
+	pool := load()
+	base := pool.FlushCalls()
+	tr, _, err := Open(pool, Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, msg := contents(tr, ri); msg != "" {
+		t.Fatalf("uninterrupted recovery: %s", msg)
+	}
+	flushes := pool.FlushCalls() - base
+	t.Logf("%d overflowing group(s), %d recovery flushes", over, flushes)
+	var lost []string
+	for k := int64(1); k <= flushes; k++ {
+		pool := load()
+		at := pool.FlushCalls() + k
+		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == at })
+		var tr *Tree
+		died := pmem.Survive(func() { tr, _, err = Open(pool, Options{}, 1) })
+		pool.FailWhen(nil)
+		if err != nil {
+			t.Fatalf("flush %d: %v", k, err)
+		}
+		if died {
+			pool.TearPending(k)
+			pool.Crash()
+			if tr, _, err = Open(pool, Options{}, 1); err != nil {
+				t.Fatalf("flush %d: reopen: %v", k, err)
+			}
+		}
+		if _, msg := contents(tr, ri); msg != "" {
+			lost = append(lost, fmt.Sprintf("flush %d: %s", k, msg))
+		}
+	}
+	if len(lost) > 0 {
+		t.Errorf("%d of %d crash points lost or invented writes; first: %s", len(lost), flushes, lost[0])
+	}
 }

@@ -22,7 +22,9 @@ import (
 //	word 3  chunk directory slot count
 //	word 4  WAL chunk bytes
 //	word 5  flags (bit 0: VarKV; bit 1: another directory's image;
-//	        bits 8-23: arena count, 0 meaning 1; bits 24-39: arena index)
+//	        bits 2-7: Nbatch+1, 0 in an image written before Nbatch was
+//	        recorded; bits 8-23: arena count, 0 meaning 1; bits 24-39:
+//	        arena index)
 //	word 6  carve directory capacity in records, its region right
 //	        after the chunk directory's slots (see chunkDir)
 //
@@ -30,12 +32,17 @@ import (
 // count starts at offset 0: without it, opening an 8-shard pool as a
 // single tree would find shard 0's magic and silently recover one
 // eighth of the data. The directory bit keeps a tree from opening a
-// hash table's image and the reverse; tree images never set it.
+// hash table's image and the reverse; tree images never set it. Open
+// adopts the recorded Nbatch, as it adopts VarKV and the chunk size, so
+// an image reopens with the buffers it was written with.
 const (
 	sbOffset = 256
 	sbMagic  = 0xcc1b7ee0_2024_0002
 	sbWords  = 7
 	sbIndex  = 1 << 1
+	// The Nbatch field, stored as Nbatch+1 in bits 2-7.
+	sbNbatchShift = 2
+	sbNbatchMask  = 0x3f
 	// sbMagicNoCarves marks an image from before the carve directory:
 	// its word 6 is zero, and the word after its chunk slots may be the
 	// head leaf's meta word. Open refuses it rather than clear that word
@@ -43,7 +50,7 @@ const (
 	sbMagicNoCarves = 0xcc1b7ee0_2024_0001
 )
 
-// sbFlags packs the VarKV bit, the directory bit and the arena
+// sbFlags packs the VarKV bit, the directory bit, Nbatch and the arena
 // placement into the superblock flags word.
 func sbFlags(o Options, tree bool) uint64 {
 	var flags uint64
@@ -53,9 +60,17 @@ func sbFlags(o Options, tree bool) uint64 {
 	if !tree {
 		flags |= sbIndex
 	}
+	flags |= uint64(o.Nbatch+1) << sbNbatchShift
 	flags |= uint64(o.ArenaCount) << 8
 	flags |= uint64(o.ArenaIndex) << 24
 	return flags
+}
+
+// sbNbatch unpacks the Nbatch an image was written with; ok is false
+// for an image from before it was recorded.
+func sbNbatch(flags uint64) (nbatch int, ok bool) {
+	f := int(flags >> sbNbatchShift & sbNbatchMask)
+	return f - 1, f > 0
 }
 
 // sbArena unpacks the placement (count 0 from pre-arena images reads

@@ -15,17 +15,8 @@ import "cclbtree/internal/pmleaf"
 //
 // Every flush of the engine is a wave: a single write, a GC flush, a
 // merge and a split's follow-up are waves of one, with the fences of
-// the paper's protocol (§4.2); a group's trigger writes share one wave,
-// and replay stages its groups replayWave at a time.
-
-// replayWave is the number of groups recovery stages per wave. A
-// line's data flush and header flush combine in the XPBuffer only while
-// the line stays resident between them, so a wave stays well inside
-// one DIMM's 64-line buffer. At 256 lines the header flushes found
-// their lines evicted since their data flushes: replay on one DIMM
-// wrote every line to media twice, and Fig 17's at 48 threads wrote
-// 36 % more.
-const replayWave = 32
+// the paper's protocol (§4.2), and so is a replayed group that
+// overflows its buffer; a group's trigger writes share one wave.
 
 // Staged is one node of a wave between its two halves.
 type Staged struct {

@@ -153,6 +153,18 @@ var named = []mutant{
 		unit: unitCore,
 	},
 	{
+		// A shared wave's Stage leaves the fingerprints of the slots it
+		// fills to the header: a torn header can then land its bitmap
+		// and stamp over stale fingerprints, so the stamp gates out the
+		// records of writes whose slots no lookup finds.
+		name: "wave-early-fps-dropped", class: "publish-order",
+		edits: []edit{{"internal/core/leafops.go",
+			"\tif s.Shared && fps.Hi > 0 && dirty.Lo < pmem.CachelineSize/pmem.WordSize {\n\t\tdirty.Mark(fps.Lo)\n" +
+				"\t} else if s.Shared {\n\t\ts.Flushed = pmleaf.FlushSpan(w.t, img, fps)\n\t}\n",
+			""}},
+		unit: unitCore,
+	},
+	{
 		name: "leaf-stamp-skipped", class: "stamp",
 		edits: []edit{{"internal/core/leafops.go",
 			"\ts.Img.SetTS(w.Stamp(n))\n", "\ts.Img.SetTS(s.Img.TS())\n"}},

@@ -26,8 +26,8 @@ go test ./...
 # runner may have cores. The first GC round after a recovery, which
 # copies or flushes the slots replay filled, runs on the background GC
 # goroutine too.
-go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideReplayWave|TestCrashInFirstGCRound' ./internal/core
-GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideReplayWave|TestCrashInFirstGCRound' ./internal/core
+go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideSharedWave|TestCrashInsideOverflowReplay|TestCrashInFirstGCRound' ./internal/core
+GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideSharedWave|TestCrashInsideOverflowReplay|TestCrashInFirstGCRound' ./internal/core
 # A group holds several node locks at once while GC rounds try-lock
 # along the chain; a deadlock or a lost write there shows only under
 # some schedules, so race groups against GC uncached with spare Ps too.
