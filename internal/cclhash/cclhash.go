@@ -228,7 +228,8 @@ func (d *buckets) Stage(w *core.Worker, n *core.Node, s *core.Staged, batch []co
 			p.img.Read(t, addr)
 			p.next = p.img.Next()
 		}
-		bm := p.img.Bitmap()
+		orig := p.img.Bitmap()
+		bm := orig
 		var assigned uint16
 		var deferred []core.KV
 		needSlot := false
@@ -239,7 +240,10 @@ func (d *buckets) Stage(w *core.Worker, n *core.Node, s *core.Staged, batch []co
 					slot = i
 				}
 			}
-			free := ^uint32(bm) & ^uint32(assigned) & pmleaf.BitmapMask
+			// A new key takes only a slot free under the bitmap on media:
+			// one a delete of this batch clears stays valid there until
+			// Publish, and a key written into it would show before then.
+			free := ^uint32(orig) & ^uint32(assigned) & pmleaf.BitmapMask
 			switch {
 			case slot >= 0 && e.Value == core.Tombstone:
 				bm &^= 1 << uint(slot) // fixed bucket addresses: safe to clear

@@ -1,7 +1,6 @@
 package cclhash
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -16,16 +15,13 @@ import (
 	"cclbtree/internal/wal"
 )
 
-func testPool() *pmem.Pool { return testPoolMode(pmem.ADR) }
-
-func testPoolMode(mode pmem.Mode) *pmem.Pool {
+func testPool() *pmem.Pool {
 	return pmem.NewPool(pmem.Config{
 		Sockets:        2,
 		DIMMsPerSocket: 2,
 		DeviceBytes:    64 << 20,
 		XPBufferLines:  16,
 		CacheLines:     1 << 13,
-		Mode:           mode,
 		StrictPersist:  true,
 	})
 }
@@ -206,222 +202,6 @@ func TestHashGCPreservesData(t *testing.T) {
 	}
 }
 
-func TestHashCrashRecovery(t *testing.T) {
-	pool := testPool()
-	opts := Options{Buckets: 1 << 10, ChunkBytes: 16 << 10, DisableGC: true}
-	h, err := New(pool, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := h.NewWorker(0)
-	ref := map[uint64]uint64{}
-	rng := rand.New(rand.NewSource(3))
-	for op := 0; op < 8000; op++ {
-		k := uint64(rng.Intn(1500) + 1)
-		if rng.Intn(6) == 0 {
-			_ = w.Delete(k)
-			delete(ref, k)
-		} else {
-			v := rng.Uint64() | 1
-			_ = w.Put(k, v)
-			ref[k] = v
-		}
-	}
-	h.Freeze()
-	pool.Crash()
-	h2, err := Recover(pool, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2 := h2.NewWorker(0)
-	for k := uint64(1); k <= 1500; k++ {
-		v, ok := w2.Get(k)
-		wv, wok := ref[k]
-		if ok != wok || (ok && v != wv) {
-			t.Fatalf("key %d after crash: %d,%v want %d,%v", k, v, ok, wv, wok)
-		}
-	}
-	// The recovered table keeps working.
-	if err := w2.Put(9999999, 1); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := w2.Get(9999999); !ok || v != 1 {
-		t.Fatal("post-recovery insert broken")
-	}
-}
-
-func TestHashCrashMidFlushSweep(t *testing.T) {
-	// Power failure at assorted flush boundaries, in both persistence
-	// domains (flushes are counted under eADR too, so the ordinals name
-	// the same sites); completed ops must survive, the in-flight op
-	// must be atomic.
-	for _, mode := range []pmem.Mode{pmem.ADR, pmem.EADR} {
-		for _, point := range []int64{3, 17, 49, 111, 222, 467, 900, 1500} {
-			hashCrashAt(t, mode, point)
-		}
-	}
-}
-
-func hashCrashAt(t *testing.T, mode pmem.Mode, point int64) {
-	pool := testPoolMode(mode)
-	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
-	h, err := New(pool, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := h.NewWorker(0)
-	ref := map[uint64]uint64{}
-	var inKey, inVal uint64
-	crashed := pmem.Survive(func() {
-		rng := rand.New(rand.NewSource(77))
-		base := pool.FlushCalls()
-		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+point })
-		for op := 0; op < 3000; op++ {
-			k := uint64(rng.Intn(400) + 1)
-			v := rng.Uint64() | 1
-			inKey, inVal = k, v
-			_ = w.Put(k, v)
-			ref[k] = v
-		}
-	})
-	pool.FailWhen(nil) // disarm before recovery flushes
-	if !crashed {
-		t.Fatalf("mode %d point %d: fault never fired", mode, point)
-	}
-	pool.Crash()
-	h2, err := Recover(pool, opts)
-	if err != nil {
-		t.Fatalf("mode %d point %d: %v", mode, point, err)
-	}
-	w2 := h2.NewWorker(0)
-	for k, v := range ref {
-		if k == inKey {
-			continue
-		}
-		got, ok := w2.Get(k)
-		if !ok || got != v {
-			t.Fatalf("mode %d point %d: completed key %d lost (%d,%v want %d)", mode, point, k, got, ok, v)
-		}
-	}
-	got, ok := w2.Get(inKey)
-	if ok && got != inVal && got == 0 {
-		t.Fatalf("mode %d point %d: in-flight key %d garbage: %d", mode, point, inKey, got)
-	}
-}
-
-// hashImage writes 3,000 random puts and deletes over 1,000 keys to a
-// table with opts, with no GC, and crashes it. It returns a loader of
-// the crash image into a fresh pool, and a check that reports the first
-// acknowledged write a table does not hold ("" when none).
-func hashImage(t *testing.T, opts Options) (func() *pmem.Pool, func(*Table) string) {
-	t.Helper()
-	newPool := func() *pmem.Pool {
-		return pmem.NewPool(pmem.Config{
-			Sockets: 2, DIMMsPerSocket: 2, DeviceBytes: 1 << 20, XPBufferLines: 16, CacheLines: 1 << 13,
-			StrictPersist: true,
-		})
-	}
-	pool := newPool()
-	opts.DisableGC = true
-	h, err := New(pool, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := h.NewWorker(0)
-	ref := map[uint64]uint64{}
-	rng := rand.New(rand.NewSource(11))
-	for op := 0; op < 3000; op++ {
-		k := uint64(rng.Intn(1000) + 1)
-		if rng.Intn(6) == 0 {
-			_ = w.Delete(k)
-			delete(ref, k)
-		} else {
-			v := rng.Uint64() | 1
-			_ = w.Put(k, v)
-			ref[k] = v
-		}
-	}
-	h.Freeze()
-	pool.Crash()
-	img := make([]bytes.Buffer, pool.Sockets())
-	for s := range img {
-		if err := pool.SavePersistent(s, &img[s]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	load := func() *pmem.Pool {
-		p := newPool()
-		for s := range img {
-			if err := p.LoadPersistent(s, bytes.NewReader(img[s].Bytes())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return p
-	}
-	lost := func(h *Table) string {
-		w := h.NewWorker(0)
-		for k := uint64(1); k <= 1000; k++ {
-			v, ok := w.Get(k)
-			if wv, wok := ref[k]; ok != wok || v != wv {
-				return fmt.Sprintf("key %d reads %d,%v, want %d,%v", k, v, ok, wv, wok)
-			}
-		}
-		return ""
-	}
-	return load, lost
-}
-
-// TestHashCrashInsideRecover cuts power at every flush of a recovery
-// of a table reopened with the Nbatch it was written with: every group
-// fits its bucket's buffer, so the flushes are the chunk directory's
-// unregisters of the chunks whose records no slot needs (few buckets
-// and small chunks, so most chunks hold only superseded records). Every
-// line the failed recovery flushed but did not fence is torn
-// (Pool.TearPending) before the crash, and the reopened table must hold
-// every acknowledged write.
-func TestHashCrashInsideRecover(t *testing.T) {
-	opts := Options{Buckets: 1 << 6, ChunkBytes: 4 << 10, DisableGC: true}
-	load, lost := hashImage(t, opts)
-
-	p := load()
-	base := p.FlushCalls()
-	h2, err := Recover(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg := lost(h2); msg != "" {
-		t.Fatalf("uninterrupted recovery: %s", msg)
-	}
-	flushes := p.FlushCalls() - base
-	t.Logf("%d recovery flushes", flushes)
-	if flushes == 0 {
-		t.Fatal("recovery released no chunk")
-	}
-	var bad []string
-	for k := int64(1); k <= flushes; k++ {
-		p := load()
-		base := p.FlushCalls()
-		p.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == base+k })
-		pmem.Survive(func() { _, err = Recover(p, opts) })
-		p.FailWhen(nil)
-		if err != nil {
-			t.Fatalf("flush %d: %v", k, err)
-		}
-		p.TearPending(k)
-		p.Crash()
-		h3, err := Recover(p, opts)
-		if err != nil {
-			t.Fatalf("flush %d: reopen: %v", k, err)
-		}
-		if msg := lost(h3); msg != "" {
-			bad = append(bad, fmt.Sprintf("flush %d: %s", k, msg))
-		}
-	}
-	if len(bad) > 0 {
-		t.Errorf("%d of %d crash points lost acknowledged writes; first: %s", len(bad), flushes, bad[0])
-	}
-}
-
 // TestRecoverAdoptsImageNbatch is core's TestOpenAdoptsImageNbatch on
 // a table: one created at each Nbatch (-1 is Base, 0 slots) recovers
 // with it under Options{}, and an empty bucket of the recovered table
@@ -467,88 +247,6 @@ func TestRecoverAdoptsImageNbatch(t *testing.T) {
 			}
 		}
 		h.Freeze()
-	}
-}
-
-// TestHashCrashTwiceBeforeGC recovers a table whose surviving records
-// all fit their buffers, crashes before any write or GC round, and
-// recovers again: both recoveries read every acknowledged write and
-// replay the same records, which live only in the log chunks the first
-// one kept registered.
-func TestHashCrashTwiceBeforeGC(t *testing.T) {
-	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10, DisableGC: true}
-	load, lost := hashImage(t, opts)
-	pool := load()
-	var replayed []int
-	for round := range 3 {
-		d := newBuckets(opts.Buckets)
-		tr, st, err := core.OpenIndex(pool, opts.core(), 2, d)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if msg := lost(&Table{tr, d}); msg != "" {
-			t.Fatalf("round %d: %s", round, msg)
-		}
-		replayed = append(replayed, st.EntriesReplayed)
-		tr.Freeze()
-		pool.Crash()
-	}
-	if replayed[0] == 0 || replayed[1] != replayed[0] || replayed[2] != replayed[0] {
-		t.Fatalf("the rounds replayed %v records", replayed)
-	}
-}
-
-// TestHashCrashInFirstGCRound cuts power at every flush of the first GC
-// round after a recovery, locality-aware and naive: every point must
-// recover every acknowledged write. -short takes 20 strided points a
-// policy.
-func TestHashCrashInFirstGCRound(t *testing.T) {
-	opts := Options{Buckets: 1 << 8, ChunkBytes: 16 << 10}
-	load, lost := hashImage(t, opts)
-	for _, policy := range []core.GCPolicy{core.GCLocalityAware, core.GCNaive} {
-		t.Run(policy.String(), func(t *testing.T) {
-			co := opts.core()
-			co.GC = policy
-			open := func(p *pmem.Pool) *Table {
-				d := newBuckets(opts.Buckets)
-				tr, _, err := core.OpenIndex(p, co, 2, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return &Table{tr, d}
-			}
-			p := load()
-			h := open(p)
-			base := p.FlushCalls()
-			h.ForceGC()
-			flushes := p.FlushCalls() - base
-			if msg := lost(h); msg != "" {
-				t.Fatalf("uninterrupted round: %s", msg)
-			}
-			t.Logf("%d flushes in the round", flushes)
-			stride := int64(1)
-			if testing.Short() && flushes > 20 {
-				stride = flushes / 20
-			}
-			var bad []string
-			for k := int64(1); k <= flushes; k += stride {
-				p := load()
-				h := open(p)
-				at := p.FlushCalls() + k
-				p.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == at })
-				h.ForceGC()
-				h.Freeze()
-				p.FailWhen(nil)
-				p.Crash()
-				if msg := lost(open(p)); msg != "" {
-					bad = append(bad, fmt.Sprintf("flush %d: %s", k, msg))
-				}
-			}
-			if len(bad) > 0 {
-				t.Errorf("%d of %d crash points lost acknowledged writes; first: %s",
-					len(bad), (flushes+stride-1)/stride, bad[0])
-			}
-		})
 	}
 }
 

@@ -452,6 +452,13 @@ func TestGroupLogsOnlyBufferedOps(t *testing.T) {
 	}
 }
 
+func issueSingle(w *Worker, ops []BatchOp) error {
+	if ops[0].Delete {
+		return w.Delete(ops[0].Key)
+	}
+	return w.Upsert(ops[0].Key, ops[0].Value)
+}
+
 // TestSingleWriteIsGroupOfOne pins what the single write protocol makes
 // true: a single write and a one-op ApplyBatch are the same program, for
 // fixed words, VarKV pairs and fixed keys with value blobs alike. The
@@ -466,12 +473,20 @@ func TestSingleWriteIsGroupOfOne(t *testing.T) {
 	run := func(t *testing.T, opts Options, shape func(*BatchOp), issue func(w *Worker, ops []BatchOp) error) outcome {
 		opts.GC = GCOff
 		tr, w := newTestTree(t, opts, func(c *pmem.Config) { c.DeviceBytes = 64 << 20 })
-		crashWorkload(7, 20000, 1, 4000, func(ops []BatchOp) {
+		// 20 000 single ops over 4 000 keys, one delete in six.
+		rng := rand.New(rand.NewSource(7))
+		for range 20000 {
+			ops := []BatchOp{{Key: uint64(rng.Intn(4000) + 1)}}
+			if rng.Intn(6) == 0 {
+				ops[0].Delete = true
+			} else {
+				ops[0].Value = uint64(rng.Intn(1<<30) + 1)
+			}
 			shape(&ops[0])
 			if err := issue(w, ops); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
 		c := tr.Counters()
 		if c.TriggerWrites == 0 || c.Splits == 0 || c.SkippedLogs == 0 {
 			t.Fatalf("stream too tame to compare: %+v", c)

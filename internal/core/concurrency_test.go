@@ -222,36 +222,3 @@ func TestConcurrentWithGCAndCrash(t *testing.T) {
 		}
 	}
 }
-
-// TestCrashMidGC starts a GC round of each policy and freezes and
-// crashes while it is likely in flight. The naive round runs under the
-// stop-the-world lock, so the strict lock-order and scope checks see
-// its registration and its scope here too.
-func TestCrashMidGC(t *testing.T) {
-	for _, policy := range []GCPolicy{GCLocalityAware, GCNaive} {
-		t.Run(policy.String(), func(t *testing.T) {
-			for trial := 0; trial < 10; trial++ {
-				tr, w := newTestTree(t, Options{ChunkBytes: 4096, GC: GCOff}, nil)
-				const n = 5000
-				for i := uint64(1); i <= n; i++ {
-					_ = w.Upsert(i, i)
-				}
-				tr.opts.GC = policy
-				tr.startGC() // async; freeze races with the scan
-				tr.Freeze()
-				tr.Pool().Crash()
-				tr2, _, err := Open(tr.Pool(), Options{}, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w2 := tr2.NewWorker(0)
-				for i := uint64(1); i <= n; i++ {
-					v, ok := w2.Lookup(i)
-					if !ok || v != i {
-						t.Fatalf("trial %d: key %d after mid-GC crash: %d,%v", trial, i, v, ok)
-					}
-				}
-			}
-		})
-	}
-}

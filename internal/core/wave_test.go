@@ -15,8 +15,8 @@ import (
 // recovery scope, and no charge but each group's lock and Owns check
 // (two DRAM accesses).
 func TestReplayFenceBudget(t *testing.T) {
-	img, check := recoveryCrashImage(t, false, false, false)
-	r, err := route(img.load(t), Options{}, 1, nil)
+	img, want := placementImage(t, 0)
+	r, err := route(img.loadInto(t, newTestPool(nil)), Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +29,17 @@ func TestReplayFenceBudget(t *testing.T) {
 	if groups == 0 {
 		t.Fatal("the image replays no group")
 	}
-	pool := img.load(t)
+	pool := img.loadInto(t, newTestPool(nil))
 	base := pool.Stats().MediaWriteByScope[pmem.ScopeRecovery]
 	tr, st, err := Open(pool, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := check(tr); msg != "" {
-		t.Fatal(msg)
+	w := tr.NewWorker(0)
+	for k, v := range want {
+		if got, ok := w.Lookup(k); !ok || got != v {
+			t.Fatalf("key %#x reads %d,%v, want %d", k, got, ok, v)
+		}
 	}
 	if d, most := st.ReplayEndNS-st.RouteEndNS, groups*2*pool.Config().Cost.DRAMAccess; d > most {
 		t.Errorf("replay of %d groups took %d ns, its DRAM charges at most %d", groups, d, most)

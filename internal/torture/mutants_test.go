@@ -40,10 +40,13 @@ type mutant struct {
 }
 
 // coreUnit is the unit column of the internal/core mutants: the
-// targeted crash-order, group-logging and reclamation-epoch tests. The
-// flush-boundary matrices (TestCrashAtEveryFlushBoundary*) are left out
-// for time, and the rest of core's -short suite races goroutines, so
-// its verdicts on a mutant would depend on the schedule.
+// targeted crash-order, group-logging and reclamation-epoch tests, with
+// the crash suite's sweeps (internal/core/crashtest) on the fixed-key
+// and var-KV tree rows. The flush-boundary matrices
+// (TestCrashAtEveryFlushBoundary*) are left out for time, and the rest
+// of core's -short suite races goroutines, so its verdicts on a mutant
+// would depend on the schedule. The hash table's row runs in
+// internal/cclhash's own -short suite (unitHash), matrices included.
 var coreUnit = []string{"-short", "-run", "^(TestCrash[^A]|TestGroup|TestEpoch)", "./internal/core"}
 
 // unitFor returns the unit column of a mutant of the package at dir.

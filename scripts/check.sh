@@ -25,9 +25,14 @@ go test ./...
 # line above) at the default GOMAXPROCS and with more Ps than this
 # runner may have cores. The first GC round after a recovery, which
 # copies or flushes the slots replay filled, runs on the background GC
-# goroutine too.
-go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideSharedWave|TestCrashInsideOverflowReplay|TestCrashInFirstGCRound' ./internal/core
-GOMAXPROCS=4 go test -count=1 -run 'TestCrashAtEveryFlushBoundary|TestCrashInsideCarveRecord|TestCrashInsideSharedWave|TestCrashInsideOverflowReplay|TestCrashInFirstGCRound' ./internal/core
+# goroutine too. The crash suite (internal/core/crashtest) runs on the
+# tree's rows in internal/core and on the hash table's in
+# internal/cclhash, under the same test names; -crashtest.full sweeps
+# the var-KV and hash rows at the fixed-key row's caps, where the line
+# above samples them (~2 min a run on two cores).
+crash='TestCrashAtEveryFlushBoundary|TestCrashInsideRecovery|TestCrashInsideCarveRecord|TestCrashInsideSharedWave|TestCrashInsideOverflowReplay|TestCrashInFirstGCRound|TestCrashMidGC'
+go test -count=1 -timeout 30m -run "$crash" ./internal/core ./internal/cclhash -crashtest.full
+GOMAXPROCS=4 go test -count=1 -timeout 30m -run "$crash" ./internal/core ./internal/cclhash -crashtest.full
 # A group holds several node locks at once while GC rounds try-lock
 # along the chain; a deadlock or a lost write there shows only under
 # some schedules, so race groups against GC uncached with spare Ps too.
