@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		threads  = fs.Int("threads", 8, "concurrent workload goroutines")
 		mode     = fs.String("mode", "both", "persistence domain: adr, eadr, or both (alternate)")
 		gc       = fs.String("gc", "locality", "log reclamation under test: locality, naive, or off")
-		torn     = fs.Bool("torn", true, "inject torn XPLines at ADR crashes")
+		shards   = fs.Int("shards", 1, "shard trees in the DB under test")
 		rounds   = fs.Int("rounds", 6, "crash-recover rounds per run")
 		ops      = fs.Int("ops", 500, "operations per thread per round")
 		keys     = fs.Uint64("keys", 256, "key space size (small = high contention)")
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				KeySpace:     *keys,
 				EADR:         eadr,
 				GC:           *gc,
-				Torn:         *torn && !eadr,
+				Shards:       *shards,
 				BatchSize:    *batch,
 			}
 			if code := oneRun(cfg, *out, stdout, stderr); code != 0 {

@@ -38,7 +38,7 @@ func TestReplayReproducesRun(t *testing.T) {
 	want := summaryLine(t, out.String())
 
 	cfg := torture.Config{Seed: 3, Threads: 1, Rounds: 2, OpsPerThread: 120,
-		KeySpace: 256, GC: "off", Torn: true}
+		KeySpace: 256, GC: "off"}
 	path, err := torture.NewArtifact(&torture.Result{Config: cfg}).Write(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +50,39 @@ func TestReplayReproducesRun(t *testing.T) {
 	}
 	if got := summaryLine(t, out.String()); got != want {
 		t.Fatalf("replay summary %q, want %q", got, want)
+	}
+}
+
+// TestReproLineReproducesRun runs the repro line a failure artifact
+// prints, split into arguments: it parses, runs the recorded
+// configuration exactly once, and prints the summary line of the run
+// the artifact records.
+func TestReproLineReproducesRun(t *testing.T) {
+	cfg := torture.Config{Seed: 5, Threads: 1, Rounds: 3, OpsPerThread: 120,
+		KeySpace: 128, GC: "off", Shards: 2, BatchSize: 4}
+	res, err := torture.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := oneRun(res.Config, t.TempDir(), &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	want := summaryLine(t, out.String())
+
+	args := strings.Fields(torture.NewArtifact(res).ReproCmd)
+	if args[0] != "ccltorture" {
+		t.Fatalf("repro line %q does not start with the command", args)
+	}
+	out.Reset()
+	if code := run(append(args[1:], "-out", t.TempDir()), &out, &errb); code != 0 {
+		t.Fatalf("repro line exit %d, stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "1 run(s) clean") {
+		t.Fatalf("repro line did not run exactly once:\n%s", out.String())
+	}
+	if got := summaryLine(t, out.String()); got != want {
+		t.Fatalf("repro line summary %q, want %q", got, want)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // test harnesses drive: predicate-armed power failures (FailWhen —
 // crash sweeps arm it on a flush ordinal, the concurrent torture
 // harness on a scope, to place crashes inside specific components) and
-// torn-XPLine injection (TearPending, which persists only a prefix of
+// torn-XPLine injection (Pool.TearPending, which persists only a prefix of
 // an in-flight write-back).
 //
 // The crash model for concurrent programs: a power failure is not a
@@ -136,24 +136,10 @@ func Parallel(n int, body func(i int) error) error {
 	return cmp.Or(errs...)
 }
 
-// TearPending models torn XPLine write-backs at a power failure: for
-// every flush this thread has issued but not yet fenced, a
-// pseudo-random prefix of the line's flush-time snapshot (derived
-// deterministically from seed and the line address) becomes persistent;
-// the rest of the line stays at its previous persistent image. This is
-// the 8-byte-atomic, in-store-order drain model: words of one cacheline
-// reach the media front to back, and power can fail between any two.
-//
-// Call it after recovering a PowerFailure panic and before Pool.Crash;
-// it returns the number of lines that became partially (or, when the
-// random prefix covers the whole line, fully) persistent. In eADR mode
-// flushes complete instantly, nothing is ever pending, and tearing is
-// impossible by construction — the call is a no-op returning 0.
-func (t *Thread) TearPending(seed int64) int {
-	if t.strict {
-		t.beginOp("TearPending")
-		defer t.endOp()
-	}
+// tearPending tears this thread's pending flushes for Pool.TearPending.
+func (t *Thread) tearPending(seed int64) int {
+	t.beginOp("TearPending")
+	defer t.endOp()
 	torn := 0
 	for i := range t.pending {
 		pf := &t.pending[i]
@@ -166,11 +152,22 @@ func (t *Thread) TearPending(seed int64) int {
 	return torn
 }
 
-// TearPending on a pool is Thread.TearPending on each of its threads
-// still in use, for a harness that cannot reach the threads a power
-// failure stopped (those Open starts for recovery). It returns the
-// number of lines torn. Only a StrictPersist pool keeps its threads; on
-// any other it panics.
+// TearPending models torn XPLine write-backs at a power failure: for
+// every flush a thread still in use has issued but not yet fenced, a
+// pseudo-random prefix of the line's flush-time snapshot (derived
+// deterministically from seed and the line address) becomes persistent;
+// the rest of the line stays at its previous persistent image. This is
+// the 8-byte-atomic, in-store-order drain model: words of one cacheline
+// reach the media front to back, and power can fail between any two.
+// It covers every thread, those a harness cannot reach (the ones Open
+// starts for recovery, a tree's GC worker) included.
+//
+// Call it after recovering a PowerFailure panic and before Pool.Crash;
+// it returns the number of lines that became partially (or, when the
+// random prefix covers the whole line, fully) persistent. In eADR mode
+// flushes complete instantly, nothing is ever pending, and tearing is
+// impossible by construction — the call is a no-op returning 0. Only a
+// StrictPersist pool keeps its threads; on any other it panics.
 func (p *Pool) TearPending(seed int64) int {
 	if !p.cfg.StrictPersist {
 		panic("pmem: Pool.TearPending needs StrictPersist")
@@ -181,15 +178,16 @@ func (p *Pool) TearPending(seed int64) int {
 	torn := 0
 	for _, t := range ts {
 		if !t.released {
-			torn += t.TearPending(seed)
+			torn += t.tearPending(seed)
 		}
 	}
 	return torn
 }
 
-// TearPendingPrefix is TearPending with a fixed prefix length of k
-// words (0 ≤ k ≤ 8) applied to every pending line, for tests that need
-// a specific tear point rather than a seeded one.
+// TearPendingPrefix is Pool.TearPending on this thread alone with a
+// fixed prefix length of k words (0 ≤ k ≤ 8) applied to every pending
+// line, for tests that need a specific tear point rather than a seeded
+// one.
 func (t *Thread) TearPendingPrefix(k int) int {
 	if t.strict {
 		t.beginOp("TearPendingPrefix")

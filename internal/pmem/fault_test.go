@@ -89,8 +89,8 @@ func TestTornFlushImpossibleEADR(t *testing.T) {
 	}
 }
 
-// TestTearPendingSeededDeterministic: the same seed tears the same
-// lines at the same prefixes.
+// TestTearPendingSeededDeterministic: on a strict pool the same seed
+// tears the same lines at the same prefixes.
 func TestTearPendingSeededDeterministic(t *testing.T) {
 	run := func(seed int64) []uint64 {
 		p := faultTestPool(ADR)
@@ -103,7 +103,7 @@ func TestTearPendingSeededDeterministic(t *testing.T) {
 		}
 		// Deliberately unfenced: seeded tear point under test.
 		th.Flush(MakeAddr(0, 4096), 4*CachelineSize)
-		th.TearPending(seed)
+		p.TearPending(seed)
 		p.Crash()
 		th2 := p.NewThread(0)
 		out := make([]uint64, 32)
@@ -118,9 +118,9 @@ func TestTearPendingSeededDeterministic(t *testing.T) {
 	}
 }
 
-// TestPoolTearPendingEveryThread: the pool-wide form tears the pending
-// flushes of every thread in use as that thread's own TearPending
-// would, with the same seed, and skips released threads.
+// TestPoolTearPendingEveryThread: the pool-wide tear covers the pending
+// flushes of every thread in use, each line at its seeded prefix, and
+// skips released threads.
 func TestPoolTearPendingEveryThread(t *testing.T) {
 	p := faultTestPool(ADR)
 	threads := []*Thread{p.NewThread(0), p.NewThread(0), p.NewThread(0)}

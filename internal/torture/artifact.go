@@ -18,16 +18,18 @@ type Artifact struct {
 	ReproCmd string `json:"repro_cmd"`
 }
 
-// NewArtifact builds the failure record for a failed result.
+// NewArtifact builds the failure record for a failed result. Its
+// repro line runs exactly the recorded configuration once.
 func NewArtifact(res *Result) *Artifact {
 	c := res.Config
-	cmd := fmt.Sprintf("ccltorture -seed %d -threads %d -rounds %d -ops %d -keys %d -gc %s",
-		c.Seed, c.Threads, c.Rounds, c.OpsPerThread, c.KeySpace, c.GC)
+	mode := "adr"
 	if c.EADR {
-		cmd += " -eadr"
+		mode = "eadr"
 	}
-	if c.Torn {
-		cmd += " -torn"
+	cmd := fmt.Sprintf("ccltorture -seed %d -duration 0 -mode %s -threads %d -rounds %d -ops %d -keys %d -gc %s",
+		c.Seed, mode, c.Threads, c.Rounds, c.OpsPerThread, c.KeySpace, c.GC)
+	if c.Shards > 1 {
+		cmd += fmt.Sprintf(" -shards %d", c.Shards)
 	}
 	if c.BatchSize > 1 {
 		cmd += fmt.Sprintf(" -batch %d", c.BatchSize)

@@ -115,18 +115,6 @@ func checkDurablePrefix(baseline map[uint64]uint64, h *history, recovered map[ui
 	return out
 }
 
-// CheckDurablePrefix runs the durable-prefix oracle over an externally
-// recorded history: perWorker holds each worker's op log (Invoke and
-// Return drawn from one sequence shared by every worker), baseline the
-// durable state the round began from, and recovered the post-recovery
-// snapshot (absent keys omitted, value 0 meaning absent). Exported for
-// crash harnesses outside this package — the sharded-DB crash test
-// partitions one multi-shard history by routing shard and checks each
-// shard's tree independently.
-func CheckDurablePrefix(baseline map[uint64]uint64, perWorker [][]Op, recovered map[uint64]uint64, round int) []Violation {
-	return checkDurablePrefix(baseline, newHistory(perWorker), recovered, round)
-}
-
 // wasEverWritten distinguishes "stale but real" from "fabricated".
 func wasEverWritten(writes []*Op, baseline map[uint64]uint64, k, v uint64) bool {
 	if v == 0 || baseline[k] == v {

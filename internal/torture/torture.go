@@ -1,18 +1,22 @@
 // Package torture is the concurrent crash-recovery harness: seeded
-// randomized workloads over the CCL-BTree with power failures injected
-// at randomized and adversarially chosen flush points, followed by
-// recovery and a durable-prefix linearizability check (oracle.go).
+// randomized workloads over the public cclbtree.DB with power failures
+// injected at randomized and adversarially chosen flush points,
+// followed by recovery and a durable-prefix linearizability check
+// (oracle.go).
 //
-// One Run is a sequence of rounds against a single persistent image.
-// Each round arms a crash plan (crashplan.go), drives N worker
-// goroutines that record per-op histories with invoke/return points on
+// One Run is a sequence of rounds against a single persistent image of
+// Config.Shards shard trees. Each round arms a crash plan
+// (crashplan.go), drives N worker goroutines, each through one
+// Session, that record per-op histories with invoke/return points on
 // one sequence the workers share (history.go), crashes the modeled
-// machine — rolling back every unfenced flush, optionally tearing
-// pending XPLines — recovers with core.Open (in some rounds crashing
-// inside recovery too), and checks the recovered state against the
-// history. The next round continues on the recovered tree, so the
+// machine — tearing every pending XPLine of an ADR crash, rolling back
+// the rest — recovers with cclbtree.OpenWithStats (in some rounds
+// crashing inside recovery too), and checks the recovered state against
+// the history. The next round continues on the recovered DB, so the
 // harness also exercises repeated crash-recover-crash sequences (which
-// is how the recovery clock-resume bug was found).
+// is how the recovery clock-resume bug was found), Session routing,
+// multi-shard Apply, the cross-shard Range merge and parallel shard
+// recovery.
 //
 // Determinism: the workload, per-worker op streams, and crash plans
 // derive entirely from Config.Seed, so a failing seed re-runs the same
@@ -26,7 +30,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
-	"cclbtree/internal/core"
+	"cclbtree"
 	"cclbtree/internal/pmem"
 )
 
@@ -40,15 +44,18 @@ type Config struct {
 	KeySpace     uint64 `json:"key_space"`
 	EADR         bool   `json:"eadr"`
 	GC           string `json:"gc"` // "locality", "naive", "off"
-	Torn         bool   `json:"torn"`
-	Sockets      int    `json:"sockets"`
-	DeviceBytes  int64  `json:"device_bytes"`
-	ChunkBytes   int    `json:"chunk_bytes"`
-	// BatchSize > 1 routes writes through Worker.ApplyBatch group
-	// commits of that size (reads still execute per-op). All ops of one
-	// batch share invoke/return ticks; crash atomicity stays per-op, so
-	// the durable-prefix oracle applies unchanged. 0 or 1 keeps the
-	// per-op write path.
+	// Shards is the DB's shard count (0 and 1 both mean one tree).
+	// Every recovery auto-detects it, and the harness checks the count
+	// it finds.
+	Shards      int   `json:"shards,omitempty"`
+	Sockets     int   `json:"sockets"`
+	DeviceBytes int64 `json:"device_bytes"`
+	ChunkBytes  int   `json:"chunk_bytes"`
+	// BatchSize > 1 routes writes through Session.Apply group commits
+	// of that size (reads still execute per-op). All ops of one batch
+	// share invoke/return ticks; crash atomicity stays per-op, so the
+	// durable-prefix oracle applies unchanged. 0 or 1 keeps the per-op
+	// write path.
 	BatchSize int `json:"batch_size,omitempty"`
 }
 
@@ -80,29 +87,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) gcPolicy() (core.GCPolicy, error) {
+func (c Config) gcPolicy() (cclbtree.GCPolicy, error) {
 	switch c.GC {
 	case "locality":
-		return core.GCLocalityAware, nil
+		return cclbtree.GCLocalityAware, nil
 	case "naive":
-		return core.GCNaive, nil
+		return cclbtree.GCNaive, nil
 	case "off":
-		return core.GCOff, nil
+		return cclbtree.GCOff, nil
 	}
 	return 0, fmt.Errorf("torture: unknown gc policy %q", c.GC)
 }
 
 // RoundReport summarizes one crash-recover round.
 type RoundReport struct {
-	Round     int    `json:"round"`
-	Plan      string `json:"plan"`
-	Crashed   bool   `json:"crashed"` // fault fired mid-workload (vs quiescent crash)
-	Flushes   int64  `json:"flushes"`
-	Completed int    `json:"completed"`
-	InFlight  int    `json:"in_flight"`
-	Replayed  int    `json:"replayed"`
-	Dropped   int    `json:"dropped"`
-	TornLines int    `json:"torn_lines"`
+	Round   int    `json:"round"`
+	Plan    string `json:"plan"`
+	Crashed bool   `json:"crashed"` // fault fired mid-workload (vs quiescent crash)
+	// RecoveryCrashed: a second fault fired inside the recovery that
+	// followed, and the DB was recovered again.
+	RecoveryCrashed bool  `json:"recovery_crashed,omitempty"`
+	Flushes         int64 `json:"flushes"`
+	Completed       int   `json:"completed"`
+	InFlight        int   `json:"in_flight"`
+	Replayed        int   `json:"replayed"`
+	Dropped         int   `json:"dropped"`
+	// TornLines counts the lines torn at the round's ADR crashes, the
+	// one inside recovery included.
+	TornLines int `json:"torn_lines"`
 }
 
 // Result is one Run's outcome. Violations non-empty means the oracle
@@ -138,11 +150,12 @@ func Run(cfg Config) (*Result, error) {
 		Mode:           mode,
 		StrictPersist:  true,
 	})
-	opts := core.Options{GC: gc, ChunkBytes: cfg.ChunkBytes}
-	tr, err := core.New(pool, opts)
+	dbCfg := cclbtree.Config{Shards: cfg.Shards, GC: gc, ChunkBytes: cfg.ChunkBytes}
+	db, err := cclbtree.NewOnPool(pool, dbCfg)
 	if err != nil {
 		return nil, err
 	}
+	dbCfg.Shards = 0 // every recovery auto-detects the count
 
 	master := rand.New(rand.NewSource(cfg.Seed))
 	res := &Result{Config: cfg}
@@ -174,12 +187,12 @@ func Run(cfg Config) (*Result, error) {
 		pool.FailWhen(plan.predicate())
 
 		histories := make([][]Op, cfg.Threads)
-		workers := make([]*core.Worker, cfg.Threads)
-		for i := range workers {
-			workers[i] = tr.NewWorker(i % cfg.Sockets)
+		sessions := make([]*cclbtree.Session, cfg.Threads)
+		for i := range sessions {
+			sessions[i] = db.Session(i % cfg.Sockets)
 		}
 		err := pmem.Parallel(cfg.Threads, func(wid int) error {
-			return runWorker(tr, workers[wid], wid, round, seeds[wid], cfg, &order, &histories[wid])
+			return runWorker(pool, sessions[wid], wid, round, seeds[wid], cfg, &order, &histories[wid])
 		})
 		if err != nil {
 			return nil, fmt.Errorf("torture: round %d worker: %w", round, err)
@@ -188,24 +201,26 @@ func Run(cfg Config) (*Result, error) {
 		// Teardown in power-failure order: stop background activity,
 		// tear what was in flight, disarm, then lose power.
 		crashed := pool.FaultFired()
-		tr.Freeze()
+		db.Close()
 		torn := 0
-		if cfg.Torn && crashed {
-			for _, w := range workers {
-				torn += w.Thread().TearPending(tearSeed)
-			}
+		if crashed {
+			torn = pool.TearPending(tearSeed)
 		}
 		pool.FailWhen(nil)
 		pool.Crash()
 
-		rec, st, err := openCrashing(pool, opts, cfg.Threads, recoveryCrashes, &recoveryFlushes)
+		report := RoundReport{Round: round, Plan: plan.String(), Crashed: crashed}
+		rec, st, err := openCrashing(pool, dbCfg, cfg.Threads, tearSeed, recoveryCrashes, &recoveryFlushes, &report)
+		if err == nil && rec.Shards() != max(cfg.Shards, 1) {
+			err = fmt.Errorf("auto-detected %d shards, want %d", rec.Shards(), max(cfg.Shards, 1))
+		}
 		if err != nil {
 			// The harness injects no corruption, so a rejected image is
 			// itself a crash-consistency failure.
 			res.Violations = append(res.Violations, Violation{
 				Round: round, Reason: fmt.Sprintf("recovery rejected the crash image: %v", err),
 			})
-			res.Rounds = append(res.Rounds, RoundReport{Round: round, Plan: plan.String(), Crashed: crashed})
+			res.Rounds = append(res.Rounds, report)
 			return res, nil
 		}
 
@@ -237,13 +252,11 @@ func Run(cfg Config) (*Result, error) {
 		vs = append(vs, checkReadLinearizability(baseline, h, round)...)
 		vs = append(vs, checkScanAgreement(byLookup, byScan, round)...)
 
-		res.Rounds = append(res.Rounds, RoundReport{
-			Round: round, Plan: plan.String(), Crashed: crashed,
-			Flushes:   pool.FlushCalls() - flushStart,
-			Completed: completed, InFlight: inFlight,
-			Replayed: st.EntriesReplayed, Dropped: st.EntriesDropped,
-			TornLines: torn,
-		})
+		report.Flushes = pool.FlushCalls() - flushStart
+		report.Completed, report.InFlight = completed, inFlight
+		report.Replayed, report.Dropped = st.EntriesReplayed, st.EntriesDropped
+		report.TornLines += torn
+		res.Rounds = append(res.Rounds, report)
 		if plan.Kind == "calibrate" || flushBudget == 0 {
 			flushBudget = pool.FlushCalls() - flushStart
 		}
@@ -252,62 +265,68 @@ func Run(cfg Config) (*Result, error) {
 			return res, nil
 		}
 		baseline = byLookup
-		tr = rec
+		db = rec
 	}
-	tr.Freeze()
+	db.Close()
 	return res, nil
 }
 
 // openCrashing recovers the crashed pool. In one round in three it
-// first arms a power failure at a flush drawn from the span of the last
-// recovery (*flushes), crashes when core.Open carries the failure back,
-// and recovers again: a crash inside recovery must lose nothing either.
-// *flushes becomes the completed recovery's flush count.
-func openCrashing(pool *pmem.Pool, opts core.Options, threads int, rng *rand.Rand, flushes *int64) (*core.Tree, *core.RecoveryStats, error) {
+// first arms a power failure at a flush drawn from the first half of
+// the last recovery's span (*flushes): recoveries vary, and one shorter
+// than the last would otherwise finish before the fault. When
+// OpenWithStats carries the failure back, it tears what recovery left
+// pending, crashes, records the crash in report and recovers again: a
+// crash inside recovery must lose nothing either. *flushes becomes the
+// completed recovery's flush count.
+func openCrashing(pool *pmem.Pool, cfg cclbtree.Config, threads int, tearSeed int64, rng *rand.Rand, flushes *int64, report *RoundReport) (*cclbtree.DB, *cclbtree.RecoveryStats, error) {
 	if rng.Intn(3) == 0 {
-		at := pool.FlushCalls() + 1 + rng.Int63n(*flushes)
+		at := pool.FlushCalls() + 1 + rng.Int63n(max(*flushes/2, 1))
 		pool.FailWhen(func(fp pmem.FaultPoint) bool { return fp.Seq == at })
-		var tr *core.Tree
-		var st *core.RecoveryStats
+		var db *cclbtree.DB
+		var st *cclbtree.RecoveryStats
 		var err error
-		died := pmem.Survive(func() { tr, st, err = core.Open(pool, opts, threads) })
-		pool.FailWhen(nil)
+		died := pmem.Survive(func() { db, st, err = cclbtree.OpenWithStats(pool, cfg, threads) })
 		if !died {
-			return tr, st, err
+			pool.FailWhen(nil)
+			return db, st, err
 		}
+		report.RecoveryCrashed = true
+		report.TornLines += pool.TearPending(tearSeed)
+		pool.FailWhen(nil)
 		pool.Crash()
 	}
 	base := pool.FlushCalls()
-	tr, st, err := core.Open(pool, opts, threads)
+	db, st, err := cclbtree.OpenWithStats(pool, cfg, threads)
 	*flushes = max(pool.FlushCalls()-base, 1)
-	return tr, st, err
+	return db, st, err
 }
 
-// runWorker drives one goroutine's share of the round's workload,
-// recording every operation. It returns a non-nil error only for real
-// tree errors (allocation failure); a simulated power failure ends the
-// loop normally with the dying op left in-flight. Invoke and return
-// points are drawn from order around each call.
-func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Config, order *atomic.Uint64, out *[]Op) error {
+// runWorker drives one goroutine's share of the round's workload
+// through its session, recording every operation. It returns a non-nil
+// error only for real tree errors (allocation failure); a simulated
+// power failure ends the loop normally with the dying op left
+// in-flight. Invoke and return points are drawn from order around each
+// call.
+func runWorker(pool *pmem.Pool, s *cclbtree.Session, wid, round int, seed int64, cfg Config, order *atomic.Uint64, out *[]Op) error {
 	rng := rand.New(rand.NewSource(seed))
-	pool := tr.Pool()
 	ops := make([]Op, 0, cfg.OpsPerThread)
 	defer func() { *out = ops }()
 
-	// Batched mode: writes stage here and go through one ApplyBatch
-	// group commit per cfg.BatchSize. An op is "invoked" only when its
-	// Apply starts — staged ops the crash strands before that were
-	// never issued to the tree and are not recorded.
+	// Batched mode: writes stage here and go through one Apply group
+	// commit per cfg.BatchSize. An op is "invoked" only when its Apply
+	// starts — staged ops the crash strands before that were never
+	// issued to the DB and are not recorded.
 	batched := cfg.BatchSize > 1
 	var staged []Op
-	var stagedOps []core.BatchOp
+	var batch cclbtree.Batch
 	applyStaged := func() error {
 		if len(staged) == 0 {
 			return nil
 		}
 		invoke := order.Add(1)
 		var err error
-		died := pmem.Survive(func() { err = w.ApplyBatch(stagedOps) })
+		died := pmem.Survive(func() { err = s.Apply(&batch) })
 		if err != nil {
 			return err
 		}
@@ -321,11 +340,11 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 			ops = append(ops, staged[i])
 		}
 		staged = staged[:0]
-		stagedOps = stagedOps[:0]
+		batch.Reset()
 		return nil
 	}
 
-	var scanBuf [32]core.KV
+	var scanBuf [32]cclbtree.KV
 	for seq := 0; seq < cfg.OpsPerThread; seq++ {
 		if pool.FaultFired() {
 			break // the machine is dead; no new invocations
@@ -344,11 +363,13 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 			op.Kind = OpScan
 		}
 
-		if batched && (op.Kind == OpUpsert || op.Kind == OpDelete) {
+		if batched && op.isWrite() {
 			staged = append(staged, op)
-			stagedOps = append(stagedOps, core.BatchOp{
-				Key: op.Key, Value: op.Value, Delete: op.Kind == OpDelete,
-			})
+			if op.Kind == OpDelete {
+				batch.Delete(op.Key)
+			} else {
+				batch.Put(op.Key, op.Value)
+			}
 			if len(staged) >= cfg.BatchSize {
 				if err := applyStaged(); err != nil {
 					return err
@@ -362,13 +383,13 @@ func runWorker(tr *core.Tree, w *core.Worker, wid, round int, seed int64, cfg Co
 		died := pmem.Survive(func() {
 			switch op.Kind {
 			case OpUpsert:
-				err = w.Upsert(op.Key, op.Value)
+				err = s.Put(op.Key, op.Value)
 			case OpDelete:
-				err = w.Delete(op.Key)
+				err = s.Delete(op.Key)
 			case OpLookup:
-				op.Value, op.Found = w.Lookup(op.Key)
+				op.Value, op.Found = s.Get(op.Key)
 			case OpScan:
-				n := w.Scan(op.Key, len(scanBuf), scanBuf[:])
+				n := s.Scan(op.Key, scanBuf[:])
 				// Record the observed pairs (copied out of the reused
 				// buffer) so the read oracle can attribute each one.
 				op.Observed = make([][2]uint64, n)
@@ -406,22 +427,20 @@ func uniqueValue(round, wid, seq int) uint64 {
 	return uint64(round+1)<<40 | uint64(wid+1)<<28 | uint64(seq+1)
 }
 
-// snapshot reads the recovered tree's full state twice — once by
-// per-key lookups, once by a range scan — for the oracle and the
-// read-path agreement check. Value maps omit absent keys.
-func snapshot(tr *core.Tree, keySpace uint64) (byLookup, byScan map[uint64]uint64) {
-	w := tr.NewWorker(0)
+// snapshot reads the recovered DB's full state twice — once by per-key
+// Gets, once through the merged cross-shard Range — for the oracle and
+// the read-path agreement check. Value maps omit absent keys.
+func snapshot(db *cclbtree.DB, keySpace uint64) (byLookup, byScan map[uint64]uint64) {
+	s := db.Session(0)
 	byLookup = make(map[uint64]uint64)
 	for k := uint64(1); k <= keySpace; k++ {
-		if v, ok := w.Lookup(k); ok {
+		if v, ok := s.Get(k); ok {
 			byLookup[k] = v
 		}
 	}
-	out := make([]core.KV, keySpace+8)
-	n := w.Scan(1, len(out), out)
-	byScan = make(map[uint64]uint64, n)
-	for _, kv := range out[:n] {
-		byScan[kv.Key] = kv.Value
+	byScan = make(map[uint64]uint64, len(byLookup))
+	for k, v := range s.Range(1) {
+		byScan[k] = v
 	}
 	return byLookup, byScan
 }

@@ -54,6 +54,9 @@ go test -race -short ./internal/baselines/...
 # own threads on it rather than going through bench.Run; the whole
 # package under -race takes ~50 s.
 go test -race -short -run 'TestSmokeAllExperiments/(fig2|fig14|fig15b|fig17|batch|extension-hash)$' ./internal/bench
+# The torture rounds drive the public DB through Sessions, on one shard
+# and on four (multi-shard Apply, the cross-shard Range merge, parallel
+# shard recovery).
 go test -race -run TestTortureShort ./internal/torture
 # A node's records and stamps are ticked in its lock's order whatever
 # socket draws them, and the oracles judge by the order the harness
@@ -94,14 +97,13 @@ echo "$obs_overhead" | grep OBS_OVERHEAD
 # Serving-tier gates. The cclserve smoke starts the server, drives the
 # load generator for a bounded self-verifying run, and shuts down
 # gracefully — any load error, misread, or post-Close acceptance makes
-# the binary exit non-zero (set -e fails the script). Then the sharded
-# crash test under the race detector.
+# the binary exit non-zero (set -e fails the script). The sharded DB's
+# crash rounds are TestTortureShort's sharded rows, raced above.
 servedir=$(mktemp -d)
 go build -o "$servedir/cclserve" ./cmd/cclserve
 "$servedir/cclserve" -bench -shards 4 -clients 16 -ops 20000 > "$servedir/serve.json"
 grep -q '"misread": 0' "$servedir/serve.json"
 rm -rf "$servedir"
-go test -race -run TestShardedCrashDurablePrefix .
 
 # Short fuzz smokes: each target gets 10s of coverage-guided input
 # generation on top of its checked-in corpus. FuzzRecoveryScan runs the
