@@ -60,17 +60,13 @@ func TestReplayReproducesRun(t *testing.T) {
 func TestReproLineReproducesRun(t *testing.T) {
 	cfg := torture.Config{Seed: 5, Threads: 1, Rounds: 3, OpsPerThread: 120,
 		KeySpace: 128, GC: "off", Shards: 2, BatchSize: 4}
-	res, err := torture.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out, errb bytes.Buffer
-	if code := oneRun(res.Config, t.TempDir(), &out, &errb); code != 0 {
+	if code := oneRun(cfg, t.TempDir(), &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	want := summaryLine(t, out.String())
 
-	args := strings.Fields(torture.NewArtifact(res).ReproCmd)
+	args := strings.Fields(torture.NewArtifact(&torture.Result{Config: cfg}).ReproCmd)
 	if args[0] != "ccltorture" {
 		t.Fatalf("repro line %q does not start with the command", args)
 	}
